@@ -56,6 +56,6 @@ from .filtration import (
     verify_refined_bounds,
 )
 from .residue import ResidueElement, ResidueRing, invert_unit, reduce_rational
-from .series import QSeries, series_equal_mod, series_mul, series_pow
+from .series import QSeries, series_equal_mod
 
 __version__ = "0.1.0"

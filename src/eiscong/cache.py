@@ -7,6 +7,8 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import exact
+from .errors import CacheFormatError
+from .residue import is_prime
 
 __all__ = ["CACHE_ENV_VAR", "default_cache_path", "load_bernoulli_cache", "save_bernoulli_cache"]
 
@@ -19,34 +21,76 @@ def default_cache_path() -> Path | None:
 
 
 def parse_cache_line(line: str) -> tuple[int, Fraction]:
+    """Parse one "k num/den" line; raises ValueError or ZeroDivisionError if malformed."""
     index_text, value_text = line.split()
     num_text, den_text = value_text.split("/")
-    return int(index_text), Fraction(int(num_text), int(den_text))
+    return int(index_text), Fraction(exact.parse_int(num_text), exact.parse_int(den_text))
 
 
 def format_cache_line(index: int, value: Fraction) -> str:
-    return f"{index} {value.numerator}/{value.denominator}\n"
+    return f"{index} {exact.int_str(value.numerator)}/{exact.int_str(value.denominator)}\n"
+
+
+def _von_staudt_denominator(k: int) -> int:
+    """Denominator of B_k for even k >= 2: the product of the primes l with (l-1) | k."""
+    out = 1
+    for d in exact.divisors(k):
+        if is_prime(d + 1):
+            out *= d + 1
+    return out
+
+
+def _value_problem(index: int, value: Fraction) -> str | None:
+    """Why `value` cannot be B_index (von Staudt-Clausen and the sign), or None."""
+    if index < 0:
+        return "Bernoulli indices are non-negative"
+    if index < 2 or index % 2:
+        # B_0, B_1 and the odd zeros are known outright.
+        return None if value == exact.bernoulli(index) else f"B_{index} is {exact.bernoulli(index)}"
+    denominator = _von_staudt_denominator(index)
+    if value.denominator != denominator:
+        return f"B_{index} has denominator {denominator}"
+    if (value > 0) != (index % 4 == 2):
+        return f"B_{index} is {'positive' if index % 4 == 2 else 'negative'}"
+    return None
 
 
 def load_bernoulli_cache(path: str | Path) -> int:
-    """Seed the in-memory memo from a cache file; returns entries loaded."""
+    """Seed the in-memory memo from a cache file; returns entries loaded.
+
+    The whole file is checked before anything is seeded: a malformed line, or
+    a value that cannot be B_k, raises CacheFormatError.
+    """
     path = Path(path)
     if not path.exists():
         return 0
-    count = 0
+    entries = []
     with path.open() as handle:
-        for line in handle:
+        for number, line in enumerate(handle, 1):
             line = line.strip()
             if not line:
                 continue
-            index, value = parse_cache_line(line)
-            exact.seed_bernoulli(index, value)
-            count += 1
-    return count
+            try:
+                index, value = parse_cache_line(line)
+            except (ValueError, ZeroDivisionError):
+                raise CacheFormatError(
+                    f"{path}:{number}: expected a line 'k numerator/denominator'"
+                ) from None
+            problem = _value_problem(index, value)
+            if problem:
+                raise CacheFormatError(f"{path}:{number}: {problem}")
+            entries.append((index, value))
+    for index, value in entries:
+        exact.seed_bernoulli(index, value)
+    return len(entries)
 
 
 def save_bernoulli_cache(path: str | Path) -> int:
-    """Append memoized values not yet present in the file; returns appended count."""
+    """Append memoized values not yet present in the file; returns appended count.
+
+    The new lines go out in one write, so concurrent runs appending to the
+    same file do not interleave inside a line.
+    """
     path = Path(path)
     existing: set[int] = set()
     if path.exists():
@@ -54,12 +98,15 @@ def save_bernoulli_cache(path: str | Path) -> int:
             for line in handle:
                 line = line.strip()
                 if line:
-                    existing.add(parse_cache_line(line)[0])
+                    existing.add(int(line.split(maxsplit=1)[0]))
     new_indices = [k for k in exact.bernoulli_cached_indices() if k not in existing]
     if not new_indices:
         return 0
+    # One growing buffer: joining a list of lines would hold the payload twice.
+    payload = bytearray()
+    for k in new_indices:
+        payload += format_cache_line(k, exact.bernoulli(k)).encode("ascii")
     path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("a") as handle:
-        for k in new_indices:
-            handle.write(format_cache_line(k, exact.bernoulli(k)))
+    with path.open("ab") as handle:
+        handle.write(payload)
     return len(new_indices)

@@ -19,7 +19,7 @@ from .cache import default_cache_path, load_bernoulli_cache, save_bernoulli_cach
 from .congruences import DEFAULT_BERNOULLI_BUDGET
 from .eisenstein import delta_series, e_factor, e_series, g_series, monomial_series
 from .errors import BudgetExceededError, EiscongError
-from .exact import bernoulli, padic_valuation
+from .exact import bernoulli, int_str, padic_valuation
 from .filtration import factor_filtration_bound, sharpness_probe, sturm_bound
 from .golden import REPRODUCTION_EXAMPLES
 from .residue import ResidueRing
@@ -298,7 +298,7 @@ def _cmd_bernoulli(args, out) -> int:
     records = []
     for k in ks:
         value = bernoulli(k)
-        record = {"k": k, "value": f"{value.numerator}/{value.denominator}"}
+        record = {"k": k, "value": f"{int_str(value.numerator)}/{int_str(value.denominator)}"}
         for p in primes:
             record[f"nu_{p}"] = str(padic_valuation(value, p))
         records.append(record)
@@ -522,7 +522,11 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     cache_path = args.cache or default_cache_path()
     if cache_path:
-        load_bernoulli_cache(cache_path)
+        try:
+            load_bernoulli_cache(cache_path)
+        except (EiscongError, OSError, ValueError) as err:
+            print(f"error: {err}", file=sys.stderr)
+            return 2
     out = open(args.out, "w") if args.out else sys.stdout
     try:
         status = _COMMANDS[args.command](args, out)

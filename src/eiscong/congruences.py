@@ -18,7 +18,7 @@ from .errors import (
     MOutOfRangeError,
     ParameterOutOfRangeError,
 )
-from .exact import bernoulli, gen_binomial, h_coefficient, padic_valuation
+from .exact import bernoulli, gen_binomial, h_coefficient, int_str, padic_valuation
 from .eisenstein import e_series, g_series
 from .filtration import sturm_bound
 from .residue import ResidueRing
@@ -102,7 +102,10 @@ def _valuation_report(statement_id: str, params: dict, difference: Fraction,
     v = padic_valuation(difference, p)
     if v >= required:
         return CongruenceReport(statement_id, params, "Pass", None, "coefficient-evidence")
-    detail = {"valuation": v, "required": required, "difference": str(difference)}
+    text = int_str(difference.numerator)
+    if difference.denominator != 1:
+        text += f"/{int_str(difference.denominator)}"
+    detail = {"valuation": v, "required": required, "difference": text}
     return CongruenceReport(statement_id, params, "Fail", detail, "coefficient-evidence")
 
 

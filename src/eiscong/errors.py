@@ -47,3 +47,7 @@ class QuasimodularWeightError(EiscongError):
 
 class WeightMismatchError(EiscongError):
     """Candidate weight is incompatible with the form's weight modulo p-1."""
+
+
+class CacheFormatError(EiscongError):
+    """A Bernoulli cache line is malformed or holds a value no B_k can have."""

@@ -17,7 +17,9 @@ __all__ = [
     "divisors",
     "gen_binomial",
     "h_coefficient",
+    "int_str",
     "padic_valuation",
+    "parse_int",
     "pochhammer",
     "seed_bernoulli",
     "sigma_power",
@@ -103,6 +105,38 @@ def seed_bernoulli(k: int, value: Fraction) -> None:
 def bernoulli_cached_indices() -> list[int]:
     """Indices currently held in the in-memory memo, ascending."""
     return sorted(_BERNOULLI_MEMO)
+
+
+# ---------------------------------------------------------------------------
+# Decimal text of large integers
+# ---------------------------------------------------------------------------
+
+# CPython refuses int/str conversions past 4300 digits by default
+# (sys.set_int_max_str_digits); numerators of B_k pass that near k = 2060.
+# The decimal module converts without the limit, and leaves the
+# interpreter-wide setting alone.
+
+def int_str(n: int) -> str:
+    """str(n), also for integers past CPython's int/str digit limit."""
+    try:
+        return str(n)
+    except ValueError:
+        import decimal
+
+        return str(decimal.Decimal(n))
+
+
+def parse_int(text: str) -> int:
+    """int(text), also for decimal integers past CPython's int/str digit limit."""
+    try:
+        return int(text)
+    except ValueError:
+        digits = text[1:] if text[:1] in ("+", "-") else text
+        if not digits.isdecimal():
+            raise
+        import decimal
+
+        return int(decimal.Decimal(text))
 
 
 # ---------------------------------------------------------------------------

@@ -4,17 +4,23 @@ A QSeries holds coefficients of q^0 .. q^precision, either as canonical
 residues in a ResidueRing or as exact Fractions (ring is None). Reading past
 the declared precision raises instead of returning zero, and every binary
 operation propagates the minimum precision of its operands.
+
+Residue-mode products use Kronecker substitution: each coefficient vector is
+packed into one integer and CPython's subquadratic big-int multiply does the
+convolution. Exact mode multiplies with the schoolbook loop.
 """
 
 from __future__ import annotations
 
+import sys
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import PrecisionTooLowError, RingMismatchError
 from .residue import ResidueRing
 
-__all__ = ["CongruenceVerdict", "QSeries", "series_equal_mod", "series_mul", "series_pow"]
+__all__ = ["CongruenceVerdict", "QSeries", "series_equal_mod"]
 
 
 @dataclass(frozen=True)
@@ -115,8 +121,11 @@ class QSeries:
 
     def __mul__(self, other: "QSeries") -> "QSeries":
         prec = self._check_compatible(other)
-        zero = 0 if self.ring is not None else Fraction(0)
-        out = [zero] * (prec + 1)
+        if self.ring is not None:
+            coeffs = _kronecker_product(self.coeffs, None if self is other else other.coeffs,
+                                        prec + 1, self.ring.modulus)
+            return QSeries(self.ring, coeffs, prec)
+        out = [Fraction(0)] * (prec + 1)
         for i, a in enumerate(self.coeffs[: prec + 1]):
             if a == 0:
                 continue
@@ -124,10 +133,7 @@ class QSeries:
                 b = other.coeffs[j]
                 if b:
                     out[i + j] += a * b
-        if self.ring is not None:
-            mod = self.ring.modulus
-            out = [c % mod for c in out]
-        return QSeries(self.ring, tuple(out), prec)
+        return QSeries(None, tuple(out), prec)
 
     def scale(self, scalar) -> "QSeries":
         """Multiply every coefficient by a scalar (int, Fraction, or residue)."""
@@ -191,13 +197,38 @@ class QSeries:
         return QSeries.residue(ring, [int(c) for c in raw], precision)
 
 
-def series_mul(a: QSeries, b: QSeries) -> QSeries:
-    """Cauchy product truncated to the minimum precision of the operands."""
-    return a * b
+# Unsigned array types, narrowest first. Slots that fit one of them are packed
+# and unpacked by the array module in C rather than one coefficient at a time.
+_ARRAY_TYPES = sorted((array(code).itemsize, code) for code in "BHIQ")
 
 
-def series_pow(a: QSeries, n: int) -> QSeries:
-    return a.pow(n)
+def _kronecker_product(a: tuple, b: tuple | None, n: int, modulus: int) -> tuple:
+    """Coefficients q^0 .. q^(n-1) of a*b modulo `modulus`; b=None squares a.
+
+    Each canonical residue of q^0 .. q^(n-1) takes a fixed slot of `width`
+    bytes. A product coefficient before reduction is a sum of at most n terms,
+    each at most (modulus-1)^2, so it fits its slot and no slot carries into
+    the next: one integer multiply computes the whole convolution. Slots of up
+    to 8 bytes widen to the narrowest array item that holds them.
+    """
+    width = (2 * (modulus - 1).bit_length() + n.bit_length() + 7) // 8
+    for size, code in _ARRAY_TYPES:
+        if width <= size:
+            x = int.from_bytes(array(code, a[:n]), sys.byteorder)
+            z = x * x if b is None else x * int.from_bytes(array(code, b[:n]), sys.byteorder)
+            slots = array(code, z.to_bytes((2 * n - 1) * size, sys.byteorder))
+            return tuple([c % modulus for c in slots[:n]])
+    x = _pack(a[:n], width)
+    z = x * x if b is None else x * _pack(b[:n], width)
+    data = z.to_bytes((2 * n - 1) * width, "little")
+    return tuple(
+        int.from_bytes(data[i : i + width], "little") % modulus
+        for i in range(0, n * width, width)
+    )
+
+
+def _pack(coeffs: tuple, width: int) -> int:
+    return int.from_bytes(b"".join([c.to_bytes(width, "little") for c in coeffs]), "little")
 
 
 def series_equal_mod(a: QSeries, b: QSeries, upto: int) -> CongruenceVerdict:

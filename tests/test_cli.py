@@ -1,4 +1,9 @@
 import json
+import os
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -9,12 +14,24 @@ from eiscong.cache import (
     save_bernoulli_cache,
 )
 from eiscong.cli import main, parse_range, smallest_kstar, smallest_kstar_multiple
+from eiscong.errors import CacheFormatError
+from eiscong.exact import bernoulli, parse_int
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run_cli(capsys, *argv):
     status = main(list(argv))
     captured = capsys.readouterr()
     return status, captured.out, captured.err
+
+
+def run_module(*argv):
+    """`python -m eiscong ARGV` in a fresh interpreter, importing from src."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    env.pop("EISCONG_BERNOULLI_CACHE", None)
+    return subprocess.run([sys.executable, "-m", "eiscong", *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
 
 
 class TestHelpers:
@@ -219,6 +236,11 @@ class TestConsoleScript:
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["match"] is True
 
+    def test_module_entry_point(self):
+        proc = run_module("reproduce", "paper-17-6")
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["match"] is True
+
 
 class TestOutAndCache:
     def test_out_file(self, tmp_path, capsys):
@@ -271,3 +293,87 @@ class TestOutAndCache:
         assert status == 0
         records = [json.loads(line) for line in out.splitlines()]
         assert all("budget-warning" in r for r in records)
+
+    @pytest.mark.parametrize("line, reason", [
+        ("bad line", "expected a line"),
+        ("12 -691/0", "expected a line"),
+        ("12 -691/2730/1", "expected a line"),
+        ("-2 1/6", "non-negative"),
+        ("12 5/7", "denominator 2730"),
+        ("12 691/2730", "negative"),
+        ("14 -7/6", "positive"),
+        ("1 1/2", "B_1 is -1/2"),
+        ("3 1/5", "B_3 is 0"),
+    ])
+    def test_bad_cache_line_is_clean_error(self, tmp_path, capsys, line, reason):
+        path = tmp_path / "bad.cache"
+        path.write_text("2 1/6\n" + line + "\n")
+        status, out, err = run_cli(capsys, "verify", "eq1.4", "--p", "11", "--k", "2",
+                                   "--alpha", "1", "--cache", str(path))
+        assert status == 2
+        assert out == ""
+        assert err.startswith(f"error: {path}:2: ") and reason in err
+        assert "Traceback" not in err
+        assert path.read_text() == "2 1/6\n" + line + "\n"
+
+    def test_unreadable_cache_is_clean_error(self, tmp_path, capsys):
+        undecodable = tmp_path / "binary.cache"
+        undecodable.write_bytes(b"12 \xff\xfe/2730\n")
+        for path in (tmp_path, undecodable):
+            status, out, err = run_cli(capsys, "bernoulli", "4", "--cache", str(path))
+            assert status == 2 and out == ""
+            assert err.startswith("error: ") and "Traceback" not in err
+
+    def test_rejected_cache_seeds_nothing(self, tmp_path):
+        path = tmp_path / "bad.cache"
+        path.write_text("12 5/7\n")
+        with pytest.raises(CacheFormatError):
+            load_bernoulli_cache(path)
+        assert bernoulli(12) == Fraction(-691, 2730)
+
+    def test_save_appends_in_one_write(self, tmp_path, monkeypatch):
+        writes = []
+        real_open = Path.open
+
+        class Spy:
+            def __init__(self, handle):
+                self.handle = handle
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.handle.close()
+
+            def write(self, text):
+                writes.append(text)
+                return self.handle.write(text)
+
+        def spy_open(self, mode="r", *args, **kwargs):
+            handle = real_open(self, mode, *args, **kwargs)
+            return Spy(handle) if "a" in mode else handle
+
+        for k in (20, 22, 24):
+            bernoulli(k)
+        path = tmp_path / "bern.cache"
+        monkeypatch.setattr(Path, "open", spy_open)
+        appended = save_bernoulli_cache(path)
+        monkeypatch.undo()
+        assert appended >= 3
+        assert len(writes) == 1
+        assert path.read_bytes() == writes[0]
+        assert len(writes[0].splitlines()) == appended
+
+    def test_large_bernoulli_prints_and_round_trips(self, tmp_path):
+        # The numerator of B_2200 has more digits than CPython's default
+        # int/str conversion limit allows. The second process reads B_2200
+        # from the cache alone.
+        path = tmp_path / "bern.cache"
+        runs = [run_module("bernoulli", "2200", "--cache", str(path)) for _ in range(2)]
+        assert [proc.returncode for proc in runs] == [0, 0], runs[0].stderr
+        assert runs[0].stdout == runs[1].stdout
+        index, value = runs[0].stdout.split()
+        assert index == "2200" and len(value.split("/")[0]) > 4300
+        line = next(l for l in path.read_text().splitlines() if l.startswith("2200 "))
+        assert line == runs[0].stdout.strip()
+        assert parse_cache_line(line)[1] == Fraction(*map(parse_int, value.split("/")))

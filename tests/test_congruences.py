@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from eiscong.congruences import (
+    _valuation_report,
     check_bernoulli_prop41,
     check_dpower_congruence,
     check_eq14,
@@ -34,7 +35,7 @@ from eiscong.errors import (
     MOutOfRangeError,
     ParameterOutOfRangeError,
 )
-from eiscong.exact import padic_valuation, sigma_power
+from eiscong.exact import padic_valuation, parse_int, sigma_power
 
 from conftest import bernoulli_by_recurrence
 
@@ -306,6 +307,19 @@ class TestConjectureScans:
     def test_eq61_budget_guard(self):
         with pytest.raises(BudgetExceededError):
             scan_conjecture_ek_series(5, 5, 8, 5000, 10)
+
+
+class TestFailureDetail:
+    def test_difference_past_the_int_str_limit(self):
+        report = _valuation_report("Eq3.1", {}, Fraction(7**6000 + 1, 3), 7, 1)
+        assert report.verdict == "Fail"
+        numerator, denominator = report.failure_detail["difference"].split("/")
+        assert len(numerator) == 5071 and parse_int(numerator) == 7**6000 + 1
+        assert denominator == "3"
+
+    def test_integer_difference_has_no_denominator(self):
+        report = _valuation_report("Eq3.1", {}, Fraction(-5), 7, 1)
+        assert report.failure_detail["difference"] == "-5"
 
 
 class TestReportSerialization:

@@ -1,4 +1,5 @@
 import math
+import sys
 import threading
 from fractions import Fraction
 
@@ -9,7 +10,9 @@ from eiscong.exact import (
     divisors,
     gen_binomial,
     h_coefficient,
+    int_str,
     padic_valuation,
+    parse_int,
     pochhammer,
     sigma_power,
     sigma_power_mod,
@@ -85,6 +88,27 @@ class TestBernoulli:
             t.join()
         assert len(set(results)) == 1
         assert results[0] == bernoulli_by_recurrence(402)
+
+
+class TestDecimalText:
+    def test_past_the_int_str_limit(self):
+        limit = sys.get_int_max_str_digits()
+        for n in (-(7**6000), 10**5000 - 1):
+            text = int_str(n)
+            assert len(text) > 4300
+            assert parse_int(text) == n
+        assert sys.get_int_max_str_digits() == limit
+
+    def test_below_the_limit_matches_str_and_int(self):
+        for n in (0, -12, 2**200):
+            assert int_str(n) == str(n)
+            assert parse_int(str(n)) == n
+
+    def test_only_integers_parse(self):
+        long_digits = "9" * 5000
+        for text in ("1.5", "1e5", "", "-", "NaN", long_digits + ".5", long_digits + "e1"):
+            with pytest.raises(ValueError):
+                parse_int(text)
 
 
 class TestValuation:

@@ -184,6 +184,88 @@ class TestQSeries:
             a + b
 
 
+def schoolbook_product(a, b):
+    """Oracle: the exact-mode schoolbook product of the same integers, reduced into a's ring."""
+    return (QSeries.exact(a.coeffs) * QSeries.exact(b.coeffs)).reduce(a.ring)
+
+
+KRONECKER_PRIMES = (5, 7, 11, 13)
+KRONECKER_EXPONENTS = range(1, 9)
+
+
+class TestKroneckerProduct:
+    """Residue-mode products against the exact-mode schoolbook loop.
+
+    The moduli 5^1 .. 13^8 and precisions up to 300 give slots of 1 to 9
+    bytes, so every array item size and the wider byte-string slots are used.
+    """
+
+    def test_random_operands(self, rng):
+        for p in KRONECKER_PRIMES:
+            for m in KRONECKER_EXPONENTS:
+                ring = ResidueRing(p, m)
+                for precision in (0, rng.randrange(1, 301)):
+                    a = q_series(ring, *[rng.randrange(ring.modulus) for _ in range(precision + 1)])
+                    b = q_series(ring, *[rng.randrange(ring.modulus) for _ in range(precision + 1)])
+                    assert a * b == schoolbook_product(a, b), (p, m, precision)
+
+    def test_unequal_precisions(self, rng):
+        for p, m in ((5, 1), (7, 4), (13, 8)):
+            ring = ResidueRing(p, m)
+            for pa, pb in ((0, 9), (40, 3), (17, 120)):
+                a = q_series(ring, *[rng.randrange(ring.modulus) for _ in range(pa + 1)])
+                b = q_series(ring, *[rng.randrange(ring.modulus) for _ in range(pb + 1)])
+                product = a * b
+                assert product.precision == min(pa, pb)
+                assert product == schoolbook_product(a, b)
+                assert b * a == product
+
+    def test_zero_and_sparse(self, rng):
+        for p, m in ((5, 2), (11, 5), (13, 8)):
+            ring = ResidueRing(p, m)
+            precision = 150
+            zero = QSeries.residue(ring, [0] * (precision + 1))
+            sparse = [0] * (precision + 1)
+            for n in rng.sample(range(precision + 1), 5):
+                sparse[n] = rng.randrange(1, ring.modulus)
+            sparse = QSeries.residue(ring, sparse)
+            dense = q_series(ring, *[rng.randrange(ring.modulus) for _ in range(precision + 1)])
+            assert zero * dense == zero
+            assert zero * zero == zero
+            assert sparse * dense == schoolbook_product(sparse, dense)
+            assert sparse * sparse == schoolbook_product(sparse, sparse)
+
+    def test_all_coefficients_maximal(self):
+        # Every coefficient p^m - 1 fills each slot as far as the width allows.
+        for p in KRONECKER_PRIMES:
+            for m in KRONECKER_EXPONENTS:
+                ring = ResidueRing(p, m)
+                for precision in (0, 14, 15, 40):
+                    top = QSeries.residue(ring, [ring.modulus - 1] * (precision + 1))
+                    other = QSeries(ring, top.coeffs, precision)
+                    assert top * other == schoolbook_product(top, top), (p, m, precision)
+        ring = ResidueRing(13, 8)
+        top = QSeries.residue(ring, [ring.modulus - 1] * 301)
+        assert top * top == schoolbook_product(top, top)
+
+    def test_squaring_path(self, rng):
+        for p, m in ((5, 1), (7, 3), (11, 6), (13, 8)):
+            ring = ResidueRing(p, m)
+            a = q_series(ring, *[rng.randrange(ring.modulus) for _ in range(200)])
+            copy = QSeries(ring, a.coeffs, a.precision)
+            assert a is not copy
+            assert a * a == a * copy == schoolbook_product(a, a)
+
+    def test_pow_matches_repeated_multiplication(self, rng):
+        for p, m in ((5, 4), (7, 8), (13, 8)):
+            ring = ResidueRing(p, m)
+            a = q_series(ring, *[rng.randrange(ring.modulus) for _ in range(80)])
+            repeated = QSeries.one(ring, a.precision)
+            for n in range(12):
+                assert a.pow(n) == repeated, (p, m, n)
+                repeated = repeated * a
+
+
 class TestSeriesEqualMod:
     def test_reflexive(self):
         ring = ResidueRing(5, 2)
