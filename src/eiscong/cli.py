@@ -13,16 +13,18 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from itertools import product
+from typing import Callable, Iterator
 
 from . import congruences as cong
 from .cache import default_cache_path, load_bernoulli_cache, save_bernoulli_cache
-from .congruences import DEFAULT_BERNOULLI_BUDGET
+from .congruences import DEFAULT_BERNOULLI_BUDGET, CongruenceReport
 from .eisenstein import delta_series, e_factor, e_series, g_series, monomial_series
 from .errors import BudgetExceededError, EiscongError
 from .exact import bernoulli, int_str, padic_valuation
 from .filtration import factor_filtration_bound, sharpness_probe, sturm_bound
 from .golden import REPRODUCTION_EXAMPLES
-from .residue import ResidueRing
+from .residue import ResidueRing, is_prime
 
 __all__ = ["main"]
 
@@ -88,94 +90,201 @@ def _emit(records: list[dict], fmt: str, out) -> None:
 
 
 # ---------------------------------------------------------------------------
-# verify / scan task machinery
+# Statement table for verify and scan
 # ---------------------------------------------------------------------------
 
-_RUNNERS = {
-    "thm1.1": lambda t: cong.check_thm_gk(t["p"], t["m"], t["kstar"], t["alpha"], t["prec"]),
-    "thm1.2": lambda t: cong.check_thm_ek(t["p"], t["m"], t["alpha"], t["prec"]),
-    "prop3.1": lambda t: cong.check_prop_gk_fixed(t["p"], t["m"], t["kstar"], t["alpha"], t["prec"]),
-    "prop4.2": lambda t: cong.check_prop_ek_fixed(t["p"], t["m"], t["alpha"], t["prec"]),
-    "prop4.1": lambda t: cong.check_bernoulli_prop41(t["p"], t["m"], t["alpha"], t["d"]),
-    "eq3.1": lambda t: cong.check_dpower_congruence(t["p"], t["m"], t["alpha"], t["d"]),
-    "eq1.4": lambda t: cong.check_eq14(t["p"], t["k"], t["kprime"], t["prec"]),
-    "eq1.6": lambda t: cong.check_eq16(t["p"], t["m"], t["k0"], t["prec"]),
-    "kummer": lambda t: cong.check_kummer(t["p"], t["r"], t["k"], t["kprime"]),
-    "eq6.4": lambda t: cong.scan_conjecture_bernoulli(
-        t["p"], t["m"], [t["alpha"]], t["kstar"], t["budget"])[0],
-    "eq6.1": lambda t: cong.scan_conjecture_ek_series(
-        t["p"], t["m"], t["kstar"], t["alpha"], t["prec"], t["budget"]),
+class Statement:
+    """One statement of `verify` or `scan`.
+
+    `run` maps a task to its report. It calls the check as an attribute of
+    the `congruences` module, never through a stored function object, so a
+    tracer that rebinds module attributes sees every call. `grid` yields the
+    task parameters for the parsed arguments, primes and exponents m, in
+    output order. `demand` is the largest Bernoulli index a task needs, and
+    `validate` a cheap check run on the whole grid before any task runs.
+    """
+
+    __slots__ = ("run", "grid", "demand", "validate", "required", "scan")
+
+    def __init__(self, run: Callable[[dict], CongruenceReport],
+                 grid: Callable[[argparse.Namespace, list[int], list[int]], Iterator[dict]],
+                 demand: Callable[[dict], int] = lambda task: 0,
+                 validate: Callable[[dict], None] = lambda task: None,
+                 required: tuple[str, ...] = (), scan: bool = False) -> None:
+        self.run, self.grid, self.demand = run, grid, demand
+        self.validate, self.required, self.scan = validate, required, scan
+
+
+def _alphas(args) -> list[int]:
+    return parse_range(args.alpha) if args.alpha else [0]
+
+
+def _gk_grid(args, ps: list[int], ms: list[int]) -> Iterator[dict]:
+    for p, m in product(ps, ms):
+        for kstar in parse_range(args.kstar) if args.kstar else [smallest_kstar(p, m)]:
+            for alpha in _alphas(args):
+                yield {"p": p, "m": m, "kstar": kstar, "alpha": alpha, "prec": args.prec}
+
+
+def _ek_grid(args, ps: list[int], ms: list[int]) -> Iterator[dict]:
+    for p, m, alpha in product(ps, ms, _alphas(args)):
+        yield {"p": p, "m": m, "alpha": alpha, "prec": args.prec}
+
+
+def _d_grid(args, ps: list[int], ms: list[int]) -> Iterator[dict]:
+    for p, m, alpha, d in product(ps, ms, _alphas(args), parse_range(args.d)):
+        yield {"p": p, "m": m, "alpha": alpha, "d": d}
+
+
+def _box_grid(args, ps: list[int], ms: list[int]) -> Iterator[dict]:
+    for m in ms:
+        for j in range(1, m):
+            for s, alpha in product(range(m - j), _alphas(args)):
+                yield {"m": m, "j": j, "s": s, "alpha": alpha}
+
+
+def _conjecture_grid(args, ps: list[int], ms: list[int]) -> Iterator[dict]:
+    for p, m in product(ps, ms):
+        kstar = int(args.kstar) if args.kstar else smallest_kstar_multiple(p, m)
+        for alpha in parse_range(args.alpha) if args.alpha else range(m, m + p + 1):
+            yield {"p": p, "m": m, "kstar": kstar, "alpha": alpha}
+
+
+def _validate_prop41(t: dict) -> None:
+    cong._validate_ek_args(t["p"], t["m"], t["alpha"])
+    if t["d"] % t["p"] == 0:
+        raise EiscongError(f"d = {t['d']} must be coprime to p = {t['p']}")
+
+
+def _run_identity(t: dict) -> CongruenceReport:
+    value = cong.combin_identity_sum(t["m"], t["j"], t["s"], t["alpha"])
+    params = {"m": t["m"], "j": t["j"], "s": t["s"], "alpha": t["alpha"]}
+    return CongruenceReport("Prop3.2", params, "Pass" if value == 0 else "Fail",
+                            None if value == 0 else {"sum": str(value)})
+
+
+def _run_telescoping(t: dict) -> CongruenceReport:
+    ok = (cong.check_telescoping(t["m"], t["j"], t["s"], t["alpha"], t["r"])
+          and cong.check_sum_recurrence(t["m"], t["j"], t["s"], t["alpha"]))
+    params = {"m": t["m"], "j": t["j"], "s": t["s"], "alpha": t["alpha"], "r": t["r"]}
+    return CongruenceReport("Eq3.3", params, "Pass" if ok else "Fail",
+                            None if ok else {"identity": "telescoping"})
+
+
+# The parsers list the names in this order, each alias just before its target.
+STATEMENTS = {
+    "thm1.1": Statement(
+        run=lambda t: cong.check_thm_gk(t["p"], t["m"], t["kstar"], t["alpha"], t["prec"]),
+        grid=_gk_grid, demand=lambda t: t["alpha"] * (t["p"] - 1) + t["kstar"],
+        validate=lambda t: cong._validate_gk_args(t["p"], t["m"], t["kstar"], t["alpha"])),
+    "thm1.2": Statement(
+        run=lambda t: cong.check_thm_ek(t["p"], t["m"], t["alpha"], t["prec"]),
+        grid=_ek_grid, demand=lambda t: t["alpha"] * (t["p"] - 1),
+        validate=lambda t: cong._validate_ek_args(t["p"], t["m"], t["alpha"])),
+    "prop3.1": Statement(
+        run=lambda t: cong.check_prop_gk_fixed(t["p"], t["m"], t["kstar"], t["alpha"], t["prec"]),
+        grid=_gk_grid, demand=lambda t: t["alpha"] * (t["p"] - 1) + t["kstar"],
+        validate=lambda t: cong._validate_gk_args(t["p"], t["m"], t["kstar"], t["alpha"])),
+    "prop4.1": Statement(
+        run=lambda t: cong.check_bernoulli_prop41(t["p"], t["m"], t["alpha"], t["d"]),
+        grid=_d_grid, demand=lambda t: t["alpha"] * (t["p"] - 1), validate=_validate_prop41),
+    "prop4.2": Statement(
+        run=lambda t: cong.check_prop_ek_fixed(t["p"], t["m"], t["alpha"], t["prec"]),
+        grid=_ek_grid, demand=lambda t: t["alpha"] * (t["p"] - 1),
+        validate=lambda t: cong._validate_ek_args(t["p"], t["m"], t["alpha"])),
+    "eq3.1": Statement(
+        run=lambda t: cong.check_dpower_congruence(t["p"], t["m"], t["alpha"], t["d"]),
+        grid=_d_grid),
+    # --m is not a parameter of eq1.4 or sun97, so their grids do not loop over it.
+    "eq1.4": Statement(
+        run=lambda t: cong.check_eq14(t["p"], t["k"], t["kprime"], t["prec"]),
+        grid=lambda args, ps, ms: (
+            {"p": p, "k": k, "kprime": k + alpha * (p - 1), "prec": args.prec}
+            for p, k, alpha in product(ps, parse_range(args.k), _alphas(args))),
+        demand=lambda t: max(t["k"], t["kprime"]), required=("k",)),
+    "eq1.6": Statement(
+        run=lambda t: cong.check_eq16(t["p"], t["m"], t["k0"], t["prec"]),
+        grid=lambda args, ps, ms: (
+            {"p": p, "m": m, "k0": k0, "prec": args.prec}
+            for p, m, k0 in product(ps, ms, parse_range(args.k0))),
+        demand=lambda t: t["p"] ** (t["m"] - 1) * (t["p"] - 1) + t["k0"], required=("k0",)),
+    "kummer": Statement(
+        run=lambda t: cong.check_kummer(t["p"], t["r"], t["k"], t["kprime"]),
+        grid=lambda args, ps, ms: (
+            {"p": p, "r": r, "k": k, "kprime": k + alpha * p ** (r - 1) * (p - 1)}
+            for p, r, k, alpha in product(ps, ms, parse_range(args.k), _alphas(args))),
+        demand=lambda t: max(t["k"], t["kprime"]), required=("k",)),
+    "sun97": Statement(
+        run=lambda t: cong.check_sun97(t["p"], t["n"])[-1],
+        grid=lambda args, ps, ms: (
+            {"p": p, "n": n} for p, n in product(ps, range(1, args.n_max + 1))),
+        demand=lambda t: t["n"] * (t["p"] - 1)),
+    "identity": Statement(
+        run=_run_identity, grid=_box_grid,
+        validate=lambda t: cong._validate_identity_box(t["m"], t["j"], t["s"])),
+    "telescoping": Statement(
+        run=_run_telescoping,
+        grid=lambda args, ps, ms: (
+            dict(point, r=r) for point in _box_grid(args, ps, ms)
+            for r in range(point["s"], point["m"])),
+        validate=lambda t: cong._validate_identity_box(t["m"], t["j"], t["s"])),
+    "eq6.1": Statement(
+        run=lambda t: cong.scan_conjecture_ek_series(
+            t["p"], t["m"], t["kstar"], t["alpha"], t["prec"], t["budget"]),
+        grid=lambda args, ps, ms: (
+            dict(point, prec=args.prec) for point in _conjecture_grid(args, ps, ms)),
+        demand=lambda t: t["alpha"] * (t["p"] - 1) + t["kstar"],
+        validate=lambda t: cong._validate_kstar_multiple(t["p"], t["m"], t["kstar"]), scan=True),
+    "eq6.4": Statement(
+        run=lambda t: cong.scan_conjecture_bernoulli(
+            t["p"], t["m"], [t["alpha"]], t["kstar"], t["budget"])[0],
+        grid=_conjecture_grid, demand=lambda t: t["alpha"] * (t["p"] - 1) + t["kstar"],
+        validate=lambda t: cong._validate_kstar_multiple(t["p"], t["m"], t["kstar"]), scan=True),
 }
 
 STATEMENT_ALIASES = {"thm1": "thm1.1", "thm2": "thm1.2"}
 
 
-def _bernoulli_demand(task: dict) -> int:
-    statement = task["statement"]
-    p = task.get("p", 0)
-    if statement in ("thm1.1", "prop3.1"):
-        return task["alpha"] * (p - 1) + task["kstar"]
-    if statement in ("thm1.2", "prop4.2", "prop4.1"):
-        return task["alpha"] * (p - 1)
-    if statement in ("eq6.4", "eq6.1"):
-        return task["alpha"] * (p - 1) + task["kstar"]
-    if statement in ("eq1.4", "kummer"):
-        return max(task["k"], task["kprime"])
-    if statement == "eq1.6":
-        return p ** (task["m"] - 1) * (p - 1) + task["k0"]
-    if statement == "sun97":
-        return task["n"] * (p - 1)
-    return 0
+def _statement_choices(scan: bool) -> list[str]:
+    names = []
+    for name, entry in STATEMENTS.items():
+        if entry.scan == scan:
+            names += [alias for alias, target in STATEMENT_ALIASES.items() if target == name]
+            names.append(name)
+    return names
+
+
+def _build_tasks(name: str, args) -> list[dict]:
+    """The statement's grid for the parsed arguments, as tasks in output order."""
+    name = STATEMENT_ALIASES.get(name, name)
+    entry = STATEMENTS[name]
+    for flag in entry.required:
+        if getattr(args, flag) is None:
+            raise EiscongError(f"statement {name} requires --{flag}")
+    ps = parse_range(args.p) if args.p else [5]
+    for p in ps:
+        if p < 5 or not is_prime(p):
+            raise EiscongError(f"p must be a prime >= 5, got {p}")
+    ms = parse_range(args.m) if args.m else [1]
+    base = {"budget": args.budget_bernoulli, "budget_seconds": args.budget_seconds}
+    tasks = [dict(base, statement=name, **point) for point in entry.grid(args, ps, ms)]
+    if not tasks:
+        raise EiscongError(f"the {name} grid is empty for these ranges")
+    return tasks
 
 
 def _run_task(task: dict) -> dict:
     statement = task["statement"]
-    budget = task.get("budget", DEFAULT_BERNOULLI_BUDGET)
+    entry = STATEMENTS[statement]
     started = time.monotonic()
     try:
-        if _bernoulli_demand(task) > budget:
-            raise BudgetExceededError(
-                f"Bernoulli index {_bernoulli_demand(task)} exceeds budget {budget}"
-            )
-        if statement == "sun97":
-            report = cong.check_sun97(task["p"], task["n"])[-1]
-        elif statement == "identity":
-            value = cong.combin_identity_sum(task["m"], task["j"], task["s"], task["alpha"])
-            record = {
-                "statement-id": "Prop3.2",
-                "params": {key: task[key] for key in ("m", "j", "s", "alpha")},
-                "verdict": "Pass" if value == 0 else "Fail",
-                "failure-detail": None if value == 0 else {"sum": str(value)},
-                "certification": "coefficient-evidence",
-            }
-            return _annotate(record, started, task)
-        elif statement == "telescoping":
-            ok = (cong.check_telescoping(task["m"], task["j"], task["s"], task["alpha"], task["r"])
-                  and cong.check_sum_recurrence(task["m"], task["j"], task["s"], task["alpha"]))
-            record = {
-                "statement-id": "Eq3.3",
-                "params": {key: task[key] for key in ("m", "j", "s", "alpha", "r")},
-                "verdict": "Pass" if ok else "Fail",
-                "failure-detail": None if ok else {"identity": "telescoping"},
-                "certification": "coefficient-evidence",
-            }
-            return _annotate(record, started, task)
-        else:
-            report = _RUNNERS[statement](task)
+        cong._check_budget(entry.demand(task), task["budget"])
+        record = entry.run(task).to_json_dict()
     except BudgetExceededError as err:
-        record = {
-            "statement-id": statement,
-            "params": {k: v for k, v in task.items() if k not in ("statement", "budget", "budget_seconds")},
-            "verdict": "BudgetExceeded",
-            "failure-detail": {"message": str(err)},
-            "certification": "coefficient-evidence",
-        }
-        return _annotate(record, started, task)
-    return _annotate(report.to_json_dict(), started, task)
-
-
-def _annotate(record: dict, started: float, task: dict) -> dict:
-    limit = task.get("budget_seconds")
+        params = {k: v for k, v in task.items() if k not in ("statement", "budget", "budget_seconds")}
+        record = CongruenceReport(statement, params, "BudgetExceeded",
+                                  {"message": str(err)}).to_json_dict()
+    limit = task["budget_seconds"]
     if limit is not None:
         elapsed = time.monotonic() - started
         if elapsed > limit:
@@ -183,107 +292,13 @@ def _annotate(record: dict, started: float, task: dict) -> dict:
     return record
 
 
-def _validate_task(task: dict) -> None:
-    """Cheap precondition checks, run for the whole grid before any computation."""
-    statement = task["statement"]
-    if statement in ("thm1.1", "prop3.1"):
-        cong._validate_gk_args(task["p"], task["m"], task["kstar"], task["alpha"])
-    elif statement in ("thm1.2", "prop4.2"):
-        cong._validate_ek_args(task["p"], task["m"], task["alpha"])
-    elif statement == "prop4.1":
-        cong._validate_ek_args(task["p"], task["m"], task["alpha"])
-        if task["d"] % task["p"] == 0:
-            raise EiscongError(f"d = {task['d']} must be coprime to p = {task['p']}")
-    elif statement in ("eq6.4", "eq6.1"):
-        cong._validate_kstar_multiple(task["p"], task["m"], task["kstar"])
-    elif statement in ("identity", "telescoping"):
-        cong._validate_identity_box(task["m"], task["j"], task["s"])
-
-
 def _run_tasks(tasks: list[dict], jobs: int) -> list[dict]:
     for task in tasks:
-        _validate_task(task)
+        STATEMENTS[task["statement"]].validate(task)
     if jobs <= 1 or len(tasks) <= 1:
         return [_run_task(task) for task in tasks]
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(_run_task, tasks, chunksize=max(1, len(tasks) // (4 * jobs) or 1)))
-
-
-def _identity_box_tasks(ms: list[int], alphas: list[int], base: dict,
-                        telescoping: bool) -> list[dict]:
-    tasks = []
-    for m in ms:
-        for j in range(1, m):
-            for s in range(0, m - j):
-                for alpha in alphas:
-                    if telescoping:
-                        for r in range(s, m):
-                            tasks.append(dict(base, statement="telescoping",
-                                              m=m, j=j, s=s, alpha=alpha, r=r))
-                    else:
-                        tasks.append(dict(base, statement="identity",
-                                          m=m, j=j, s=s, alpha=alpha))
-    return tasks
-
-
-_REQUIRED_FLAGS = {"eq1.4": ("k",), "kummer": ("k",), "eq1.6": ("k0",)}
-
-
-def _build_verify_tasks(args) -> list[dict]:
-    statement = STATEMENT_ALIASES.get(args.statement, args.statement)
-    for flag in _REQUIRED_FLAGS.get(statement, ()):
-        if getattr(args, flag) is None:
-            raise EiscongError(f"statement {statement} requires --{flag}")
-    base = {"budget": args.budget_bernoulli, "budget_seconds": args.budget_seconds}
-    ps = parse_range(args.p) if args.p else [5]
-    ms = parse_range(args.m) if args.m else [1]
-    alphas = parse_range(args.alpha) if args.alpha else [0]
-    tasks: list[dict] = []
-    if statement in ("identity", "telescoping"):
-        return _identity_box_tasks(ms, alphas, base, statement == "telescoping")
-    for p in ps:
-        for m in ms:
-            if statement in ("thm1.1", "prop3.1"):
-                kstars = parse_range(args.kstar) if args.kstar else [smallest_kstar(p, m)]
-                for kstar in kstars:
-                    for alpha in alphas:
-                        tasks.append(dict(base, statement=statement, p=p, m=m,
-                                          kstar=kstar, alpha=alpha, prec=args.prec))
-            elif statement in ("thm1.2", "prop4.2"):
-                for alpha in alphas:
-                    tasks.append(dict(base, statement=statement, p=p, m=m,
-                                      alpha=alpha, prec=args.prec))
-            elif statement == "prop4.1":
-                for alpha in alphas:
-                    for d in parse_range(args.d):
-                        tasks.append(dict(base, statement=statement, p=p, m=m,
-                                          alpha=alpha, d=d))
-            elif statement == "eq3.1":
-                for alpha in alphas:
-                    for d in parse_range(args.d):
-                        tasks.append(dict(base, statement=statement, p=p, m=m,
-                                          alpha=alpha, d=d))
-            elif statement == "eq1.4":
-                for k in parse_range(args.k):
-                    for alpha in alphas:
-                        tasks.append(dict(base, statement=statement, p=p, k=k,
-                                          kprime=k + alpha * (p - 1), prec=args.prec))
-            elif statement == "eq1.6":
-                for k0 in parse_range(args.k0):
-                    tasks.append(dict(base, statement=statement, p=p, m=m,
-                                      k0=k0, prec=args.prec))
-            elif statement == "kummer":
-                for k in parse_range(args.k):
-                    for alpha in alphas:
-                        shift = alpha * p ** (m - 1) * (p - 1)
-                        tasks.append(dict(base, statement=statement, p=p, r=m,
-                                          k=k, kprime=k + shift))
-            elif statement == "sun97":
-                for n in range(1, args.n_max + 1):
-                    tasks.append(dict(base, statement=statement, p=p, n=n))
-            else:
-                raise EiscongError(f"unknown statement {statement}")
-    return tasks
 
 
 # ---------------------------------------------------------------------------
@@ -303,7 +318,7 @@ def _cmd_bernoulli(args, out) -> int:
             record[f"nu_{p}"] = str(padic_valuation(value, p))
         records.append(record)
     if args.format in ("json", "jsonl"):
-        _emit_raw(records, args.format, out)
+        _emit(records, args.format, out)
     else:
         for record in records:
             extras = "".join(
@@ -311,14 +326,6 @@ def _cmd_bernoulli(args, out) -> int:
             )
             out.write(f"{record['k']} {record['value']}{extras}\n")
     return 0
-
-
-def _emit_raw(records: list[dict], fmt: str, out) -> None:
-    if fmt == "jsonl":
-        for record in records:
-            out.write(json.dumps(record, sort_keys=True) + "\n")
-    else:
-        out.write(json.dumps(records, indent=2, sort_keys=True) + "\n")
 
 
 def _cmd_series(args, out) -> int:
@@ -338,29 +345,17 @@ def _cmd_series(args, out) -> int:
 
 
 def _cmd_verify(args, out) -> int:
-    tasks = _build_verify_tasks(args)
-    records = _run_tasks(tasks, args.jobs)
+    records = _run_tasks(_build_tasks(args.statement, args), args.jobs)
     _emit(records, args.format, out)
     return 0 if all(r.get("verdict") == "Pass" for r in records) else 1
 
 
 def _cmd_scan(args, out) -> int:
-    statement = {"eq6.4": "eq6.4", "eq6.1": "eq6.1"}[args.conjecture]
-    base = {"budget": args.budget_bernoulli, "budget_seconds": args.budget_seconds}
-    tasks = []
-    for p in parse_range(args.p):
-        for m in parse_range(args.m):
-            kstar = int(args.kstar) if args.kstar else smallest_kstar_multiple(p, m)
-            alphas = parse_range(args.alpha) if args.alpha else list(range(m, m + p + 1))
-            for alpha in alphas:
-                task = dict(base, statement=statement, p=p, m=m, kstar=kstar, alpha=alpha)
-                if statement == "eq6.1":
-                    task["prec"] = args.prec
-                tasks.append(task)
-    records = _run_tasks(tasks, args.jobs)
+    records = _run_tasks(_build_tasks(args.conjecture, args), args.jobs)
     passed = sum(1 for r in records if r.get("verdict") == "Pass")
     records.append({"summary": {"pass": passed, "total": len(records)}})
-    _emit_raw(records, "jsonl" if args.format == "human" else args.format, out)
+    # A scan always prints JSON: human becomes JSON lines, csv one JSON array.
+    _emit(records, {"human": "jsonl", "csv": "json"}.get(args.format, args.format), out)
     return 0 if passed == len(records) - 1 else 1
 
 
@@ -466,9 +461,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p_series, "json")
 
     p_verify = sub.add_parser("verify", help="congruence statement grids")
-    p_verify.add_argument("statement", choices=(
-        "thm1", "thm1.1", "thm2", "thm1.2", "prop3.1", "prop4.1", "prop4.2",
-        "eq3.1", "eq1.4", "eq1.6", "kummer", "sun97", "identity", "telescoping"))
+    p_verify.add_argument("statement", choices=_statement_choices(scan=False))
     p_verify.add_argument("--p", help="prime or range")
     p_verify.add_argument("--m", help="modulus exponent(s); for kummer this is r")
     p_verify.add_argument("--kstar", help="base weight(s); default: smallest valid")
@@ -496,7 +489,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p_repro, "json")
 
     p_scan = sub.add_parser("scan", help="conjecture evidence scans")
-    p_scan.add_argument("conjecture", choices=("eq6.1", "eq6.4"))
+    p_scan.add_argument("conjecture", choices=_statement_choices(scan=True))
     p_scan.add_argument("--p", required=True)
     p_scan.add_argument("--m", required=True)
     p_scan.add_argument("--kstar", help="multiple of p-1 above m; default: smallest")

@@ -13,7 +13,14 @@ from eiscong.cache import (
     parse_cache_line,
     save_bernoulli_cache,
 )
-from eiscong.cli import main, parse_range, smallest_kstar, smallest_kstar_multiple
+from eiscong.cli import (
+    STATEMENT_ALIASES,
+    STATEMENTS,
+    main,
+    parse_range,
+    smallest_kstar,
+    smallest_kstar_multiple,
+)
 from eiscong.errors import CacheFormatError
 from eiscong.exact import bernoulli, parse_int
 
@@ -26,12 +33,12 @@ def run_cli(capsys, *argv):
     return status, captured.out, captured.err
 
 
-def run_module(*argv):
+def run_module(*argv, timeout=120):
     """`python -m eiscong ARGV` in a fresh interpreter, importing from src."""
     env = dict(os.environ, PYTHONPATH=str(SRC))
     env.pop("EISCONG_BERNOULLI_CACHE", None)
     return subprocess.run([sys.executable, "-m", "eiscong", *argv],
-                          capture_output=True, text=True, env=env, timeout=120)
+                          capture_output=True, text=True, env=env, timeout=timeout)
 
 
 class TestHelpers:
@@ -193,6 +200,117 @@ class TestScanCommand:
         assert status == 1
         first = json.loads(out.splitlines()[0])
         assert first["verdict"] == "BudgetExceeded"
+
+
+# One tiny grid point per verify/scan name, aliases included, and the
+# Bernoulli index the paper's weight formula gives for it (None: the
+# statement needs no Bernoulli number).
+STATEMENT_CASES = {
+    # alpha(p-1) + k*
+    "thm1": (["verify", "thm1", "--p", "5", "--alpha", "1", "--prec", "10"], 1 * 4 + 2),
+    "thm1.1": (["verify", "thm1.1", "--p", "5", "--kstar", "6", "--alpha", "1",
+                "--prec", "10"], 1 * 4 + 6),
+    "prop3.1": (["verify", "prop3.1", "--p", "5", "--m", "2", "--kstar", "6", "--alpha", "1",
+                 "--prec", "10"], 1 * 4 + 6),
+    "eq6.1": (["scan", "eq6.1", "--p", "5", "--m", "1", "--alpha", "1", "--prec", "10"],
+              1 * 4 + 4),
+    "eq6.4": (["scan", "eq6.4", "--p", "7", "--m", "1", "--alpha", "1"], 1 * 6 + 6),
+    # alpha(p-1)
+    "thm2": (["verify", "thm2", "--p", "5", "--alpha", "2", "--prec", "10"], 2 * 4),
+    "thm1.2": (["verify", "thm1.2", "--p", "7", "--m", "2", "--alpha", "2", "--prec", "10"],
+               2 * 6),
+    "prop4.2": (["verify", "prop4.2", "--p", "5", "--m", "2", "--alpha", "2", "--prec", "10"],
+                2 * 4),
+    "prop4.1": (["verify", "prop4.1", "--p", "5", "--m", "2", "--alpha", "2", "--d", "2"],
+                2 * 4),
+    # max(k, k')
+    "eq1.4": (["verify", "eq1.4", "--p", "5", "--k", "2", "--alpha", "1", "--prec", "10"],
+              2 + 1 * 4),
+    "kummer": (["verify", "kummer", "--p", "5", "--m", "2", "--k", "6", "--alpha", "1"],
+               6 + 1 * 5 * 4),
+    # p^(m-1)(p-1) + k0
+    "eq1.6": (["verify", "eq1.6", "--p", "5", "--m", "2", "--k0", "6", "--prec", "10"],
+              5 * 4 + 6),
+    # n(p-1)
+    "sun97": (["verify", "sun97", "--p", "7", "--n-max", "1"], 1 * 6),
+    "eq3.1": (["verify", "eq3.1", "--p", "5", "--m", "2", "--alpha", "2", "--d", "2"], None),
+    "identity": (["verify", "identity", "--m", "2", "--alpha", "3"], None),
+    "telescoping": (["verify", "telescoping", "--m", "2", "--alpha", "3"], None),
+}
+
+
+def grid_records(out):
+    records = [json.loads(line) for line in out.splitlines()]
+    return [r for r in records if "summary" not in r]
+
+
+class TestStatementTable:
+    def test_every_name_has_a_case(self):
+        assert set(STATEMENT_CASES) == set(STATEMENTS) | set(STATEMENT_ALIASES)
+
+    @pytest.mark.parametrize("name", sorted(STATEMENT_CASES))
+    def test_tiny_point_passes(self, capsys, name):
+        argv, _ = STATEMENT_CASES[name]
+        status, out, err = run_cli(capsys, *argv, "--jobs", "1")
+        assert status == 0, err
+        records = grid_records(out)
+        assert records and all(r["verdict"] == "Pass" for r in records)
+
+    @pytest.mark.parametrize("name", sorted(STATEMENT_CASES))
+    def test_bernoulli_demand(self, capsys, name):
+        argv, index = STATEMENT_CASES[name]
+        budget = "1" if index is not None else "0"
+        status, out, _ = run_cli(capsys, *argv, "--jobs", "1", "--budget-bernoulli", budget)
+        records = grid_records(out)
+        if index is None:
+            assert status == 0 and all(r["verdict"] == "Pass" for r in records)
+            return
+        assert status == 1 and len(records) == 1
+        assert records[0]["verdict"] == "BudgetExceeded"
+        assert records[0]["failure-detail"]["message"] == (
+            f"Bernoulli index {index} exceeds budget 1")
+
+    @pytest.mark.parametrize("argv", [
+        ["scan", "eq6.4", "--p", "2", "--m", "1"],
+        ["scan", "eq6.4", "--p", "3", "--m", "1"],
+        ["verify", "prop4.1", "--p", "4", "--m", "1", "--alpha", "1"],
+        ["verify", "kummer", "--p", "6", "--m", "1", "--k", "4", "--alpha", "1"],
+        ["verify", "sun97", "--p", "4"],
+        ["verify", "thm2", "--p", "5,9", "--alpha", "1"],
+    ])
+    def test_p_must_be_a_prime_at_least_5(self, capsys, argv):
+        status, out, err = run_cli(capsys, *argv, "--jobs", "1")
+        assert status == 2 and out == ""
+        assert err.startswith("error: p must be a prime >= 5")
+
+    def test_p_3_is_rejected_before_the_grid_is_built(self):
+        # Every even k is divisible by p - 1 = 2, so a k* search would never end.
+        proc = run_module("verify", "thm1", "--p", "3", "--jobs", "1", timeout=30)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr == "error: p must be a prime >= 5, got 3\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "thm1", "--p", "5", "--alpha", "10..5"],
+        ["scan", "eq6.4", "--p", "5", "--m", "1", "--alpha", "3..1"],
+        ["verify", "identity", "--m", "1"],
+        ["verify", "sun97", "--p", "5", "--n-max", "0"],
+    ])
+    def test_empty_grid_is_usage_error(self, capsys, argv):
+        status, out, err = run_cli(capsys, *argv, "--jobs", "1")
+        assert status == 2 and out == ""
+        assert err.startswith("error: ") and "grid is empty" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "sun97", "--p", "5", "--n-max", "2"],
+        ["verify", "eq1.4", "--p", "5", "--k", "6", "--alpha", "1"],
+    ])
+    def test_statements_without_m_ignore_it(self, capsys, argv):
+        status, plain, _ = run_cli(capsys, *argv, "--jobs", "1")
+        status_m, with_m, _ = run_cli(capsys, *argv, "--m", "1,2", "--jobs", "1")
+        assert status == status_m == 0
+        assert with_m == plain
+        lines = plain.splitlines()
+        assert len(lines) == len(set(lines))
 
 
 class TestFiltrationCommand:
