@@ -3,7 +3,7 @@
 The package computes q-expansions of G_k, E_k, and Delta over Z/p^m with
 explicit precision tracking, verifies families of congruences between them
 by exact coefficient comparison, and computes factor-filtration bounds by
-solving modular-form linear systems over Z/p^m.
+reducing against modular-form bases over Z/p^m.
 """
 
 from .congruences import (

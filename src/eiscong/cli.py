@@ -317,14 +317,12 @@ def _cmd_bernoulli(args, out) -> int:
         for p in primes:
             record[f"nu_{p}"] = str(padic_valuation(value, p))
         records.append(record)
-    if args.format in ("json", "jsonl"):
-        _emit(records, args.format, out)
-    else:
+    if args.format == "human":
         for record in records:
-            extras = "".join(
-                f"  nu_{p}={record[f'nu_{p}']}" for p in primes
-            )
+            extras = "".join(f"  nu_{p}={record[f'nu_{p}']}" for p in primes)
             out.write(f"{record['k']} {record['value']}{extras}\n")
+    else:
+        _emit(records, args.format, out)
     return 0
 
 
@@ -354,8 +352,7 @@ def _cmd_scan(args, out) -> int:
     records = _run_tasks(_build_tasks(args.conjecture, args), args.jobs)
     passed = sum(1 for r in records if r.get("verdict") == "Pass")
     records.append({"summary": {"pass": passed, "total": len(records)}})
-    # A scan always prints JSON: human becomes JSON lines, csv one JSON array.
-    _emit(records, {"human": "jsonl", "csv": "json"}.get(args.format, args.format), out)
+    _emit(records, args.format, out)
     return 0 if passed == len(records) - 1 else 1
 
 
@@ -423,10 +420,11 @@ def _cmd_reproduce(args, out) -> int:
 # Parser
 # ---------------------------------------------------------------------------
 
-def _add_common(parser: argparse.ArgumentParser, default_format: str) -> None:
+def _add_common(parser: argparse.ArgumentParser, default_format: str,
+                formats: tuple[str, ...] = ("json", "jsonl")) -> None:
+    """Flags every subcommand takes; `formats` are the output formats it honours."""
     parser.add_argument("--out", help="write output to this file instead of stdout")
-    parser.add_argument("--format", choices=("json", "jsonl", "csv", "human"),
-                        default=default_format)
+    parser.add_argument("--format", choices=formats, default=default_format)
     parser.add_argument("--cache", help="Bernoulli cache file (load before, append after)")
     parser.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
                         help="worker processes for grid runs")
@@ -447,7 +445,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bern = sub.add_parser("bernoulli", help="exact Bernoulli numbers")
     p_bern.add_argument("k", help="index or range, e.g. 12 or 0..30")
     p_bern.add_argument("--p", help="prime(s): add p-adic valuation columns")
-    _add_common(p_bern, "human")
+    _add_common(p_bern, "human", ("json", "jsonl", "human"))
 
     p_series = sub.add_parser("series", help="q-expansions over Z/p^m")
     p_series.add_argument("kind", choices=("g", "e", "delta", "efactor", "monomial"))
@@ -471,7 +469,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--d", default="2,3,6", help="d values for prop4.1/eq3.1")
     p_verify.add_argument("--n-max", type=int, default=8, help="max n for sun97")
     p_verify.add_argument("--prec", type=int, default=50)
-    _add_common(p_verify, "jsonl")
+    _add_common(p_verify, "jsonl", ("json", "jsonl", "csv", "human"))
 
     p_filt = sub.add_parser("filtration", help="factor filtration bound of G_k or E_k")
     p_filt.add_argument("--form", choices=("G", "E"), default="G")

@@ -441,6 +441,8 @@ def _check_budget(index: int, budget: int) -> None:
 
 
 def _validate_kstar_multiple(p: int, m: int, kstar: int) -> None:
+    if m < 1:
+        raise MOutOfRangeError(f"m must be at least 1, got {m}")
     if kstar % (p - 1) != 0 or kstar <= m:
         raise ParameterOutOfRangeError(
             f"k* must be a multiple of p-1 = {p - 1} exceeding m = {m}, got {kstar}"

@@ -1,11 +1,12 @@
 """Level-one modular form bases, linear solving over Z/p^m, and factor
 filtration bounds.
 
-The filtration scan asks, for f of weight k: what is the least w with
+The filtration search asks, for f of weight k: what is the least w with
 w = k - n(p-1) for some n >= 0 such that f matches E_{p-1}^n * g for some g
 in the weight-w monomial basis, coefficient-wise modulo p^m through the
-Sturm index of weight k. Candidate weights are scanned in ascending order,
-so the first solvable weight is the bound.
+Sturm index of weight k. Candidate weights are tried in ascending order, so
+the first solvable weight is the bound. Each try is a forward substitution
+of f E_{p-1}^(-n) in the unit triangular basis, not a general solve.
 """
 
 from __future__ import annotations
@@ -100,10 +101,6 @@ class BasisMatrix:
     @property
     def dimension(self) -> int:
         return len(self.columns)
-
-    def coefficient_rows(self, upto: int) -> list[list[int]]:
-        """Rows q^0..q^upto of the column matrix."""
-        return [[col.coefficient(n) for col in self.columns] for n in range(upto + 1)]
 
 
 def basis(weight: int, ring: ResidueRing, precision: int, echelon: bool = False) -> BasisMatrix:
@@ -319,17 +316,6 @@ class FiltrationReport:
         }
 
 
-def _candidate_weights(k: int, p: int) -> list[int]:
-    """Weights w <= k with w = k mod p-1, ascending; weight 2 is skipped."""
-    w = k % (p - 1)
-    out = []
-    while w <= k:
-        if w != 2:
-            out.append(w)
-        w += p - 1
-    return out
-
-
 def _check_weight_match(k: int, w: int, p: int) -> int:
     if w < 0 or (k - w) % (p - 1) or k - w < 0:
         raise WeightMismatchError(
@@ -338,32 +324,58 @@ def _check_weight_match(k: int, w: int, p: int) -> int:
     return (k - w) // (p - 1)
 
 
-def _witness_system(f: QSeries, k: int, w: int, upto: int) -> tuple[LinearSystem, BasisMatrix, int]:
-    ring = f.ring
-    n = _check_weight_match(k, w, ring.p)
-    bm = basis(w, ring, upto)
-    epow = e_series(ring.p - 1, ring, upto).pow(n)
-    cols = [epow * col for col in bm.columns]
-    rows = [[col.coefficient(i) for col in cols] for i in range(upto + 1)]
-    rhs = [f.coefficient(i) for i in range(upto + 1)]
-    return LinearSystem.build(ring, rows, rhs), bm, n
-
-
-def sharpness_probe(f: QSeries, k: int, w: int, upto: int | None = None) -> Solution | NoSolution:
-    """Decide whether f matches E_{p-1}^((k-w)/(p-1)) * g for some g of weight w."""
+def _checked_upto(f: QSeries, k: int, upto: int | None, subject: str,
+                  w: int | None = None) -> int:
+    """The last index compared by a search, or by a probe of weight w, on f of weight k."""
     if f.ring is None:
-        raise RingMismatchError("filtration probes require a residue-mode series")
-    _check_weight_match(k, w, f.ring.p)
-    if w == 2:
-        return NoSolution("empty-space", {"weight": 2})
+        raise RingMismatchError(f"filtration {subject} require a residue-mode series")
+    if w is not None:
+        _check_weight_match(k, w, f.ring.p)
     if upto is None:
         upto = sturm_bound(k)
     if f.precision < upto:
         raise PrecisionTooLowError(
             f"need coefficients through q^{upto}, have precision {f.precision}"
         )
-    system, _, _ = _witness_system(f, k, w, upto)
-    return solve_mod_pm(system)
+    return upto
+
+
+def _reductions(f: QSeries, k: int, w: int, upto: int):
+    """Yield (w, n, basis, outcome) for w, w + (p-1), ..., k: whether f = E_{p-1}^n g
+    through q^upto for some g in the weight-w monomial basis.
+
+    h = f E_{p-1}^(-n) is written in the basis by forward substitution: column
+    j leads with q^j, so c_j is the q^j coefficient of what is left of h (0
+    past q^upto), and g exists exactly when nothing is left. The outcome is
+    the one `solve_mod_pm` gives on this unit triangular system. The next
+    weight's h is h E_{p-1}.
+    """
+    ring, p = f.ring, f.ring.p
+    e = e_series(p - 1, ring, upto)
+    h = None
+    for w in range(w, k + 1, p - 1):
+        n = (k - w) // (p - 1)
+        if w == 2:
+            yield w, n, None, NoSolution("empty-space", {"weight": 2})
+            continue
+        # E_{p-1}^(p^(m-1)) = 1 mod p^m, so E_{p-1}^(-n) is a positive power.
+        h = f * e.pow(-n % p ** (ring.m - 1)) if h is None else h * e
+        bm = basis(w, ring, upto)
+        rest, coeffs = h, []
+        for j, col in enumerate(bm.columns):
+            c = rest.coeffs[j] if j <= upto else 0
+            if c:
+                rest = rest - col.scale(c)
+            coeffs.append(c)
+        row = next((i for i, c in enumerate(rest.coeffs) if c), None)
+        yield w, n, bm, (Solution(tuple(coeffs)) if row is None else NoSolution(
+            "inconsistent-row", {"row": row, "residue": rest.coeffs[row]}))
+
+
+def sharpness_probe(f: QSeries, k: int, w: int, upto: int | None = None) -> Solution | NoSolution:
+    """Decide whether f matches E_{p-1}^((k-w)/(p-1)) * g for some g of weight w."""
+    upto = _checked_upto(f, k, upto, "probes", w)
+    return next(_reductions(f, k, w, upto))[3]
 
 
 def factor_filtration_bound(f: QSeries, k: int, input_id: str | None = None,
@@ -372,42 +384,29 @@ def factor_filtration_bound(f: QSeries, k: int, input_id: str | None = None,
 
     Matching is coefficient-wise through q^upto (default: the Sturm index of
     weight k, which certifies the congruence; lower values are reported as
-    coefficient evidence only). The returned witness is round-trip checked.
+    coefficient evidence only). The search uses E_{p-1}^(p^(m-1)) = 1 mod p^m,
+    true as E_{p-1} = 1 + pE, to divide by E_{p-1}^n; the witness is
+    round-trip checked by multiplying it by the positive power E_{p-1}^n.
     """
-    if f.ring is None:
-        raise RingMismatchError("filtration bounds require a residue-mode series")
-    ring = f.ring
     certified = upto is None
-    if upto is None:
-        upto = sturm_bound(k)
-    if f.precision < upto:
-        raise PrecisionTooLowError(
-            f"need coefficients through q^{upto}, have precision {f.precision}"
-        )
+    upto = _checked_upto(f, k, upto, "bounds")
     if input_id is None:
         input_id = f"weight-{k}-series"
-    p = ring.p
-    previous_unsolvable = False
-    for w in _candidate_weights(k, p):
-        system, bm, n = _witness_system(f, k, w, upto)
-        outcome = solve_mod_pm(system)
-        if isinstance(outcome, NoSolution):
-            previous_unsolvable = True
+    ring, p = f.ring, f.ring.p
+    for w, n, bm, outcome in _reductions(f, k, k % (p - 1), upto):
+        if not outcome:
             continue
-        witness = outcome.vector
-        epow = e_series(p - 1, ring, upto).pow(n)
-        total = QSeries.residue(ring, [0] * (upto + 1))
-        for coeff, col in zip(witness, bm.columns):
-            total = total + (epow * col).scale(coeff)
-        for i in range(upto + 1):
-            if total.coefficient(i) != f.coefficient(i):
-                raise EiscongError("witness failed round-trip verification")
+        g = QSeries.residue(ring, [0] * (upto + 1))
+        for coeff, col in zip(outcome.vector, bm.columns):
+            g = g + col.scale(coeff)
+        if (g * e_series(p - 1, ring, upto).pow(n)).coeffs != f.coeffs[: upto + 1]:
+            raise EiscongError("witness failed round-trip verification")
         cert = "sturm-certified" if certified else f"coefficient-evidence({upto + 1})"
-        sharpness = None
-        if previous_unsolvable:
-            sharpness = f"NoSolution at weight {w - (p - 1)}"
+        # Every lower candidate failed; weight 2 is an empty space, not a failure.
+        below = w - (p - 1)
+        sharpness = f"NoSolution at weight {below}" if below >= 0 and below != 2 else None
         return FiltrationReport(
-            input_id, p, ring.m, k, w, n, bm.monomials, tuple(witness),
+            input_id, p, ring.m, k, w, n, bm.monomials, outcome.vector,
             cert, upto + 1, sharpness,
         )
     raise EiscongError(

@@ -6,6 +6,10 @@ from math import comb
 
 import pytest
 
+from eiscong.eisenstein import e_series
+from eiscong.filtration import BasisMatrix, LinearSystem, _check_weight_match, basis
+from eiscong.series import QSeries
+
 
 def bernoulli_by_recurrence(n: int) -> Fraction:
     """Independent Bernoulli oracle: solve sum_{j=0}^{n} C(n+1, j) B_j = 0 upward.
@@ -111,6 +115,22 @@ def solve_by_digit_lifting(matrix, rhs, p, m):
         (x0[j] + sum(basis[i][j] * c[i] for i in range(len(basis))) + p * y[j]) % mod
         for j in range(ncols)
     ]
+
+
+def _witness_system(f: QSeries, k: int, w: int, upto: int) -> tuple[LinearSystem, BasisMatrix, int]:
+    """Oracle system for the filtration search: columns E_{p-1}^n * M_j, rhs f.
+
+    Built the direct way, with E_{p-1}^n multiplied into every monomial
+    column, for `solve_mod_pm` to solve.
+    """
+    ring = f.ring
+    n = _check_weight_match(k, w, ring.p)
+    bm = basis(w, ring, upto)
+    epow = e_series(ring.p - 1, ring, upto).pow(n)
+    cols = [epow * col for col in bm.columns]
+    rows = [[col.coefficient(i) for col in cols] for i in range(upto + 1)]
+    rhs = [f.coefficient(i) for i in range(upto + 1)]
+    return LinearSystem.build(ring, rows, rhs), bm, n
 
 
 @pytest.fixture

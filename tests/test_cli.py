@@ -201,6 +201,36 @@ class TestScanCommand:
         first = json.loads(out.splitlines()[0])
         assert first["verdict"] == "BudgetExceeded"
 
+    @pytest.mark.parametrize("conjecture", ["eq6.4", "eq6.1"])
+    def test_m_below_one_is_usage_error(self, capsys, conjecture):
+        # Every difference has valuation >= 0 = m, so m = 0 would pass vacuously.
+        status, out, err = run_cli(capsys, "scan", conjecture, "--p", "5", "--m", "0",
+                                   "--jobs", "1")
+        assert status == 2 and out == ""
+        assert err == "error: m must be at least 1, got 0\n"
+
+
+# The --format values each subcommand ignores, with a minimal valid argv.
+REJECTED_FORMATS = {
+    "bernoulli": (["bernoulli", "4"], ("csv",)),
+    "series": (["series", "g", "--k", "4", "--p", "5"], ("csv", "human")),
+    "filtration": (["filtration", "--k", "14", "--p", "5", "--m", "1"], ("csv", "human")),
+    "reproduce": (["reproduce", "paper-17-6"], ("csv", "human")),
+    "scan": (["scan", "eq6.4", "--p", "5", "--m", "1"], ("csv", "human")),
+}
+
+
+@pytest.mark.parametrize("argv,fmt", [
+    (argv, fmt) for argv, formats in REJECTED_FORMATS.values() for fmt in formats
+], ids=lambda value: value if isinstance(value, str) else value[0])
+def test_format_a_subcommand_ignores_is_rejected(capsys, argv, fmt):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--format", fmt, "--jobs", "1"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument --format: invalid choice" in captured.err
+
 
 # One tiny grid point per verify/scan name, aliases included, and the
 # Bernoulli index the paper's weight formula gives for it (None: the

@@ -1,6 +1,7 @@
 import pytest
 
 from eiscong.errors import (
+    EiscongError,
     OddWeightError,
     ParameterOutOfRangeError,
     PrecisionTooLowError,
@@ -27,7 +28,7 @@ from eiscong.filtration import (
 from eiscong.residue import ResidueRing
 from eiscong.series import QSeries
 
-from conftest import brute_force_solvable, solve_by_digit_lifting
+from conftest import _witness_system, brute_force_solvable, solve_by_digit_lifting
 
 
 class TestDimensions:
@@ -169,7 +170,7 @@ class TestSolver:
         # The systems the filtration scan actually solves: unitriangular
         # columns force a unique solution, so the two solvers must agree
         # exactly, and unsolvable probes must fail in both.
-        from eiscong.filtration import _witness_system
+        from conftest import _witness_system
 
         for example in (("G", 2026, 7, 8, 52, 46), ("E", 1296, 17, 6, 80, 64)):
             kind, k, p, m, w_good, w_bad = example
@@ -275,6 +276,69 @@ class TestSharpnessProbe:
         f = g_series(14, ring, sturm_bound(14))
         out = sharpness_probe(f, 14, 2)
         assert isinstance(out, NoSolution) and out.reason == "empty-space"
+
+
+def _solver_search(f, k, upto):
+    """The filtration search done with the general solver, one system per weight.
+
+    Returns the bound's (weight, n, monomials, coefficients, sharpness), or
+    None, and the solver's outcome at every candidate weight except 2.
+    """
+    p = f.ring.p
+    outcomes = {}
+    found = None
+    for w in range(k % (p - 1), k + 1, p - 1):
+        if w == 2:
+            continue
+        system, bm, n = _witness_system(f, k, w, upto)
+        outcomes[w] = solve_mod_pm(system)
+        if outcomes[w] and found is None:
+            sharpness = f"NoSolution at weight {w - (p - 1)}" if len(outcomes) > 1 else None
+            found = (w, n, bm.monomials, outcomes[w].vector, sharpness)
+    return found, outcomes
+
+
+def _differential_cases(p):
+    """(m, form, k, upto) for m <= 5 and every weight class k0 = k mod (p-1),
+    at a small, a middle and a near-100 weight. Class 0 has E_k only; class
+    2 holds the rows whose bound sits above the empty weight-2 space."""
+    for m in range(1, 6):
+        for k0 in range(0, p - 1, 2):
+            for a in (1, 3, 96 // (p - 1)):
+                for form in ("G", "E") if k0 else ("E",):
+                    for upto in (None, 2, 5):
+                        yield m, form, a * (p - 1) + k0, upto
+
+
+class TestTriangularSearch:
+    """The search by forward substitution against `solve_mod_pm` on the
+    witness systems E_{p-1}^n * M_j built the direct way."""
+
+    @pytest.mark.parametrize("p", [5, 7, 11, 13])
+    def test_matches_solver(self, p):
+        for m, form, k, upto in _differential_cases(p):
+            last = sturm_bound(k) if upto is None else upto
+            f = (g_series if form == "G" else e_series)(k, ResidueRing(p, m), last)
+            found, outcomes = _solver_search(f, k, last)
+            report = factor_filtration_bound(f, k, upto=upto)
+            assert found == (report.bound_found, report.witness_exponent,
+                             report.witness_monomials, report.witness_coeffs,
+                             report.sharpness), (p, m, form, k, upto)
+            for w, outcome in outcomes.items():
+                assert sharpness_probe(f, k, w, upto=upto) == outcome, (p, m, form, k, upto, w)
+            if k % (p - 1) == 2:
+                assert sharpness_probe(f, k, 2, upto=upto).reason == "empty-space"
+
+    @pytest.mark.parametrize("p", [5, 7, 11, 13])
+    def test_e_power_order_divides_p_to_the_m_minus_one(self, p):
+        for m in range(1, 7):
+            ring = ResidueRing(p, m)
+            assert e_series(p - 1, ring, 40).pow(p ** (m - 1)) == QSeries.one(ring, 40)
+
+    def test_weight_two_alone_has_no_witness(self):
+        f = g_series(2, ResidueRing(5, 2), sturm_bound(2))
+        with pytest.raises(EiscongError, match="no witness found through weight 2"):
+            factor_filtration_bound(f, 2)
 
 
 class TestFiltrationFacts:
