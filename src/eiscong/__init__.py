@@ -26,7 +26,6 @@ from .congruences import (
     scan_conjecture_ek_series,
 )
 from .eisenstein import (
-    EFactor,
     delta_series,
     e_factor,
     e_series,
@@ -39,7 +38,6 @@ from .exact import (
     h_coefficient,
     padic_valuation,
     pochhammer,
-    sigma_power,
 )
 from .filtration import (
     BasisMatrix,
@@ -55,7 +53,7 @@ from .filtration import (
     sturm_bound,
     verify_refined_bounds,
 )
-from .residue import ResidueElement, ResidueRing, invert_unit, reduce_rational
+from .residue import ResidueRing
 from .series import QSeries, series_equal_mod
 
 __version__ = "0.1.0"

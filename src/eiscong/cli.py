@@ -215,7 +215,7 @@ STATEMENTS = {
             for p, r, k, alpha in product(ps, ms, parse_range(args.k), _alphas(args))),
         demand=lambda t: max(t["k"], t["kprime"]), required=("k",)),
     "sun97": Statement(
-        run=lambda t: cong.check_sun97(t["p"], t["n"])[-1],
+        run=lambda t: cong.check_sun97_at(t["p"], t["n"]),
         grid=lambda args, ps, ms: (
             {"p": p, "n": n} for p, n in product(ps, range(1, args.n_max + 1))),
         demand=lambda t: t["n"] * (t["p"] - 1)),
@@ -307,9 +307,16 @@ def _run_tasks(tasks: list[dict], jobs: int) -> list[dict]:
 
 def _cmd_bernoulli(args, out) -> int:
     ks = parse_range(args.k)
+    if not ks:
+        raise EiscongError(f"the Bernoulli index range {args.k} is empty")
     if any(k < 0 for k in ks):
         raise EiscongError("Bernoulli indices must be non-negative")
     primes = parse_range(args.p) if args.p else []
+    if args.p and not primes:
+        raise EiscongError(f"the prime range {args.p} is empty")
+    for p in primes:
+        if not is_prime(p):
+            raise EiscongError(f"p must be a prime, got {p}")
     records = []
     for k in ks:
         value = bernoulli(k)
@@ -335,7 +342,7 @@ def _cmd_series(args, out) -> int:
     elif args.kind == "delta":
         series = delta_series(ring, args.prec)
     elif args.kind == "efactor":
-        series = e_factor(ring, args.prec).series
+        series = e_factor(ring, args.prec)
     else:  # monomial
         series = monomial_series(args.a, args.b, args.c, ring, args.prec)
     out.write(json.dumps(series.to_json_dict()) + "\n")

@@ -37,6 +37,7 @@ __all__ = [
     "check_prop_gk_fixed",
     "check_sum_recurrence",
     "check_sun97",
+    "check_sun97_at",
     "check_telescoping",
     "check_thm_ek",
     "check_thm_gk",
@@ -356,17 +357,18 @@ def sun_bernoulli_function(p: int) -> IntegerSequenceFunction:
     return lambda k: (p - Fraction(p) ** (k * (p - 1))) * bernoulli(k * (p - 1))
 
 
+def check_sun97_at(p: int, n: int) -> CongruenceReport:
+    """The n-th alternating difference of (p - p^{k(p-1)})B_{k(p-1)}: 0 mod p^n
+    when (p-1) does not divide n, and p^{n-1} mod p^n when it does."""
+    s = forward_difference_sum(sun_bernoulli_function(p), n)
+    target = Fraction(p) ** (n - 1) if n % (p - 1) == 0 else Fraction(0)
+    params = {"p": p, "n": n, "case": "p^(n-1)" if target else "0"}
+    return _valuation_report("Sun97", params, s - target, p, n)
+
+
 def check_sun97(p: int, n_max: int) -> list[CongruenceReport]:
-    """Alternating differences of (p - p^{k(p-1)})B_{k(p-1)}: 0 mod p^n when
-    (p-1) does not divide n, and p^{n-1} mod p^n when it does."""
-    f = sun_bernoulli_function(p)
-    reports = []
-    for n in range(1, n_max + 1):
-        s = forward_difference_sum(f, n)
-        target = Fraction(p) ** (n - 1) if n % (p - 1) == 0 else Fraction(0)
-        params = {"p": p, "n": n, "case": "p^(n-1)" if target else "0"}
-        reports.append(_valuation_report("Sun97", params, s - target, p, n))
-    return reports
+    """`check_sun97_at` for n = 1 .. n_max."""
+    return [check_sun97_at(p, n) for n in range(1, n_max + 1)]
 
 
 # ---------------------------------------------------------------------------

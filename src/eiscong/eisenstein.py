@@ -7,23 +7,19 @@ and higher coefficients sigma_{k-1}(n). E_0 is the constant series 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 from .errors import NotPIntegralError
-from .exact import bernoulli, padic_valuation, sigma_power, sigma_power_mod
+from .exact import bernoulli, padic_valuation, sigma_power_mod
 from .residue import ResidueRing
 from .series import QSeries
 
 __all__ = [
-    "EFactor",
     "delta_series",
     "e_factor",
     "e_series",
-    "e_series_exact",
     "g_series",
-    "g_series_exact",
     "monomial_series",
 ]
 
@@ -56,14 +52,6 @@ def g_series(k: int, ring: ResidueRing, precision: int) -> QSeries:
     return QSeries(ring, tuple(coeffs), precision)
 
 
-def g_series_exact(k: int, precision: int) -> QSeries:
-    """G_k with exact rational coefficients."""
-    _check_even_weight(k, 2)
-    constant = Fraction(-1, 2) * bernoulli(k) / k
-    coeffs = [constant] + [Fraction(sigma_power(k - 1, n)) for n in range(1, precision + 1)]
-    return QSeries(None, tuple(coeffs), precision)
-
-
 @lru_cache(maxsize=512)
 def e_series(k: int, ring: ResidueRing, precision: int) -> QSeries:
     """Normalized E_k modulo p^m through q^precision (E_0 = 1).
@@ -88,16 +76,6 @@ def e_series(k: int, ring: ResidueRing, precision: int) -> QSeries:
     return QSeries(ring, tuple(coeffs), precision)
 
 
-def e_series_exact(k: int, precision: int) -> QSeries:
-    """Normalized E_k with exact rational coefficients."""
-    if k == 0:
-        return QSeries.one(None, precision)
-    _check_even_weight(k, 2)
-    c = e_normalizer(k)
-    coeffs = [Fraction(1)] + [c * sigma_power(k - 1, n) for n in range(1, precision + 1)]
-    return QSeries(None, tuple(coeffs), precision)
-
-
 @lru_cache(maxsize=64)
 def delta_series(ring: ResidueRing, precision: int) -> QSeries:
     """The discriminant cusp form (E_4^3 - E_6^2)/1728 modulo p^m."""
@@ -107,28 +85,18 @@ def delta_series(ring: ResidueRing, precision: int) -> QSeries:
     return diff.scale(ring.invert(1728))
 
 
-@dataclass(frozen=True)
-class EFactor:
-    """E with E_{p-1} = 1 + p*E; coefficients are p-integral."""
+def e_factor(ring: ResidueRing, precision: int) -> QSeries:
+    """The series E in E_{p-1} = 1 + pE, modulo p^m.
 
-    p: int
-    series: QSeries
-
-
-def e_factor(ring: ResidueRing, precision: int) -> EFactor:
-    """The series E in E_{p-1} = 1 + pE, reduced modulo p^m.
-
-    E is computed from the exact rational expansion of E_{p-1} (whose
-    non-constant coefficients all carry exactly one factor of p) before any
-    reduction, so it is meaningful for every m >= 1.
+    The q^n coefficient of E_{p-1} is c * sigma_{p-2}(n) with c = -2(p-1)/B_{p-1}
+    and nu_p(c) = 1, so E has coefficients (c/p) * sigma_{p-2}(n). The
+    p-integral scalar c/p is reduced once, so E is exact modulo p^m for every
+    m >= 1; E_{p-1} modulo p^m would fix it only modulo p^(m-1).
     """
-    p = ring.p
-    c = e_normalizer(p - 1)  # nu_p(c) = 1
-    exact = [Fraction(0)] + [
-        c * sigma_power(p - 2, n) / p for n in range(1, precision + 1)
-    ]
-    series = QSeries.exact(exact, precision).reduce(ring)
-    return EFactor(p, series)
+    p, mod = ring.p, ring.modulus
+    u = ring.reduce_rational(e_normalizer(p - 1) / p)
+    coeffs = [0] + [u * sigma_power_mod(p - 2, n, mod) % mod for n in range(1, precision + 1)]
+    return QSeries(ring, tuple(coeffs), precision)
 
 
 @lru_cache(maxsize=4096)

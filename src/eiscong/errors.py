@@ -14,7 +14,7 @@ class NotAUnitError(EiscongError):
 
 
 class RingMismatchError(EiscongError):
-    """Operands live in different residue rings (or mixed exact/residue mode)."""
+    """Operands live in different residue rings."""
 
 
 class PrecisionTooLowError(EiscongError):

@@ -22,7 +22,6 @@ __all__ = [
     "parse_int",
     "pochhammer",
     "seed_bernoulli",
-    "sigma_power",
     "sigma_power_mod",
 ]
 
@@ -229,13 +228,6 @@ def divisors(n: int) -> list[int]:
                 large.append(n // d)
         d += 1
     return small + large[::-1]
-
-
-def sigma_power(k_minus_1: int, n: int) -> int:
-    """Divisor power sum: the sum of d^(k-1) over divisors d of n, exact."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    return sum(d**k_minus_1 for d in divisors(n))
 
 
 def sigma_power_mod(k_minus_1: int, n: int, modulus: int) -> int:

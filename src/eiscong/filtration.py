@@ -19,7 +19,6 @@ from .errors import (
     ParameterOutOfRangeError,
     PrecisionTooLowError,
     QuasimodularWeightError,
-    RingMismatchError,
     WeightMismatchError,
 )
 from .eisenstein import e_series, g_series, monomial_series
@@ -89,26 +88,24 @@ def sturm_bound(weight: int) -> int:
 
 @dataclass(frozen=True)
 class BasisMatrix:
-    """Monomial (or Miller-echelonized) basis of M_weight over Z/p^m."""
+    """Monomial basis of M_weight over Z/p^m."""
 
     weight: int
     ring: ResidueRing
     precision: int
     monomials: tuple[tuple[int, int, int], ...]
     columns: tuple[QSeries, ...]
-    echelonized: bool = False
 
     @property
     def dimension(self) -> int:
         return len(self.columns)
 
 
-def basis(weight: int, ring: ResidueRing, precision: int, echelon: bool = False) -> BasisMatrix:
+def basis(weight: int, ring: ResidueRing, precision: int) -> BasisMatrix:
     """Basis of M_weight with integral q-expansions through q^precision.
 
-    Default columns are the monomials E_4^a E_6^b Delta^c (b in {0,1}, c
-    ascending); with echelon=True they are reduced to Miller form, column j
-    having expansion q^j + O(q^dimension).
+    The columns are the monomials E_4^a E_6^b Delta^c (b in {0,1}, c
+    ascending), so column j leads with q^j: the basis is unit triangular.
     """
     if weight % 2 == 1:
         raise OddWeightError(f"weight must be even, got {weight}")
@@ -122,16 +119,8 @@ def basis(weight: int, ring: ResidueRing, precision: int, echelon: bool = False)
         raise EiscongError(
             f"monomial count {len(monomials)} != dimension {dim} at weight {weight}"
         )
-    cols = [monomial_series(a, b, c, ring, precision) for a, b, c in monomials]
-    if echelon:
-        # Columns are unitriangular (column j leads with q^j); clear the
-        # entries above each leading 1 with integral column operations.
-        for i in range(dim):
-            for j in range(i):
-                factor = cols[j].coefficient(i)
-                if factor:
-                    cols[j] = cols[j] - cols[i].scale(factor)
-    return BasisMatrix(weight, ring, precision, monomials, tuple(cols), echelon)
+    cols = tuple(monomial_series(a, b, c, ring, precision) for a, b, c in monomials)
+    return BasisMatrix(weight, ring, precision, monomials, cols)
 
 
 # ---------------------------------------------------------------------------
@@ -324,11 +313,8 @@ def _check_weight_match(k: int, w: int, p: int) -> int:
     return (k - w) // (p - 1)
 
 
-def _checked_upto(f: QSeries, k: int, upto: int | None, subject: str,
-                  w: int | None = None) -> int:
+def _checked_upto(f: QSeries, k: int, upto: int | None, w: int | None = None) -> int:
     """The last index compared by a search, or by a probe of weight w, on f of weight k."""
-    if f.ring is None:
-        raise RingMismatchError(f"filtration {subject} require a residue-mode series")
     if w is not None:
         _check_weight_match(k, w, f.ring.p)
     if upto is None:
@@ -374,7 +360,7 @@ def _reductions(f: QSeries, k: int, w: int, upto: int):
 
 def sharpness_probe(f: QSeries, k: int, w: int, upto: int | None = None) -> Solution | NoSolution:
     """Decide whether f matches E_{p-1}^((k-w)/(p-1)) * g for some g of weight w."""
-    upto = _checked_upto(f, k, upto, "probes", w)
+    upto = _checked_upto(f, k, upto, w)
     return next(_reductions(f, k, w, upto))[3]
 
 
@@ -389,7 +375,7 @@ def factor_filtration_bound(f: QSeries, k: int, input_id: str | None = None,
     round-trip checked by multiplying it by the positive power E_{p-1}^n.
     """
     certified = upto is None
-    upto = _checked_upto(f, k, upto, "bounds")
+    upto = _checked_upto(f, k, upto)
     if input_id is None:
         input_id = f"weight-{k}-series"
     ring, p = f.ring, f.ring.p

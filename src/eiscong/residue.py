@@ -1,14 +1,18 @@
-"""The residue ring Z/p^m with valuation-aware element arithmetic."""
+"""The residue ring Z/p^m.
+
+Its elements are plain canonical ints in [0, p^m); the ring reduces
+p-integral rationals into them once, inverts units and measures valuations.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import NotAUnitError, NotPIntegralError, RingMismatchError
+from .errors import NotAUnitError, NotPIntegralError
 from .exact import _int_valuation
 
-__all__ = ["ResidueRing", "ResidueElement", "invert_unit", "is_prime", "reduce_rational"]
+__all__ = ["ResidueRing", "is_prime"]
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -55,9 +59,6 @@ class ResidueRing:
     def modulus(self) -> int:
         return self.p**self.m
 
-    def reduce_int(self, x: int) -> int:
-        return x % self.modulus
-
     def reduce_rational(self, x: Fraction | int) -> int:
         """Canonical residue of a p-integral rational modulo p^m."""
         if isinstance(x, int):
@@ -79,58 +80,3 @@ class ResidueRing:
         if x == 0:
             return self.m
         return _int_valuation(x, self.p)
-
-    def element(self, value: Fraction | int) -> "ResidueElement":
-        return ResidueElement(self, self.reduce_rational(value))
-
-
-@dataclass(frozen=True)
-class ResidueElement:
-    """A canonical representative in [0, p^m)."""
-
-    ring: ResidueRing
-    value: int
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "value", self.value % self.ring.modulus)
-
-    def _coerce(self, other: "ResidueElement | int") -> int:
-        if isinstance(other, ResidueElement):
-            if other.ring != self.ring:
-                raise RingMismatchError(f"{other.ring} != {self.ring}")
-            return other.value
-        return other % self.ring.modulus
-
-    def __add__(self, other: "ResidueElement | int") -> "ResidueElement":
-        return ResidueElement(self.ring, self.value + self._coerce(other))
-
-    def __sub__(self, other: "ResidueElement | int") -> "ResidueElement":
-        return ResidueElement(self.ring, self.value - self._coerce(other))
-
-    def __mul__(self, other: "ResidueElement | int") -> "ResidueElement":
-        return ResidueElement(self.ring, self.value * self._coerce(other))
-
-    __radd__ = __add__
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "ResidueElement":
-        return ResidueElement(self.ring, -self.value)
-
-    def __pow__(self, n: int) -> "ResidueElement":
-        return ResidueElement(self.ring, pow(self.value, n, self.ring.modulus))
-
-    def inverse(self) -> "ResidueElement":
-        return ResidueElement(self.ring, self.ring.invert(self.value))
-
-    def valuation(self) -> int:
-        return self.ring.valuation(self.value)
-
-
-def reduce_rational(x: Fraction | int, ring: ResidueRing) -> ResidueElement:
-    """Canonical residue of a p-integral rational in the given ring."""
-    return ring.element(x)
-
-
-def invert_unit(x: ResidueElement) -> ResidueElement:
-    """Multiplicative inverse of a unit residue."""
-    return x.inverse()

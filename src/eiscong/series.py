@@ -1,13 +1,12 @@
 """Truncated q-expansions with explicit precision tracking.
 
-A QSeries holds coefficients of q^0 .. q^precision, either as canonical
-residues in a ResidueRing or as exact Fractions (ring is None). Reading past
-the declared precision raises instead of returning zero, and every binary
-operation propagates the minimum precision of its operands.
+A QSeries holds the coefficients of q^0 .. q^precision as canonical residues
+in a ResidueRing. Reading past the declared precision raises instead of
+returning zero, and every binary operation propagates the minimum precision
+of its operands.
 
-Residue-mode products use Kronecker substitution: each coefficient vector is
-packed into one integer and CPython's subquadratic big-int multiply does the
-convolution. Exact mode multiplies with the schoolbook loop.
+Products use Kronecker substitution: each coefficient vector is packed into
+one integer and CPython's subquadratic big-int multiply does the convolution.
 """
 
 from __future__ import annotations
@@ -15,7 +14,6 @@ from __future__ import annotations
 import sys
 from array import array
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import PrecisionTooLowError, RingMismatchError
 from .residue import ResidueRing
@@ -39,7 +37,7 @@ class CongruenceVerdict:
 
 @dataclass(frozen=True)
 class QSeries:
-    ring: ResidueRing | None
+    ring: ResidueRing
     coeffs: tuple
     precision: int
 
@@ -59,23 +57,10 @@ class QSeries:
         return QSeries(ring, coeffs, precision)
 
     @staticmethod
-    def exact(coeffs, precision: int | None = None) -> "QSeries":
-        coeffs = tuple(Fraction(c) for c in coeffs)
-        if precision is None:
-            precision = len(coeffs) - 1
-        return QSeries(None, coeffs, precision)
-
-    @staticmethod
-    def one(ring: ResidueRing | None, precision: int) -> "QSeries":
-        unit = 1 if ring is not None else Fraction(1)
-        zero = 0 if ring is not None else Fraction(0)
-        return QSeries(ring, (unit,) + (zero,) * precision, precision)
+    def one(ring: ResidueRing, precision: int) -> "QSeries":
+        return QSeries(ring, (1,) + (0,) * precision, precision)
 
     # -- accessors ----------------------------------------------------------
-
-    @property
-    def is_exact(self) -> bool:
-        return self.ring is None
 
     def coefficient(self, n: int):
         if n < 0:
@@ -105,45 +90,26 @@ class QSeries:
 
     def __add__(self, other: "QSeries") -> "QSeries":
         prec = self._check_compatible(other)
-        coeffs = [self.coeffs[i] + other.coeffs[i] for i in range(prec + 1)]
-        if self.ring is not None:
-            mod = self.ring.modulus
-            coeffs = [c % mod for c in coeffs]
-        return QSeries(self.ring, tuple(coeffs), prec)
+        mod = self.ring.modulus
+        coeffs = tuple([(self.coeffs[i] + other.coeffs[i]) % mod for i in range(prec + 1)])
+        return QSeries(self.ring, coeffs, prec)
 
     def __sub__(self, other: "QSeries") -> "QSeries":
         prec = self._check_compatible(other)
-        coeffs = [self.coeffs[i] - other.coeffs[i] for i in range(prec + 1)]
-        if self.ring is not None:
-            mod = self.ring.modulus
-            coeffs = [c % mod for c in coeffs]
-        return QSeries(self.ring, tuple(coeffs), prec)
+        mod = self.ring.modulus
+        coeffs = tuple([(self.coeffs[i] - other.coeffs[i]) % mod for i in range(prec + 1)])
+        return QSeries(self.ring, coeffs, prec)
 
     def __mul__(self, other: "QSeries") -> "QSeries":
         prec = self._check_compatible(other)
-        if self.ring is not None:
-            coeffs = _kronecker_product(self.coeffs, None if self is other else other.coeffs,
-                                        prec + 1, self.ring.modulus)
-            return QSeries(self.ring, coeffs, prec)
-        out = [Fraction(0)] * (prec + 1)
-        for i, a in enumerate(self.coeffs[: prec + 1]):
-            if a == 0:
-                continue
-            for j in range(prec + 1 - i):
-                b = other.coeffs[j]
-                if b:
-                    out[i + j] += a * b
-        return QSeries(None, tuple(out), prec)
+        coeffs = _kronecker_product(self.coeffs, None if self is other else other.coeffs,
+                                    prec + 1, self.ring.modulus)
+        return QSeries(self.ring, coeffs, prec)
 
-    def scale(self, scalar) -> "QSeries":
-        """Multiply every coefficient by a scalar (int, Fraction, or residue)."""
-        if self.ring is not None:
-            s = self.ring.reduce_rational(scalar) if isinstance(scalar, Fraction) else scalar
-            mod = self.ring.modulus
-            coeffs = tuple(c * s % mod for c in self.coeffs)
-        else:
-            coeffs = tuple(c * scalar for c in self.coeffs)
-        return QSeries(self.ring, coeffs, self.precision)
+    def scale(self, scalar: int) -> "QSeries":
+        """Multiply every coefficient by an integer scalar."""
+        mod = self.ring.modulus
+        return QSeries(self.ring, tuple(c * scalar % mod for c in self.coeffs), self.precision)
 
     def pow(self, n: int) -> "QSeries":
         """Binary exponentiation; a^0 is the constant series 1."""
@@ -159,42 +125,20 @@ class QSeries:
                 base = base * base
         return result
 
-    def __pow__(self, n: int) -> "QSeries":
-        return self.pow(n)
-
-    def reduce(self, ring: ResidueRing) -> "QSeries":
-        """Reduce an exact-mode series coefficient-wise into a residue ring."""
-        if self.ring is not None:
-            raise RingMismatchError("series is already in residue mode")
-        return QSeries(ring, tuple(ring.reduce_rational(c) for c in self.coeffs), self.precision)
-
     # -- serialization ------------------------------------------------------
 
     def to_json_dict(self) -> dict:
-        if self.ring is not None:
-            return {
-                "p": self.ring.p,
-                "m": self.ring.m,
-                "precision": self.precision,
-                "coefficients": [str(c) for c in self.coeffs],
-            }
         return {
-            "p": None,
-            "m": None,
+            "p": self.ring.p,
+            "m": self.ring.m,
             "precision": self.precision,
-            "coefficients": [
-                f"{c.numerator}/{c.denominator}" for c in self.coeffs
-            ],
+            "coefficients": [str(c) for c in self.coeffs],
         }
 
     @staticmethod
     def from_json_dict(data: dict) -> "QSeries":
-        precision = int(data["precision"])
-        raw = data["coefficients"]
-        if data.get("p") is None:
-            return QSeries.exact([Fraction(c) for c in raw], precision)
         ring = ResidueRing(int(data["p"]), int(data["m"]))
-        return QSeries.residue(ring, [int(c) for c in raw], precision)
+        return QSeries.residue(ring, [int(c) for c in data["coefficients"]], int(data["precision"]))
 
 
 # Unsigned array types, narrowest first. Slots that fit one of them are packed

@@ -7,7 +7,9 @@ from math import comb
 import pytest
 
 from eiscong.eisenstein import e_series
+from eiscong.exact import bernoulli, divisors
 from eiscong.filtration import BasisMatrix, LinearSystem, _check_weight_match, basis
+from eiscong.residue import ResidueRing
 from eiscong.series import QSeries
 
 
@@ -22,6 +24,52 @@ def bernoulli_by_recurrence(n: int) -> Fraction:
         acc = sum(comb(k + 1, j) * values[j] for j in range(k))
         values.append(Fraction(-acc, k + 1))
     return values[n]
+
+
+def sigma_power(k_minus_1: int, n: int) -> int:
+    """Divisor power sum oracle: the sum of d^(k-1) over divisors d of n, exactly."""
+    if n < 1:
+        raise ValueError("n must be positive")
+    return sum(d**k_minus_1 for d in divisors(n))
+
+
+def schoolbook_product(a: tuple, b: tuple) -> tuple:
+    """Product oracle: the truncated convolution of two coefficient tuples, term by term.
+
+    Works over any exact coefficients (ints or Fractions); the result is as
+    long as the shorter operand and is not reduced.
+    """
+    n = min(len(a), len(b))
+    out = [0] * n
+    for i in range(n):
+        for j in range(n - i):
+            out[i + j] += a[i] * b[j]
+    return tuple(out)
+
+
+def g_series_exact(k: int, precision: int) -> tuple:
+    """Coefficients of G_k over the rationals: -B_k/2k, then sigma_{k-1}(n)."""
+    return (Fraction(-1, 2) * bernoulli(k) / k,) + tuple(
+        Fraction(sigma_power(k - 1, n)) for n in range(1, precision + 1))
+
+
+def e_series_exact(k: int, precision: int) -> tuple:
+    """Coefficients of the normalized E_k over the rationals (E_0 = 1)."""
+    if k == 0:
+        return (Fraction(1),) + (Fraction(0),) * precision
+    c = Fraction(-2 * k) / bernoulli(k)
+    return (Fraction(1),) + tuple(c * sigma_power(k - 1, n) for n in range(1, precision + 1))
+
+
+def e_factor_exact(p: int, precision: int) -> tuple:
+    """Coefficients of E in E_{p-1} = 1 + pE over the rationals: c sigma_{p-2}(n) / p."""
+    c = Fraction(-2 * (p - 1)) / bernoulli(p - 1)
+    return (Fraction(0),) + tuple(c * sigma_power(p - 2, n) / p for n in range(1, precision + 1))
+
+
+def reduced(coeffs: tuple, ring: ResidueRing) -> QSeries:
+    """The series with these p-integral rational coefficients, reduced into the ring."""
+    return QSeries(ring, tuple(ring.reduce_rational(c) for c in coeffs), len(coeffs) - 1)
 
 
 def egcd(a: int, b: int) -> tuple[int, int, int]:

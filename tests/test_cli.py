@@ -86,6 +86,27 @@ class TestBernoulliCommand:
         assert [rec["k"] for rec in lines] == [0, 1, 2, 3, 4]
         assert lines[2]["value"] == "1/6"
 
+    def test_empty_range_is_usage_error(self, capsys):
+        status, out, err = run_cli(capsys, "bernoulli", "5..3")
+        assert (status, out) == (2, "")
+        assert err == "error: the Bernoulli index range 5..3 is empty\n"
+
+    @pytest.mark.parametrize("primes, bad", [("4", 4), ("5,9", 9), ("1", 1)])
+    def test_p_must_be_a_prime(self, capsys, primes, bad):
+        status, out, err = run_cli(capsys, "bernoulli", "12", "--p", primes)
+        assert (status, out) == (2, "")
+        assert err == f"error: p must be a prime, got {bad}\n"
+
+    def test_empty_prime_range_is_usage_error(self, capsys):
+        status, out, err = run_cli(capsys, "bernoulli", "12", "--p", "7..5")
+        assert (status, out) == (2, "")
+        assert err == "error: the prime range 7..5 is empty\n"
+
+    def test_valuations_at_2_and_3(self, capsys):
+        status, out, _ = run_cli(capsys, "bernoulli", "12", "--p", "2,3")
+        assert status == 0
+        assert out == "12 -691/2730  nu_2=-1  nu_3=-1\n"
+
 
 class TestSeriesCommand:
     def test_g_series_json_schema(self, capsys):
@@ -130,6 +151,22 @@ class TestVerifyCommand:
         )
         assert status == 2
         assert "m must satisfy" in err
+
+    def test_sun97_computes_one_sum_per_point(self, capsys, monkeypatch):
+        from eiscong import congruences
+
+        orders = []
+        original = congruences.forward_difference_sum
+
+        def counted(f, n):
+            orders.append(n)
+            return original(f, n)
+
+        monkeypatch.setattr(congruences, "forward_difference_sum", counted)
+        status, out, _ = run_cli(
+            capsys, "verify", "sun97", "--p", "5", "--n-max", "12", "--jobs", "1")
+        assert status == 0 and len(out.splitlines()) == 12
+        assert orders == list(range(1, 13))
 
     def test_parallel_matches_serial(self, capsys):
         argv = ["verify", "sun97", "--p", "5", "--n-max", "6"]

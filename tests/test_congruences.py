@@ -35,9 +35,9 @@ from eiscong.errors import (
     MOutOfRangeError,
     ParameterOutOfRangeError,
 )
-from eiscong.exact import padic_valuation, parse_int, sigma_power
+from eiscong.exact import padic_valuation, parse_int
 
-from conftest import bernoulli_by_recurrence
+from conftest import bernoulli_by_recurrence, sigma_power
 
 
 class TestThmGk:

@@ -8,13 +8,13 @@ from eiscong.eisenstein import (
     delta_series,
     e_factor,
     e_series,
-    e_series_exact,
     g_series,
-    g_series_exact,
     monomial_series,
 )
 from eiscong.residue import ResidueRing
 from eiscong.series import QSeries, series_equal_mod
+
+from conftest import e_factor_exact, e_series_exact, g_series_exact, reduced
 
 
 class TestGSeries:
@@ -41,8 +41,7 @@ class TestGSeries:
         for k in (4, 6, 8, 14):
             if k % 10 == 0:
                 continue
-            exact = g_series_exact(k, 12).reduce(ring)
-            assert g_series(k, ring, 12) == exact
+            assert g_series(k, ring, 12) == reduced(g_series_exact(k, 12), ring)
 
     def test_weight_two_constructible(self):
         g = g_series(2, ResidueRing(5, 1), 4)
@@ -127,14 +126,22 @@ class TestEFactor:
         for p, m in ((5, 2), (7, 3), (11, 2)):
             ring = ResidueRing(p, m)
             ef = e_factor(ring, 12)
-            assert ef.series.coeffs[0] == 0
-            reconstructed = QSeries.one(ring, 12) + ef.series.scale(p)
+            assert ef.coeffs[0] == 0
+            reconstructed = QSeries.one(ring, 12) + ef.scale(p)
             assert series_equal_mod(reconstructed, e_series(p - 1, ring, 12), 12).ok
 
     def test_q_coefficient_p5(self):
         # (-2*4/B_4) * sigma_3(1) / 5 = 240/5 = 48
         ring = ResidueRing(5, 3)
-        assert e_factor(ring, 1).series.coeffs[1] == 48
+        assert e_factor(ring, 1).coeffs[1] == 48
+
+    @pytest.mark.parametrize("p", [5, 7, 11, 13, 17])
+    def test_matches_exact_oracle(self, p):
+        # 1 + pE = E_{p-1} fixes E only mod p^(m-1); the oracle checks it mod p^m.
+        exact = e_factor_exact(p, 30)
+        for m in range(1, 9):
+            ring = ResidueRing(p, m)
+            assert e_factor(ring, 30) == reduced(exact, ring), (p, m)
 
 
 class TestMonomials:
@@ -190,4 +197,4 @@ class TestClassicalCongruences:
     def test_exact_e_series_matches_reduction(self):
         ring = ResidueRing(7, 2)
         for k in (0, 4, 6, 12):
-            assert e_series_exact(k, 8).reduce(ring) == e_series(k, ring, 8)
+            assert reduced(e_series_exact(k, 8), ring) == e_series(k, ring, 8)

@@ -14,11 +14,10 @@ from eiscong.exact import (
     padic_valuation,
     parse_int,
     pochhammer,
-    sigma_power,
     sigma_power_mod,
 )
 
-from conftest import bernoulli_by_recurrence
+from conftest import bernoulli_by_recurrence, sigma_power
 
 
 class TestBernoulli:
@@ -185,15 +184,16 @@ class TestHCoefficient:
 class TestSigma:
     def test_n_equal_one(self):
         for k in (0, 1, 7, 100):
-            assert sigma_power(k, 1) == 1
+            assert sigma_power_mod(k, 1, 7**9) == 1
 
     def test_divisor_enumeration(self):
+        assert sigma_power_mod(3, 4, 7**9) == 1 + 8 + 64
+        assert sigma_power_mod(1, 6, 7**9) == 1 + 2 + 3 + 6
         assert sigma_power(3, 4) == 1 + 8 + 64
-        assert sigma_power(1, 6) == 1 + 2 + 3 + 6
 
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
-            sigma_power(3, 0)
+            sigma_power_mod(3, 0, 25)
 
     def test_mod_variant_agrees(self, rng):
         for _ in range(60):

@@ -70,11 +70,13 @@ class TestBasis:
         assert bm.columns[0] == e_series(4, ring, 6)
 
     def test_weight_twelve_miller(self):
+        # E_4^3 - 720 Delta and Delta: column j has expansion q^j + O(q^dimension)
         ring = ResidueRing(7, 2)
-        bm = basis(12, ring, 6, echelon=True)
-        # column j has expansion q^j + O(q^dimension)
-        assert bm.columns[0].coeffs[:2] == (1, 0)
-        assert bm.columns[1].coeffs[:2] == (0, 1)
+        e4_cubed, delta = basis(12, ring, 6).columns
+        miller = e4_cubed - delta.scale(e4_cubed.coefficient(1))
+        assert e4_cubed.coefficient(1) == 720 % ring.modulus
+        assert miller.coeffs[:2] == (1, 0)
+        assert delta.coeffs[:2] == (0, 1)
 
     def test_weight_two_rejected(self):
         with pytest.raises(QuasimodularWeightError):
@@ -213,12 +215,6 @@ class TestFiltrationBound:
         f = g_series(26, ring, 1)
         with pytest.raises(PrecisionTooLowError):
             factor_filtration_bound(f, 26)
-
-    def test_exact_mode_rejected(self):
-        from eiscong.errors import RingMismatchError
-
-        with pytest.raises(RingMismatchError):
-            factor_filtration_bound(QSeries.exact([1, 2, 3]), 4)
 
     def test_evidence_mode_labelled(self):
         ring = ResidueRing(5, 2)
