@@ -8,7 +8,6 @@ from pathlib import Path
 
 from . import exact
 from .errors import CacheFormatError
-from .residue import is_prime
 
 __all__ = ["CACHE_ENV_VAR", "default_cache_path", "load_bernoulli_cache", "save_bernoulli_cache"]
 
@@ -31,15 +30,6 @@ def format_cache_line(index: int, value: Fraction) -> str:
     return f"{index} {exact.int_str(value.numerator)}/{exact.int_str(value.denominator)}\n"
 
 
-def _von_staudt_denominator(k: int) -> int:
-    """Denominator of B_k for even k >= 2: the product of the primes l with (l-1) | k."""
-    out = 1
-    for d in exact.divisors(k):
-        if is_prime(d + 1):
-            out *= d + 1
-    return out
-
-
 def _value_problem(index: int, value: Fraction) -> str | None:
     """Why `value` cannot be B_index (von Staudt-Clausen and the sign), or None."""
     if index < 0:
@@ -47,7 +37,7 @@ def _value_problem(index: int, value: Fraction) -> str | None:
     if index < 2 or index % 2:
         # B_0, B_1 and the odd zeros are known outright.
         return None if value == exact.bernoulli(index) else f"B_{index} is {exact.bernoulli(index)}"
-    denominator = _von_staudt_denominator(index)
+    denominator = exact.bernoulli_denominator(index)
     if value.denominator != denominator:
         return f"B_{index} has denominator {denominator}"
     if (value > 0) != (index % 4 == 2):

@@ -10,10 +10,12 @@ from __future__ import annotations
 import math
 import threading
 from fractions import Fraction
+from itertools import compress
 
 __all__ = [
     "bernoulli",
     "bernoulli_cached_indices",
+    "bernoulli_denominator",
     "divisors",
     "gen_binomial",
     "h_coefficient",
@@ -31,51 +33,172 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 # Memo of exact values keyed by index. Concurrent readers are safe (plain
-# dict reads); insertions are serialized through _BERNOULLI_LOCK.
-_BERNOULLI_MEMO: dict[int, Fraction] = {0: Fraction(1), 1: Fraction(-1, 2)}
+# dict reads); insertions, and the growth of _PI, are serialized through
+# _BERNOULLI_LOCK. B_2 is seeded because the Euler-product bound below
+# needs k >= 4.
+_BERNOULLI_MEMO: dict[int, Fraction] = {0: Fraction(1), 1: Fraction(-1, 2), 2: Fraction(1, 6)}
 _BERNOULLI_LOCK = threading.Lock()
 
-# Largest n for which tangent numbers T_1..T_n have been computed.
-_TANGENT: list[int] = []
+# Guard bits of the first attempt at B_k below the units digit of its
+# numerator; an attempt that cannot prove its rounding doubles them.
+_GUARD_BITS = 16
+
+# pi as (bits, A) with |A - pi * 2**bits| < 2; grown under _BERNOULLI_LOCK.
+_PI = (0, 0)
+
+# _PRIME_FLAGS[n] is 1 exactly when n is prime. Grown by rebinding, so a
+# reader never sees a half-built table.
+_PRIME_FLAGS = bytearray(2)
 
 
-def _tangent_numbers(n: int) -> list[int]:
-    """Tangent numbers T_1..T_n as exact integers.
+def _prime_flags(n: int) -> bytearray:
+    """The sieve table, grown (at least doubling) to cover 0..n."""
+    global _PRIME_FLAGS
+    flags = _PRIME_FLAGS
+    if len(flags) <= n:
+        size = max(n + 1, 2 * len(flags))
+        flags = bytearray(2) + b"\x01" * (size - 2)
+        for i in range(2, math.isqrt(size - 1) + 1):
+            if flags[i]:
+                flags[i * i :: i] = bytes(len(range(i * i, size, i)))
+        _PRIME_FLAGS = flags
+    return flags
 
-    In-place triangular recurrence: after seeding T_k = (k-1)!, each pass
-    k = 2..n updates T_j = (j-k)*T_{j-1} + (j-k+2)*T_j for j = k..n.
-    O(n^2) big-integer operations, no intermediate rationals.
+
+def _is_prime(n: int) -> bool:
+    """Primality from the sieve table, by trial division past its end."""
+    root = math.isqrt(n)
+    flags = _prime_flags(root + 1)
+    if n < len(flags):
+        return flags[n] == 1
+    return all(n % p for p in compress(range(root + 1), flags))
+
+
+def bernoulli_denominator(k: int) -> int:
+    """Denominator of B_k for even k >= 2 (von Staudt-Clausen): the product of the primes l with (l-1) | k."""
+    out = 1
+    for d in divisors(k):
+        if _is_prime(d + 1):
+            out *= d + 1
+    return out
+
+
+def _arctan_inverse(x: int, bits: int) -> int:
+    """atan(1/x) * 2**bits for an integer x >= 5, within 2.05 per series term plus 2.1."""
+    power = (1 << bits) // x
+    square = x * x
+    total = 0
+    n = 1
+    while power:
+        term = power // n
+        total += term if n % 4 == 1 else -term
+        power //= square
+        n += 2
+    return total
+
+
+def _pi(bits: int) -> int:
+    """pi * 2**bits within 3, from Machin's formula; callers hold _BERNOULLI_LOCK.
+
+    A request past the memoized precision recomputes pi at no less than twice
+    that precision, so a rising sequence of requests recomputes it only
+    logarithmically often.
     """
-    if n <= 0:
-        return []
-    t = [0] * (n + 1)
-    t[1] = 1
-    for k in range(2, n + 1):
-        t[k] = (k - 1) * t[k - 1]
-    for k in range(2, n + 1):
-        for j in range(k, n + 1):
-            t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
-    return t[1:]
+    global _PI
+    have, value = _PI
+    if have < bits:
+        have = max(bits, 2 * have, 64)
+        # pi = 16 atan(1/5) - 4 atan(1/239) is off by under 8q + 100 units at q
+        # bits; `extra` low bits absorb that, leaving |value - pi 2**have| < 2.
+        extra = have.bit_length() + 6
+        q = have + extra
+        value = (16 * _arctan_inverse(5, q) - 4 * _arctan_inverse(239, q)) >> extra
+        _PI = (have, value)
+    return value >> (have - bits)
 
 
-def _ensure_tangent(n: int) -> None:
-    global _TANGENT
-    if n <= len(_TANGENT):
-        return
-    with _BERNOULLI_LOCK:
-        if n <= len(_TANGENT):
-            return
-        # The recurrence is not incremental; grow geometrically so a rising
-        # sequence of requests costs O(n^2) amortized.
-        target = max(n, 2 * len(_TANGENT))
-        _TANGENT = _tangent_numbers(target)
+def _truncate(mantissa: int, exponent: int, bits: int) -> tuple[int, int]:
+    """mantissa * 2**exponent cut to bits+1 significant bits: relative error below 2**-bits."""
+    drop = mantissa.bit_length() - bits - 1
+    return (mantissa >> drop, exponent + drop) if drop > 0 else (mantissa, exponent)
+
+
+def _power_truncated(mantissa: int, exponent: int, k: int, bits: int) -> tuple[int, int]:
+    """(mantissa * 2**exponent)**k by binary powering, each product cut by _truncate.
+
+    At most 2 * k.bit_length() cuts, each a relative error in (-2**-bits, 0].
+    """
+    result, result_exponent = 1, 0
+    while True:
+        if k & 1:
+            result, result_exponent = _truncate(result * mantissa, result_exponent + exponent, bits)
+        k >>= 1
+        if not k:
+            return result, result_exponent
+        mantissa, exponent = _truncate(mantissa * mantissa, 2 * exponent, bits)
+
+
+def _bernoulli_numerator(k: int, denominator: int, guard: int) -> int | None:
+    """|B_k| * denominator for even k >= 4, or None if `guard` bits cannot prove the rounding.
+
+    With w = L + guard, where 2**L exceeds the numerator, every factor of
+    2 k! D / ((2 pi)**k / zeta(k)) is carried to relative precision 2**-w; see
+    `bernoulli` for the error budget.
+    """
+    top = 2 * math.factorial(k) * denominator
+    # (2 pi)**k > 2**(2.6514 k) and zeta(k) <= zeta(4) < 2**0.12, so for k >= 4
+    # the numerator top * zeta(k) / (2 pi)**k is below 2**(bits(top) - 2.585 k).
+    w = top.bit_length() - 2585 * k // 1000 + guard
+    # 2**w / zeta(k) from above, as prod (1 - p**-k) over the primes p <= P; the
+    # tail over n > P costs a factor 1 - sum n**-k >= 1 - P**(1-k) / (k-1),
+    # within 2**-w once (k-1) * P**(k-1) >= 2**w. The table reaches past
+    # 2**ceil(w / (k-1)), so the bound also holds when the loop runs it out.
+    flags = _prime_flags(1 << -(-w // (k - 1)))
+    euler = 1 << w
+    primes = 0
+    for p in compress(range(len(flags)), flags):
+        power = p**k
+        euler -= euler // power
+        primes += 1
+        if (k - 1) * (power // p) >= 1 << w:
+            break
+    # (2 pi)**k, with pi to s bits so that k * 2**-s stays below 2**-(w+1).
+    s = w + k.bit_length() + 1
+    mantissa, exponent = _power_truncated(_pi(s), 1 - s, k, w)
+    # numerator * 2**guard = top * 2**(guard + w - exponent) / (mantissa * euler), floored.
+    shift = guard + w - exponent
+    divisor = mantissa * euler
+    scaled = (top << shift) // divisor if shift >= 0 else top // (divisor << -shift)
+    numerator = (scaled + (1 << guard >> 1)) >> guard
+    error = 4 * k.bit_length() + 4 * primes + 9
+    if 4 * (abs(scaled - (numerator << guard)) + error) > 1 << guard:
+        return None
+    return numerator
 
 
 def bernoulli(k: int) -> Fraction:
     """Exact Bernoulli number B_k (convention B_1 = -1/2).
 
-    Even indices come from tangent numbers via
-    B_{2n} = (-1)^(n-1) * 2n * T_n / (2^(2n) * (2^(2n) - 1)).
+    Even k >= 4 come from |B_k| = 2 k! zeta(k) / (2 pi)**k in integer fixed
+    point (Fillebrown 1992). The denominator D is exact (von Staudt-Clausen)
+    and the sign is (-1)**(k/2 + 1), so only the integer |B_k| D is
+    approximated, to w = L + g bits, where 2**L bounds it and g are guard
+    bits. With u = 2**-w, the relative errors are:
+
+    - pi, to s = w + bits(k) + 1 bits within 3 units, raised to the k-th
+      power: below u;
+    - truncated powering of 2 pi, at most 2 bits(k) cuts to w + 1 bits:
+      below 2 bits(k) u;
+    - the Euler product for 1/zeta(k) over the n primes up to its cutoff:
+      each step floors, so it ends under n units of 2**-w high, and
+      1/zeta(k) > 0.92 makes that below 2n u;
+    - the Euler tail past the cutoff: below u.
+
+    Dividing by the two factors at most doubles their (2 bits(k) + 2n + 4) u,
+    and the floored division adds one unit, so |B_k| D * 2**g is known within
+    4 bits(k) + 4n + 9. It is rounded only when that whole interval lies
+    within 1/4 of an integer; otherwise g doubles, at most twice, and B_k is
+    recomputed.
     """
     if k < 0:
         raise ValueError("Bernoulli index must be non-negative")
@@ -84,12 +207,18 @@ def bernoulli(k: int) -> Fraction:
         return cached
     if k % 2 == 1:
         return Fraction(0)
-    n = k // 2
-    _ensure_tangent(n)
-    four_n = 1 << (2 * n)
-    value = Fraction((-1) ** (n - 1) * k * _TANGENT[n - 1], four_n * (four_n - 1))
     with _BERNOULLI_LOCK:
-        _BERNOULLI_MEMO.setdefault(k, value)
+        value = _BERNOULLI_MEMO.get(k)
+        if value is None:
+            denominator = bernoulli_denominator(k)
+            for guard in (_GUARD_BITS, 2 * _GUARD_BITS, 4 * _GUARD_BITS):
+                numerator = _bernoulli_numerator(k, denominator, guard)
+                if numerator is not None:
+                    break
+            else:
+                raise ArithmeticError(f"B_{k}: rounding not proven at {guard} guard bits")
+            value = Fraction(numerator if k % 4 == 2 else -numerator, denominator)
+            _BERNOULLI_MEMO[k] = value
     return value
 
 

@@ -71,16 +71,6 @@ class QSeries:
             )
         return self.coeffs[n]
 
-    def __getitem__(self, n: int):
-        return self.coefficient(n)
-
-    def truncate(self, precision: int) -> "QSeries":
-        if precision > self.precision:
-            raise PrecisionTooLowError(
-                f"cannot extend precision {self.precision} to {precision}"
-            )
-        return QSeries(self.ring, self.coeffs[: precision + 1], precision)
-
     # -- arithmetic ---------------------------------------------------------
 
     def _check_compatible(self, other: "QSeries") -> int:
@@ -134,11 +124,6 @@ class QSeries:
             "precision": self.precision,
             "coefficients": [str(c) for c in self.coeffs],
         }
-
-    @staticmethod
-    def from_json_dict(data: dict) -> "QSeries":
-        ring = ResidueRing(int(data["p"]), int(data["m"]))
-        return QSeries.residue(ring, [int(c) for c in data["coefficients"]], int(data["precision"]))
 
 
 # Unsigned array types, narrowest first. Slots that fit one of them are packed

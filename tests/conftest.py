@@ -16,14 +16,50 @@ from eiscong.series import QSeries
 def bernoulli_by_recurrence(n: int) -> Fraction:
     """Independent Bernoulli oracle: solve sum_{j=0}^{n} C(n+1, j) B_j = 0 upward.
 
-    Deliberately naive rational arithmetic; used to validate the production
-    tangent-number path.
+    Deliberately naive rational arithmetic; a second check, for small n, of
+    the production zeta(k) path next to `bernoulli_by_tangent`.
     """
     values = [Fraction(1)]
     for k in range(1, n + 1):
         acc = sum(comb(k + 1, j) * values[j] for j in range(k))
         values.append(Fraction(-acc, k + 1))
     return values[n]
+
+
+def _tangent_numbers(n: int) -> list[int]:
+    """Tangent numbers T_1..T_n as exact integers.
+
+    In-place triangular recurrence: after seeding T_k = (k-1)!, each pass
+    k = 2..n updates T_j = (j-k)*T_{j-1} + (j-k+2)*T_j for j = k..n.
+    O(n^2) big-integer operations, no intermediate rationals.
+    """
+    if n <= 0:
+        return []
+    t = [0] * (n + 1)
+    t[1] = 1
+    for k in range(2, n + 1):
+        t[k] = (k - 1) * t[k - 1]
+    for k in range(2, n + 1):
+        for j in range(k, n + 1):
+            t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
+    return t[1:]
+
+
+def bernoulli_by_tangent(indices) -> dict[int, Fraction]:
+    """Tangent-number oracle: B_k for each even k >= 2 in `indices`, from one table.
+
+    B_{2n} = (-1)^(n-1) * 2n * T_n / (2^(2n) * (2^(2n) - 1)), with T_n from
+    `_tangent_numbers`, an O(n^2) exact recurrence sharing nothing with the
+    production zeta(k) path.
+    """
+    indices = list(indices)
+    table = _tangent_numbers(max(indices) // 2)
+    out = {}
+    for k in indices:
+        n = k // 2
+        four_n = 1 << k
+        out[k] = Fraction((-1) ** (n - 1) * k * table[n - 1], four_n * (four_n - 1))
+    return out
 
 
 def sigma_power(k_minus_1: int, n: int) -> int:

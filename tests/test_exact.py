@@ -5,8 +5,10 @@ from fractions import Fraction
 
 import pytest
 
+from eiscong import exact
 from eiscong.exact import (
     bernoulli,
+    bernoulli_cached_indices,
     divisors,
     gen_binomial,
     h_coefficient,
@@ -17,7 +19,34 @@ from eiscong.exact import (
     sigma_power_mod,
 )
 
-from conftest import bernoulli_by_recurrence, sigma_power
+from conftest import bernoulli_by_recurrence, bernoulli_by_tangent, sigma_power
+
+# Every even index the differential tests request: all of 2..600, and the
+# large weights of the paper's examples and the benchmark.
+DIFFERENTIAL_INDICES = list(range(2, 601, 2)) + [1296, 2026, 2200, 2402]
+
+
+@pytest.fixture(scope="module")
+def tangent_oracle():
+    return bernoulli_by_tangent(DIFFERENTIAL_INDICES)
+
+
+@pytest.fixture
+def cold_bernoulli(monkeypatch):
+    """An empty memo beyond the seeds, and no memoized pi."""
+    monkeypatch.setattr(exact, "_BERNOULLI_MEMO", {k: exact._BERNOULLI_MEMO[k] for k in (0, 1, 2)})
+    monkeypatch.setattr(exact, "_PI", (0, 0))
+
+
+def interleaved(indices):
+    """Small and large indices alternately, both ascending, so pi grows several times."""
+    small = [k for k in indices if k <= 600]
+    large = [k for k in indices if k > 600]
+    step = len(small) // len(large)
+    out = []
+    for i, k in enumerate(large):
+        out += small[i * step:(i + 1) * step] + [k]
+    return out + small[len(large) * step:]
 
 
 class TestBernoulli:
@@ -74,19 +103,81 @@ class TestBernoulli:
                 else:
                     assert v >= 0
 
-    def test_threaded_access(self):
-        results = []
+    @pytest.mark.parametrize("order", ["descending", "interleaved"])
+    def test_matches_tangent_oracle(self, cold_bernoulli, tangent_oracle, order):
+        indices = (sorted(DIFFERENTIAL_INDICES, reverse=True) if order == "descending"
+                   else interleaved(DIFFERENTIAL_INDICES))
+        assert sorted(indices) == DIFFERENTIAL_INDICES
+        for k in indices:
+            assert bernoulli(k) == tangent_oracle[k], k
+        assert bernoulli_cached_indices() == [0, 1] + DIFFERENTIAL_INDICES
 
-        def worker():
-            results.append(bernoulli(402))
+    def test_pi_grows_at_least_twofold(self, cold_bernoulli):
+        bernoulli(100)
+        first = exact._PI[0]
+        bernoulli(102)
+        assert exact._PI[0] >= 2 * first
 
-        threads = [threading.Thread(target=worker) for _ in range(8)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert len(set(results)) == 1
-        assert results[0] == bernoulli_by_recurrence(402)
+    def test_too_few_guard_bits_retry(self, cold_bernoulli, tangent_oracle, monkeypatch):
+        attempts = []
+        real = exact._bernoulli_numerator
+
+        def spy(k, denominator, guard):
+            result = real(k, denominator, guard)
+            attempts.append((k, guard, result))
+            return result
+
+        monkeypatch.setattr(exact, "_GUARD_BITS", 4)
+        monkeypatch.setattr(exact, "_bernoulli_numerator", spy)
+        # At 4 guard bits, k = 14 shifts the divisor rather than the dividend.
+        for k in (4, 14, 100, 1296):
+            assert bernoulli(k) == tangent_oracle[k], k
+            tries = [(guard, result) for index, guard, result in attempts if index == k]
+            assert tries[0] == (4, None)
+            assert [guard for guard, _ in tries] == [4, 8, 16][:len(tries)]
+            assert all(result is None for _, result in tries[:-1]) and tries[-1][1] is not None
+
+    def test_unproven_rounding_raises(self, cold_bernoulli, monkeypatch):
+        monkeypatch.setattr(exact, "_bernoulli_numerator", lambda k, denominator, guard: None)
+        with pytest.raises(ArithmeticError, match="B_40: rounding not proven at 64 guard bits"):
+            bernoulli(40)
+        assert 40 not in bernoulli_cached_indices()
+
+    def test_denominator_matches_tangent_oracle(self, tangent_oracle, monkeypatch):
+        # From an empty sieve, large candidates l = d + 1 go through trial division.
+        monkeypatch.setattr(exact, "_PRIME_FLAGS", bytearray(2))
+        for k in reversed(DIFFERENTIAL_INDICES):
+            assert exact.bernoulli_denominator(k) == tangent_oracle[k].denominator, k
+
+    def test_threaded_access(self, cold_bernoulli, tangent_oracle, monkeypatch):
+        indices = [402, 1296, 2026, 2402] * 2
+        results = {}
+        unlocked_pi = []
+        real_pi = exact._pi
+
+        def pi_under_lock(bits):
+            if not exact._BERNOULLI_LOCK.locked():
+                unlocked_pi.append(bits)
+            return real_pi(bits)
+
+        monkeypatch.setattr(exact, "_pi", pi_under_lock)
+
+        def worker(slot, k):
+            results[slot] = bernoulli(k)
+
+        threads = [threading.Thread(target=worker, args=(slot, k)) for slot, k in enumerate(indices)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert unlocked_pi == []
+        assert [results[slot] for slot in range(len(indices))] == [tangent_oracle[k] for k in indices]
 
 
 class TestDecimalText:
