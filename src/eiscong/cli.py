@@ -150,12 +150,6 @@ def _conjecture_grid(args, ps: list[int], ms: list[int]) -> Iterator[dict]:
             yield {"p": p, "m": m, "kstar": kstar, "alpha": alpha}
 
 
-def _validate_prop41(t: dict) -> None:
-    cong._validate_ek_args(t["p"], t["m"], t["alpha"])
-    if t["d"] % t["p"] == 0:
-        raise EiscongError(f"d = {t['d']} must be coprime to p = {t['p']}")
-
-
 def _run_identity(t: dict) -> CongruenceReport:
     value = cong.combin_identity_sum(t["m"], t["j"], t["s"], t["alpha"])
     params = {"m": t["m"], "j": t["j"], "s": t["s"], "alpha": t["alpha"]}
@@ -187,7 +181,8 @@ STATEMENTS = {
         validate=lambda t: cong._validate_gk_args(t["p"], t["m"], t["kstar"], t["alpha"])),
     "prop4.1": Statement(
         run=lambda t: cong.check_bernoulli_prop41(t["p"], t["m"], t["alpha"], t["d"]),
-        grid=_d_grid, demand=lambda t: t["alpha"] * (t["p"] - 1), validate=_validate_prop41),
+        grid=_d_grid, demand=lambda t: t["alpha"] * (t["p"] - 1),
+        validate=lambda t: cong._validate_prop41_args(t["p"], t["m"], t["alpha"], t["d"])),
     "prop4.2": Statement(
         run=lambda t: cong.check_prop_ek_fixed(t["p"], t["m"], t["alpha"], t["prec"]),
         grid=_ek_grid, demand=lambda t: t["alpha"] * (t["p"] - 1),
@@ -201,19 +196,22 @@ STATEMENTS = {
         grid=lambda args, ps, ms: (
             {"p": p, "k": k, "kprime": k + alpha * (p - 1), "prec": args.prec}
             for p, k, alpha in product(ps, parse_range(args.k), _alphas(args))),
-        demand=lambda t: max(t["k"], t["kprime"]), required=("k",)),
+        demand=lambda t: max(t["k"], t["kprime"]), required=("k",),
+        validate=lambda t: cong._validate_eq14_args(t["p"], t["k"], t["kprime"])),
     "eq1.6": Statement(
         run=lambda t: cong.check_eq16(t["p"], t["m"], t["k0"], t["prec"]),
         grid=lambda args, ps, ms: (
             {"p": p, "m": m, "k0": k0, "prec": args.prec}
             for p, m, k0 in product(ps, ms, parse_range(args.k0))),
-        demand=lambda t: t["p"] ** (t["m"] - 1) * (t["p"] - 1) + t["k0"], required=("k0",)),
+        demand=lambda t: t["p"] ** (t["m"] - 1) * (t["p"] - 1) + t["k0"], required=("k0",),
+        validate=lambda t: cong._validate_eq16_args(t["p"], t["m"], t["k0"])),
     "kummer": Statement(
         run=lambda t: cong.check_kummer(t["p"], t["r"], t["k"], t["kprime"]),
         grid=lambda args, ps, ms: (
             {"p": p, "r": r, "k": k, "kprime": k + alpha * p ** (r - 1) * (p - 1)}
             for p, r, k, alpha in product(ps, ms, parse_range(args.k), _alphas(args))),
-        demand=lambda t: max(t["k"], t["kprime"]), required=("k",)),
+        demand=lambda t: max(t["k"], t["kprime"]), required=("k",),
+        validate=lambda t: cong._validate_kummer_args(t["p"], t["r"], t["k"], t["kprime"])),
     "sun97": Statement(
         run=lambda t: cong.check_sun97_at(t["p"], t["n"]),
         grid=lambda args, ps, ms: (

@@ -3,6 +3,16 @@
 Series statements are checked coefficient-wise in Z/p^m; rational statements
 are checked by exact evaluation followed by a p-adic valuation test. Nothing
 here is probabilistic.
+
+Most statements compare a value at alpha with its H-weighted history
+sum_{r<m} H(m, alpha, r) * (value at r). `_inversion_report` does it for
+series: Thm 1.1, Thm 1.2 and the Eq. (6.1) scan (each term times
+E_{p-1}^(alpha-r)), Props 3.1 and 4.2 (no powers). It builds the left side
+first, so an error names the weight alpha(p-1)+k*. Its callers pass
+`g_series`/`e_series` read as module globals at call time, never bound
+earlier, so a tracer that rebinds them sees every call. `_inversion_defect`
+does it for rationals: Prop 4.1, Eq. (3.1), the Eq. (6.4) scan, p-regular
+recovery and the inversion identity.
 """
 
 from __future__ import annotations
@@ -111,29 +121,37 @@ def _valuation_report(statement_id: str, params: dict, difference: Fraction,
 
 
 # ---------------------------------------------------------------------------
-# Weighted combinations  sum_r H(m, alpha, r) * f_r * E_{p-1}^(alpha - r)
+# The inversion formula  f(alpha) = sum_{r<m} H(m, alpha, r) f(r)  (mod p^m)
 # ---------------------------------------------------------------------------
 
-def _h_combination(ring: ResidueRing, precision: int, m: int, alpha: int,
-                   series_for_r: Callable[[int], QSeries],
-                   with_e_powers: bool) -> QSeries:
-    total = QSeries.residue(ring, [0] * (precision + 1))
-    rs = [r for r in range(m) if h_coefficient(m, alpha, r) != 0]
-    powers: dict[int, QSeries] = {}
-    if with_e_powers and rs:
-        e = e_series(ring.p - 1, ring, precision)
-        r_hi = max(rs)
-        pw = e.pow(alpha - r_hi)
-        powers[r_hi] = pw
-        for r in range(r_hi - 1, min(rs) - 1, -1):
-            pw = pw * e
-            powers[r] = pw
-    for r in rs:
-        term = series_for_r(r).scale(h_coefficient(m, alpha, r))
+def _inversion_report(statement_id: str, params: dict, form: Callable, kstar: int,
+                      with_e_powers: bool) -> CongruenceReport:
+    """form(a(p-1)+k*) against sum_r H(m,a,r) form(r(p-1)+k*) [E_{p-1}^(a-r)], mod p^m.
+
+    H(m, a, r) is nonzero for every r < m when a >= m and only at r = a
+    below, so each E_{p-1} power is the previous one times E_{p-1}.
+    """
+    p, m, alpha, precision = params["p"], params["m"], params["alpha"], params["N"]
+    ring = ResidueRing(p, m)
+    weight = alpha * (p - 1) + kstar
+    lhs = form(weight, ring, precision)
+    e = e_series(p - 1, ring, precision) if with_e_powers else None
+    rhs = QSeries.residue(ring, [0] * (precision + 1))
+    power = None
+    for r, h in reversed([(r, h) for r in range(m) if (h := h_coefficient(m, alpha, r))]):
+        term = form(r * (p - 1) + kstar, ring, precision).scale(h)
         if with_e_powers:
-            term = term * powers[r]
-        total = total + term
-    return total
+            power = e.pow(alpha - r) if power is None else power * e
+            term = term * power
+        rhs = rhs + term
+    return _series_report(statement_id, params, lhs, rhs, precision,
+                          weight if with_e_powers else None)
+
+
+def _inversion_defect(f: IntegerSequenceFunction, m: int, alpha: int) -> Fraction:
+    """f(alpha) minus its H-weighted history sum_{r<m} H(m, alpha, r) f(r), exactly."""
+    lhs = Fraction(f(alpha))
+    return lhs - sum(h * Fraction(f(r)) for r in range(m) if (h := h_coefficient(m, alpha, r)))
 
 
 def _validate_gk_args(p: int, m: int, kstar: int, alpha: int) -> None:
@@ -143,6 +161,8 @@ def _validate_gk_args(p: int, m: int, kstar: int, alpha: int) -> None:
         raise ParameterOutOfRangeError("alpha must be non-negative")
     if kstar <= m:
         raise ParameterOutOfRangeError(f"k* must exceed m, got k*={kstar}, m={m}")
+    if kstar % 2:
+        raise ParameterOutOfRangeError(f"k* must be even, got k*={kstar}")
     if kstar % (p - 1) == 0:
         raise ParameterOutOfRangeError(f"{p - 1} must not divide k*={kstar}")
 
@@ -150,27 +170,16 @@ def _validate_gk_args(p: int, m: int, kstar: int, alpha: int) -> None:
 def check_thm_gk(p: int, m: int, kstar: int, alpha: int, precision: int = 50) -> CongruenceReport:
     """G_{alpha(p-1)+k*} against the H-weighted sum of G_{r(p-1)+k*} E_{p-1}^(alpha-r)."""
     _validate_gk_args(p, m, kstar, alpha)
-    ring = ResidueRing(p, m)
-    weight = alpha * (p - 1) + kstar
-    lhs = g_series(weight, ring, precision)
-    rhs = _h_combination(ring, precision, m, alpha,
-                         lambda r: g_series(r * (p - 1) + kstar, ring, precision),
-                         with_e_powers=True)
     params = {"p": p, "m": m, "kstar": kstar, "alpha": alpha, "N": precision}
-    return _series_report("Thm1.1", params, lhs, rhs, precision, weight)
+    return _inversion_report("Thm1.1", params, g_series, kstar, with_e_powers=True)
 
 
 def check_prop_gk_fixed(p: int, m: int, kstar: int, alpha: int,
                         precision: int = 50) -> CongruenceReport:
     """Same family as check_thm_gk but without the E_{p-1} powers (mixed weights)."""
     _validate_gk_args(p, m, kstar, alpha)
-    ring = ResidueRing(p, m)
-    lhs = g_series(alpha * (p - 1) + kstar, ring, precision)
-    rhs = _h_combination(ring, precision, m, alpha,
-                         lambda r: g_series(r * (p - 1) + kstar, ring, precision),
-                         with_e_powers=False)
     params = {"p": p, "m": m, "kstar": kstar, "alpha": alpha, "N": precision}
-    return _series_report("Prop3.1", params, lhs, rhs, precision, None)
+    return _inversion_report("Prop3.1", params, g_series, kstar, with_e_powers=False)
 
 
 def _validate_ek_args(p: int, m: int, alpha: int) -> None:
@@ -183,52 +192,39 @@ def _validate_ek_args(p: int, m: int, alpha: int) -> None:
 def check_thm_ek(p: int, m: int, alpha: int, precision: int = 50) -> CongruenceReport:
     """E_{alpha(p-1)} against the H-weighted sum of E_{r(p-1)} E_{p-1}^(alpha-r)."""
     _validate_ek_args(p, m, alpha)
-    ring = ResidueRing(p, m)
-    weight = alpha * (p - 1)
-    lhs = e_series(weight, ring, precision)
-    rhs = _h_combination(ring, precision, m, alpha,
-                         lambda r: e_series(r * (p - 1), ring, precision),
-                         with_e_powers=True)
     params = {"p": p, "m": m, "alpha": alpha, "N": precision}
-    return _series_report("Thm1.2", params, lhs, rhs, precision, weight)
+    return _inversion_report("Thm1.2", params, e_series, 0, with_e_powers=True)
 
 
 def check_prop_ek_fixed(p: int, m: int, alpha: int, precision: int = 50) -> CongruenceReport:
     """E_{alpha(p-1)} against the H-weighted sum of E_{r(p-1)} (mixed weights)."""
     _validate_ek_args(p, m, alpha)
-    ring = ResidueRing(p, m)
-    lhs = e_series(alpha * (p - 1), ring, precision)
-    rhs = _h_combination(ring, precision, m, alpha,
-                         lambda r: e_series(r * (p - 1), ring, precision),
-                         with_e_powers=False)
     params = {"p": p, "m": m, "alpha": alpha, "N": precision}
-    return _series_report("Prop4.2", params, lhs, rhs, precision, None)
+    return _inversion_report("Prop4.2", params, e_series, 0, with_e_powers=False)
 
 
 # ---------------------------------------------------------------------------
 # Exact rational congruences
 # ---------------------------------------------------------------------------
 
+def _validate_prop41_args(p: int, m: int, alpha: int, d: int) -> None:
+    _validate_ek_args(p, m, alpha)
+    if d % p == 0:
+        raise DNotCoprimeError(f"d = {d} must be coprime to p = {p}")
+
+
 def check_bernoulli_prop41(p: int, m: int, alpha: int, d: int) -> CongruenceReport:
     """d^{a(p-1)} a/B_{a(p-1)} against the H-weighted sum over r, modulo p^m.
 
     Each r/B_{r(p-1)} is p-integral because B_{r(p-1)} has p-valuation -1;
     the whole check runs over exact rationals and ends in a valuation test.
+    The r = 0 term is 0.
     """
-    if not 1 <= m <= p - 1:
-        raise MOutOfRangeError(f"m must satisfy 1 <= m <= p-1 = {p - 1}, got {m}")
-    if alpha < 1:
-        raise ParameterOutOfRangeError("alpha must be at least 1")
-    if d % p == 0:
-        raise DNotCoprimeError(f"d = {d} must be coprime to p = {p}")
-    lhs = d ** (alpha * (p - 1)) * Fraction(alpha) / bernoulli(alpha * (p - 1))
-    rhs = Fraction(0)
-    for r in range(1, m):
-        h = h_coefficient(m, alpha, r)
-        if h:
-            rhs += h * d ** (r * (p - 1)) * Fraction(r) / bernoulli(r * (p - 1))
+    _validate_prop41_args(p, m, alpha, d)
+    difference = _inversion_defect(
+        lambda r: d ** (r * (p - 1)) * Fraction(r) / bernoulli(r * (p - 1)), m, alpha)
     params = {"p": p, "m": m, "alpha": alpha, "d": d}
-    return _valuation_report("Prop4.1", params, lhs - rhs, p, m)
+    return _valuation_report("Prop4.1", params, difference, p, m)
 
 
 def check_dpower_congruence(p: int, m: int, alpha: int, d: int) -> CongruenceReport:
@@ -239,18 +235,23 @@ def check_dpower_congruence(p: int, m: int, alpha: int, d: int) -> CongruenceRep
         raise ParameterOutOfRangeError("alpha must be non-negative")
     if d % p == 0:
         raise DNotCoprimeError(f"d = {d} must be coprime to p = {p}")
-    lhs = d ** (alpha * (p - 1))
-    rhs = sum(h_coefficient(m, alpha, r) * d ** (r * (p - 1)) for r in range(m))
     params = {"p": p, "m": m, "alpha": alpha, "d": d}
-    return _valuation_report("Eq3.1", params, Fraction(lhs - rhs), p, m)
+    return _valuation_report("Eq3.1", params, _inversion_defect(dpower_function(d, p), m, alpha),
+                             p, m)
 
 
-def check_eq14(p: int, k: int, kprime: int, precision: int = 50) -> CongruenceReport:
-    """G_k and G_k' agree modulo p when k and k' share a nonzero residue mod p-1."""
+def _validate_eq14_args(p: int, k: int, kprime: int) -> None:
     if k % (p - 1) != kprime % (p - 1) or k % (p - 1) == 0:
         raise ParameterOutOfRangeError(
             "weights must be congruent and nonzero modulo p-1"
         )
+    if k % 2:
+        raise ParameterOutOfRangeError(f"weights must be even, got k={k}")
+
+
+def check_eq14(p: int, k: int, kprime: int, precision: int = 50) -> CongruenceReport:
+    """G_k and G_k' agree modulo p when k and k' share a nonzero residue mod p-1."""
+    _validate_eq14_args(p, k, kprime)
     ring = ResidueRing(p, 1)
     lhs = g_series(k, ring, precision)
     rhs = g_series(kprime, ring, precision)
@@ -258,12 +259,18 @@ def check_eq14(p: int, k: int, kprime: int, precision: int = 50) -> CongruenceRe
     return _series_report("Eq1.4", params, lhs, rhs, precision, None)
 
 
-def check_eq16(p: int, m: int, k0: int, precision: int = 50) -> CongruenceReport:
-    """G_{k0} and G_{p^(m-1)(p-1)+k0} agree modulo p^m for k0 > m."""
+def _validate_eq16_args(p: int, m: int, k0: int) -> None:
     if k0 <= m:
         raise ParameterOutOfRangeError("k0 must exceed m")
+    if k0 % 2:
+        raise ParameterOutOfRangeError(f"k0 must be even, got k0={k0}")
     if k0 % (p - 1) == 0:
         raise ParameterOutOfRangeError(f"{p - 1} must not divide k0")
+
+
+def check_eq16(p: int, m: int, k0: int, precision: int = 50) -> CongruenceReport:
+    """G_{k0} and G_{p^(m-1)(p-1)+k0} agree modulo p^m for k0 > m."""
+    _validate_eq16_args(p, m, k0)
     ring = ResidueRing(p, m)
     k = p ** (m - 1) * (p - 1) + k0
     lhs = g_series(k0, ring, precision)
@@ -272,16 +279,23 @@ def check_eq16(p: int, m: int, k0: int, precision: int = 50) -> CongruenceReport
     return _series_report("Eq1.6", params, lhs, rhs, precision, None)
 
 
-def check_kummer(p: int, r: int, k: int, kprime: int) -> CongruenceReport:
-    """(1-p^{k-1})B_k/k vs (1-p^{k'-1})B_k'/k' modulo p^r, as exact rationals."""
+def _validate_kummer_args(p: int, r: int, k: int, kprime: int) -> None:
     if r < 1:
         raise ParameterOutOfRangeError("r must be at least 1")
+    if k % 2:
+        # B_k = 0 for odd k > 1 and (1 - p^0) B_1 = 0, so both sides vanish.
+        raise ParameterOutOfRangeError(f"k must be even, got k={k}")
     if k % (p - 1) == 0:
         raise ParameterOutOfRangeError(f"{p - 1} must not divide k")
     if (k - kprime) % (p ** (r - 1) * (p - 1)) != 0:
         raise ParameterOutOfRangeError(
             f"k and k' must be congruent modulo p^(r-1)(p-1) = {p ** (r - 1) * (p - 1)}"
         )
+
+
+def check_kummer(p: int, r: int, k: int, kprime: int) -> CongruenceReport:
+    """(1-p^{k-1})B_k/k vs (1-p^{k'-1})B_k'/k' modulo p^r, as exact rationals."""
+    _validate_kummer_args(p, r, k, kprime)
     lhs = (1 - Fraction(p) ** (k - 1)) * bernoulli(k) / k
     rhs = (1 - Fraction(p) ** (kprime - 1)) * bernoulli(kprime) / kprime
     params = {"p": p, "r": r, "k": k, "kprime": kprime}
@@ -317,20 +331,16 @@ def check_p_regular(f: IntegerSequenceFunction, p: int, n_max: int) -> list[Regu
 
 def prop21_recovery_holds(f: IntegerSequenceFunction, p: int, m: int, alpha: int) -> bool:
     """For p-regular f: f(alpha) matches its H-weighted history modulo p^m."""
-    rhs = sum(h_coefficient(m, alpha, r) * Fraction(f(r)) for r in range(m))
-    return padic_valuation(Fraction(f(alpha)) - rhs, p) >= m
+    return padic_valuation(_inversion_defect(f, m, alpha), p) >= m
 
 
 def inversion_identity_holds(f: IntegerSequenceFunction, n: int, alpha: int) -> bool:
     """Exact binomial-inversion identity expressing f(alpha) through H(n, ., .)."""
     if n < 1 or alpha < 0:
         raise ParameterOutOfRangeError("need n >= 1 and alpha >= 0")
-    head = sum(h_coefficient(n, alpha, r) * Fraction(f(r)) for r in range(n))
-    tail = Fraction(0)
-    for r in range(n, alpha + 1):
-        inner = sum(math.comb(r, s) * (-1) ** s * Fraction(f(s)) for s in range(r + 1))
-        tail += math.comb(alpha, r) * (-1) ** r * inner
-    return Fraction(f(alpha)) == head + tail
+    tail = sum(math.comb(alpha, r) * (-1) ** r * forward_difference_sum(f, r)
+               for r in range(n, alpha + 1))
+    return _inversion_defect(f, n, alpha) == tail
 
 
 def dpower_function(d: int, p: int) -> IntegerSequenceFunction:
@@ -405,11 +415,7 @@ def _telescope_f(m: int, j: int, s: int, alpha: int, r: int) -> int:
 
 
 def _telescope_g(m: int, j: int, s: int, alpha: int, r: int) -> Fraction:
-    sign = -1 if (r + j + s) % 2 else 1
-    num = (sign * (s - r) * (j + r - alpha) * _binom0(r, s) * _binom0(alpha, r)
-           * _binom0(alpha - r, j) * _binom0(alpha - 1 - r, m - 1 - r)
-           * _binom0(r - 1 - s, m - j - 1 - s))
-    return Fraction(num, m - j - s)
+    return Fraction((s - r) * (j + r - alpha) * _telescope_f(m, j, s, alpha, r), m - j - s)
 
 
 def check_telescoping(m: int, j: int, s: int, alpha: int, r: int) -> bool:
@@ -458,22 +464,12 @@ def scan_conjecture_bernoulli(p: int, m: int, alphas: Iterable[int], kstar: int,
     alphas = list(alphas)
     if alphas:
         _check_budget(max(alphas) * (p - 1) + kstar, budget)
-    reports = []
-    rhs_terms = {}
-    for alpha in alphas:
-        lhs_k = alpha * (p - 1) + kstar
-        lhs = Fraction(lhs_k) / bernoulli(lhs_k)
-        rhs = Fraction(0)
-        for r in range(m):
-            h = h_coefficient(m, alpha, r)
-            if h:
-                if r not in rhs_terms:
-                    rk = r * (p - 1) + kstar
-                    rhs_terms[r] = Fraction(rk) / bernoulli(rk)
-                rhs += h * rhs_terms[r]
-        params = {"p": p, "m": m, "kstar": kstar, "alpha": alpha}
-        reports.append(_valuation_report("ConjEq6.4", params, lhs - rhs, p, m))
-    return reports
+
+    def f(r: int) -> Fraction:
+        return Fraction(r * (p - 1) + kstar) / bernoulli(r * (p - 1) + kstar)
+
+    return [_valuation_report("ConjEq6.4", {"p": p, "m": m, "kstar": kstar, "alpha": alpha},
+                              _inversion_defect(f, m, alpha), p, m) for alpha in alphas]
 
 
 def scan_conjecture_ek_series(p: int, m: int, kstar: int, alpha: int, precision: int = 40,
@@ -482,12 +478,6 @@ def scan_conjecture_ek_series(p: int, m: int, kstar: int, alpha: int, precision:
     _validate_kstar_multiple(p, m, kstar)
     if alpha < 0:
         raise ParameterOutOfRangeError("alpha must be non-negative")
-    weight = alpha * (p - 1) + kstar
-    _check_budget(weight, budget)
-    ring = ResidueRing(p, m)
-    lhs = e_series(weight, ring, precision)
-    rhs = _h_combination(ring, precision, m, alpha,
-                         lambda r: e_series(r * (p - 1) + kstar, ring, precision),
-                         with_e_powers=True)
+    _check_budget(alpha * (p - 1) + kstar, budget)
     params = {"p": p, "m": m, "kstar": kstar, "alpha": alpha, "N": precision}
-    return _series_report("ConjEq6.1", params, lhs, rhs, precision, weight)
+    return _inversion_report("ConjEq6.1", params, e_series, kstar, with_e_powers=True)

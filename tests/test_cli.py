@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -378,6 +379,52 @@ class TestStatementTable:
         assert with_m == plain
         lines = plain.splitlines()
         assert len(lines) == len(set(lines))
+
+    @pytest.mark.parametrize("argv,message", [
+        (["verify", "kummer", "--p", "5", "--m", "2", "--k", "7", "--alpha", "1"],
+         "k must be even, got k=7"),
+        (["verify", "kummer", "--p", "5", "--m", "1", "--k", "6,1", "--alpha", "1"],
+         "k must be even, got k=1"),
+        (["verify", "thm1.1", "--p", "5", "--m", "2", "--kstar", "7", "--alpha", "1"],
+         "k* must be even, got k*=7"),
+        (["verify", "prop3.1", "--p", "5", "--m", "6", "--kstar", "9", "--alpha", "30",
+          "--prec", "30"], "k* must be even, got k*=9"),
+        (["verify", "eq1.4", "--p", "5", "--k", "7", "--alpha", "1"],
+         "weights must be even, got k=7"),
+        (["verify", "eq1.6", "--p", "5", "--m", "2", "--k0", "7"],
+         "k0 must be even, got k0=7"),
+    ], ids=["kummer", "kummer-k1", "thm1.1", "prop3.1", "eq1.4", "eq1.6"])
+    def test_odd_weight_is_rejected_before_any_task_runs(self, capsys, argv, message):
+        # A task that ran under a budget of 1 would print a BudgetExceeded record.
+        for budget in ("4000", "1"):
+            status, out, err = run_cli(capsys, *argv, "--jobs", "1", "--budget-bernoulli", budget)
+            assert (status, out, err) == (2, "", f"error: {message}\n")
+
+
+# SHA-256 of stdout for small grids of the statements whose output
+# perfbench/reference.json does not pin.
+GOLDEN_STDOUT = [
+    ("verify prop3.1 --p 5,7 --m 1..3 --alpha 0..6 --prec 20",
+     "16177c2c6b61aaa2b17e9533dbd9bb2a118e899eb7fad6fb504cdaae27c2f26a"),
+    ("verify prop4.2 --p 5,7 --m 1..3 --alpha 1..6 --prec 20",
+     "11f60070c094a40b98b452cfc7adf6ec57f51ae7f68b7b7009bbabfe90298579"),
+    ("verify prop4.1 --p 5,7 --m 1..3 --alpha 1..6 --d 2,3",
+     "851693451492a69fa6c274681aef0cdf5446a8b216003c3e7f836da321335a7b"),
+    ("verify eq3.1 --p 5,7 --m 1..3 --alpha 0..6 --d 2,3",
+     "a9ac888f5ce83ae7df7575238e95b6632389ceb9fb7b850d70e585618c5d4f7a"),
+    ("verify kummer --p 5 --m 1..3 --k 2,6,10 --alpha 1..2",
+     "4b276d9a976be8febdf01bba49f24908745305208a06daa0d804f00fd92dbf19"),
+    ("scan eq6.1 --p 5,7 --m 1..3 --prec 20",
+     "0475f2a7614b57def6fdc2c8f0b1d928433033701dbd7bfcc0222f376aa03cfe"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", GOLDEN_STDOUT,
+                         ids=[argv.split()[1] for argv, _ in GOLDEN_STDOUT])
+def test_golden_stdout(capsys, argv, digest):
+    status, out, err = run_cli(capsys, *argv.split(), "--jobs", "1")
+    assert (status, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestFiltrationCommand:

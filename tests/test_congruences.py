@@ -2,7 +2,9 @@ from fractions import Fraction
 
 import pytest
 
+from eiscong import congruences
 from eiscong.congruences import (
+    _series_report,
     _valuation_report,
     check_bernoulli_prop41,
     check_dpower_congruence,
@@ -36,6 +38,9 @@ from eiscong.errors import (
     ParameterOutOfRangeError,
 )
 from eiscong.exact import padic_valuation, parse_int
+from eiscong.filtration import sturm_bound
+from eiscong.residue import ResidueRing
+from eiscong.series import QSeries
 
 from conftest import bernoulli_by_recurrence, sigma_power
 
@@ -73,6 +78,8 @@ class TestThmGk:
             check_thm_gk(5, 2, 8, 1, 10)  # (p-1) | k*
         with pytest.raises(ParameterOutOfRangeError):
             check_thm_gk(5, 2, 2, 1, 10)  # k* <= m
+        with pytest.raises(ParameterOutOfRangeError, match="k\\* must be even"):
+            check_thm_gk(5, 6, 9, 30, 30)  # odd k*
 
     def test_paper_scale_point(self):
         # p=7, m=8: weight 2026 written as 336*(p-1) + 10, checked through
@@ -265,12 +272,16 @@ class TestClassicalChecks:
         assert check_eq14(7, 4, 10, 30).passed
         with pytest.raises(ParameterOutOfRangeError):
             check_eq14(7, 4, 9, 10)
+        with pytest.raises(ParameterOutOfRangeError, match="weights must be even"):
+            check_eq14(5, 7, 11, 10)
 
     def test_eq16(self):
         assert check_eq16(5, 2, 6, 30).passed
         assert check_eq16(7, 2, 4, 20).passed
         with pytest.raises(ParameterOutOfRangeError):
             check_eq16(5, 2, 2, 10)
+        with pytest.raises(ParameterOutOfRangeError, match="k0 must be even"):
+            check_eq16(5, 2, 7, 10)
 
     def test_kummer(self):
         assert check_kummer(5, 2, 6, 26).passed
@@ -278,6 +289,13 @@ class TestClassicalChecks:
         assert check_kummer(7, 3, 8, 8 + 294).passed
         with pytest.raises(ParameterOutOfRangeError):
             check_kummer(5, 2, 6, 10)
+
+    @pytest.mark.parametrize("k,kprime", [(7, 27), (1, 21), (3, 3)])
+    def test_kummer_rejects_odd_weights(self, k, kprime):
+        # Both sides are 0 at odd k (B_k = 0 for odd k > 1, and 1 - p^0 = 0
+        # at k = 1), so a Pass there would say nothing.
+        with pytest.raises(ParameterOutOfRangeError, match="k must be even"):
+            check_kummer(5, 2, k, kprime)
 
 
 class TestConjectureScans:
@@ -320,6 +338,63 @@ class TestFailureDetail:
     def test_integer_difference_has_no_denominator(self):
         report = _valuation_report("Eq3.1", {}, Fraction(-5), 7, 1)
         assert report.failure_detail["difference"] == "-5"
+
+
+class TestSeriesReport:
+    def test_fail_record(self):
+        ring = ResidueRing(5, 2)
+        lhs = QSeries.residue(ring, [1, 2, 3, 4])
+        rhs = QSeries.residue(ring, [1, 2, 24, 4])
+        report = _series_report("X", {"p": 5}, lhs, rhs, 3, None)
+        assert report.verdict == "Fail" and not report.passed
+        assert report.failure_detail == {"first-failing-index": 2, "lhs": "3", "rhs": "24"}
+        assert report.certification == "coefficient-evidence"
+        # The label depends on the precision and the shared weight, not on the verdict.
+        assert _series_report("X", {}, lhs, rhs, 3, 24).certification == "sturm-certified"
+        assert _series_report("X", {}, lhs, rhs, 3, 36).certification == "coefficient-evidence"
+        assert _series_report("X", {}, lhs, lhs, 3, 36).failure_detail is None
+
+    @pytest.mark.parametrize("p,m,kstar,alpha", [(5, 2, 6, 4), (7, 3, 4, 6), (5, 3, 6, 9)])
+    def test_thm_gk_is_sturm_certified_from_the_sturm_index(self, p, m, kstar, alpha):
+        bound = sturm_bound(alpha * (p - 1) + kstar)
+        for precision, label in [(bound - 1, "coefficient-evidence"),
+                                 (bound, "sturm-certified"), (bound + 3, "sturm-certified")]:
+            report = check_thm_gk(p, m, kstar, alpha, precision)
+            assert report.passed and report.certification == label
+
+    @pytest.mark.parametrize("precision", [1, 5, 40])
+    def test_fixed_weight_props_are_never_sturm_certified(self, precision):
+        for report in (check_prop_gk_fixed(5, 2, 6, 4, precision),
+                       check_prop_ek_fixed(5, 2, 4, precision),
+                       check_prop_ek_fixed(7, 3, 1, precision)):
+            assert report.passed and report.certification == "coefficient-evidence"
+
+
+class TestGeneratorsReadAtCallTime:
+    """The benchmark's tracer counts series generators by rebinding module
+    attributes; a check that bound g_series/e_series earlier (a default
+    argument, a module-level table) would hide its calls from it."""
+
+    @pytest.mark.parametrize("check,args,calls", [
+        (check_thm_gk, (5, 2, 6, 3, 10), {("g", 18), ("e", 4), ("g", 10), ("g", 6)}),
+        (check_prop_gk_fixed, (5, 2, 6, 3, 10), {("g", 18), ("g", 10), ("g", 6)}),
+        (check_thm_ek, (5, 2, 3, 10), {("e", 12), ("e", 4), ("e", 0)}),
+        (check_prop_ek_fixed, (5, 2, 3, 10), {("e", 12), ("e", 4), ("e", 0)}),
+        (scan_conjecture_ek_series, (5, 2, 4, 3, 10), {("e", 16), ("e", 4), ("e", 8)}),
+    ], ids=lambda value: getattr(value, "__name__", None))
+    def test_series_checks_call_the_module_generators(self, monkeypatch, check, args, calls):
+        seen = []
+        for kind in ("g", "e"):
+            original = getattr(congruences, f"{kind}_series")
+
+            def counted(k, ring, precision, kind=kind, original=original):
+                seen.append((kind, k))
+                return original(k, ring, precision)
+
+            monkeypatch.setattr(congruences, f"{kind}_series", counted)
+        assert check(*args).passed
+        assert set(seen) == calls
+        assert seen[0] == max(calls, key=lambda call: call[1])  # the left side, built first
 
 
 class TestReportSerialization:
