@@ -232,12 +232,14 @@ STATEMENTS = {
         grid=lambda args, ps, ms: (
             dict(point, prec=args.prec) for point in _conjecture_grid(args, ps, ms)),
         demand=lambda t: t["alpha"] * (t["p"] - 1) + t["kstar"],
-        validate=lambda t: cong._validate_kstar_multiple(t["p"], t["m"], t["kstar"]), scan=True),
+        validate=lambda t: cong._validate_conjecture_args(t["p"], t["m"], t["kstar"], t["alpha"]),
+        scan=True),
     "eq6.4": Statement(
         run=lambda t: cong.scan_conjecture_bernoulli(
             t["p"], t["m"], [t["alpha"]], t["kstar"], t["budget"])[0],
         grid=_conjecture_grid, demand=lambda t: t["alpha"] * (t["p"] - 1) + t["kstar"],
-        validate=lambda t: cong._validate_kstar_multiple(t["p"], t["m"], t["kstar"]), scan=True),
+        validate=lambda t: cong._validate_conjecture_args(t["p"], t["m"], t["kstar"], t["alpha"]),
+        scan=True),
 }
 
 STATEMENT_ALIASES = {"thm1": "thm1.1", "thm2": "thm1.2"}
@@ -468,7 +470,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--p", help="prime or range")
     p_verify.add_argument("--m", help="modulus exponent(s); for kummer this is r")
     p_verify.add_argument("--kstar", help="base weight(s); default: smallest valid")
-    p_verify.add_argument("--alpha", help="alpha range; for eq1.4/kummer the shift count")
+    p_verify.add_argument("--alpha", help="alpha range; for eq1.4/kummer the nonzero shift count")
     p_verify.add_argument("--k", help="weight(s) for eq1.4/kummer")
     p_verify.add_argument("--k0", help="base weight(s) for eq1.6")
     p_verify.add_argument("--d", default="2,3,6", help="d values for prop4.1/eq3.1")

@@ -8,11 +8,13 @@ Most statements compare a value at alpha with its H-weighted history
 sum_{r<m} H(m, alpha, r) * (value at r). `_inversion_report` does it for
 series: Thm 1.1, Thm 1.2 and the Eq. (6.1) scan (each term times
 E_{p-1}^(alpha-r)), Props 3.1 and 4.2 (no powers). It builds the left side
-first, so an error names the weight alpha(p-1)+k*. Its callers pass
-`g_series`/`e_series` read as module globals at call time, never bound
-earlier, so a tracer that rebinds them sees every call. `_inversion_defect`
-does it for rationals: Prop 4.1, Eq. (3.1), the Eq. (6.4) scan, p-regular
-recovery and the inversion identity.
+first, so an error names the weight alpha(p-1)+k*, and takes its first
+E_{p-1} power from `_e_power`, a cache that a grid of alphas shares. Its
+callers pass `g_series`/`e_series` read as module globals at call time,
+never bound earlier, and `_e_power` reads `e_series` the same way, so a
+tracer that rebinds them sees every call. `_inversion_defect` does it for
+rationals: Prop 4.1, Eq. (3.1), the Eq. (6.4) scan, p-regular recovery and
+the inversion identity.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, Iterable
 
 from .errors import (
@@ -124,24 +127,41 @@ def _valuation_report(statement_id: str, params: dict, difference: Fraction,
 # The inversion formula  f(alpha) = sum_{r<m} H(m, alpha, r) f(r)  (mod p^m)
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=512)
+def _e_power(ring: ResidueRing, precision: int, n: int) -> QSeries:
+    """E_{p-1}^n modulo p^m through q^precision, by halving.
+
+    Each call squares the cached power n//2, so consecutive exponents reuse
+    the halves already built and a new one costs one or two products.
+    """
+    if n == 0:
+        return QSeries.one(ring, precision)
+    if n == 1:
+        return e_series(ring.p - 1, ring, precision)
+    half = _e_power(ring, precision, n // 2)
+    square = half * half
+    return square * e_series(ring.p - 1, ring, precision) if n % 2 else square
+
+
 def _inversion_report(statement_id: str, params: dict, form: Callable, kstar: int,
                       with_e_powers: bool) -> CongruenceReport:
     """form(a(p-1)+k*) against sum_r H(m,a,r) form(r(p-1)+k*) [E_{p-1}^(a-r)], mod p^m.
 
     H(m, a, r) is nonzero for every r < m when a >= m and only at r = a
-    below, so each E_{p-1} power is the previous one times E_{p-1}.
+    below, so after the first E_{p-1} power each is the previous one times
+    E_{p-1}.
     """
     p, m, alpha, precision = params["p"], params["m"], params["alpha"], params["N"]
     ring = ResidueRing(p, m)
     weight = alpha * (p - 1) + kstar
     lhs = form(weight, ring, precision)
     e = e_series(p - 1, ring, precision) if with_e_powers else None
-    rhs = QSeries.residue(ring, [0] * (precision + 1))
+    rhs = QSeries(ring, (0,) * (precision + 1), precision)
     power = None
     for r, h in reversed([(r, h) for r in range(m) if (h := h_coefficient(m, alpha, r))]):
         term = form(r * (p - 1) + kstar, ring, precision).scale(h)
         if with_e_powers:
-            power = e.pow(alpha - r) if power is None else power * e
+            power = _e_power(ring, precision, alpha - r) if power is None else power * e
             term = term * power
         rhs = rhs + term
     return _series_report(statement_id, params, lhs, rhs, precision,
@@ -247,6 +267,9 @@ def _validate_eq14_args(p: int, k: int, kprime: int) -> None:
         )
     if k % 2:
         raise ParameterOutOfRangeError(f"weights must be even, got k={k}")
+    if k == kprime:
+        # G_k against itself passes whatever G_k is.
+        raise ParameterOutOfRangeError(f"k' must differ from k, got k = k' = {k}")
 
 
 def check_eq14(p: int, k: int, kprime: int, precision: int = 50) -> CongruenceReport:
@@ -291,6 +314,9 @@ def _validate_kummer_args(p: int, r: int, k: int, kprime: int) -> None:
         raise ParameterOutOfRangeError(
             f"k and k' must be congruent modulo p^(r-1)(p-1) = {p ** (r - 1) * (p - 1)}"
         )
+    if k == kprime:
+        # B_k against itself passes whatever B_k is.
+        raise ParameterOutOfRangeError(f"k' must differ from k, got k = k' = {k}")
 
 
 def check_kummer(p: int, r: int, k: int, kprime: int) -> CongruenceReport:
@@ -448,20 +474,22 @@ def _check_budget(index: int, budget: int) -> None:
         )
 
 
-def _validate_kstar_multiple(p: int, m: int, kstar: int) -> None:
+def _validate_conjecture_args(p: int, m: int, kstar: int, alpha: int) -> None:
     if m < 1:
         raise MOutOfRangeError(f"m must be at least 1, got {m}")
     if kstar % (p - 1) != 0 or kstar <= m:
         raise ParameterOutOfRangeError(
             f"k* must be a multiple of p-1 = {p - 1} exceeding m = {m}, got {kstar}"
         )
+    if alpha < 0:
+        raise ParameterOutOfRangeError("alpha must be non-negative")
 
 
 def scan_conjecture_bernoulli(p: int, m: int, alphas: Iterable[int], kstar: int,
                               budget: int = DEFAULT_BERNOULLI_BUDGET) -> list[CongruenceReport]:
     """Evidence scan: (a(p-1)+k*)/B_{a(p-1)+k*} vs its H-weighted history mod p^m."""
-    _validate_kstar_multiple(p, m, kstar)
     alphas = list(alphas)
+    _validate_conjecture_args(p, m, kstar, min(alphas, default=0))
     if alphas:
         _check_budget(max(alphas) * (p - 1) + kstar, budget)
 
@@ -475,9 +503,7 @@ def scan_conjecture_bernoulli(p: int, m: int, alphas: Iterable[int], kstar: int,
 def scan_conjecture_ek_series(p: int, m: int, kstar: int, alpha: int, precision: int = 40,
                               budget: int = DEFAULT_BERNOULLI_BUDGET) -> CongruenceReport:
     """Evidence scan: E_{a(p-1)+k*} vs the H-weighted sum of E_{r(p-1)+k*} E_{p-1}^(a-r)."""
-    _validate_kstar_multiple(p, m, kstar)
-    if alpha < 0:
-        raise ParameterOutOfRangeError("alpha must be non-negative")
+    _validate_conjecture_args(p, m, kstar, alpha)
     _check_budget(alpha * (p - 1) + kstar, budget)
     params = {"p": p, "m": m, "kstar": kstar, "alpha": alpha, "N": precision}
     return _inversion_report("ConjEq6.1", params, e_series, kstar, with_e_powers=True)

@@ -3,6 +3,9 @@
 Normalizations: E_k has constant term 1 and higher coefficients
 -(2k/B_k) * sigma_{k-1}(n); G_k = -(B_k/2k) * E_k has constant term -B_k/2k
 and higher coefficients sigma_{k-1}(n). E_0 is the constant series 1.
+
+Each generator takes its divisor sums sigma_{k-1}(1..N) from one sieve
+(`sigma_power_table`) and scales them by one reduced constant.
 """
 
 from __future__ import annotations
@@ -11,7 +14,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import NotPIntegralError
-from .exact import bernoulli, padic_valuation, sigma_power_mod
+from .exact import bernoulli, padic_valuation, sigma_power_table
 from .residue import ResidueRing
 from .series import QSeries
 
@@ -47,9 +50,8 @@ def g_series(k: int, ring: ResidueRing, precision: int) -> QSeries:
             f"G_{k} is not {ring.p}-integral: {ring.p - 1} divides {k}"
         )
     constant = ring.reduce_rational(Fraction(-1, 2) * bernoulli(k) / k)
-    mod = ring.modulus
-    coeffs = [constant] + [sigma_power_mod(k - 1, n, mod) for n in range(1, precision + 1)]
-    return QSeries(ring, tuple(coeffs), precision)
+    sigmas = sigma_power_table(k - 1, precision, ring.modulus)
+    return QSeries(ring, (constant, *sigmas[1:]), precision)
 
 
 @lru_cache(maxsize=512)
@@ -70,10 +72,8 @@ def e_series(k: int, ring: ResidueRing, precision: int) -> QSeries:
         raise NotPIntegralError(f"E_{k} is not {ring.p}-integral")
     c_res = ring.reduce_rational(c)
     mod = ring.modulus
-    coeffs = [1] + [
-        c_res * sigma_power_mod(k - 1, n, mod) % mod for n in range(1, precision + 1)
-    ]
-    return QSeries(ring, tuple(coeffs), precision)
+    sigmas = sigma_power_table(k - 1, precision, mod)
+    return QSeries(ring, (1, *[c_res * s % mod for s in sigmas[1:]]), precision)
 
 
 @lru_cache(maxsize=64)
@@ -95,8 +95,8 @@ def e_factor(ring: ResidueRing, precision: int) -> QSeries:
     """
     p, mod = ring.p, ring.modulus
     u = ring.reduce_rational(e_normalizer(p - 1) / p)
-    coeffs = [0] + [u * sigma_power_mod(p - 2, n, mod) % mod for n in range(1, precision + 1)]
-    return QSeries(ring, tuple(coeffs), precision)
+    sigmas = sigma_power_table(p - 2, precision, mod)
+    return QSeries(ring, tuple([u * s % mod for s in sigmas]), precision)
 
 
 @lru_cache(maxsize=4096)

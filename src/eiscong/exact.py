@@ -25,6 +25,7 @@ __all__ = [
     "pochhammer",
     "seed_bernoulli",
     "sigma_power_mod",
+    "sigma_power_table",
 ]
 
 
@@ -364,3 +365,18 @@ def sigma_power_mod(k_minus_1: int, n: int, modulus: int) -> int:
     if n < 1:
         raise ValueError("n must be positive")
     return sum(pow(d, k_minus_1, modulus) for d in divisors(n)) % modulus
+
+
+def sigma_power_table(k_minus_1: int, precision: int, modulus: int) -> list[int]:
+    """sigma_{k-1}(n) modulo `modulus` for n = 0 .. precision, with entry 0 set to 0.
+
+    One sieve: each d <= precision adds d^(k-1) mod `modulus` to every
+    multiple of d, so the table costs `precision` modular powers and about
+    precision * ln(precision) additions. Entries are reduced once, at the end.
+    """
+    table = [0] * (precision + 1)
+    for d in range(1, precision + 1):
+        t = pow(d, k_minus_1, modulus)
+        for n in range(d, precision + 1, d):
+            table[n] += t
+    return [s % modulus for s in table]

@@ -51,7 +51,8 @@ class QSeries:
 
     @staticmethod
     def residue(ring: ResidueRing, coeffs, precision: int | None = None) -> "QSeries":
-        coeffs = tuple(c % ring.modulus for c in coeffs)
+        mod = ring.modulus
+        coeffs = tuple([c % mod for c in coeffs])
         if precision is None:
             precision = len(coeffs) - 1
         return QSeries(ring, coeffs, precision)

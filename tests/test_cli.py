@@ -247,6 +247,12 @@ class TestScanCommand:
         assert status == 2 and out == ""
         assert err == "error: m must be at least 1, got 0\n"
 
+    @pytest.mark.parametrize("conjecture", ["eq6.4", "eq6.1"])
+    def test_negative_alpha_is_error(self, capsys, conjecture):
+        status, out, err = run_cli(capsys, "scan", conjecture, "--p", "5", "--m", "1",
+                                   "--alpha", "-1", "--jobs", "1")
+        assert (status, out, err) == (2, "", "error: alpha must be non-negative\n")
+
 
 # The --format values each subcommand ignores, with a minimal valid argv.
 REJECTED_FORMATS = {
@@ -399,6 +405,16 @@ class TestStatementTable:
         for budget in ("4000", "1"):
             status, out, err = run_cli(capsys, *argv, "--jobs", "1", "--budget-bernoulli", budget)
             assert (status, out, err) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "kummer", "--p", "5", "--m", "2", "--k", "6"],
+        ["verify", "eq1.4", "--p", "5", "--k", "6"],
+        ["verify", "kummer", "--p", "5", "--m", "2", "--k", "6", "--alpha", "0..2"],
+    ], ids=["kummer", "eq1.4", "kummer-range"])
+    def test_zero_shift_count_is_rejected(self, capsys, argv):
+        # --alpha defaults to 0, which makes k' = k: a value compared with itself.
+        status, out, err = run_cli(capsys, *argv, "--jobs", "1")
+        assert (status, out, err) == (2, "", "error: k' must differ from k, got k = k' = 6\n")
 
 
 # SHA-256 of stdout for small grids of the statements whose output

@@ -4,6 +4,7 @@ import pytest
 
 from eiscong import congruences
 from eiscong.congruences import (
+    _e_power,
     _series_report,
     _valuation_report,
     check_bernoulli_prop41,
@@ -40,6 +41,7 @@ from eiscong.errors import (
 from eiscong.exact import padic_valuation, parse_int
 from eiscong.filtration import sturm_bound
 from eiscong.residue import ResidueRing
+from eiscong.eisenstein import e_series
 from eiscong.series import QSeries
 
 from conftest import bernoulli_by_recurrence, sigma_power
@@ -274,6 +276,8 @@ class TestClassicalChecks:
             check_eq14(7, 4, 9, 10)
         with pytest.raises(ParameterOutOfRangeError, match="weights must be even"):
             check_eq14(5, 7, 11, 10)
+        with pytest.raises(ParameterOutOfRangeError, match="k' must differ from k"):
+            check_eq14(5, 6, 6, 10)
 
     def test_eq16(self):
         assert check_eq16(5, 2, 6, 30).passed
@@ -289,6 +293,8 @@ class TestClassicalChecks:
         assert check_kummer(7, 3, 8, 8 + 294).passed
         with pytest.raises(ParameterOutOfRangeError):
             check_kummer(5, 2, 6, 10)
+        with pytest.raises(ParameterOutOfRangeError, match="k' must differ from k"):
+            check_kummer(5, 2, 6, 6)
 
     @pytest.mark.parametrize("k,kprime", [(7, 27), (1, 21), (3, 3)])
     def test_kummer_rejects_odd_weights(self, k, kprime):
@@ -311,6 +317,11 @@ class TestConjectureScans:
     def test_eq64_rejects_bad_kstar(self):
         with pytest.raises(ParameterOutOfRangeError):
             scan_conjecture_bernoulli(5, 6, [7], 10)  # not a multiple of p-1
+
+    @pytest.mark.parametrize("alphas", [[-1], [3, -2, 4]])
+    def test_eq64_rejects_negative_alpha(self, alphas):
+        with pytest.raises(ParameterOutOfRangeError, match="alpha must be non-negative"):
+            scan_conjecture_bernoulli(5, 2, alphas, 4)
 
     def test_eq61_beyond_theorem_range(self):
         # m = p exceeds the proved range m <= p-1, so this is evidence only
@@ -395,6 +406,22 @@ class TestGeneratorsReadAtCallTime:
         assert check(*args).passed
         assert set(seen) == calls
         assert seen[0] == max(calls, key=lambda call: call[1])  # the left side, built first
+
+
+class TestSharedEPowers:
+    def test_matches_binary_powering_in_any_request_order(self, rng):
+        # Two rings that share p and two precisions: a cache key that dropped
+        # m or the precision would hand one of them another's power.
+        cases = [(ResidueRing(5, m), precision) for m in (2, 3) for precision in (12, 25)]
+        expected = {case: [e_series(4, *case).pow(n) for n in range(65)] for case in cases}
+        shuffled = list(range(65))
+        rng.shuffle(shuffled)
+        for order in (range(65), range(64, -1, -1), shuffled):
+            _e_power.cache_clear()
+            for n in order:
+                for ring, precision in cases:
+                    assert _e_power(ring, precision, n) == expected[ring, precision][n], (
+                        ring, precision, n)
 
 
 class TestReportSerialization:

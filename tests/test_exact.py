@@ -17,6 +17,7 @@ from eiscong.exact import (
     parse_int,
     pochhammer,
     sigma_power_mod,
+    sigma_power_table,
 )
 
 from conftest import bernoulli_by_recurrence, bernoulli_by_tangent, sigma_power
@@ -295,6 +296,25 @@ class TestSigma:
 
     def test_divisors(self):
         assert divisors(36) == [1, 2, 3, 4, 6, 9, 12, 18, 36]
+
+    def test_table_matches_per_coefficient_sums(self):
+        # Every table a thm-grid G_k or E_k needs: p in {5, 7, 11, 13}, m <= 4,
+        # even k in 4..198, precision 60; 1,568 tables in all.
+        precision = 60
+        moduli = [p**m for p in (5, 7, 11, 13) for m in range(1, 5)]
+        for k in range(4, 199, 2):
+            exact = [sigma_power(k - 1, n) for n in range(1, precision + 1)]
+            for mod in moduli:
+                table = sigma_power_table(k - 1, precision, mod)
+                assert table[0] == 0, (k, mod)
+                assert table[1:] == [s % mod for s in exact], (k, mod)
+                assert table[1:] == [sigma_power_mod(k - 1, n, mod)
+                                     for n in range(1, precision + 1)], (k, mod)
+
+    def test_table_at_precision_zero_and_one(self):
+        for k_minus_1 in (0, 3, 97):
+            assert sigma_power_table(k_minus_1, 0, 25) == [0]
+            assert sigma_power_table(k_minus_1, 1, 25) == [0, 1]
 
 
 class TestPochhammer:
