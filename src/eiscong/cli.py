@@ -219,13 +219,13 @@ STATEMENTS = {
         demand=lambda t: t["n"] * (t["p"] - 1)),
     "identity": Statement(
         run=_run_identity, grid=_box_grid,
-        validate=lambda t: cong._validate_identity_box(t["m"], t["j"], t["s"])),
+        validate=lambda t: cong._validate_identity_box(t["m"], t["j"], t["s"], t["alpha"])),
     "telescoping": Statement(
         run=_run_telescoping,
         grid=lambda args, ps, ms: (
             dict(point, r=r) for point in _box_grid(args, ps, ms)
             for r in range(point["s"], point["m"])),
-        validate=lambda t: cong._validate_identity_box(t["m"], t["j"], t["s"])),
+        validate=lambda t: cong._validate_identity_box(t["m"], t["j"], t["s"], t["alpha"])),
     "eq6.1": Statement(
         run=lambda t: cong.scan_conjecture_ek_series(
             t["p"], t["m"], t["kstar"], t["alpha"], t["prec"], t["budget"]),

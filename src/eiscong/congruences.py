@@ -15,6 +15,11 @@ never bound earlier, and `_e_power` reads `e_series` the same way, so a
 tracer that rebinds them sees every call. `_inversion_defect` does it for
 rationals: Prop 4.1, Eq. (3.1), the Eq. (6.4) scan, p-regular recovery and
 the inversion identity.
+
+In the Prop. 3.2 box, each identity sum is a cached row C(alpha-r, j)
+H(m, alpha, r), sliced at s, dotted with a cached column H(m-j, r, s); the
+Eq. (3.3) certificate is compared in integers, times m-j-s > 0, from cached
+values of F; and the recurrence between the sums runs once per box point.
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 from typing import Callable, Iterable
 
 from .errors import (
@@ -148,22 +154,21 @@ def _inversion_report(statement_id: str, params: dict, form: Callable, kstar: in
     """form(a(p-1)+k*) against sum_r H(m,a,r) form(r(p-1)+k*) [E_{p-1}^(a-r)], mod p^m.
 
     H(m, a, r) is nonzero for every r < m when a >= m and only at r = a
-    below, so after the first E_{p-1} power each is the previous one times
-    E_{p-1}.
+    below. So the sum has a first term, which starts it, and after the first
+    E_{p-1} power each is the previous one times E_{p-1}.
     """
     p, m, alpha, precision = params["p"], params["m"], params["alpha"], params["N"]
     ring = ResidueRing(p, m)
     weight = alpha * (p - 1) + kstar
     lhs = form(weight, ring, precision)
     e = e_series(p - 1, ring, precision) if with_e_powers else None
-    rhs = QSeries(ring, (0,) * (precision + 1), precision)
-    power = None
+    rhs = power = None
     for r, h in reversed([(r, h) for r in range(m) if (h := h_coefficient(m, alpha, r))]):
         term = form(r * (p - 1) + kstar, ring, precision).scale(h)
         if with_e_powers:
             power = _e_power(ring, precision, alpha - r) if power is None else power * e
             term = term * power
-        rhs = rhs + term
+        rhs = term if rhs is None else rhs + term
     return _series_report(statement_id, params, lhs, rhs, precision,
                           weight if with_e_powers else None)
 
@@ -416,48 +421,85 @@ def _binom0(top: int, j: int) -> int:
     return 0 if j < 0 else gen_binomial(top, j)
 
 
-def _validate_identity_box(m: int, j: int, s: int) -> None:
+def _validate_identity_box(m: int, j: int, s: int, alpha: int) -> None:
     if not 1 <= j <= m - 1:
         raise ParameterOutOfRangeError(f"need 1 <= j <= m-1, got j={j}, m={m}")
     if not 0 <= s <= m - j - 1:
         raise ParameterOutOfRangeError(f"need 0 <= s <= m-j-1, got s={s}")
+    if alpha < 0:
+        raise ParameterOutOfRangeError("alpha must be non-negative")
+
+
+# A box grid runs over m, j, s, alpha from the outside in, then (telescoping)
+# over r. An H row comes back at the next j and an identity row at the next
+# s, each one pass over the alphas later; a column comes back at the next
+# alpha, and each F at the next r and in the recurrence sum of its point.
+# 256 entries cover a pass over 256 alphas.
+
+@lru_cache(maxsize=256)
+def _h_row(m: int, alpha: int) -> tuple[int, ...]:
+    """H(m, alpha, r) for r = 0 .. m-1."""
+    return tuple(h_coefficient(m, alpha, r) for r in range(m))
+
+
+@lru_cache(maxsize=256)
+def _identity_row(m: int, j: int, alpha: int) -> tuple[int, ...]:
+    """C(alpha-r, j) H(m, alpha, r) for r = 0 .. m-1."""
+    return tuple(gen_binomial(alpha - r, j) * h for r, h in enumerate(_h_row(m, alpha)))
+
+
+@lru_cache(maxsize=256)
+def _identity_column(m: int, j: int, s: int) -> tuple[int, ...]:
+    """H(m-j, r, s) for r = s .. m-1."""
+    return tuple(h_coefficient(m - j, r, s) for r in range(s, m))
 
 
 def combin_identity_sum(m: int, j: int, s: int, alpha: int) -> int:
-    """sum_{r=s}^{m-1} C(alpha-r, j) H(m, alpha, r) H(m-j, r, s), exactly."""
-    _validate_identity_box(m, j, s)
-    if alpha < 0:
-        raise ParameterOutOfRangeError("alpha must be non-negative")
-    return sum(
-        gen_binomial(alpha - r, j) * h_coefficient(m, alpha, r) * h_coefficient(m - j, r, s)
-        for r in range(s, m)
-    )
+    """sum_{r=s}^{m-1} C(alpha-r, j) H(m, alpha, r) H(m-j, r, s), exactly.
+
+    The row of (m, j, alpha) from r = s on, dotted with the column of (m, j, s).
+    """
+    _validate_identity_box(m, j, s, alpha)
+    return sum(map(mul, _identity_row(m, j, alpha)[s:], _identity_column(m, j, s)))
 
 
+@lru_cache(maxsize=256)
 def _telescope_f(m: int, j: int, s: int, alpha: int, r: int) -> int:
     sign = -1 if (r + j + s) % 2 else 1
     return (sign * _binom0(alpha - r, j) * _binom0(alpha - 1 - r, m - 1 - r)
             * _binom0(alpha, r) * _binom0(r - 1 - s, m - j - 1 - s) * _binom0(r, s))
 
 
-def _telescope_g(m: int, j: int, s: int, alpha: int, r: int) -> Fraction:
-    return Fraction((s - r) * (j + r - alpha) * _telescope_f(m, j, s, alpha, r), m - j - s)
+def _telescoping_sides(m: int, j: int, s: int, alpha: int, r: int) -> tuple[int, int]:
+    """Both sides of the telescoping identity times m-j-s, as integers.
+
+    With G(r) = (s-r)(j+r-alpha) F(m,r) / (m-j-s), the sides are
+    (m-j-s)((alpha-m)F(m,r) + (m-s)F(m+1,r)) and (m-j-s)(G(r) - G(r-1)).
+    """
+    here, before = _telescope_f(m, j, s, alpha, r), _telescope_f(m, j, s, alpha, r - 1)
+    left = (m - j - s) * ((alpha - m) * here + (m - s) * _telescope_f(m + 1, j, s, alpha, r))
+    right = (s - r) * (j + r - alpha) * here - (s - r + 1) * (j + r - 1 - alpha) * before
+    return left, right
 
 
 def check_telescoping(m: int, j: int, s: int, alpha: int, r: int) -> bool:
-    """(alpha-m)F(m,r) + (m-s)F(m+1,r) equals the difference G(r) - G(r-1)."""
-    _validate_identity_box(m, j, s)
-    if alpha < 0 or not s <= r <= m - 1:
-        raise ParameterOutOfRangeError(f"need alpha >= 0 and s <= r <= m-1, got r={r}")
-    lhs = ((alpha - m) * _telescope_f(m, j, s, alpha, r)
-           + (m - s) * _telescope_f(m + 1, j, s, alpha, r))
-    rhs = _telescope_g(m, j, s, alpha, r) - _telescope_g(m, j, s, alpha, r - 1)
-    return Fraction(lhs) == rhs
+    """(alpha-m)F(m,r) + (m-s)F(m+1,r) equals the difference G(r) - G(r-1).
+
+    The box makes m-j-s positive, so both sides are compared times m-j-s.
+    """
+    _validate_identity_box(m, j, s, alpha)
+    if not s <= r <= m - 1:
+        raise ParameterOutOfRangeError(f"need s <= r <= m-1, got r={r}")
+    left, right = _telescoping_sides(m, j, s, alpha, r)
+    return left == right
 
 
+# The telescoping grid checks the recurrence with every r of a box point, and
+# those records are consecutive, so one entry holds it for all of them.
+@lru_cache(maxsize=1)
 def check_sum_recurrence(m: int, j: int, s: int, alpha: int) -> bool:
     """(alpha-m)S(m) + (m-s)S(m+1) = 0 for the sums in combin_identity_sum."""
-    _validate_identity_box(m, j, s)
+    _validate_identity_box(m, j, s, alpha)
     s_m = combin_identity_sum(m, j, s, alpha)
     s_m1 = sum(_telescope_f(m + 1, j, s, alpha, r) for r in range(s, m + 1))
     return (alpha - m) * s_m + (m - s) * s_m1 == 0

@@ -7,7 +7,7 @@ from math import comb
 import pytest
 
 from eiscong.eisenstein import e_series
-from eiscong.exact import bernoulli, divisors
+from eiscong.exact import bernoulli, divisors, gen_binomial, h_coefficient
 from eiscong.filtration import BasisMatrix, LinearSystem, _check_weight_match, basis
 from eiscong.residue import ResidueRing
 from eiscong.series import QSeries
@@ -106,6 +106,39 @@ def e_factor_exact(p: int, precision: int) -> tuple:
 def reduced(coeffs: tuple, ring: ResidueRing) -> QSeries:
     """The series with these p-integral rational coefficients, reduced into the ring."""
     return QSeries(ring, tuple(ring.reduce_rational(c) for c in coeffs), len(coeffs) - 1)
+
+
+def identity_sum_by_triple_products(m: int, j: int, s: int, alpha: int) -> int:
+    """Prop. 3.2 oracle: sum_{r=s}^{m-1} C(alpha-r, j) H(m, alpha, r) H(m-j, r, s),
+    one triple product per r, nothing cached."""
+    return sum(gen_binomial(alpha - r, j) * h_coefficient(m, alpha, r) * h_coefficient(m - j, r, s)
+               for r in range(s, m))
+
+
+def telescope_f(m: int, j: int, s: int, alpha: int, r: int) -> int:
+    """F(m, r) of the Eq. (3.3) certificate; a binomial with negative lower index is 0."""
+    def c(top: int, k: int) -> int:
+        return 0 if k < 0 else gen_binomial(top, k)
+
+    return ((-1) ** (r + j + s) * c(alpha - r, j) * c(alpha - 1 - r, m - 1 - r) * c(alpha, r)
+            * c(r - 1 - s, m - j - 1 - s) * c(r, s))
+
+
+def telescope_g(m: int, j: int, s: int, alpha: int, r: int) -> Fraction:
+    """G(r) = (s-r)(j+r-alpha) F(m, r) / (m-j-s), as an exact rational."""
+    return Fraction((s - r) * (j + r - alpha) * telescope_f(m, j, s, alpha, r), m - j - s)
+
+
+def telescope_lhs(m: int, j: int, s: int, alpha: int, r: int) -> int:
+    """(alpha-m) F(m, r) + (m-s) F(m+1, r), the left side of Eq. (3.3)."""
+    return ((alpha - m) * telescope_f(m, j, s, alpha, r)
+            + (m - s) * telescope_f(m + 1, j, s, alpha, r))
+
+
+def telescoping_by_fractions(m: int, j: int, s: int, alpha: int, r: int) -> bool:
+    """Eq. (3.3) oracle: the left side against G(r) - G(r-1) over the rationals."""
+    return (Fraction(telescope_lhs(m, j, s, alpha, r))
+            == telescope_g(m, j, s, alpha, r) - telescope_g(m, j, s, alpha, r - 1))
 
 
 def egcd(a: int, b: int) -> tuple[int, int, int]:

@@ -169,6 +169,34 @@ class TestVerifyCommand:
         assert status == 0 and len(out.splitlines()) == 12
         assert orders == list(range(1, 13))
 
+    def test_telescoping_computes_one_recurrence_per_point(self, capsys, monkeypatch):
+        from eiscong import congruences
+
+        points = []
+        original = congruences.combin_identity_sum
+
+        def counted(m, j, s, alpha):
+            points.append((m, j, s, alpha))
+            return original(m, j, s, alpha)
+
+        monkeypatch.setattr(congruences, "combin_identity_sum", counted)
+        congruences.check_sum_recurrence.cache_clear()
+        status, out, _ = run_cli(
+            capsys, "verify", "telescoping", "--m", "2..4", "--alpha", "0..5", "--jobs", "1")
+        params = [json.loads(line)["params"] for line in out.splitlines()]
+        box = list(dict.fromkeys((t["m"], t["j"], t["s"], t["alpha"]) for t in params))
+        assert status == 0 and len(params) > len(box) == 60
+        assert points == box
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "identity", "--m", "2..6", "--alpha", "0..8"],
+        ["verify", "telescoping", "--m", "2..5", "--alpha", "0..6"],
+    ], ids=["identity", "telescoping"])
+    def test_box_grid_parallel_matches_serial(self, capsys, argv):
+        status1, out1, _ = run_cli(capsys, *argv, "--jobs", "1")
+        status2, out2, _ = run_cli(capsys, *argv, "--jobs", "2")
+        assert (status1, out1) == (status2, out2) and status1 == 0 and out1
+
     def test_parallel_matches_serial(self, capsys):
         argv = ["verify", "sun97", "--p", "5", "--n-max", "6"]
         status1, out1, _ = run_cli(capsys, *argv, "--jobs", "1")
@@ -406,6 +434,27 @@ class TestStatementTable:
             status, out, err = run_cli(capsys, *argv, "--jobs", "1", "--budget-bernoulli", budget)
             assert (status, out, err) == (2, "", f"error: {message}\n")
 
+    @pytest.mark.parametrize("statement,check", [
+        ("identity", "combin_identity_sum"),
+        ("telescoping", "check_telescoping"),
+    ])
+    def test_negative_alpha_in_the_box_is_rejected_before_any_task_runs(
+            self, capsys, monkeypatch, statement, check):
+        from eiscong import congruences
+
+        calls = []
+        original = getattr(congruences, check)
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(congruences, check, counted)
+        status, out, err = run_cli(capsys, "verify", statement, "--m", "2..3",
+                                   "--alpha", "1,-1", "--jobs", "1")
+        assert (status, out, err) == (2, "", "error: alpha must be non-negative\n")
+        assert calls == []
+
     @pytest.mark.parametrize("argv", [
         ["verify", "kummer", "--p", "5", "--m", "2", "--k", "6"],
         ["verify", "eq1.4", "--p", "5", "--k", "6"],
@@ -432,11 +481,33 @@ GOLDEN_STDOUT = [
      "4b276d9a976be8febdf01bba49f24908745305208a06daa0d804f00fd92dbf19"),
     ("scan eq6.1 --p 5,7 --m 1..3 --prec 20",
      "0475f2a7614b57def6fdc2c8f0b1d928433033701dbd7bfcc0222f376aa03cfe"),
+    ("verify identity --m 2..6 --alpha 0..8",
+     "c8aa65d253da45f14b2495661c2d4fb15de95df5830210181db234ab12b7a7e8"),
+    ("verify identity --m 2..6 --alpha 0..8 --format json",
+     "ae6c6bf72843fc86461973b9f010e09343e2374d6cb7ebf4e1385e5b4f33d90b"),
+    ("verify identity --m 2..6 --alpha 0..8 --format csv",
+     "60e7fc2b2679e785ed81446184b9e7827bb167c2b88b69a5fb53aa4357cc3e71"),
+    ("verify identity --m 2..6 --alpha 0..8 --format human",
+     "17a33ecec36fb60783352f44de11fa4ff75ae9a7531ed7f945e03104038c28f9"),
+    ("verify telescoping --m 2..5 --alpha 0..6",
+     "c1d4b4f433de9c8981295471be682b6df292c1da2a939640a0e18757ca72ca77"),
+    ("verify telescoping --m 2..5 --alpha 0..6 --format json",
+     "8b9a0b4cd506075fb81c2cd8d9f931872eee5d1e2c032873f2db395774df2a3b"),
+    ("verify telescoping --m 2..5 --alpha 0..6 --format csv",
+     "c9a6f8f066fe2cb41a029b3e34573b74f763465f54149d1693c7a5dea4294ce1"),
+    ("verify telescoping --m 2..5 --alpha 0..6 --format human",
+     "185bf20b11093fdeb07ac0ef9b5b5929344f0afb83a4651257ae23994df28291"),
 ]
 
 
+def _golden_id(argv: str) -> str:
+    """The statement name, then the format when it is not the default."""
+    name, fmt = argv.split()[1], argv.partition(" --format ")[2]
+    return f"{name}-{fmt}" if fmt else name
+
+
 @pytest.mark.parametrize("argv,digest", GOLDEN_STDOUT,
-                         ids=[argv.split()[1] for argv, _ in GOLDEN_STDOUT])
+                         ids=[_golden_id(argv) for argv, _ in GOLDEN_STDOUT])
 def test_golden_stdout(capsys, argv, digest):
     status, out, err = run_cli(capsys, *argv.split(), "--jobs", "1")
     assert (status, err) == (0, "")

@@ -38,13 +38,27 @@ from eiscong.errors import (
     MOutOfRangeError,
     ParameterOutOfRangeError,
 )
-from eiscong.exact import padic_valuation, parse_int
+from eiscong.exact import gen_binomial, h_coefficient, padic_valuation, parse_int
 from eiscong.filtration import sturm_bound
 from eiscong.residue import ResidueRing
 from eiscong.eisenstein import e_series
 from eiscong.series import QSeries
 
-from conftest import bernoulli_by_recurrence, sigma_power
+from conftest import (
+    bernoulli_by_recurrence,
+    identity_sum_by_triple_products,
+    sigma_power,
+    telescope_f,
+    telescope_g,
+    telescope_lhs,
+    telescoping_by_fractions,
+)
+
+# The boxes of the benchmark's `verify identity` and `verify telescoping` argvs.
+IDENTITY_BOX = [(m, j, s, alpha) for m in range(2, 13) for j in range(1, m)
+                for s in range(m - j) for alpha in range(41)]
+TELESCOPING_BOX = [(m, j, s, alpha) for m in range(2, 9) for j in range(1, m)
+                   for s in range(m - j) for alpha in range(21)]
 
 
 class TestThmGk:
@@ -267,6 +281,56 @@ class TestCombinatorialIdentities:
     def test_telescoping_validation(self):
         with pytest.raises(ParameterOutOfRangeError):
             check_telescoping(3, 1, 0, 5, 3)
+        with pytest.raises(ParameterOutOfRangeError, match="need s <= r <= m-1, got r=0"):
+            check_telescoping(3, 1, 1, 5, 0)
+        with pytest.raises(ParameterOutOfRangeError, match="^alpha must be non-negative$"):
+            check_telescoping(3, 1, 0, -1, 0)
+        for check in (combin_identity_sum, check_sum_recurrence):
+            with pytest.raises(ParameterOutOfRangeError, match="^alpha must be non-negative$"):
+                check(3, 1, 0, -1)
+
+    # Every valid sum is 0 and every valid certificate holds, so a verdict
+    # alone cannot tell a broken kernel from a correct one: these compare the
+    # kernels entry by entry with the uncached oracles in conftest.
+
+    def test_rows_and_columns_match_oracle(self):
+        for m, j, s, alpha in IDENTITY_BOX:
+            assert congruences._h_row(m, alpha) == tuple(
+                h_coefficient(m, alpha, r) for r in range(m))
+            assert congruences._identity_row(m, j, alpha) == tuple(
+                gen_binomial(alpha - r, j) * h_coefficient(m, alpha, r) for r in range(m))
+            assert congruences._identity_column(m, j, s) == tuple(
+                h_coefficient(m - j, r, s) for r in range(s, m))
+            assert combin_identity_sum(m, j, s, alpha) == identity_sum_by_triple_products(
+                m, j, s, alpha)
+
+    def test_telescoping_kernel_matches_fraction_oracle(self):
+        for m, j, s, alpha in TELESCOPING_BOX:
+            d = m - j - s
+            for r in range(s - 1, m + 1):
+                assert congruences._telescope_f(m, j, s, alpha, r) == telescope_f(m, j, s, alpha, r)
+                assert (congruences._telescope_f(m + 1, j, s, alpha, r)
+                        == telescope_f(m + 1, j, s, alpha, r))
+            for r in range(s, m):
+                left, right = congruences._telescoping_sides(m, j, s, alpha, r)
+                assert left == d * telescope_lhs(m, j, s, alpha, r)
+                assert Fraction(right, d) == (telescope_g(m, j, s, alpha, r)
+                                              - telescope_g(m, j, s, alpha, r - 1))
+                assert check_telescoping(m, j, s, alpha, r) == telescoping_by_fractions(
+                    m, j, s, alpha, r)
+            assert check_sum_recurrence(m, j, s, alpha)
+
+    def test_caches_give_the_same_values_in_any_order(self, rng):
+        points = TELESCOPING_BOX[::7]
+        rng.shuffle(points)
+        for fn in (congruences._h_row, congruences._identity_row, congruences._identity_column,
+                   congruences._telescope_f, check_sum_recurrence):
+            fn.cache_clear()
+        for m, j, s, alpha in points:
+            assert combin_identity_sum(m, j, s, alpha) == 0
+            for r in range(s, m):
+                left, right = congruences._telescoping_sides(m, j, s, alpha, r)
+                assert left == (m - j - s) * telescope_lhs(m, j, s, alpha, r) and left == right
 
 
 class TestClassicalChecks:
