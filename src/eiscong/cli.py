@@ -435,10 +435,6 @@ def _add_common(parser: argparse.ArgumentParser, default_format: str,
     parser.add_argument("--cache", help="Bernoulli cache file (load before, append after)")
     parser.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
                         help="worker processes for grid runs")
-    parser.add_argument("--budget-bernoulli", type=int, default=DEFAULT_BERNOULLI_BUDGET,
-                        help="largest Bernoulli index a task may demand")
-    parser.add_argument("--budget-seconds", type=float, default=None,
-                        help="soft per-record wall-time limit (annotates records)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -502,6 +498,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument("--prec", type=int, default=40)
     _add_common(p_scan, "jsonl")
 
+    for grid in (p_verify, p_scan):  # the subcommands whose tasks a budget limits
+        grid.add_argument("--budget-bernoulli", type=int, default=DEFAULT_BERNOULLI_BUDGET,
+                          help="largest Bernoulli index a task may demand")
+        grid.add_argument("--budget-seconds", type=float, default=None,
+                          help="soft per-record wall-time limit (annotates records)")
     return parser
 
 

@@ -5,16 +5,15 @@ are checked by exact evaluation followed by a p-adic valuation test. Nothing
 here is probabilistic.
 
 Most statements compare a value at alpha with its H-weighted history
-sum_{r<m} H(m, alpha, r) * (value at r). `_inversion_report` does it for
-series: Thm 1.1, Thm 1.2 and the Eq. (6.1) scan (each term times
-E_{p-1}^(alpha-r)), Props 3.1 and 4.2 (no powers). It builds the left side
-first, so an error names the weight alpha(p-1)+k*, and takes its first
-E_{p-1} power from `_e_power`, a cache that a grid of alphas shares. Its
-callers pass `g_series`/`e_series` read as module globals at call time,
-never bound earlier, and `_e_power` reads `e_series` the same way, so a
-tracer that rebinds them sees every call. `_inversion_defect` does it for
-rationals: Prop 4.1, Eq. (3.1), the Eq. (6.4) scan, p-regular recovery and
-the inversion identity.
+sum_{r<m} H(m, alpha, r) * (value at r), H(m, alpha, .) from one cached row.
+`_inversion_report` does it for series: Thm 1.1, Thm 1.2 and the Eq. (6.1)
+scan (each term times E_{p-1}^(alpha-r), from `eisenstein.e_power`), Props
+3.1 and 4.2 (no powers). It builds the left side first, so an error names
+the weight alpha(p-1)+k*. Its callers pass `g_series`/`e_series`, and
+`e_power` calls `e_series`, read as module globals at call time, never bound
+earlier, so a tracer that rebinds them sees every call. `_inversion_defect`
+does it for rationals: Prop 4.1, Eq. (3.1), the Eq. (6.4) scan, p-regular
+recovery and the inversion identity.
 
 In the Prop. 3.2 box, each identity sum is a cached row C(alpha-r, j)
 H(m, alpha, r), sliced at s, dotted with a cached column H(m-j, r, s); the
@@ -38,7 +37,7 @@ from .errors import (
     ParameterOutOfRangeError,
 )
 from .exact import bernoulli, gen_binomial, h_coefficient, int_str, padic_valuation
-from .eisenstein import e_series, g_series
+from .eisenstein import e_power, e_series, g_series
 from .filtration import sturm_bound
 from .residue import ResidueRing
 from .series import QSeries, series_equal_mod
@@ -133,20 +132,10 @@ def _valuation_report(statement_id: str, params: dict, difference: Fraction,
 # The inversion formula  f(alpha) = sum_{r<m} H(m, alpha, r) f(r)  (mod p^m)
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=512)
-def _e_power(ring: ResidueRing, precision: int, n: int) -> QSeries:
-    """E_{p-1}^n modulo p^m through q^precision, by halving.
-
-    Each call squares the cached power n//2, so consecutive exponents reuse
-    the halves already built and a new one costs one or two products.
-    """
-    if n == 0:
-        return QSeries.one(ring, precision)
-    if n == 1:
-        return e_series(ring.p - 1, ring, precision)
-    half = _e_power(ring, precision, n // 2)
-    square = half * half
-    return square * e_series(ring.p - 1, ring, precision) if n % 2 else square
+@lru_cache(maxsize=256)
+def _h_row(m: int, alpha: int) -> tuple[int, ...]:
+    """H(m, alpha, r) for r = 0 .. m-1."""
+    return tuple(h_coefficient(m, alpha, r) for r in range(m))
 
 
 def _inversion_report(statement_id: str, params: dict, form: Callable, kstar: int,
@@ -154,29 +143,25 @@ def _inversion_report(statement_id: str, params: dict, form: Callable, kstar: in
     """form(a(p-1)+k*) against sum_r H(m,a,r) form(r(p-1)+k*) [E_{p-1}^(a-r)], mod p^m.
 
     H(m, a, r) is nonzero for every r < m when a >= m and only at r = a
-    below. So the sum has a first term, which starts it, and after the first
-    E_{p-1} power each is the previous one times E_{p-1}.
+    below, so the sum has a first term, which starts it.
     """
     p, m, alpha, precision = params["p"], params["m"], params["alpha"], params["N"]
     ring = ResidueRing(p, m)
     weight = alpha * (p - 1) + kstar
     lhs = form(weight, ring, precision)
-    e = e_series(p - 1, ring, precision) if with_e_powers else None
-    rhs = power = None
-    for r, h in reversed([(r, h) for r in range(m) if (h := h_coefficient(m, alpha, r))]):
-        term = form(r * (p - 1) + kstar, ring, precision).scale(h)
-        if with_e_powers:
-            power = _e_power(ring, precision, alpha - r) if power is None else power * e
-            term = term * power
-        rhs = term if rhs is None else rhs + term
+    rhs = None
+    for r, h in enumerate(_h_row(m, alpha)):
+        if h:
+            term = form(r * (p - 1) + kstar, ring, precision).scale(h)
+            term = term * e_power(ring, precision, alpha - r) if with_e_powers else term
+            rhs = term if rhs is None else rhs + term
     return _series_report(statement_id, params, lhs, rhs, precision,
                           weight if with_e_powers else None)
 
 
 def _inversion_defect(f: IntegerSequenceFunction, m: int, alpha: int) -> Fraction:
     """f(alpha) minus its H-weighted history sum_{r<m} H(m, alpha, r) f(r), exactly."""
-    lhs = Fraction(f(alpha))
-    return lhs - sum(h * Fraction(f(r)) for r in range(m) if (h := h_coefficient(m, alpha, r)))
+    return Fraction(f(alpha)) - sum(h * Fraction(f(r)) for r, h in enumerate(_h_row(m, alpha)) if h)
 
 
 def _validate_gk_args(p: int, m: int, kstar: int, alpha: int) -> None:
@@ -435,12 +420,6 @@ def _validate_identity_box(m: int, j: int, s: int, alpha: int) -> None:
 # s, each one pass over the alphas later; a column comes back at the next
 # alpha, and each F at the next r and in the recurrence sum of its point.
 # 256 entries cover a pass over 256 alphas.
-
-@lru_cache(maxsize=256)
-def _h_row(m: int, alpha: int) -> tuple[int, ...]:
-    """H(m, alpha, r) for r = 0 .. m-1."""
-    return tuple(h_coefficient(m, alpha, r) for r in range(m))
-
 
 @lru_cache(maxsize=256)
 def _identity_row(m: int, j: int, alpha: int) -> tuple[int, ...]:

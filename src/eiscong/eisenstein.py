@@ -5,7 +5,8 @@ Normalizations: E_k has constant term 1 and higher coefficients
 and higher coefficients sigma_{k-1}(n). E_0 is the constant series 1.
 
 Each generator takes its divisor sums sigma_{k-1}(1..N) from one sieve
-(`sigma_power_table`) and scales them by one reduced constant.
+(`sigma_power_table`) and scales them by one reduced constant. `e_power` is
+the one source of E_{p-1}^n, a cache shared by theorem grids and filtrations.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from .series import QSeries
 __all__ = [
     "delta_series",
     "e_factor",
+    "e_power",
     "e_series",
     "g_series",
     "monomial_series",
@@ -74,6 +76,22 @@ def e_series(k: int, ring: ResidueRing, precision: int) -> QSeries:
     mod = ring.modulus
     sigmas = sigma_power_table(k - 1, precision, mod)
     return QSeries(ring, (1, *[c_res * s % mod for s in sigmas[1:]]), precision)
+
+
+@lru_cache(maxsize=512)
+def e_power(ring: ResidueRing, precision: int, n: int) -> QSeries:
+    """E_{p-1}^n modulo p^m through q^precision, by halving.
+
+    Each call squares the cached power n//2, so consecutive exponents reuse
+    the halves already built and a new one costs one or two products.
+    """
+    if n == 0:
+        return QSeries.one(ring, precision)
+    if n == 1:
+        return e_series(ring.p - 1, ring, precision)
+    half = e_power(ring, precision, n // 2)
+    square = half * half
+    return square * e_series(ring.p - 1, ring, precision) if n % 2 else square
 
 
 @lru_cache(maxsize=64)

@@ -34,12 +34,17 @@ def run_cli(capsys, *argv):
     return status, captured.out, captured.err
 
 
-def run_module(*argv, timeout=120):
-    """`python -m eiscong ARGV` in a fresh interpreter, importing from src."""
+def run_python(*args, timeout=120):
+    """`python ARGS` in a fresh interpreter, importing from src."""
     env = dict(os.environ, PYTHONPATH=str(SRC))
     env.pop("EISCONG_BERNOULLI_CACHE", None)
-    return subprocess.run([sys.executable, "-m", "eiscong", *argv],
+    return subprocess.run([sys.executable, *args],
                           capture_output=True, text=True, env=env, timeout=timeout)
+
+
+def run_module(*argv, timeout=120):
+    """`python -m eiscong ARGV` in a fresh interpreter, importing from src."""
+    return run_python("-m", "eiscong", *argv, timeout=timeout)
 
 
 class TestHelpers:
@@ -302,6 +307,22 @@ def test_format_a_subcommand_ignores_is_rejected(capsys, argv, fmt):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "argument --format: invalid choice" in captured.err
+
+
+# Only the grid subcommands, verify and scan, run tasks that a budget limits.
+REJECTED_BUDGETS = [(name, flag) for name in ("bernoulli", "series", "filtration", "reproduce")
+                    for flag in (("--budget-bernoulli", "10"), ("--budget-seconds", "1"))]
+
+
+@pytest.mark.parametrize("name,flag", REJECTED_BUDGETS,
+                         ids=[f"{name}{flag[0]}" for name, flag in REJECTED_BUDGETS])
+def test_budget_flag_outside_the_grids_is_rejected(capsys, name, flag):
+    with pytest.raises(SystemExit) as exc:
+        main([*REJECTED_FORMATS[name][0], *flag, "--jobs", "1"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"unrecognized arguments: {' '.join(flag)}" in captured.err
 
 
 # One tiny grid point per verify/scan name, aliases included, and the
@@ -696,3 +717,34 @@ class TestOutAndCache:
         line = next(l for l in path.read_text().splitlines() if l.startswith("2200 "))
         assert line == runs[0].stdout.strip()
         assert parse_cache_line(line)[1] == Fraction(*map(parse_int, value.split("/")))
+
+
+# Runs `main(sys.argv[1:])` with stdout discarded and prints the exit status
+# and the number of series products made.
+COUNT_PRODUCTS = """
+import contextlib, io, sys
+from eiscong.cli import main
+from eiscong.series import QSeries
+products, multiply = [], QSeries.__mul__
+
+def counted(a, b):
+    products.append(1)
+    return multiply(a, b)
+
+QSeries.__mul__ = counted
+with contextlib.redirect_stdout(io.StringIO()):
+    status = main(sys.argv[1:])
+print(status, len(products))
+"""
+
+
+@pytest.mark.parametrize("argv,most", [
+    ("verify thm1 --p 5,7,11,13 --m 1..4 --alpha 0..30 --prec 60", 1848),
+    ("reproduce paper-17-6", 223),
+], ids=["thm1-grid", "paper-17-6"])
+def test_series_products_per_run(argv, most):
+    # Every E_{p-1}^n comes from one halving table that a grid shares. A power
+    # stepped by one product per term, or a second power path, costs more.
+    proc = run_python("-c", COUNT_PRODUCTS, *argv.split(), "--jobs", "1")
+    status, products = map(int, proc.stdout.split())
+    assert status == 0 and products <= most, (proc.stdout, proc.stderr)

@@ -2,15 +2,18 @@ from fractions import Fraction
 
 import pytest
 
+from eiscong.congruences import check_thm_gk
 from eiscong.errors import NotPIntegralError
 from eiscong.exact import bernoulli
 from eiscong.eisenstein import (
     delta_series,
     e_factor,
+    e_power,
     e_series,
     g_series,
     monomial_series,
 )
+from eiscong.filtration import factor_filtration_bound, sharpness_probe, sturm_bound
 from eiscong.residue import ResidueRing
 from eiscong.series import QSeries, series_equal_mod
 
@@ -145,6 +148,53 @@ class TestEFactor:
             for m in range(1, 9):
                 ring = ResidueRing(p, m)
                 assert e_factor(ring, precision) == reduced(exact, ring), (p, m, precision)
+
+
+class TestEPower:
+    """The shared E_{p-1}^n table against binary powering, `QSeries.pow`."""
+
+    def test_matches_binary_powering_in_any_request_order(self, rng):
+        # Two rings that share p and two precisions: a cache key that dropped
+        # m or the precision would hand one of them another's power.
+        cases = [(ResidueRing(5, m), precision) for m in (2, 3) for precision in (12, 25)]
+        expected = {case: [e_series(4, *case).pow(n) for n in range(65)] for case in cases}
+        shuffled = list(range(65))
+        rng.shuffle(shuffled)
+        for order in (range(65), range(64, -1, -1), shuffled):
+            e_power.cache_clear()
+            for n in order:
+                for ring, precision in cases:
+                    assert e_power(ring, precision, n) == expected[ring, precision][n], (
+                        ring, precision, n)
+
+    @pytest.mark.parametrize("p,m", [(5, 4), (7, 3), (13, 3), (13, 4)])
+    def test_inverse_powers_near_p_to_the_m_minus_one(self, p, m):
+        # The filtration search asks for E_{p-1}^(-n) as the power p^(m-1) - n.
+        ring, order = ResidueRing(p, m), p ** (m - 1)
+        e_power.cache_clear()
+        for precision in (9, 30):
+            e = e_series(p - 1, ring, precision)
+            for n in range(order - 6, order + 2):
+                assert e_power(ring, precision, n) == e.pow(n), (p, m, precision, n)
+            assert e_power(ring, precision, order) == QSeries.one(ring, precision)
+
+    @pytest.mark.parametrize("p,m,kstar,k", [(5, 3, 6, 74), (7, 3, 4, 124), (13, 2, 4, 182)])
+    def test_filtration_reports_do_not_depend_on_the_table(self, p, m, kstar, k):
+        ring, upto = ResidueRing(p, m), sturm_bound(k)
+        f = g_series(k, ring, upto)
+
+        def reports():
+            return (factor_filtration_bound(f, k),
+                    [sharpness_probe(f, k, w) for w in range(k % (p - 1), k + 1, p - 1)])
+
+        e_power.cache_clear()
+        cold = reports()
+        # Fill the table at a lower precision too: a key without the precision
+        # would then hand the search a power too short for it.
+        for precision in (upto // 2, upto):
+            for alpha in range(p ** (m - 1) + 2):
+                assert check_thm_gk(p, m, kstar, alpha, precision).passed
+        assert reports() == cold
 
 
 class TestMonomials:
