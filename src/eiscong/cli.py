@@ -21,7 +21,7 @@ from .cache import default_cache_path, load_bernoulli_cache, save_bernoulli_cach
 from .congruences import DEFAULT_BERNOULLI_BUDGET, CongruenceReport
 from .eisenstein import delta_series, e_factor, e_series, g_series, monomial_series
 from .errors import BudgetExceededError, EiscongError
-from .exact import bernoulli, int_str, padic_valuation
+from .exact import bernoulli, int_str, padic_valuation, prefetch_bernoulli
 from .filtration import factor_filtration_bound, sharpness_probe, sturm_bound
 from .golden import REPRODUCTION_EXAMPLES
 from .residue import ResidueRing, is_prime
@@ -295,6 +295,10 @@ def _run_task(task: dict) -> dict:
 def _run_tasks(tasks: list[dict], jobs: int) -> list[dict]:
     for task in tasks:
         STATEMENTS[task["statement"]].validate(task)
+    # One ascending pass memoizes every demand within its task's budget,
+    # before any task runs and before the pool forks its workers.
+    prefetch_bernoulli(index for task in tasks
+                       if (index := STATEMENTS[task["statement"]].demand(task)) <= task["budget"])
     if jobs <= 1 or len(tasks) <= 1:
         return [_run_task(task) for task in tasks]
     with ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -317,6 +321,7 @@ def _cmd_bernoulli(args, out) -> int:
     for p in primes:
         if not is_prime(p):
             raise EiscongError(f"p must be a prime, got {p}")
+    prefetch_bernoulli(ks)
     records = []
     for k in ks:
         value = bernoulli(k)
@@ -516,6 +521,11 @@ _COMMANDS = {
 }
 
 
+def _error(err: Exception) -> int:
+    print(f"error: {err}", file=sys.stderr)
+    return 2
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -524,14 +534,15 @@ def main(argv: list[str] | None = None) -> int:
         try:
             load_bernoulli_cache(cache_path)
         except (EiscongError, OSError, ValueError) as err:
-            print(f"error: {err}", file=sys.stderr)
-            return 2
-    out = open(args.out, "w") if args.out else sys.stdout
+            return _error(err)
+    try:
+        out = open(args.out, "w") if args.out else sys.stdout
+    except OSError as err:
+        return _error(err)
     try:
         status = _COMMANDS[args.command](args, out)
     except EiscongError as err:
-        print(f"error: {err}", file=sys.stderr)
-        status = 2
+        status = _error(err)
     except (ValueError, KeyError) as err:
         print(f"usage error: {err}", file=sys.stderr)
         status = 2
@@ -539,7 +550,10 @@ def main(argv: list[str] | None = None) -> int:
         if args.out:
             out.close()
     if cache_path:
-        save_bernoulli_cache(cache_path)
+        try:
+            save_bernoulli_cache(cache_path)
+        except OSError as err:
+            status = _error(err)
     return status
 
 

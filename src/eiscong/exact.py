@@ -3,6 +3,12 @@
 Everything here is exact: Python ints are unbounded and rationals are
 `fractions.Fraction` (always reduced, positive denominator). No floating
 point is used anywhere in the package.
+
+Bernoulli numbers come from zeta(k) in integer fixed point, by two paths
+into one memo: `bernoulli(k)` builds k!, each p**k and (2 pi)**k from
+scratch, and `prefetch_bernoulli` steps them from one index to the next in
+one ascending pass. Both round through `_rounded_numerator`, which proves
+the rounding from an error bound each path supplies.
 """
 
 from __future__ import annotations
@@ -11,6 +17,7 @@ import math
 import threading
 from fractions import Fraction
 from itertools import compress
+from typing import Callable, Iterable
 
 __all__ = [
     "bernoulli",
@@ -23,6 +30,7 @@ __all__ = [
     "padic_valuation",
     "parse_int",
     "pochhammer",
+    "prefetch_bernoulli",
     "seed_bernoulli",
     "sigma_power_mod",
     "sigma_power_table",
@@ -127,7 +135,7 @@ def _truncate(mantissa: int, exponent: int, bits: int) -> tuple[int, int]:
 def _power_truncated(mantissa: int, exponent: int, k: int, bits: int) -> tuple[int, int]:
     """(mantissa * 2**exponent)**k by binary powering, each product cut by _truncate.
 
-    At most 2 * k.bit_length() cuts, each a relative error in (-2**-bits, 0].
+    At most 2 * k.bit_length() - 1 cuts, each a relative error in (-2**-bits, 0].
     """
     result, result_exponent = 1, 0
     while True:
@@ -139,17 +147,22 @@ def _power_truncated(mantissa: int, exponent: int, k: int, bits: int) -> tuple[i
         mantissa, exponent = _truncate(mantissa * mantissa, 2 * exponent, bits)
 
 
-def _bernoulli_numerator(k: int, denominator: int, guard: int) -> int | None:
-    """|B_k| * denominator for even k >= 4, or None if `guard` bits cannot prove the rounding.
-
-    With w = L + guard, where 2**L exceeds the numerator, every factor of
-    2 k! D / ((2 pi)**k / zeta(k)) is carried to relative precision 2**-w; see
-    `bernoulli` for the error budget.
-    """
-    top = 2 * math.factorial(k) * denominator
+def _working_bits(k: int, top: int, guard: int) -> int:
+    """The precision w = L + guard of B_k, where 2**L exceeds |B_k| D = top * zeta(k) / (2 pi)**k."""
     # (2 pi)**k > 2**(2.6514 k) and zeta(k) <= zeta(4) < 2**0.12, so for k >= 4
     # the numerator top * zeta(k) / (2 pi)**k is below 2**(bits(top) - 2.585 k).
-    w = top.bit_length() - 2585 * k // 1000 + guard
+    return top.bit_length() - 2585 * k // 1000 + guard
+
+
+def _rounded_numerator(k: int, top: int, w: int, guard: int, prime_power: Callable[[int, int], int],
+                       mantissa: int, exponent: int, units: int) -> int | None:
+    """|B_k| D = top * zeta(k) / (2 pi)**k for even k >= 4, top = 2 k! D, or None if unproven.
+
+    The one rounding routine of both paths. w = _working_bits(k, top, guard);
+    `prime_power(p, k)` is p**k exactly, and mantissa * 2**exponent is
+    (2 pi)**k within a relative error of `units` * 2**-w. See `bernoulli` for
+    the error budget.
+    """
     # 2**w / zeta(k) from above, as prod (1 - p**-k) over the primes p <= P; the
     # tail over n > P costs a factor 1 - sum n**-k >= 1 - P**(1-k) / (k-1),
     # within 2**-w once (k-1) * P**(k-1) >= 2**w. The table reaches past
@@ -158,23 +171,35 @@ def _bernoulli_numerator(k: int, denominator: int, guard: int) -> int | None:
     euler = 1 << w
     primes = 0
     for p in compress(range(len(flags)), flags):
-        power = p**k
+        power = prime_power(p, k)
         euler -= euler // power
         primes += 1
         if (k - 1) * (power // p) >= 1 << w:
             break
-    # (2 pi)**k, with pi to s bits so that k * 2**-s stays below 2**-(w+1).
-    s = w + k.bit_length() + 1
-    mantissa, exponent = _power_truncated(_pi(s), 1 - s, k, w)
     # numerator * 2**guard = top * 2**(guard + w - exponent) / (mantissa * euler), floored.
     shift = guard + w - exponent
     divisor = mantissa * euler
     scaled = (top << shift) // divisor if shift >= 0 else top // (divisor << -shift)
     numerator = (scaled + (1 << guard >> 1)) >> guard
-    error = 4 * k.bit_length() + 4 * primes + 9
+    error = 2 * units + 4 * primes + 7
     if 4 * (abs(scaled - (numerator << guard)) + error) > 1 << guard:
         return None
     return numerator
+
+
+def _bernoulli_numerator(k: int, denominator: int, guard: int) -> int | None:
+    """|B_k| * denominator for even k >= 4 from scratch, or None if `guard` bits cannot prove the rounding."""
+    top = 2 * math.factorial(k) * denominator
+    w = _working_bits(k, top, guard)
+    # (2 pi)**k, with pi to s bits so that k * 2**-s stays below 2**-(w+1).
+    s = w + k.bit_length() + 1
+    mantissa, exponent = _power_truncated(_pi(s), 1 - s, k, w)
+    return _rounded_numerator(k, top, w, guard, pow, mantissa, exponent, 2 * k.bit_length() + 1)
+
+
+def _signed(k: int, numerator: int, denominator: int) -> Fraction:
+    """B_k from |B_k| D and D: its sign is (-1)**(k/2 + 1)."""
+    return Fraction(numerator if k % 4 == 2 else -numerator, denominator)
 
 
 def bernoulli(k: int) -> Fraction:
@@ -186,20 +211,21 @@ def bernoulli(k: int) -> Fraction:
     approximated, to w = L + g bits, where 2**L bounds it and g are guard
     bits. With u = 2**-w, the relative errors are:
 
-    - pi, to s = w + bits(k) + 1 bits within 3 units, raised to the k-th
-      power: below u;
-    - truncated powering of 2 pi, at most 2 bits(k) cuts to w + 1 bits:
-      below 2 bits(k) u;
+    - (2 pi)**k, within `units` u. From scratch, pi goes to
+      s = w + bits(k) + 1 bits within 3 units (below u once raised to the
+      k-th power) and truncated powering makes at most 2 bits(k) cuts to
+      w + 1 bits, so units = 2 bits(k) + 1. `prefetch_bernoulli` steps it
+      instead; its docstring counts those cuts;
     - the Euler product for 1/zeta(k) over the n primes up to its cutoff:
       each step floors, so it ends under n units of 2**-w high, and
       1/zeta(k) > 0.92 makes that below 2n u;
     - the Euler tail past the cutoff: below u.
 
-    Dividing by the two factors at most doubles their (2 bits(k) + 2n + 4) u,
-    and the floored division adds one unit, so |B_k| D * 2**g is known within
-    4 bits(k) + 4n + 9. It is rounded only when that whole interval lies
-    within 1/4 of an integer; otherwise g doubles, at most twice, and B_k is
-    recomputed.
+    Dividing by the two factors at most doubles their (units + 2n + 3) u, and
+    the floored division adds one unit, so |B_k| D * 2**g is known within
+    2 units + 4n + 7. One routine, `_rounded_numerator`, rounds it for both
+    paths, and only when that whole interval lies within 1/4 of an integer;
+    otherwise g doubles, at most twice, and B_k is recomputed from scratch.
     """
     if k < 0:
         raise ValueError("Bernoulli index must be non-negative")
@@ -218,9 +244,70 @@ def bernoulli(k: int) -> Fraction:
                     break
             else:
                 raise ArithmeticError(f"B_{k}: rounding not proven at {guard} guard bits")
-            value = Fraction(numerator if k % 4 == 2 else -numerator, denominator)
+            value = _signed(k, numerator, denominator)
             _BERNOULLI_MEMO[k] = value
     return value
+
+
+def prefetch_bernoulli(indices: Iterable[int]) -> None:
+    """Memoize B_k for every k in `indices`, in one ascending pass.
+
+    Each step to the next missing even k >= 4, a gap of d, carries k! and
+    every p**k the Euler product reads forward exactly, and (2 pi)**k at one
+    precision W by one truncated multiply with (2 pi)**d. That step factor
+    is made once per distinct gap, from pi to W + bits(d) + 1 bits (under
+    half a unit of 2**-W once raised to the d-th power) with at most
+    2 bits(d) - 1 cuts to W + 1 bits; with the multiply's own cut, a step
+    adds under 2 bits(d) + 1 units of 2**-W. Cutting their running sum C to
+    an index's own w + 1 bits adds one unit of 2**-w, so (2 pi)**k is within
+    units = ceil(C * 2**(w - W)) + 1 of them. W exceeds every w of the pass
+    by bits(C) of the whole pass, so no restart is needed: units stays 2,
+    below the 2 bits(k) + 1 of a from-scratch power. Each index is then
+    rounded by the same routine as in `bernoulli`, at its first guard width;
+    an index whose rounding that cannot prove goes to `bernoulli(k)`, with
+    its guard doubling and its `ArithmeticError`.
+    """
+    indices = set(indices)
+    if indices and min(indices) < 0:
+        raise ValueError("Bernoulli index must be non-negative")
+    unproven = []
+    with _BERNOULLI_LOCK:
+        steps = []  # (k, gap from the index before, D, 2 k! D, w), ascending
+        factorial, previous = 1, 0
+        for k in sorted(k for k in indices if k % 2 == 0 and k not in _BERNOULLI_MEMO):
+            factorial *= math.perm(k, k - previous)  # k! / previous!
+            denominator = bernoulli_denominator(k)
+            top = 2 * factorial * denominator
+            steps.append((k, k - previous, denominator, top, _working_bits(k, top, _GUARD_BITS)))
+            previous = k
+        total = sum(2 * d.bit_length() + 1 for _, d, _, _, _ in steps)
+        width = max((w for *_, w in steps), default=0) + total.bit_length()
+        carried: dict[int, tuple[int, int]] = {}  # p -> (j, p**j)
+
+        def stepped_power(p: int, k: int) -> int:
+            j, power = carried.get(p, (0, 1))
+            power *= p ** (k - j)
+            carried[p] = (k, power)
+            return power
+
+        factors: dict[int, tuple[int, int]] = {}  # d -> (2 pi)**d at width + 1 bits
+        mantissa, exponent, cost = 1, 0, 0  # (2 pi)**k within cost * 2**-width
+        for k, d, denominator, top, w in steps:
+            if d not in factors:
+                s = width + d.bit_length() + 1
+                factors[d] = _power_truncated(_pi(s), 1 - s, d, width)
+            step, step_exponent = factors[d]
+            mantissa, exponent = _truncate(mantissa * step, exponent + step_exponent, width)
+            cost += 2 * d.bit_length() + 1
+            numerator = _rounded_numerator(k, top, w, _GUARD_BITS, stepped_power,
+                                           *_truncate(mantissa, exponent, w),
+                                           -(-cost >> (width - w)) + 1)
+            if numerator is None:
+                unproven.append(k)
+            else:
+                _BERNOULLI_MEMO[k] = _signed(k, numerator, denominator)
+    for k in unproven:
+        bernoulli(k)
 
 
 def seed_bernoulli(k: int, value: Fraction) -> None:

@@ -6,6 +6,7 @@ from math import comb
 
 import pytest
 
+from eiscong import exact
 from eiscong.eisenstein import e_series
 from eiscong.exact import bernoulli, divisors, gen_binomial, h_coefficient
 from eiscong.filtration import BasisMatrix, LinearSystem, _check_weight_match, basis
@@ -248,6 +249,13 @@ def _witness_system(f: QSeries, k: int, w: int, upto: int) -> tuple[LinearSystem
     rows = [[col.coefficient(i) for col in cols] for i in range(upto + 1)]
     rhs = [f.coefficient(i) for i in range(upto + 1)]
     return LinearSystem.build(ring, rows, rhs), bm, n
+
+
+@pytest.fixture
+def cold_bernoulli(monkeypatch):
+    """An empty memo beyond the seeds, and no memoized pi."""
+    monkeypatch.setattr(exact, "_BERNOULLI_MEMO", {k: exact._BERNOULLI_MEMO[k] for k in (0, 1, 2)})
+    monkeypatch.setattr(exact, "_PI", (0, 0))
 
 
 @pytest.fixture

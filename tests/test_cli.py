@@ -14,6 +14,7 @@ from eiscong.cache import (
     parse_cache_line,
     save_bernoulli_cache,
 )
+from eiscong import cli
 from eiscong.cli import (
     STATEMENT_ALIASES,
     STATEMENTS,
@@ -23,7 +24,7 @@ from eiscong.cli import (
     smallest_kstar_multiple,
 )
 from eiscong.errors import CacheFormatError
-from eiscong.exact import bernoulli, parse_int
+from eiscong.exact import bernoulli, bernoulli_cached_indices, parse_int
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -704,6 +705,22 @@ class TestOutAndCache:
         assert path.read_bytes() == writes[0]
         assert len(writes[0].splitlines()) == appended
 
+    @pytest.mark.parametrize("target", ["missing-dir/out.txt", "."], ids=["missing", "directory"])
+    def test_unopenable_out_is_clean_error(self, tmp_path, capsys, monkeypatch, target):
+        computed = []
+        monkeypatch.setattr(cli, "prefetch_bernoulli", computed.append)
+        status, out, err = run_cli(capsys, "bernoulli", "12", "--out", str(tmp_path / target))
+        assert (status, out, computed) == (2, "", [])
+        assert err.startswith("error: ") and "Traceback" not in err
+
+    def test_unappendable_cache_is_clean_error(self, tmp_path, capsys):
+        blocker = tmp_path / "some_file.txt"
+        blocker.write_text("")
+        status, out, err = run_cli(capsys, "bernoulli", "12", "--cache", str(blocker / "x"))
+        assert status == 2 and out == "12 -691/2730\n"
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert blocker.read_text() == ""
+
     def test_large_bernoulli_prints_and_round_trips(self, tmp_path):
         # The numerator of B_2200 has more digits than CPython's default
         # int/str conversion limit allows. The second process reads B_2200
@@ -748,3 +765,74 @@ def test_series_products_per_run(argv, most):
     proc = run_python("-c", COUNT_PRODUCTS, *argv.split(), "--jobs", "1")
     status, products = map(int, proc.stdout.split())
     assert status == 0 and products <= most, (proc.stdout, proc.stderr)
+
+
+# Runs `main(sys.argv[2:])` with the ascending Bernoulli pass ("pass") or with
+# each task computing its own numbers ("per-task"), then prints the memoized
+# indices to stderr.
+MEMO_AFTER_RUN = """
+import json, sys
+from eiscong import cli, exact
+if sys.argv[1] == "per-task":
+    cli.prefetch_bernoulli = lambda indices: None
+status = cli.main(sys.argv[2:])
+print(json.dumps(exact.bernoulli_cached_indices()), file=sys.stderr)
+sys.exit(status)
+"""
+
+
+@pytest.fixture
+def prefetched(monkeypatch):
+    """The indices handed to the ascending Bernoulli pass, which still runs."""
+    requested = []
+    real = cli.prefetch_bernoulli
+
+    def spy(indices):
+        indices = list(indices)
+        requested.extend(indices)
+        real(indices)
+
+    monkeypatch.setattr(cli, "prefetch_bernoulli", spy)
+    return requested
+
+
+class TestPrefetch:
+    @pytest.mark.parametrize("argv", [
+        "scan eq6.4 --p 7 --m 4 --kstar 6 --alpha 0..120",
+        "verify thm1 --p 5,7,11,13 --m 1..4 --alpha 0..30 --prec 30",
+        "verify kummer --p 7,11 --m 1..2 --k 4,8 --alpha 1..4",
+    ], ids=["eq6.4", "thm1", "kummer"])
+    def test_pass_computes_what_the_tasks_would(self, tmp_path, argv):
+        runs = {}
+        for mode in ("per-task", "pass"):
+            cache = tmp_path / f"{mode}.cache"
+            proc = run_python("-c", MEMO_AFTER_RUN, mode, *argv.split(), "--jobs", "1",
+                              "--cache", str(cache))
+            *_, memo = proc.stderr.splitlines()
+            runs[mode] = (proc.returncode, proc.stdout, json.loads(memo), cache.read_bytes())
+        assert runs["pass"] == runs["per-task"]
+        status, out, memo, _ = runs["pass"]
+        assert status == 0 and out and len(memo) > 10
+
+    def test_over_budget_task_is_not_prefetched(self, capsys, cold_bernoulli, prefetched):
+        status, out, _ = run_cli(capsys, "scan", "eq6.4", "--p", "7", "--m", "4", "--kstar", "6",
+                                 "--alpha", "0..20", "--budget-bernoulli", "60", "--jobs", "1")
+        verdicts = [r["verdict"] for r in grid_records(out)]
+        assert status == 1 and verdicts == ["Pass"] * 10 + ["BudgetExceeded"] * 11
+        assert prefetched == list(range(6, 61, 6))
+        assert bernoulli_cached_indices() == [0, 1, 2] + prefetched
+
+    def test_bernoulli_range_is_prefetched(self, capsys, cold_bernoulli, prefetched):
+        status, out, _ = run_cli(capsys, "bernoulli", "10..14", "--p", "7")
+        assert status == 0 and prefetched == [10, 11, 12, 13, 14]
+        assert out.splitlines()[2] == "12 -691/2730  nu_7=-1"
+
+    @pytest.mark.parametrize("argv", [
+        ["scan", "eq6.4", "--p", "7", "--m", "4", "--kstar", "6", "--alpha", "0..60"],
+        ["verify", "thm2", "--p", "5,7", "--m", "1..3", "--alpha", "1..12", "--prec", "30"],
+    ], ids=["eq6.4", "thm2"])
+    def test_workers_match_serial(self, capsys, cold_bernoulli, argv):
+        # From a cold memo the workers read what the pass memoized before they forked.
+        parallel = run_cli(capsys, *argv, "--jobs", "2")
+        serial = run_cli(capsys, *argv, "--jobs", "1")
+        assert parallel == serial and serial[0] == 0 and serial[1]

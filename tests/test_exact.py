@@ -1,4 +1,5 @@
 import math
+import random
 import sys
 import threading
 from fractions import Fraction
@@ -6,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from eiscong import exact
+from eiscong.cli import STATEMENTS, _build_tasks, build_parser
 from eiscong.exact import (
     bernoulli,
     bernoulli_cached_indices,
@@ -16,6 +18,7 @@ from eiscong.exact import (
     padic_valuation,
     parse_int,
     pochhammer,
+    prefetch_bernoulli,
     sigma_power_mod,
     sigma_power_table,
 )
@@ -26,17 +29,20 @@ from conftest import bernoulli_by_recurrence, bernoulli_by_tangent, sigma_power
 # large weights of the paper's examples and the benchmark.
 DIFFERENTIAL_INDICES = list(range(2, 601, 2)) + [1296, 2026, 2200, 2402]
 
+# The indices of `scan eq6.4 --p 7 --m 4 --kstar 6 --alpha 0..300`: 6 alpha + 6.
+SCAN_INDICES = [6 * alpha + 6 for alpha in range(301)]
+
+
+def thm1_grid_indices():
+    """The Bernoulli demands of `verify thm1 --p 5,7,11,13 --m 1..4 --alpha 0..30`."""
+    args = build_parser().parse_args(
+        ["verify", "thm1", "--p", "5,7,11,13", "--m", "1..4", "--alpha", "0..30"])
+    return sorted({STATEMENTS["thm1.1"].demand(task) for task in _build_tasks("thm1", args)})
+
 
 @pytest.fixture(scope="module")
 def tangent_oracle():
-    return bernoulli_by_tangent(DIFFERENTIAL_INDICES)
-
-
-@pytest.fixture
-def cold_bernoulli(monkeypatch):
-    """An empty memo beyond the seeds, and no memoized pi."""
-    monkeypatch.setattr(exact, "_BERNOULLI_MEMO", {k: exact._BERNOULLI_MEMO[k] for k in (0, 1, 2)})
-    monkeypatch.setattr(exact, "_PI", (0, 0))
+    return bernoulli_by_tangent(sorted(set(DIFFERENTIAL_INDICES + SCAN_INDICES)))
 
 
 def interleaved(indices):
@@ -179,6 +185,136 @@ class TestBernoulli:
         assert not any(t.is_alive() for t in threads)
         assert unlocked_pi == []
         assert [results[slot] for slot in range(len(indices))] == [tangent_oracle[k] for k in indices]
+
+
+def spy_rounding(monkeypatch, fail=lambda k, prime_power: False):
+    """Record (k, stepped, units) per rounding attempt; `fail` rejects an attempt outright."""
+    attempts = []
+    real = exact._rounded_numerator
+
+    def spy(k, top, w, guard, prime_power, mantissa, exponent, units):
+        attempts.append((k, prime_power is not pow, units))
+        if fail(k, prime_power):
+            return None
+        return real(k, top, w, guard, prime_power, mantissa, exponent, units)
+
+    monkeypatch.setattr(exact, "_rounded_numerator", spy)
+    return attempts
+
+
+class TestPrefetch:
+    """The ascending pass against the tangent oracle and the single-index path."""
+
+    @pytest.mark.parametrize("order", ["ascending", "shuffled"])
+    def test_scan_indices(self, cold_bernoulli, tangent_oracle, monkeypatch, order):
+        indices = list(SCAN_INDICES)
+        if order == "shuffled":
+            random.Random(12).shuffle(indices)
+        attempts = spy_rounding(monkeypatch)
+        prefetch_bernoulli(indices)
+        assert bernoulli_cached_indices() == [0, 1, 2] + SCAN_INDICES
+        for k in SCAN_INDICES:
+            assert bernoulli(k) == tangent_oracle[k], k
+        # Every index was rounded once, stepped, at 2 units of its own
+        # precision: one for the stepped cuts and one for the final cut.
+        assert attempts == [(k, True, 2) for k in SCAN_INDICES]
+
+    def test_after_a_warm_prefix(self, cold_bernoulli, tangent_oracle, monkeypatch):
+        # The benchmark's cache holds alpha <= 100, so the pass starts with a gap of 612.
+        for k in SCAN_INDICES[:101]:
+            bernoulli(k)
+        attempts = spy_rounding(monkeypatch)
+        prefetch_bernoulli(SCAN_INDICES)
+        assert [k for k, _, _ in attempts] == SCAN_INDICES[101:]
+        for k in SCAN_INDICES:
+            assert bernoulli(k) == tangent_oracle[k], k
+
+    def test_thm1_grid_progressions(self, cold_bernoulli, tangent_oracle, monkeypatch):
+        indices = thm1_grid_indices()
+        gaps = {k - j for j, k in zip(indices, indices[1:])}
+        assert len(indices) > 100 and len(gaps) > 3 and max(indices) == 366
+        attempts = spy_rounding(monkeypatch)
+        prefetch_bernoulli(indices)
+        assert all(stepped for _, stepped, _ in attempts)
+        for k in indices:
+            assert bernoulli(k) == tangent_oracle[k], k
+
+    def test_unproven_steps_take_the_single_path(self, cold_bernoulli, tangent_oracle,
+                                                 monkeypatch):
+        # Every third stepped attempt fails: those indices are recomputed from
+        # scratch, and the chain goes on for the rest.
+        failing = set(SCAN_INDICES[::3])
+        attempts = spy_rounding(monkeypatch, lambda k, prime_power: prime_power is not pow
+                                and k in failing)
+        prefetch_bernoulli(SCAN_INDICES)
+        single = [k for k, stepped, _ in attempts if not stepped]
+        assert single == sorted(failing)
+        for k in SCAN_INDICES:
+            assert bernoulli(k) == tangent_oracle[k], k
+
+    def test_too_few_guard_bits_fall_back(self, cold_bernoulli, tangent_oracle, monkeypatch):
+        # At 4 guard bits no rounding is provable; each index then doubles its
+        # guard on the single path, as `bernoulli` alone would.
+        attempts = []
+        real = exact._bernoulli_numerator
+
+        def spy(k, denominator, guard):
+            result = real(k, denominator, guard)
+            attempts.append((k, guard, result is not None))
+            return result
+
+        monkeypatch.setattr(exact, "_GUARD_BITS", 4)
+        monkeypatch.setattr(exact, "_bernoulli_numerator", spy)
+        indices = [4, 14, 100, 612, 618, 1296]
+        prefetch_bernoulli(indices)
+        for k in indices:
+            assert bernoulli(k) == tangent_oracle[k], k
+            tries = [(guard, ok) for index, guard, ok in attempts if index == k]
+            assert tries[0] == (4, False) and tries[-1][1], (k, tries)
+
+    def test_threads_share_the_memo(self, cold_bernoulli, tangent_oracle, monkeypatch):
+        # Overlapping passes and single-index calls, interleaved finely.
+        unlocked_pi = []
+        real_pi = exact._pi
+
+        def pi_under_lock(bits):
+            if not exact._BERNOULLI_LOCK.locked():
+                unlocked_pi.append(bits)
+            return real_pi(bits)
+
+        monkeypatch.setattr(exact, "_pi", pi_under_lock)
+        work = [lambda: prefetch_bernoulli(SCAN_INDICES[:200]),
+                lambda: prefetch_bernoulli(SCAN_INDICES[100:]),
+                lambda: prefetch_bernoulli(SCAN_INDICES[::2]),
+                lambda: [bernoulli(k) for k in SCAN_INDICES[::-25]]]
+        threads = [threading.Thread(target=job) for job in work]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert unlocked_pi == []
+        assert bernoulli_cached_indices() == [0, 1, 2] + SCAN_INDICES
+        assert all(exact._BERNOULLI_MEMO[k] == tangent_oracle[k] for k in SCAN_INDICES)
+
+    def test_skips_what_it_need_not_compute(self, cold_bernoulli, monkeypatch):
+        attempts = spy_rounding(monkeypatch)
+        prefetch_bernoulli([0, 1, 2, 3, 7, 12, 12])
+        prefetch_bernoulli([12])
+        prefetch_bernoulli([])
+        assert [k for k, _, _ in attempts] == [12]
+        assert bernoulli_cached_indices() == [0, 1, 2, 12]
+        assert bernoulli(12) == Fraction(-691, 2730)
+
+    def test_negative_index_rejected(self, cold_bernoulli):
+        with pytest.raises(ValueError, match="non-negative"):
+            prefetch_bernoulli([4, -2])
+        assert bernoulli_cached_indices() == [0, 1, 2]
 
 
 class TestDecimalText:
