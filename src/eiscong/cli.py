@@ -14,7 +14,7 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from itertools import product
-from typing import Callable, Iterator
+from typing import Callable, Iterator, Sequence
 
 from . import congruences as cong
 from .cache import default_cache_path, load_bernoulli_cache, save_bernoulli_cache
@@ -100,18 +100,19 @@ class Statement:
     the `congruences` module, never through a stored function object, so a
     tracer that rebinds module attributes sees every call. `grid` yields the
     task parameters for the parsed arguments, primes and exponents m, in
-    output order. `demand` is the largest Bernoulli index a task needs, and
-    `validate` a cheap check run on the whole grid before any task runs.
+    output order. `reads` lists every Bernoulli index a task reads (its
+    budget is charged the largest), and `validate` is a cheap check run on
+    the whole grid before any task runs.
     """
 
-    __slots__ = ("run", "grid", "demand", "validate", "required", "scan")
+    __slots__ = ("run", "grid", "reads", "validate", "required", "scan")
 
     def __init__(self, run: Callable[[dict], CongruenceReport],
                  grid: Callable[[argparse.Namespace, list[int], list[int]], Iterator[dict]],
-                 demand: Callable[[dict], int] = lambda task: 0,
+                 reads: Callable[[dict], Sequence[int]] = lambda task: (),
                  validate: Callable[[dict], None] = lambda task: None,
                  required: tuple[str, ...] = (), scan: bool = False) -> None:
-        self.run, self.grid, self.demand = run, grid, demand
+        self.run, self.grid, self.reads = run, grid, reads
         self.validate, self.required, self.scan = validate, required, scan
 
 
@@ -150,6 +151,20 @@ def _conjecture_grid(args, ps: list[int], ms: list[int]) -> Iterator[dict]:
             yield {"p": p, "m": m, "kstar": kstar, "alpha": alpha}
 
 
+def _inversion_reads(t: dict, kstar: int, e_powers: bool) -> list[int]:
+    """The Bernoulli indices of an inversion check at a = alpha: form(a(p-1)+k*)'s.
+
+    Below m, H(m, a, r) is nonzero only at r = a, which is that same form.
+    From m on it is nonzero at every r < m, so each form(r(p-1)+k*) is read
+    too, and B_{p-1} for the positive powers E_{p-1}^(a-r).
+    """
+    p, m, alpha = t["p"], t["m"], t["alpha"]
+    top = alpha * (p - 1) + kstar
+    if alpha < m:
+        return [top]
+    return [top, *range(kstar, m * (p - 1) + kstar, p - 1), *([p - 1] if e_powers else [])]
+
+
 def _run_identity(t: dict) -> CongruenceReport:
     value = cong.combin_identity_sum(t["m"], t["j"], t["s"], t["alpha"])
     params = {"m": t["m"], "j": t["j"], "s": t["s"], "alpha": t["alpha"]}
@@ -169,23 +184,23 @@ def _run_telescoping(t: dict) -> CongruenceReport:
 STATEMENTS = {
     "thm1.1": Statement(
         run=lambda t: cong.check_thm_gk(t["p"], t["m"], t["kstar"], t["alpha"], t["prec"]),
-        grid=_gk_grid, demand=lambda t: t["alpha"] * (t["p"] - 1) + t["kstar"],
+        grid=_gk_grid, reads=lambda t: _inversion_reads(t, t["kstar"], e_powers=True),
         validate=lambda t: cong._validate_gk_args(t["p"], t["m"], t["kstar"], t["alpha"])),
     "thm1.2": Statement(
         run=lambda t: cong.check_thm_ek(t["p"], t["m"], t["alpha"], t["prec"]),
-        grid=_ek_grid, demand=lambda t: t["alpha"] * (t["p"] - 1),
+        grid=_ek_grid, reads=lambda t: _inversion_reads(t, 0, e_powers=True),
         validate=lambda t: cong._validate_ek_args(t["p"], t["m"], t["alpha"])),
     "prop3.1": Statement(
         run=lambda t: cong.check_prop_gk_fixed(t["p"], t["m"], t["kstar"], t["alpha"], t["prec"]),
-        grid=_gk_grid, demand=lambda t: t["alpha"] * (t["p"] - 1) + t["kstar"],
+        grid=_gk_grid, reads=lambda t: _inversion_reads(t, t["kstar"], e_powers=False),
         validate=lambda t: cong._validate_gk_args(t["p"], t["m"], t["kstar"], t["alpha"])),
     "prop4.1": Statement(
         run=lambda t: cong.check_bernoulli_prop41(t["p"], t["m"], t["alpha"], t["d"]),
-        grid=_d_grid, demand=lambda t: t["alpha"] * (t["p"] - 1),
+        grid=_d_grid, reads=lambda t: _inversion_reads(t, 0, e_powers=False),
         validate=lambda t: cong._validate_prop41_args(t["p"], t["m"], t["alpha"], t["d"])),
     "prop4.2": Statement(
         run=lambda t: cong.check_prop_ek_fixed(t["p"], t["m"], t["alpha"], t["prec"]),
-        grid=_ek_grid, demand=lambda t: t["alpha"] * (t["p"] - 1),
+        grid=_ek_grid, reads=lambda t: _inversion_reads(t, 0, e_powers=False),
         validate=lambda t: cong._validate_ek_args(t["p"], t["m"], t["alpha"])),
     "eq3.1": Statement(
         run=lambda t: cong.check_dpower_congruence(t["p"], t["m"], t["alpha"], t["d"]),
@@ -196,27 +211,28 @@ STATEMENTS = {
         grid=lambda args, ps, ms: (
             {"p": p, "k": k, "kprime": k + alpha * (p - 1), "prec": args.prec}
             for p, k, alpha in product(ps, parse_range(args.k), _alphas(args))),
-        demand=lambda t: max(t["k"], t["kprime"]), required=("k",),
+        reads=lambda t: [t["k"], t["kprime"]], required=("k",),
         validate=lambda t: cong._validate_eq14_args(t["p"], t["k"], t["kprime"])),
     "eq1.6": Statement(
         run=lambda t: cong.check_eq16(t["p"], t["m"], t["k0"], t["prec"]),
         grid=lambda args, ps, ms: (
             {"p": p, "m": m, "k0": k0, "prec": args.prec}
             for p, m, k0 in product(ps, ms, parse_range(args.k0))),
-        demand=lambda t: t["p"] ** (t["m"] - 1) * (t["p"] - 1) + t["k0"], required=("k0",),
+        reads=lambda t: [t["k0"], t["p"] ** (t["m"] - 1) * (t["p"] - 1) + t["k0"]],
+        required=("k0",),
         validate=lambda t: cong._validate_eq16_args(t["p"], t["m"], t["k0"])),
     "kummer": Statement(
         run=lambda t: cong.check_kummer(t["p"], t["r"], t["k"], t["kprime"]),
         grid=lambda args, ps, ms: (
             {"p": p, "r": r, "k": k, "kprime": k + alpha * p ** (r - 1) * (p - 1)}
             for p, r, k, alpha in product(ps, ms, parse_range(args.k), _alphas(args))),
-        demand=lambda t: max(t["k"], t["kprime"]), required=("k",),
+        reads=lambda t: [t["k"], t["kprime"]], required=("k",),
         validate=lambda t: cong._validate_kummer_args(t["p"], t["r"], t["k"], t["kprime"])),
     "sun97": Statement(
         run=lambda t: cong.check_sun97_at(t["p"], t["n"]),
         grid=lambda args, ps, ms: (
             {"p": p, "n": n} for p, n in product(ps, range(1, args.n_max + 1))),
-        demand=lambda t: t["n"] * (t["p"] - 1)),
+        reads=lambda t: [j * (t["p"] - 1) for j in range(t["n"] + 1)]),
     "identity": Statement(
         run=_run_identity, grid=_box_grid,
         validate=lambda t: cong._validate_identity_box(t["m"], t["j"], t["s"], t["alpha"])),
@@ -231,13 +247,13 @@ STATEMENTS = {
             t["p"], t["m"], t["kstar"], t["alpha"], t["prec"], t["budget"]),
         grid=lambda args, ps, ms: (
             dict(point, prec=args.prec) for point in _conjecture_grid(args, ps, ms)),
-        demand=lambda t: t["alpha"] * (t["p"] - 1) + t["kstar"],
+        reads=lambda t: _inversion_reads(t, t["kstar"], e_powers=True),
         validate=lambda t: cong._validate_conjecture_args(t["p"], t["m"], t["kstar"], t["alpha"]),
         scan=True),
     "eq6.4": Statement(
         run=lambda t: cong.scan_conjecture_bernoulli(
             t["p"], t["m"], [t["alpha"]], t["kstar"], t["budget"])[0],
-        grid=_conjecture_grid, demand=lambda t: t["alpha"] * (t["p"] - 1) + t["kstar"],
+        grid=_conjecture_grid, reads=lambda t: _inversion_reads(t, t["kstar"], e_powers=False),
         validate=lambda t: cong._validate_conjecture_args(t["p"], t["m"], t["kstar"], t["alpha"]),
         scan=True),
 }
@@ -273,13 +289,13 @@ def _build_tasks(name: str, args) -> list[dict]:
     return tasks
 
 
-def _run_task(task: dict) -> dict:
+def _run_task(task: dict, charge: int) -> dict:
+    """The task's record; `charge`, its largest Bernoulli index, is checked against its budget."""
     statement = task["statement"]
-    entry = STATEMENTS[statement]
     started = time.monotonic()
     try:
-        cong._check_budget(entry.demand(task), task["budget"])
-        record = entry.run(task).to_json_dict()
+        cong._check_budget(charge, task["budget"])
+        record = STATEMENTS[statement].run(task).to_json_dict()
     except BudgetExceededError as err:
         params = {k: v for k, v in task.items() if k not in ("statement", "budget", "budget_seconds")}
         record = CongruenceReport(statement, params, "BudgetExceeded",
@@ -295,14 +311,23 @@ def _run_task(task: dict) -> dict:
 def _run_tasks(tasks: list[dict], jobs: int) -> list[dict]:
     for task in tasks:
         STATEMENTS[task["statement"]].validate(task)
-    # One ascending pass memoizes every demand within its task's budget,
-    # before any task runs and before the pool forks its workers.
-    prefetch_bernoulli(index for task in tasks
-                       if (index := STATEMENTS[task["statement"]].demand(task)) <= task["budget"])
+    # One ascending pass memoizes every index a task within its budget reads,
+    # before any task runs and before the pool forks its workers, so no worker
+    # computes a Bernoulli number that --cache would then miss.
+    charges, reads = [], set()
+    for task in tasks:
+        indices = STATEMENTS[task["statement"]].reads(task)
+        charge = max(indices) if indices else 0
+        charges.append(charge)
+        if indices and charge <= task["budget"]:
+            reads.update(indices)
+    # A negative weight is left to its task, which rejects it in its own words.
+    prefetch_bernoulli(sorted(k for k in reads if k >= 0))
     if jobs <= 1 or len(tasks) <= 1:
-        return [_run_task(task) for task in tasks]
+        return list(map(_run_task, tasks, charges))
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(_run_task, tasks, chunksize=max(1, len(tasks) // (4 * jobs) or 1)))
+        return list(pool.map(_run_task, tasks, charges,
+                             chunksize=max(1, len(tasks) // (4 * jobs) or 1)))
 
 
 # ---------------------------------------------------------------------------

@@ -5,14 +5,17 @@ Normalizations: E_k has constant term 1 and higher coefficients
 and higher coefficients sigma_{k-1}(n). E_0 is the constant series 1.
 
 Each generator takes its divisor sums sigma_{k-1}(1..N) from one sieve
-(`sigma_power_table`) and scales them by one reduced constant. `e_power` is
-the one source of E_{p-1}^n, a cache shared by theorem grids and filtrations.
+(`sigma_power_table`) and scales them by one reduced constant.
+`generator_power` is the one table of powers of E_k and Delta: theorem
+grids and filtrations read E_{p-1}^n from it (through `e_power`), and
+monomials and Delta are products of its entries.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import mul
 
 from .errors import NotPIntegralError
 from .exact import bernoulli, padic_valuation, sigma_power_table
@@ -20,11 +23,13 @@ from .residue import ResidueRing
 from .series import QSeries
 
 __all__ = [
+    "DELTA",
     "delta_series",
     "e_factor",
     "e_power",
     "e_series",
     "g_series",
+    "generator_power",
     "monomial_series",
 ]
 
@@ -78,28 +83,39 @@ def e_series(k: int, ring: ResidueRing, precision: int) -> QSeries:
     return QSeries(ring, (1, *[c_res * s % mod for s in sigmas[1:]]), precision)
 
 
-@lru_cache(maxsize=512)
-def e_power(ring: ResidueRing, precision: int, n: int) -> QSeries:
-    """E_{p-1}^n modulo p^m through q^precision, by halving.
+# The key of Delta in `generator_power`; an integer key k names E_k.
+DELTA = "delta"
 
-    Each call squares the cached power n//2, so consecutive exponents reuse
-    the halves already built and a new one costs one or two products.
+
+@lru_cache(maxsize=2048)
+def generator_power(form: int | str, ring: ResidueRing, precision: int, n: int) -> QSeries:
+    """E_k^n (form = k) or Delta^n (form = DELTA) modulo p^m through q^precision, by halving.
+
+    The one table of generator powers: E_{p-1}^n for theorem grids and
+    filtrations, and E_4^a, E_6^b and Delta^c for monomials. Each call squares
+    the cached power n//2, so the recursion is bits(n) deep, consecutive
+    exponents reuse the halves already built, and a new one costs one or two
+    products.
     """
     if n == 0:
         return QSeries.one(ring, precision)
+    base = delta_series(ring, precision) if form == DELTA else e_series(form, ring, precision)
     if n == 1:
-        return e_series(ring.p - 1, ring, precision)
-    half = e_power(ring, precision, n // 2)
+        return base
+    half = generator_power(form, ring, precision, n // 2)
     square = half * half
-    return square * e_series(ring.p - 1, ring, precision) if n % 2 else square
+    return square * base if n % 2 else square
+
+
+def e_power(ring: ResidueRing, precision: int, n: int) -> QSeries:
+    """E_{p-1}^n modulo p^m through q^precision, from `generator_power`."""
+    return generator_power(ring.p - 1, ring, precision, n)
 
 
 @lru_cache(maxsize=64)
 def delta_series(ring: ResidueRing, precision: int) -> QSeries:
     """The discriminant cusp form (E_4^3 - E_6^2)/1728 modulo p^m."""
-    e4 = e_series(4, ring, precision)
-    e6 = e_series(6, ring, precision)
-    diff = e4.pow(3) - e6.pow(2)
+    diff = generator_power(4, ring, precision, 3) - generator_power(6, ring, precision, 2)
     return diff.scale(ring.invert(1728))
 
 
@@ -119,14 +135,9 @@ def e_factor(ring: ResidueRing, precision: int) -> QSeries:
 
 @lru_cache(maxsize=4096)
 def monomial_series(a: int, b: int, c: int, ring: ResidueRing, precision: int) -> QSeries:
-    """E_4^a * E_6^b * Delta^c modulo p^m (weight 4a + 6b + 12c)."""
+    """E_4^a * E_6^b * Delta^c modulo p^m (weight 4a + 6b + 12c), from cached powers."""
     if a < 0 or b < 0 or c < 0:
         raise ValueError("exponents must be non-negative")
-    out = QSeries.one(ring, precision)
-    if a:
-        out = out * e_series(4, ring, precision).pow(a)
-    if b:
-        out = out * e_series(6, ring, precision).pow(b)
-    if c:
-        out = out * delta_series(ring, precision).pow(c)
-    return out
+    factors = [generator_power(form, ring, precision, n)
+               for form, n in ((4, a), (6, b), (DELTA, c)) if n]
+    return reduce(mul, factors) if factors else QSeries.one(ring, precision)

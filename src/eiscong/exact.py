@@ -9,6 +9,12 @@ into one memo: `bernoulli(k)` builds k!, each p**k and (2 pi)**k from
 scratch, and `prefetch_bernoulli` steps them from one index to the next in
 one ascending pass. Both round through `_rounded_numerator`, which proves
 the rounding from an error bound each path supplies.
+
+Both read pi from `_pi`: Chudnovsky's series summed by binary splitting,
+then one integer square root and one floored division. Its error budget (the
+series tail, the square root's floor and the final floor) stays under 1.05
+units at the precision computed, so a value cut from the memo is within 2
+units; `_pi` gives the terms.
 """
 
 from __future__ import annotations
@@ -92,36 +98,61 @@ def bernoulli_denominator(k: int) -> int:
     return out
 
 
-def _arctan_inverse(x: int, bits: int) -> int:
-    """atan(1/x) * 2**bits for an integer x >= 5, within 2.05 per series term plus 2.1."""
-    power = (1 << bits) // x
-    square = x * x
-    total = 0
-    n = 1
-    while power:
-        term = power // n
-        total += term if n % 4 == 1 else -term
-        power //= square
-        n += 2
-    return total
+# Chudnovsky's series: 426880 sqrt(10005) / pi = sum_k t_k with
+# t_k = (-1)**k (6k)! (A + B k) / ((3k)! k!**3 640320**(3k)).
+_CHUDNOVSKY_A, _CHUDNOVSKY_B = 13591409, 545140134
+_CHUDNOVSKY_Q = 640320**3 // 24
+
+
+def _chudnovsky(a: int, b: int) -> tuple[int, int, int]:
+    """(P, Q, T) of the terms a .. b-1, by binary splitting.
+
+    With p(j) = (6j-5)(2j-1)(6j-1) and q(j) = j**3 640320**3 / 24 (and
+    p(0) = q(0) = 1), t_j = (-1)**j (A + B j) P(0, j+1) / Q(0, j+1), where P and
+    Q are the products of p and q over a <= j < b. T is the sum over those j of
+    (-1)**j (A + B j) P(a, j+1) Q(j+1, b), so the first N terms sum to
+    T(0, N) / Q(0, N).
+    """
+    if b - a == 1:
+        if a == 0:
+            return 1, 1, _CHUDNOVSKY_A
+        p = (6 * a - 5) * (2 * a - 1) * (6 * a - 1)
+        t = p * (_CHUDNOVSKY_A + _CHUDNOVSKY_B * a)
+        return p, a * a * a * _CHUDNOVSKY_Q, -t if a % 2 else t
+    middle = (a + b) // 2
+    p1, q1, t1 = _chudnovsky(a, middle)
+    p2, q2, t2 = _chudnovsky(middle, b)
+    return p1 * p2, q1 * q2, t1 * q2 + p1 * t2
 
 
 def _pi(bits: int) -> int:
-    """pi * 2**bits within 3, from Machin's formula; callers hold _BERNOULLI_LOCK.
+    """pi * 2**bits within 2, from Chudnovsky's series; callers hold _BERNOULLI_LOCK.
 
     A request past the memoized precision recomputes pi at no less than twice
     that precision, so a rising sequence of requests recomputes it only
-    logarithmically often.
+    logarithmically often. At q bits the value is
+    floor(426880 isqrt(10005 * 4**q) Q / T), where T / Q = S_N is the sum of the
+    first N = q // 47 + 2 terms of the series S = 426880 sqrt(10005) / pi > 2**23.
+    Its error, in units of 2**-q:
+
+    - the tail: (6k)! / ((3k)! k!**3) <= 2**(6k) 3**(3k) = 1728**k and
+      640320**3 / 1728 > 2**47, so |t_k| < (A + B k) 2**(-47k) < 2**30 k 2**(-47k),
+      and the terms past N, each under 2**-46 of the one before, sum to under
+      2**31 N 2**(-47N). Relative to S_N > 2**23 that moves pi 2**q < 4 * 2**q by
+      under N 2**(q + 10 - 47N) <= N 2**-38, since 47N >= q + 48;
+    - the isqrt floor: under 1 in sqrt(10005) 2**q, so under 426880 / S_N < 0.04;
+    - the final floor: under 1.
+
+    That is under 1.05 at q bits, so no guard bits are needed. Cutting the
+    memo down to fewer bits at least halves that error and adds one floor,
+    so every value returned is within 2.
     """
     global _PI
     have, value = _PI
     if have < bits:
         have = max(bits, 2 * have, 64)
-        # pi = 16 atan(1/5) - 4 atan(1/239) is off by under 8q + 100 units at q
-        # bits; `extra` low bits absorb that, leaving |value - pi 2**have| < 2.
-        extra = have.bit_length() + 6
-        q = have + extra
-        value = (16 * _arctan_inverse(5, q) - 4 * _arctan_inverse(239, q)) >> extra
+        _, q, t = _chudnovsky(0, have // 47 + 2)
+        value = 426880 * math.isqrt(10005 << 2 * have) * q // t
         _PI = (have, value)
     return value >> (have - bits)
 
@@ -212,8 +243,10 @@ def bernoulli(k: int) -> Fraction:
     bits. With u = 2**-w, the relative errors are:
 
     - (2 pi)**k, within `units` u. From scratch, pi goes to
-      s = w + bits(k) + 1 bits within 3 units (below u once raised to the
-      k-th power) and truncated powering makes at most 2 bits(k) cuts to
+      s = w + bits(k) + 1 bits within 2 units (`_pi` proves that bound for
+      Chudnovsky's series: the tail past its q // 47 + 2 terms, the isqrt
+      floor and the final floor), below u once raised to the k-th power,
+      and truncated powering makes at most 2 bits(k) cuts to
       w + 1 bits, so units = 2 bits(k) + 1. `prefetch_bernoulli` steps it
       instead; its docstring counts those cuts;
     - the Euler product for 1/zeta(k) over the n primes up to its cutoff:

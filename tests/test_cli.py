@@ -757,11 +757,15 @@ print(status, len(products))
 
 @pytest.mark.parametrize("argv,most", [
     ("verify thm1 --p 5,7,11,13 --m 1..4 --alpha 0..30 --prec 60", 1848),
-    ("reproduce paper-17-6", 223),
-], ids=["thm1-grid", "paper-17-6"])
+    ("reproduce paper-7-8", 100),
+    ("reproduce paper-17-6", 93),
+    ("filtration --form G --k 2402 --p 13 --m 6", 85),
+], ids=["thm1-grid", "paper-7-8", "paper-17-6", "filtration-2402"])
 def test_series_products_per_run(argv, most):
-    # Every E_{p-1}^n comes from one halving table that a grid shares. A power
-    # stepped by one product per term, or a second power path, costs more.
+    # Every power of E_4, E_6, Delta and E_{p-1} comes from one halving table
+    # that a grid and a filtration's bases share, and a monomial is at most two
+    # products of its entries. A power stepped by one product per term, a
+    # monomial raised from scratch, or a second power path costs more.
     proc = run_python("-c", COUNT_PRODUCTS, *argv.split(), "--jobs", "1")
     status, products = map(int, proc.stdout.split())
     assert status == 0 and products <= most, (proc.stdout, proc.stderr)
@@ -813,6 +817,24 @@ class TestPrefetch:
         assert runs["pass"] == runs["per-task"]
         status, out, memo, _ = runs["pass"]
         assert status == 0 and out and len(memo) > 10
+
+    @pytest.mark.parametrize("argv", [
+        "verify kummer --p 7 --m 1..2 --k 4,8,10 --alpha 1..3",
+        "verify thm1 --p 5,7 --m 2..3 --alpha 5..9 --prec 20",
+        "scan eq6.1 --p 5 --m 2 --alpha 4..9 --prec 15",
+    ], ids=["kummer", "thm1", "eq6.1"])
+    def test_cache_bytes_do_not_depend_on_jobs(self, tmp_path, argv):
+        # Each task also reads Bernoulli numbers below its largest index (B_k
+        # of kummer, each H-weighted term's and B_{p-1} of an inversion). The
+        # pass memoizes them all before the pool forks, so no worker computes
+        # one that the cache then misses.
+        runs = {}
+        for jobs in ("1", "2"):
+            cache = tmp_path / f"jobs-{jobs}.cache"
+            proc = run_module(*argv.split(), "--jobs", jobs, "--cache", str(cache))
+            runs[jobs] = (proc.returncode, proc.stdout, cache.read_bytes())
+        assert runs["2"] == runs["1"]
+        assert runs["1"][0] == 0 and len(runs["1"][2].splitlines()) > 10
 
     def test_over_budget_task_is_not_prefetched(self, capsys, cold_bernoulli, prefetched):
         status, out, _ = run_cli(capsys, "scan", "eq6.4", "--p", "7", "--m", "4", "--kstar", "6",

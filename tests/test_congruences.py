@@ -479,7 +479,7 @@ class TestGeneratorsReadAtCallTime:
             return original(k, ring, precision)
 
         monkeypatch.setattr(eisenstein, "e_series", counted)
-        eisenstein.e_power.cache_clear()
+        eisenstein.generator_power.cache_clear()
         assert check_thm_gk(5, 2, 6, 3, 10).passed
         assert 4 in seen
 

@@ -1,3 +1,5 @@
+import inspect
+import sys
 from fractions import Fraction
 
 import pytest
@@ -6,14 +8,16 @@ from eiscong.congruences import check_thm_gk
 from eiscong.errors import NotPIntegralError
 from eiscong.exact import bernoulli
 from eiscong.eisenstein import (
+    DELTA,
     delta_series,
     e_factor,
     e_power,
     e_series,
     g_series,
+    generator_power,
     monomial_series,
 )
-from eiscong.filtration import factor_filtration_bound, sharpness_probe, sturm_bound
+from eiscong.filtration import basis, factor_filtration_bound, sharpness_probe, sturm_bound
 from eiscong.residue import ResidueRing
 from eiscong.series import QSeries, series_equal_mod
 
@@ -161,7 +165,7 @@ class TestEPower:
         shuffled = list(range(65))
         rng.shuffle(shuffled)
         for order in (range(65), range(64, -1, -1), shuffled):
-            e_power.cache_clear()
+            generator_power.cache_clear()
             for n in order:
                 for ring, precision in cases:
                     assert e_power(ring, precision, n) == expected[ring, precision][n], (
@@ -171,7 +175,7 @@ class TestEPower:
     def test_inverse_powers_near_p_to_the_m_minus_one(self, p, m):
         # The filtration search asks for E_{p-1}^(-n) as the power p^(m-1) - n.
         ring, order = ResidueRing(p, m), p ** (m - 1)
-        e_power.cache_clear()
+        generator_power.cache_clear()
         for precision in (9, 30):
             e = e_series(p - 1, ring, precision)
             for n in range(order - 6, order + 2):
@@ -187,7 +191,7 @@ class TestEPower:
             return (factor_filtration_bound(f, k),
                     [sharpness_probe(f, k, w) for w in range(k % (p - 1), k + 1, p - 1)])
 
-        e_power.cache_clear()
+        generator_power.cache_clear()
         cold = reports()
         # Fill the table at a lower precision too: a key without the precision
         # would then hand the search a power too short for it.
@@ -195,6 +199,55 @@ class TestEPower:
             for alpha in range(p ** (m - 1) + 2):
                 assert check_thm_gk(p, m, kstar, alpha, precision).passed
         assert reports() == cold
+
+
+class TestGeneratorPower:
+    """Every power in the one table against binary powering, `QSeries.pow`."""
+
+    def test_matches_binary_powering_in_any_request_order(self, rng):
+        # Two rings that share p and two precisions, as for E_{p-1} above. At
+        # p = 11, E_{p-1} = E_10 is a fourth generator next to E_4, E_6 and Delta.
+        cases = [(ResidueRing(11, m), precision) for m in (1, 3) for precision in (9, 21)]
+        forms = (4, 6, DELTA, "e_power")
+
+        def request(form, ring, precision, n):
+            if form == "e_power":
+                return e_power(ring, precision, n)
+            return generator_power(form, ring, precision, n)
+
+        def base(form, ring, precision):
+            if form == DELTA:
+                return delta_series(ring, precision)
+            return e_series(ring.p - 1 if form == "e_power" else form, ring, precision)
+
+        exponents = list(range(41))
+        expected = {(form, *case): [base(form, *case).pow(n) for n in exponents]
+                    for form in forms for case in cases}
+        shuffled = [(form, case, n) for form in forms for case in cases for n in exponents]
+        rng.shuffle(shuffled)
+        ascending = [(form, case, n) for n in exponents for form in forms for case in cases]
+        for order in (ascending, ascending[::-1], shuffled):
+            generator_power.cache_clear()
+            delta_series.cache_clear()
+            for form, case, n in order:
+                assert request(form, *case, n) == expected[form, *case][n], (form, case, n)
+
+    def test_weight_3000_basis_builds_with_shallow_recursion(self):
+        # The halving recursion is bits(n) deep; stepping each power from the
+        # one before would nest once per exponent (E_4^750 at weight 3000).
+        ring, precision = ResidueRing(5, 2), 16
+        generator_power.cache_clear()
+        monomial_series.cache_clear()
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(inspect.stack()) + 60)
+        try:
+            bm = basis(3000, ring, precision)
+        finally:
+            sys.setrecursionlimit(limit)
+        e4, e6 = e_series(4, ring, precision), e_series(6, ring, precision)
+        delta = (e4.pow(3) - e6.pow(2)).scale(ring.invert(1728))
+        assert len(bm.monomials) == 251 and bm.monomials[0] == (750, 0, 0)
+        assert bm.columns == tuple(e4.pow(a) * e6.pow(b) * delta.pow(c) for a, b, c in bm.monomials)
 
 
 class TestMonomials:

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from eiscong import exact
-from eiscong.cli import STATEMENTS, _build_tasks, build_parser
+from eiscong.cli import STATEMENTS, _build_tasks, build_parser, main
 from eiscong.exact import (
     bernoulli,
     bernoulli_cached_indices,
@@ -23,7 +23,7 @@ from eiscong.exact import (
     sigma_power_table,
 )
 
-from conftest import bernoulli_by_recurrence, bernoulli_by_tangent, sigma_power
+from conftest import bernoulli_by_recurrence, bernoulli_by_tangent, pi_by_machin, sigma_power
 
 # Every even index the differential tests request: all of 2..600, and the
 # large weights of the paper's examples and the benchmark.
@@ -34,10 +34,11 @@ SCAN_INDICES = [6 * alpha + 6 for alpha in range(301)]
 
 
 def thm1_grid_indices():
-    """The Bernoulli demands of `verify thm1 --p 5,7,11,13 --m 1..4 --alpha 0..30`."""
+    """The largest Bernoulli index of each task of
+    `verify thm1 --p 5,7,11,13 --m 1..4 --alpha 0..30`."""
     args = build_parser().parse_args(
         ["verify", "thm1", "--p", "5,7,11,13", "--m", "1..4", "--alpha", "0..30"])
-    return sorted({STATEMENTS["thm1.1"].demand(task) for task in _build_tasks("thm1", args)})
+    return sorted({max(STATEMENTS["thm1.1"].reads(task)) for task in _build_tasks("thm1", args)})
 
 
 @pytest.fixture(scope="module")
@@ -54,6 +55,87 @@ def interleaved(indices):
     for i, k in enumerate(large):
         out += small[i * step:(i + 1) * step] + [k]
     return out + small[len(large) * step:]
+
+
+# The largest precision the pi tests ask for, plus the 32 bits they compare at.
+PI_ORACLE_BITS = 40_000 + 32
+
+# Sizes around 2**j and on both sides of a multiple of 47, where the number of
+# series terms steps, from 64 to 40,000 bits.
+PI_SIZES = sorted({b for j in range(6, 16) for b in (2**j - 1, 2**j, 2**j + 1)}
+                  | {47 * n + d for n in (2, 21, 100, 361, 850) for d in (-2, -1, 0, 1)}
+                  | {64, 1000, 17_000, 30_000, 40_000})
+
+# The argvs of the filtration-cold and bernoulli-scan benchmark workloads; the
+# scan runs after a cache of alpha <= 100 is saved, as in the benchmark.
+BENCHMARK_ARGVS = [
+    ["reproduce", "paper-7-8"],
+    ["reproduce", "paper-17-6"],
+    ["filtration", "--form", "G", "--k", "2402", "--p", "13", "--m", "6"],
+    ["scan", "eq6.4", "--p", "7", "--m", "4", "--kstar", "6", "--alpha", "0..100"],
+    ["scan", "eq6.4", "--p", "7", "--m", "4", "--kstar", "6", "--alpha", "0..300"],
+]
+
+
+@pytest.fixture(scope="module")
+def machin_pi():
+    """pi * 2**(b + 32) within 2 for every b up to 40,000, cut from one Machin value."""
+    oracle = pi_by_machin(PI_ORACLE_BITS)
+    return lambda bits: oracle >> (PI_ORACLE_BITS - bits - 32)
+
+
+def assert_pi_within_two(value, bits, machin_pi):
+    # |value - pi 2**bits| < 2 follows when value 2**32 is within 2**33 - 2
+    # of the oracle, which is itself within 2 of pi 2**(bits + 32).
+    assert abs((value << 32) - machin_pi(bits)) + 2 <= 2 << 32, bits
+
+
+class TestPi:
+    """Chudnovsky by binary splitting against Machin's formula, 32 bits further out."""
+
+    def test_each_size_from_a_cold_memo(self, monkeypatch, machin_pi):
+        for bits in PI_SIZES:
+            monkeypatch.setattr(exact, "_PI", (0, 0))
+            assert_pi_within_two(exact._pi(bits), bits, machin_pi)
+            assert exact._PI[0] == max(bits, 64)
+
+    def test_rising_and_falling_requests(self, monkeypatch, machin_pi):
+        # A request past the memo recomputes at no less than twice its size; a
+        # request within it is cut from the memo without recomputing.
+        monkeypatch.setattr(exact, "_PI", (0, 0))
+        have = 0
+        for bits in (100, 101, 150, 129, 1000, 64, 2049, 2047, 4100, 7, 9000, 40_000, 3, 39_999):
+            before = exact._PI
+            assert_pi_within_two(exact._pi(bits), bits, machin_pi)
+            if bits <= have:
+                assert exact._PI is before, bits
+            else:
+                have = max(bits, 2 * have, 64)
+                assert exact._PI[0] == have, bits
+
+    def test_every_size_the_benchmark_requests(self, capsys, monkeypatch, tmp_path, machin_pi):
+        monkeypatch.delenv("EISCONG_BERNOULLI_CACHE", raising=False)
+        requested = set()
+        real_pi = exact._pi
+
+        def spy(bits):
+            requested.add(bits)
+            return real_pi(bits)
+
+        monkeypatch.setattr(exact, "_pi", spy)
+        cache = tmp_path / "bernoulli.cache"
+        for argv in BENCHMARK_ARGVS:
+            # Each benchmark operation starts in a fresh interpreter.
+            monkeypatch.setattr(exact, "_BERNOULLI_MEMO",
+                                {k: exact._BERNOULLI_MEMO[k] for k in (0, 1, 2)})
+            monkeypatch.setattr(exact, "_PI", (0, 0))
+            extra = ["--cache", str(cache)] if argv[0] == "scan" else []
+            assert main(argv + extra + ["--jobs", "1"]) == 0, argv
+        capsys.readouterr()
+        assert len(requested) > 5 and max(requested) > 17_000
+        for bits in sorted(requested):
+            monkeypatch.setattr(exact, "_PI", (0, 0))
+            assert_pi_within_two(real_pi(bits), bits, machin_pi)
 
 
 class TestBernoulli:
