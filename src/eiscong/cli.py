@@ -1,8 +1,9 @@
 """Command-line entry points: bernoulli | series | verify | filtration | reproduce | scan.
 
-JSON-lines is the canonical machine format for grid runs; records appear in
-input order regardless of worker count, and the exit status is 0 exactly
-when every emitted record passes.
+JSON-lines is the canonical machine format for grid runs; records are
+written in input order regardless of worker count, in chunks as their tasks
+finish, and the exit status is 0 exactly when every emitted record passes.
+Every input error is raised before the first record is written.
 """
 
 from __future__ import annotations
@@ -13,8 +14,10 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from functools import lru_cache, partial
 from itertools import product
-from typing import Callable, Iterator, Sequence
+from operator import itemgetter
+from typing import Callable, Iterable, Iterator, Sequence
 
 from . import congruences as cong
 from .cache import default_cache_path, load_bernoulli_cache, save_bernoulli_cache
@@ -63,30 +66,112 @@ def _flatten_params(params: dict) -> str:
     return ";".join(f"{key}={value}" for key, value in sorted(params.items()))
 
 
-def _emit(records: list[dict], fmt: str, out) -> None:
+# Each format's text before the first record, between records and after the
+# last. A json array of records is "[\n", each record's indent=2 dump with
+# every line indented two spaces, joined by ",\n", then "\n]": the bytes of
+# one indent=2 dump of the whole list.
+_FRAMES = {
+    "jsonl": ("", "", ""),
+    "json": ("[\n", ",\n", "\n]\n"),
+    "csv": ("statement-id,verdict,certification,params,failure-detail\n", "", ""),
+    "human": ("", "", ""),
+}
+
+
+def _dict_text(record: dict, fmt: str) -> str:
+    """One record's text in `fmt`, without the frame around it."""
     if fmt == "jsonl":
-        for record in records:
-            out.write(json.dumps(record, sort_keys=True) + "\n")
-    elif fmt == "json":
-        out.write(json.dumps(records, indent=2, sort_keys=True) + "\n")
-    elif fmt == "csv":
-        out.write("statement-id,verdict,certification,params,failure-detail\n")
-        for record in records:
-            detail = json.dumps(record.get("failure-detail")) if record.get("failure-detail") else ""
-            out.write(",".join([
-                str(record.get("statement-id", "")),
-                str(record.get("verdict", "")),
-                str(record.get("certification", "")),
-                '"' + _flatten_params(record.get("params", {})) + '"',
-                '"' + detail.replace('"', "'") + '"',
-            ]) + "\n")
-    else:  # human
-        for record in records:
-            params = _flatten_params(record.get("params", {}))
-            line = f"{record.get('statement-id', '?'):>10}  {params:<48} {record.get('verdict')}"
-            if record.get("failure-detail"):
-                line += f"  {record['failure-detail']}"
-            out.write(line + "\n")
+        return json.dumps(record, sort_keys=True) + "\n"
+    if fmt == "json":
+        return "  " + json.dumps(record, indent=2, sort_keys=True).replace("\n", "\n  ")
+    if fmt == "csv":
+        detail = json.dumps(record.get("failure-detail")) if record.get("failure-detail") else ""
+        return ",".join([
+            str(record.get("statement-id", "")),
+            str(record.get("verdict", "")),
+            str(record.get("certification", "")),
+            '"' + _flatten_params(record.get("params", {})) + '"',
+            '"' + detail.replace('"', "'") + '"',
+        ]) + "\n"
+    params = _flatten_params(record.get("params", {}))  # human
+    line = f"{record.get('statement-id', '?'):>10}  {params:<48} {record.get('verdict')}"
+    if record.get("failure-detail"):
+        line += f"  {record['failure-detail']}"
+    return line + "\n"
+
+
+# A param value's place in a template. json.dumps writes it as "\u0000"; a
+# shape whose other text holds that too gets no template.
+_MARK = "\x00"
+_MARKED = json.dumps(_MARK)
+_INT_ONLY = {int}
+
+
+@lru_cache(maxsize=256)
+def _template(statement_id: str, certification: str, verdict: str, keys: tuple[str, ...],
+              fmt: str) -> tuple[str, itemgetter] | None:
+    """A record's text in `fmt`, without failure detail, with %d at each of its
+    (one or more) param values, and a getter of the values in that order (a
+    bare value for one key, which % takes too); None when a mark is ambiguous."""
+    keys = tuple(sorted(keys))  # json.dumps sorts the keys; the getter must too
+    skeleton = CongruenceReport(statement_id, dict.fromkeys(keys, _MARK), verdict, None,
+                                certification)
+    text = _dict_text(skeleton.to_json_dict(), fmt).replace("%", "%%")
+    if text.count(_MARKED) != len(keys):
+        return None
+    return text.replace(_MARKED, "%d"), itemgetter(*keys)
+
+
+def _record_text(report: CongruenceReport, warning: dict | None, fmt: str) -> str:
+    """The report's record (with its budget warning, if any) as `_dict_text` writes it.
+
+    A json or jsonl record with no failure detail and no warning whose param
+    values are all exactly int (a bool is not) fills a template cached on its
+    shape; its bytes are those of json.dumps, since str(n) is json's n.
+    """
+    params = report.params
+    if (warning is None and report.failure_detail is None and fmt in ("jsonl", "json")
+            and set(map(type, params.values())) == _INT_ONLY):
+        template = _template(report.statement_id, report.certification, report.verdict,
+                             tuple(params), fmt)
+        if template is not None:
+            return template[0] % template[1](params)
+    record = report.to_json_dict()
+    if warning is not None:
+        record["budget-warning"] = warning
+    return _dict_text(record, fmt)
+
+
+# Records reach the output in chunks. A chunk is written when it holds this
+# many records, or when a task finishes this many seconds or more after the
+# last write.
+_CHUNK_RECORDS = 256
+_CHUNK_SECONDS = 0.1
+
+
+def _emit(results: Iterable[tuple[bool, str]], fmt: str, out, summary: bool = False) -> bool:
+    """Write each (passed, text) record in order, framed for `fmt`, as it comes.
+
+    With `summary`, a {"summary": {"pass", "total"}} record goes last. True
+    when every record passed.
+    """
+    head, sep, tail = _FRAMES[fmt]
+    chunk, lead, passed, total = [head], "", 0, 0
+    written = time.monotonic()
+    for ok, text in results:
+        chunk.append(lead + text)
+        lead = sep
+        passed += ok
+        total += 1
+        if len(chunk) >= _CHUNK_RECORDS or time.monotonic() - written >= _CHUNK_SECONDS:
+            out.write("".join(chunk))
+            out.flush()
+            chunk, written = [], time.monotonic()
+    if summary:
+        chunk.append(lead + _dict_text({"summary": {"pass": passed, "total": total}}, fmt))
+    chunk.append(tail)
+    out.write("".join(chunk))
+    return passed == total
 
 
 # ---------------------------------------------------------------------------
@@ -96,13 +181,14 @@ def _emit(records: list[dict], fmt: str, out) -> None:
 class Statement:
     """One statement of `verify` or `scan`.
 
-    `run` maps a task to its report. It calls the check as an attribute of
-    the `congruences` module, never through a stored function object, so a
-    tracer that rebinds module attributes sees every call. `grid` yields the
-    task parameters for the parsed arguments, primes and exponents m, in
-    output order. `reads` lists every Bernoulli index a task reads (its
-    budget is charged the largest), and `validate` is a cheap check run on
-    the whole grid before any task runs.
+    `run` maps a grid point to its report. It calls the check as an
+    attribute of the `congruences` module, never through a stored function
+    object, so a tracer that rebinds module attributes sees every call.
+    `grid` yields the points for the parsed arguments, primes and exponents
+    m, in output order. `reads` lists every Bernoulli index a point reads
+    (its budget is charged the largest). `validate` is a cheap check run on
+    the whole grid before any task runs; it rejects every point that `run`
+    would reject, so every index `reads` lists is then non-negative.
     """
 
     __slots__ = ("run", "grid", "reads", "validate", "required", "scan")
@@ -204,7 +290,8 @@ STATEMENTS = {
         validate=lambda t: cong._validate_ek_args(t["p"], t["m"], t["alpha"])),
     "eq3.1": Statement(
         run=lambda t: cong.check_dpower_congruence(t["p"], t["m"], t["alpha"], t["d"]),
-        grid=_d_grid),
+        grid=_d_grid,
+        validate=lambda t: cong._validate_dpower_args(t["p"], t["m"], t["alpha"], t["d"])),
     # --m is not a parameter of eq1.4 or sun97, so their grids do not loop over it.
     "eq1.4": Statement(
         run=lambda t: cong.check_eq14(t["p"], t["k"], t["kprime"], t["prec"]),
@@ -244,7 +331,7 @@ STATEMENTS = {
         validate=lambda t: cong._validate_identity_box(t["m"], t["j"], t["s"], t["alpha"])),
     "eq6.1": Statement(
         run=lambda t: cong.scan_conjecture_ek_series(
-            t["p"], t["m"], t["kstar"], t["alpha"], t["prec"], t["budget"]),
+            t["p"], t["m"], t["kstar"], t["alpha"], t["prec"], budget=None),
         grid=lambda args, ps, ms: (
             dict(point, prec=args.prec) for point in _conjecture_grid(args, ps, ms)),
         reads=lambda t: _inversion_reads(t, t["kstar"], e_powers=True),
@@ -252,7 +339,7 @@ STATEMENTS = {
         scan=True),
     "eq6.4": Statement(
         run=lambda t: cong.scan_conjecture_bernoulli(
-            t["p"], t["m"], [t["alpha"]], t["kstar"], t["budget"])[0],
+            t["p"], t["m"], [t["alpha"]], t["kstar"], budget=None)[0],
         grid=_conjecture_grid, reads=lambda t: _inversion_reads(t, t["kstar"], e_powers=False),
         validate=lambda t: cong._validate_conjecture_args(t["p"], t["m"], t["kstar"], t["alpha"]),
         scan=True),
@@ -271,7 +358,7 @@ def _statement_choices(scan: bool) -> list[str]:
 
 
 def _build_tasks(name: str, args) -> list[dict]:
-    """The statement's grid for the parsed arguments, as tasks in output order."""
+    """The statement's grid for the parsed arguments: its points in output order."""
     name = STATEMENT_ALIASES.get(name, name)
     entry = STATEMENTS[name]
     for flag in entry.required:
@@ -282,52 +369,69 @@ def _build_tasks(name: str, args) -> list[dict]:
         if p < 5 or not is_prime(p):
             raise EiscongError(f"p must be a prime >= 5, got {p}")
     ms = parse_range(args.m) if args.m else [1]
-    base = {"budget": args.budget_bernoulli, "budget_seconds": args.budget_seconds}
-    tasks = [dict(base, statement=name, **point) for point in entry.grid(args, ps, ms)]
-    if not tasks:
+    points = list(entry.grid(args, ps, ms))
+    if not points:
         raise EiscongError(f"the {name} grid is empty for these ranges")
-    return tasks
+    if "prec" in points[0] and args.prec < 0:
+        raise EiscongError(f"precision must be non-negative, got {args.prec}")
+    return points
 
 
-def _run_task(task: dict, charge: int) -> dict:
-    """The task's record; `charge`, its largest Bernoulli index, is checked against its budget."""
-    statement = task["statement"]
+def _run_task(statement: str, budget: int, seconds: float | None, fmt: str,
+              point: dict, charge: int) -> tuple[bool, str]:
+    """Whether the point passed, and its record's text in `fmt`.
+
+    `charge`, the point's largest Bernoulli index, is checked against `budget`;
+    a record slower than `seconds` carries a budget warning.
+    """
     started = time.monotonic()
     try:
-        cong._check_budget(charge, task["budget"])
-        record = STATEMENTS[statement].run(task).to_json_dict()
+        cong._check_budget(charge, budget)
+        report = STATEMENTS[statement].run(point)
     except BudgetExceededError as err:
-        params = {k: v for k, v in task.items() if k not in ("statement", "budget", "budget_seconds")}
-        record = CongruenceReport(statement, params, "BudgetExceeded",
-                                  {"message": str(err)}).to_json_dict()
-    limit = task["budget_seconds"]
-    if limit is not None:
+        report = CongruenceReport(statement, dict(point), "BudgetExceeded", {"message": str(err)})
+    warning = None
+    if seconds is not None:
         elapsed = time.monotonic() - started
-        if elapsed > limit:
-            record["budget-warning"] = {"elapsed-seconds": round(elapsed, 3), "limit": limit}
-    return record
+        if elapsed > seconds:
+            warning = {"elapsed-seconds": round(elapsed, 3), "limit": seconds}
+    return report.passed, _record_text(report, warning, fmt)
 
 
-def _run_tasks(tasks: list[dict], jobs: int) -> list[dict]:
-    for task in tasks:
-        STATEMENTS[task["statement"]].validate(task)
+def _run_tasks(name: str, args) -> Iterator[tuple[bool, str]]:
+    """Each grid point's (passed, text), in input order, as each task finishes.
+
+    Every point is validated and every Bernoulli number prefetched before
+    this returns, so an input error is raised before any record exists.
+    """
+    statement = STATEMENT_ALIASES.get(name, name)
+    entry = STATEMENTS[statement]
+    points = _build_tasks(name, args)
+    for point in points:
+        entry.validate(point)
     # One ascending pass memoizes every index a task within its budget reads,
     # before any task runs and before the pool forks its workers, so no worker
     # computes a Bernoulli number that --cache would then miss.
     charges, reads = [], set()
-    for task in tasks:
-        indices = STATEMENTS[task["statement"]].reads(task)
+    for point in points:
+        indices = entry.reads(point)
         charge = max(indices) if indices else 0
         charges.append(charge)
-        if indices and charge <= task["budget"]:
+        if indices and charge <= args.budget_bernoulli:
             reads.update(indices)
-    # A negative weight is left to its task, which rejects it in its own words.
-    prefetch_bernoulli(sorted(k for k in reads if k >= 0))
-    if jobs <= 1 or len(tasks) <= 1:
-        return list(map(_run_task, tasks, charges))
+    prefetch_bernoulli(sorted(reads))
+    run = partial(_run_task, statement, args.budget_bernoulli, args.budget_seconds, args.format)
+    if args.jobs <= 1 or len(points) <= 1:
+        return map(run, points, charges)
+    return _pooled(run, points, charges, args.jobs)
+
+
+def _pooled(run: partial, points: list[dict], charges: list[int],
+            jobs: int) -> Iterator[tuple[bool, str]]:
+    # The executor's map yields the results in input order as chunks finish.
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(_run_task, tasks, charges,
-                             chunksize=max(1, len(tasks) // (4 * jobs) or 1)))
+        yield from pool.map(run, points, charges,
+                            chunksize=max(1, len(points) // (4 * jobs) or 1))
 
 
 # ---------------------------------------------------------------------------
@@ -359,7 +463,7 @@ def _cmd_bernoulli(args, out) -> int:
             extras = "".join(f"  nu_{p}={record[f'nu_{p}']}" for p in primes)
             out.write(f"{record['k']} {record['value']}{extras}\n")
     else:
-        _emit(records, args.format, out)
+        _emit(((True, _dict_text(record, args.format)) for record in records), args.format, out)
     return 0
 
 
@@ -380,17 +484,11 @@ def _cmd_series(args, out) -> int:
 
 
 def _cmd_verify(args, out) -> int:
-    records = _run_tasks(_build_tasks(args.statement, args), args.jobs)
-    _emit(records, args.format, out)
-    return 0 if all(r.get("verdict") == "Pass" for r in records) else 1
+    return 0 if _emit(_run_tasks(args.statement, args), args.format, out) else 1
 
 
 def _cmd_scan(args, out) -> int:
-    records = _run_tasks(_build_tasks(args.conjecture, args), args.jobs)
-    passed = sum(1 for r in records if r.get("verdict") == "Pass")
-    records.append({"summary": {"pass": passed, "total": len(records)}})
-    _emit(records, args.format, out)
-    return 0 if passed == len(records) - 1 else 1
+    return 0 if _emit(_run_tasks(args.conjecture, args), args.format, out, summary=True) else 1
 
 
 def _cmd_filtration(args, out) -> int:

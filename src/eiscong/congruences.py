@@ -237,20 +237,26 @@ def check_bernoulli_prop41(p: int, m: int, alpha: int, d: int) -> CongruenceRepo
     return _valuation_report("Prop4.1", params, difference, p, m)
 
 
-def check_dpower_congruence(p: int, m: int, alpha: int, d: int) -> CongruenceReport:
-    """d^{a(p-1)} against the H-weighted sum of d^{r(p-1)}, modulo p^m."""
+def _validate_dpower_args(p: int, m: int, alpha: int, d: int) -> None:
     if m < 1:
         raise ParameterOutOfRangeError("m must be at least 1")
     if alpha < 0:
         raise ParameterOutOfRangeError("alpha must be non-negative")
     if d % p == 0:
         raise DNotCoprimeError(f"d = {d} must be coprime to p = {p}")
+
+
+def check_dpower_congruence(p: int, m: int, alpha: int, d: int) -> CongruenceReport:
+    """d^{a(p-1)} against the H-weighted sum of d^{r(p-1)}, modulo p^m."""
+    _validate_dpower_args(p, m, alpha, d)
     params = {"p": p, "m": m, "alpha": alpha, "d": d}
     return _valuation_report("Eq3.1", params, _inversion_defect(dpower_function(d, p), m, alpha),
                              p, m)
 
 
 def _validate_eq14_args(p: int, k: int, kprime: int) -> None:
+    if min(k, kprime) < 1:
+        raise ParameterOutOfRangeError(f"weights must be positive, got k={k}, k'={kprime}")
     if k % (p - 1) != kprime % (p - 1) or k % (p - 1) == 0:
         raise ParameterOutOfRangeError(
             "weights must be congruent and nonzero modulo p-1"
@@ -273,6 +279,8 @@ def check_eq14(p: int, k: int, kprime: int, precision: int = 50) -> CongruenceRe
 
 
 def _validate_eq16_args(p: int, m: int, k0: int) -> None:
+    if m < 1:
+        raise ParameterOutOfRangeError("m must be at least 1")
     if k0 <= m:
         raise ParameterOutOfRangeError("k0 must exceed m")
     if k0 % 2:
@@ -295,6 +303,8 @@ def check_eq16(p: int, m: int, k0: int, precision: int = 50) -> CongruenceReport
 def _validate_kummer_args(p: int, r: int, k: int, kprime: int) -> None:
     if r < 1:
         raise ParameterOutOfRangeError("r must be at least 1")
+    if min(k, kprime) < 1:
+        raise ParameterOutOfRangeError(f"weights must be positive, got k={k}, k'={kprime}")
     if k % 2:
         # B_k = 0 for odd k > 1 and (1 - p^0) B_1 = 0, so both sides vanish.
         raise ParameterOutOfRangeError(f"k must be even, got k={k}")
@@ -488,8 +498,9 @@ def check_sum_recurrence(m: int, j: int, s: int, alpha: int) -> bool:
 # Conjecture scanners (evidence, not proof)
 # ---------------------------------------------------------------------------
 
-def _check_budget(index: int, budget: int) -> None:
-    if index > budget:
+def _check_budget(index: int, budget: int | None) -> None:
+    """A budget of None sets no limit; a caller that charged the index already passes it."""
+    if budget is not None and index > budget:
         raise BudgetExceededError(
             f"Bernoulli index {index} exceeds budget {budget}"
         )
@@ -506,8 +517,9 @@ def _validate_conjecture_args(p: int, m: int, kstar: int, alpha: int) -> None:
         raise ParameterOutOfRangeError("alpha must be non-negative")
 
 
-def scan_conjecture_bernoulli(p: int, m: int, alphas: Iterable[int], kstar: int,
-                              budget: int = DEFAULT_BERNOULLI_BUDGET) -> list[CongruenceReport]:
+def scan_conjecture_bernoulli(
+        p: int, m: int, alphas: Iterable[int], kstar: int,
+        budget: int | None = DEFAULT_BERNOULLI_BUDGET) -> list[CongruenceReport]:
     """Evidence scan: (a(p-1)+k*)/B_{a(p-1)+k*} vs its H-weighted history mod p^m."""
     alphas = list(alphas)
     _validate_conjecture_args(p, m, kstar, min(alphas, default=0))
@@ -522,7 +534,7 @@ def scan_conjecture_bernoulli(p: int, m: int, alphas: Iterable[int], kstar: int,
 
 
 def scan_conjecture_ek_series(p: int, m: int, kstar: int, alpha: int, precision: int = 40,
-                              budget: int = DEFAULT_BERNOULLI_BUDGET) -> CongruenceReport:
+                              budget: int | None = DEFAULT_BERNOULLI_BUDGET) -> CongruenceReport:
     """Evidence scan: E_{a(p-1)+k*} vs the H-weighted sum of E_{r(p-1)+k*} E_{p-1}^(a-r)."""
     _validate_conjecture_args(p, m, kstar, alpha)
     _check_budget(alpha * (p - 1) + kstar, budget)

@@ -23,6 +23,7 @@ from eiscong.cli import (
     smallest_kstar,
     smallest_kstar_multiple,
 )
+from eiscong.congruences import CongruenceReport
 from eiscong.errors import CacheFormatError
 from eiscong.exact import bernoulli, bernoulli_cached_indices, parse_int
 
@@ -487,6 +488,32 @@ class TestStatementTable:
         status, out, err = run_cli(capsys, *argv, "--jobs", "1")
         assert (status, out, err) == (2, "", "error: k' must differ from k, got k = k' = 6\n")
 
+    @pytest.mark.parametrize("argv,check,message", [
+        (["verify", "eq3.1", "--p", "5", "--m", "1", "--alpha", "0..3", "--d", "2,5"],
+         "check_dpower_congruence", "d = 5 must be coprime to p = 5"),
+        (["verify", "eq1.4", "--p", "5", "--k", "6,-2", "--alpha", "1"],
+         "check_eq14", "weights must be positive, got k=-2, k'=2"),
+        (["verify", "kummer", "--p", "5", "--m", "1", "--k", "6,-2", "--alpha", "1"],
+         "check_kummer", "weights must be positive, got k=-2, k'=2"),
+        (["verify", "eq1.6", "--p", "5", "--m", "2,0", "--k0", "6"],
+         "check_eq16", "m must be at least 1"),
+        (["verify", "thm1", "--p", "5", "--alpha", "0..3", "--prec", "-1"],
+         "check_thm_gk", "precision must be non-negative, got -1"),
+    ], ids=["eq3.1", "eq1.4", "kummer", "eq1.6", "thm1-prec"])
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_bad_last_point_is_rejected_before_any_task_runs(
+            self, capsys, monkeypatch, argv, check, message, jobs):
+        # Records stream as their tasks finish, so an error that only the last
+        # task raised would follow the records of the tasks before it.
+        from eiscong import congruences
+
+        calls = []
+        original = getattr(congruences, check)
+        monkeypatch.setattr(congruences, check, lambda *args: calls.append(args) or original(*args))
+        status, out, err = run_cli(capsys, *argv, "--jobs", jobs)
+        assert (status, out, err) == (2, "", f"error: {message}\n")
+        assert calls == []
+
 
 # SHA-256 of stdout for small grids of the statements whose output
 # perfbench/reference.json does not pin.
@@ -858,3 +885,154 @@ class TestPrefetch:
         parallel = run_cli(capsys, *argv, "--jobs", "2")
         serial = run_cli(capsys, *argv, "--jobs", "1")
         assert parallel == serial and serial[0] == 0 and serial[1]
+
+
+# ---------------------------------------------------------------------------
+# Record serialization and streaming
+# ---------------------------------------------------------------------------
+
+def emit_oracle(records: list[dict], fmt: str) -> str:
+    """Every record of a grid in `fmt`, from whole-list dumps: the slow path
+    that per-record templates and streaming replace."""
+    if fmt == "jsonl":
+        return "".join(json.dumps(record, sort_keys=True) + "\n" for record in records)
+    if fmt == "json":
+        return json.dumps(records, indent=2, sort_keys=True) + "\n"
+    lines = ["statement-id,verdict,certification,params,failure-detail\n"] if fmt == "csv" else []
+    for record in records:
+        params = ";".join(f"{k}={v}" for k, v in sorted(record["params"].items()))
+        detail = record["failure-detail"]
+        if fmt == "csv":
+            quoted = json.dumps(detail).replace('"', "'") if detail else ""
+            lines.append(f'{record["statement-id"]},{record["verdict"]},'
+                         f'{record["certification"]},"{params}","{quoted}"\n')
+        else:
+            line = f"{record['statement-id']:>10}  {params:<48} {record['verdict']}"
+            lines.append(line + (f"  {detail}" if detail else "") + "\n")
+    return "".join(lines)
+
+
+def oracle_records(argv: list[str]) -> list[dict]:
+    """The grid's records from each statement's runner and `to_json_dict`."""
+    args = cli.build_parser().parse_args(argv)
+    name = STATEMENT_ALIASES.get(argv[1], argv[1])
+    records = []
+    for point in cli._build_tasks(name, args):
+        charge = max(STATEMENTS[name].reads(point), default=0)
+        if charge > args.budget_bernoulli:
+            message = f"Bernoulli index {charge} exceeds budget {args.budget_bernoulli}"
+            report = CongruenceReport(name, dict(point), "BudgetExceeded", {"message": message})
+        else:
+            report = STATEMENTS[name].run(point)
+        records.append(report.to_json_dict())
+    if argv[0] == "scan":
+        passed = sum(record["verdict"] == "Pass" for record in records)
+        records.append({"summary": {"pass": passed, "total": len(records)}})
+    return records
+
+
+# A small grid of every statement, one with BudgetExceeded records among
+# passing ones, and one whose params pass 2^64.
+DIFFERENTIAL_GRIDS = {
+    "thm1.1": "verify thm1 --p 5,7 --m 1..3 --alpha 0..4 --prec 15",
+    "thm1.2": "verify thm2 --p 5 --m 1..3 --alpha 1..4 --prec 15",
+    "prop3.1": "verify prop3.1 --p 5 --m 1..2 --alpha 0..4 --prec 15",
+    "prop4.1": "verify prop4.1 --p 5,7 --m 1..2 --alpha 1..4 --d 2,3",
+    "prop4.2": "verify prop4.2 --p 5 --m 1..2 --alpha 1..4 --prec 15",
+    "eq3.1": "verify eq3.1 --p 5 --m 1..3 --alpha 0..4 --d 2,3",
+    "eq1.4": "verify eq1.4 --p 7 --k 4,8 --alpha 1..3 --prec 15",
+    "eq1.6": "verify eq1.6 --p 5 --m 1..2 --k0 6,10 --prec 15",
+    "kummer": "verify kummer --p 5 --m 1..2 --k 2,6 --alpha 1..2",
+    "sun97": "verify sun97 --p 5,7 --n-max 6",
+    "identity": "verify identity --m 2..5 --alpha 0..6",
+    "telescoping": "verify telescoping --m 2..4 --alpha 0..5",
+    "eq6.1": "scan eq6.1 --p 5 --m 1..2 --prec 15",
+    "eq6.4": "scan eq6.4 --p 7 --m 4 --kstar 6 --alpha 0..12 --budget-bernoulli 60",
+    "budget": "verify thm1 --p 5 --m 2 --kstar 6 --alpha 0..3,2000 --budget-bernoulli 100",
+    "large": "verify identity --m 2..4 --alpha 18446744073709551615..18446744073709551617",
+}
+
+
+class TestRecordText:
+    def test_every_statement_has_a_grid(self):
+        assert set(STATEMENTS) <= set(DIFFERENTIAL_GRIDS)
+
+    @pytest.mark.parametrize("name", sorted(DIFFERENTIAL_GRIDS))
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_grid_matches_the_whole_list_dump(self, capsys, name, jobs):
+        argv = DIFFERENTIAL_GRIDS[name].split()
+        records = oracle_records(argv)
+        assert any(r.get("params", {}).get("alpha", 0) > 2 ** 64 for r in records) == (
+            name == "large")
+        formats = ("jsonl", "json") if argv[0] == "scan" else ("jsonl", "json", "csv", "human")
+        for fmt in formats:
+            status, out, err = run_cli(capsys, *argv, "--format", fmt, "--jobs", jobs)
+            assert out == emit_oracle(records, fmt), fmt
+            passed = all(r["verdict"] == "Pass" for r in records if "summary" not in r)
+            assert (status, err) == (0 if passed else 1, "")
+
+    @pytest.mark.parametrize("report,warning", [
+        (CongruenceReport("Prop3.2", {"m": 3, "j": 1, "s": 0, "alpha": 7}, "Fail", {"sum": "-12"}),
+         None),
+        (CongruenceReport("thm1.1", {"p": 5, "m": 2, "kstar": 6, "alpha": 2000, "prec": 50},
+                          "BudgetExceeded", {"message": "Bernoulli index 8006 exceeds budget 100"}),
+         None),
+        (CongruenceReport("Sun97", {"p": 5, "n": 2, "case": "0"}, "Pass"),
+         {"elapsed-seconds": 0.25, "limit": 0.0}),
+        (CongruenceReport("Eq3.1", {"p": 5, "m": 2, "alpha": 3, "d": 2}, "Pass"),
+         {"elapsed-seconds": 1.5, "limit": 1.0}),
+        (CongruenceReport("Sun97", {"p": 5, "n": 4, "case": "p^(n-1)"}, "Pass"), None),
+        (CongruenceReport("Flag", {"m": 2, "exact": True}, "Pass"), None),
+        (CongruenceReport("Flag", {"m": 2, "exact": 1}, "Pass"), None),
+        (CongruenceReport("Big", {"n": 2 ** 64 + 1, "k": -(3 ** 50), "z": 0}, "Pass",
+                          None, "sturm-certified"), None),
+        (CongruenceReport("Pct%d", {"a%s": 1}, "Pass", None, "100%"), None),
+    ], ids=["fail", "budget-exceeded", "warning-str", "warning", "str-param", "bool-param",
+            "int-param", "past-2^64", "percent"])
+    @pytest.mark.parametrize("fmt", ["jsonl", "json", "csv", "human"])
+    def test_record_matches_json_dumps(self, report, warning, fmt):
+        record = report.to_json_dict()
+        if warning is not None:
+            record["budget-warning"] = warning
+        head, _, tail = cli._FRAMES[fmt]
+        # Twice: the first call of a shape builds its template, the second reuses it.
+        for _ in range(2):
+            text = cli._record_text(report, warning, fmt)
+            assert head + text + tail == emit_oracle([record], fmt)
+
+    @pytest.mark.parametrize("params,fast", [
+        ({"m": 2, "exact": True}, False), ({"p": 5, "case": "0"}, False),
+        ({"m": 2, "exact": 1}, True), ({"n": 2 ** 70}, True),
+    ], ids=["bool", "str", "int", "past-2^64"])
+    def test_only_plain_int_records_fill_a_template(self, monkeypatch, params, fast):
+        shapes = []
+        template = cli._template
+        monkeypatch.setattr(cli, "_template",
+                            lambda *shape: shapes.append(shape) or template(*shape))
+        cli._record_text(CongruenceReport("Shape", params, "Pass"), None, "jsonl")
+        assert shapes == ([("Shape", "coefficient-evidence", "Pass", tuple(params), "jsonl")]
+                          if fast else [])
+
+
+def test_records_stream_as_tasks_finish(tmp_path, monkeypatch):
+    from eiscong import congruences
+
+    path = tmp_path / "box.jsonl"
+    seen_at_last_task = []
+    original = congruences.combin_identity_sum
+
+    def watched(m, j, s, alpha):
+        if (m, j, s, alpha) == (6, 5, 0, 40):
+            seen_at_last_task.append(path.read_text())
+        return original(m, j, s, alpha)
+
+    monkeypatch.setattr(congruences, "combin_identity_sum", watched)
+    status = main(["verify", "identity", "--m", "2..6", "--alpha", "0..40", "--jobs", "1",
+                   "--out", str(path)])
+    final = path.read_text()
+    [early] = seen_at_last_task
+    assert status == 0 and early and early.endswith("\n") and final.startswith(early)
+    assert all(json.loads(line)["verdict"] == "Pass" for line in early.splitlines())
+    assert len(early.splitlines()) < len(final.splitlines()) == 1435
+    assert hashlib.sha256(final.encode()).hexdigest() == (
+        "4d73bf3667696433c33e73adee57a5c0a6d13a781577118e41079e8925a0d1a5")
