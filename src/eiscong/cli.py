@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -561,8 +560,9 @@ def _add_common(parser: argparse.ArgumentParser, default_format: str,
     parser.add_argument("--out", help="write output to this file instead of stdout")
     parser.add_argument("--format", choices=formats, default=default_format)
     parser.add_argument("--cache", help="Bernoulli cache file (load before, append after)")
-    parser.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
-                        help="worker processes for grid runs")
+    parser.add_argument("--jobs", type=int, default=1,
+                        help="worker processes for verify/scan grid points "
+                             "(default 1: serial, no pool)")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -8,8 +8,11 @@ Most statements compare a value at alpha with its H-weighted history
 sum_{r<m} H(m, alpha, r) * (value at r), H(m, alpha, .) from one cached row.
 `_inversion_report` does it for series: Thm 1.1, Thm 1.2 and the Eq. (6.1)
 scan (each term times E_{p-1}^(alpha-r), from `eisenstein.e_power`), Props
-3.1 and 4.2 (no powers). It builds the left side first, so an error names
-the weight alpha(p-1)+k*. Its callers pass `g_series`/`e_series`, and
+3.1 and 4.2 (no powers). It factors out E_{p-1}^(alpha-t), t the last r with
+H(m, alpha, r) nonzero, so each term left, form(r(p-1)+k*) E_{p-1}^(t-r),
+is shared by every alpha of a grid block and a record costs at most one
+product (none below alpha = m). It builds the left side first, so an error
+names the weight alpha(p-1)+k*. Its callers pass `g_series`/`e_series`, and
 `e_power` calls `e_series`, read as module globals at call time, never bound
 earlier, so a tracer that rebinds them sees every call. `_inversion_defect`
 does it for rationals: Prop 4.1, Eq. (3.1), the Eq. (6.4) scan, p-regular
@@ -138,23 +141,53 @@ def _h_row(m: int, alpha: int) -> tuple[int, ...]:
     return tuple(h_coefficient(m, alpha, r) for r in range(m))
 
 
+def _times_e_power(series: QSeries, n: int) -> QSeries:
+    """series E_{p-1}^n; no product when that power is 1, at n = 0 mod p^(m-1)."""
+    ring = series.ring
+    return series * e_power(ring, series.precision, n) if n % ring.p ** (ring.m - 1) else series
+
+
+# A grid block, fixed (form, p, m, k*, precision), shares these across its
+# alphas: at most 2m entries, m below alpha = m and m from there on. A
+# thm-grid run fills 64.
+@lru_cache(maxsize=512)
+def _shifted_term(form: Callable, weight: int, ring: ResidueRing, precision: int,
+                  n: int) -> QSeries:
+    """form(weight) E_{p-1}^n modulo p^m through q^precision."""
+    return _times_e_power(form(weight, ring, precision), n)
+
+
 def _inversion_report(statement_id: str, params: dict, form: Callable, kstar: int,
                       with_e_powers: bool) -> CongruenceReport:
     """form(a(p-1)+k*) against sum_r H(m,a,r) form(r(p-1)+k*) [E_{p-1}^(a-r)], mod p^m.
 
-    H(m, a, r) is nonzero for every r < m when a >= m and only at r = a
-    below, so the sum has a first term, which starts it.
+    With t the largest r where H(m, a, r) is nonzero (m-1 for a >= m; a
+    below, where H is the Kronecker delta at r = a), the sum is
+    E_{p-1}^(a-t) sum_r H(m, a, r) U_r with U_r = form(r(p-1)+k*) E_{p-1}^(t-r).
+    U_r does not depend on a, so a grid block builds it once
+    (`_shifted_term`); the sum is one pass over the coefficients; and a record
+    costs at most the one product by E_{p-1}^(a-t). Below m that power is 1
+    and the sum is U_a = form(a(p-1)+k*) itself, so no product is made.
+    Props 3.1 and 4.2 take every power as 1. The left side is built first.
     """
     p, m, alpha, precision = params["p"], params["m"], params["alpha"], params["N"]
     ring = ResidueRing(p, m)
     weight = alpha * (p - 1) + kstar
     lhs = form(weight, ring, precision)
-    rhs = None
-    for r, h in enumerate(_h_row(m, alpha)):
-        if h:
-            term = form(r * (p - 1) + kstar, ring, precision).scale(h)
-            term = term * e_power(ring, precision, alpha - r) if with_e_powers else term
-            rhs = term if rhs is None else rhs + term
+    row = [(r, h) for r, h in enumerate(_h_row(m, alpha)) if h]
+    top = row[-1][0]
+    terms = [_shifted_term(form, r * (p - 1) + kstar, ring, precision,
+                           top - r if with_e_powers else 0) for r, _ in row]
+    if len(row) == 1 and row[0][1] == 1:
+        rhs = terms[0]
+    else:
+        mod = ring.modulus
+        hs = [h % mod for _, h in row]
+        rhs = QSeries(ring, tuple([sum(map(mul, hs, column)) % mod
+                                   for column in zip(*[term.coeffs for term in terms])]),
+                      precision)
+    if with_e_powers:
+        rhs = _times_e_power(rhs, alpha - top)
     return _series_report(statement_id, params, lhs, rhs, precision,
                           weight if with_e_powers else None)
 

@@ -4,8 +4,16 @@ Normalizations: E_k has constant term 1 and higher coefficients
 -(2k/B_k) * sigma_{k-1}(n); G_k = -(B_k/2k) * E_k has constant term -B_k/2k
 and higher coefficients sigma_{k-1}(n). E_0 is the constant series 1.
 
-Each generator takes its divisor sums sigma_{k-1}(1..N) from one sieve
-(`sigma_power_table`) and scales them by one reduced constant.
+Each generator takes its divisor sums sigma_{k-1}(1..N) from one cached
+sieve (`divisor_sums`) and scales them by one reduced constant. Both tables
+below read their exponent by its period modulo p^m:
+
+- d^(k-1) mod p^m repeats with period p^(m-1)(p-1) in k-1 for a unit d, and
+  is 0 for d divisible by p once k-1 >= m, so every k-1 > m shares the sieve
+  of m + ((k-1-m) mod p^(m-1)(p-1));
+- E_{p-1} = 1 + pE, so E_{p-1}^(p^(m-1)) = 1 mod p^m and `e_power` reads
+  E_{p-1}^n at n mod p^(m-1) (every power is 1 at m = 1).
+
 `generator_power` is the one table of powers of E_k and Delta: theorem
 grids and filtrations read E_{p-1}^n from it (through `e_power`), and
 monomials and Delta are products of its entries.
@@ -25,6 +33,7 @@ from .series import QSeries
 __all__ = [
     "DELTA",
     "delta_series",
+    "divisor_sums",
     "e_factor",
     "e_power",
     "e_series",
@@ -44,6 +53,27 @@ def e_normalizer(k: int) -> Fraction:
     return Fraction(-2 * k) / bernoulli(k)
 
 
+def divisor_sums(k: int, ring: ResidueRing, precision: int) -> tuple[int, ...]:
+    """sigma_{k-1}(n) modulo p^m for n = 0 .. precision (entry 0 is 0), from a cached sieve.
+
+    For k-1 > m the sieve is keyed on m + ((k-1-m) mod p^(m-1)(p-1)), which
+    has the same residue d^(k-1) mod p^m for every d: a unit repeats with
+    that period, and a multiple of p vanishes at any exponent >= m.
+    """
+    p, m = ring.p, ring.m
+    exponent = k - 1
+    if exponent > m:
+        exponent = m + (exponent - m) % (p ** (m - 1) * (p - 1))
+    return _sigma_table(exponent, ring.modulus, precision)
+
+
+# A grid block's alphas come back to a sieve one period of alpha, p^(m-1),
+# later; 64 entries hold that reuse for every period up to 64.
+@lru_cache(maxsize=64)
+def _sigma_table(exponent: int, modulus: int, precision: int) -> tuple[int, ...]:
+    return tuple(sigma_power_table(exponent, precision, modulus))
+
+
 @lru_cache(maxsize=512)
 def g_series(k: int, ring: ResidueRing, precision: int) -> QSeries:
     """G_k modulo p^m through q^precision.
@@ -57,8 +87,7 @@ def g_series(k: int, ring: ResidueRing, precision: int) -> QSeries:
             f"G_{k} is not {ring.p}-integral: {ring.p - 1} divides {k}"
         )
     constant = ring.reduce_rational(Fraction(-1, 2) * bernoulli(k) / k)
-    sigmas = sigma_power_table(k - 1, precision, ring.modulus)
-    return QSeries(ring, (constant, *sigmas[1:]), precision)
+    return QSeries(ring, (constant, *divisor_sums(k, ring, precision)[1:]), precision)
 
 
 @lru_cache(maxsize=512)
@@ -79,7 +108,7 @@ def e_series(k: int, ring: ResidueRing, precision: int) -> QSeries:
         raise NotPIntegralError(f"E_{k} is not {ring.p}-integral")
     c_res = ring.reduce_rational(c)
     mod = ring.modulus
-    sigmas = sigma_power_table(k - 1, precision, mod)
+    sigmas = divisor_sums(k, ring, precision)
     return QSeries(ring, (1, *[c_res * s % mod for s in sigmas[1:]]), precision)
 
 
@@ -108,8 +137,12 @@ def generator_power(form: int | str, ring: ResidueRing, precision: int, n: int) 
 
 
 def e_power(ring: ResidueRing, precision: int, n: int) -> QSeries:
-    """E_{p-1}^n modulo p^m through q^precision, from `generator_power`."""
-    return generator_power(ring.p - 1, ring, precision, n)
+    """E_{p-1}^n modulo p^m through q^precision, for any integer n, from `generator_power`.
+
+    Read at n mod p^(m-1), which is exact: E_{p-1} = 1 + pE gives
+    E_{p-1}^(p^(m-1)) = 1 mod p^m. A negative n is the inverse power.
+    """
+    return generator_power(ring.p - 1, ring, precision, n % ring.p ** (ring.m - 1))
 
 
 @lru_cache(maxsize=64)
@@ -129,7 +162,7 @@ def e_factor(ring: ResidueRing, precision: int) -> QSeries:
     """
     p, mod = ring.p, ring.modulus
     u = ring.reduce_rational(e_normalizer(p - 1) / p)
-    sigmas = sigma_power_table(p - 2, precision, mod)
+    sigmas = divisor_sums(p - 1, ring, precision)
     return QSeries(ring, tuple([u * s % mod for s in sigmas]), precision)
 
 

@@ -6,8 +6,11 @@ w = k - n(p-1) for some n >= 0 such that f matches E_{p-1}^n * g for some g
 in the weight-w monomial basis, coefficient-wise modulo p^m through the
 Sturm index of weight k. Candidate weights are tried in ascending order, so
 the first solvable weight is the bound. Each try is a forward substitution
-of f E_{p-1}^(-n) in the unit triangular basis, not a general solve. Powers
-of E_{p-1} come from `eisenstein.e_power`, the table theorem grids share.
+of f E_{p-1}^(-n) in the unit triangular basis, not a general solve. That
+power comes from `eisenstein.e_power`, read at -n mod p^(m-1); the witness's
+round-trip check multiplies by the unreduced E_{p-1}^n from
+`eisenstein.generator_power`, so it does not rest on that identity. Both
+read the table that theorem grids share.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from .errors import (
     QuasimodularWeightError,
     WeightMismatchError,
 )
-from .eisenstein import e_power, e_series, g_series, monomial_series
+from .eisenstein import e_power, e_series, g_series, generator_power, monomial_series
 from .residue import ResidueRing
 from .series import QSeries
 
@@ -346,7 +349,7 @@ def _reductions(f: QSeries, k: int, w: int, upto: int):
             yield w, n, None, NoSolution("empty-space", {"weight": 2})
             continue
         # E_{p-1}^(p^(m-1)) = 1 mod p^m, so E_{p-1}^(-n) is a positive power.
-        h = f * e_power(ring, upto, -n % p ** (ring.m - 1)) if h is None else h * e
+        h = f * e_power(ring, upto, -n) if h is None else h * e
         bm = basis(w, ring, upto)
         rest, coeffs = h, []
         for j, col in enumerate(bm.columns):
@@ -386,7 +389,7 @@ def factor_filtration_bound(f: QSeries, k: int, input_id: str | None = None,
         g = QSeries.residue(ring, [0] * (upto + 1))
         for coeff, col in zip(outcome.vector, bm.columns):
             g = g + col.scale(coeff)
-        if (g * e_power(ring, upto, n)).coeffs != f.coeffs[: upto + 1]:
+        if (g * generator_power(p - 1, ring, upto, n)).coeffs != f.coeffs[: upto + 1]:
             raise EiscongError("witness failed round-trip verification")
         cert = "sturm-certified" if certified else f"coefficient-evidence({upto + 1})"
         # Every lower candidate failed; weight 2 is an empty space, not a failure.

@@ -134,6 +134,21 @@ def reduced(coeffs: tuple, ring: ResidueRing) -> QSeries:
     return QSeries(ring, tuple(ring.reduce_rational(c) for c in coeffs), len(coeffs) - 1)
 
 
+def inversion_sum_per_term(form, kstar: int, ring: ResidueRing, precision: int, alpha: int,
+                           with_e_powers: bool) -> QSeries:
+    """Series inversion oracle: sum_{r<m} H(m, alpha, r) form(r(p-1)+k*) [E_{p-1}^(alpha-r)],
+    one `scale`, one binary power and one `+` per nonzero term, no power reduced."""
+    p, m = ring.p, ring.m
+    e = e_series(p - 1, ring, precision)
+    total = QSeries(ring, (0,) * (precision + 1), precision)
+    for r in range(m):
+        h = h_coefficient(m, alpha, r)
+        if h:
+            term = form(r * (p - 1) + kstar, ring, precision).scale(h)
+            total = total + (term * e.pow(alpha - r) if with_e_powers else term)
+    return total
+
+
 def identity_sum_by_triple_products(m: int, j: int, s: int, alpha: int) -> int:
     """Prop. 3.2 oracle: sum_{r=s}^{m-1} C(alpha-r, j) H(m, alpha, r) H(m-j, r, s),
     one triple product per r, nothing cached."""

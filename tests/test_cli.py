@@ -204,6 +204,20 @@ class TestVerifyCommand:
         status2, out2, _ = run_cli(capsys, *argv, "--jobs", "2")
         assert (status1, out1) == (status2, out2) and status1 == 0 and out1
 
+    @pytest.mark.parametrize("argv", [
+        ["verify", "identity", "--m", "2..4", "--alpha", "0..5"],
+        ["verify", "thm1", "--p", "5", "--m", "1..3", "--alpha", "0..6", "--prec", "20"],
+        ["scan", "eq6.1", "--p", "5", "--m", "2", "--alpha", "0..4", "--prec", "20"],
+        ["verify", "thm1", "--p", "5", "--m", "2", "--alpha", "0..5", "--prec", "10",
+         "--budget-bernoulli", "10"],
+        ["verify", "thm1", "--p", "4", "--m", "2"],
+    ], ids=["identity", "thm1", "eq6.1", "over-budget", "input-error"])
+    def test_default_jobs_is_serial(self, capsys, monkeypatch, argv):
+        # No pool unless --jobs asks for one; the bytes and status are a pool's.
+        pooled = run_cli(capsys, *argv, "--jobs", "2")
+        monkeypatch.setattr(cli, "_pooled", lambda *args: pytest.fail("forked a pool"))
+        assert run_cli(capsys, *argv) == pooled
+
     def test_parallel_matches_serial(self, capsys):
         argv = ["verify", "sun97", "--p", "5", "--n-max", "6"]
         status1, out1, _ = run_cli(capsys, *argv, "--jobs", "1")
@@ -783,16 +797,20 @@ print(status, len(products))
 
 
 @pytest.mark.parametrize("argv,most", [
-    ("verify thm1 --p 5,7,11,13 --m 1..4 --alpha 0..30 --prec 60", 1848),
+    ("verify thm1 --p 5,7,11,13 --m 1..4 --alpha 0..30 --prec 60", 696),
+    ("verify thm2 --p 5,7,11,13 --m 1..4 --alpha 1..30 --prec 60", 696),
+    ("scan eq6.1 --p 7 --m 3 --alpha 0..40", 95),
     ("reproduce paper-7-8", 100),
     ("reproduce paper-17-6", 93),
     ("filtration --form G --k 2402 --p 13 --m 6", 85),
-], ids=["thm1-grid", "paper-7-8", "paper-17-6", "filtration-2402"])
+], ids=["thm1-grid", "thm2-grid", "eq6.1-scan", "paper-7-8", "paper-17-6", "filtration-2402"])
 def test_series_products_per_run(argv, most):
     # Every power of E_4, E_6, Delta and E_{p-1} comes from one halving table
     # that a grid and a filtration's bases share, and a monomial is at most two
     # products of its entries. A power stepped by one product per term, a
-    # monomial raised from scratch, or a second power path costs more.
+    # monomial raised from scratch, or a second power path costs more. A
+    # theorem-grid record is at most one product by E_{p-1}^(alpha-m+1), its
+    # exponent read mod p^(m-1), times a sum of terms its grid block shares.
     proc = run_python("-c", COUNT_PRODUCTS, *argv.split(), "--jobs", "1")
     status, products = map(int, proc.stdout.split())
     assert status == 0 and products <= most, (proc.stdout, proc.stderr)

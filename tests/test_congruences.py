@@ -4,6 +4,7 @@ import pytest
 
 from eiscong import congruences, eisenstein
 from eiscong.congruences import (
+    _inversion_report,
     _series_report,
     _valuation_report,
     check_bernoulli_prop41,
@@ -45,6 +46,7 @@ from eiscong.series import QSeries
 from conftest import (
     bernoulli_by_recurrence,
     identity_sum_by_triple_products,
+    inversion_sum_per_term,
     sigma_power,
     telescope_f,
     telescope_g,
@@ -441,6 +443,83 @@ class TestSeriesReport:
                        check_prop_ek_fixed(5, 2, 4, precision),
                        check_prop_ek_fixed(7, 3, 1, precision)):
             assert report.passed and report.certification == "coefficient-evidence"
+
+
+def _gk_kstar(p: int, m: int) -> int:
+    return next(k for k in range(m + 1, m + 2 * p) if k % 2 == 0 and k % (p - 1))
+
+
+def _ek_kstar(p: int, m: int) -> int:
+    return (p - 1) * (m // (p - 1) + 1)
+
+
+# (statement id, check, form, k* for (p, m), E_{p-1} powers, least alpha)
+INVERSION_STATEMENTS = [
+    ("Thm1.1", lambda p, m, k, a, n: check_thm_gk(p, m, k, a, n),
+     eisenstein.g_series, _gk_kstar, True, 0),
+    ("Prop3.1", lambda p, m, k, a, n: check_prop_gk_fixed(p, m, k, a, n),
+     eisenstein.g_series, _gk_kstar, False, 0),
+    ("Thm1.2", lambda p, m, k, a, n: check_thm_ek(p, m, a, n),
+     eisenstein.e_series, lambda p, m: 0, True, 1),
+    ("Prop4.2", lambda p, m, k, a, n: check_prop_ek_fixed(p, m, a, n),
+     eisenstein.e_series, lambda p, m: 0, False, 1),
+    ("ConjEq6.1", lambda p, m, k, a, n: scan_conjecture_ek_series(p, m, k, a, n),
+     eisenstein.e_series, _ek_kstar, True, 0),
+]
+
+
+def _inversion_alphas(p: int, m: int, least: int) -> list[int]:
+    """alpha < m-1, alpha = m-1, just above, and alpha = m-1 mod p^(m-1) past one period."""
+    period = p ** (m - 1)
+    picks = {*range(m + 2), m - 1 + period, m + period, m - 1 + 2 * period}
+    return sorted(a for a in picks if a >= least)
+
+
+class TestFactoredInversionSum:
+    """The factored right side, E_{p-1}^(a-t) sum_r H U_r from cached U_r, against
+    the per-term sum with unreduced binary powers (`inversion_sum_per_term`)."""
+
+    PRECISION = 12
+
+    @pytest.mark.parametrize("statement", INVERSION_STATEMENTS, ids=lambda s: s[0])
+    # Every m <= p-1, as the E_k statements require.
+    @pytest.mark.parametrize("p,m", [(5, 1), (5, 2), (5, 3), (7, 2), (7, 3), (5, 4)])
+    def test_records_match_the_per_term_sum(self, statement, p, m):
+        statement_id, check, form, kstar_for, powers, least = statement
+        kstar, ring, n = kstar_for(p, m), ResidueRing(p, m), self.PRECISION
+        for alpha in _inversion_alphas(p, m, least):
+            weight = alpha * (p - 1) + kstar
+            report = check(p, m, kstar, alpha, n)
+            expected = _series_report(
+                statement_id, report.params, form(weight, ring, n),
+                inversion_sum_per_term(form, kstar, ring, n, alpha, powers), n,
+                weight if powers else None)
+            assert report.passed and report == expected, (p, m, alpha)
+
+    @pytest.mark.parametrize("statement", INVERSION_STATEMENTS, ids=lambda s: s[0])
+    @pytest.mark.parametrize("p,m,alpha", [(5, 3, 5), (5, 3, 27), (7, 2, 9), (5, 4, 4)])
+    def test_forced_fail_has_the_per_term_failure_detail(self, statement, p, m, alpha):
+        # Skew q^3 of the r = 1 term only: the left side, at alpha >= m, is untouched.
+        statement_id, _, form, kstar_for, powers, _ = statement
+        kstar, ring, n = kstar_for(p, m), ResidueRing(p, m), self.PRECISION
+
+        def skewed(k, ring, precision):
+            series = form(k, ring, precision)
+            if k != kstar + p - 1:
+                return series
+            coeffs = list(series.coeffs)
+            coeffs[3] = (coeffs[3] + 1) % ring.modulus
+            return QSeries(ring, tuple(coeffs), precision)
+
+        params = {"p": p, "m": m, "kstar": kstar, "alpha": alpha, "N": n}
+        report = _inversion_report(statement_id, params, skewed, kstar, powers)
+        weight = alpha * (p - 1) + kstar
+        expected = _series_report(
+            statement_id, params, skewed(weight, ring, n),
+            inversion_sum_per_term(skewed, kstar, ring, n, alpha, powers), n,
+            weight if powers else None)
+        assert report.verdict == "Fail" and report.failure_detail["first-failing-index"] == 3
+        assert report == expected
 
 
 class TestGeneratorsReadAtCallTime:

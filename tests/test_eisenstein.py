@@ -6,10 +6,12 @@ import pytest
 
 from eiscong.congruences import check_thm_gk
 from eiscong.errors import NotPIntegralError
-from eiscong.exact import bernoulli
+from eiscong import eisenstein
+from eiscong.exact import bernoulli, sigma_power_mod, sigma_power_table
 from eiscong.eisenstein import (
     DELTA,
     delta_series,
+    divisor_sums,
     e_factor,
     e_power,
     e_series,
@@ -154,6 +156,32 @@ class TestEFactor:
                 assert e_factor(ring, precision) == reduced(exact, ring), (p, m, precision)
 
 
+class TestDivisorSums:
+    """The sieve keyed on the exponent's period mod p^m against the unreduced
+    sieve, `sigma_power_table`, and per-n sums, `sigma_power_mod`."""
+
+    @pytest.mark.parametrize("p", [5, 7, 11, 13])
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+    def test_matches_the_unreduced_exponent(self, p, m):
+        ring, period = ResidueRing(p, m), p ** (m - 1) * (p - 1)
+        # 3p + 1 reaches the multiples p, 2p and 3p, which vanish only at exponents >= m.
+        precision = 3 * p + 1
+        below = range(max(0, m - 3), m + 3)
+        across = [m + j * period + d for j in range(4) for d in (-1, 1, 2, p - 1)]
+        for exponent in sorted({*below, *across}):
+            sums = divisor_sums(exponent + 1, ring, precision)
+            assert list(sums) == sigma_power_table(exponent, precision, ring.modulus), exponent
+            assert sums[1:] == tuple(sigma_power_mod(exponent, n, ring.modulus)
+                                     for n in range(1, precision + 1)), exponent
+
+    @pytest.mark.parametrize("p,m", [(5, 1), (5, 3), (13, 2)])
+    def test_one_sieve_per_exponent_class(self, p, m):
+        ring, period = ResidueRing(p, m), p ** (m - 1) * (p - 1)
+        k = m + 3
+        assert divisor_sums(k, ring, 20) is divisor_sums(k + 2 * period, ring, 20)
+        assert divisor_sums(k, ring, 20) is not divisor_sums(k + 1, ring, 20)
+
+
 class TestEPower:
     """The shared E_{p-1}^n table against binary powering, `QSeries.pow`."""
 
@@ -199,6 +227,33 @@ class TestEPower:
             for alpha in range(p ** (m - 1) + 2):
                 assert check_thm_gk(p, m, kstar, alpha, precision).passed
         assert reports() == cold
+
+
+    @pytest.mark.parametrize("p,m", [(5, 1), (5, 2), (5, 3), (7, 2), (7, 3), (11, 2)])
+    def test_exponents_past_p_to_the_m_minus_one(self, p, m):
+        ring, order = ResidueRing(p, m), p ** (m - 1)
+        e = e_series(p - 1, ring, 10)
+        for n in sorted({order, order + 1, 2 * order - 1, 2 * order + 3, 3 * order + 2}):
+            assert e_power(ring, 10, n) == e.pow(n), (p, m, n)
+        assert e_power(ring, 10, -1) == e.pow(order - 1)
+
+    @pytest.mark.parametrize("p,m", [(5, 1), (5, 3), (7, 2)])
+    def test_exponent_is_read_mod_p_to_the_m_minus_one(self, monkeypatch, p, m):
+        # Every power the table builds stays below p^(m-1); at m = 1 each is 1.
+        ring, order, requested = ResidueRing(p, m), p ** (m - 1), []
+        original = eisenstein.generator_power
+
+        def spy(form, ring, precision, n):
+            requested.append(n)
+            return original(form, ring, precision, n)
+
+        monkeypatch.setattr(eisenstein, "generator_power", spy)
+        original.cache_clear()
+        for n in (order, 5 * order + 2, 1000):
+            e_power(ring, 10, n)
+        assert requested and max(requested) < order
+        if m == 1:
+            assert e_power(ring, 10, 1000) == QSeries.one(ring, 10)
 
 
 class TestGeneratorPower:
