@@ -5,10 +5,15 @@ Everything here is exact: Python ints are unbounded and rationals are
 point is used anywhere in the package.
 
 Bernoulli numbers come from zeta(k) in integer fixed point, by two paths
-into one memo: `bernoulli(k)` builds k!, each p**k and (2 pi)**k from
-scratch, and `prefetch_bernoulli` steps them from one index to the next in
-one ascending pass. Both round through `_rounded_numerator`, which proves
-the rounding from an error bound each path supplies.
+into one memo. `bernoulli(k)` builds k!, each p**k and (2 pi)**k from
+scratch and divides by an Euler product for 1/zeta(k). `prefetch_bernoulli`
+steps k!, (2 pi)**-k and the exact reciprocals floor(2**W / n**k) of a
+direct zeta sum from one index to the next in one ascending pass, so its
+big-int work per index is multiplications and divisions by small
+integers. Its error budget is the zeta sum's floors and its tail past the
+first zero term, the stepped cuts of (2 pi)**-k, the slack cuts of its two
+products and one final floor. Each path bounds its error, and both round
+through `_round_proven`, which rounds only when the bound proves it.
 
 Both read pi from `_pi`: Chudnovsky's series summed by binary splitting,
 then one integer square root and one floored division. Its error budget (the
@@ -23,7 +28,7 @@ import math
 import threading
 from fractions import Fraction
 from itertools import compress
-from typing import Callable, Iterable
+from typing import Iterable
 
 __all__ = [
     "bernoulli",
@@ -80,20 +85,12 @@ def _prime_flags(n: int) -> bytearray:
     return flags
 
 
-def _is_prime(n: int) -> bool:
-    """Primality from the sieve table, by trial division past its end."""
-    root = math.isqrt(n)
-    flags = _prime_flags(root + 1)
-    if n < len(flags):
-        return flags[n] == 1
-    return all(n % p for p in compress(range(root + 1), flags))
-
-
 def bernoulli_denominator(k: int) -> int:
     """Denominator of B_k for even k >= 2 (von Staudt-Clausen): the product of the primes l with (l-1) | k."""
+    flags = _prime_flags(k + 1)
     out = 1
     for d in divisors(k):
-        if _is_prime(d + 1):
+        if flags[d + 1]:
             out *= d + 1
     return out
 
@@ -185,34 +182,14 @@ def _working_bits(k: int, top: int, guard: int) -> int:
     return top.bit_length() - 2585 * k // 1000 + guard
 
 
-def _rounded_numerator(k: int, top: int, w: int, guard: int, prime_power: Callable[[int, int], int],
-                       mantissa: int, exponent: int, units: int) -> int | None:
-    """|B_k| D = top * zeta(k) / (2 pi)**k for even k >= 4, top = 2 k! D, or None if unproven.
+def _round_proven(scaled: int, guard: int, error: int) -> int | None:
+    """The integer nearest scaled / 2**guard, or None unless that is proven.
 
-    The one rounding routine of both paths. w = _working_bits(k, top, guard);
-    `prime_power(p, k)` is p**k exactly, and mantissa * 2**exponent is
-    (2 pi)**k within a relative error of `units` * 2**-w. See `bernoulli` for
-    the error budget.
+    The check both paths share: scaled is |B_k| D * 2**guard within `error`,
+    and the rounding is proven when that whole interval lies within 1/4 of
+    an integer.
     """
-    # 2**w / zeta(k) from above, as prod (1 - p**-k) over the primes p <= P; the
-    # tail over n > P costs a factor 1 - sum n**-k >= 1 - P**(1-k) / (k-1),
-    # within 2**-w once (k-1) * P**(k-1) >= 2**w. The table reaches past
-    # 2**ceil(w / (k-1)), so the bound also holds when the loop runs it out.
-    flags = _prime_flags(1 << -(-w // (k - 1)))
-    euler = 1 << w
-    primes = 0
-    for p in compress(range(len(flags)), flags):
-        power = prime_power(p, k)
-        euler -= euler // power
-        primes += 1
-        if (k - 1) * (power // p) >= 1 << w:
-            break
-    # numerator * 2**guard = top * 2**(guard + w - exponent) / (mantissa * euler), floored.
-    shift = guard + w - exponent
-    divisor = mantissa * euler
-    scaled = (top << shift) // divisor if shift >= 0 else top // (divisor << -shift)
     numerator = (scaled + (1 << guard >> 1)) >> guard
-    error = 2 * units + 4 * primes + 7
     if 4 * (abs(scaled - (numerator << guard)) + error) > 1 << guard:
         return None
     return numerator
@@ -225,7 +202,24 @@ def _bernoulli_numerator(k: int, denominator: int, guard: int) -> int | None:
     # (2 pi)**k, with pi to s bits so that k * 2**-s stays below 2**-(w+1).
     s = w + k.bit_length() + 1
     mantissa, exponent = _power_truncated(_pi(s), 1 - s, k, w)
-    return _rounded_numerator(k, top, w, guard, pow, mantissa, exponent, 2 * k.bit_length() + 1)
+    # 2**w / zeta(k) from above, as prod (1 - p**-k) over the primes p <= P; the
+    # tail over n > P costs a factor 1 - sum n**-k >= 1 - P**(1-k) / (k-1),
+    # within 2**-w once (k-1) * P**(k-1) >= 2**w. The table reaches past
+    # 2**ceil(w / (k-1)), so the bound also holds when the loop runs it out.
+    flags = _prime_flags(1 << -(-w // (k - 1)))
+    euler = 1 << w
+    primes = 0
+    for p in compress(range(len(flags)), flags):
+        power = p**k
+        euler -= euler // power
+        primes += 1
+        if (k - 1) * (power // p) >= 1 << w:
+            break
+    # numerator * 2**guard = top * 2**(guard + w - exponent) / (mantissa * euler), floored.
+    shift = guard + w - exponent
+    divisor = mantissa * euler
+    scaled = (top << shift) // divisor if shift >= 0 else top // (divisor << -shift)
+    return _round_proven(scaled, guard, 4 * k.bit_length() + 4 * primes + 9)
 
 
 def _signed(k: int, numerator: int, denominator: int) -> Fraction:
@@ -242,23 +236,22 @@ def bernoulli(k: int) -> Fraction:
     approximated, to w = L + g bits, where 2**L bounds it and g are guard
     bits. With u = 2**-w, the relative errors are:
 
-    - (2 pi)**k, within `units` u. From scratch, pi goes to
+    - (2 pi)**k, within 2 bits(k) + 1 units u: pi goes to
       s = w + bits(k) + 1 bits within 2 units (`_pi` proves that bound for
       Chudnovsky's series: the tail past its q // 47 + 2 terms, the isqrt
       floor and the final floor), below u once raised to the k-th power,
-      and truncated powering makes at most 2 bits(k) cuts to
-      w + 1 bits, so units = 2 bits(k) + 1. `prefetch_bernoulli` steps it
-      instead; its docstring counts those cuts;
+      and truncated powering makes at most 2 bits(k) cuts to w + 1 bits;
     - the Euler product for 1/zeta(k) over the n primes up to its cutoff:
       each step floors, so it ends under n units of 2**-w high, and
       1/zeta(k) > 0.92 makes that below 2n u;
     - the Euler tail past the cutoff: below u.
 
-    Dividing by the two factors at most doubles their (units + 2n + 3) u, and
-    the floored division adds one unit, so |B_k| D * 2**g is known within
-    2 units + 4n + 7. One routine, `_rounded_numerator`, rounds it for both
-    paths, and only when that whole interval lies within 1/4 of an integer;
-    otherwise g doubles, at most twice, and B_k is recomputed from scratch.
+    Dividing by the two factors at most doubles their (2 bits(k) + 2n + 4) u,
+    and the floored division adds one unit, so |B_k| D * 2**g is known within
+    4 bits(k) + 4n + 9 units. It is rounded only when that whole interval
+    lies within 1/4 of an integer (`_round_proven`, which
+    `prefetch_bernoulli` shares); otherwise g doubles, at most twice, and
+    B_k is recomputed.
     """
     if k < 0:
         raise ValueError("Bernoulli index must be non-negative")
@@ -282,23 +275,91 @@ def bernoulli(k: int) -> Fraction:
     return value
 
 
+def _zeta_sum(reciprocals: list[int], k: int, width: int, w: int) -> tuple[int, int]:
+    """(Z, e) with Z <= zeta(k) * 2**w < Z + e, for k >= 4 and w <= width.
+
+    reciprocals[n - 1] is floor(2**width / n**k) for n = 1, 2, ...; the sum
+    appends those it reaches past the end. Z sums floor(2**w / n**k), each
+    such a reciprocal shifted down by width - w, up to the first zero term,
+    at n = N. The floors of n = 2 .. N-1 lose under 1 each (n = 1 is exact),
+    and past N, where 2**w < N**k, the tail sum_{n >= N} 2**w / n**k is
+    under 1 + N / (k-1) < N // (k-1) + 2.
+    """
+    shift = width - w
+    zeta, n = 0, 1
+    while True:
+        if n > len(reciprocals):
+            reciprocals.append((1 << width) // n**k)
+        term = reciprocals[n - 1] >> shift
+        if not term:
+            break
+        zeta += term
+        n += 1
+    return zeta, (n - 2) + (n // (k - 1) + 2)
+
+
+# Bits past an index's precision w to which the stepped path cuts each factor
+# of its two products; see `_stepped_numerator`.
+_SLACK_BITS = 2
+
+
+def _stepped_numerator(k: int, top: int, w: int, reciprocals: list[int], width: int,
+                       mantissa: int, exponent: int, units: int) -> int | None:
+    """|B_k| D = top * zeta(k) / (2 pi)**k for even k >= 4 from the pass's factors, or None if unproven.
+
+    w = _working_bits(k, top, _GUARD_BITS); `reciprocals` are the pass's
+    floor(2**width / n**k) for `_zeta_sum`, and mantissa * 2**exponent is
+    (2 pi)**-k within a relative error of `units` * 2**-w. Two products, with
+    no division: top * zeta(k), then that times (2 pi)**-k, each factor cut
+    to w + _SLACK_BITS + 1 bits. See `prefetch_bernoulli` for the error budget.
+    """
+    zeta, zeta_error = _zeta_sum(reciprocals, k, width, w)
+    bits = w + _SLACK_BITS
+    top, top_exponent = _truncate(top, 0, bits)
+    product, product_exponent = _truncate(top * zeta, top_exponent - w, bits)
+    mantissa, exponent = _truncate(mantissa, exponent, bits)
+    # numerator * 2**guard = product * mantissa * 2**(product_exponent + exponent + guard), floored.
+    scaled = product * mantissa
+    shift = product_exponent + exponent + _GUARD_BITS
+    scaled = scaled << shift if shift >= 0 else scaled >> -shift
+    return _round_proven(scaled, _GUARD_BITS, zeta_error + units + 2)
+
+
 def prefetch_bernoulli(indices: Iterable[int]) -> None:
     """Memoize B_k for every k in `indices`, in one ascending pass.
 
-    Each step to the next missing even k >= 4, a gap of d, carries k! and
-    every p**k the Euler product reads forward exactly, and (2 pi)**k at one
-    precision W by one truncated multiply with (2 pi)**d. That step factor
-    is made once per distinct gap, from pi to W + bits(d) + 1 bits (under
-    half a unit of 2**-W once raised to the d-th power) with at most
-    2 bits(d) - 1 cuts to W + 1 bits; with the multiply's own cut, a step
-    adds under 2 bits(d) + 1 units of 2**-W. Cutting their running sum C to
-    an index's own w + 1 bits adds one unit of 2**-w, so (2 pi)**k is within
-    units = ceil(C * 2**(w - W)) + 1 of them. W exceeds every w of the pass
-    by bits(C) of the whole pass, so no restart is needed: units stays 2,
-    below the 2 bits(k) + 1 of a from-scratch power. Each index is then
-    rounded by the same routine as in `bernoulli`, at its first guard width;
-    an index whose rounding that cannot prove goes to `bernoulli(k)`, with
-    its guard doubling and its `ArithmeticError`.
+    The pass runs at one precision W, and its big-int work per index is
+    multiplications and divisions by small integers. Each step to the next
+    missing even k >= 4, a gap of d, carries forward:
+
+    - k! exactly;
+    - the reciprocals R_n = floor(2**W / n**k), each by R_n //= n**d, which
+      keeps it exact (floor(floor(x) / a) = floor(x / a)), so no error
+      builds up; `_zeta_sum` appends fresh ones as it needs them;
+    - (2 pi)**-k, by one truncated multiply with (2 pi)**-d. That step
+      factor is made once per distinct gap: pi to s = W + bits(d) + 3 bits,
+      one floored division for 2**s / pi within a relative 2**(2-s) (pi's
+      2 units and the floor), under half a unit of 2**-W once raised to the
+      d-th power, then at most 2 bits(d) - 1 cuts to W + 1 bits; with the
+      multiply's own cut, a step adds under 2 bits(d) + 1 units of 2**-W.
+      W exceeds every index's own precision w by the bits of their sum C
+      over the pass, so (2 pi)**-k is within units = ceil(C * 2**(w - W)) = 1
+      unit of 2**-w.
+
+    |B_k| D * 2**g, below 2**w, is then known within the sum of
+
+    - the zeta sum's e = (N - 2) + (N // (k-1) + 2): its N - 2 floors and
+      its tail past the first zero term, at n = N (`_zeta_sum`); zeta(k) >= 1
+      makes that a relative error under e * 2**-w;
+    - (2 pi)**-k's `units`;
+    - one unit for the slack cuts: top, top * zeta and (2 pi)**-k are each
+      cut to w + 3 bits, a relative error under 2**-(w+2) apiece, so under
+      3/4 of a unit together;
+    - one unit for the final floor.
+
+    Each index is rounded at its first guard width by the check `bernoulli`
+    uses; an index whose rounding that cannot prove goes to `bernoulli(k)`,
+    with its guard doubling and its `ArithmeticError`.
     """
     indices = set(indices)
     if indices and min(indices) < 0:
@@ -315,26 +376,19 @@ def prefetch_bernoulli(indices: Iterable[int]) -> None:
             previous = k
         total = sum(2 * d.bit_length() + 1 for _, d, _, _, _ in steps)
         width = max((w for *_, w in steps), default=0) + total.bit_length()
-        carried: dict[int, tuple[int, int]] = {}  # p -> (j, p**j)
-
-        def stepped_power(p: int, k: int) -> int:
-            j, power = carried.get(p, (0, 1))
-            power *= p ** (k - j)
-            carried[p] = (k, power)
-            return power
-
-        factors: dict[int, tuple[int, int]] = {}  # d -> (2 pi)**d at width + 1 bits
-        mantissa, exponent, cost = 1, 0, 0  # (2 pi)**k within cost * 2**-width
+        factors: dict[int, tuple[int, int]] = {}  # d -> (2 pi)**-d at width + 1 bits
+        reciprocals: list[int] = []  # floor(2**width / n**k) for n = 1, 2, ...
+        mantissa, exponent, cost = 1, 0, 0  # (2 pi)**-k within cost * 2**-width
         for k, d, denominator, top, w in steps:
             if d not in factors:
-                s = width + d.bit_length() + 1
-                factors[d] = _power_truncated(_pi(s), 1 - s, d, width)
+                s = width + d.bit_length() + 3
+                factors[d] = _power_truncated((1 << 2 * s) // _pi(s), -s - 1, d, width)
             step, step_exponent = factors[d]
             mantissa, exponent = _truncate(mantissa * step, exponent + step_exponent, width)
             cost += 2 * d.bit_length() + 1
-            numerator = _rounded_numerator(k, top, w, _GUARD_BITS, stepped_power,
-                                           *_truncate(mantissa, exponent, w),
-                                           -(-cost >> (width - w)) + 1)
+            reciprocals = [r // n**d for n, r in enumerate(reciprocals, 1)]
+            numerator = _stepped_numerator(k, top, w, reciprocals, width, mantissa, exponent,
+                                           -(-cost >> (width - w)))
             if numerator is None:
                 unproven.append(k)
             else:

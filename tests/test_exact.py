@@ -6,6 +6,9 @@ from fractions import Fraction
 
 import pytest
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from eiscong import exact
 from eiscong.cli import STATEMENTS, _build_tasks, build_parser, main
 from eiscong.exact import (
@@ -29,6 +32,15 @@ from conftest import bernoulli_by_recurrence, bernoulli_by_tangent, pi_by_machin
 # large weights of the paper's examples and the benchmark.
 DIFFERENTIAL_INDICES = list(range(2, 601, 2)) + [1296, 2026, 2200, 2402]
 
+# Shapes of a pass: one index, a run of gaps of 2, mixed gaps, and indices
+# past 2060, where the numerators outgrow CPython's int/str digit limit.
+PASS_SHAPES = {
+    "single": [1296],
+    "gaps of 2": list(range(4, 203, 2)),
+    "mixed gaps": [4, 6, 12, 30, 32, 100, 106, 400, 402, 1296, 2026],
+    "past 2060": [2062, 2200, 2402],
+}
+
 # The indices of `scan eq6.4 --p 7 --m 4 --kstar 6 --alpha 0..300`: 6 alpha + 6.
 SCAN_INDICES = [6 * alpha + 6 for alpha in range(301)]
 
@@ -43,7 +55,7 @@ def thm1_grid_indices():
 
 @pytest.fixture(scope="module")
 def tangent_oracle():
-    return bernoulli_by_tangent(sorted(set(DIFFERENTIAL_INDICES + SCAN_INDICES)))
+    return bernoulli_by_tangent(sorted(set(DIFFERENTIAL_INDICES + SCAN_INDICES).union(*PASS_SHAPES.values())))
 
 
 def interleaved(indices):
@@ -233,7 +245,7 @@ class TestBernoulli:
         assert 40 not in bernoulli_cached_indices()
 
     def test_denominator_matches_tangent_oracle(self, tangent_oracle, monkeypatch):
-        # From an empty sieve, large candidates l = d + 1 go through trial division.
+        # From an empty sieve, which each index grows to cover its candidates l = d + 1.
         monkeypatch.setattr(exact, "_PRIME_FLAGS", bytearray(2))
         for k in reversed(DIFFERENTIAL_INDICES):
             assert exact.bernoulli_denominator(k) == tangent_oracle[k].denominator, k
@@ -269,19 +281,57 @@ class TestBernoulli:
         assert [results[slot] for slot in range(len(indices))] == [tangent_oracle[k] for k in indices]
 
 
-def spy_rounding(monkeypatch, fail=lambda k, prime_power: False):
-    """Record (k, stepped, units) per rounding attempt; `fail` rejects an attempt outright."""
+def spy_rounding(monkeypatch, fail=lambda k: False):
+    """Record (k, stepped, units) per rounding attempt; `fail` rejects a stepped attempt outright.
+
+    Stepped attempts are the pass's `_stepped_numerator`, with the units of
+    its (2 pi)**-k; single ones are `_bernoulli_numerator`, with units None.
+    """
     attempts = []
-    real = exact._rounded_numerator
+    stepped, single = exact._stepped_numerator, exact._bernoulli_numerator
 
-    def spy(k, top, w, guard, prime_power, mantissa, exponent, units):
-        attempts.append((k, prime_power is not pow, units))
-        if fail(k, prime_power):
+    def stepped_spy(k, top, w, reciprocals, width, mantissa, exponent, units):
+        attempts.append((k, True, units))
+        if fail(k):
             return None
-        return real(k, top, w, guard, prime_power, mantissa, exponent, units)
+        return stepped(k, top, w, reciprocals, width, mantissa, exponent, units)
 
-    monkeypatch.setattr(exact, "_rounded_numerator", spy)
+    def single_spy(k, denominator, guard):
+        attempts.append((k, False, None))
+        return single(k, denominator, guard)
+
+    monkeypatch.setattr(exact, "_stepped_numerator", stepped_spy)
+    monkeypatch.setattr(exact, "_bernoulli_numerator", single_spy)
     return attempts
+
+
+def spy_reciprocals(monkeypatch):
+    """Check at every step that each reciprocal the pass carries, or appends, is exact."""
+    steps = []
+    real = exact._zeta_sum
+
+    def exact_from(reciprocals, k, width, start):
+        return all(reciprocals[n - 1] == (1 << width) // n**k
+                   for n in range(start, len(reciprocals) + 1))
+
+    def spy(reciprocals, k, width, w):
+        carried = len(reciprocals)
+        assert exact_from(reciprocals, k, width, 1), k
+        result = real(reciprocals, k, width, w)
+        assert exact_from(reciprocals, k, width, carried + 1), k
+        steps.append(k)
+        return result
+
+    monkeypatch.setattr(exact, "_zeta_sum", spy)
+    return steps
+
+
+def from_scratch(k):
+    """B_k by the single path alone, at the first guard width."""
+    denominator = exact.bernoulli_denominator(k)
+    numerator = exact._bernoulli_numerator(k, denominator, exact._GUARD_BITS)
+    assert numerator is not None, k
+    return exact._signed(k, numerator, denominator)
 
 
 class TestPrefetch:
@@ -297,9 +347,10 @@ class TestPrefetch:
         assert bernoulli_cached_indices() == [0, 1, 2] + SCAN_INDICES
         for k in SCAN_INDICES:
             assert bernoulli(k) == tangent_oracle[k], k
-        # Every index was rounded once, stepped, at 2 units of its own
-        # precision: one for the stepped cuts and one for the final cut.
-        assert attempts == [(k, True, 2) for k in SCAN_INDICES]
+        # Every index was rounded once, stepped, with (2 pi)**-k within 1 unit
+        # of its own precision: the stepped cuts' sum. Its cut to that
+        # precision is one of the slack cuts, with their own unit.
+        assert attempts == [(k, True, 1) for k in SCAN_INDICES]
 
     def test_after_a_warm_prefix(self, cold_bernoulli, tangent_oracle, monkeypatch):
         # The benchmark's cache holds alpha <= 100, so the pass starts with a gap of 612.
@@ -307,7 +358,7 @@ class TestPrefetch:
             bernoulli(k)
         attempts = spy_rounding(monkeypatch)
         prefetch_bernoulli(SCAN_INDICES)
-        assert [k for k, _, _ in attempts] == SCAN_INDICES[101:]
+        assert attempts == [(k, True, 1) for k in SCAN_INDICES[101:]]
         for k in SCAN_INDICES:
             assert bernoulli(k) == tangent_oracle[k], k
 
@@ -317,7 +368,7 @@ class TestPrefetch:
         assert len(indices) > 100 and len(gaps) > 3 and max(indices) == 366
         attempts = spy_rounding(monkeypatch)
         prefetch_bernoulli(indices)
-        assert all(stepped for _, stepped, _ in attempts)
+        assert attempts == [(k, True, 1) for k in indices if k > 2]
         for k in indices:
             assert bernoulli(k) == tangent_oracle[k], k
 
@@ -326,9 +377,9 @@ class TestPrefetch:
         # Every third stepped attempt fails: those indices are recomputed from
         # scratch, and the chain goes on for the rest.
         failing = set(SCAN_INDICES[::3])
-        attempts = spy_rounding(monkeypatch, lambda k, prime_power: prime_power is not pow
-                                and k in failing)
+        attempts = spy_rounding(monkeypatch, lambda k: k in failing)
         prefetch_bernoulli(SCAN_INDICES)
+        assert [k for k, stepped, _ in attempts if stepped] == SCAN_INDICES
         single = [k for k, stepped, _ in attempts if not stepped]
         assert single == sorted(failing)
         for k in SCAN_INDICES:
@@ -392,6 +443,79 @@ class TestPrefetch:
         assert [k for k, _, _ in attempts] == [12]
         assert bernoulli_cached_indices() == [0, 1, 2, 12]
         assert bernoulli(12) == Fraction(-691, 2730)
+
+    @pytest.mark.parametrize("shape", PASS_SHAPES)
+    def test_pass_shapes(self, cold_bernoulli, tangent_oracle, monkeypatch, shape):
+        indices = PASS_SHAPES[shape]
+        steps = spy_reciprocals(monkeypatch)
+        prefetch_bernoulli(indices)
+        assert steps == indices
+        for k in indices:
+            assert bernoulli(k) == tangent_oracle[k] == from_scratch(k), k
+
+    def test_reciprocals_after_a_warm_prefix(self, cold_bernoulli, tangent_oracle, monkeypatch):
+        # A first gap of 612, then gaps of 6.
+        indices = SCAN_INDICES[:161]
+        for k in indices[:101]:
+            exact.seed_bernoulli(k, tangent_oracle[k])
+        steps = spy_reciprocals(monkeypatch)
+        prefetch_bernoulli(indices)
+        assert steps == indices[101:]
+        for k in indices[101::10]:
+            assert bernoulli(k) == tangent_oracle[k] == from_scratch(k), k
+
+    @settings(derandomize=True, database=None, max_examples=150, deadline=None)
+    @given(st.data())
+    def test_ascending_sets_match_the_oracle(self, tangent_oracle, data):
+        # An index set, the first `warm` of them already memoized (as from a
+        # cache), so the pass may open on a large gap.
+        indices = sorted(data.draw(st.sets(st.sampled_from(sorted(k for k in tangent_oracle if k >= 4)),
+                                           min_size=1, max_size=12)))
+        warm = data.draw(st.integers(0, len(indices) - 1))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(exact, "_BERNOULLI_MEMO", {k: exact._BERNOULLI_MEMO[k] for k in (0, 1, 2)})
+            for k in indices[:warm]:
+                exact.seed_bernoulli(k, tangent_oracle[k])
+            prefetch_bernoulli(indices)
+            assert bernoulli_cached_indices() == [0, 1, 2] + indices
+            assert all(exact._BERNOULLI_MEMO[k] == tangent_oracle[k] for k in indices)
+
+    @pytest.mark.parametrize("k", [4, 6, 8, 12, 20])
+    def test_zeta_sum_within_its_bound(self, k):
+        # The partial sum S of n**-k to M = 1024, exact over the common
+        # denominator L; zeta(k) lies in [S, S + M**(1-k) / (k-1)].
+        M = 1024
+        L = math.lcm(*range(1, M + 1)) ** k
+        partial = Fraction(sum(L // n**k for n in range(1, M + 1)), L)
+        for w in range(6 * k + 1):
+            zeta, error = exact._zeta_sum([], k, w, w)
+            low = partial * 2**w
+            high = low + Fraction(2**w, (k - 1) * M ** (k - 1))
+            assert zeta <= low and high < zeta + error, (k, w)
+            # The same sum from reciprocals at a wider precision, shifted down.
+            assert exact._zeta_sum([], k, w + 37, w) == (zeta, error), (k, w)
+
+    def test_stepped_products_within_the_stated_error(self, monkeypatch):
+        # With a zeta sum and a (2 pi)**-k that carry no error of their own,
+        # the slack cuts and the final floor stay within the stated error, for
+        # numerators * 2**guard just below 2**w, where the cuts cost most.
+        rng = random.Random(16)
+        rounded = []
+        monkeypatch.setattr(exact, "_round_proven",
+                            lambda scaled, guard, error: rounded.append((scaled, guard, error)))
+        for _ in range(300):
+            w = rng.randrange(40, 400)
+            top = rng.getrandbits(w + 64) | 1 << (w + 63)
+            zeta = rng.getrandbits(w) | 1 << w
+            mantissa = rng.getrandbits(w + 40) | 1 << (w + 39)
+            product = top * zeta * mantissa
+            exponent = 2 * w - exact._GUARD_BITS - product.bit_length()
+            monkeypatch.setattr(exact, "_zeta_sum", lambda reciprocals, k, width, w, z=zeta: (z, 0))
+            exact._stepped_numerator(4, top, w, [], w, mantissa, exponent, 0)
+            scaled, guard, error = rounded.pop()
+            value = product * Fraction(2) ** (exponent + guard - w)
+            assert 2 ** (w - 1) <= value < 2**w
+            assert abs(scaled - value) < error
 
     def test_negative_index_rejected(self, cold_bernoulli):
         with pytest.raises(ValueError, match="non-negative"):
