@@ -1,8 +1,8 @@
 """Command-line entry points: bernoulli | series | verify | filtration | reproduce | scan.
 
 JSON-lines is the canonical machine format for grid runs; records are
-written in input order regardless of worker count, in chunks as their tasks
-finish, and the exit status is 0 exactly when every emitted record passes.
+written in input order, in chunks as their tasks finish, and the exit
+status is 0 exactly when every emitted record passes.
 Every input error is raised before the first record is written.
 """
 
@@ -12,8 +12,7 @@ import argparse
 import json
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
-from functools import lru_cache, partial
+from functools import lru_cache
 from itertools import product
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Sequence
@@ -376,25 +375,25 @@ def _build_tasks(name: str, args) -> list[dict]:
     return points
 
 
-def _run_task(statement: str, budget: int, seconds: float | None, fmt: str,
-              point: dict, charge: int) -> tuple[bool, str]:
-    """Whether the point passed, and its record's text in `fmt`.
+def _run_task(statement: str, args, point: dict, charge: int) -> tuple[bool, str]:
+    """Whether the point passed, and its record's text in --format.
 
-    `charge`, the point's largest Bernoulli index, is checked against `budget`;
-    a record slower than `seconds` carries a budget warning.
+    `charge`, the point's largest Bernoulli index, is checked against
+    --budget-bernoulli; a record slower than --budget-seconds carries a
+    budget warning.
     """
     started = time.monotonic()
     try:
-        cong._check_budget(charge, budget)
+        cong._check_budget(charge, args.budget_bernoulli)
         report = STATEMENTS[statement].run(point)
     except BudgetExceededError as err:
         report = CongruenceReport(statement, dict(point), "BudgetExceeded", {"message": str(err)})
     warning = None
-    if seconds is not None:
+    if args.budget_seconds is not None:
         elapsed = time.monotonic() - started
-        if elapsed > seconds:
-            warning = {"elapsed-seconds": round(elapsed, 3), "limit": seconds}
-    return report.passed, _record_text(report, warning, fmt)
+        if elapsed > args.budget_seconds:
+            warning = {"elapsed-seconds": round(elapsed, 3), "limit": args.budget_seconds}
+    return report.passed, _record_text(report, warning, args.format)
 
 
 def _run_tasks(name: str, args) -> Iterator[tuple[bool, str]]:
@@ -409,8 +408,8 @@ def _run_tasks(name: str, args) -> Iterator[tuple[bool, str]]:
     for point in points:
         entry.validate(point)
     # One ascending pass memoizes every index a task within its budget reads,
-    # before any task runs and before the pool forks its workers, so no worker
-    # computes a Bernoulli number that --cache would then miss.
+    # before any task runs, so no task computes a Bernoulli number by its own
+    # Euler product.
     charges, reads = [], set()
     for point in points:
         indices = entry.reads(point)
@@ -419,18 +418,7 @@ def _run_tasks(name: str, args) -> Iterator[tuple[bool, str]]:
         if indices and charge <= args.budget_bernoulli:
             reads.update(indices)
     prefetch_bernoulli(sorted(reads))
-    run = partial(_run_task, statement, args.budget_bernoulli, args.budget_seconds, args.format)
-    if args.jobs <= 1 or len(points) <= 1:
-        return map(run, points, charges)
-    return _pooled(run, points, charges, args.jobs)
-
-
-def _pooled(run: partial, points: list[dict], charges: list[int],
-            jobs: int) -> Iterator[tuple[bool, str]]:
-    # The executor's map yields the results in input order as chunks finish.
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        yield from pool.map(run, points, charges,
-                            chunksize=max(1, len(points) // (4 * jobs) or 1))
+    return (_run_task(statement, args, point, charge) for point, charge in zip(points, charges))
 
 
 # ---------------------------------------------------------------------------
@@ -560,9 +548,8 @@ def _add_common(parser: argparse.ArgumentParser, default_format: str,
     parser.add_argument("--out", help="write output to this file instead of stdout")
     parser.add_argument("--format", choices=formats, default=default_format)
     parser.add_argument("--cache", help="Bernoulli cache file (load before, append after)")
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="worker processes for verify/scan grid points "
-                             "(default 1: serial, no pool)")
+    # Grids run serially; --jobs is still accepted, as 1 only, for argvs that pass it.
+    parser.add_argument("--jobs", type=int, choices=(1,), default=1, help=argparse.SUPPRESS)
 
 
 def build_parser() -> argparse.ArgumentParser:

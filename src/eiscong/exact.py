@@ -359,16 +359,23 @@ def prefetch_bernoulli(indices: Iterable[int]) -> None:
 
     Each index is rounded at its first guard width by the check `bernoulli`
     uses; an index whose rounding that cannot prove goes to `bernoulli(k)`,
-    with its guard doubling and its `ArithmeticError`.
+    with its guard doubling and its `ArithmeticError`. So does a lone missing
+    index: a pass over one makes each reciprocal by a big division, which
+    costs more than the Euler product's few prime powers.
     """
     indices = set(indices)
     if indices and min(indices) < 0:
         raise ValueError("Bernoulli index must be non-negative")
+    missing = [k for k in indices if k % 2 == 0 and k not in _BERNOULLI_MEMO]
+    if len(missing) == 1:
+        bernoulli(missing[0])
+        return
     unproven = []
     with _BERNOULLI_LOCK:
         steps = []  # (k, gap from the index before, D, 2 k! D, w), ascending
         factorial, previous = 1, 0
-        for k in sorted(k for k in indices if k % 2 == 0 and k not in _BERNOULLI_MEMO):
+        # Another thread may have memoized some since `missing` was read.
+        for k in sorted(k for k in missing if k not in _BERNOULLI_MEMO):
             factorial *= math.perm(k, k - previous)  # k! / previous!
             denominator = bernoulli_denominator(k)
             top = 2 * factorial * denominator

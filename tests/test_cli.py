@@ -195,35 +195,6 @@ class TestVerifyCommand:
         assert status == 0 and len(params) > len(box) == 60
         assert points == box
 
-    @pytest.mark.parametrize("argv", [
-        ["verify", "identity", "--m", "2..6", "--alpha", "0..8"],
-        ["verify", "telescoping", "--m", "2..5", "--alpha", "0..6"],
-    ], ids=["identity", "telescoping"])
-    def test_box_grid_parallel_matches_serial(self, capsys, argv):
-        status1, out1, _ = run_cli(capsys, *argv, "--jobs", "1")
-        status2, out2, _ = run_cli(capsys, *argv, "--jobs", "2")
-        assert (status1, out1) == (status2, out2) and status1 == 0 and out1
-
-    @pytest.mark.parametrize("argv", [
-        ["verify", "identity", "--m", "2..4", "--alpha", "0..5"],
-        ["verify", "thm1", "--p", "5", "--m", "1..3", "--alpha", "0..6", "--prec", "20"],
-        ["scan", "eq6.1", "--p", "5", "--m", "2", "--alpha", "0..4", "--prec", "20"],
-        ["verify", "thm1", "--p", "5", "--m", "2", "--alpha", "0..5", "--prec", "10",
-         "--budget-bernoulli", "10"],
-        ["verify", "thm1", "--p", "4", "--m", "2"],
-    ], ids=["identity", "thm1", "eq6.1", "over-budget", "input-error"])
-    def test_default_jobs_is_serial(self, capsys, monkeypatch, argv):
-        # No pool unless --jobs asks for one; the bytes and status are a pool's.
-        pooled = run_cli(capsys, *argv, "--jobs", "2")
-        monkeypatch.setattr(cli, "_pooled", lambda *args: pytest.fail("forked a pool"))
-        assert run_cli(capsys, *argv) == pooled
-
-    def test_parallel_matches_serial(self, capsys):
-        argv = ["verify", "sun97", "--p", "5", "--n-max", "6"]
-        status1, out1, _ = run_cli(capsys, *argv, "--jobs", "1")
-        status2, out2, _ = run_cli(capsys, *argv, "--jobs", "2")
-        assert (status1, out1) == (status2, out2)
-
     def test_human_and_csv_formats(self, capsys):
         for fmt in ("human", "csv", "json"):
             status, out, _ = run_cli(
@@ -339,6 +310,40 @@ def test_budget_flag_outside_the_grids_is_rejected(capsys, name, flag):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"unrecognized arguments: {' '.join(flag)}" in captured.err
+
+
+# A minimal valid argv of every subcommand.
+MINIMAL_ARGVS = {name: argv for name, (argv, _) in REJECTED_FORMATS.items()}
+MINIMAL_ARGVS["verify"] = ["verify", "identity", "--m", "2", "--alpha", "3"]
+
+
+@pytest.mark.parametrize("name", sorted(MINIMAL_ARGVS))
+def test_jobs_1_is_a_no_op(name):
+    # Grids run serially; the flag is kept, as 1 only, for argvs that pass it.
+    parser = cli.build_parser()
+    argv = MINIMAL_ARGVS[name]
+    assert parser.parse_args([*argv, "--jobs", "1"]) == parser.parse_args(argv)
+
+
+@pytest.mark.parametrize("jobs", ["2", "0"])
+@pytest.mark.parametrize("name", sorted(MINIMAL_ARGVS))
+def test_jobs_other_than_1_is_rejected(capsys, name, jobs):
+    with pytest.raises(SystemExit) as exc:
+        main([*MINIMAL_ARGVS[name], "--jobs", jobs])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument --jobs: invalid choice: {jobs}" in captured.err
+
+
+def test_cli_imports_no_process_pool():
+    # concurrent.futures pulls in multiprocessing, logging and socket: over
+    # 20 ms of every cold run, for a pool the serial grids never start.
+    proc = run_python("-c", "import sys, eiscong.cli; print(*sorted(sys.modules))")
+    loaded = proc.stdout.split()
+    assert proc.returncode == 0 and "eiscong.cli" in loaded, proc.stderr
+    assert [name for name in loaded
+            if name.split(".")[0] in ("concurrent", "multiprocessing")] == []
 
 
 # One tiny grid point per verify/scan name, aliases included, and the
@@ -514,9 +519,8 @@ class TestStatementTable:
         (["verify", "thm1", "--p", "5", "--alpha", "0..3", "--prec", "-1"],
          "check_thm_gk", "precision must be non-negative, got -1"),
     ], ids=["eq3.1", "eq1.4", "kummer", "eq1.6", "thm1-prec"])
-    @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_bad_last_point_is_rejected_before_any_task_runs(
-            self, capsys, monkeypatch, argv, check, message, jobs):
+            self, capsys, monkeypatch, argv, check, message):
         # Records stream as their tasks finish, so an error that only the last
         # task raised would follow the records of the tasks before it.
         from eiscong import congruences
@@ -524,7 +528,7 @@ class TestStatementTable:
         calls = []
         original = getattr(congruences, check)
         monkeypatch.setattr(congruences, check, lambda *args: calls.append(args) or original(*args))
-        status, out, err = run_cli(capsys, *argv, "--jobs", jobs)
+        status, out, err = run_cli(capsys, *argv, "--jobs", "1")
         assert (status, out, err) == (2, "", f"error: {message}\n")
         assert calls == []
 
@@ -863,24 +867,6 @@ class TestPrefetch:
         status, out, memo, _ = runs["pass"]
         assert status == 0 and out and len(memo) > 10
 
-    @pytest.mark.parametrize("argv", [
-        "verify kummer --p 7 --m 1..2 --k 4,8,10 --alpha 1..3",
-        "verify thm1 --p 5,7 --m 2..3 --alpha 5..9 --prec 20",
-        "scan eq6.1 --p 5 --m 2 --alpha 4..9 --prec 15",
-    ], ids=["kummer", "thm1", "eq6.1"])
-    def test_cache_bytes_do_not_depend_on_jobs(self, tmp_path, argv):
-        # Each task also reads Bernoulli numbers below its largest index (B_k
-        # of kummer, each H-weighted term's and B_{p-1} of an inversion). The
-        # pass memoizes them all before the pool forks, so no worker computes
-        # one that the cache then misses.
-        runs = {}
-        for jobs in ("1", "2"):
-            cache = tmp_path / f"jobs-{jobs}.cache"
-            proc = run_module(*argv.split(), "--jobs", jobs, "--cache", str(cache))
-            runs[jobs] = (proc.returncode, proc.stdout, cache.read_bytes())
-        assert runs["2"] == runs["1"]
-        assert runs["1"][0] == 0 and len(runs["1"][2].splitlines()) > 10
-
     def test_over_budget_task_is_not_prefetched(self, capsys, cold_bernoulli, prefetched):
         status, out, _ = run_cli(capsys, "scan", "eq6.4", "--p", "7", "--m", "4", "--kstar", "6",
                                  "--alpha", "0..20", "--budget-bernoulli", "60", "--jobs", "1")
@@ -893,16 +879,6 @@ class TestPrefetch:
         status, out, _ = run_cli(capsys, "bernoulli", "10..14", "--p", "7")
         assert status == 0 and prefetched == [10, 11, 12, 13, 14]
         assert out.splitlines()[2] == "12 -691/2730  nu_7=-1"
-
-    @pytest.mark.parametrize("argv", [
-        ["scan", "eq6.4", "--p", "7", "--m", "4", "--kstar", "6", "--alpha", "0..60"],
-        ["verify", "thm2", "--p", "5,7", "--m", "1..3", "--alpha", "1..12", "--prec", "30"],
-    ], ids=["eq6.4", "thm2"])
-    def test_workers_match_serial(self, capsys, cold_bernoulli, argv):
-        # From a cold memo the workers read what the pass memoized before they forked.
-        parallel = run_cli(capsys, *argv, "--jobs", "2")
-        serial = run_cli(capsys, *argv, "--jobs", "1")
-        assert parallel == serial and serial[0] == 0 and serial[1]
 
 
 # ---------------------------------------------------------------------------
@@ -976,15 +952,14 @@ class TestRecordText:
         assert set(STATEMENTS) <= set(DIFFERENTIAL_GRIDS)
 
     @pytest.mark.parametrize("name", sorted(DIFFERENTIAL_GRIDS))
-    @pytest.mark.parametrize("jobs", ["1", "2"])
-    def test_grid_matches_the_whole_list_dump(self, capsys, name, jobs):
+    def test_grid_matches_the_whole_list_dump(self, capsys, name):
         argv = DIFFERENTIAL_GRIDS[name].split()
         records = oracle_records(argv)
         assert any(r.get("params", {}).get("alpha", 0) > 2 ** 64 for r in records) == (
             name == "large")
         formats = ("jsonl", "json") if argv[0] == "scan" else ("jsonl", "json", "csv", "human")
         for fmt in formats:
-            status, out, err = run_cli(capsys, *argv, "--format", fmt, "--jobs", jobs)
+            status, out, err = run_cli(capsys, *argv, "--format", fmt, "--jobs", "1")
             assert out == emit_oracle(records, fmt), fmt
             passed = all(r["verdict"] == "Pass" for r in records if "summary" not in r)
             assert (status, err) == (0 if passed else 1, "")

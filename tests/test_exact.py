@@ -32,10 +32,11 @@ from conftest import bernoulli_by_recurrence, bernoulli_by_tangent, pi_by_machin
 # large weights of the paper's examples and the benchmark.
 DIFFERENTIAL_INDICES = list(range(2, 601, 2)) + [1296, 2026, 2200, 2402]
 
-# Shapes of a pass: one index, a run of gaps of 2, mixed gaps, and indices
-# past 2060, where the numerators outgrow CPython's int/str digit limit.
+# Shapes of a pass: two indices, the fewest it runs on (a lone missing index
+# goes to `bernoulli`), a run of gaps of 2, mixed gaps, and indices past
+# 2060, where the numerators outgrow CPython's int/str digit limit.
 PASS_SHAPES = {
-    "single": [1296],
+    "pair": [1290, 1296],
     "gaps of 2": list(range(4, 203, 2)),
     "mixed gaps": [4, 6, 12, 30, 32, 100, 106, 400, 402, 1296, 2026],
     "past 2060": [2062, 2200, 2402],
@@ -443,6 +444,28 @@ class TestPrefetch:
         assert [k for k, _, _ in attempts] == [12]
         assert bernoulli_cached_indices() == [0, 1, 2, 12]
         assert bernoulli(12) == Fraction(-691, 2730)
+
+    @pytest.mark.parametrize("indices,warm", [
+        ([0, 1, 3, 2402], []), ([4, 12, 2402], [4, 12]), ([2200, 2402], []), ([4, 2200, 2402], [4]),
+    ], ids=["lone", "lone-after-warm", "pair", "pair-after-warm"])
+    def test_lone_missing_index_goes_to_bernoulli(self, cold_bernoulli, tangent_oracle,
+                                                  monkeypatch, indices, warm):
+        # A pass over one index makes each reciprocal by a big division, and is
+        # slower than `bernoulli` from scratch; two or more still share a pass.
+        for k in warm:
+            exact.seed_bernoulli(k, tangent_oracle[k])
+        called, real = [], exact.bernoulli
+        monkeypatch.setattr(exact, "bernoulli", lambda k: called.append(k) or real(k))
+        attempts = spy_rounding(monkeypatch)
+        prefetch_bernoulli(indices)
+        missing = [k for k in indices if k >= 4 and k not in warm]
+        if len(missing) == 1:
+            assert called == missing and attempts == [(missing[0], False, None)]
+        else:
+            assert called == [] and attempts == [(k, True, 1) for k in missing]
+        assert bernoulli_cached_indices() == sorted({0, 1, 2, *warm, *missing})
+        for k in missing:
+            assert exact._BERNOULLI_MEMO[k] == tangent_oracle[k], k
 
     @pytest.mark.parametrize("shape", PASS_SHAPES)
     def test_pass_shapes(self, cold_bernoulli, tangent_oracle, monkeypatch, shape):
