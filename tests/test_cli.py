@@ -14,7 +14,7 @@ from eiscong.cache import (
     parse_cache_line,
     save_bernoulli_cache,
 )
-from eiscong import cli
+from eiscong import cli, exact
 from eiscong.cli import (
     STATEMENT_ALIASES,
     STATEMENTS,
@@ -26,6 +26,8 @@ from eiscong.cli import (
 from eiscong.congruences import CongruenceReport
 from eiscong.errors import CacheFormatError
 from eiscong.exact import bernoulli, bernoulli_cached_indices, parse_int
+
+from conftest import bernoulli_by_tangent
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -194,6 +196,24 @@ class TestVerifyCommand:
         box = list(dict.fromkeys((t["m"], t["j"], t["s"], t["alpha"]) for t in params))
         assert status == 0 and len(params) > len(box) == 60
         assert points == box
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "identity", "--m", "2..4", "--alpha", "0..5"],
+        ["verify", "thm1", "--p", "5", "--m", "1..3", "--alpha", "0..6", "--prec", "20"],
+        ["scan", "eq6.1", "--p", "5", "--m", "2", "--alpha", "0..4", "--prec", "20"],
+        ["verify", "thm1", "--p", "5", "--m", "2", "--alpha", "0..5", "--prec", "10",
+         "--budget-bernoulli", "10"],
+        ["verify", "thm1", "--p", "4", "--m", "2"],
+        ["verify", "telescoping", "--m", "2..5", "--alpha", "0..6"],
+        ["verify", "sun97", "--p", "5", "--n-max", "6"],
+    ], ids=["identity", "thm1", "eq6.1", "over-budget", "input-error", "telescoping", "sun97"])
+    def test_jobs_1_matches_the_default_run(self, capsys, argv):
+        # Benchmark argvs carry `--jobs 1`; they must run what a default run does,
+        # down to the status and stderr of a budget stop or an input error.
+        status, out, err = default = run_cli(capsys, *argv)
+        assert run_cli(capsys, *argv, "--jobs", "1") == default
+        assert (status, bool(out), bool(err)) in {(0, True, False), (1, True, False),
+                                                  (2, False, True)}
 
     def test_human_and_csv_formats(self, capsys):
         for fmt in ("human", "csv", "json"):
@@ -866,6 +886,44 @@ class TestPrefetch:
         assert runs["pass"] == runs["per-task"]
         status, out, memo, _ = runs["pass"]
         assert status == 0 and out and len(memo) > 10
+
+    @pytest.mark.parametrize("argv", [
+        "verify kummer --p 7 --m 1..2 --k 4,8,10 --alpha 1..3",
+        "verify thm1 --p 5,7 --m 2..3 --alpha 5..9 --prec 20",
+        "scan eq6.1 --p 5 --m 2 --alpha 4..9 --prec 15",
+    ], ids=["kummer", "thm1", "eq6.1"])
+    def test_cache_bytes_do_not_depend_on_jobs(self, tmp_path, argv):
+        # Each task also reads Bernoulli numbers below its largest index (B_k
+        # of kummer, each H-weighted term's and B_{p-1} of an inversion); the
+        # cache a `--jobs 1` run writes holds them all, as a default run's does.
+        runs = {}
+        for name, jobs in (("default", []), ("jobs-1", ["--jobs", "1"])):
+            cache = tmp_path / f"{name}.cache"
+            proc = run_module(*argv.split(), *jobs, "--cache", str(cache))
+            runs[name] = (proc.returncode, proc.stdout, proc.stderr, cache.read_bytes())
+        assert runs["jobs-1"] == runs["default"]
+        assert runs["default"][0] == 0 and len(runs["default"][3].splitlines()) > 10
+
+    @pytest.mark.parametrize("argv", [
+        ["scan", "eq6.4", "--p", "7", "--m", "4", "--kstar", "6", "--alpha", "0..60"],
+        ["verify", "thm2", "--p", "5,7", "--m", "1..3", "--alpha", "1..12", "--prec", "30"],
+    ], ids=["eq6.4", "thm2"])
+    def test_cold_run_matches_an_oracle_memo(self, capsys, monkeypatch, cold_bernoulli, argv):
+        # From a cold memo the pass computes every number the grid reads; a run
+        # on the tangent-number oracle's values computes none and prints the same.
+        cold = run_cli(capsys, *argv)
+        indices = [k for k in bernoulli_cached_indices() if k >= 2 and k % 2 == 0]
+        oracle = bernoulli_by_tangent(indices)
+        assert cold[0] == 0 and cold[1] and len(indices) > 10
+        assert {k: exact._BERNOULLI_MEMO[k] for k in indices} == oracle
+        monkeypatch.setattr(exact, "_BERNOULLI_MEMO", {k: exact._BERNOULLI_MEMO[k] for k in (0, 1)})
+        for k, value in oracle.items():
+            exact.seed_bernoulli(k, value)
+        monkeypatch.setattr(exact, "_bernoulli_numerator",
+                            lambda *args: pytest.fail("computed a memoized number"))
+        monkeypatch.setattr(exact, "_stepped_numerator",
+                            lambda *args: pytest.fail("computed a memoized number"))
+        assert run_cli(capsys, *argv) == cold
 
     def test_over_budget_task_is_not_prefetched(self, capsys, cold_bernoulli, prefetched):
         status, out, _ = run_cli(capsys, "scan", "eq6.4", "--p", "7", "--m", "4", "--kstar", "6",
