@@ -552,83 +552,104 @@ def _add_common(parser: argparse.ArgumentParser, default_format: str,
     parser.add_argument("--jobs", type=int, choices=(1,), default=1, help=argparse.SUPPRESS)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _bernoulli_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("k", help="index or range, e.g. 12 or 0..30")
+    p.add_argument("--p", help="prime(s): add p-adic valuation columns")
+    _add_common(p, "human", ("json", "jsonl", "human"))
+
+
+def _series_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("kind", choices=("g", "e", "delta", "efactor", "monomial"))
+    p.add_argument("--k", type=int, default=0, help="weight for g/e")
+    p.add_argument("--a", type=int, default=0)
+    p.add_argument("--b", type=int, default=0)
+    p.add_argument("--c", type=int, default=0)
+    p.add_argument("--p", type=int, required=True)
+    p.add_argument("--m", type=int, default=1)
+    p.add_argument("--prec", type=int, default=20)
+    _add_common(p, "json")
+
+
+def _add_budget(p: argparse.ArgumentParser) -> None:
+    """Flags of the subcommands whose tasks a budget limits."""
+    p.add_argument("--budget-bernoulli", type=int, default=DEFAULT_BERNOULLI_BUDGET,
+                   help="largest Bernoulli index a task may demand")
+    p.add_argument("--budget-seconds", type=float, default=None,
+                   help="soft per-record wall-time limit (annotates records)")
+
+
+def _verify_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("statement", choices=_statement_choices(scan=False))
+    p.add_argument("--p", help="prime or range")
+    p.add_argument("--m", help="modulus exponent(s); for kummer this is r")
+    p.add_argument("--kstar", help="base weight(s); default: smallest valid")
+    p.add_argument("--alpha", help="alpha range; for eq1.4/kummer the nonzero shift count")
+    p.add_argument("--k", help="weight(s) for eq1.4/kummer")
+    p.add_argument("--k0", help="base weight(s) for eq1.6")
+    p.add_argument("--d", default="2,3,6", help="d values for prop4.1/eq3.1")
+    p.add_argument("--n-max", type=int, default=8, help="max n for sun97")
+    p.add_argument("--prec", type=int, default=50)
+    _add_common(p, "jsonl", ("json", "jsonl", "csv", "human"))
+    _add_budget(p)
+
+
+def _filtration_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--form", choices=("G", "E"), default="G")
+    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--p", type=int, required=True)
+    p.add_argument("--m", type=int, required=True)
+    p.add_argument("--prec", type=int, default=None,
+                   help="evidence-only precision (default: certify at the Sturm index)")
+    p.add_argument("--probe", type=int, default=None,
+                   help="additionally probe this candidate weight")
+    _add_common(p, "json")
+
+
+def _reproduce_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("example", choices=sorted(REPRODUCTION_EXAMPLES))
+    _add_common(p, "json")
+
+
+def _scan_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("conjecture", choices=_statement_choices(scan=True))
+    p.add_argument("--p", required=True)
+    p.add_argument("--m", required=True)
+    p.add_argument("--kstar", help="multiple of p-1 above m; default: smallest")
+    p.add_argument("--alpha", help="alpha range; default m..m+p")
+    p.add_argument("--prec", type=int, default=40)
+    _add_common(p, "jsonl")
+    _add_budget(p)
+
+
+# Each subcommand: its help line, the function adding its arguments, and its runner.
+_COMMANDS = {
+    "bernoulli": ("exact Bernoulli numbers", _bernoulli_args, _cmd_bernoulli),
+    "series": ("q-expansions over Z/p^m", _series_args, _cmd_series),
+    "verify": ("congruence statement grids", _verify_args, _cmd_verify),
+    "filtration": ("factor filtration bound of G_k or E_k", _filtration_args, _cmd_filtration),
+    "reproduce": ("run a bundled reproduction example", _reproduce_args, _cmd_reproduce),
+    "scan": ("conjecture evidence scans", _scan_args, _cmd_scan),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The CLI parser; given a command, only that subcommand gets its arguments.
+
+    Every subcommand is registered with its help line either way, so
+    `eiscong --help` and an unknown subcommand print the same text, and a run
+    builds the arguments of the one subcommand it parses.
+    """
     parser = argparse.ArgumentParser(
         prog="eiscong",
         description="Eisenstein series congruences modulo prime powers: "
                     "exact verification grids and factor-filtration bounds.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_bern = sub.add_parser("bernoulli", help="exact Bernoulli numbers")
-    p_bern.add_argument("k", help="index or range, e.g. 12 or 0..30")
-    p_bern.add_argument("--p", help="prime(s): add p-adic valuation columns")
-    _add_common(p_bern, "human", ("json", "jsonl", "human"))
-
-    p_series = sub.add_parser("series", help="q-expansions over Z/p^m")
-    p_series.add_argument("kind", choices=("g", "e", "delta", "efactor", "monomial"))
-    p_series.add_argument("--k", type=int, default=0, help="weight for g/e")
-    p_series.add_argument("--a", type=int, default=0)
-    p_series.add_argument("--b", type=int, default=0)
-    p_series.add_argument("--c", type=int, default=0)
-    p_series.add_argument("--p", type=int, required=True)
-    p_series.add_argument("--m", type=int, default=1)
-    p_series.add_argument("--prec", type=int, default=20)
-    _add_common(p_series, "json")
-
-    p_verify = sub.add_parser("verify", help="congruence statement grids")
-    p_verify.add_argument("statement", choices=_statement_choices(scan=False))
-    p_verify.add_argument("--p", help="prime or range")
-    p_verify.add_argument("--m", help="modulus exponent(s); for kummer this is r")
-    p_verify.add_argument("--kstar", help="base weight(s); default: smallest valid")
-    p_verify.add_argument("--alpha", help="alpha range; for eq1.4/kummer the nonzero shift count")
-    p_verify.add_argument("--k", help="weight(s) for eq1.4/kummer")
-    p_verify.add_argument("--k0", help="base weight(s) for eq1.6")
-    p_verify.add_argument("--d", default="2,3,6", help="d values for prop4.1/eq3.1")
-    p_verify.add_argument("--n-max", type=int, default=8, help="max n for sun97")
-    p_verify.add_argument("--prec", type=int, default=50)
-    _add_common(p_verify, "jsonl", ("json", "jsonl", "csv", "human"))
-
-    p_filt = sub.add_parser("filtration", help="factor filtration bound of G_k or E_k")
-    p_filt.add_argument("--form", choices=("G", "E"), default="G")
-    p_filt.add_argument("--k", type=int, required=True)
-    p_filt.add_argument("--p", type=int, required=True)
-    p_filt.add_argument("--m", type=int, required=True)
-    p_filt.add_argument("--prec", type=int, default=None,
-                        help="evidence-only precision (default: certify at the Sturm index)")
-    p_filt.add_argument("--probe", type=int, default=None,
-                        help="additionally probe this candidate weight")
-    _add_common(p_filt, "json")
-
-    p_repro = sub.add_parser("reproduce", help="run a bundled reproduction example")
-    p_repro.add_argument("example", choices=sorted(REPRODUCTION_EXAMPLES))
-    _add_common(p_repro, "json")
-
-    p_scan = sub.add_parser("scan", help="conjecture evidence scans")
-    p_scan.add_argument("conjecture", choices=_statement_choices(scan=True))
-    p_scan.add_argument("--p", required=True)
-    p_scan.add_argument("--m", required=True)
-    p_scan.add_argument("--kstar", help="multiple of p-1 above m; default: smallest")
-    p_scan.add_argument("--alpha", help="alpha range; default m..m+p")
-    p_scan.add_argument("--prec", type=int, default=40)
-    _add_common(p_scan, "jsonl")
-
-    for grid in (p_verify, p_scan):  # the subcommands whose tasks a budget limits
-        grid.add_argument("--budget-bernoulli", type=int, default=DEFAULT_BERNOULLI_BUDGET,
-                          help="largest Bernoulli index a task may demand")
-        grid.add_argument("--budget-seconds", type=float, default=None,
-                          help="soft per-record wall-time limit (annotates records)")
+    for name, (help_text, add_arguments, _) in _COMMANDS.items():
+        subparser = sub.add_parser(name, help=help_text)
+        if command is None or command == name:
+            add_arguments(subparser)
     return parser
-
-
-_COMMANDS = {
-    "bernoulli": _cmd_bernoulli,
-    "series": _cmd_series,
-    "verify": _cmd_verify,
-    "filtration": _cmd_filtration,
-    "reproduce": _cmd_reproduce,
-    "scan": _cmd_scan,
-}
 
 
 def _error(err: Exception) -> int:
@@ -637,8 +658,9 @@ def _error(err: Exception) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     cache_path = args.cache or default_cache_path()
     if cache_path:
         try:
@@ -650,7 +672,7 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as err:
         return _error(err)
     try:
-        status = _COMMANDS[args.command](args, out)
+        status = _COMMANDS[args.command][2](args, out)
     except EiscongError as err:
         status = _error(err)
     except (ValueError, KeyError) as err:

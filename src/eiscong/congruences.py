@@ -27,7 +27,6 @@ values of F; and the recurrence between the sums runs once per box point.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from operator import mul
@@ -42,7 +41,7 @@ from .errors import (
 from .exact import bernoulli, gen_binomial, h_coefficient, int_str, padic_valuation
 from .eisenstein import e_power, e_series, g_series
 from .filtration import sturm_bound
-from .residue import ResidueRing
+from .residue import ResidueRing, _equal_slots
 from .series import QSeries, series_equal_mod
 
 __all__ = [
@@ -79,15 +78,18 @@ DEFAULT_BERNOULLI_BUDGET = 4000
 IntegerSequenceFunction = Callable[[int], Fraction]
 
 
-@dataclass(frozen=True)
 class CongruenceReport:
     """Structured verdict for one congruence statement at one parameter point."""
 
-    statement_id: str
-    params: dict
-    verdict: str  # "Pass" | "Fail"
-    failure_detail: dict | None = None
-    certification: str = "coefficient-evidence"
+    __slots__ = ("statement_id", "params", "verdict", "failure_detail", "certification")
+
+    def __init__(self, statement_id: str, params: dict, verdict: str,  # "Pass" | "Fail"
+                 failure_detail: dict | None = None,
+                 certification: str = "coefficient-evidence") -> None:
+        self.statement_id, self.params, self.verdict = statement_id, params, verdict
+        self.failure_detail, self.certification = failure_detail, certification
+
+    __eq__ = _equal_slots
 
     @property
     def passed(self) -> bool:
@@ -365,11 +367,11 @@ def check_kummer(p: int, r: int, k: int, kprime: int) -> CongruenceReport:
 # p-regular functions
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class RegularityVerdict:
-    n: int
-    valuation: int | float
-    ok: bool
+    __slots__ = ("n", "valuation", "ok")
+
+    def __init__(self, n: int, valuation: int | float, ok: bool) -> None:
+        self.n, self.valuation, self.ok = n, valuation, ok
 
 
 def forward_difference_sum(f: IntegerSequenceFunction, n: int) -> Fraction:

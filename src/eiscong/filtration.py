@@ -15,8 +15,6 @@ read the table that theorem grids share.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import (
     EiscongError,
     OddWeightError,
@@ -26,7 +24,7 @@ from .errors import (
     WeightMismatchError,
 )
 from .eisenstein import e_power, e_series, g_series, generator_power, monomial_series
-from .residue import ResidueRing
+from .residue import ResidueRing, _equal_slots
 from .series import QSeries
 
 __all__ = [
@@ -90,15 +88,15 @@ def sturm_bound(weight: int) -> int:
     return weight // 12 + 1
 
 
-@dataclass(frozen=True)
 class BasisMatrix:
     """Monomial basis of M_weight over Z/p^m."""
 
-    weight: int
-    ring: ResidueRing
-    precision: int
-    monomials: tuple[tuple[int, int, int], ...]
-    columns: tuple[QSeries, ...]
+    __slots__ = ("weight", "ring", "precision", "monomials", "columns")
+
+    def __init__(self, weight: int, ring: ResidueRing, precision: int,
+                 monomials: tuple[tuple[int, int, int], ...], columns: tuple[QSeries, ...]) -> None:
+        self.weight, self.ring, self.precision = weight, ring, precision
+        self.monomials, self.columns = monomials, columns
 
     @property
     def dimension(self) -> int:
@@ -131,13 +129,14 @@ def basis(weight: int, ring: ResidueRing, precision: int) -> BasisMatrix:
 # Linear algebra over Z/p^m
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class LinearSystem:
     """matrix * x = rhs over one residue ring; entries canonicalized."""
 
-    ring: ResidueRing
-    matrix: tuple[tuple[int, ...], ...]
-    rhs: tuple[int, ...]
+    __slots__ = ("ring", "matrix", "rhs")
+
+    def __init__(self, ring: ResidueRing, matrix: tuple[tuple[int, ...], ...],
+                 rhs: tuple[int, ...]) -> None:
+        self.ring, self.matrix, self.rhs = ring, matrix, rhs
 
     @staticmethod
     def build(ring: ResidueRing, matrix, rhs) -> "LinearSystem":
@@ -152,18 +151,25 @@ class LinearSystem:
         return LinearSystem(ring, rows, b)
 
 
-@dataclass(frozen=True)
 class Solution:
-    vector: tuple[int, ...]
+    __slots__ = ("vector",)
+
+    def __init__(self, vector: tuple[int, ...]) -> None:
+        self.vector = vector
+
+    __eq__ = _equal_slots
 
     def __bool__(self) -> bool:
         return True
 
 
-@dataclass(frozen=True)
 class NoSolution:
-    reason: str
-    detail: dict
+    __slots__ = ("reason", "detail")
+
+    def __init__(self, reason: str, detail: dict) -> None:
+        self.reason, self.detail = reason, detail
+
+    __eq__ = _equal_slots
 
     def __bool__(self) -> bool:
         return False
@@ -277,19 +283,22 @@ def cor14_bound(p: int, m: int) -> int:
     return (m - 1) * (p - 1)
 
 
-@dataclass(frozen=True)
 class FiltrationReport:
-    input_id: str
-    p: int
-    m: int
-    weight: int
-    bound_found: int
-    witness_exponent: int
-    witness_monomials: tuple[tuple[int, int, int], ...]
-    witness_coeffs: tuple[int, ...]
-    certification: str
-    certified_coefficients: int
-    sharpness: str | None = None
+    __slots__ = ("input_id", "p", "m", "weight", "bound_found", "witness_exponent",
+                 "witness_monomials", "witness_coeffs", "certification",
+                 "certified_coefficients", "sharpness")
+
+    def __init__(self, input_id: str, p: int, m: int, weight: int, bound_found: int,
+                 witness_exponent: int, witness_monomials: tuple[tuple[int, int, int], ...],
+                 witness_coeffs: tuple[int, ...], certification: str,
+                 certified_coefficients: int, sharpness: str | None = None) -> None:
+        self.input_id, self.p, self.m, self.weight = input_id, p, m, weight
+        self.bound_found, self.witness_exponent = bound_found, witness_exponent
+        self.witness_monomials, self.witness_coeffs = witness_monomials, witness_coeffs
+        self.certification, self.certified_coefficients = certification, certified_coefficients
+        self.sharpness = sharpness
+
+    __eq__ = _equal_slots
 
     def to_json_dict(self) -> dict:
         return {
@@ -408,17 +417,15 @@ def factor_filtration_bound(f: QSeries, k: int, input_id: str | None = None,
 # Refined bound tables for m = 2, 3, 4
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class BoundReport:
-    p: int
-    m: int
-    k: int
-    k0: int
-    alpha: int
-    case: str
-    stated_bound: int | None
-    computed_bound: int | None
-    verdict: str  # "Pass" | "Fail" | "Skipped"
+    __slots__ = ("p", "m", "k", "k0", "alpha", "case", "stated_bound", "computed_bound",
+                 "verdict")
+
+    def __init__(self, p: int, m: int, k: int, k0: int, alpha: int, case: str,
+                 stated_bound: int | None, computed_bound: int | None,
+                 verdict: str) -> None:  # "Pass" | "Fail" | "Skipped"
+        self.p, self.m, self.k, self.k0, self.alpha, self.case = p, m, k, k0, alpha, case
+        self.stated_bound, self.computed_bound, self.verdict = stated_bound, computed_bound, verdict
 
     @property
     def passed(self) -> bool:

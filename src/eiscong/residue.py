@@ -6,7 +6,6 @@ p-integral rationals into them once, inverts units and measures valuations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import NotAUnitError, NotPIntegralError
@@ -42,22 +41,51 @@ def is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
+# Shared by the package's __slots__ value types.
+def _frozen(self, name: str, value=None):
+    raise AttributeError(f"cannot assign to field {name!r} of an immutable {type(self).__name__}")
+
+
+def _equal_slots(self, other) -> bool:
+    return type(other) is type(self) and all(
+        getattr(self, name) == getattr(other, name) for name in self.__slots__)
+
+
 class ResidueRing:
-    """Z/p^m for a prime p >= 5 and m >= 1."""
+    """Z/p^m for a prime p >= 5 and m >= 1.
 
-    p: int
-    m: int
+    Immutable, and interned: ResidueRing(p, m) returns the one ring of that
+    (p, m), with its hash computed once, so the lru_cache tables that key on
+    a ring find it by identity.
+    """
 
-    def __post_init__(self) -> None:
-        if self.m < 1:
-            raise ValueError("m must be at least 1")
-        if self.p < 5 or not is_prime(self.p):
-            raise ValueError(f"p must be a prime >= 5, got {self.p}")
+    __slots__ = ("p", "m", "modulus", "_hash")
+    _interned: dict = {}
 
-    @property
-    def modulus(self) -> int:
-        return self.p**self.m
+    def __new__(cls, p: int, m: int) -> "ResidueRing":
+        ring = cls._interned.get((p, m))
+        if ring is None:
+            if m < 1:
+                raise ValueError("m must be at least 1")
+            if p < 5 or not is_prime(p):
+                raise ValueError(f"p must be a prime >= 5, got {p}")
+            ring = object.__new__(cls)
+            for name, value in zip(cls.__slots__, (p, m, p**m, hash((p, m)))):
+                object.__setattr__(ring, name, value)
+            cls._interned[p, m] = ring
+        return ring
+
+    __setattr__ = __delattr__ = _frozen
+
+    def __eq__(self, other) -> bool:
+        return self is other or (type(other) is ResidueRing and self.p == other.p
+                                 and self.m == other.m)
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __repr__(self) -> str:
+        return f"ResidueRing(p={self.p}, m={self.m})"
 
     def reduce_rational(self, x: Fraction | int) -> int:
         """Canonical residue of a p-integral rational modulo p^m."""

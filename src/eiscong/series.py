@@ -13,39 +13,42 @@ from __future__ import annotations
 
 import sys
 from array import array
-from dataclasses import dataclass
 
 from .errors import PrecisionTooLowError, RingMismatchError
-from .residue import ResidueRing
+from .residue import ResidueRing, _equal_slots, _frozen
 
 __all__ = ["CongruenceVerdict", "QSeries", "series_equal_mod"]
 
 
-@dataclass(frozen=True)
 class CongruenceVerdict:
     """Outcome of a coefficient-wise comparison through q^upto."""
 
-    ok: bool
-    upto: int
-    first_index: int | None = None
-    lhs: int | None = None
-    rhs: int | None = None
+    __slots__ = ("ok", "upto", "first_index", "lhs", "rhs")
+
+    def __init__(self, ok: bool, upto: int, first_index: int | None = None,
+                 lhs: int | None = None, rhs: int | None = None) -> None:
+        self.ok, self.upto, self.first_index, self.lhs, self.rhs = ok, upto, first_index, lhs, rhs
 
     def __bool__(self) -> bool:
         return self.ok
 
 
-@dataclass(frozen=True)
 class QSeries:
-    ring: ResidueRing
-    coeffs: tuple
-    precision: int
+    """Immutable: the lru_cache tables of `eisenstein` hand one instance to every caller."""
 
-    def __post_init__(self) -> None:
-        if self.precision < 0:
+    __slots__ = ("ring", "coeffs", "precision")
+
+    def __init__(self, ring: ResidueRing, coeffs: tuple, precision: int) -> None:
+        if precision < 0:
             raise ValueError("precision must be non-negative")
-        if len(self.coeffs) != self.precision + 1:
+        if len(coeffs) != precision + 1:
             raise ValueError("coefficient vector must have length precision+1")
+        object.__setattr__(self, "ring", ring)
+        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "precision", precision)
+
+    __setattr__ = __delattr__ = _frozen
+    __eq__ = _equal_slots
 
     # -- constructors -------------------------------------------------------
 

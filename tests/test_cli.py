@@ -135,6 +135,15 @@ class TestSeriesCommand:
         data = json.loads(out)
         assert data["coefficients"] == ["0", "1", "1"]
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--p", "5", "--m", "0"], "m must be at least 1"),
+        (["--p", "9"], "p must be a prime >= 5, got 9"),
+        (["--p", "5", "--prec", "-1"], "precision must be non-negative"),
+    ])
+    def test_bad_ring_or_precision_is_usage_error(self, capsys, flags, message):
+        status, out, err = run_cli(capsys, "series", "delta", *flags)
+        assert (status, out, err) == (2, "", f"usage error: {message}\n")
+
 
 class TestVerifyCommand:
     def test_thm1_grid_passes(self, capsys):
@@ -364,6 +373,44 @@ def test_cli_imports_no_process_pool():
     assert proc.returncode == 0 and "eiscong.cli" in loaded, proc.stderr
     assert [name for name in loaded
             if name.split(".")[0] in ("concurrent", "multiprocessing")] == []
+
+
+def test_cli_imports_no_dataclasses():
+    # dataclasses loads inspect, ast, dis and tokenize: about 11 ms of every
+    # cold run, only to declare value types.
+    proc = run_python("-c", "import sys, eiscong.cli; print(*sorted(sys.modules))")
+    loaded = proc.stdout.split()
+    assert proc.returncode == 0 and "eiscong.cli" in loaded, proc.stderr
+    assert [name for name in loaded if name in ("dataclasses", "inspect")] == []
+
+
+# A run builds the arguments of its own subcommand only; what it prints for
+# help, an unknown subcommand or a missing required flag must not change.
+PARSER_ARGVS = [[], ["--help"], ["nosuch"], ["verify", "--help"], ["scan", "--help"],
+                ["series", "delta"], ["filtration", "--k", "12"], ["verify", "thm9"],
+                *([name, "--help"] for name in ("bernoulli", "series", "filtration",
+                                                "reproduce"))]
+
+
+@pytest.mark.parametrize("argv", PARSER_ARGVS, ids=" ".join)
+def test_one_subcommand_parser_prints_what_the_full_parser_prints(capsys, argv):
+    with pytest.raises(SystemExit) as full:
+        cli.build_parser().parse_args(argv)
+    expected = capsys.readouterr()
+    with pytest.raises(SystemExit) as run:
+        main(argv)
+    assert run.value.code == full.value.code
+    assert capsys.readouterr() == expected
+
+
+@pytest.mark.parametrize("name", sorted(MINIMAL_ARGVS))
+def test_one_subcommand_parser_parses_like_the_full_parser(capsys, name):
+    narrow = cli.build_parser(name)
+    argv = MINIMAL_ARGVS[name]
+    assert narrow.parse_args(argv) == cli.build_parser().parse_args(argv)
+    for other in sorted(MINIMAL_ARGVS.keys() - {name}):  # registered, with no arguments
+        with pytest.raises(SystemExit):
+            narrow.parse_args(MINIMAL_ARGVS[other])
 
 
 # One tiny grid point per verify/scan name, aliases included, and the

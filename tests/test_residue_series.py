@@ -8,6 +8,7 @@ from eiscong.errors import (
     PrecisionTooLowError,
     RingMismatchError,
 )
+from eiscong.eisenstein import g_series
 from eiscong.exact import bernoulli
 from eiscong.residue import ResidueRing
 from eiscong.series import QSeries, series_equal_mod
@@ -31,6 +32,36 @@ class TestResidueRing:
     def test_m_zero_rejected(self):
         with pytest.raises(ValueError):
             ResidueRing(5, 0)
+
+    @pytest.mark.parametrize("p, m, message", [
+        (5, 0, "m must be at least 1"),
+        (3, 1, "p must be a prime >= 5, got 3"),
+        (9, 2, "p must be a prime >= 5, got 9"),
+    ])
+    def test_bad_arguments_message(self, p, m, message):
+        with pytest.raises(ValueError) as exc:
+            ResidueRing(p, m)
+        assert str(exc.value) == message
+
+    def test_rings_of_one_p_m_are_equal_and_hit_the_series_cache(self):
+        a, b = ResidueRing(13, 5), ResidueRing(13, 5)
+        assert a == b and hash(a) == hash(b) and a != ResidueRing(13, 4)
+        first = g_series(10, a, 7)
+        hits = g_series.cache_info().hits
+        assert g_series(10, b, 7) is first
+        assert g_series.cache_info().hits == hits + 1
+
+    def test_ring_and_series_are_immutable(self):
+        ring = ResidueRing(7, 2)
+        series = QSeries.one(ring, 2)
+        for obj, name in [(ring, "p"), (ring, "m"), (ring, "modulus"), (ring, "extra"),
+                          (series, "ring"), (series, "coeffs"), (series, "precision")]:
+            with pytest.raises(AttributeError):
+                setattr(obj, name, 3)
+            if name != "extra":
+                with pytest.raises(AttributeError):
+                    delattr(obj, name)
+        assert (ring.p, ring.m, ring.modulus, series.coeffs) == (7, 2, 49, (1, 0, 0))
 
 
 class TestReduceRational:
@@ -143,8 +174,19 @@ class TestQSeries:
     def test_ring_mismatch_rejected(self):
         a = q_series(ResidueRing(5, 1), 1, 2)
         b = q_series(ResidueRing(7, 1), 1, 2)
-        with pytest.raises(RingMismatchError):
-            a + b
+        for mismatched in (lambda: a + b, lambda: a * b, lambda: series_equal_mod(a, b, 1)):
+            with pytest.raises(RingMismatchError) as exc:
+                mismatched()
+            assert str(exc.value) == "ResidueRing(p=5, m=1) != ResidueRing(p=7, m=1)"
+
+    @pytest.mark.parametrize("coeffs, precision, message", [
+        ((1,), -1, "precision must be non-negative"),
+        ((1, 2), 2, "coefficient vector must have length precision+1"),
+    ])
+    def test_bad_arguments_message(self, coeffs, precision, message):
+        with pytest.raises(ValueError) as exc:
+            QSeries(ResidueRing(5, 1), coeffs, precision)
+        assert str(exc.value) == message
 
 
 def schoolbook(a, b):
