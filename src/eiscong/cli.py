@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from functools import lru_cache
@@ -23,7 +24,7 @@ from .congruences import DEFAULT_BERNOULLI_BUDGET, CongruenceReport
 from .eisenstein import delta_series, e_factor, e_series, g_series, monomial_series
 from .errors import BudgetExceededError, EiscongError
 from .exact import bernoulli, int_str, padic_valuation, prefetch_bernoulli
-from .filtration import factor_filtration_bound, sharpness_probe, sturm_bound
+from .filtration import filtration_of, probe_record
 from .golden import REPRODUCTION_EXAMPLES
 from .residue import ResidueRing, is_prime
 
@@ -235,20 +236,6 @@ def _conjecture_grid(args, ps: list[int], ms: list[int]) -> Iterator[dict]:
             yield {"p": p, "m": m, "kstar": kstar, "alpha": alpha}
 
 
-def _inversion_reads(t: dict, kstar: int, e_powers: bool) -> list[int]:
-    """The Bernoulli indices of an inversion check at a = alpha: form(a(p-1)+k*)'s.
-
-    Below m, H(m, a, r) is nonzero only at r = a, which is that same form.
-    From m on it is nonzero at every r < m, so each form(r(p-1)+k*) is read
-    too, and B_{p-1} for the positive powers E_{p-1}^(a-r).
-    """
-    p, m, alpha = t["p"], t["m"], t["alpha"]
-    top = alpha * (p - 1) + kstar
-    if alpha < m:
-        return [top]
-    return [top, *range(kstar, m * (p - 1) + kstar, p - 1), *([p - 1] if e_powers else [])]
-
-
 def _run_identity(t: dict) -> CongruenceReport:
     value = cong.combin_identity_sum(t["m"], t["j"], t["s"], t["alpha"])
     params = {"m": t["m"], "j": t["j"], "s": t["s"], "alpha": t["alpha"]}
@@ -268,23 +255,23 @@ def _run_telescoping(t: dict) -> CongruenceReport:
 STATEMENTS = {
     "thm1.1": Statement(
         run=lambda t: cong.check_thm_gk(t["p"], t["m"], t["kstar"], t["alpha"], t["prec"]),
-        grid=_gk_grid, reads=lambda t: _inversion_reads(t, t["kstar"], e_powers=True),
+        grid=_gk_grid, reads=lambda t: cong.inversion_reads(t, True),
         validate=lambda t: cong._validate_gk_args(t["p"], t["m"], t["kstar"], t["alpha"])),
     "thm1.2": Statement(
         run=lambda t: cong.check_thm_ek(t["p"], t["m"], t["alpha"], t["prec"]),
-        grid=_ek_grid, reads=lambda t: _inversion_reads(t, 0, e_powers=True),
+        grid=_ek_grid, reads=lambda t: cong.inversion_reads(t, True),
         validate=lambda t: cong._validate_ek_args(t["p"], t["m"], t["alpha"])),
     "prop3.1": Statement(
         run=lambda t: cong.check_prop_gk_fixed(t["p"], t["m"], t["kstar"], t["alpha"], t["prec"]),
-        grid=_gk_grid, reads=lambda t: _inversion_reads(t, t["kstar"], e_powers=False),
+        grid=_gk_grid, reads=lambda t: cong.inversion_reads(t, False),
         validate=lambda t: cong._validate_gk_args(t["p"], t["m"], t["kstar"], t["alpha"])),
     "prop4.1": Statement(
         run=lambda t: cong.check_bernoulli_prop41(t["p"], t["m"], t["alpha"], t["d"]),
-        grid=_d_grid, reads=lambda t: _inversion_reads(t, 0, e_powers=False),
+        grid=_d_grid, reads=lambda t: cong.inversion_reads(t, False),
         validate=lambda t: cong._validate_prop41_args(t["p"], t["m"], t["alpha"], t["d"])),
     "prop4.2": Statement(
         run=lambda t: cong.check_prop_ek_fixed(t["p"], t["m"], t["alpha"], t["prec"]),
-        grid=_ek_grid, reads=lambda t: _inversion_reads(t, 0, e_powers=False),
+        grid=_ek_grid, reads=lambda t: cong.inversion_reads(t, False),
         validate=lambda t: cong._validate_ek_args(t["p"], t["m"], t["alpha"])),
     "eq3.1": Statement(
         run=lambda t: cong.check_dpower_congruence(t["p"], t["m"], t["alpha"], t["d"]),
@@ -332,13 +319,13 @@ STATEMENTS = {
             t["p"], t["m"], t["kstar"], t["alpha"], t["prec"], budget=None),
         grid=lambda args, ps, ms: (
             dict(point, prec=args.prec) for point in _conjecture_grid(args, ps, ms)),
-        reads=lambda t: _inversion_reads(t, t["kstar"], e_powers=True),
+        reads=lambda t: cong.inversion_reads(t, True),
         validate=lambda t: cong._validate_conjecture_args(t["p"], t["m"], t["kstar"], t["alpha"]),
         scan=True),
     "eq6.4": Statement(
         run=lambda t: cong.scan_conjecture_bernoulli(
             t["p"], t["m"], [t["alpha"]], t["kstar"], budget=None)[0],
-        grid=_conjecture_grid, reads=lambda t: _inversion_reads(t, t["kstar"], e_powers=False),
+        grid=_conjecture_grid, reads=lambda t: cong.inversion_reads(t, False),
         validate=lambda t: cong._validate_conjecture_args(t["p"], t["m"], t["kstar"], t["alpha"]),
         scan=True),
 }
@@ -399,9 +386,15 @@ def _run_task(statement: str, args, point: dict, charge: int) -> tuple[bool, str
 def _run_tasks(name: str, args) -> Iterator[tuple[bool, str]]:
     """Each grid point's (passed, text), in input order, as each task finishes.
 
-    Every point is validated and every Bernoulli number prefetched before
-    this returns, so an input error is raised before any record exists.
+    The budgets and every point are validated and every Bernoulli number
+    prefetched before this returns, so an input error is raised before any
+    record exists.
     """
+    if args.budget_bernoulli < 0:
+        raise EiscongError(f"--budget-bernoulli must be non-negative, got {args.budget_bernoulli}")
+    if args.budget_seconds is not None and not 0 <= args.budget_seconds < math.inf:
+        raise EiscongError(
+            f"--budget-seconds must be finite and non-negative, got {args.budget_seconds}")
     statement = STATEMENT_ALIASES.get(name, name)
     entry = STATEMENTS[statement]
     points = _build_tasks(name, args)
@@ -479,35 +472,19 @@ def _cmd_scan(args, out) -> int:
 
 
 def _cmd_filtration(args, out) -> int:
-    ring = ResidueRing(args.p, args.m)
-    upto = args.prec if args.prec is not None else sturm_bound(args.k)
-    if args.form == "G":
-        f = g_series(args.k, ring, upto)
-    else:
-        f = e_series(args.k, ring, upto)
-    report = factor_filtration_bound(
-        f, args.k, input_id=f"{args.form}_{args.k}",
-        upto=args.prec,  # None means certify at the Sturm index
-    )
+    f, report = filtration_of(args.form, args.k, args.p, args.m, args.prec)
     payload = report.to_json_dict()
     if args.probe is not None:
-        outcome = sharpness_probe(f, args.k, args.probe, upto=args.prec)
-        payload["probe"] = {
-            "weight": args.probe,
-            "result": "Solvable" if outcome else "NoSolution",
-        }
+        payload["probe"] = probe_record(f, args.k, args.probe, args.prec)
     out.write(json.dumps(payload, sort_keys=True) + "\n")
     return 0
 
 
 def _cmd_reproduce(args, out) -> int:
     target = REPRODUCTION_EXAMPLES[args.example]
-    ring = ResidueRing(target["p"], target["m"])
     k = target["weight"]
-    upto = sturm_bound(k)
-    f = g_series(k, ring, upto) if target["kind"] == "G" else e_series(k, ring, upto)
-    report = factor_filtration_bound(f, k, input_id=f"{target['kind']}_{k}")
-    probe = sharpness_probe(f, k, target["sharpness-weight"])
+    f, report = filtration_of(target["kind"], k, target["p"], target["m"])
+    probe = probe_record(f, k, target["sharpness-weight"])
     mismatches = []
     if report.bound_found != target["bound"]:
         mismatches.append(f"bound {report.bound_found} != {target['bound']}")
@@ -517,21 +494,16 @@ def _cmd_reproduce(args, out) -> int:
         )
     if list(report.witness_monomials) != [tuple(t) for t in target["monomials"]]:
         mismatches.append(f"monomials {report.witness_monomials} != {target['monomials']}")
-    if list(report.witness_coeffs) != list(target["coefficients"]):
-        for i, (got, want) in enumerate(zip(report.witness_coeffs, target["coefficients"])):
-            if got != want:
-                mismatches.append(f"coefficient[{i}] {got} != {want}")
+    mismatches += [f"coefficient[{i}] {got} != {want}" for i, (got, want)
+                   in enumerate(zip(report.witness_coeffs, target["coefficients"])) if got != want]
     if report.certified_coefficients != target["certified-coefficients"]:
         mismatches.append(
             f"certified {report.certified_coefficients} != {target['certified-coefficients']}"
         )
-    if probe:
+    if probe["result"] == "Solvable":
         mismatches.append(f"sharpness probe at {target['sharpness-weight']} was solvable")
     payload = report.to_json_dict()
-    payload["sharpness-probe"] = {
-        "weight": target["sharpness-weight"],
-        "result": "Solvable" if probe else "NoSolution",
-    }
+    payload["sharpness-probe"] = probe
     payload["match"] = not mismatches
     payload["mismatches"] = mismatches
     out.write(json.dumps(payload, sort_keys=True) + "\n")

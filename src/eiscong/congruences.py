@@ -4,8 +4,8 @@ Series statements are checked coefficient-wise in Z/p^m; rational statements
 are checked by exact evaluation followed by a p-adic valuation test. Nothing
 here is probabilistic.
 
-Most statements compare a value at alpha with its H-weighted history
-sum_{r<m} H(m, alpha, r) * (value at r), H(m, alpha, .) from one cached row.
+Most statements compare a value at alpha with its H-weighted history, summed
+over the r of `_inversion_support`, H(m, alpha, .) from one cached row.
 `_inversion_report` does it for series: Thm 1.1, Thm 1.2 and the Eq. (6.1)
 scan (each term times E_{p-1}^(alpha-r), from `eisenstein.e_power`), Props
 3.1 and 4.2 (no powers). It factors out E_{p-1}^(alpha-t), t the last r with
@@ -65,6 +65,7 @@ __all__ = [
     "constant_function",
     "dpower_function",
     "inversion_identity_holds",
+    "inversion_reads",
     "prop21_recovery_holds",
     "scale_function",
     "scan_conjecture_bernoulli",
@@ -143,6 +144,21 @@ def _h_row(m: int, alpha: int) -> tuple[int, ...]:
     return tuple(h_coefficient(m, alpha, r) for r in range(m))
 
 
+def _inversion_support(m: int, alpha: int) -> range:
+    """The r where H(m, alpha, r) is nonzero: every r < m from alpha = m on, else alpha."""
+    return range(m) if alpha >= m else range(alpha, alpha + 1)
+
+
+def inversion_reads(point: dict, with_e_powers: bool) -> list[int]:
+    """The Bernoulli indices the inversion check at a point (p, m, alpha, k* or else 0)
+    may read: its weight's, each term's, and from alpha = m on B_{p-1} for E_{p-1} powers."""
+    p, m, alpha, kstar = point["p"], point["m"], point["alpha"], point.get("kstar", 0)
+    top, support = alpha * (p - 1) + kstar, _inversion_support(m, alpha)
+    if alpha in support:  # below m, the one term is the left side
+        return [top]
+    return [top, *(r * (p - 1) + kstar for r in support), *([p - 1] if with_e_powers else [])]
+
+
 def _times_e_power(series: QSeries, n: int) -> QSeries:
     """series E_{p-1}^n; no product when that power is 1, at n = 0 mod p^(m-1)."""
     ring = series.ring
@@ -163,8 +179,7 @@ def _inversion_report(statement_id: str, params: dict, form: Callable, kstar: in
                       with_e_powers: bool) -> CongruenceReport:
     """form(a(p-1)+k*) against sum_r H(m,a,r) form(r(p-1)+k*) [E_{p-1}^(a-r)], mod p^m.
 
-    With t the largest r where H(m, a, r) is nonzero (m-1 for a >= m; a
-    below, where H is the Kronecker delta at r = a), the sum is
+    With t the largest r of `_inversion_support`, the sum is
     E_{p-1}^(a-t) sum_r H(m, a, r) U_r with U_r = form(r(p-1)+k*) E_{p-1}^(t-r).
     U_r does not depend on a, so a grid block builds it once
     (`_shifted_term`); the sum is one pass over the coefficients; and a record
@@ -176,15 +191,15 @@ def _inversion_report(statement_id: str, params: dict, form: Callable, kstar: in
     ring = ResidueRing(p, m)
     weight = alpha * (p - 1) + kstar
     lhs = form(weight, ring, precision)
-    row = [(r, h) for r, h in enumerate(_h_row(m, alpha)) if h]
-    top = row[-1][0]
+    h, support = _h_row(m, alpha), _inversion_support(m, alpha)
+    top = support[-1]
     terms = [_shifted_term(form, r * (p - 1) + kstar, ring, precision,
-                           top - r if with_e_powers else 0) for r, _ in row]
-    if len(row) == 1 and row[0][1] == 1:
+                           top - r if with_e_powers else 0) for r in support]
+    if len(support) == 1 and h[top] == 1:
         rhs = terms[0]
     else:
         mod = ring.modulus
-        hs = [h % mod for _, h in row]
+        hs = [h[r] % mod for r in support]
         rhs = QSeries(ring, tuple([sum(map(mul, hs, column)) % mod
                                    for column in zip(*[term.coeffs for term in terms])]),
                       precision)
@@ -196,7 +211,8 @@ def _inversion_report(statement_id: str, params: dict, form: Callable, kstar: in
 
 def _inversion_defect(f: IntegerSequenceFunction, m: int, alpha: int) -> Fraction:
     """f(alpha) minus its H-weighted history sum_{r<m} H(m, alpha, r) f(r), exactly."""
-    return Fraction(f(alpha)) - sum(h * Fraction(f(r)) for r, h in enumerate(_h_row(m, alpha)) if h)
+    h = _h_row(m, alpha)
+    return Fraction(f(alpha)) - sum(h[r] * Fraction(f(r)) for r in _inversion_support(m, alpha))
 
 
 def _validate_gk_args(p: int, m: int, kstar: int, alpha: int) -> None:

@@ -124,16 +124,18 @@ def generator_power(form: int | str, ring: ResidueRing, precision: int, n: int) 
     filtrations, and E_4^a, E_6^b and Delta^c for monomials. Each call squares
     the cached power n//2, so the recursion is bits(n) deep, consecutive
     exponents reuse the halves already built, and a new one costs one or two
-    products.
+    products. Odd powers read the n = 1 entry, E_k or (E_4^3 - E_6^2)/1728.
     """
     if n == 0:
         return QSeries.one(ring, precision)
-    base = delta_series(ring, precision) if form == DELTA else e_series(form, ring, precision)
     if n == 1:
-        return base
+        if form != DELTA:
+            return e_series(form, ring, precision)
+        diff = generator_power(4, ring, precision, 3) - generator_power(6, ring, precision, 2)
+        return diff.scale(ring.invert(1728))
     half = generator_power(form, ring, precision, n // 2)
     square = half * half
-    return square * base if n % 2 else square
+    return square * generator_power(form, ring, precision, 1) if n % 2 else square
 
 
 def e_power(ring: ResidueRing, precision: int, n: int) -> QSeries:
@@ -145,11 +147,9 @@ def e_power(ring: ResidueRing, precision: int, n: int) -> QSeries:
     return generator_power(ring.p - 1, ring, precision, n % ring.p ** (ring.m - 1))
 
 
-@lru_cache(maxsize=64)
 def delta_series(ring: ResidueRing, precision: int) -> QSeries:
-    """The discriminant cusp form (E_4^3 - E_6^2)/1728 modulo p^m."""
-    diff = generator_power(4, ring, precision, 3) - generator_power(6, ring, precision, 2)
-    return diff.scale(ring.invert(1728))
+    """The discriminant cusp form (E_4^3 - E_6^2)/1728 modulo p^m, from `generator_power`."""
+    return generator_power(DELTA, ring, precision, 1)
 
 
 def e_factor(ring: ResidueRing, precision: int) -> QSeries:

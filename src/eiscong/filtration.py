@@ -38,9 +38,11 @@ __all__ = [
     "cor13_bound",
     "cor14_bound",
     "factor_filtration_bound",
+    "filtration_of",
     "k0_of",
     "k0m_of",
     "monomial_exponents",
+    "probe_record",
     "sharpness_probe",
     "solve_mod_pm",
     "space_dimension",
@@ -413,6 +415,20 @@ def factor_filtration_bound(f: QSeries, k: int, input_id: str | None = None,
     )
 
 
+def filtration_of(form: str, k: int, p: int, m: int,
+                  upto: int | None = None) -> tuple[QSeries, FiltrationReport]:
+    """G_k (form "G") or E_k (form "E") over Z/p^m, input id "G_k" or "E_k", and its
+    bound: certified at the Sturm index of k (upto None), or evidence through q^upto."""
+    series = g_series if form == "G" else e_series
+    f = series(k, ResidueRing(p, m), sturm_bound(k) if upto is None else upto)
+    return f, factor_filtration_bound(f, k, input_id=f"{form}_{k}", upto=upto)
+
+
+def probe_record(f: QSeries, k: int, w: int, upto: int | None = None) -> dict:
+    """`sharpness_probe` at weight w as a {"weight", "result"} record."""
+    return {"weight": w, "result": "Solvable" if sharpness_probe(f, k, w, upto) else "NoSolution"}
+
+
 # ---------------------------------------------------------------------------
 # Refined bound tables for m = 2, 3, 4
 # ---------------------------------------------------------------------------
@@ -445,14 +461,12 @@ class BoundReport:
         }
 
 
-def refined_bound_case(p: int, m: int, k: int) -> tuple[str, int | None]:
-    """Case label and stated filtration bound for G_k at m in {2, 3, 4}.
+def refined_bound_case(p: int, m: int, k0: int, alpha: int) -> tuple[str, int | None]:
+    """Case label and stated filtration bound for G_k, k = k0 + alpha(p-1), at m in {2, 3, 4}.
 
     Returns (case, None) for the one combination sourced from prior work
     rather than verified here (m = 2 with k0 = 2).
     """
-    k0 = k0_of(k, p)
-    alpha = (k - k0) // (p - 1)
     if k0 == 0 or k0 % 2 or not 2 <= k0 <= p - 3:
         raise ParameterOutOfRangeError(f"k0 = {k0} must be even with 2 <= k0 <= p-3")
     if m == 2:
@@ -498,13 +512,10 @@ def verify_refined_bounds(p: int, m: int, k: int) -> BoundReport:
     """Check the computed filtration bound of G_k against the m = 2/3/4 tables."""
     if k < 4:
         raise ParameterOutOfRangeError("k must be at least 4")
-    k0 = k0_of(k, p)
-    alpha = (k - k0) // (p - 1)
-    case, stated = refined_bound_case(p, m, k)
+    k0, alpha = k0_of(k, p), k // (p - 1)
+    case, stated = refined_bound_case(p, m, k0, alpha)
     if stated is None:
         return BoundReport(p, m, k, k0, alpha, case, None, None, "Skipped")
-    ring = ResidueRing(p, m)
-    f = g_series(k, ring, sturm_bound(k))
-    report = factor_filtration_bound(f, k, input_id=f"G_{k}")
+    _, report = filtration_of("G", k, p, m)
     verdict = "Pass" if report.bound_found <= stated else "Fail"
     return BoundReport(p, m, k, k0, alpha, case, stated, report.bound_found, verdict)

@@ -14,7 +14,7 @@ from eiscong.cache import (
     parse_cache_line,
     save_bernoulli_cache,
 )
-from eiscong import cli, exact
+from eiscong import cli, congruences, eisenstein, exact
 from eiscong.cli import (
     STATEMENT_ALIASES,
     STATEMENTS,
@@ -341,6 +341,38 @@ def test_budget_flag_outside_the_grids_is_rejected(capsys, name, flag):
     assert f"unrecognized arguments: {' '.join(flag)}" in captured.err
 
 
+# An argv of each grid subcommand, and each out-of-range budget with its message.
+BUDGETED_ARGVS = {"verify": ["verify", "identity", "--m", "2", "--alpha", "0..1"],
+                  "scan": ["scan", "eq6.4", "--p", "5", "--m", "1"]}
+BAD_BUDGETS = {
+    "bernoulli-negative": ("--budget-bernoulli=-1",
+                           "--budget-bernoulli must be non-negative, got -1"),
+    **{f"seconds{value}": (f"--budget-seconds={value}",
+                           f"--budget-seconds must be finite and non-negative, got {shown}")
+       for value, shown in (("-1", "-1.0"), ("-inf", "-inf"), ("inf", "inf"), ("nan", "nan"))},
+}
+
+
+@pytest.mark.parametrize("flag,message", BAD_BUDGETS.values(), ids=list(BAD_BUDGETS))
+@pytest.mark.parametrize("name", sorted(BUDGETED_ARGVS))
+def test_out_of_range_budget_is_rejected_before_any_task_runs(capsys, monkeypatch, name, flag,
+                                                              message):
+    # A negative Bernoulli budget would print a BudgetExceeded record for a
+    # statement that reads no Bernoulli number, and an infinite time limit is
+    # not valid JSON in a budget warning.
+    computed = []
+    monkeypatch.setattr(cli, "prefetch_bernoulli", computed.append)
+    status, out, err = run_cli(capsys, *BUDGETED_ARGVS[name], flag, "--jobs", "1")
+    assert (status, out, err, computed) == (2, "", f"error: {message}\n", [])
+
+
+@pytest.mark.parametrize("name", sorted(BUDGETED_ARGVS))
+def test_zero_budgets_are_valid(capsys, name):
+    status, out, err = run_cli(capsys, *BUDGETED_ARGVS[name], "--budget-bernoulli=0",
+                               "--budget-seconds=0", "--jobs", "1")
+    assert status in (0, 1) and err == "" and grid_records(out)
+
+
 # A minimal valid argv of every subcommand.
 MINIMAL_ARGVS = {name: argv for name, (argv, _) in REJECTED_FORMATS.items()}
 MINIMAL_ARGVS["verify"] = ["verify", "identity", "--m", "2", "--alpha", "3"]
@@ -659,6 +691,24 @@ class TestFiltrationCommand:
         assert data["bound-found"] <= 14
         assert data["probe"]["weight"] == 10
 
+    @pytest.mark.parametrize("flags,certification,count,probe", [
+        ([], "sturm-certified", 4, None),
+        (["--prec", "12", "--probe", "18"], "coefficient-evidence(13)", 13,
+         {"result": "Solvable", "weight": 18}),
+    ], ids=["sturm", "evidence"])
+    def test_e_form_row(self, capsys, flags, certification, count, probe):
+        # The form names the input id, and --prec makes the row evidence
+        # through q^prec, for the bound and for the probe alike.
+        status, out, _ = run_cli(capsys, "filtration", "--form", "E", "--k", "24", "--p", "7",
+                                 "--m", "3", *flags)
+        data = json.loads(out)
+        assert status == 0 and data.pop("probe", None) == probe
+        assert data == {
+            "bound-found": 12, "certification": certification, "certified-coefficients": count,
+            "input-id": "E_24", "m": 3, "p": 7, "sharpness": "NoSolution at weight 6",
+            "weight": 24, "witness": {"coefficients": ["1", "281"],
+                                      "monomials": [[3, 0, 0], [0, 0, 1]], "n": 2}}
+
 
 class TestReproduceCommand:
     def test_unknown_example_rejected(self, capsys):
@@ -848,11 +898,8 @@ class TestOutAndCache:
         assert parse_cache_line(line)[1] == Fraction(*map(parse_int, value.split("/")))
 
 
-# Runs `main(sys.argv[1:])` with stdout discarded and prints the exit status
-# and the number of series products made.
-COUNT_PRODUCTS = """
-import contextlib, io, sys
-from eiscong.cli import main
+# Counts every series product made after it in `products`.
+COUNTING = """
 from eiscong.series import QSeries
 products, multiply = [], QSeries.__mul__
 
@@ -861,6 +908,13 @@ def counted(a, b):
     return multiply(a, b)
 
 QSeries.__mul__ = counted
+"""
+
+# Runs `main(sys.argv[1:])` with stdout discarded and prints the exit status
+# and the number of series products made.
+COUNT_PRODUCTS = COUNTING + """
+import contextlib, io, sys
+from eiscong.cli import main
 with contextlib.redirect_stdout(io.StringIO()):
     status = main(sys.argv[1:])
 print(status, len(products))
@@ -885,6 +939,26 @@ def test_series_products_per_run(argv, most):
     proc = run_python("-c", COUNT_PRODUCTS, *argv.split(), "--jobs", "1")
     status, products = map(int, proc.stdout.split())
     assert status == 0 and products <= most, (proc.stdout, proc.stderr)
+
+
+# Runs `verify_refined_bounds` cold over p in {5, 7}, m in {2, 3, 4}, every
+# even k0 in 2..p-3 and alpha = 0..p, the rows with k >= 4, and prints the
+# number of rows, of Skipped rows and of series products made.
+COUNT_REFINED_PRODUCTS = COUNTING + """
+from eiscong.filtration import verify_refined_bounds
+rows = [verify_refined_bounds(p, m, k0 + alpha * (p - 1))
+        for p in (5, 7) for m in (2, 3, 4) for k0 in range(2, p - 2, 2)
+        for alpha in range(p + 1) if k0 + alpha * (p - 1) >= 4]
+print(len(rows), sum(row.verdict == "Skipped" for row in rows), len(products))
+"""
+
+
+def test_series_products_per_refined_bound_sweep():
+    # Each row builds G_k at its own Sturm index and searches its bound, as a
+    # filtration run does; its bases and E_{p-1} powers come from the one table.
+    proc = run_python("-c", COUNT_REFINED_PRODUCTS)
+    rows, skipped, products = map(int, proc.stdout.split())
+    assert (rows, skipped) == (60, 12) and products <= 417, (proc.stdout, proc.stderr)
 
 
 # Runs `main(sys.argv[2:])` with the ascending Bernoulli pass ("pass") or with
@@ -1050,6 +1124,32 @@ DIFFERENTIAL_GRIDS = {
     "budget": "verify thm1 --p 5 --m 2 --kstar 6 --alpha 0..3,2000 --budget-bernoulli 100",
     "large": "verify identity --m 2..4 --alpha 18446744073709551615..18446744073709551617",
 }
+
+
+def test_every_read_of_a_statement_is_listed(monkeypatch):
+    # Each point of each statement's small grid runs alone, with no prefetch
+    # pass, from the seed Bernoulli memo and empty series tables, so every
+    # number it memoizes is one it read.
+    seed = {k: exact._BERNOULLI_MEMO[k] for k in (0, 1, 2)}
+    tables = (eisenstein.g_series, eisenstein.e_series, eisenstein.generator_power,
+              eisenstein.monomial_series, congruences._shifted_term)
+    for name, entry in STATEMENTS.items():
+        args = cli.build_parser().parse_args(DIFFERENTIAL_GRIDS[name].split())
+        for point in cli._build_tasks(name, args):
+            entry.validate(point)
+            monkeypatch.setattr(exact, "_BERNOULLI_MEMO", dict(seed))
+            for table in tables:
+                table.cache_clear()
+            entry.run(point)
+            reads = entry.reads(point)
+            memoized = set(exact._BERNOULLI_MEMO) - set(seed)
+            assert memoized <= set(reads), (name, point, sorted(memoized - set(reads)))
+            assert max(memoized, default=0) <= max(reads, default=0), (name, point)
+    # The terms an inversion sums, which its reads list, are where H is nonzero.
+    for m in range(1, 7):
+        for alpha in range(3 * m + 1):
+            nonzero = [r for r, h in enumerate(congruences._h_row(m, alpha)) if h]
+            assert list(congruences._inversion_support(m, alpha)) == nonzero, (m, alpha)
 
 
 class TestRecordText:

@@ -283,7 +283,6 @@ class TestGeneratorPower:
         ascending = [(form, case, n) for n in exponents for form in forms for case in cases]
         for order in (ascending, ascending[::-1], shuffled):
             generator_power.cache_clear()
-            delta_series.cache_clear()
             for form, case, n in order:
                 assert request(form, *case, n) == expected[form, *case][n], (form, case, n)
 
