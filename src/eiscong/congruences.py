@@ -42,7 +42,7 @@ from .exact import bernoulli, gen_binomial, h_coefficient, int_str, padic_valuat
 from .eisenstein import e_power, e_series, g_series
 from .filtration import sturm_bound
 from .residue import ResidueRing, _equal_slots
-from .series import QSeries, series_equal_mod
+from .series import QSeries, linear_combination, series_equal_mod
 
 __all__ = [
     "CongruenceReport",
@@ -182,7 +182,8 @@ def _inversion_report(statement_id: str, params: dict, form: Callable, kstar: in
     With t the largest r of `_inversion_support`, the sum is
     E_{p-1}^(a-t) sum_r H(m, a, r) U_r with U_r = form(r(p-1)+k*) E_{p-1}^(t-r).
     U_r does not depend on a, so a grid block builds it once
-    (`_shifted_term`); the sum is one pass over the coefficients; and a record
+    (`_shifted_term`); the sum is one packed linear combination
+    (`series.linear_combination`), a multiply-add per term; and a record
     costs at most the one product by E_{p-1}^(a-t). Below m that power is 1
     and the sum is U_a = form(a(p-1)+k*) itself, so no product is made.
     Props 3.1 and 4.2 take every power as 1. The left side is built first.
@@ -198,11 +199,7 @@ def _inversion_report(statement_id: str, params: dict, form: Callable, kstar: in
     if len(support) == 1 and h[top] == 1:
         rhs = terms[0]
     else:
-        mod = ring.modulus
-        hs = [h[r] % mod for r in support]
-        rhs = QSeries(ring, tuple([sum(map(mul, hs, column)) % mod
-                                   for column in zip(*[term.coeffs for term in terms])]),
-                      precision)
+        rhs = linear_combination([h[r] for r in support], terms)
     if with_e_powers:
         rhs = _times_e_power(rhs, alpha - top)
     return _series_report(statement_id, params, lhs, rhs, precision,

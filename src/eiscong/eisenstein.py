@@ -5,11 +5,13 @@ Normalizations: E_k has constant term 1 and higher coefficients
 and higher coefficients sigma_{k-1}(n). E_0 is the constant series 1.
 
 Each generator takes its divisor sums sigma_{k-1}(1..N) from one cached
-sieve (`divisor_sums`) and scales them by one reduced constant. Both tables
-below read their exponent by its period modulo p^m:
+table (`divisor_sums`), built by multiplicativity in
+`exact.sigma_power_table`: a modular power per prime up to N, then one
+multiply per n. It scales them by one reduced constant. Both tables below
+read their exponent by its period modulo p^m:
 
 - d^(k-1) mod p^m repeats with period p^(m-1)(p-1) in k-1 for a unit d, and
-  is 0 for d divisible by p once k-1 >= m, so every k-1 > m shares the sieve
+  is 0 for d divisible by p once k-1 >= m, so every k-1 > m shares the table
   of m + ((k-1-m) mod p^(m-1)(p-1));
 - E_{p-1} = 1 + pE, so E_{p-1}^(p^(m-1)) = 1 mod p^m and `e_power` reads
   E_{p-1}^n at n mod p^(m-1) (every power is 1 at m = 1).
@@ -54,9 +56,9 @@ def e_normalizer(k: int) -> Fraction:
 
 
 def divisor_sums(k: int, ring: ResidueRing, precision: int) -> tuple[int, ...]:
-    """sigma_{k-1}(n) modulo p^m for n = 0 .. precision (entry 0 is 0), from a cached sieve.
+    """sigma_{k-1}(n) modulo p^m for n = 0 .. precision (entry 0 is 0), from a cached table.
 
-    For k-1 > m the sieve is keyed on m + ((k-1-m) mod p^(m-1)(p-1)), which
+    For k-1 > m the table is keyed on m + ((k-1-m) mod p^(m-1)(p-1)), which
     has the same residue d^(k-1) mod p^m for every d: a unit repeats with
     that period, and a multiple of p vanishes at any exponent >= m.
     """
@@ -67,7 +69,7 @@ def divisor_sums(k: int, ring: ResidueRing, precision: int) -> tuple[int, ...]:
     return _sigma_table(exponent, ring.modulus, precision)
 
 
-# A grid block's alphas come back to a sieve one period of alpha, p^(m-1),
+# A grid block's alphas come back to a table one period of alpha, p^(m-1),
 # later; 64 entries hold that reuse for every period up to 64.
 @lru_cache(maxsize=64)
 def _sigma_table(exponent: int, modulus: int, precision: int) -> tuple[int, ...]:

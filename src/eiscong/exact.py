@@ -26,8 +26,11 @@ from __future__ import annotations
 
 import math
 import threading
+from array import array
+from bisect import bisect_right
 from fractions import Fraction
 from itertools import compress
+from operator import itemgetter, not_
 from typing import Iterable
 
 __all__ = [
@@ -66,31 +69,41 @@ _GUARD_BITS = 16
 # pi as (bits, A) with |A - pi * 2**bits| < 2; grown under _BERNOULLI_LOCK.
 _PI = (0, 0)
 
-# _PRIME_FLAGS[n] is 1 exactly when n is prime. Grown by rebinding, so a
-# reader never sees a half-built table.
-_PRIME_FLAGS = bytearray(2)
+# _SMALLEST_FACTORS[n] is 0 exactly when n is prime, a composite n's least
+# prime factor otherwise, and 1 at n = 0 and 1. A least prime factor is at
+# most the square root, so 2-byte items hold tables of up to 2**32 entries.
+# Grown by rebinding, so a reader never sees a half-built table.
+_SMALLEST_FACTORS = array("H", [1, 1])
 
 
-def _prime_flags(n: int) -> bytearray:
-    """The sieve table, grown (at least doubling) to cover 0..n."""
-    global _PRIME_FLAGS
-    flags = _PRIME_FLAGS
-    if len(flags) <= n:
-        size = max(n + 1, 2 * len(flags))
-        flags = bytearray(2) + b"\x01" * (size - 2)
-        for i in range(2, math.isqrt(size - 1) + 1):
-            if flags[i]:
-                flags[i * i :: i] = bytes(len(range(i * i, size, i)))
-        _PRIME_FLAGS = flags
-    return flags
+def _smallest_factors(n: int) -> array:
+    """The sieve table, grown (at least doubling) to cover 0..n.
+
+    Each prime q up to the square root, read from the table that covers it,
+    marks its multiples from q*q on, largest q first, so the last mark on a
+    composite is its least prime factor.
+    """
+    global _SMALLEST_FACTORS
+    table = _SMALLEST_FACTORS
+    if len(table) <= n:
+        size = max(n + 1, 2 * len(table))
+        root = math.isqrt(size - 1)
+        small = _smallest_factors(root)
+        table = array("H", bytes(2 * size))
+        table[0] = table[1] = 1
+        for q in range(root, 1, -1):
+            if not small[q]:
+                table[q * q :: q] = array("H", [q]) * len(range(q * q, size, q))
+        _SMALLEST_FACTORS = table
+    return table
 
 
 def bernoulli_denominator(k: int) -> int:
     """Denominator of B_k for even k >= 2 (von Staudt-Clausen): the product of the primes l with (l-1) | k."""
-    flags = _prime_flags(k + 1)
+    factors = _smallest_factors(k + 1)
     out = 1
     for d in divisors(k):
-        if flags[d + 1]:
+        if not factors[d + 1]:
             out *= d + 1
     return out
 
@@ -177,9 +190,10 @@ def _power_truncated(mantissa: int, exponent: int, k: int, bits: int) -> tuple[i
 
 def _working_bits(k: int, top: int, guard: int) -> int:
     """The precision w = L + guard of B_k, where 2**L exceeds |B_k| D = top * zeta(k) / (2 pi)**k."""
-    # (2 pi)**k > 2**(2.6514 k) and zeta(k) <= zeta(4) < 2**0.12, so for k >= 4
-    # the numerator top * zeta(k) / (2 pi)**k is below 2**(bits(top) - 2.585 k).
-    return top.bit_length() - 2585 * k // 1000 + guard
+    # For k >= 4: top < 2**bits(top), zeta(k) <= zeta(4) < 2**0.12 < 2, and
+    # log2(2 pi) > 2.6514 gives (2 pi)**k > 2**floor(26514 k / 10000), so the
+    # numerator is below 2**(bits(top) + 1 - floor(26514 k / 10000)).
+    return top.bit_length() - 26514 * k // 10000 + 1 + guard
 
 
 def _round_proven(scaled: int, guard: int, error: int) -> int | None:
@@ -206,10 +220,10 @@ def _bernoulli_numerator(k: int, denominator: int, guard: int) -> int | None:
     # tail over n > P costs a factor 1 - sum n**-k >= 1 - P**(1-k) / (k-1),
     # within 2**-w once (k-1) * P**(k-1) >= 2**w. The table reaches past
     # 2**ceil(w / (k-1)), so the bound also holds when the loop runs it out.
-    flags = _prime_flags(1 << -(-w // (k - 1)))
+    factors = _smallest_factors(1 << -(-w // (k - 1)))
     euler = 1 << w
     primes = 0
-    for p in compress(range(len(flags)), flags):
+    for p in compress(range(len(factors)), map(not_, factors)):
         power = p**k
         euler -= euler // power
         primes += 1
@@ -548,16 +562,55 @@ def sigma_power_mod(k_minus_1: int, n: int, modulus: int) -> int:
     return sum(pow(d, k_minus_1, modulus) for d in divisors(n)) % modulus
 
 
+# The rows of `_factor_rows` up to a limit, grown (at least doubling) by
+# rebinding, so every precision reads a prefix of one table.
+_FACTOR_ROWS: tuple[int, list, list, list] = (1, [], [], [])
+
+
+def _factor_rows(precision: int) -> tuple[list, list, list]:
+    """How multiplicativity builds each n = 2 .. precision from smaller n, cut from _FACTOR_ROWS.
+
+    Three ascending lists: the primes q; the higher prime powers q^a
+    (a >= 2) as (q^a, q^(a-1), q); every other n as (n, q^a, n / q^a), with
+    q^a the full power in n of its least prime factor q.
+    """
+    global _FACTOR_ROWS
+    limit, primes, prime_powers, splits = _FACTOR_ROWS
+    if limit < precision:
+        limit = max(precision, 2 * limit)
+        factors = _smallest_factors(limit)
+        part = [0, 1] + [0] * (limit - 1)  # part[n]: that power q^a
+        primes, prime_powers, splits = [], [], []
+        for n in range(2, limit + 1):
+            q = factors[n] or n
+            part[n] = q * part[n // q] if n // q % q == 0 else q
+            if q == n:
+                primes.append(n)
+            elif part[n] == n:
+                prime_powers.append((n, n // q, q))
+            else:
+                splits.append((n, part[n], n // part[n]))
+        _FACTOR_ROWS = (limit, primes, prime_powers, splits)
+    first = itemgetter(0)
+    return (primes[:bisect_right(primes, precision)],
+            prime_powers[:bisect_right(prime_powers, precision, key=first)],
+            splits[:bisect_right(splits, precision, key=first)])
+
+
 def sigma_power_table(k_minus_1: int, precision: int, modulus: int) -> list[int]:
     """sigma_{k-1}(n) modulo `modulus` for n = 0 .. precision, with entry 0 set to 0.
 
-    One sieve: each d <= precision adds d^(k-1) mod `modulus` to every
-    multiple of d, so the table costs `precision` modular powers and about
-    precision * ln(precision) additions. Entries are reduced once, at the end.
+    By multiplicativity, from `_factor_rows`: a prime q takes one modular
+    power, sigma(q) = 1 + q^(k-1); a higher prime power one multiply,
+    sigma(q^a) = 1 + (sigma(q) - 1) sigma(q^(a-1)); and every other n one
+    multiply, sigma(q^a) sigma(n / q^a), its two factors coprime.
     """
-    table = [0] * (precision + 1)
-    for d in range(1, precision + 1):
-        t = pow(d, k_minus_1, modulus)
-        for n in range(d, precision + 1, d):
-            table[n] += t
-    return [s % modulus for s in table]
+    primes, prime_powers, splits = _factor_rows(precision)
+    table = [0] + [1 % modulus] * precision
+    for q in primes:
+        table[q] = (1 + pow(q, k_minus_1, modulus)) % modulus
+    for n, previous, q in prime_powers:
+        table[n] = (1 + (table[q] - 1) * table[previous]) % modulus
+    for n, part, rest in splits:
+        table[n] = table[part] * table[rest] % modulus
+    return table

@@ -7,17 +7,21 @@ of its operands.
 
 Products use Kronecker substitution: each coefficient vector is packed into
 one integer and CPython's subquadratic big-int multiply does the convolution.
+Linear combinations pack their terms the same way (`_slotwise`), so a sum of
+t scaled series is t big-int multiply-adds.
 """
 
 from __future__ import annotations
 
 import sys
 from array import array
+from operator import mul
+from typing import Callable
 
 from .errors import PrecisionTooLowError, RingMismatchError
 from .residue import ResidueRing, _equal_slots, _frozen
 
-__all__ = ["CongruenceVerdict", "QSeries", "series_equal_mod"]
+__all__ = ["CongruenceVerdict", "QSeries", "linear_combination", "series_equal_mod"]
 
 
 class CongruenceVerdict:
@@ -130,6 +134,23 @@ class QSeries:
         }
 
 
+def linear_combination(scalars: list[int], terms: list[QSeries]) -> QSeries:
+    """sum_i scalars[i] * terms[i] over one or more terms, through their least precision.
+
+    The scalars are any integers. Once they are reduced, each coefficient of
+    the sum before its reduction is at most t (modulus-1)^2 for t terms, below
+    2**(2 bits(modulus-1) + bits(t)); slots that wide never carry, so t
+    multiply-adds of the packed terms form every coefficient at once.
+    """
+    prec = min(terms[0]._check_compatible(term) for term in terms)
+    mod = terms[0].ring.modulus
+    scalars = [h % mod for h in scalars]
+    coeffs = _slotwise([term.coeffs[:prec + 1] for term in terms],
+                       2 * (mod - 1).bit_length() + len(terms).bit_length(),
+                       lambda *packed: sum(map(mul, scalars, packed)), prec + 1, mod)
+    return QSeries(terms[0].ring, coeffs, prec)
+
+
 # Unsigned array types, narrowest first. Slots that fit one of them are packed
 # and unpacked by the array module in C rather than one coefficient at a time.
 _ARRAY_TYPES = sorted((array(code).itemsize, code) for code in "BHIQ")
@@ -138,30 +159,38 @@ _ARRAY_TYPES = sorted((array(code).itemsize, code) for code in "BHIQ")
 def _kronecker_product(a: tuple, b: tuple | None, n: int, modulus: int) -> tuple:
     """Coefficients q^0 .. q^(n-1) of a*b modulo `modulus`; b=None squares a.
 
-    Each canonical residue of q^0 .. q^(n-1) takes a fixed slot of `width`
-    bytes. A product coefficient before reduction is a sum of at most n terms,
-    each at most (modulus-1)^2, so it fits its slot and no slot carries into
-    the next: one integer multiply computes the whole convolution. Slots of up
-    to 8 bytes widen to the narrowest array item that holds them.
+    A product coefficient before reduction is a sum of at most n terms, each
+    at most (modulus-1)^2, so it fits a slot of 2 bits(modulus-1) + bits(n)
+    bits and no slot carries into the next: one integer multiply computes the
+    whole convolution, whose 2n-1 slots `_slotwise` cuts to n.
     """
-    width = (2 * (modulus - 1).bit_length() + n.bit_length() + 7) // 8
+    bits = 2 * (modulus - 1).bit_length() + n.bit_length()
+    if b is None:
+        return _slotwise([a[:n]], bits, lambda x: x * x, 2 * n - 1, modulus)
+    return _slotwise([a[:n], b[:n]], bits, mul, 2 * n - 1, modulus)
+
+
+def _slotwise(vectors: list, bits: int, combine: Callable[..., int], slots: int,
+              modulus: int) -> tuple:
+    """Slots 0 .. n-1 of combine(*packed), each reduced modulo `modulus`, n the vectors' length.
+
+    Each vector of canonical residues is packed into one integer, its i-th in
+    slot i of at least `bits` bits; `combine`, a product or a sum of products
+    of them whose slots each stay below 2**bits, fills `slots` slots. Slots of
+    up to 8 bytes widen to the narrowest array item that holds them, so the
+    array module packs and unpacks them in C; wider ones go through bytes.
+    """
+    n, width = len(vectors[0]), (bits + 7) // 8
     for size, code in _ARRAY_TYPES:
         if width <= size:
-            x = int.from_bytes(array(code, a[:n]), sys.byteorder)
-            z = x * x if b is None else x * int.from_bytes(array(code, b[:n]), sys.byteorder)
-            slots = array(code, z.to_bytes((2 * n - 1) * size, sys.byteorder))
-            return tuple([c % modulus for c in slots[:n]])
-    x = _pack(a[:n], width)
-    z = x * x if b is None else x * _pack(b[:n], width)
-    data = z.to_bytes((2 * n - 1) * width, "little")
-    return tuple(
-        int.from_bytes(data[i : i + width], "little") % modulus
-        for i in range(0, n * width, width)
-    )
-
-
-def _pack(coeffs: tuple, width: int) -> int:
-    return int.from_bytes(b"".join([c.to_bytes(width, "little") for c in coeffs]), "little")
+            z = combine(*[int.from_bytes(array(code, v), sys.byteorder) for v in vectors])
+            items = array(code, z.to_bytes(slots * size, sys.byteorder))
+            return tuple([c % modulus for c in items[:n]])
+    z = combine(*[int.from_bytes(b"".join([c.to_bytes(width, "little") for c in v]), "little")
+                  for v in vectors])
+    data = z.to_bytes(slots * width, "little")
+    return tuple([int.from_bytes(data[i : i + width], "little") % modulus
+                  for i in range(0, n * width, width)])
 
 
 def series_equal_mod(a: QSeries, b: QSeries, upto: int) -> CongruenceVerdict:

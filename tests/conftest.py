@@ -149,6 +149,13 @@ def inversion_sum_per_term(form, kstar: int, ring: ResidueRing, precision: int, 
     return total
 
 
+def combination_per_column(scalars: list, vectors: list, modulus: int) -> tuple:
+    """Linear-combination oracle: sum_i scalars[i] * vectors[i][n] modulo `modulus`, one
+    column n at a time, through the shortest vector."""
+    return tuple(sum(h * c for h, c in zip(scalars, column)) % modulus
+                 for column in zip(*vectors))
+
+
 def identity_sum_by_triple_products(m: int, j: int, s: int, alpha: int) -> int:
     """Prop. 3.2 oracle: sum_{r=s}^{m-1} C(alpha-r, j) H(m, alpha, r) H(m-j, r, s),
     one triple product per r, nothing cached."""

@@ -157,8 +157,8 @@ class TestEFactor:
 
 
 class TestDivisorSums:
-    """The sieve keyed on the exponent's period mod p^m against the unreduced
-    sieve, `sigma_power_table`, and per-n sums, `sigma_power_mod`."""
+    """The table keyed on the exponent's period mod p^m against the table of
+    the unreduced exponent, `sigma_power_table`, and per-n sums, `sigma_power_mod`."""
 
     @pytest.mark.parametrize("p", [5, 7, 11, 13])
     @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])

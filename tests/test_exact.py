@@ -2,6 +2,7 @@ import math
 import random
 import sys
 import threading
+from array import array
 from fractions import Fraction
 
 import pytest
@@ -220,6 +221,15 @@ class TestBernoulli:
         bernoulli(102)
         assert exact._PI[0] >= 2 * first
 
+    def test_working_bits_bound_the_numerator_within_three_bits(self, tangent_oracle):
+        # 2**L exceeds |B_k| D, and with log2(2 pi) > 2.6514 and one bit for
+        # zeta(k) it overshoots by at most 3 bits, also at k = 2402.
+        for k in DIFFERENTIAL_INDICES[1:]:
+            value = tangent_oracle[k]
+            top = 2 * math.factorial(k) * value.denominator
+            slack = exact._working_bits(k, top, 0) - abs(value.numerator).bit_length()
+            assert 0 <= slack <= 3, (k, slack)
+
     def test_too_few_guard_bits_retry(self, cold_bernoulli, tangent_oracle, monkeypatch):
         attempts = []
         real = exact._bernoulli_numerator
@@ -246,8 +256,8 @@ class TestBernoulli:
         assert 40 not in bernoulli_cached_indices()
 
     def test_denominator_matches_tangent_oracle(self, tangent_oracle, monkeypatch):
-        # From an empty sieve, which each index grows to cover its candidates l = d + 1.
-        monkeypatch.setattr(exact, "_PRIME_FLAGS", bytearray(2))
+        # From a fresh sieve table, which each index grows to cover its candidates l = d + 1.
+        monkeypatch.setattr(exact, "_SMALLEST_FACTORS", array("H", [1, 1]))
         for k in reversed(DIFFERENTIAL_INDICES):
             assert exact.bernoulli_denominator(k) == tangent_oracle[k].denominator, k
 
@@ -680,6 +690,35 @@ class TestSigma:
         for k_minus_1 in (0, 3, 97):
             assert sigma_power_table(k_minus_1, 0, 25) == [0]
             assert sigma_power_table(k_minus_1, 1, 25) == [0, 1]
+
+    # The edges 0, 1 and 2, then tables that end at a prime power: 8, 27 and 32
+    # need sigma(q^a) from sigma(q^(a-1)), not sigma(q). 201 is the Sturm index
+    # of the k = 2402 filtration, and 13^18 is above 2^64.
+    @pytest.mark.parametrize("precision", [0, 1, 2, 4, 8, 9, 25, 27, 32, 49, 121, 169, 201])
+    def test_table_known_answers(self, precision):
+        for k_minus_1 in (0, 1, 2, 5, 11, 97, 1805):
+            sums = [sigma_power(k_minus_1, n) for n in range(1, precision + 1)]
+            for mod in (5, 7**3, 11**4, 13**6, 13**18):
+                table = sigma_power_table(k_minus_1, precision, mod)
+                assert table == [0] + [s % mod for s in sums], (k_minus_1, mod)
+                assert table[1:] == [sigma_power_mod(k_minus_1, n, mod)
+                                     for n in range(1, precision + 1)], (k_minus_1, mod)
+
+    def test_exponent_zero_counts_divisors(self):
+        table = sigma_power_table(0, 201, 13**6)
+        assert table[1:] == [len(divisors(n)) for n in range(1, 202)]
+        assert (table[8], table[60], table[121], table[180], table[201]) == (4, 12, 3, 18, 4)
+
+    def test_smallest_factors(self, monkeypatch):
+        # From a fresh table, grown by several requests; 0 marks a prime.
+        monkeypatch.setattr(exact, "_SMALLEST_FACTORS", array("H", [1, 1]))
+        for n in (3, 40, 41, 1000, 5000):
+            factors = exact._smallest_factors(n)
+            assert len(factors) > n
+        assert factors[:2] == array("H", [1, 1])
+        for n in range(2, len(factors)):
+            least = next(d for d in range(2, n + 1) if n % d == 0)
+            assert factors[n] == (0 if least == n else least), n
 
 
 class TestPochhammer:

@@ -9,11 +9,11 @@ from eiscong.errors import (
     RingMismatchError,
 )
 from eiscong.eisenstein import g_series
-from eiscong.exact import bernoulli
+from eiscong.exact import bernoulli, h_coefficient
 from eiscong.residue import ResidueRing
-from eiscong.series import QSeries, series_equal_mod
+from eiscong.series import QSeries, linear_combination, series_equal_mod
 
-from conftest import egcd, reduced, schoolbook_product
+from conftest import combination_per_column, egcd, reduced, schoolbook_product
 
 
 class TestResidueRing:
@@ -174,7 +174,8 @@ class TestQSeries:
     def test_ring_mismatch_rejected(self):
         a = q_series(ResidueRing(5, 1), 1, 2)
         b = q_series(ResidueRing(7, 1), 1, 2)
-        for mismatched in (lambda: a + b, lambda: a * b, lambda: series_equal_mod(a, b, 1)):
+        for mismatched in (lambda: a + b, lambda: a * b, lambda: series_equal_mod(a, b, 1),
+                           lambda: linear_combination([1, 1], [a, b])):
             with pytest.raises(RingMismatchError) as exc:
                 mismatched()
             assert str(exc.value) == "ResidueRing(p=5, m=1) != ResidueRing(p=7, m=1)"
@@ -284,6 +285,60 @@ class TestKroneckerProduct:
             for n in range(12):
                 assert a.pow(n) == repeated, (p, m, n)
                 repeated = repeated * a
+
+
+# A combination of t terms takes slots of 2 bits(p^m - 1) + bits(t) bits, t = 1..6:
+# 5 and 7 reach 1-byte array items, 13 and 5^3 2-byte ones, 13^2 and 13^4
+# 4-byte ones, 65521 and 7^11 8-byte ones; 11^9, 7^17 and 19^16 (above 2^64)
+# take byte-string slots. At 13, 13^2, 65521, 11^9 and 7^17 a slot without
+# the bits(t) overflows at two or three terms of p^m - 1.
+COMBINATION_RINGS = [(5, 1), (7, 1), (13, 1), (5, 3), (13, 2), (13, 4), (65521, 1), (7, 11),
+                     (11, 9), (7, 17), (19, 16)]
+
+
+class TestLinearCombination:
+    """Packed linear combinations against the per-column sum, `combination_per_column`."""
+
+    @pytest.mark.parametrize("p,m", COMBINATION_RINGS)
+    def test_random_terms_and_signed_scalars(self, p, m, rng):
+        ring = ResidueRing(p, m)
+        mod = ring.modulus
+        for t in range(1, 7):
+            for precision in (0, 1, 60):
+                terms = [q_series(ring, *[rng.randrange(mod) for _ in range(precision + 1)])
+                         for _ in range(t)]
+                scalars = [rng.randrange(-3 * mod, 3 * mod) for _ in range(t)]
+                expected = combination_per_column(scalars, [term.coeffs for term in terms], mod)
+                assert linear_combination(scalars, terms) == QSeries(ring, expected, precision), t
+
+    @pytest.mark.parametrize("p,m", COMBINATION_RINGS)
+    def test_every_slot_at_its_largest_sum(self, p, m):
+        # Coefficients p^m - 1 times scalars -1: each slot holds t (p^m - 1)^2.
+        ring = ResidueRing(p, m)
+        top = QSeries.residue(ring, [ring.modulus - 1] * 41)
+        for t in range(1, 7):
+            assert linear_combination([-1] * t, [top] * t) == QSeries.residue(ring, [t] * 41), t
+
+    @pytest.mark.parametrize("m", range(1, 7))
+    def test_inversion_rows(self, m, rng):
+        # The scalars a theorem grid uses: H(m, alpha, r) over r < m, signed.
+        ring = ResidueRing(13, m)
+        terms = [q_series(ring, *[rng.randrange(ring.modulus) for _ in range(61)])
+                 for _ in range(m)]
+        for alpha in range(m, 3 * m + 40, 7):
+            h = [h_coefficient(m, alpha, r) for r in range(m)]
+            assert m == 1 or min(h) < 0
+            expected = combination_per_column(h, [term.coeffs for term in terms], ring.modulus)
+            assert linear_combination(h, terms) == QSeries(ring, expected, 60), alpha
+
+    def test_unequal_precisions_give_the_least(self, rng):
+        ring = ResidueRing(7, 4)
+        terms = [q_series(ring, *[rng.randrange(ring.modulus) for _ in range(n)])
+                 for n in (12, 5, 30)]
+        combination = linear_combination([3, -2, 5], terms)
+        assert combination.precision == 4
+        assert combination.coeffs == combination_per_column(
+            [3, -2, 5], [term.coeffs for term in terms], ring.modulus)
 
 
 class TestSeriesEqualMod:
