@@ -15,8 +15,11 @@ product (none below alpha = m). It builds the left side first, so an error
 names the weight alpha(p-1)+k*. Its callers pass `g_series`/`e_series`, and
 `e_power` calls `e_series`, read as module globals at call time, never bound
 earlier, so a tracer that rebinds them sees every call. `_inversion_defect`
-does it for rationals: Prop 4.1, Eq. (3.1), the Eq. (6.4) scan, p-regular
-recovery and the inversion identity.
+does it for rationals, exactly: the inversion identity, and the failures of
+the valuation tests. Those tests, Prop 4.1, Eq. (3.1), the Eq. (6.4) scan
+and p-regular recovery, go through `_inversion_defect_mod`, which sums the
+terms' residues modulo p^m first and builds the exact defect only when that
+cannot prove the pass.
 
 In the Prop. 3.2 box, each identity sum is a cached row C(alpha-r, j)
 H(m, alpha, r), sliced at s, dotted with a cached column H(m-j, r, s); the
@@ -122,7 +125,7 @@ def _series_report(statement_id: str, params: dict, lhs: QSeries, rhs: QSeries,
     return CongruenceReport(statement_id, params, "Fail", detail, cert)
 
 
-def _valuation_report(statement_id: str, params: dict, difference: Fraction,
+def _valuation_report(statement_id: str, params: dict, difference: Fraction | int,
                       p: int, required: int) -> CongruenceReport:
     v = padic_valuation(difference, p)
     if v >= required:
@@ -212,6 +215,29 @@ def _inversion_defect(f: IntegerSequenceFunction, m: int, alpha: int) -> Fractio
     return Fraction(f(alpha)) - sum(h[r] * Fraction(f(r)) for r in _inversion_support(m, alpha))
 
 
+def _inversion_defect_mod(f: IntegerSequenceFunction, p: int, m: int,
+                          alpha: int) -> Fraction | int:
+    """`_inversion_defect` as a valuation test at m reads it: 0 when its residue mod p^m is 0.
+
+    When every term f(r) is p-integral, so is the defect, and a residue of 0
+    is exactly nu_p >= m. The terms' numerators and denominators are then
+    reduced mod p^m and summed with the H row as one fraction, whose
+    denominator is a unit, so no big rational is built and no inverse taken.
+    A nonzero residue, or a term with p in its denominator, returns the exact
+    defect, the only value a failure detail is built from.
+    """
+    h, modulus = _h_row(m, alpha), p**m
+    numerator, denominator = 0, 1
+    for scalar, r in ((-1, alpha), *((h[r], r) for r in _inversion_support(m, alpha))):
+        term = f(r)
+        a, b = term.numerator % modulus, term.denominator % modulus
+        if not b % p:
+            return _inversion_defect(f, m, alpha)
+        numerator = (numerator * b + scalar * a * denominator) % modulus
+        denominator = denominator * b % modulus
+    return _inversion_defect(f, m, alpha) if numerator else 0
+
+
 def _validate_gk_args(p: int, m: int, kstar: int, alpha: int) -> None:
     if m < 1:
         raise ParameterOutOfRangeError("m must be at least 1")
@@ -279,8 +305,8 @@ def check_bernoulli_prop41(p: int, m: int, alpha: int, d: int) -> CongruenceRepo
     The r = 0 term is 0.
     """
     _validate_prop41_args(p, m, alpha, d)
-    difference = _inversion_defect(
-        lambda r: d ** (r * (p - 1)) * Fraction(r) / bernoulli(r * (p - 1)), m, alpha)
+    difference = _inversion_defect_mod(
+        lambda r: d ** (r * (p - 1)) * Fraction(r) / bernoulli(r * (p - 1)), p, m, alpha)
     params = {"p": p, "m": m, "alpha": alpha, "d": d}
     return _valuation_report("Prop4.1", params, difference, p, m)
 
@@ -298,8 +324,8 @@ def check_dpower_congruence(p: int, m: int, alpha: int, d: int) -> CongruenceRep
     """d^{a(p-1)} against the H-weighted sum of d^{r(p-1)}, modulo p^m."""
     _validate_dpower_args(p, m, alpha, d)
     params = {"p": p, "m": m, "alpha": alpha, "d": d}
-    return _valuation_report("Eq3.1", params, _inversion_defect(dpower_function(d, p), m, alpha),
-                             p, m)
+    return _valuation_report("Eq3.1", params,
+                             _inversion_defect_mod(dpower_function(d, p), p, m, alpha), p, m)
 
 
 def _validate_eq14_args(p: int, k: int, kprime: int) -> None:
@@ -405,7 +431,7 @@ def check_p_regular(f: IntegerSequenceFunction, p: int, n_max: int) -> list[Regu
 
 def prop21_recovery_holds(f: IntegerSequenceFunction, p: int, m: int, alpha: int) -> bool:
     """For p-regular f: f(alpha) matches its H-weighted history modulo p^m."""
-    return padic_valuation(_inversion_defect(f, m, alpha), p) >= m
+    return padic_valuation(_inversion_defect_mod(f, p, m, alpha), p) >= m
 
 
 def inversion_identity_holds(f: IntegerSequenceFunction, n: int, alpha: int) -> bool:
@@ -578,7 +604,7 @@ def scan_conjecture_bernoulli(
         return Fraction(r * (p - 1) + kstar) / bernoulli(r * (p - 1) + kstar)
 
     return [_valuation_report("ConjEq6.4", {"p": p, "m": m, "kstar": kstar, "alpha": alpha},
-                              _inversion_defect(f, m, alpha), p, m) for alpha in alphas]
+                              _inversion_defect_mod(f, p, m, alpha), p, m) for alpha in alphas]
 
 
 def scan_conjecture_ek_series(p: int, m: int, kstar: int, alpha: int, precision: int = 40,

@@ -7,13 +7,15 @@ point is used anywhere in the package.
 Bernoulli numbers come from zeta(k) in integer fixed point, by two paths
 into one memo. `bernoulli(k)` builds k!, each p**k and (2 pi)**k from
 scratch and divides by an Euler product for 1/zeta(k). `prefetch_bernoulli`
-steps k!, (2 pi)**-k and the exact reciprocals floor(2**W / n**k) of a
-direct zeta sum from one index to the next in one ascending pass, so its
-big-int work per index is multiplications and divisions by small
-integers. Its error budget is the zeta sum's floors and its tail past the
-first zero term, the stepped cuts of (2 pi)**-k, the slack cuts of its two
-products and one final floor. Each path bounds its error, and both round
-through `_round_proven`, which rounds only when the bound proves it.
+steps 2 k! (2 pi)**-k, one cut product, and the exact reciprocals
+floor(2**W / b**k) of the odd b from one index to the next in one ascending
+pass; a direct zeta sum reads each n = 2**a b as b's reciprocal shifted down
+by a k bits. Its big-int work per index is one product for the step, one
+for the numerator, and divisions by small integers. Its error budget is the
+zeta sum's floors and its tail past the first zero term, the stepped cuts of
+2 k! (2 pi)**-k, one slack cut and one final floor. Each path bounds its
+error, and both round through `_round_proven`, which rounds only when the
+bound proves it.
 
 Both read pi from `_pi`: Chudnovsky's series summed by binary splitting,
 then one integer square root and one floored division. Its error budget (the
@@ -292,49 +294,54 @@ def bernoulli(k: int) -> Fraction:
 def _zeta_sum(reciprocals: list[int], k: int, width: int, w: int) -> tuple[int, int]:
     """(Z, e) with Z <= zeta(k) * 2**w < Z + e, for k >= 4 and w <= width.
 
-    reciprocals[n - 1] is floor(2**width / n**k) for n = 1, 2, ...; the sum
-    appends those it reaches past the end. Z sums floor(2**w / n**k), each
-    such a reciprocal shifted down by width - w, up to the first zero term,
-    at n = N. The floors of n = 2 .. N-1 lose under 1 each (n = 1 is exact),
-    and past N, where 2**w < N**k, the tail sum_{n >= N} 2**w / n**k is
-    under 1 + N / (k-1) < N // (k-1) + 2.
+    reciprocals[i] is floor(2**width / b**k) for the odd b = 2i + 1; the sum
+    appends those it reaches past the end. Z sums floor(2**w / n**k) up to the
+    first zero term, at n = N. For n = 2**a b that term is b's reciprocal
+    shifted down by width - w + a k bits, as floors of floors are floors; the
+    terms fall with n, so Z stops at the first odd b whose term is 0. The
+    floors of n = 2 .. N-1 lose under 1 each (n = 1 is exact), and past N,
+    where 2**w < N**k, the tail sum_{n >= N} 2**w / n**k is under
+    1 + N / (k-1) < N // (k-1) + 2.
     """
     shift = width - w
-    zeta, n = 0, 1
+    zeta = last = i = 0
     while True:
-        if n > len(reciprocals):
-            reciprocals.append((1 << width) // n**k)
-        term = reciprocals[n - 1] >> shift
+        if i == len(reciprocals):
+            reciprocals.append((1 << width) // (2 * i + 1)**k)
+        term = reciprocals[i] >> shift
         if not term:
             break
-        zeta += term
-        n += 1
-    return zeta, (n - 2) + (n // (k - 1) + 2)
+        n = 2 * i + 1
+        while term:
+            zeta += term
+            term >>= k
+            n *= 2
+        last = max(last, n // 2)
+        i += 1
+    # The first zero term is at N = last + 1.
+    return zeta, (last - 1) + ((last + 1) // (k - 1) + 2)
 
 
-# Bits past an index's precision w to which the stepped path cuts each factor
-# of its two products; see `_stepped_numerator`.
+# Bits past an index's precision w to which the stepped path cuts 2 k! D (2 pi)**-k
+# before its product with the zeta sum; see `_stepped_numerator`.
 _SLACK_BITS = 2
 
 
-def _stepped_numerator(k: int, top: int, w: int, reciprocals: list[int], width: int,
+def _stepped_numerator(k: int, w: int, reciprocals: list[int], width: int,
                        mantissa: int, exponent: int, units: int) -> int | None:
-    """|B_k| D = top * zeta(k) / (2 pi)**k for even k >= 4 from the pass's factors, or None if unproven.
+    """|B_k| D = 2 k! D (2 pi)**-k zeta(k) for even k >= 4 from the pass's factors, or None if unproven.
 
-    w = _working_bits(k, top, _GUARD_BITS); `reciprocals` are the pass's
-    floor(2**width / n**k) for `_zeta_sum`, and mantissa * 2**exponent is
-    (2 pi)**-k within a relative error of `units` * 2**-w. Two products, with
-    no division: top * zeta(k), then that times (2 pi)**-k, each factor cut
-    to w + _SLACK_BITS + 1 bits. See `prefetch_bernoulli` for the error budget.
+    w = _working_bits(k, 2 k! D, _GUARD_BITS); `reciprocals` are the pass's
+    odd floor(2**width / b**k) for `_zeta_sum`, and mantissa * 2**exponent is
+    2 k! D (2 pi)**-k within a relative error of `units` * 2**-w. One
+    product, with no division: that factor cut to w + _SLACK_BITS + 1 bits,
+    times the zeta sum. See `prefetch_bernoulli` for the error budget.
     """
     zeta, zeta_error = _zeta_sum(reciprocals, k, width, w)
-    bits = w + _SLACK_BITS
-    top, top_exponent = _truncate(top, 0, bits)
-    product, product_exponent = _truncate(top * zeta, top_exponent - w, bits)
-    mantissa, exponent = _truncate(mantissa, exponent, bits)
-    # numerator * 2**guard = product * mantissa * 2**(product_exponent + exponent + guard), floored.
-    scaled = product * mantissa
-    shift = product_exponent + exponent + _GUARD_BITS
+    mantissa, exponent = _truncate(mantissa, exponent, w + _SLACK_BITS)
+    # numerator * 2**guard = mantissa * zeta * 2**(exponent + guard - w), floored.
+    scaled = mantissa * zeta
+    shift = exponent + _GUARD_BITS - w
     scaled = scaled << shift if shift >= 0 else scaled >> -shift
     return _round_proven(scaled, _GUARD_BITS, zeta_error + units + 2)
 
@@ -342,33 +349,34 @@ def _stepped_numerator(k: int, top: int, w: int, reciprocals: list[int], width: 
 def prefetch_bernoulli(indices: Iterable[int]) -> None:
     """Memoize B_k for every k in `indices`, in one ascending pass.
 
-    The pass runs at one precision W, and its big-int work per index is
-    multiplications and divisions by small integers. Each step to the next
-    missing even k >= 4, a gap of d, carries forward:
+    The pass runs at one precision W, and its big-int work per index is two
+    products and divisions by small integers. Each step to the next missing
+    even k >= 4, a gap of d, carries forward:
 
-    - k! exactly;
-    - the reciprocals R_n = floor(2**W / n**k), each by R_n //= n**d, which
-      keeps it exact (floor(floor(x) / a) = floor(x / a)), so no error
-      builds up; `_zeta_sum` appends fresh ones as it needs them;
-    - (2 pi)**-k, by one truncated multiply with (2 pi)**-d. That step
-      factor is made once per distinct gap: pi to s = W + bits(d) + 3 bits,
-      one floored division for 2**s / pi within a relative 2**(2-s) (pi's
-      2 units and the floor), under half a unit of 2**-W once raised to the
-      d-th power, then at most 2 bits(d) - 1 cuts to W + 1 bits; with the
-      multiply's own cut, a step adds under 2 bits(d) + 1 units of 2**-W.
-      W exceeds every index's own precision w by the bits of their sum C
-      over the pass, so (2 pi)**-k is within units = ceil(C * 2**(w - W)) = 1
-      unit of 2**-w.
+    - the reciprocals R_b = floor(2**W / b**k) of the odd b only, each by
+      R_b //= b**d, which keeps it exact (floor(floor(x) / a) = floor(x / a)),
+      so no error builds up; `_zeta_sum` reads R_n = R_b >> a k for
+      n = 2**a b, exactly, and appends fresh odd ones as it needs them;
+    - F = 2 k! (2 pi)**-k, by one cut product F <- F * ((2 pi)**-d k!/(k-d)!),
+      the falling factorial exact. The step factor (2 pi)**-d is made once
+      per distinct gap: pi to s = W + bits(d) + 3 bits, one floored division
+      for 2**s / pi within a relative 2**(2-s) (pi's 2 units and the floor),
+      under half a unit of 2**-W once raised to the d-th power, then at most
+      2 bits(d) - 1 cuts to W + 1 bits; with the product's own cut, a step
+      adds under 2 bits(d) + 1 units of 2**-W. W exceeds every index's own
+      precision w by the bits of their sum C over the pass, so F is within
+      units = ceil(C * 2**(w - W)) = 1 unit of 2**-w.
 
-    |B_k| D * 2**g, below 2**w, is then known within the sum of
+    k! is also carried exactly, for the bits of 2 k! D that set w. With D
+    exact, |B_k| D = F D zeta(k), and |B_k| D * 2**g, below 2**w, is known
+    within the sum of
 
     - the zeta sum's e = (N - 2) + (N // (k-1) + 2): its N - 2 floors and
       its tail past the first zero term, at n = N (`_zeta_sum`); zeta(k) >= 1
       makes that a relative error under e * 2**-w;
-    - (2 pi)**-k's `units`;
-    - one unit for the slack cuts: top, top * zeta and (2 pi)**-k are each
-      cut to w + 3 bits, a relative error under 2**-(w+2) apiece, so under
-      3/4 of a unit together;
+    - F's `units`;
+    - one unit for the slack cut of F D to w + 3 bits, a relative error under
+      2**-(w+2), and for the products of the relative errors;
     - one unit for the final floor.
 
     Each index is rounded at its first guard width by the check `bernoulli`
@@ -386,30 +394,31 @@ def prefetch_bernoulli(indices: Iterable[int]) -> None:
         return
     unproven = []
     with _BERNOULLI_LOCK:
-        steps = []  # (k, gap from the index before, D, 2 k! D, w), ascending
+        steps = []  # (k, gap d from the index before, k!/(k-d)!, D, w), ascending
         factorial, previous = 1, 0
         # Another thread may have memoized some since `missing` was read.
         for k in sorted(k for k in missing if k not in _BERNOULLI_MEMO):
-            factorial *= math.perm(k, k - previous)  # k! / previous!
+            rise = math.perm(k, k - previous)
+            factorial *= rise
             denominator = bernoulli_denominator(k)
-            top = 2 * factorial * denominator
-            steps.append((k, k - previous, denominator, top, _working_bits(k, top, _GUARD_BITS)))
+            w = _working_bits(k, 2 * factorial * denominator, _GUARD_BITS)
+            steps.append((k, k - previous, rise, denominator, w))
             previous = k
-        total = sum(2 * d.bit_length() + 1 for _, d, _, _, _ in steps)
+        total = sum(2 * d.bit_length() + 1 for _, d, *_ in steps)
         width = max((w for *_, w in steps), default=0) + total.bit_length()
         factors: dict[int, tuple[int, int]] = {}  # d -> (2 pi)**-d at width + 1 bits
-        reciprocals: list[int] = []  # floor(2**width / n**k) for n = 1, 2, ...
-        mantissa, exponent, cost = 1, 0, 0  # (2 pi)**-k within cost * 2**-width
-        for k, d, denominator, top, w in steps:
+        reciprocals: list[int] = []  # floor(2**width / b**k) for b = 1, 3, 5, ...
+        mantissa, exponent, cost = 2, 0, 0  # 2 k! (2 pi)**-k within cost * 2**-width
+        for k, d, rise, denominator, w in steps:
             if d not in factors:
                 s = width + d.bit_length() + 3
                 factors[d] = _power_truncated((1 << 2 * s) // _pi(s), -s - 1, d, width)
             step, step_exponent = factors[d]
-            mantissa, exponent = _truncate(mantissa * step, exponent + step_exponent, width)
+            mantissa, exponent = _truncate(mantissa * (step * rise), exponent + step_exponent, width)
             cost += 2 * d.bit_length() + 1
-            reciprocals = [r // n**d for n, r in enumerate(reciprocals, 1)]
-            numerator = _stepped_numerator(k, top, w, reciprocals, width, mantissa, exponent,
-                                           -(-cost >> (width - w)))
+            reciprocals = [r // b**d for b, r in zip(range(1, 2 * len(reciprocals), 2), reciprocals)]
+            numerator = _stepped_numerator(k, w, reciprocals, width, mantissa * denominator,
+                                           exponent, -(-cost >> (width - w)))
             if numerator is None:
                 unproven.append(k)
             else:

@@ -25,7 +25,7 @@ from .errors import (
 )
 from .eisenstein import e_power, e_series, g_series, generator_power, monomial_series
 from .residue import ResidueRing, _equal_slots
-from .series import QSeries
+from .series import QSeries, linear_combination
 
 __all__ = [
     "BasisMatrix",
@@ -397,9 +397,7 @@ def factor_filtration_bound(f: QSeries, k: int, input_id: str | None = None,
     for w, n, bm, outcome in _reductions(f, k, k % (p - 1), upto):
         if not outcome:
             continue
-        g = QSeries.residue(ring, [0] * (upto + 1))
-        for coeff, col in zip(outcome.vector, bm.columns):
-            g = g + col.scale(coeff)
+        g = linear_combination(outcome.vector, bm.columns)
         if (g * generator_power(p - 1, ring, upto, n)).coeffs != f.coeffs[: upto + 1]:
             raise EiscongError("witness failed round-trip verification")
         cert = "sturm-certified" if certified else f"coefficient-evidence({upto + 1})"

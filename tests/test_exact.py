@@ -301,11 +301,11 @@ def spy_rounding(monkeypatch, fail=lambda k: False):
     attempts = []
     stepped, single = exact._stepped_numerator, exact._bernoulli_numerator
 
-    def stepped_spy(k, top, w, reciprocals, width, mantissa, exponent, units):
+    def stepped_spy(k, w, reciprocals, width, mantissa, exponent, units):
         attempts.append((k, True, units))
         if fail(k):
             return None
-        return stepped(k, top, w, reciprocals, width, mantissa, exponent, units)
+        return stepped(k, w, reciprocals, width, mantissa, exponent, units)
 
     def single_spy(k, denominator, guard):
         attempts.append((k, False, None))
@@ -317,19 +317,20 @@ def spy_rounding(monkeypatch, fail=lambda k: False):
 
 
 def spy_reciprocals(monkeypatch):
-    """Check at every step that each reciprocal the pass carries, or appends, is exact."""
+    """Check at every step that each odd reciprocal the pass carries, or appends, is exact."""
     steps = []
     real = exact._zeta_sum
 
     def exact_from(reciprocals, k, width, start):
-        return all(reciprocals[n - 1] == (1 << width) // n**k
-                   for n in range(start, len(reciprocals) + 1))
+        # reciprocals[i] belongs to the odd b = 2i + 1.
+        return all(reciprocals[i] == (1 << width) // (2 * i + 1)**k
+                   for i in range(start, len(reciprocals)))
 
     def spy(reciprocals, k, width, w):
         carried = len(reciprocals)
-        assert exact_from(reciprocals, k, width, 1), k
+        assert exact_from(reciprocals, k, width, 0), k
         result = real(reciprocals, k, width, w)
-        assert exact_from(reciprocals, k, width, carried + 1), k
+        assert exact_from(reciprocals, k, width, carried), k
         steps.append(k)
         return result
 
@@ -363,15 +364,28 @@ class TestPrefetch:
         # precision is one of the slack cuts, with their own unit.
         assert attempts == [(k, True, 1) for k in SCAN_INDICES]
 
-    def test_after_a_warm_prefix(self, cold_bernoulli, tangent_oracle, monkeypatch):
-        # The benchmark's cache holds alpha <= 100, so the pass starts with a gap of 612.
-        for k in SCAN_INDICES[:101]:
-            bernoulli(k)
+    @pytest.mark.parametrize("warm,indices", [
+        (SCAN_INDICES[:101], SCAN_INDICES), ([], list(range(2, 1201))),
+    ], ids=["scan-after-its-cache", "cold-bernoulli-range"])
+    def test_every_index_proven_at_its_first_attempt(self, cold_bernoulli, tangent_oracle,
+                                                     monkeypatch, warm, indices):
+        # The benchmark's scan, whose cache holds alpha <= 100, so the pass
+        # starts with a gap of 612, and a cold `bernoulli 2..1200`. An error
+        # budget loose enough to leave a rounding unproven would send that
+        # index to the slow single path.
+        for k in warm:
+            exact.seed_bernoulli(k, tangent_oracle[k])
         attempts = spy_rounding(monkeypatch)
-        prefetch_bernoulli(SCAN_INDICES)
-        assert attempts == [(k, True, 1) for k in SCAN_INDICES[101:]]
-        for k in SCAN_INDICES:
-            assert bernoulli(k) == tangent_oracle[k], k
+        proofs, real = [], exact._round_proven
+        monkeypatch.setattr(exact, "_round_proven",
+                            lambda *args: proofs.append(real(*args)) or proofs[-1])
+        prefetch_bernoulli(indices)
+        missing = [k for k in indices if k >= 4 and k % 2 == 0 and k not in warm]
+        assert attempts == [(k, True, 1) for k in missing]
+        assert len(proofs) == len(missing) and None not in proofs
+        for k in indices:
+            if k in tangent_oracle:
+                assert bernoulli(k) == tangent_oracle[k], k
 
     def test_thm1_grid_progressions(self, cold_bernoulli, tangent_oracle, monkeypatch):
         indices = thm1_grid_indices()
@@ -525,26 +539,32 @@ class TestPrefetch:
             low = partial * 2**w
             high = low + Fraction(2**w, (k - 1) * M ** (k - 1))
             assert zeta <= low and high < zeta + error, (k, w)
+            # The sum of every n's floor up to the first zero term, at n = N,
+            # and the error that N gives: the odd reciprocals change neither.
+            n = 1
+            while (1 << w) // n**k:
+                n += 1
+            direct = sum((1 << w) // j**k for j in range(1, n))
+            assert (zeta, error) == (direct, (n - 2) + (n // (k - 1) + 2)), (k, w)
             # The same sum from reciprocals at a wider precision, shifted down.
             assert exact._zeta_sum([], k, w + 37, w) == (zeta, error), (k, w)
 
     def test_stepped_products_within_the_stated_error(self, monkeypatch):
-        # With a zeta sum and a (2 pi)**-k that carry no error of their own,
-        # the slack cuts and the final floor stay within the stated error, for
-        # numerators * 2**guard just below 2**w, where the cuts cost most.
+        # With a zeta sum and a 2 k! D (2 pi)**-k that carry no error of their
+        # own, the slack cut and the final floor stay within the stated error,
+        # for numerators * 2**guard just below 2**w, where the cut costs most.
         rng = random.Random(16)
         rounded = []
         monkeypatch.setattr(exact, "_round_proven",
                             lambda scaled, guard, error: rounded.append((scaled, guard, error)))
         for _ in range(300):
             w = rng.randrange(40, 400)
-            top = rng.getrandbits(w + 64) | 1 << (w + 63)
             zeta = rng.getrandbits(w) | 1 << w
-            mantissa = rng.getrandbits(w + 40) | 1 << (w + 39)
-            product = top * zeta * mantissa
+            mantissa = rng.getrandbits(w + 104) | 1 << (w + 103)
+            product = zeta * mantissa
             exponent = 2 * w - exact._GUARD_BITS - product.bit_length()
             monkeypatch.setattr(exact, "_zeta_sum", lambda reciprocals, k, width, w, z=zeta: (z, 0))
-            exact._stepped_numerator(4, top, w, [], w, mantissa, exponent, 0)
+            exact._stepped_numerator(4, w, [], w, mantissa, exponent, 0)
             scaled, guard, error = rounded.pop()
             value = product * Fraction(2) ** (exponent + guard - w)
             assert 2 ** (w - 1) <= value < 2**w

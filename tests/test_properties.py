@@ -1,18 +1,30 @@
 """Property-based differential checks of fast paths against the oracles in conftest.
 
 Each property draws its inputs with `derandomize=True` and a bounded number of
-examples, so tier-1 stays deterministic and the module runs in about 2 s.
+examples, so tier-1 stays deterministic and the module runs in about 4 s.
 """
 
-from hypothesis import given, settings
+import random
+from fractions import Fraction
+from functools import lru_cache
+
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from eiscong import exact
+from eiscong.congruences import (
+    _inversion_defect,
+    _inversion_defect_mod,
+    _valuation_report,
+    dpower_function,
+)
 from eiscong.eisenstein import divisor_sums
-from eiscong.exact import sigma_power_mod
+from eiscong.exact import bernoulli, bernoulli_cached_indices, prefetch_bernoulli, sigma_power_mod
 from eiscong.residue import ResidueRing
 from eiscong.series import QSeries, linear_combination
 
-from conftest import combination_per_column
+from conftest import bernoulli_by_tangent, combination_per_column
 
 PROPERTY = settings(derandomize=True, database=None, max_examples=200, deadline=None)
 
@@ -59,3 +71,75 @@ def test_linear_combination_matches_the_per_column_sum(data):
     terms = [QSeries(ring, tuple(vector), precision) for vector in vectors]
     expected = combination_per_column(scalars, vectors, mod)
     assert linear_combination(scalars, terms) == QSeries(ring, expected, precision)
+
+
+# The largest index the prefetch property draws: a start up to 600, ten gaps
+# of up to 12, one jump of up to 700 and five more gaps.
+PREFETCH_TOP = 600 + 10 * 12 + 700 + 5 * 12
+
+
+@lru_cache(maxsize=1)
+def tangent_table() -> dict:
+    """B_k from the tangent-number oracle for every even k up to PREFETCH_TOP."""
+    return bernoulli_by_tangent(range(2, PREFETCH_TOP + 1, 2))
+
+
+@settings(PROPERTY, max_examples=60)
+@given(st.data())
+def test_prefetch_matches_the_tangent_oracle(data):
+    # A progression with gaps of 2, 6 or 12, maybe one jump of at least 500
+    # (a scan after its cache), then odd and repeated indices; a drawn part of
+    # it is memoized before the pass, as a loaded cache would leave it.
+    gap = data.draw(st.sampled_from((2, 6, 12)), label="gap")
+    start = data.draw(st.integers(2, 300), label="start") * 2
+    ks = list(range(start, start + gap * data.draw(st.integers(1, 10), label="steps") + 1, gap))
+    if data.draw(st.booleans(), label="jump"):
+        top = ks[-1] + 2 * data.draw(st.integers(250, 350), label="jump / 2")
+        ks += range(top, top + gap * data.draw(st.integers(0, 5), label="after") + 1, gap)
+    odd = data.draw(st.lists(st.integers(0, ks[-1]).map(lambda k: k | 1), max_size=4), label="odd")
+    repeated = data.draw(st.lists(st.sampled_from(ks), max_size=4), label="repeated")
+    warm = data.draw(st.lists(st.sampled_from(ks), max_size=len(ks) // 2), label="memoized")
+    indices = data.draw(st.permutations(ks + odd + repeated), label="order")
+    oracle = tangent_table()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(exact, "_BERNOULLI_MEMO", {k: exact._BERNOULLI_MEMO[k] for k in (0, 1, 2)})
+        for k in warm:
+            exact.seed_bernoulli(k, oracle[k])
+        prefetch_bernoulli(indices)
+        assert bernoulli_cached_indices() == sorted({0, 1, 2, *ks})
+        assert all(exact._BERNOULLI_MEMO[k] == oracle[k] for k in ks)
+
+
+def inversion_term(family: str, p: int, seed: int):
+    """A sequence f of one family: the Eq. (6.4), Prop. 4.1 and Eq. (3.1) terms, an
+    integer table (most points fail), or a table with p in some denominators."""
+    rng = random.Random(seed)
+    d = rng.choice([c for c in range(1, 4 * p) if c % p])
+    kstar = (p - 1) * rng.randrange(1, 4)
+    table = [rng.randrange(-60, 61) for _ in range(64)]
+    units = [p ** rng.randrange(3) * rng.choice([c for c in range(1, 3 * p) if c % p])
+             for _ in range(64)]
+    return {
+        "eq6.4": lambda r: Fraction(r * (p - 1) + kstar) / bernoulli(r * (p - 1) + kstar),
+        "prop4.1": lambda r: d ** (r * (p - 1)) * Fraction(r) / bernoulli(r * (p - 1)),
+        "eq3.1": dpower_function(rng.randrange(1, 5 * p), p),
+        "integer table": lambda r: Fraction(table[r]),
+        "p in denominators": lambda r: Fraction(table[r], units[r]),
+    }[family]
+
+
+# The examples are a failing point and a term with p in its denominator: both
+# end on the exact defect.
+@PROPERTY
+@example(p=5, m=3, alpha=7, family="integer table", seed=0)
+@example(p=7, m=2, alpha=5, family="p in denominators", seed=1)
+@given(p=st.sampled_from((3, 5, 7, 11, 13)), m=st.integers(1, 6), alpha=st.integers(0, 40),
+       family=st.sampled_from(("eq6.4", "prop4.1", "eq3.1", "integer table", "p in denominators")),
+       seed=st.integers(0, 2**16))
+def test_residue_first_report_matches_the_exact_one(p, m, alpha, family, seed):
+    # The whole report, its failure detail included, is the one the exact
+    # defect gives.
+    f = inversion_term(family, p, seed)
+    report = _valuation_report("X", {}, _inversion_defect_mod(f, p, m, alpha), p, m)
+    assert report.to_json_dict() == _valuation_report(
+        "X", {}, _inversion_defect(f, m, alpha), p, m).to_json_dict()
