@@ -475,7 +475,7 @@ def _cmd_filtration(args, out) -> int:
     f, report = filtration_of(args.form, args.k, args.p, args.m, args.prec)
     payload = report.to_json_dict()
     if args.probe is not None:
-        payload["probe"] = probe_record(f, args.k, args.probe, args.prec)
+        payload["probe"] = probe_record(f, report, args.probe, args.prec)
     out.write(json.dumps(payload, sort_keys=True) + "\n")
     return 0
 
@@ -484,7 +484,7 @@ def _cmd_reproduce(args, out) -> int:
     target = REPRODUCTION_EXAMPLES[args.example]
     k = target["weight"]
     f, report = filtration_of(target["kind"], k, target["p"], target["m"])
-    probe = probe_record(f, k, target["sharpness-weight"])
+    probe = probe_record(f, report, target["sharpness-weight"])
     mismatches = []
     if report.bound_found != target["bound"]:
         mismatches.append(f"bound {report.bound_found} != {target['bound']}")

@@ -13,13 +13,13 @@ H(m, alpha, r) nonzero, so each term left, form(r(p-1)+k*) E_{p-1}^(t-r),
 is shared by every alpha of a grid block and a record costs at most one
 product (none below alpha = m). It builds the left side first, so an error
 names the weight alpha(p-1)+k*. Its callers pass `g_series`/`e_series`, and
-`e_power` calls `e_series`, read as module globals at call time, never bound
+`e_power` calls `e_factor`, read as module globals at call time, never bound
 earlier, so a tracer that rebinds them sees every call. `_inversion_defect`
 does it for rationals, exactly: the inversion identity, and the failures of
 the valuation tests. Those tests, Prop 4.1, Eq. (3.1), the Eq. (6.4) scan
 and p-regular recovery, go through `_inversion_defect_mod`, which sums the
 terms' residues modulo p^m first and builds the exact defect only when that
-cannot prove the pass.
+cannot prove the pass. The scan's terms k/B_k are memoized across its grid.
 
 In the Prop. 3.2 box, each identity sum is a cached row C(alpha-r, j)
 H(m, alpha, r), sliced at s, dotted with a cached column H(m-j, r, s); the
@@ -601,10 +601,17 @@ def scan_conjecture_bernoulli(
         _check_budget(max(alphas) * (p - 1) + kstar, budget)
 
     def f(r: int) -> Fraction:
-        return Fraction(r * (p - 1) + kstar) / bernoulli(r * (p - 1) + kstar)
+        return _k_over_bernoulli(r * (p - 1) + kstar)
 
     return [_valuation_report("ConjEq6.4", {"p": p, "m": m, "kstar": kstar, "alpha": alpha},
                               _inversion_defect_mod(f, p, m, alpha), p, m) for alpha in alphas]
+
+
+# The CLI scans one alpha per call, and the terms at r < m recur at each one.
+@lru_cache(maxsize=64)
+def _k_over_bernoulli(k: int) -> Fraction:
+    """k/B_k, the Eq. (6.4) term at weight k."""
+    return Fraction(k) / bernoulli(k)
 
 
 def scan_conjecture_ek_series(p: int, m: int, kstar: int, alpha: int, precision: int = 40,

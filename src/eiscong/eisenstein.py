@@ -16,9 +16,11 @@ read their exponent by its period modulo p^m:
 - E_{p-1} = 1 + pE, so E_{p-1}^(p^(m-1)) = 1 mod p^m and `e_power` reads
   E_{p-1}^n at n mod p^(m-1) (every power is 1 at m = 1).
 
-`generator_power` is the one table of powers of E_k and Delta: theorem
-grids and filtrations read E_{p-1}^n from it (through `e_power`), and
-monomials and Delta are products of its entries.
+`e_power` writes E_{p-1}^n as its binomial series in pE, cut after m terms,
+one linear combination of the cached powers 1, E, ..., E^(m-1).
+`generator_power` is the one table of powers of E_4, E_6 and Delta:
+monomials and Delta are products of its entries, and a filtration witness's
+round trip multiplies by its unreduced E_{p-1}^n.
 """
 
 from __future__ import annotations
@@ -28,9 +30,9 @@ from functools import lru_cache, reduce
 from operator import mul
 
 from .errors import NotPIntegralError
-from .exact import bernoulli, padic_valuation, sigma_power_table
+from .exact import bernoulli, gen_binomial, padic_valuation, sigma_power_table
 from .residue import ResidueRing
-from .series import QSeries
+from .series import QSeries, linear_combination
 
 __all__ = [
     "DELTA",
@@ -122,8 +124,9 @@ DELTA = "delta"
 def generator_power(form: int | str, ring: ResidueRing, precision: int, n: int) -> QSeries:
     """E_k^n (form = k) or Delta^n (form = DELTA) modulo p^m through q^precision, by halving.
 
-    The one table of generator powers: E_{p-1}^n for theorem grids and
-    filtrations, and E_4^a, E_6^b and Delta^c for monomials. Each call squares
+    The one table of generator powers: E_4^a, E_6^b and Delta^c for
+    monomials, and the unreduced E_{p-1}^n a filtration witness is checked
+    against (theorem grids and searches read `e_power`). Each call squares
     the cached power n//2, so the recursion is bits(n) deep, consecutive
     exponents reuse the halves already built, and a new one costs one or two
     products. Odd powers read the n = 1 entry, E_k or (E_4^3 - E_6^2)/1728.
@@ -141,12 +144,32 @@ def generator_power(form: int | str, ring: ResidueRing, precision: int, n: int) 
 
 
 def e_power(ring: ResidueRing, precision: int, n: int) -> QSeries:
-    """E_{p-1}^n modulo p^m through q^precision, for any integer n, from `generator_power`.
+    """E_{p-1}^n modulo p^m through q^precision, for any integer n, by its binomial series.
 
-    Read at n mod p^(m-1), which is exact: E_{p-1} = 1 + pE gives
-    E_{p-1}^(p^(m-1)) = 1 mod p^m. A negative n is the inverse power.
+    E_{p-1} = 1 + pE with E exact mod p^m (`e_factor`), so E_{p-1}^n is
+    sum_{i<m} C(n, i) p^i E^i mod p^m. Each p^i C(n, i), i >= 1, moves by a
+    multiple of p^m with n by p^(m-1), so n is read mod p^(m-1) (a negative n
+    is the inverse power), and E is not built when that is 0, as at m = 1.
     """
-    return generator_power(ring.p - 1, ring, precision, n % ring.p ** (ring.m - 1))
+    return _e_power(ring, precision, n % ring.p ** (ring.m - 1))
+
+
+# A theorem-grid run makes 346 calls in 248 exponent classes; 512 entries hold them.
+@lru_cache(maxsize=512)
+def _e_power(ring: ResidueRing, precision: int, n: int) -> QSeries:
+    if not n:
+        return QSeries.one(ring, precision)
+    return linear_combination([gen_binomial(n, i) * ring.p**i for i in range(ring.m)],
+                              _e_factor_powers(ring, precision))
+
+
+@lru_cache(maxsize=64)
+def _e_factor_powers(ring: ResidueRing, precision: int) -> tuple[QSeries, ...]:
+    """1, E, ..., E^(m-1) for E_{p-1} = 1 + pE modulo p^m: m - 2 products."""
+    powers = [QSeries.one(ring, precision), e_factor(ring, precision)]
+    while len(powers) < ring.m:
+        powers.append(powers[-1] * powers[1])
+    return tuple(powers)
 
 
 def delta_series(ring: ResidueRing, precision: int) -> QSeries:

@@ -1,16 +1,14 @@
 """Level-one modular form bases, linear solving over Z/p^m, and factor
 filtration bounds.
 
-The filtration search asks, for f of weight k: what is the least w with
-w = k - n(p-1) for some n >= 0 such that f matches E_{p-1}^n * g for some g
-in the weight-w monomial basis, coefficient-wise modulo p^m through the
-Sturm index of weight k. Candidate weights are tried in ascending order, so
-the first solvable weight is the bound. Each try is a forward substitution
-of f E_{p-1}^(-n) in the unit triangular basis, not a general solve. That
-power comes from `eisenstein.e_power`, read at -n mod p^(m-1); the witness's
-round-trip check multiplies by the unreduced E_{p-1}^n from
-`eisenstein.generator_power`, so it does not rest on that identity. Both
-read the table that theorem grids share.
+The bound of f of weight k is the least w = k - n(p-1), n >= 0, with
+f = E_{p-1}^n g for some g of weight w, coefficient-wise modulo p^m through
+q^upto (the Sturm index of weight k unless evidence is asked for). One pass
+reads it off Katz's layers M_k = sum_i E_{p-1}^(alpha-i) W_i, building each
+monomial column once; the witness is one forward substitution at the bound.
+E_{p-1}^(-n) comes from `eisenstein.e_power`, and the witness's round trip
+multiplies by the unreduced E_{p-1}^n from `eisenstein.generator_power`, so
+it does not rest on the identity E_{p-1}^(p^(m-1)) = 1 mod p^m.
 """
 
 from __future__ import annotations
@@ -341,42 +339,54 @@ def _checked_upto(f: QSeries, k: int, upto: int | None, w: int | None = None) ->
     return upto
 
 
-def _reductions(f: QSeries, k: int, w: int, upto: int):
-    """Yield (w, n, basis, outcome) for w, w + (p-1), ..., k: whether f = E_{p-1}^n g
-    through q^upto for some g in the weight-w monomial basis.
+def _layer_bound(f: QSeries, k: int, upto: int) -> int | None:
+    """The bound of f through q^upto, or None: h = f E_{p-1}^(-n) at the first weight
+    with a basis (weight 2 has none), then, weight by weight, h times E_{p-1}.
 
-    h = f E_{p-1}^(-n) is written in the basis by forward substitution: column
-    j leads with q^j, so c_j is the q^j coefficient of what is left of h (0
-    past q^upto), and g exists exactly when nothing is left. The outcome is
-    the one `solve_mod_pm` gives on this unit triangular system. The next
-    weight's h is h E_{p-1}.
+    What is left of h at w is what a forward substitution in the whole
+    weight-w basis leaves, so it is 0 exactly when w is solvable. Times
+    E_{p-1}, the part already subtracted stays in the next space and the
+    rest still vanishes below q^dim M_w, so only the new columns, the
+    monomials with dim M_(w-(p-1)) <= c < dim M_w and c <= upto, remain.
     """
     ring, p = f.ring, f.ring.p
+    first = k % (p - 1)
+    if first == 2:
+        first += p - 1
     e = e_series(p - 1, ring, upto)
-    h = None
-    for w in range(w, k + 1, p - 1):
-        n = (k - w) // (p - 1)
-        if w == 2:
-            yield w, n, None, NoSolution("empty-space", {"weight": 2})
-            continue
-        # E_{p-1}^(p^(m-1)) = 1 mod p^m, so E_{p-1}^(-n) is a positive power.
-        h = f * e_power(ring, upto, -n) if h is None else h * e
-        bm = basis(w, ring, upto)
-        rest, coeffs = h, []
-        for j, col in enumerate(bm.columns):
-            c = rest.coeffs[j] if j <= upto else 0
-            if c:
-                rest = rest - col.scale(c)
-            coeffs.append(c)
-        row = next((i for i, c in enumerate(rest.coeffs) if c), None)
-        yield w, n, bm, (Solution(tuple(coeffs)) if row is None else NoSolution(
-            "inconsistent-row", {"row": row, "residue": rest.coeffs[row]}))
+    h, filled = None, 0
+    for w in range(first, k + 1, p - 1):
+        h = f * e_power(ring, upto, (w - k) // (p - 1)) if h is None else h * e
+        dim = space_dimension(w)
+        for a, b, c in monomial_exponents(w)[filled:min(dim, upto + 1)]:
+            if h.coeffs[c]:
+                h = h - monomial_series(a, b, c, ring, upto).scale(h.coeffs[c])
+        if not any(h.coeffs):
+            return w
+        filled = dim
+    return None
 
 
 def sharpness_probe(f: QSeries, k: int, w: int, upto: int | None = None) -> Solution | NoSolution:
-    """Decide whether f matches E_{p-1}^((k-w)/(p-1)) * g for some g of weight w."""
+    """Decide whether f matches E_{p-1}^n g, n = (k-w)/(p-1), for some g of weight w.
+
+    h = f E_{p-1}^(-n) is written in the weight-w basis by forward
+    substitution: column j leads with q^j, so c_j is the q^j coefficient of
+    what is left of h (0 past q^upto), and g exists exactly when nothing is
+    left: the outcome `solve_mod_pm` gives on this unit triangular system.
+    """
     upto = _checked_upto(f, k, upto, w)
-    return next(_reductions(f, k, w, upto))[3]
+    if w == 2:
+        return NoSolution("empty-space", {"weight": 2})
+    rest, coeffs = f * e_power(f.ring, upto, (w - k) // (f.ring.p - 1)), []
+    for j, col in enumerate(basis(w, f.ring, upto).columns):
+        c = rest.coeffs[j] if j <= upto else 0
+        if c:
+            rest = rest - col.scale(c)
+        coeffs.append(c)
+    row = next((i for i, c in enumerate(rest.coeffs) if c), None)
+    return Solution(tuple(coeffs)) if row is None else NoSolution(
+        "inconsistent-row", {"row": row, "residue": rest.coeffs[row]})
 
 
 def factor_filtration_bound(f: QSeries, k: int, input_id: str | None = None,
@@ -385,31 +395,31 @@ def factor_filtration_bound(f: QSeries, k: int, input_id: str | None = None,
 
     Matching is coefficient-wise through q^upto (default: the Sturm index of
     weight k, which certifies the congruence; lower values are reported as
-    coefficient evidence only). The search uses E_{p-1}^(p^(m-1)) = 1 mod p^m,
-    true as E_{p-1} = 1 + pE, to divide by E_{p-1}^n; the witness is
-    round-trip checked by multiplying it by the positive power E_{p-1}^n.
+    coefficient evidence only). The layer pass finds w, `sharpness_probe`
+    the witness, and the witness is round-trip checked by multiplying it by
+    the positive power E_{p-1}^n.
     """
     certified = upto is None
     upto = _checked_upto(f, k, upto)
     if input_id is None:
         input_id = f"weight-{k}-series"
     ring, p = f.ring, f.ring.p
-    for w, n, bm, outcome in _reductions(f, k, k % (p - 1), upto):
-        if not outcome:
-            continue
-        g = linear_combination(outcome.vector, bm.columns)
-        if (g * generator_power(p - 1, ring, upto, n)).coeffs != f.coeffs[: upto + 1]:
-            raise EiscongError("witness failed round-trip verification")
-        cert = "sturm-certified" if certified else f"coefficient-evidence({upto + 1})"
-        # Every lower candidate failed; weight 2 is an empty space, not a failure.
-        below = w - (p - 1)
-        sharpness = f"NoSolution at weight {below}" if below >= 0 and below != 2 else None
-        return FiltrationReport(
-            input_id, p, ring.m, k, w, n, bm.monomials, outcome.vector,
-            cert, upto + 1, sharpness,
+    w = _layer_bound(f, k, upto)
+    if w is None:
+        raise EiscongError(
+            f"no witness found through weight {k}; is the declared weight correct?"
         )
-    raise EiscongError(
-        f"no witness found through weight {k}; is the declared weight correct?"
+    n, outcome, bm = (k - w) // (p - 1), sharpness_probe(f, k, w, upto), basis(w, ring, upto)
+    g = linear_combination(outcome.vector, bm.columns) if outcome else None
+    if g is None or (g * generator_power(p - 1, ring, upto, n)).coeffs != f.coeffs[: upto + 1]:
+        raise EiscongError("witness failed round-trip verification")
+    cert = "sturm-certified" if certified else f"coefficient-evidence({upto + 1})"
+    # Every lower candidate failed; weight 2 is an empty space, not a failure.
+    below = w - (p - 1)
+    sharpness = f"NoSolution at weight {below}" if below >= 0 and below != 2 else None
+    return FiltrationReport(
+        input_id, p, ring.m, k, w, n, bm.monomials, outcome.vector,
+        cert, upto + 1, sharpness,
     )
 
 
@@ -422,9 +432,12 @@ def filtration_of(form: str, k: int, p: int, m: int,
     return f, factor_filtration_bound(f, k, input_id=f"{form}_{k}", upto=upto)
 
 
-def probe_record(f: QSeries, k: int, w: int, upto: int | None = None) -> dict:
-    """`sharpness_probe` at weight w as a {"weight", "result"} record."""
-    return {"weight": w, "result": "Solvable" if sharpness_probe(f, k, w, upto) else "NoSolution"}
+def probe_record(f: QSeries, report: FiltrationReport, w: int, upto: int | None = None) -> dict:
+    """The probe of f at weight w as a {"weight", "result"} record, read from f's report:
+    f = E_{p-1}^n g at w gives f = E_{p-1}^(n-1) (E_{p-1} g) at w + (p-1), so w is
+    solvable exactly from the bound on, and weight 2 is below every bound."""
+    _checked_upto(f, report.weight, upto, w)
+    return {"weight": w, "result": "Solvable" if w >= report.bound_found else "NoSolution"}
 
 
 # ---------------------------------------------------------------------------

@@ -6,10 +6,19 @@ from math import comb
 
 import pytest
 
-from eiscong import exact
+from eiscong import congruences, exact
 from eiscong.eisenstein import e_series
 from eiscong.exact import bernoulli, divisors, gen_binomial, h_coefficient
-from eiscong.filtration import BasisMatrix, LinearSystem, _check_weight_match, basis
+from eiscong.filtration import (
+    BasisMatrix,
+    FiltrationReport,
+    LinearSystem,
+    NoSolution,
+    Solution,
+    _check_weight_match,
+    basis,
+    sturm_bound,
+)
 from eiscong.residue import ResidueRing
 from eiscong.series import QSeries
 
@@ -298,11 +307,53 @@ def _witness_system(f: QSeries, k: int, w: int, upto: int) -> tuple[LinearSystem
     return LinearSystem.build(ring, rows, rhs), bm, n
 
 
+def filtration_by_search(f: QSeries, k: int, upto: int | None = None,
+                         input_id: str | None = None) -> tuple[FiltrationReport | None, dict]:
+    """Filtration oracle: the ascending candidate search, one whole basis per weight.
+
+    Tries w = k mod (p-1), w + (p-1), ..., k in turn. At each w it writes
+    h = f E_{p-1}^(-n) in the full weight-w monomial basis by forward
+    substitution, with E_{p-1}^(-n) a binary power of E_{p-1} read at
+    -n mod p^(m-1) and each next h the last times E_{p-1}; weight 2 is the
+    empty space. Returns the report `factor_filtration_bound` should give,
+    None when no weight is solvable, and the outcome at every candidate weight.
+    """
+    certification = "sturm-certified" if upto is None else f"coefficient-evidence({upto + 1})"
+    upto = sturm_bound(k) if upto is None else upto
+    ring, p = f.ring, f.ring.p
+    e = e_series(p - 1, ring, upto)
+    h, report, outcomes = None, None, {}
+    for w in range(k % (p - 1), k + 1, p - 1):
+        n = (k - w) // (p - 1)
+        if w == 2:
+            outcomes[w] = NoSolution("empty-space", {"weight": 2})
+            continue
+        h = f * e.pow(-n % p ** (ring.m - 1)) if h is None else h * e
+        bm = basis(w, ring, upto)
+        rest, coeffs = h, []
+        for j, col in enumerate(bm.columns):
+            c = rest.coeffs[j] if j <= upto else 0
+            if c:
+                rest = rest - col.scale(c)
+            coeffs.append(c)
+        row = next((i for i, c in enumerate(rest.coeffs) if c), None)
+        outcomes[w] = Solution(tuple(coeffs)) if row is None else NoSolution(
+            "inconsistent-row", {"row": row, "residue": rest.coeffs[row]})
+        if outcomes[w] and report is None:
+            below = w - (p - 1)
+            sharpness = f"NoSolution at weight {below}" if below >= 0 and below != 2 else None
+            report = FiltrationReport(input_id or f"weight-{k}-series", p, ring.m, k, w, n,
+                                      bm.monomials, tuple(coeffs), certification, upto + 1,
+                                      sharpness)
+    return report, outcomes
+
+
 @pytest.fixture
 def cold_bernoulli(monkeypatch):
-    """An empty memo beyond the seeds, and no memoized pi."""
+    """An empty memo beyond the seeds, no memoized pi, and no memoized k/B_k scan term."""
     monkeypatch.setattr(exact, "_BERNOULLI_MEMO", {k: exact._BERNOULLI_MEMO[k] for k in (0, 1, 2)})
     monkeypatch.setattr(exact, "_PI", (0, 0))
+    congruences._k_over_bernoulli.cache_clear()
 
 
 @pytest.fixture

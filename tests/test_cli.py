@@ -922,20 +922,23 @@ print(status, len(products))
 
 
 @pytest.mark.parametrize("argv,most", [
-    ("verify thm1 --p 5,7,11,13 --m 1..4 --alpha 0..30 --prec 60", 696),
-    ("verify thm2 --p 5,7,11,13 --m 1..4 --alpha 1..30 --prec 60", 696),
-    ("scan eq6.1 --p 7 --m 3 --alpha 0..40", 95),
-    ("reproduce paper-7-8", 100),
-    ("reproduce paper-17-6", 93),
-    ("filtration --form G --k 2402 --p 13 --m 6", 85),
+    ("verify thm1 --p 5,7,11,13 --m 1..4 --alpha 0..30 --prec 60", 358),
+    ("verify thm2 --p 5,7,11,13 --m 1..4 --alpha 1..30 --prec 60", 358),
+    ("scan eq6.1 --p 7 --m 3 --alpha 0..40", 41),
+    ("reproduce paper-7-8", 51),
+    ("reproduce paper-17-6", 54),
+    ("filtration --form G --k 2402 --p 13 --m 6", 54),
 ], ids=["thm1-grid", "thm2-grid", "eq6.1-scan", "paper-7-8", "paper-17-6", "filtration-2402"])
 def test_series_products_per_run(argv, most):
-    # Every power of E_4, E_6, Delta and E_{p-1} comes from one halving table
-    # that a grid and a filtration's bases share, and a monomial is at most two
-    # products of its entries. A power stepped by one product per term, a
-    # monomial raised from scratch, or a second power path costs more. A
-    # theorem-grid record is at most one product by E_{p-1}^(alpha-m+1), its
-    # exponent read mod p^(m-1), times a sum of terms its grid block shares.
+    # Every power of E_4, E_6 and Delta comes from one halving table that a
+    # filtration's columns share, and a monomial is at most two products of
+    # its entries. E_{p-1}^n is one combination of 1, E, ..., E^(m-1), m - 2
+    # products per ring and precision. A filtration builds each column once,
+    # in one layer pass, and substitutes once at the bound. A power stepped
+    # by one product per term, a monomial raised from scratch, a basis per
+    # candidate weight or E_{p-1}^n by squarings costs more. A theorem-grid
+    # record is at most one product by E_{p-1}^(alpha-m+1) times a sum of
+    # terms its grid block shares.
     proc = run_python("-c", COUNT_PRODUCTS, *argv.split(), "--jobs", "1")
     status, products = map(int, proc.stdout.split())
     assert status == 0 and products <= most, (proc.stdout, proc.stderr)
@@ -954,11 +957,11 @@ print(len(rows), sum(row.verdict == "Skipped" for row in rows), len(products))
 
 
 def test_series_products_per_refined_bound_sweep():
-    # Each row builds G_k at its own Sturm index and searches its bound, as a
-    # filtration run does; its bases and E_{p-1} powers come from the one table.
+    # Each row builds G_k at its own Sturm index and finds its bound, as a
+    # filtration run does; its columns come from the one generator table.
     proc = run_python("-c", COUNT_REFINED_PRODUCTS)
     rows, skipped, products = map(int, proc.stdout.split())
-    assert (rows, skipped) == (60, 12) and products <= 417, (proc.stdout, proc.stderr)
+    assert (rows, skipped) == (60, 12) and products <= 316, (proc.stdout, proc.stderr)
 
 
 # Runs `main(sys.argv[2:])` with the ascending Bernoulli pass ("pass") or with
@@ -1038,6 +1041,7 @@ class TestPrefetch:
         assert cold[0] == 0 and cold[1] and len(indices) > 10
         assert {k: exact._BERNOULLI_MEMO[k] for k in indices} == oracle
         monkeypatch.setattr(exact, "_BERNOULLI_MEMO", {k: exact._BERNOULLI_MEMO[k] for k in (0, 1)})
+        congruences._k_over_bernoulli.cache_clear()
         for k, value in oracle.items():
             exact.seed_bernoulli(k, value)
         monkeypatch.setattr(exact, "_bernoulli_numerator",
@@ -1132,7 +1136,8 @@ def test_every_read_of_a_statement_is_listed(monkeypatch):
     # number it memoizes is one it read.
     seed = {k: exact._BERNOULLI_MEMO[k] for k in (0, 1, 2)}
     tables = (eisenstein.g_series, eisenstein.e_series, eisenstein.generator_power,
-              eisenstein.monomial_series, congruences._shifted_term)
+              eisenstein.monomial_series, eisenstein._e_power, eisenstein._e_factor_powers,
+              congruences._shifted_term, congruences._k_over_bernoulli)
     for name, entry in STATEMENTS.items():
         args = cli.build_parser().parse_args(DIFFERENTIAL_GRIDS[name].split())
         for point in cli._build_tasks(name, args):

@@ -550,17 +550,22 @@ class TestGeneratorsReadAtCallTime:
         assert seen[0] == max(calls, key=lambda call: call[1])  # the left side, built first
 
     def test_e_powers_call_the_module_generator(self, monkeypatch):
+        # e_power reads e_factor, and e_factor its divisor sums, at call time.
         seen = []
-        original = eisenstein.e_series
+        originals = {name: getattr(eisenstein, name) for name in ("e_factor", "divisor_sums")}
 
-        def counted(k, ring, precision):
-            seen.append(k)
-            return original(k, ring, precision)
+        def counted(name):
+            def call(*args):
+                seen.append(name)
+                return originals[name](*args)
+            return call
 
-        monkeypatch.setattr(eisenstein, "e_series", counted)
-        eisenstein.generator_power.cache_clear()
+        for name in originals:
+            monkeypatch.setattr(eisenstein, name, counted(name))
+        eisenstein._e_power.cache_clear()
+        eisenstein._e_factor_powers.cache_clear()
         assert check_thm_gk(5, 2, 6, 3, 10).passed
-        assert 4 in seen
+        assert {"e_factor", "divisor_sums"} <= set(seen)
 
 
 class TestReportSerialization:

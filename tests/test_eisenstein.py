@@ -183,7 +183,7 @@ class TestDivisorSums:
 
 
 class TestEPower:
-    """The shared E_{p-1}^n table against binary powering, `QSeries.pow`."""
+    """E_{p-1}^n from its binomial series in pE against binary powering, `QSeries.pow`."""
 
     def test_matches_binary_powering_in_any_request_order(self, rng):
         # Two rings that share p and two precisions: a cache key that dropped
@@ -193,7 +193,8 @@ class TestEPower:
         shuffled = list(range(65))
         rng.shuffle(shuffled)
         for order in (range(65), range(64, -1, -1), shuffled):
-            generator_power.cache_clear()
+            eisenstein._e_power.cache_clear()
+            eisenstein._e_factor_powers.cache_clear()
             for n in order:
                 for ring, precision in cases:
                     assert e_power(ring, precision, n) == expected[ring, precision][n], (
@@ -201,9 +202,10 @@ class TestEPower:
 
     @pytest.mark.parametrize("p,m", [(5, 4), (7, 3), (13, 3), (13, 4)])
     def test_inverse_powers_near_p_to_the_m_minus_one(self, p, m):
-        # The filtration search asks for E_{p-1}^(-n) as the power p^(m-1) - n.
+        # The filtration pass asks for E_{p-1}^(-n), read as the power p^(m-1) - n.
         ring, order = ResidueRing(p, m), p ** (m - 1)
-        generator_power.cache_clear()
+        eisenstein._e_power.cache_clear()
+        eisenstein._e_factor_powers.cache_clear()
         for precision in (9, 30):
             e = e_series(p - 1, ring, precision)
             for n in range(order - 6, order + 2):
@@ -220,9 +222,11 @@ class TestEPower:
                     [sharpness_probe(f, k, w) for w in range(k % (p - 1), k + 1, p - 1)])
 
         generator_power.cache_clear()
+        eisenstein._e_power.cache_clear()
+        eisenstein._e_factor_powers.cache_clear()
         cold = reports()
         # Fill the table at a lower precision too: a key without the precision
-        # would then hand the search a power too short for it.
+        # would then hand the pass a power too short for it.
         for precision in (upto // 2, upto):
             for alpha in range(p ** (m - 1) + 2):
                 assert check_thm_gk(p, m, kstar, alpha, precision).passed
@@ -237,23 +241,40 @@ class TestEPower:
             assert e_power(ring, 10, n) == e.pow(n), (p, m, n)
         assert e_power(ring, 10, -1) == e.pow(order - 1)
 
-    @pytest.mark.parametrize("p,m", [(5, 1), (5, 3), (7, 2)])
-    def test_exponent_is_read_mod_p_to_the_m_minus_one(self, monkeypatch, p, m):
-        # Every power the table builds stays below p^(m-1); at m = 1 each is 1.
-        ring, order, requested = ResidueRing(p, m), p ** (m - 1), []
-        original = eisenstein.generator_power
+    @pytest.mark.parametrize("p,m", [(5, 1), (5, 3), (7, 2), (13, 5)])
+    def test_no_power_is_built_by_a_generator_power_chain(self, monkeypatch, p, m):
+        # E_{p-1}^n is one combination of 1, E, ..., E^(m-1): m - 2 products
+        # once per ring and precision, none from the generator table, whatever
+        # n is. At m = 1 every power is 1, and E is not built at all.
+        ring, order = ResidueRing(p, m), p ** (m - 1)
+        exponents = (1, order - 1, order, 5 * order + 2, 1000, -1, -order - 3)
+        e = e_series(p - 1, ring, 10)
+        expected = [e.pow(n % order) for n in exponents]
+        requested, built, products = [], [], []
+        generate, factor, multiply = eisenstein.generator_power, eisenstein.e_factor, QSeries.__mul__
 
-        def spy(form, ring, precision, n):
-            requested.append(n)
-            return original(form, ring, precision, n)
+        def spy_generate(form, ring, precision, n):
+            requested.append((form, n))
+            return generate(form, ring, precision, n)
 
-        monkeypatch.setattr(eisenstein, "generator_power", spy)
-        original.cache_clear()
-        for n in (order, 5 * order + 2, 1000):
-            e_power(ring, 10, n)
-        assert requested and max(requested) < order
-        if m == 1:
-            assert e_power(ring, 10, 1000) == QSeries.one(ring, 10)
+        def spy_factor(ring, precision):
+            built.append(precision)
+            return factor(ring, precision)
+
+        def spy_multiply(a, b):
+            products.append(1)
+            return multiply(a, b)
+
+        monkeypatch.setattr(eisenstein, "generator_power", spy_generate)
+        monkeypatch.setattr(eisenstein, "e_factor", spy_factor)
+        monkeypatch.setattr(QSeries, "__mul__", spy_multiply)
+        eisenstein._e_power.cache_clear()
+        eisenstein._e_factor_powers.cache_clear()
+        assert [e_power(ring, 10, n) for n in exponents] == expected
+        assert requested == [] and len(products) == max(m - 2, 0)
+        assert built == ([] if m == 1 else [10])
+        # One combination per exponent class n mod p^(m-1).
+        assert e_power(ring, 10, -1) is e_power(ring, 10, 3 * order - 1)
 
 
 class TestGeneratorPower:
@@ -283,6 +304,8 @@ class TestGeneratorPower:
         ascending = [(form, case, n) for n in exponents for form in forms for case in cases]
         for order in (ascending, ascending[::-1], shuffled):
             generator_power.cache_clear()
+            eisenstein._e_power.cache_clear()
+            eisenstein._e_factor_powers.cache_clear()
             for form, case, n in order:
                 assert request(form, *case, n) == expected[form, *case][n], (form, case, n)
 

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eiscong import exact
+from eiscong import congruences, exact
 from eiscong.cli import STATEMENTS, _build_tasks, build_parser, main
 from eiscong.exact import (
     bernoulli,
@@ -143,6 +143,7 @@ class TestPi:
             monkeypatch.setattr(exact, "_BERNOULLI_MEMO",
                                 {k: exact._BERNOULLI_MEMO[k] for k in (0, 1, 2)})
             monkeypatch.setattr(exact, "_PI", (0, 0))
+            congruences._k_over_bernoulli.cache_clear()
             extra = ["--cache", str(cache)] if argv[0] == "scan" else []
             assert main(argv + extra + ["--jobs", "1"]) == 0, argv
         capsys.readouterr()

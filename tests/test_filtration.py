@@ -19,6 +19,7 @@ from eiscong.filtration import (
     factor_filtration_bound,
     k0m_of,
     monomial_exponents,
+    probe_record,
     sharpness_probe,
     solve_mod_pm,
     space_dimension,
@@ -28,7 +29,12 @@ from eiscong.filtration import (
 from eiscong.residue import ResidueRing
 from eiscong.series import QSeries
 
-from conftest import _witness_system, brute_force_solvable, solve_by_digit_lifting
+from conftest import (
+    _witness_system,
+    brute_force_solvable,
+    filtration_by_search,
+    solve_by_digit_lifting,
+)
 
 
 class TestDimensions:
@@ -335,6 +341,70 @@ class TestTriangularSearch:
         f = g_series(2, ResidueRing(5, 2), sturm_bound(2))
         with pytest.raises(EiscongError, match="no witness found through weight 2"):
             factor_filtration_bound(f, 2)
+
+
+def _layer_cases():
+    """(p, m, form, k) for the layer pass against the search: G_k at p <= 13,
+    m <= 4 and every even k0 in 2..p-3; E_k at p = 5 with m <= 6 and at p = 7
+    with m <= 8, so the m >= p rows. The alphas hold the alpha mod p = 0, 1,
+    2, 3 rows the refined tables branch on, every residue for p <= 7 and
+    alpha = 1 mod p^2 at p = 5."""
+    for p in (5, 7, 11, 13):
+        alphas = sorted({*range(p + 2 if p < 11 else 5), p, p + 1, p + 2,
+                         *([2 * p + 1] if p < 11 else []), *([p * p + 1] if p < 7 else [])})
+        for m in range(1, 5):
+            for k0 in range(2, p - 2, 2):
+                for alpha in alphas:
+                    yield p, m, "G", k0 + alpha * (p - 1)
+    for p, top in ((5, 6), (7, 8)):
+        for m in range(1, top + 1):
+            for alpha in (1, 2, 3, p + 1, 2 * p + 1, p * p + 1):
+                yield p, m, "E", alpha * (p - 1)
+
+
+class TestLayerPass:
+    """The one-pass bound and the probe against the candidate search kept in
+    conftest, at the Sturm index and as evidence through q^2 and q^5."""
+
+    def test_matches_the_candidate_search(self):
+        for p, m, form, k in _layer_cases():
+            for upto in (None, 2, 5):
+                f = (g_series if form == "G" else e_series)(
+                    k, ResidueRing(p, m), sturm_bound(k) if upto is None else upto)
+                expected, outcomes = filtration_by_search(f, k, upto, input_id="f")
+                case = (p, m, form, k, upto)
+                if expected is None:  # G_2, or a form whose every weight fails
+                    with pytest.raises(EiscongError, match="no witness found"):
+                        factor_filtration_bound(f, k, upto=upto)
+                    continue
+                report = factor_filtration_bound(f, k, input_id="f", upto=upto)
+                assert report == expected, case
+                for w, outcome in outcomes.items():
+                    assert sharpness_probe(f, k, w, upto) == outcome, (case, w)
+                    assert probe_record(f, report, w, upto) == {
+                        "weight": w, "result": "Solvable" if outcome else "NoSolution"}, (case, w)
+
+    @pytest.mark.parametrize("p,k", [(5, 14), (7, 20), (5, 16), (13, 100)])
+    def test_zero_floors_at_the_least_weight_with_a_basis(self, p, k):
+        # 0 lies in every space but the empty weight-2 one, so its bound is
+        # k0, or p + 1 when k0 = 2.
+        ring, upto = ResidueRing(p, 2), sturm_bound(k)
+        f = QSeries(ring, (0,) * (upto + 1), upto)
+        expected, _ = filtration_by_search(f, k)
+        assert expected.bound_found == (p + 1 if k % (p - 1) == 2 else k % (p - 1))
+        assert factor_filtration_bound(f, k) == expected
+
+    @pytest.mark.parametrize("p,m,k", [(5, 3, 46), (7, 2, 52), (13, 4, 254)])
+    def test_a_series_outside_the_space_has_no_witness(self, p, m, k):
+        # G_k plus q^upto: past q^(dim M_k - 1) no form of weight k differs from
+        # G_k in that coefficient alone, so no candidate weight is solvable.
+        ring, upto = ResidueRing(p, m), sturm_bound(k)
+        g = g_series(k, ring, upto)
+        f = QSeries(ring, (*g.coeffs[:-1], (g.coeffs[-1] + 1) % ring.modulus), upto)
+        report, outcomes = filtration_by_search(f, k)
+        assert report is None and not any(outcomes.values())
+        with pytest.raises(EiscongError, match=f"no witness found through weight {k}"):
+            factor_filtration_bound(f, k)
 
 
 class TestFiltrationFacts:

@@ -19,7 +19,7 @@ from eiscong.congruences import (
     _valuation_report,
     dpower_function,
 )
-from eiscong.eisenstein import divisor_sums
+from eiscong.eisenstein import divisor_sums, e_power, e_series
 from eiscong.exact import bernoulli, bernoulli_cached_indices, prefetch_bernoulli, sigma_power_mod
 from eiscong.residue import ResidueRing
 from eiscong.series import QSeries, linear_combination
@@ -143,3 +143,20 @@ def test_residue_first_report_matches_the_exact_one(p, m, alpha, family, seed):
     report = _valuation_report("X", {}, _inversion_defect_mod(f, p, m, alpha), p, m)
     assert report.to_json_dict() == _valuation_report(
         "X", {}, _inversion_defect(f, m, alpha), p, m).to_json_dict()
+
+
+@settings(derandomize=True, database=None, max_examples=120, deadline=None)
+@given(st.data())
+def test_e_power_matches_binary_powering(data):
+    # E_{p-1}^n from its binomial series in pE against E_{p-1} raised to
+    # n mod p^(m-1) by `QSeries.pow`, for n across several periods either side
+    # of 0 and next to their edges.
+    p = data.draw(st.sampled_from((5, 7, 11, 13)), label="p")
+    m = data.draw(st.integers(1, 6), label="m")
+    order = p ** (m - 1)
+    n = data.draw(st.one_of(
+        st.builds(lambda j, d: j * order + d, st.integers(-4, 4), st.integers(-2, 2)),
+        st.integers(-5 * order, 5 * order)), label="n")
+    precision = data.draw(st.integers(0, 3 * p), label="precision")
+    ring = ResidueRing(p, m)
+    assert e_power(ring, precision, n) == e_series(p - 1, ring, precision).pow(n % order)
