@@ -7,14 +7,15 @@ here is probabilistic.
 Most statements compare a value at alpha with its H-weighted history, summed
 over the r of `_inversion_support`, H(m, alpha, .) from one cached row.
 `_inversion_report` does it for series: Thm 1.1, Thm 1.2 and the Eq. (6.1)
-scan (each term times E_{p-1}^(alpha-r), from `eisenstein.e_power`), Props
-3.1 and 4.2 (no powers). It factors out E_{p-1}^(alpha-t), t the last r with
-H(m, alpha, r) nonzero, so each term left, form(r(p-1)+k*) E_{p-1}^(t-r),
-is shared by every alpha of a grid block and a record costs at most one
-product (none below alpha = m). It builds the left side first, so an error
-names the weight alpha(p-1)+k*. Its callers pass `g_series`/`e_series`, and
-`e_power` calls `e_factor`, read as module globals at call time, never bound
-earlier, so a tracer that rebinds them sees every call. `_inversion_defect`
+scan (each term times E_{p-1}^(alpha-r)), Props 3.1 and 4.2 (no powers).
+With E_{p-1} = 1 + pE, the binomial theorem writes each power as
+sum_{i<m} C(alpha-r, i) p^i E^i mod p^m, so the sum is one combination of
+the m^2 series form(r(p-1)+k*) E^i, which a grid block packs once
+(`_block_table`): a record makes no series product. It builds the left side
+first, so an error names the weight alpha(p-1)+k*. Its callers pass
+`g_series`/`e_series`, and `eisenstein` calls `e_factor`, read as module
+globals at call time, never bound earlier, so a tracer that rebinds them
+sees every call. `_inversion_defect`
 does it for rationals, exactly: the inversion identity, and the failures of
 the valuation tests. Those tests, Prop 4.1, Eq. (3.1), the Eq. (6.4) scan
 and p-regular recovery, go through `_inversion_defect_mod`, which sums the
@@ -42,10 +43,10 @@ from .errors import (
     ParameterOutOfRangeError,
 )
 from .exact import bernoulli, gen_binomial, h_coefficient, int_str, padic_valuation
-from .eisenstein import e_power, e_series, g_series
+from .eisenstein import _e_factor_powers, e_series, g_series
 from .filtration import sturm_bound
 from .residue import ResidueRing, _equal_slots
-from .series import QSeries, linear_combination, series_equal_mod
+from .series import PackedFamily, QSeries, series_equal_mod
 
 __all__ = [
     "CongruenceReport",
@@ -162,49 +163,43 @@ def inversion_reads(point: dict, with_e_powers: bool) -> list[int]:
     return [top, *(r * (p - 1) + kstar for r in support), *([p - 1] if with_e_powers else [])]
 
 
-def _times_e_power(series: QSeries, n: int) -> QSeries:
-    """series E_{p-1}^n; no product when that power is 1, at n = 0 mod p^(m-1)."""
-    ring = series.ring
-    return series * e_power(ring, series.precision, n) if n % ring.p ** (ring.m - 1) else series
+# A grid block, fixed (form, k*, p, m, precision, powers), shares one table
+# across its alphas from alpha = m on; a thm-grid run fills 16.
+@lru_cache(maxsize=64)
+def _block_table(form: Callable, kstar: int, ring: ResidueRing, precision: int,
+                 with_e_powers: bool) -> PackedFamily:
+    """form(r(p-1)+k*) E^i for r < m and i < m (i = 0 alone without powers), packed.
 
-
-# A grid block, fixed (form, p, m, k*, precision), shares these across its
-# alphas: at most 2m entries, m below alpha = m and m from there on. A
-# thm-grid run fills 64.
-@lru_cache(maxsize=512)
-def _shifted_term(form: Callable, weight: int, ring: ResidueRing, precision: int,
-                  n: int) -> QSeries:
-    """form(weight) E_{p-1}^n modulo p^m through q^precision."""
-    return _times_e_power(form(weight, ring, precision), n)
+    E is the series of E_{p-1} = 1 + pE; its powers come from `eisenstein`,
+    which builds E only from m = 2 on. m(m-1) products, plus m-2 for E^i.
+    """
+    forms = [form(r * (ring.p - 1) + kstar, ring, precision) for r in range(ring.m)]
+    if not with_e_powers or ring.m == 1:
+        return PackedFamily(forms)
+    powers = _e_factor_powers(ring, precision)
+    return PackedFamily([f * e if i else f for f in forms for i, e in enumerate(powers)])
 
 
 def _inversion_report(statement_id: str, params: dict, form: Callable, kstar: int,
                       with_e_powers: bool) -> CongruenceReport:
     """form(a(p-1)+k*) against sum_r H(m,a,r) form(r(p-1)+k*) [E_{p-1}^(a-r)], mod p^m.
 
-    With t the largest r of `_inversion_support`, the sum is
-    E_{p-1}^(a-t) sum_r H(m, a, r) U_r with U_r = form(r(p-1)+k*) E_{p-1}^(t-r).
-    U_r does not depend on a, so a grid block builds it once
-    (`_shifted_term`); the sum is one packed linear combination
-    (`series.linear_combination`), a multiply-add per term; and a record
-    costs at most the one product by E_{p-1}^(a-t). Below m that power is 1
-    and the sum is U_a = form(a(p-1)+k*) itself, so no product is made.
-    Props 3.1 and 4.2 take every power as 1. The left side is built first.
+    Below a = m the sum is its one term, form(a(p-1)+k*) itself. From a = m
+    on, a - r > 0, and E_{p-1}^(a-r) = sum_{i<m} C(a-r, i) p^i E^i mod p^m by
+    the binomial theorem (the terms i >= m vanish), so the sum is
+    sum_{r,i} H(m,a,r) C(a-r, i) p^i form(r(p-1)+k*) E^i: m^2 scalars, one
+    combination of the block's packed table (`_block_table`) and no series
+    product. Props 3.1 and 4.2 take every power as 1, the i = 0 terms alone.
+    The left side is built first.
     """
     p, m, alpha, precision = params["p"], params["m"], params["alpha"], params["N"]
     ring = ResidueRing(p, m)
     weight = alpha * (p - 1) + kstar
-    lhs = form(weight, ring, precision)
-    h, support = _h_row(m, alpha), _inversion_support(m, alpha)
-    top = support[-1]
-    terms = [_shifted_term(form, r * (p - 1) + kstar, ring, precision,
-                           top - r if with_e_powers else 0) for r in support]
-    if len(support) == 1 and h[top] == 1:
-        rhs = terms[0]
-    else:
-        rhs = linear_combination([h[r] for r in support], terms)
-    if with_e_powers:
-        rhs = _times_e_power(rhs, alpha - top)
+    lhs = rhs = form(weight, ring, precision)
+    if alpha >= m:
+        h, powers = _h_row(m, alpha), m if with_e_powers else 1
+        rhs = _block_table(form, kstar, ring, precision, with_e_powers).combine(
+            [h[r] * math.comb(alpha - r, i) * p**i for r in range(m) for i in range(powers)])
     return _series_report(statement_id, params, lhs, rhs, precision,
                           weight if with_e_powers else None)
 

@@ -17,7 +17,8 @@ read their exponent by its period modulo p^m:
   E_{p-1}^n at n mod p^(m-1) (every power is 1 at m = 1).
 
 `e_power` writes E_{p-1}^n as its binomial series in pE, cut after m terms,
-one linear combination of the cached powers 1, E, ..., E^(m-1).
+one linear combination of the cached powers 1, E, ..., E^(m-1), which the
+theorem grids read directly.
 `generator_power` is the one table of powers of E_4, E_6 and Delta:
 monomials and Delta are products of its entries, and a filtration witness's
 round trip multiplies by its unreduced E_{p-1}^n.
@@ -126,7 +127,7 @@ def generator_power(form: int | str, ring: ResidueRing, precision: int, n: int) 
 
     The one table of generator powers: E_4^a, E_6^b and Delta^c for
     monomials, and the unreduced E_{p-1}^n a filtration witness is checked
-    against (theorem grids and searches read `e_power`). Each call squares
+    against (the filtration pass reads `e_power`). Each call squares
     the cached power n//2, so the recursion is bits(n) deep, consecutive
     exponents reuse the halves already built, and a new one costs one or two
     products. Odd powers read the n = 1 entry, E_k or (E_4^3 - E_6^2)/1728.
@@ -154,8 +155,9 @@ def e_power(ring: ResidueRing, precision: int, n: int) -> QSeries:
     return _e_power(ring, precision, n % ring.p ** (ring.m - 1))
 
 
-# A theorem-grid run makes 346 calls in 248 exponent classes; 512 entries hold them.
-@lru_cache(maxsize=512)
+# Only a filtration reads it: one exponent for its layer pass and one for its
+# witness, so 16 entries hold several filtrations of one process.
+@lru_cache(maxsize=16)
 def _e_power(ring: ResidueRing, precision: int, n: int) -> QSeries:
     if not n:
         return QSeries.one(ring, precision)

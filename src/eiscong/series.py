@@ -7,8 +7,8 @@ of its operands.
 
 Products use Kronecker substitution: each coefficient vector is packed into
 one integer and CPython's subquadratic big-int multiply does the convolution.
-Linear combinations pack their terms the same way (`_slotwise`), so a sum of
-t scaled series is t big-int multiply-adds.
+A `PackedFamily` packs its terms the same way (`_pack`), once, so each sum of
+the t terms scaled is t big-int multiply-adds and one unpack (`_unpack`).
 """
 
 from __future__ import annotations
@@ -16,12 +16,12 @@ from __future__ import annotations
 import sys
 from array import array
 from operator import mul
-from typing import Callable
 
 from .errors import PrecisionTooLowError, RingMismatchError
 from .residue import ResidueRing, _equal_slots, _frozen
 
-__all__ = ["CongruenceVerdict", "QSeries", "linear_combination", "series_equal_mod"]
+__all__ = ["CongruenceVerdict", "PackedFamily", "QSeries", "linear_combination",
+           "series_equal_mod"]
 
 
 class CongruenceVerdict:
@@ -134,25 +134,40 @@ class QSeries:
         }
 
 
-def linear_combination(scalars: list[int], terms: list[QSeries]) -> QSeries:
-    """sum_i scalars[i] * terms[i] over one or more terms, through their least precision.
+class PackedFamily:
+    """Series of one ring packed once, through their least precision, to be combined many times.
 
-    The scalars are any integers. Once they are reduced, each coefficient of
-    the sum before its reduction is at most t (modulus-1)^2 for t terms, below
-    2**(2 bits(modulus-1) + bits(t)); slots that wide never carry, so t
-    multiply-adds of the packed terms form every coefficient at once.
+    Once reduced, each coefficient of a sum of the t terms scaled is at most
+    t (modulus-1)^2 before its reduction, below 2**(2 bits(modulus-1) + bits(t));
+    slots that wide never carry, so `combine` forms every coefficient at once
+    from t multiply-adds of the packed terms.
     """
-    prec = min(terms[0]._check_compatible(term) for term in terms)
-    mod = terms[0].ring.modulus
-    scalars = [h % mod for h in scalars]
-    coeffs = _slotwise([term.coeffs[:prec + 1] for term in terms],
-                       2 * (mod - 1).bit_length() + len(terms).bit_length(),
-                       lambda *packed: sum(map(mul, scalars, packed)), prec + 1, mod)
-    return QSeries(terms[0].ring, coeffs, prec)
+
+    __slots__ = ("ring", "precision", "packed", "slot")
+
+    def __init__(self, terms: list[QSeries]) -> None:
+        prec = min(terms[0]._check_compatible(term) for term in terms)
+        ring = terms[0].ring
+        self.ring, self.precision = ring, prec
+        self.slot = _slot(2 * (ring.modulus - 1).bit_length() + len(terms).bit_length())
+        self.packed = [_pack(term.coeffs[:prec + 1], self.slot) for term in terms]
+
+    def combine(self, scalars: list[int]) -> QSeries:
+        """sum_i scalars[i] * terms[i], for any integer scalars, one per term."""
+        mod = self.ring.modulus
+        total = sum(map(mul, [h % mod for h in scalars], self.packed))
+        return QSeries(self.ring, _unpack(total, self.precision + 1, self.precision + 1,
+                                          self.slot, mod), self.precision)
+
+
+def linear_combination(scalars: list[int], terms: list[QSeries]) -> QSeries:
+    """sum_i scalars[i] * terms[i] over one or more terms, through their least precision."""
+    return PackedFamily(terms).combine(scalars)
 
 
 # Unsigned array types, narrowest first. Slots that fit one of them are packed
-# and unpacked by the array module in C rather than one coefficient at a time.
+# and unpacked by the array module in C rather than one coefficient at a time;
+# a slot widens to the narrowest item that holds it.
 _ARRAY_TYPES = sorted((array(code).itemsize, code) for code in "BHIQ")
 
 
@@ -162,32 +177,34 @@ def _kronecker_product(a: tuple, b: tuple | None, n: int, modulus: int) -> tuple
     A product coefficient before reduction is a sum of at most n terms, each
     at most (modulus-1)^2, so it fits a slot of 2 bits(modulus-1) + bits(n)
     bits and no slot carries into the next: one integer multiply computes the
-    whole convolution, whose 2n-1 slots `_slotwise` cuts to n.
+    whole convolution, whose 2n-1 slots `_unpack` cuts to n.
     """
-    bits = 2 * (modulus - 1).bit_length() + n.bit_length()
-    if b is None:
-        return _slotwise([a[:n]], bits, lambda x: x * x, 2 * n - 1, modulus)
-    return _slotwise([a[:n], b[:n]], bits, mul, 2 * n - 1, modulus)
+    slot = _slot(2 * (modulus - 1).bit_length() + n.bit_length())
+    x = _pack(a[:n], slot)
+    z = x * x if b is None else x * _pack(b[:n], slot)
+    return _unpack(z, n, 2 * n - 1, slot, modulus)
 
 
-def _slotwise(vectors: list, bits: int, combine: Callable[..., int], slots: int,
-              modulus: int) -> tuple:
-    """Slots 0 .. n-1 of combine(*packed), each reduced modulo `modulus`, n the vectors' length.
+def _slot(bits: int) -> tuple[int, str | None]:
+    """Bytes and array code of the narrowest slot of `bits` bits; code None, through bytes, past 8."""
+    width = (bits + 7) // 8
+    return next(((size, code) for size, code in _ARRAY_TYPES if width <= size), (width, None))
 
-    Each vector of canonical residues is packed into one integer, its i-th in
-    slot i of at least `bits` bits; `combine`, a product or a sum of products
-    of them whose slots each stay below 2**bits, fills `slots` slots. Slots of
-    up to 8 bytes widen to the narrowest array item that holds them, so the
-    array module packs and unpacks them in C; wider ones go through bytes.
-    """
-    n, width = len(vectors[0]), (bits + 7) // 8
-    for size, code in _ARRAY_TYPES:
-        if width <= size:
-            z = combine(*[int.from_bytes(array(code, v), sys.byteorder) for v in vectors])
-            items = array(code, z.to_bytes(slots * size, sys.byteorder))
-            return tuple([c % modulus for c in items[:n]])
-    z = combine(*[int.from_bytes(b"".join([c.to_bytes(width, "little") for c in v]), "little")
-                  for v in vectors])
+
+def _pack(vector, slot: tuple[int, str | None]) -> int:
+    """Canonical residues packed into one integer, the i-th in slot i."""
+    width, code = slot
+    if code:
+        return int.from_bytes(array(code, vector), sys.byteorder)
+    return int.from_bytes(b"".join([c.to_bytes(width, "little") for c in vector]), "little")
+
+
+def _unpack(z: int, n: int, slots: int, slot: tuple[int, str | None], modulus: int) -> tuple:
+    """Slots 0 .. n-1 of a non-negative z of `slots` slots, each reduced modulo `modulus`."""
+    width, code = slot
+    if code:
+        items = array(code, z.to_bytes(slots * width, sys.byteorder))
+        return tuple([c % modulus for c in items[:n]])
     data = z.to_bytes(slots * width, "little")
     return tuple([int.from_bytes(data[i : i + width], "little") % modulus
                   for i in range(0, n * width, width)])
@@ -206,7 +223,7 @@ def series_equal_mod(a: QSeries, b: QSeries, upto: int) -> CongruenceVerdict:
             f"comparison through q^{upto} needs precision >= {upto}; "
             f"have {a.precision} and {b.precision}"
         )
-    for n in range(upto + 1):
-        if a.coeffs[n] != b.coeffs[n]:
-            return CongruenceVerdict(False, upto, n, a.coeffs[n], b.coeffs[n])
-    return CongruenceVerdict(True, upto)
+    if a.coeffs[:upto + 1] == b.coeffs[:upto + 1]:
+        return CongruenceVerdict(True, upto)
+    n = next(n for n in range(upto + 1) if a.coeffs[n] != b.coeffs[n])
+    return CongruenceVerdict(False, upto, n, a.coeffs[n], b.coeffs[n])

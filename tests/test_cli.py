@@ -922,9 +922,9 @@ print(status, len(products))
 
 
 @pytest.mark.parametrize("argv,most", [
-    ("verify thm1 --p 5,7,11,13 --m 1..4 --alpha 0..30 --prec 60", 358),
-    ("verify thm2 --p 5,7,11,13 --m 1..4 --alpha 1..30 --prec 60", 358),
-    ("scan eq6.1 --p 7 --m 3 --alpha 0..40", 41),
+    ("verify thm1 --p 5,7,11,13 --m 1..4 --alpha 0..30 --prec 60", 92),
+    ("verify thm2 --p 5,7,11,13 --m 1..4 --alpha 1..30 --prec 60", 92),
+    ("scan eq6.1 --p 7 --m 3 --alpha 0..40", 7),
     ("reproduce paper-7-8", 51),
     ("reproduce paper-17-6", 54),
     ("filtration --form G --k 2402 --p 13 --m 6", 54),
@@ -937,8 +937,7 @@ def test_series_products_per_run(argv, most):
     # in one layer pass, and substitutes once at the bound. A power stepped
     # by one product per term, a monomial raised from scratch, a basis per
     # candidate weight or E_{p-1}^n by squarings costs more. A theorem-grid
-    # record is at most one product by E_{p-1}^(alpha-m+1) times a sum of
-    # terms its grid block shares.
+    # record makes no product; a block makes m(m-1), plus m-2 for E's powers.
     proc = run_python("-c", COUNT_PRODUCTS, *argv.split(), "--jobs", "1")
     status, products = map(int, proc.stdout.split())
     assert status == 0 and products <= most, (proc.stdout, proc.stderr)
@@ -1137,7 +1136,7 @@ def test_every_read_of_a_statement_is_listed(monkeypatch):
     seed = {k: exact._BERNOULLI_MEMO[k] for k in (0, 1, 2)}
     tables = (eisenstein.g_series, eisenstein.e_series, eisenstein.generator_power,
               eisenstein.monomial_series, eisenstein._e_power, eisenstein._e_factor_powers,
-              congruences._shifted_term, congruences._k_over_bernoulli)
+              congruences._block_table, congruences._k_over_bernoulli)
     for name, entry in STATEMENTS.items():
         args = cli.build_parser().parse_args(DIFFERENTIAL_GRIDS[name].split())
         for point in cli._build_tasks(name, args):

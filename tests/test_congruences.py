@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -475,9 +476,23 @@ def _inversion_alphas(p: int, m: int, least: int) -> list[int]:
     return sorted(a for a in picks if a >= least)
 
 
+def _with_rings(rings) -> list:
+    """(statement, p, m) for each statement and ring; the E_k theorems need m <= p-1."""
+    return [pytest.param(s, p, m, id=f"{s[0]}-{p}-{m}") for s in INVERSION_STATEMENTS
+            for p, m in rings if s[0] not in ("Thm1.2", "Prop4.2") or m <= p - 1]
+
+
+def _binomial_alphas(p: int, m: int, least: int) -> list[int]:
+    """alpha = m-1, m, m + p^(m-1), m + 2p^(m-1) + 1, and one alpha above p^m."""
+    period = p ** (m - 1)
+    return sorted(a for a in {m - 1, m, m + period, m + 2 * period + 1, p**m + 2}
+                  if a >= least)
+
+
 class TestFactoredInversionSum:
-    """The factored right side, E_{p-1}^(a-t) sum_r H U_r from cached U_r, against
-    the per-term sum with unreduced binary powers (`inversion_sum_per_term`)."""
+    """The right side, one combination of a grid block's packed form(r(p-1)+k*) E^i
+    (E_{p-1}^(a-r) by the binomial theorem), against the per-term sum with
+    unreduced binary powers (`inversion_sum_per_term`)."""
 
     PRECISION = 12
 
@@ -521,6 +536,60 @@ class TestFactoredInversionSum:
         assert report.verdict == "Fail" and report.failure_detail["first-failing-index"] == 3
         assert report == expected
 
+    # Every p of the benchmark's grids with m = 1..5.
+    @pytest.mark.parametrize("statement,p,m",
+                             _with_rings([(p, m) for p in (5, 7, 11, 13) for m in range(1, 6)]))
+    def test_binomial_right_side_matches_the_per_term_sum(self, statement, p, m):
+        # The terms are random series: for the true forms the E_{p-1} powers'
+        # corrections cancel (Props 3.1 and 4.2 hold too), so a wrong power
+        # would not show. The left side at alpha >= m stands in as the oracle's
+        # right side, so a Pass says the two right sides agree; skewed at q^k,
+        # a Fail there whose whole report is the oracle's. No form is built at
+        # the weight alpha(p-1)+k*, so alpha may pass p^m.
+        statement_id, _, _, kstar_for, powers, least = statement
+        kstar, ring, n = kstar_for(p, m), ResidueRing(p, m), self.PRECISION
+        rng = random.Random(100 * p + m)
+        terms = {r * (p - 1) + kstar: QSeries.residue(
+            ring, [rng.randrange(ring.modulus) for _ in range(n + 1)]) for r in range(m)}
+
+        def form(k, ring, precision):
+            return terms[k]
+
+        for alpha in _binomial_alphas(p, m, least):
+            weight = alpha * (p - 1) + kstar
+            oracle = inversion_sum_per_term(form, kstar, ring, n, alpha, powers)
+            for skew in (None, alpha % (n + 1)) if alpha >= m else (None,):
+                lhs = oracle
+                if skew is not None:
+                    coeffs = list(oracle.coeffs)
+                    coeffs[skew] = (coeffs[skew] + 1) % ring.modulus
+                    lhs = QSeries(ring, tuple(coeffs), n)
+
+                def stand_in(k, ring, precision, lhs=lhs):
+                    return lhs if k == weight and alpha >= m else form(k, ring, precision)
+
+                params = {"p": p, "m": m, "kstar": kstar, "alpha": alpha, "N": n}
+                report = _inversion_report(statement_id, params, stand_in, kstar, powers)
+                expected = _series_report(statement_id, params, lhs, oracle, n,
+                                          weight if powers else None)
+                assert report == expected, (p, m, alpha, skew)
+                assert report.passed == (skew is None), (p, m, alpha, skew)
+
+    @pytest.mark.parametrize("statement,p,m",
+                             _with_rings([(5, 1), (5, 2), (7, 3), (5, 4), (13, 4), (7, 5)]))
+    def test_a_record_past_its_block_table_makes_no_product(self, statement, p, m,
+                                                            monkeypatch):
+        _, check, _, kstar_for, _, least = statement
+        kstar, calls = kstar_for(p, m), []
+        assert check(p, m, kstar, m, self.PRECISION).passed  # builds the block's table
+        products, e_powers = QSeries.__mul__, eisenstein.e_power
+        monkeypatch.setattr(QSeries, "__mul__", lambda a, b: calls.append("mul") or products(a, b))
+        monkeypatch.setattr(eisenstein, "e_power",
+                            lambda *args: calls.append("e_power") or e_powers(*args))
+        for alpha in range(max(m, least), m + 2 * p):
+            assert check(p, m, kstar, alpha, self.PRECISION).passed, alpha
+        assert calls == []
+
 
 class TestGeneratorsReadAtCallTime:
     """The benchmark's tracer counts series generators by rebinding module
@@ -528,7 +597,7 @@ class TestGeneratorsReadAtCallTime:
     argument, a module-level table) would hide its calls from it."""
 
     @pytest.mark.parametrize("check,args,calls", [
-        # E_{p-1} comes from eisenstein.e_power; see the test below.
+        # E_{p-1} = 1 + pE, E from eisenstein.e_factor; see the test below.
         (check_thm_gk, (5, 2, 6, 3, 10), {("g", 18), ("g", 10), ("g", 6)}),
         (check_prop_gk_fixed, (5, 2, 6, 3, 10), {("g", 18), ("g", 10), ("g", 6)}),
         (check_thm_ek, (5, 2, 3, 10), {("e", 12), ("e", 4), ("e", 0)}),
@@ -550,7 +619,8 @@ class TestGeneratorsReadAtCallTime:
         assert seen[0] == max(calls, key=lambda call: call[1])  # the left side, built first
 
     def test_e_powers_call_the_module_generator(self, monkeypatch):
-        # e_power reads e_factor, and e_factor its divisor sums, at call time.
+        # The block table's powers of E read e_factor, and e_factor its divisor
+        # sums, at call time.
         seen = []
         originals = {name: getattr(eisenstein, name) for name in ("e_factor", "divisor_sums")}
 
@@ -562,8 +632,8 @@ class TestGeneratorsReadAtCallTime:
 
         for name in originals:
             monkeypatch.setattr(eisenstein, name, counted(name))
-        eisenstein._e_power.cache_clear()
         eisenstein._e_factor_powers.cache_clear()
+        congruences._block_table.cache_clear()
         assert check_thm_gk(5, 2, 6, 3, 10).passed
         assert {"e_factor", "divisor_sums"} <= set(seen)
 

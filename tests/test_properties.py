@@ -22,7 +22,7 @@ from eiscong.congruences import (
 from eiscong.eisenstein import divisor_sums, e_power, e_series
 from eiscong.exact import bernoulli, bernoulli_cached_indices, prefetch_bernoulli, sigma_power_mod
 from eiscong.residue import ResidueRing
-from eiscong.series import QSeries, linear_combination
+from eiscong.series import PackedFamily, QSeries, linear_combination
 
 from conftest import bernoulli_by_tangent, combination_per_column
 
@@ -71,6 +71,34 @@ def test_linear_combination_matches_the_per_column_sum(data):
     terms = [QSeries(ring, tuple(vector), precision) for vector in vectors]
     expected = combination_per_column(scalars, vectors, mod)
     assert linear_combination(scalars, terms) == QSeries(ring, expected, precision)
+
+
+@settings(PROPERTY, max_examples=60)
+@given(st.data())
+def test_a_packed_family_matches_the_per_column_sum_for_every_scalar_vector(data):
+    # One family of up to 25 terms (a theorem-grid block packs m^2 <= 25),
+    # moduli from 5 to 65537^8, so the byte-string slots are drawn, combined
+    # with several signed scalar vectors; then t terms of p^m - 1 everywhere,
+    # with every scalar -1, fill each slot to its largest sum.
+    p = data.draw(st.sampled_from((5, 7, 11, 13, 65521, 65537)), label="p")
+    m = data.draw(st.integers(1, 8), label="m")
+    ring = ResidueRing(p, m)
+    mod = ring.modulus
+    t = data.draw(st.integers(1, 25), label="terms")
+    precisions = data.draw(st.lists(st.integers(0, 80), min_size=t, max_size=t),
+                           label="precisions")
+    rng = data.draw(st.randoms(use_true_random=False), label="residues")
+    vectors = [[rng.randrange(mod) for _ in range(n + 1)] for n in precisions]
+    family = PackedFamily([QSeries(ring, tuple(v), n) for v, n in zip(vectors, precisions)])
+    scalar_vectors = data.draw(st.lists(
+        st.lists(st.integers(-2 * mod, 2 * mod), min_size=t, max_size=t),
+        min_size=1, max_size=4), label="scalars") + [[-1] * t]
+    for scalars in scalar_vectors:
+        expected = combination_per_column(scalars, vectors, mod)
+        assert family.combine(scalars) == QSeries(ring, expected, min(precisions))
+    top = [[mod - 1] * (min(precisions) + 1)] * t
+    assert (PackedFamily([QSeries(ring, tuple(v), min(precisions)) for v in top]).combine([-1] * t)
+            == QSeries(ring, combination_per_column([-1] * t, top, mod), min(precisions)))
 
 
 # The largest index the prefetch property draws: a start up to 600, ten gaps

@@ -356,6 +356,25 @@ class TestSeriesEqualMod:
         assert verdict.first_index == 1
         assert (verdict.lhs, verdict.rhs) == (3, 4)
 
+    @pytest.mark.parametrize("index", [0, 2, 6])
+    def test_a_mismatch_through_upto_is_its_first(self, index):
+        # At q^0, and at q^upto = 6, with a second mismatch past upto.
+        ring = ResidueRing(5, 2)
+        a = q_series(ring, *range(1, 10))
+        coeffs = list(a.coeffs)
+        coeffs[index], coeffs[8] = 24, 0
+        verdict = series_equal_mod(a, QSeries(ring, tuple(coeffs), 8), 6)
+        assert (verdict.ok, verdict.upto, verdict.first_index) == (False, 6, index)
+        assert (verdict.lhs, verdict.rhs) == (index + 1, 24)
+
+    def test_a_mismatch_past_upto_is_ignored(self):
+        ring = ResidueRing(5, 2)
+        a = q_series(ring, *range(1, 10))
+        b = QSeries(ring, a.coeffs[:7] + (0, 0), 8)
+        verdict = series_equal_mod(a, b, 6)
+        assert verdict.ok and (verdict.upto, verdict.first_index, verdict.lhs) == (6, None, None)
+        assert not series_equal_mod(a, b, 7).ok
+
     def test_insufficient_precision_raises(self):
         ring = ResidueRing(5, 2)
         a = q_series(ring, 1, 3)
