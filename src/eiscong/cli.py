@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 import time
 from functools import lru_cache
@@ -187,18 +188,18 @@ class Statement:
     m, in output order. `reads` lists every Bernoulli index a point reads
     (its budget is charged the largest). `validate` is a cheap check run on
     the whole grid before any task runs; it rejects every point that `run`
-    would reject, so every index `reads` lists is then non-negative.
+    would reject, so every index `reads` lists is then non-negative. With a `shape`,
+    (id, sorted param names), a task is a block; `run` yields (values, report or None on a pass).
     """
 
-    __slots__ = ("run", "grid", "reads", "validate", "required", "scan")
+    __slots__ = ("run", "grid", "reads", "validate", "required", "scan", "shape")
 
-    def __init__(self, run: Callable[[dict], CongruenceReport],
-                 grid: Callable[[argparse.Namespace, list[int], list[int]], Iterator[dict]],
+    def __init__(self, run: Callable, grid: Callable[[argparse.Namespace, list, list], Iterator],
                  reads: Callable[[dict], Sequence[int]] = lambda task: (),
-                 validate: Callable[[dict], None] = lambda task: None,
-                 required: tuple[str, ...] = (), scan: bool = False) -> None:
+                 validate: Callable = lambda task: None, required: tuple[str, ...] = (),
+                 scan: bool = False, shape: tuple[str, tuple[str, ...]] | None = None) -> None:
         self.run, self.grid, self.reads = run, grid, reads
-        self.validate, self.required, self.scan = validate, required, scan
+        self.validate, self.required, self.scan, self.shape = validate, required, scan, shape
 
 
 def _alphas(args) -> list[int]:
@@ -222,11 +223,10 @@ def _d_grid(args, ps: list[int], ms: list[int]) -> Iterator[dict]:
         yield {"p": p, "m": m, "alpha": alpha, "d": d}
 
 
-def _box_grid(args, ps: list[int], ms: list[int]) -> Iterator[dict]:
-    for m in ms:
-        for j in range(1, m):
-            for s, alpha in product(range(m - j), _alphas(args)):
-                yield {"m": m, "j": j, "s": s, "alpha": alpha}
+def _box_grid(args, ps: list[int], ms: list[int]) -> Iterator[tuple]:
+    """The Prop. 3.2 box in blocks (m, j, s, alphas), none when there are no alphas."""
+    alphas = _alphas(args)
+    return ((m, j, s, alphas) for m in ms for j in range(1, m) for s in range(m - j) if alphas)
 
 
 def _conjecture_grid(args, ps: list[int], ms: list[int]) -> Iterator[dict]:
@@ -236,19 +236,21 @@ def _conjecture_grid(args, ps: list[int], ms: list[int]) -> Iterator[dict]:
             yield {"p": p, "m": m, "kstar": kstar, "alpha": alpha}
 
 
-def _run_identity(t: dict) -> CongruenceReport:
-    value = cong.combin_identity_sum(t["m"], t["j"], t["s"], t["alpha"])
-    params = {"m": t["m"], "j": t["j"], "s": t["s"], "alpha": t["alpha"]}
-    return CongruenceReport("Prop3.2", params, "Pass" if value == 0 else "Fail",
-                            None if value == 0 else {"sum": str(value)})
+def _identity_block(block: tuple) -> Iterator[tuple[tuple, CongruenceReport | None]]:
+    m, j, s, alphas = block
+    for alpha, value in zip(alphas, cong._identity_sums(m, j, s, alphas)):
+        yield (alpha, j, m, s), None if not value else CongruenceReport(
+            "Prop3.2", {"m": m, "j": j, "s": s, "alpha": alpha}, "Fail", {"sum": str(value)})
 
 
-def _run_telescoping(t: dict) -> CongruenceReport:
-    ok = (cong.check_telescoping(t["m"], t["j"], t["s"], t["alpha"], t["r"])
-          and cong.check_sum_recurrence(t["m"], t["j"], t["s"], t["alpha"]))
-    params = {"m": t["m"], "j": t["j"], "s": t["s"], "alpha": t["alpha"], "r": t["r"]}
-    return CongruenceReport("Eq3.3", params, "Pass" if ok else "Fail",
-                            None if ok else {"identity": "telescoping"})
+def _telescoping_block(block: tuple) -> Iterator[tuple[tuple, CongruenceReport | None]]:
+    m, j, s, alphas = block
+    for alpha in alphas:
+        recurrence, sides = cong._certificate(m, j, s, alpha)
+        for r, (left, right) in enumerate(sides, s):
+            yield (alpha, j, m, r, s), None if recurrence and left == right else CongruenceReport(
+                "Eq3.3", {"m": m, "j": j, "s": s, "alpha": alpha, "r": r}, "Fail",
+                {"identity": "telescoping"})
 
 
 # The parsers list the names in this order, each alias just before its target.
@@ -305,15 +307,13 @@ STATEMENTS = {
         grid=lambda args, ps, ms: (
             {"p": p, "n": n} for p, n in product(ps, range(1, args.n_max + 1))),
         reads=lambda t: [j * (t["p"] - 1) for j in range(t["n"] + 1)]),
+    # j and s are in range by construction, so a block's smallest alpha stands for it.
     "identity": Statement(
-        run=_run_identity, grid=_box_grid,
-        validate=lambda t: cong._validate_identity_box(t["m"], t["j"], t["s"], t["alpha"])),
+        run=_identity_block, grid=_box_grid, shape=("Prop3.2", ("alpha", "j", "m", "s")),
+        validate=lambda b: cong._validate_identity_box(b[0], b[1], b[2], min(b[3]))),
     "telescoping": Statement(
-        run=_run_telescoping,
-        grid=lambda args, ps, ms: (
-            dict(point, r=r) for point in _box_grid(args, ps, ms)
-            for r in range(point["s"], point["m"])),
-        validate=lambda t: cong._validate_identity_box(t["m"], t["j"], t["s"], t["alpha"])),
+        run=_telescoping_block, grid=_box_grid, shape=("Eq3.3", ("alpha", "j", "m", "r", "s")),
+        validate=lambda b: cong._validate_identity_box(b[0], b[1], b[2], min(b[3]))),
     "eq6.1": Statement(
         run=lambda t: cong.scan_conjecture_ek_series(
             t["p"], t["m"], t["kstar"], t["alpha"], t["prec"], budget=None),
@@ -342,8 +342,8 @@ def _statement_choices(scan: bool) -> list[str]:
     return names
 
 
-def _build_tasks(name: str, args) -> list[dict]:
-    """The statement's grid for the parsed arguments: its points in output order."""
+def _build_tasks(name: str, args) -> list:
+    """The statement's grid for the parsed arguments: its points (or blocks) in output order."""
     name = STATEMENT_ALIASES.get(name, name)
     entry = STATEMENTS[name]
     for flag in entry.required:
@@ -362,29 +362,41 @@ def _build_tasks(name: str, args) -> list[dict]:
     return points
 
 
-def _run_task(statement: str, args, point: dict, charge: int) -> tuple[bool, str]:
-    """Whether the point passed, and its record's text in --format.
+def _records(statement: str, entry: Statement, tasks: list, charges: list[int],
+             args) -> Iterator[tuple[bool, str]]:
+    """Each record's (passed, text in --format), in input order, as its task finishes.
 
-    `charge`, the point's largest Bernoulli index, is checked against
-    --budget-bernoulli; a record slower than --budget-seconds carries a
-    budget warning.
+    A task charged (its largest Bernoulli index) over --budget-bernoulli gives a
+    BudgetExceeded record, and a passing record with a shape fills its template.
+    Each record is timed from the end of the one before, so a block's first pays
+    its setup; one slower than --budget-seconds carries a budget warning.
     """
+    limit, fmt, shape = args.budget_seconds, args.format, entry.shape
+    template = shape and fmt in ("jsonl", "json") and _template(
+        shape[0], "coefficient-evidence", "Pass", shape[1], fmt)[0]
     started = time.monotonic()
-    try:
-        cong._check_budget(charge, args.budget_bernoulli)
-        report = STATEMENTS[statement].run(point)
-    except BudgetExceededError as err:
-        report = CongruenceReport(statement, dict(point), "BudgetExceeded", {"message": str(err)})
-    warning = None
-    if args.budget_seconds is not None:
-        elapsed = time.monotonic() - started
-        if elapsed > args.budget_seconds:
-            warning = {"elapsed-seconds": round(elapsed, 3), "limit": args.budget_seconds}
-    return report.passed, _record_text(report, warning, args.format)
+    for task, charge in zip(tasks, charges):
+        try:
+            cong._check_budget(charge, args.budget_bernoulli)
+            rows = entry.run(task) if shape else ((None, entry.run(task)),)
+        except BudgetExceededError as err:
+            rows = ((None, CongruenceReport(statement, dict(task), "BudgetExceeded",
+                                            {"message": str(err)})),)
+        for values, report in rows:
+            warning = None
+            if limit is not None and (elapsed := time.monotonic() - started) > limit:
+                warning = {"elapsed-seconds": round(elapsed, 3), "limit": limit}
+            if report is None and warning is None and template:
+                yield True, template % values
+            else:
+                report = report or CongruenceReport(shape[0], dict(zip(shape[1], values)), "Pass")
+                yield report.passed, _record_text(report, warning, fmt)
+            if limit is not None:
+                started = time.monotonic()
 
 
 def _run_tasks(name: str, args) -> Iterator[tuple[bool, str]]:
-    """Each grid point's (passed, text), in input order, as each task finishes.
+    """Each record's (passed, text), in input order, as each task finishes.
 
     The budgets and every point are validated and every Bernoulli number
     prefetched before this returns, so an input error is raised before any
@@ -398,20 +410,19 @@ def _run_tasks(name: str, args) -> Iterator[tuple[bool, str]]:
     statement = STATEMENT_ALIASES.get(name, name)
     entry = STATEMENTS[statement]
     points = _build_tasks(name, args)
-    for point in points:
-        entry.validate(point)
     # One ascending pass memoizes every index a task within its budget reads,
     # before any task runs, so no task computes a Bernoulli number by its own
-    # Euler product.
+    # Euler product. A point is validated before its reads are listed.
     charges, reads = [], set()
     for point in points:
+        entry.validate(point)
         indices = entry.reads(point)
         charge = max(indices) if indices else 0
         charges.append(charge)
         if indices and charge <= args.budget_bernoulli:
             reads.update(indices)
     prefetch_bernoulli(sorted(reads))
-    return (_run_task(statement, args, point, charge) for point, charge in zip(points, charges))
+    return _records(statement, entry, points, charges, args)
 
 
 # ---------------------------------------------------------------------------
@@ -645,6 +656,10 @@ def main(argv: list[str] | None = None) -> int:
         return _error(err)
     try:
         status = _COMMANDS[args.command][2](args, out)
+        out.flush()
+    except BrokenPipeError:  # the reader left; stdout to devnull, as in Python's SIGPIPE recipe
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        status = 1
     except EiscongError as err:
         status = _error(err)
     except (ValueError, KeyError) as err:

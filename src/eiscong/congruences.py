@@ -7,25 +7,21 @@ here is probabilistic.
 Most statements compare a value at alpha with its H-weighted history, summed
 over the r of `_inversion_support`, H(m, alpha, .) from one cached row.
 `_inversion_report` does it for series: Thm 1.1, Thm 1.2 and the Eq. (6.1)
-scan (each term times E_{p-1}^(alpha-r)), Props 3.1 and 4.2 (no powers).
-With E_{p-1} = 1 + pE, the binomial theorem writes each power as
-sum_{i<m} C(alpha-r, i) p^i E^i mod p^m, so the sum is one combination of
-the m^2 series form(r(p-1)+k*) E^i, which a grid block packs once
-(`_block_table`): a record makes no series product. It builds the left side
-first, so an error names the weight alpha(p-1)+k*. Its callers pass
-`g_series`/`e_series`, and `eisenstein` calls `e_factor`, read as module
-globals at call time, never bound earlier, so a tracer that rebinds them
-sees every call. `_inversion_defect`
-does it for rationals, exactly: the inversion identity, and the failures of
-the valuation tests. Those tests, Prop 4.1, Eq. (3.1), the Eq. (6.4) scan
-and p-regular recovery, go through `_inversion_defect_mod`, which sums the
-terms' residues modulo p^m first and builds the exact defect only when that
-cannot prove the pass. The scan's terms k/B_k are memoized across its grid.
+scan (each term times E_{p-1}^(alpha-r)), Props 3.1 and 4.2 (no powers), as
+one combination of a grid block's packed table: a record makes no series
+product. It builds the left side first, so an error names the weight
+alpha(p-1)+k*. Its callers pass `g_series`/`e_series`, and `eisenstein` calls
+`e_factor`, read as module globals at call time, never bound earlier, so a
+tracer that rebinds them sees every call. `_inversion_defect` does it for
+rationals, exactly: the inversion identity, and the failures of the valuation
+tests. Those tests, Prop 4.1, Eq. (3.1), the Eq. (6.4) scan and p-regular
+recovery, go through `_inversion_defect_mod`, which sums the terms' residues
+modulo p^m first and builds the exact defect only when that cannot prove the
+pass. The scan's terms k/B_k are memoized across its grid.
 
-In the Prop. 3.2 box, each identity sum is a cached row C(alpha-r, j)
-H(m, alpha, r), sliced at s, dotted with a cached column H(m-j, r, s); the
-Eq. (3.3) certificate is compared in integers, times m-j-s > 0, from cached
-values of F; and the recurrence between the sums runs once per box point.
+The Prop. 3.2 box runs in blocks of alphas at fixed (m, j, s): a sum's terms,
+a cached row times the block's column, are the F(m, r) of the Eq. (3.3)
+certificate, which `_certificate` reads off the m and m+1 rows and columns.
 """
 
 from __future__ import annotations
@@ -34,7 +30,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 from operator import mul
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 from .errors import (
     BudgetExceededError,
@@ -42,7 +38,7 @@ from .errors import (
     MOutOfRangeError,
     ParameterOutOfRangeError,
 )
-from .exact import bernoulli, gen_binomial, h_coefficient, int_str, padic_valuation
+from .exact import bernoulli, h_coefficient, int_str, padic_valuation
 from .eisenstein import _e_factor_powers, e_series, g_series
 from .filtration import sturm_bound
 from .residue import ResidueRing, _equal_slots
@@ -174,7 +170,7 @@ def _block_table(form: Callable, kstar: int, ring: ResidueRing, precision: int,
     which builds E only from m = 2 on. m(m-1) products, plus m-2 for E^i.
     """
     forms = [form(r * (ring.p - 1) + kstar, ring, precision) for r in range(ring.m)]
-    if not with_e_powers or ring.m == 1:
+    if not with_e_powers:
         return PackedFamily(forms)
     powers = _e_factor_powers(ring, precision)
     return PackedFamily([f * e if i else f for f in forms for i, e in enumerate(powers)])
@@ -480,11 +476,6 @@ def check_sun97(p: int, n_max: int) -> list[CongruenceReport]:
 # Combinatorial identities
 # ---------------------------------------------------------------------------
 
-def _binom0(top: int, j: int) -> int:
-    """Binomial extended by zero to negative lower index."""
-    return 0 if j < 0 else gen_binomial(top, j)
-
-
 def _validate_identity_box(m: int, j: int, s: int, alpha: int) -> None:
     if not 1 <= j <= m - 1:
         raise ParameterOutOfRangeError(f"need 1 <= j <= m-1, got j={j}, m={m}")
@@ -494,16 +485,16 @@ def _validate_identity_box(m: int, j: int, s: int, alpha: int) -> None:
         raise ParameterOutOfRangeError("alpha must be non-negative")
 
 
-# A box grid runs over m, j, s, alpha from the outside in, then (telescoping)
-# over r. An H row comes back at the next j and an identity row at the next
-# s, each one pass over the alphas later; a column comes back at the next
-# alpha, and each F at the next r and in the recurrence sum of its point.
-# 256 entries cover a pass over 256 alphas.
+# A box grid runs over m, j, s, a block of alphas each: an H row comes back at the next
+# j and an identity row at the next s, one pass over the alphas later, which 256 entries hold.
 
 @lru_cache(maxsize=256)
 def _identity_row(m: int, j: int, alpha: int) -> tuple[int, ...]:
-    """C(alpha-r, j) H(m, alpha, r) for r = 0 .. m-1."""
-    return tuple(gen_binomial(alpha - r, j) * h for r, h in enumerate(_h_row(m, alpha)))
+    """C(alpha-r, j) H(m, alpha, r) for r = 0 .. m-1, j >= 1: 0 below alpha = m, where
+    H(m, alpha, .) is the delta at alpha and C(0, j) = 0; from there on alpha-r > 0."""
+    if alpha < m:
+        return (0,) * m
+    return tuple(math.comb(alpha - r, j) * h for r, h in enumerate(_h_row(m, alpha)))
 
 
 @lru_cache(maxsize=256)
@@ -512,55 +503,49 @@ def _identity_column(m: int, j: int, s: int) -> tuple[int, ...]:
     return tuple(h_coefficient(m - j, r, s) for r in range(s, m))
 
 
+def _identity_sums(m: int, j: int, s: int, alphas: Iterable[int]) -> Iterator[int]:
+    """Each alpha's sum: the row of (m, j, alpha) from r = s on, dot the block's column."""
+    column = _identity_column(m, j, s)
+    return (sum(map(mul, _identity_row(m, j, alpha)[s:], column)) for alpha in alphas)
+
+
 def combin_identity_sum(m: int, j: int, s: int, alpha: int) -> int:
-    """sum_{r=s}^{m-1} C(alpha-r, j) H(m, alpha, r) H(m-j, r, s), exactly.
-
-    The row of (m, j, alpha) from r = s on, dotted with the column of (m, j, s).
-    """
+    """sum_{r=s}^{m-1} C(alpha-r, j) H(m, alpha, r) H(m-j, r, s), exactly."""
     _validate_identity_box(m, j, s, alpha)
-    return sum(map(mul, _identity_row(m, j, alpha)[s:], _identity_column(m, j, s)))
+    return next(_identity_sums(m, j, s, (alpha,)))
 
 
-@lru_cache(maxsize=256)
-def _telescope_f(m: int, j: int, s: int, alpha: int, r: int) -> int:
-    sign = -1 if (r + j + s) % 2 else 1
-    return (sign * _binom0(alpha - r, j) * _binom0(alpha - 1 - r, m - 1 - r)
-            * _binom0(alpha, r) * _binom0(r - 1 - s, m - j - 1 - s) * _binom0(r, s))
+def _certificate(m: int, j: int, s: int, alpha: int) -> tuple[bool, list[tuple[int, int]]]:
+    """Whether (alpha-m)S(m) + (m-s)S(m+1) = 0 for the sums S of `combin_identity_sum`,
+    and both sides of Eq. (3.3), times m-j-s, at each r = s .. m-1.
 
-
-def _telescoping_sides(m: int, j: int, s: int, alpha: int, r: int) -> tuple[int, int]:
-    """Both sides of the telescoping identity times m-j-s, as integers.
-
+    F(m, r), the r-th term of S(m), has the sign (-1)^(r+j+s) of the two H, and F(m, s-1) = 0.
     With G(r) = (s-r)(j+r-alpha) F(m,r) / (m-j-s), the sides are
     (m-j-s)((alpha-m)F(m,r) + (m-s)F(m+1,r)) and (m-j-s)(G(r) - G(r-1)).
     """
-    here, before = _telescope_f(m, j, s, alpha, r), _telescope_f(m, j, s, alpha, r - 1)
-    left = (m - j - s) * ((alpha - m) * here + (m - s) * _telescope_f(m + 1, j, s, alpha, r))
-    right = (s - r) * (j + r - alpha) * here - (s - r + 1) * (j + r - 1 - alpha) * before
-    return left, right
+    f = list(map(mul, _identity_row(m, j, alpha)[s:], _identity_column(m, j, s)))
+    g = list(map(mul, _identity_row(m + 1, j, alpha)[s:], _identity_column(m + 1, j, s)))
+    d, prev, sides = m - j - s, 0, []
+    for r, here, above in zip(range(s, m), f, g):
+        sides.append((d * ((alpha - m) * here + (m - s) * above),
+                      (s - r) * (j + r - alpha) * here - (s - r + 1) * (j + r - 1 - alpha) * prev))
+        prev = here
+    return (alpha - m) * sum(f) + (m - s) * sum(g) == 0, sides
 
 
 def check_telescoping(m: int, j: int, s: int, alpha: int, r: int) -> bool:
-    """(alpha-m)F(m,r) + (m-s)F(m+1,r) equals the difference G(r) - G(r-1).
-
-    The box makes m-j-s positive, so both sides are compared times m-j-s.
-    """
+    """(alpha-m)F(m,r) + (m-s)F(m+1,r) equals G(r) - G(r-1); both sides times m-j-s > 0."""
     _validate_identity_box(m, j, s, alpha)
     if not s <= r <= m - 1:
         raise ParameterOutOfRangeError(f"need s <= r <= m-1, got r={r}")
-    left, right = _telescoping_sides(m, j, s, alpha, r)
+    left, right = _certificate(m, j, s, alpha)[1][r - s]
     return left == right
 
 
-# The telescoping grid checks the recurrence with every r of a box point, and
-# those records are consecutive, so one entry holds it for all of them.
-@lru_cache(maxsize=1)
 def check_sum_recurrence(m: int, j: int, s: int, alpha: int) -> bool:
     """(alpha-m)S(m) + (m-s)S(m+1) = 0 for the sums in combin_identity_sum."""
     _validate_identity_box(m, j, s, alpha)
-    s_m = combin_identity_sum(m, j, s, alpha)
-    s_m1 = sum(_telescope_f(m + 1, j, s, alpha, r) for r in range(s, m + 1))
-    return (alpha - m) * s_m + (m - s) * s_m1 == 0
+    return _certificate(m, j, s, alpha)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -167,8 +167,10 @@ def _e_power(ring: ResidueRing, precision: int, n: int) -> QSeries:
 
 @lru_cache(maxsize=64)
 def _e_factor_powers(ring: ResidueRing, precision: int) -> tuple[QSeries, ...]:
-    """1, E, ..., E^(m-1) for E_{p-1} = 1 + pE modulo p^m: m - 2 products."""
-    powers = [QSeries.one(ring, precision), e_factor(ring, precision)]
+    """1, E, ..., E^(m-1) for E_{p-1} = 1 + pE modulo p^m: m - 2 products, no E at m = 1."""
+    powers = [QSeries.one(ring, precision)]
+    if ring.m > 1:
+        powers.append(e_factor(ring, precision))
     while len(powers) < ring.m:
         powers.append(powers[-1] * powers[1])
     return tuple(powers)

@@ -27,7 +27,7 @@ from eiscong.congruences import CongruenceReport
 from eiscong.errors import CacheFormatError
 from eiscong.exact import bernoulli, bernoulli_cached_indices, parse_int
 
-from conftest import bernoulli_by_tangent
+from conftest import bernoulli_by_tangent, identity_sum_by_triple_products, telescoping_by_fractions
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -188,17 +188,18 @@ class TestVerifyCommand:
         assert orders == list(range(1, 13))
 
     def test_telescoping_computes_one_recurrence_per_point(self, capsys, monkeypatch):
+        # One certificate, the recurrence with every side, per box point, in
+        # record order, for all the records of its r.
         from eiscong import congruences
 
         points = []
-        original = congruences.combin_identity_sum
+        original = congruences._certificate
 
         def counted(m, j, s, alpha):
             points.append((m, j, s, alpha))
             return original(m, j, s, alpha)
 
-        monkeypatch.setattr(congruences, "combin_identity_sum", counted)
-        congruences.check_sum_recurrence.cache_clear()
+        monkeypatch.setattr(congruences, "_certificate", counted)
         status, out, _ = run_cli(
             capsys, "verify", "telescoping", "--m", "2..4", "--alpha", "0..5", "--jobs", "1")
         params = [json.loads(line)["params"] for line in out.splitlines()]
@@ -575,26 +576,24 @@ class TestStatementTable:
             status, out, err = run_cli(capsys, *argv, "--jobs", "1", "--budget-bernoulli", budget)
             assert (status, out, err) == (2, "", f"error: {message}\n")
 
-    @pytest.mark.parametrize("statement,check", [
-        ("identity", "combin_identity_sum"),
-        ("telescoping", "check_telescoping"),
-    ])
+    @pytest.mark.parametrize("statement", ["identity", "telescoping"])
     def test_negative_alpha_in_the_box_is_rejected_before_any_task_runs(
-            self, capsys, monkeypatch, statement, check):
+            self, capsys, monkeypatch, statement):
         from eiscong import congruences
 
         calls = []
-        original = getattr(congruences, check)
-
-        def counted(*args):
-            calls.append(args)
-            return original(*args)
-
-        monkeypatch.setattr(congruences, check, counted)
-        status, out, err = run_cli(capsys, "verify", statement, "--m", "2..3",
-                                   "--alpha", "1,-1", "--jobs", "1")
-        assert (status, out, err) == (2, "", "error: alpha must be non-negative\n")
+        for kernel in ("_identity_sums", "_certificate", "_identity_row", "_identity_column"):
+            original = getattr(congruences, kernel)
+            monkeypatch.setattr(congruences, kernel, lambda *args, kernel=kernel,
+                                original=original: calls.append(kernel) or original(*args))
+        for alphas in ("1,-1", "-1,1"):
+            status, out, err = run_cli(capsys, "verify", statement, "--m", "2..3",
+                                       f"--alpha={alphas}", "--jobs", "1")
+            assert (status, out, err) == (2, "", "error: alpha must be non-negative\n")
         assert calls == []
+        # The same spies see the kernels of a valid run.
+        assert run_cli(capsys, "verify", statement, "--m", "2..3", "--alpha", "1")[0] == 0
+        assert calls
 
     @pytest.mark.parametrize("argv", [
         ["verify", "kummer", "--p", "5", "--m", "2", "--k", "6"],
@@ -1088,10 +1087,34 @@ def emit_oracle(records: list[dict], fmt: str) -> str:
     return "".join(lines)
 
 
+def box_oracle_reports(name: str, args) -> list[CongruenceReport]:
+    """A box statement's reports, one point at a time, from the uncached oracles."""
+    reports = []
+    for m in parse_range(args.m):
+        for j, s, alpha in ((j, s, alpha) for j in range(1, m) for s in range(m - j)
+                            for alpha in parse_range(args.alpha)):
+            point = {"m": m, "j": j, "s": s, "alpha": alpha}
+            if name == "identity":
+                value = identity_sum_by_triple_products(m, j, s, alpha)
+                reports.append(CongruenceReport("Prop3.2", point, "Fail" if value else "Pass",
+                                                {"sum": str(value)} if value else None))
+                continue
+            recurrence = ((alpha - m) * identity_sum_by_triple_products(m, j, s, alpha)
+                          + (m - s) * identity_sum_by_triple_products(m + 1, j, s, alpha)) == 0
+            for r in range(s, m):
+                ok = recurrence and telescoping_by_fractions(m, j, s, alpha, r)
+                reports.append(CongruenceReport("Eq3.3", dict(point, r=r), "Pass" if ok else "Fail",
+                                                None if ok else {"identity": "telescoping"}))
+    return reports
+
+
 def oracle_records(argv: list[str]) -> list[dict]:
-    """The grid's records from each statement's runner and `to_json_dict`."""
+    """The grid's records from each statement's runner (the oracles for a box
+    statement, which runs in blocks) and `to_json_dict`."""
     args = cli.build_parser().parse_args(argv)
     name = STATEMENT_ALIASES.get(argv[1], argv[1])
+    if STATEMENTS[name].shape:
+        return [report.to_json_dict() for report in box_oracle_reports(name, args)]
     records = []
     for point in cli._build_tasks(name, args):
         charge = max(STATEMENTS[name].reads(point), default=0)
@@ -1144,7 +1167,9 @@ def test_every_read_of_a_statement_is_listed(monkeypatch):
             monkeypatch.setattr(exact, "_BERNOULLI_MEMO", dict(seed))
             for table in tables:
                 table.cache_clear()
-            entry.run(point)
+            records = entry.run(point)
+            if entry.shape:  # a block runs as its records are read
+                list(records)
             reads = entry.reads(point)
             memoized = set(exact._BERNOULLI_MEMO) - set(seed)
             assert memoized <= set(reads), (name, point, sorted(memoized - set(reads)))
@@ -1221,14 +1246,14 @@ def test_records_stream_as_tasks_finish(tmp_path, monkeypatch):
 
     path = tmp_path / "box.jsonl"
     seen_at_last_task = []
-    original = congruences.combin_identity_sum
+    original = congruences._identity_sums
 
-    def watched(m, j, s, alpha):
-        if (m, j, s, alpha) == (6, 5, 0, 40):
+    def watched(m, j, s, alphas):
+        if (m, j, s) == (6, 5, 0):  # the last block
             seen_at_last_task.append(path.read_text())
-        return original(m, j, s, alpha)
+        return original(m, j, s, alphas)
 
-    monkeypatch.setattr(congruences, "combin_identity_sum", watched)
+    monkeypatch.setattr(congruences, "_identity_sums", watched)
     status = main(["verify", "identity", "--m", "2..6", "--alpha", "0..40", "--jobs", "1",
                    "--out", str(path)])
     final = path.read_text()
@@ -1238,3 +1263,117 @@ def test_records_stream_as_tasks_finish(tmp_path, monkeypatch):
     assert len(early.splitlines()) < len(final.splitlines()) == 1435
     assert hashlib.sha256(final.encode()).hexdigest() == (
         "4d73bf3667696433c33e73adee57a5c0a6d13a781577118e41079e8925a0d1a5")
+
+
+# The identity-box workload's argvs, pinned by the benchmark's reference digests.
+BOX_REFERENCES = json.loads(
+    (Path(__file__).resolve().parents[1] / "perfbench" / "reference.json").read_text())
+
+
+@pytest.mark.parametrize("argv", ["verify identity --m 2..12 --alpha 0..40",
+                                  "verify telescoping --m 2..8 --alpha 0..20"],
+                         ids=["identity", "telescoping"])
+def test_identity_box_matches_the_benchmark_reference(capsys, argv):
+    status, out, err = run_cli(capsys, *argv.split(), "--jobs", "1")
+    reference = BOX_REFERENCES[argv]
+    assert (status, err, len(out.splitlines())) == (0, "", reference["records"])
+    assert hashlib.sha256(out.encode()).hexdigest() == reference["sha256"]
+
+
+# Every valid sum is 0 and every certificate holds, so a Fail is forced by
+# perturbing one kernel entry: an identity sum off by 12 at (m, j, s, alpha) =
+# (4, 1, 1, 3); at (3, 1, 0, 2) the left side of r = 1 off by 1; and at
+# (4, 2, 1, 5) the recurrence broken, which fails every r of the point.
+FORCED_FAILS = {
+    "identity": ("verify identity --m 2..5 --alpha 0..6",
+                 lambda point, r: {"sum": "12"} if point == (4, 1, 1, 3) else None),
+    "telescoping": ("verify telescoping --m 2..4 --alpha 0..5",
+                    lambda point, r: {"identity": "telescoping"}
+                    if point == (4, 2, 1, 5) or (point, r) == ((3, 1, 0, 2), 1) else None),
+}
+
+
+@pytest.mark.parametrize("fmt", ["jsonl", "json", "csv", "human"])
+@pytest.mark.parametrize("name", sorted(FORCED_FAILS))
+def test_a_failing_box_record_is_the_per_point_report(capsys, monkeypatch, name, fmt):
+    identity_sums, certificate = congruences._identity_sums, congruences._certificate
+
+    def sums(m, j, s, alphas):
+        return (value + 12 * ((m, j, s, alpha) == (4, 1, 1, 3))
+                for alpha, value in zip(alphas, identity_sums(m, j, s, alphas)))
+
+    def sides(m, j, s, alpha):
+        recurrence, sides = certificate(m, j, s, alpha)
+        if (m, j, s, alpha) == (3, 1, 0, 2):
+            sides[1] = (sides[1][0] + 1, sides[1][1])
+        return recurrence and (m, j, s, alpha) != (4, 2, 1, 5), sides
+
+    monkeypatch.setattr(congruences, "_identity_sums", sums)
+    monkeypatch.setattr(congruences, "_certificate", sides)
+    argv, detail_at = FORCED_FAILS[name]
+    records = []
+    for report in box_oracle_reports(name, cli.build_parser().parse_args(argv.split())):
+        params = report.params
+        detail = detail_at((params["m"], params["j"], params["s"], params["alpha"]),
+                           params.get("r"))
+        if detail is not None:  # the report the per-point runner built for a Fail
+            report = CongruenceReport(report.statement_id, params, "Fail", detail)
+        records.append(report.to_json_dict())
+    assert sum(record["verdict"] == "Fail" for record in records) == (
+        1 if name == "identity" else 4)
+    status, out, err = run_cli(capsys, *argv.split(), "--format", fmt, "--jobs", "1")
+    assert (status, err) == (1, "")
+    assert out == emit_oracle(records, fmt)
+
+
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+def test_a_reader_that_closes_early_gets_no_traceback(tmp_path, unbuffered):
+    # Closing before the first write makes the child's first write fail, and
+    # a 1.2 MB box cannot fit a pipe, so reading 10 bytes first does too.
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    env.pop("EISCONG_BERNOULLI_CACHE", None)
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    cache = tmp_path / "bernoulli.cache"
+    for argv, read in (
+            (["verify", "identity", "--m", "2..12", "--alpha", "0..40"], 10),
+            (["scan", "eq6.4", "--p", "7", "--m", "4", "--kstar", "6", "--alpha", "0..40",
+              "--format", "json", "--cache", str(cache)], 0)):
+        proc = subprocess.Popen([sys.executable, "-m", "eiscong", *argv], env=env,
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        head = proc.stdout.read(read)
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert (proc.wait(timeout=120), err, len(head)) == (1, b"", read), argv
+    # The scan's Bernoulli numbers are saved although its output was lost.
+    indices = [int(line.split()[0]) for line in cache.read_text().splitlines()]
+    assert set(range(6, 40 * 6 + 7, 6)) <= set(indices)
+
+
+def test_a_box_block_charges_its_setup_to_its_first_record(capsys, monkeypatch):
+    # Each record gets its own budget warning, timed from the end of the one
+    # before, so a slow block setup shows on the block's first record only.
+    import time
+
+    identity_sums = congruences._identity_sums
+
+    def slow_setup(m, j, s, alphas):
+        time.sleep(0.05)
+        return identity_sums(m, j, s, alphas)
+
+    monkeypatch.setattr(congruences, "_identity_sums", slow_setup)
+    status, out, err = run_cli(capsys, "verify", "identity", "--m", "2..3", "--alpha", "0..2",
+                               "--budget-seconds", "0.04", "--jobs", "1")
+    records = [json.loads(line) for line in out.splitlines()]
+    assert (status, err, len(records)) == (0, "", 12)
+    assert [("budget-warning" in r, r["params"]["alpha"]) for r in records] == [
+        (alpha == 0, alpha) for _ in range(4) for alpha in range(3)]
+    assert all(r["budget-warning"]["limit"] == 0.04 and r["budget-warning"]["elapsed-seconds"]
+               >= 0.05 for r in records if "budget-warning" in r)
+    # With no limit, every record is the plain template.
+    status, plain, _ = run_cli(capsys, "verify", "identity", "--m", "2..3", "--alpha", "0..2",
+                               "--jobs", "1")
+    assert [json.loads(line) for line in plain.splitlines()] == [
+        {k: v for k, v in r.items() if k != "budget-warning"} for r in records]

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from operator import mul
 
 import pytest
 
@@ -60,6 +61,8 @@ IDENTITY_BOX = [(m, j, s, alpha) for m in range(2, 13) for j in range(1, m)
                 for s in range(m - j) for alpha in range(41)]
 TELESCOPING_BOX = [(m, j, s, alpha) for m in range(2, 9) for j in range(1, m)
                    for s in range(m - j) for alpha in range(21)]
+# Past 2^64, as the CLI's large grid runs.
+LARGE_ALPHAS = (2 ** 64 - 1, 2 ** 64 + 1)
 
 
 class TestThmGk:
@@ -305,15 +308,27 @@ class TestCombinatorialIdentities:
             assert combin_identity_sum(m, j, s, alpha) == identity_sum_by_triple_products(
                 m, j, s, alpha)
 
+    def test_block_sums_match_oracle(self):
+        blocks = dict.fromkeys((m, j, s) for m, j, s, _ in IDENTITY_BOX)
+        alphas = [*range(41), *LARGE_ALPHAS]
+        for m, j, s in blocks:
+            assert list(congruences._identity_sums(m, j, s, alphas)) == [
+                identity_sum_by_triple_products(m, j, s, alpha) for alpha in alphas]
+
     def test_telescoping_kernel_matches_fraction_oracle(self):
-        for m, j, s, alpha in TELESCOPING_BOX:
+        points = TELESCOPING_BOX + [(m, j, s, alpha) for m in range(2, 6) for j in range(1, m)
+                                    for s in range(m - j) for alpha in LARGE_ALPHAS]
+        for m, j, s, alpha in points:
             d = m - j - s
-            for r in range(s - 1, m + 1):
-                assert congruences._telescope_f(m, j, s, alpha, r) == telescope_f(m, j, s, alpha, r)
-                assert (congruences._telescope_f(m + 1, j, s, alpha, r)
-                        == telescope_f(m + 1, j, s, alpha, r))
-            for r in range(s, m):
-                left, right = congruences._telescoping_sides(m, j, s, alpha, r)
+            # F(m, .) and F(m+1, .) are the summands of the m and m+1 sums.
+            for top in (m, m + 1):
+                assert list(map(mul, congruences._identity_row(top, j, alpha)[s:],
+                                congruences._identity_column(top, j, s))) == [
+                    telescope_f(top, j, s, alpha, r) for r in range(s, top)]
+            assert telescope_f(m, j, s, alpha, s - 1) == 0  # the kernel starts G at r = s
+            recurrence, sides = congruences._certificate(m, j, s, alpha)
+            assert recurrence and len(sides) == m - s
+            for r, (left, right) in enumerate(sides, s):
                 assert left == d * telescope_lhs(m, j, s, alpha, r)
                 assert Fraction(right, d) == (telescope_g(m, j, s, alpha, r)
                                               - telescope_g(m, j, s, alpha, r - 1))
@@ -324,13 +339,13 @@ class TestCombinatorialIdentities:
     def test_caches_give_the_same_values_in_any_order(self, rng):
         points = TELESCOPING_BOX[::7]
         rng.shuffle(points)
-        for fn in (congruences._h_row, congruences._identity_row, congruences._identity_column,
-                   congruences._telescope_f, check_sum_recurrence):
+        for fn in (congruences._h_row, congruences._identity_row, congruences._identity_column):
             fn.cache_clear()
         for m, j, s, alpha in points:
             assert combin_identity_sum(m, j, s, alpha) == 0
-            for r in range(s, m):
-                left, right = congruences._telescoping_sides(m, j, s, alpha, r)
+            recurrence, sides = congruences._certificate(m, j, s, alpha)
+            assert recurrence
+            for r, (left, right) in enumerate(sides, s):
                 assert left == (m - j - s) * telescope_lhs(m, j, s, alpha, r) and left == right
 
 

@@ -6,7 +6,7 @@ import pytest
 
 from eiscong.congruences import check_thm_gk
 from eiscong.errors import NotPIntegralError
-from eiscong import eisenstein
+from eiscong import eisenstein, exact
 from eiscong.exact import bernoulli, sigma_power_mod, sigma_power_table
 from eiscong.eisenstein import (
     DELTA,
@@ -199,6 +199,17 @@ class TestEPower:
                 for ring, precision in cases:
                     assert e_power(ring, precision, n) == expected[ring, precision][n], (
                         ring, precision, n)
+
+    def test_factor_powers_at_m_1_read_no_bernoulli_number(self, monkeypatch):
+        # Every power of E_{p-1} = 1 + pE is 1 mod p: the table is (1,), and E,
+        # which reads B_{p-1}, is not built.
+        monkeypatch.setattr(exact, "_BERNOULLI_MEMO",
+                            {k: exact._BERNOULLI_MEMO[k] for k in (0, 1, 2)})
+        eisenstein._e_factor_powers.cache_clear()
+        ring = ResidueRing(7, 1)
+        assert eisenstein._e_factor_powers(ring, 10) == (QSeries.one(ring, 10),)
+        assert exact.bernoulli_cached_indices() == [0, 1, 2]
+        eisenstein._e_factor_powers.cache_clear()
 
     @pytest.mark.parametrize("p,m", [(5, 4), (7, 3), (13, 3), (13, 4)])
     def test_inverse_powers_near_p_to_the_m_minus_one(self, p, m):

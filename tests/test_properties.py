@@ -14,6 +14,8 @@ from hypothesis import strategies as st
 
 from eiscong import exact
 from eiscong.congruences import (
+    _certificate,
+    _identity_sums,
     _inversion_defect,
     _inversion_defect_mod,
     _valuation_report,
@@ -24,7 +26,13 @@ from eiscong.exact import bernoulli, bernoulli_cached_indices, prefetch_bernoull
 from eiscong.residue import ResidueRing
 from eiscong.series import PackedFamily, QSeries, linear_combination
 
-from conftest import bernoulli_by_tangent, combination_per_column
+from conftest import (
+    bernoulli_by_tangent,
+    combination_per_column,
+    identity_sum_by_triple_products,
+    telescope_g,
+    telescope_lhs,
+)
 
 PROPERTY = settings(derandomize=True, database=None, max_examples=200, deadline=None)
 
@@ -188,3 +196,28 @@ def test_e_power_matches_binary_powering(data):
     precision = data.draw(st.integers(0, 3 * p), label="precision")
     ring = ResidueRing(p, m)
     assert e_power(ring, precision, n) == e_series(p - 1, ring, precision).pow(n % order)
+
+
+@settings(PROPERTY, max_examples=100)
+@given(st.data())
+def test_box_block_kernels_match_the_per_point_oracles(data):
+    # A block (m, j, s) with its alphas, small ones (where H collapses to a
+    # delta below m) and ones up to and past 2^64, against one point at a time.
+    m = data.draw(st.integers(2, 12), label="m")
+    j = data.draw(st.integers(1, m - 1), label="j")
+    s = data.draw(st.integers(0, m - j - 1), label="s")
+    alphas = data.draw(st.lists(st.one_of(st.integers(0, 3 * m), st.integers(0, 2 ** 64 + 2)),
+                                min_size=1, max_size=4), label="alphas")
+    assert list(_identity_sums(m, j, s, alphas)) == [
+        identity_sum_by_triple_products(m, j, s, alpha) for alpha in alphas]
+    d = m - j - s
+    for alpha in alphas:
+        recurrence, sides = _certificate(m, j, s, alpha)
+        assert recurrence == ((alpha - m) * identity_sum_by_triple_products(m, j, s, alpha)
+                              + (m - s) * identity_sum_by_triple_products(m + 1, j, s, alpha)
+                              == 0)
+        assert [left for left, _ in sides] == [d * telescope_lhs(m, j, s, alpha, r)
+                                               for r in range(s, m)]
+        assert [Fraction(right, d) for _, right in sides] == [
+            telescope_g(m, j, s, alpha, r) - telescope_g(m, j, s, alpha, r - 1)
+            for r in range(s, m)]
