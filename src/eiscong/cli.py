@@ -411,8 +411,8 @@ def _run_tasks(name: str, args) -> Iterator[tuple[bool, str]]:
     entry = STATEMENTS[statement]
     points = _build_tasks(name, args)
     # One ascending pass memoizes every index a task within its budget reads,
-    # before any task runs, so no task computes a Bernoulli number by its own
-    # Euler product. A point is validated before its reads are listed.
+    # before any task runs, so no task runs a one-index pass of its own. A
+    # point is validated before its reads are listed.
     charges, reads = [], set()
     for point in points:
         entry.validate(point)

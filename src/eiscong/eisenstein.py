@@ -152,13 +152,7 @@ def e_power(ring: ResidueRing, precision: int, n: int) -> QSeries:
     multiple of p^m with n by p^(m-1), so n is read mod p^(m-1) (a negative n
     is the inverse power), and E is not built when that is 0, as at m = 1.
     """
-    return _e_power(ring, precision, n % ring.p ** (ring.m - 1))
-
-
-# Only a filtration reads it: one exponent for its layer pass and one for its
-# witness, so 16 entries hold several filtrations of one process.
-@lru_cache(maxsize=16)
-def _e_power(ring: ResidueRing, precision: int, n: int) -> QSeries:
+    n %= ring.p ** (ring.m - 1)
     if not n:
         return QSeries.one(ring, precision)
     return linear_combination([gen_binomial(n, i) * ring.p**i for i in range(ring.m)],

@@ -4,20 +4,18 @@ Everything here is exact: Python ints are unbounded and rationals are
 `fractions.Fraction` (always reduced, positive denominator). No floating
 point is used anywhere in the package.
 
-Bernoulli numbers come from zeta(k) in integer fixed point, by two paths
-into one memo. `bernoulli(k)` builds k!, each p**k and (2 pi)**k from
-scratch and divides by an Euler product for 1/zeta(k). `prefetch_bernoulli`
-steps 2 k! (2 pi)**-k, one cut product, and the exact reciprocals
-floor(2**W / b**k) of the odd b from one index to the next in one ascending
-pass; a direct zeta sum reads each n = 2**a b as b's reciprocal shifted down
-by a k bits. Its big-int work per index is one product for the step, one
-for the numerator, and divisions by small integers. Its error budget is the
-zeta sum's floors and its tail past the first zero term, the stepped cuts of
-2 k! (2 pi)**-k, one slack cut and one final floor. Each path bounds its
-error, and both round through `_round_proven`, which rounds only when the
-bound proves it.
+Bernoulli numbers come from zeta(k) in integer fixed point, by one driver,
+`prefetch_bernoulli`; `bernoulli` reads the memo and sends a miss there. The
+driver steps 2 k! (2 pi)**-k, one cut product, from one missing index to the
+next in one ascending pass, and takes a bracket of zeta(k) from one of two
+providers, chosen by how many indices are missing: a direct zeta sum over
+the exact reciprocals floor(2**W / b**k) of the odd b, carried from one
+index to the next, when two or more are, or an Euler product for 1/zeta(k)
+and one division when one is. Both brackets bound their own error, and
+every index goes through one combine and `_round_proven`, which rounds only
+when the error budget proves it.
 
-Both read pi from `_pi`: Chudnovsky's series summed by binary splitting,
+The pass reads pi from `_pi`: Chudnovsky's series summed by binary splitting,
 then one integer square root and one floored division. Its error budget (the
 series tail, the square root's floor and the final floor) stays under 1.05
 units at the precision computed, so a value cut from the memo is within 2
@@ -59,8 +57,8 @@ __all__ = [
 
 # Memo of exact values keyed by index. Concurrent readers are safe (plain
 # dict reads); insertions, and the growth of _PI, are serialized through
-# _BERNOULLI_LOCK. B_2 is seeded because the Euler-product bound below
-# needs k >= 4.
+# _BERNOULLI_LOCK. B_2 is seeded because both zeta brackets below need
+# k >= 4.
 _BERNOULLI_MEMO: dict[int, Fraction] = {0: Fraction(1), 1: Fraction(-1, 2), 2: Fraction(1, 6)}
 _BERNOULLI_LOCK = threading.Lock()
 
@@ -201,41 +199,13 @@ def _working_bits(k: int, top: int, guard: int) -> int:
 def _round_proven(scaled: int, guard: int, error: int) -> int | None:
     """The integer nearest scaled / 2**guard, or None unless that is proven.
 
-    The check both paths share: scaled is |B_k| D * 2**guard within `error`,
-    and the rounding is proven when that whole interval lies within 1/4 of
-    an integer.
+    scaled is |B_k| D * 2**guard within `error`, and the rounding is proven
+    when that whole interval lies within 1/4 of an integer.
     """
     numerator = (scaled + (1 << guard >> 1)) >> guard
     if 4 * (abs(scaled - (numerator << guard)) + error) > 1 << guard:
         return None
     return numerator
-
-
-def _bernoulli_numerator(k: int, denominator: int, guard: int) -> int | None:
-    """|B_k| * denominator for even k >= 4 from scratch, or None if `guard` bits cannot prove the rounding."""
-    top = 2 * math.factorial(k) * denominator
-    w = _working_bits(k, top, guard)
-    # (2 pi)**k, with pi to s bits so that k * 2**-s stays below 2**-(w+1).
-    s = w + k.bit_length() + 1
-    mantissa, exponent = _power_truncated(_pi(s), 1 - s, k, w)
-    # 2**w / zeta(k) from above, as prod (1 - p**-k) over the primes p <= P; the
-    # tail over n > P costs a factor 1 - sum n**-k >= 1 - P**(1-k) / (k-1),
-    # within 2**-w once (k-1) * P**(k-1) >= 2**w. The table reaches past
-    # 2**ceil(w / (k-1)), so the bound also holds when the loop runs it out.
-    factors = _smallest_factors(1 << -(-w // (k - 1)))
-    euler = 1 << w
-    primes = 0
-    for p in compress(range(len(factors)), map(not_, factors)):
-        power = p**k
-        euler -= euler // power
-        primes += 1
-        if (k - 1) * (power // p) >= 1 << w:
-            break
-    # numerator * 2**guard = top * 2**(guard + w - exponent) / (mantissa * euler), floored.
-    shift = guard + w - exponent
-    divisor = mantissa * euler
-    scaled = (top << shift) // divisor if shift >= 0 else top // (divisor << -shift)
-    return _round_proven(scaled, guard, 4 * k.bit_length() + 4 * primes + 9)
 
 
 def _signed(k: int, numerator: int, denominator: int) -> Fraction:
@@ -246,28 +216,8 @@ def _signed(k: int, numerator: int, denominator: int) -> Fraction:
 def bernoulli(k: int) -> Fraction:
     """Exact Bernoulli number B_k (convention B_1 = -1/2).
 
-    Even k >= 4 come from |B_k| = 2 k! zeta(k) / (2 pi)**k in integer fixed
-    point (Fillebrown 1992). The denominator D is exact (von Staudt-Clausen)
-    and the sign is (-1)**(k/2 + 1), so only the integer |B_k| D is
-    approximated, to w = L + g bits, where 2**L bounds it and g are guard
-    bits. With u = 2**-w, the relative errors are:
-
-    - (2 pi)**k, within 2 bits(k) + 1 units u: pi goes to
-      s = w + bits(k) + 1 bits within 2 units (`_pi` proves that bound for
-      Chudnovsky's series: the tail past its q // 47 + 2 terms, the isqrt
-      floor and the final floor), below u once raised to the k-th power,
-      and truncated powering makes at most 2 bits(k) cuts to w + 1 bits;
-    - the Euler product for 1/zeta(k) over the n primes up to its cutoff:
-      each step floors, so it ends under n units of 2**-w high, and
-      1/zeta(k) > 0.92 makes that below 2n u;
-    - the Euler tail past the cutoff: below u.
-
-    Dividing by the two factors at most doubles their (2 bits(k) + 2n + 4) u,
-    and the floored division adds one unit, so |B_k| D * 2**g is known within
-    4 bits(k) + 4n + 9 units. It is rounded only when that whole interval
-    lies within 1/4 of an integer (`_round_proven`, which
-    `prefetch_bernoulli` shares); otherwise g doubles, at most twice, and
-    B_k is recomputed.
+    Read from the memo; odd k > 1 give 0, and a missing even k is computed
+    by `prefetch_bernoulli`, with its guard doubling and its `ArithmeticError`.
     """
     if k < 0:
         raise ValueError("Bernoulli index must be non-negative")
@@ -276,19 +226,8 @@ def bernoulli(k: int) -> Fraction:
         return cached
     if k % 2 == 1:
         return Fraction(0)
-    with _BERNOULLI_LOCK:
-        value = _BERNOULLI_MEMO.get(k)
-        if value is None:
-            denominator = bernoulli_denominator(k)
-            for guard in (_GUARD_BITS, 2 * _GUARD_BITS, 4 * _GUARD_BITS):
-                numerator = _bernoulli_numerator(k, denominator, guard)
-                if numerator is not None:
-                    break
-            else:
-                raise ArithmeticError(f"B_{k}: rounding not proven at {guard} guard bits")
-            value = _signed(k, numerator, denominator)
-            _BERNOULLI_MEMO[k] = value
-    return value
+    prefetch_bernoulli((k,))
+    return _BERNOULLI_MEMO[k]
 
 
 def _zeta_sum(reciprocals: list[int], k: int, width: int, w: int) -> tuple[int, int]:
@@ -322,109 +261,145 @@ def _zeta_sum(reciprocals: list[int], k: int, width: int, w: int) -> tuple[int, 
     return zeta, (last - 1) + ((last + 1) // (k - 1) + 2)
 
 
-# Bits past an index's precision w to which the stepped path cuts 2 k! D (2 pi)**-k
-# before its product with the zeta sum; see `_stepped_numerator`.
+def _zeta_euler(k: int, w: int) -> tuple[int, int]:
+    """(Z, e) with Z <= zeta(k) * 2**w < Z + e, for k >= 4 and w >= 4, by one division.
+
+    E = 2**w / zeta(k) from above, as the floored Euler product over the
+    primes p up to the first with (k-1) p**(k-1) >= 2**w, or over the whole
+    sieve table, which reaches past 2**ceil(w / (k-1)); say n primes, the
+    last P. With X = 2**w / zeta(k) and Pi the exact product over them:
+
+    - each step e <- e - floor(e / p**k) lands in [e (1 - p**-k), that + 1),
+      so Pi <= E < Pi + n;
+    - the primes past M, M = P or the table's end if the loop ran it out,
+      take a factor 1 - sum_{m > M} m**-k >= 1 - M**(1-k) / (k-1) >= 1 - 2**-w,
+      and Pi <= 2**w, so Pi - 1 <= X <= Pi, and E - n - 1 < X <= E.
+
+    zeta(k) 2**w = 2**(2w) / X, so Z = floor(2**(2w) / E) is a lower bound,
+    and the upper one, 2**(2w) / (E - n - 1), exceeds 2**(2w) / E by
+    2**(2w) (n+1) / (E (E - n - 1)) <= zeta(k)**2 (n+1) / (1 - d), where
+    d = (n+1) zeta(k) / 2**w, as E >= X and E - n - 1 >= X - n - 1. Here
+    zeta(k)**2 <= zeta(4)**2 < 1.172, and the n - 1 primes below P are under
+    2**(w/3), so n + 1 <= 2**(w/3) / 2 + 3 and d < 0.4 once w >= 4: that
+    excess is under 1.96 (n+1), and with Z's floor, e = 2n + 3.
+    """
+    factors = _smallest_factors(1 << -(-w // (k - 1)))
+    euler, primes = 1 << w, 0
+    for p in compress(range(len(factors)), map(not_, factors)):
+        power = p**k
+        euler -= euler // power
+        primes += 1
+        if (k - 1) * (power // p) >= 1 << w:
+            break
+    return (1 << 2 * w) // euler, 2 * primes + 3
+
+
+# Bits past an index's precision w to which the pass cuts 2 k! D (2 pi)**-k
+# before its product with the zeta bracket; see `_numerator`.
 _SLACK_BITS = 2
 
 
-def _stepped_numerator(k: int, w: int, reciprocals: list[int], width: int,
-                       mantissa: int, exponent: int, units: int) -> int | None:
-    """|B_k| D = 2 k! D (2 pi)**-k zeta(k) for even k >= 4 from the pass's factors, or None if unproven.
+def _numerator(bracket: tuple[int, int], w: int, guard: int, mantissa: int, exponent: int,
+               units: int) -> int | None:
+    """|B_k| D = 2 k! D (2 pi)**-k zeta(k) for even k >= 4, or None if `guard` bits cannot prove it.
 
-    w = _working_bits(k, 2 k! D, _GUARD_BITS); `reciprocals` are the pass's
-    odd floor(2**width / b**k) for `_zeta_sum`, and mantissa * 2**exponent is
+    w = _working_bits(k, 2 k! D, guard); bracket = (Z, e) with
+    Z <= zeta(k) 2**w < Z + e, and mantissa * 2**exponent is
     2 k! D (2 pi)**-k within a relative error of `units` * 2**-w. One
     product, with no division: that factor cut to w + _SLACK_BITS + 1 bits,
-    times the zeta sum. See `prefetch_bernoulli` for the error budget.
+    times Z. See `prefetch_bernoulli` for the error budget.
     """
-    zeta, zeta_error = _zeta_sum(reciprocals, k, width, w)
+    zeta, zeta_error = bracket
     mantissa, exponent = _truncate(mantissa, exponent, w + _SLACK_BITS)
     # numerator * 2**guard = mantissa * zeta * 2**(exponent + guard - w), floored.
     scaled = mantissa * zeta
-    shift = exponent + _GUARD_BITS - w
+    shift = exponent + guard - w
     scaled = scaled << shift if shift >= 0 else scaled >> -shift
-    return _round_proven(scaled, _GUARD_BITS, zeta_error + units + 2)
+    return _round_proven(scaled, guard, zeta_error + units + 2)
+
+
+def _ascending_pass(ks: list[int], guard: int) -> list[int]:
+    """Memoize B_k for the ascending even ks >= 4 at `guard` guard bits; return those left unproven.
+
+    Callers hold _BERNOULLI_LOCK. See `prefetch_bernoulli`.
+    """
+    steps = []  # (k, gap d from the index before, k!/(k-d)!, D, w), ascending
+    factorial, previous = 1, 0
+    for k in ks:
+        rise = math.perm(k, k - previous)
+        factorial *= rise
+        denominator = bernoulli_denominator(k)
+        w = _working_bits(k, 2 * factorial * denominator, guard)
+        steps.append((k, k - previous, rise, denominator, w))
+        previous = k
+    total = sum(2 * d.bit_length() + 1 for _, d, *_ in steps)
+    width = max((w for *_, w in steps), default=0) + total.bit_length()
+    factors: dict[int, tuple[int, int]] = {}  # d -> (2 pi)**-d at width + 1 bits
+    reciprocals: list[int] = []  # floor(2**width / b**k) for b = 1, 3, 5, ...
+    mantissa, exponent, cost = 2, 0, 0  # 2 k! (2 pi)**-k within cost * 2**-width
+    unproven = []
+    for k, d, rise, denominator, w in steps:
+        if d not in factors:
+            s = width + d.bit_length() + 3
+            factors[d] = _power_truncated((1 << 2 * s) // _pi(s), -s - 1, d, width)
+        step, step_exponent = factors[d]
+        mantissa, exponent = _truncate(mantissa * (step * rise), exponent + step_exponent, width)
+        cost += 2 * d.bit_length() + 1
+        if len(steps) == 1:
+            zeta = _zeta_euler(k, w)
+        else:
+            reciprocals = [r // b**d for b, r in zip(range(1, 2 * len(reciprocals), 2), reciprocals)]
+            zeta = _zeta_sum(reciprocals, k, width, w)
+        numerator = _numerator(zeta, w, guard, mantissa * denominator, exponent,
+                               -(-cost >> (width - w)))
+        if numerator is None:
+            unproven.append(k)
+        else:
+            _BERNOULLI_MEMO[k] = _signed(k, numerator, denominator)
+    return unproven
 
 
 def prefetch_bernoulli(indices: Iterable[int]) -> None:
-    """Memoize B_k for every k in `indices`, in one ascending pass.
+    """Memoize B_k for every k in `indices`: the one place B_k is computed.
 
-    The pass runs at one precision W, and its big-int work per index is two
-    products and divisions by small integers. Each step to the next missing
-    even k >= 4, a gap of d, carries forward:
+    Even k >= 4 come from |B_k| = 2 k! zeta(k) / (2 pi)**k (Fillebrown 1992).
+    D is exact (von Staudt-Clausen) and the sign is (-1)**(k/2 + 1), so only
+    the integer |B_k| D is approximated, to w = L + g bits, where 2**L bounds
+    it and g are guard bits. The missing indices run in one ascending pass at
+    one precision W, which carries F = 2 k! (2 pi)**-k to the next index, a
+    gap of d, by one cut product, F <- F * ((2 pi)**-d k!/(k-d)!), k! exact.
+    (2 pi)**-d is made once per distinct gap: pi to s = W + bits(d) + 3 bits,
+    2**s / pi floored within a relative 2**(2-s), raised to the d-th power
+    (under half a unit of 2**-W) by at most 2 bits(d) - 1 cuts to W + 1 bits;
+    with the product's own cut a step adds under 2 bits(d) + 1 units of 2**-W.
+    W exceeds each index's w by the bits of their sum over the pass, so F is
+    within units = 1 unit of 2**-w.
 
-    - the reciprocals R_b = floor(2**W / b**k) of the odd b only, each by
-      R_b //= b**d, which keeps it exact (floor(floor(x) / a) = floor(x / a)),
-      so no error builds up; `_zeta_sum` reads R_n = R_b >> a k for
-      n = 2**a b, exactly, and appends fresh odd ones as it needs them;
-    - F = 2 k! (2 pi)**-k, by one cut product F <- F * ((2 pi)**-d k!/(k-d)!),
-      the falling factorial exact. The step factor (2 pi)**-d is made once
-      per distinct gap: pi to s = W + bits(d) + 3 bits, one floored division
-      for 2**s / pi within a relative 2**(2-s) (pi's 2 units and the floor),
-      under half a unit of 2**-W once raised to the d-th power, then at most
-      2 bits(d) - 1 cuts to W + 1 bits; with the product's own cut, a step
-      adds under 2 bits(d) + 1 units of 2**-W. W exceeds every index's own
-      precision w by the bits of their sum C over the pass, so F is within
-      units = ceil(C * 2**(w - W)) = 1 unit of 2**-w.
-
-    k! is also carried exactly, for the bits of 2 k! D that set w. With D
-    exact, |B_k| D = F D zeta(k), and |B_k| D * 2**g, below 2**w, is known
-    within the sum of
-
-    - the zeta sum's e = (N - 2) + (N // (k-1) + 2): its N - 2 floors and
-      its tail past the first zero term, at n = N (`_zeta_sum`); zeta(k) >= 1
-      makes that a relative error under e * 2**-w;
-    - F's `units`;
-    - one unit for the slack cut of F D to w + 3 bits, a relative error under
-      2**-(w+2), and for the products of the relative errors;
-    - one unit for the final floor.
-
-    Each index is rounded at its first guard width by the check `bernoulli`
-    uses; an index whose rounding that cannot prove goes to `bernoulli(k)`,
-    with its guard doubling and its `ArithmeticError`. So does a lone missing
-    index: a pass over one makes each reciprocal by a big division, which
-    costs more than the Euler product's few prime powers.
+    zeta(k) comes as a bracket (Z, e), Z <= zeta(k) 2**w < Z + e, chosen by
+    how many indices are missing: from `_zeta_sum` for two or more, whose
+    odd reciprocals R_b = floor(2**W / b**k) step by R_b //= b**d, exactly,
+    and from `_zeta_euler` for one, where fresh reciprocals would each cost a
+    big division. |B_k| D * 2**g, below 2**w, is then known within e (as
+    zeta(k) >= 1), F's `units`, one unit for the slack cut of F D to w + 3
+    bits and the products of the relative errors, and one for the final
+    floor (`_numerator`), and is rounded only when `_round_proven` proves it.
+    An index a pass leaves unproven is redone alone from the first width; a
+    lone index doubles g, at most twice, and then raises `ArithmeticError`.
     """
     indices = set(indices)
     if indices and min(indices) < 0:
         raise ValueError("Bernoulli index must be non-negative")
     missing = [k for k in indices if k % 2 == 0 and k not in _BERNOULLI_MEMO]
-    if len(missing) == 1:
-        bernoulli(missing[0])
+    if not missing:
         return
-    unproven = []
     with _BERNOULLI_LOCK:
-        steps = []  # (k, gap d from the index before, k!/(k-d)!, D, w), ascending
-        factorial, previous = 1, 0
         # Another thread may have memoized some since `missing` was read.
-        for k in sorted(k for k in missing if k not in _BERNOULLI_MEMO):
-            rise = math.perm(k, k - previous)
-            factorial *= rise
-            denominator = bernoulli_denominator(k)
-            w = _working_bits(k, 2 * factorial * denominator, _GUARD_BITS)
-            steps.append((k, k - previous, rise, denominator, w))
-            previous = k
-        total = sum(2 * d.bit_length() + 1 for _, d, *_ in steps)
-        width = max((w for *_, w in steps), default=0) + total.bit_length()
-        factors: dict[int, tuple[int, int]] = {}  # d -> (2 pi)**-d at width + 1 bits
-        reciprocals: list[int] = []  # floor(2**width / b**k) for b = 1, 3, 5, ...
-        mantissa, exponent, cost = 2, 0, 0  # 2 k! (2 pi)**-k within cost * 2**-width
-        for k, d, rise, denominator, w in steps:
-            if d not in factors:
-                s = width + d.bit_length() + 3
-                factors[d] = _power_truncated((1 << 2 * s) // _pi(s), -s - 1, d, width)
-            step, step_exponent = factors[d]
-            mantissa, exponent = _truncate(mantissa * (step * rise), exponent + step_exponent, width)
-            cost += 2 * d.bit_length() + 1
-            reciprocals = [r // b**d for b, r in zip(range(1, 2 * len(reciprocals), 2), reciprocals)]
-            numerator = _stepped_numerator(k, w, reciprocals, width, mantissa * denominator,
-                                           exponent, -(-cost >> (width - w)))
-            if numerator is None:
-                unproven.append(k)
-            else:
-                _BERNOULLI_MEMO[k] = _signed(k, numerator, denominator)
-    for k in unproven:
-        bernoulli(k)
+        run = sorted(k for k in missing if k not in _BERNOULLI_MEMO)
+        # A lone run has already tried the first width.
+        ladder = (_GUARD_BITS, 2 * _GUARD_BITS, 4 * _GUARD_BITS)[len(run) == 1:]
+        for k in _ascending_pass(run, _GUARD_BITS):
+            if all(_ascending_pass([k], guard) for guard in ladder):
+                raise ArithmeticError(f"B_{k}: rounding not proven at {ladder[-1]} guard bits")
 
 
 def seed_bernoulli(k: int, value: Fraction) -> None:

@@ -339,6 +339,22 @@ def _checked_upto(f: QSeries, k: int, upto: int | None, w: int | None = None) ->
     return upto
 
 
+def _substitute(h: QSeries, monomials, upto: int,
+                columns: tuple[QSeries, ...] | None = None) -> tuple[QSeries, list[int]]:
+    """What is left of h, and the coefficients, after forward substitution in the monomial
+    columns (a, b, c), each leading with q^c: its coefficient is the q^c coefficient of
+    what is left (0 past q^upto). The columns are `columns`, in step with `monomials`,
+    or else built by `monomial_series` where the coefficient is not 0."""
+    coeffs = []
+    for j, (a, b, c) in enumerate(monomials):
+        x = h.coeffs[c] if c <= upto else 0
+        if x:
+            column = columns[j] if columns else monomial_series(a, b, c, h.ring, upto)
+            h = h - column.scale(x)
+        coeffs.append(x)
+    return h, coeffs
+
+
 def _layer_bound(f: QSeries, k: int, upto: int) -> int | None:
     """The bound of f through q^upto, or None: h = f E_{p-1}^(-n) at the first weight
     with a basis (weight 2 has none), then, weight by weight, h times E_{p-1}.
@@ -347,7 +363,7 @@ def _layer_bound(f: QSeries, k: int, upto: int) -> int | None:
     weight-w basis leaves, so it is 0 exactly when w is solvable. Times
     E_{p-1}, the part already subtracted stays in the next space and the
     rest still vanishes below q^dim M_w, so only the new columns, the
-    monomials with dim M_(w-(p-1)) <= c < dim M_w and c <= upto, remain.
+    monomials with dim M_(w-(p-1)) <= c < dim M_w, are substituted.
     """
     ring, p = f.ring, f.ring.p
     first = k % (p - 1)
@@ -358,13 +374,20 @@ def _layer_bound(f: QSeries, k: int, upto: int) -> int | None:
     for w in range(first, k + 1, p - 1):
         h = f * e_power(ring, upto, (w - k) // (p - 1)) if h is None else h * e
         dim = space_dimension(w)
-        for a, b, c in monomial_exponents(w)[filled:min(dim, upto + 1)]:
-            if h.coeffs[c]:
-                h = h - monomial_series(a, b, c, ring, upto).scale(h.coeffs[c])
+        h, _ = _substitute(h, monomial_exponents(w)[filled:dim], upto)
         if not any(h.coeffs):
             return w
         filled = dim
     return None
+
+
+def _probe(f: QSeries, k: int, bm: BasisMatrix, upto: int) -> Solution | NoSolution:
+    """`sharpness_probe` at the weight of `bm`, in that basis."""
+    h = f * e_power(f.ring, upto, (bm.weight - k) // (f.ring.p - 1))
+    rest, coeffs = _substitute(h, bm.monomials, upto, bm.columns)
+    row = next((i for i, c in enumerate(rest.coeffs) if c), None)
+    return Solution(tuple(coeffs)) if row is None else NoSolution(
+        "inconsistent-row", {"row": row, "residue": rest.coeffs[row]})
 
 
 def sharpness_probe(f: QSeries, k: int, w: int, upto: int | None = None) -> Solution | NoSolution:
@@ -378,15 +401,7 @@ def sharpness_probe(f: QSeries, k: int, w: int, upto: int | None = None) -> Solu
     upto = _checked_upto(f, k, upto, w)
     if w == 2:
         return NoSolution("empty-space", {"weight": 2})
-    rest, coeffs = f * e_power(f.ring, upto, (w - k) // (f.ring.p - 1)), []
-    for j, col in enumerate(basis(w, f.ring, upto).columns):
-        c = rest.coeffs[j] if j <= upto else 0
-        if c:
-            rest = rest - col.scale(c)
-        coeffs.append(c)
-    row = next((i for i, c in enumerate(rest.coeffs) if c), None)
-    return Solution(tuple(coeffs)) if row is None else NoSolution(
-        "inconsistent-row", {"row": row, "residue": rest.coeffs[row]})
+    return _probe(f, k, basis(w, f.ring, upto), upto)
 
 
 def factor_filtration_bound(f: QSeries, k: int, input_id: str | None = None,
@@ -395,9 +410,9 @@ def factor_filtration_bound(f: QSeries, k: int, input_id: str | None = None,
 
     Matching is coefficient-wise through q^upto (default: the Sturm index of
     weight k, which certifies the congruence; lower values are reported as
-    coefficient evidence only). The layer pass finds w, `sharpness_probe`
-    the witness, and the witness is round-trip checked by multiplying it by
-    the positive power E_{p-1}^n.
+    coefficient evidence only). The layer pass finds w, a probe in the
+    weight-w basis the witness, and the witness is round-trip checked by
+    multiplying it by the positive power E_{p-1}^n.
     """
     certified = upto is None
     upto = _checked_upto(f, k, upto)
@@ -409,7 +424,8 @@ def factor_filtration_bound(f: QSeries, k: int, input_id: str | None = None,
         raise EiscongError(
             f"no witness found through weight {k}; is the declared weight correct?"
         )
-    n, outcome, bm = (k - w) // (p - 1), sharpness_probe(f, k, w, upto), basis(w, ring, upto)
+    n, bm = (k - w) // (p - 1), basis(w, ring, upto)
+    outcome = _probe(f, k, bm, upto)
     g = linear_combination(outcome.vector, bm.columns) if outcome else None
     if g is None or (g * generator_power(p - 1, ring, upto, n)).coeffs != f.coeffs[: upto + 1]:
         raise EiscongError("witness failed round-trip verification")

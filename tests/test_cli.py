@@ -1,4 +1,5 @@
 import hashlib
+import importlib
 import json
 import os
 import subprocess
@@ -738,6 +739,19 @@ class TestConsoleScript:
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["match"] is True
 
+    def test_declared_entry_point_without_install(self):
+        # The callable pyproject.toml names for the `eiscong` script, run as
+        # the wrapper an install generates runs it: sys.exit(main()).
+        tomllib = pytest.importorskip("tomllib", reason="tomllib needs Python 3.11")
+        with open(SRC.parent / "pyproject.toml", "rb") as handle:
+            target = tomllib.load(handle)["project"]["scripts"]["eiscong"]
+        module, _, name = target.partition(":")
+        assert callable(getattr(importlib.import_module(module), name))
+        wrapper = f"import sys\nfrom {module} import {name}\nsys.exit({name}())\n"
+        proc = run_python("-c", wrapper, "reproduce", "paper-17-6")
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["match"] is True
+
     def test_module_entry_point(self):
         proc = run_module("reproduce", "paper-17-6")
         assert proc.returncode == 0, proc.stderr
@@ -1042,9 +1056,7 @@ class TestPrefetch:
         congruences._k_over_bernoulli.cache_clear()
         for k, value in oracle.items():
             exact.seed_bernoulli(k, value)
-        monkeypatch.setattr(exact, "_bernoulli_numerator",
-                            lambda *args: pytest.fail("computed a memoized number"))
-        monkeypatch.setattr(exact, "_stepped_numerator",
+        monkeypatch.setattr(exact, "_ascending_pass",
                             lambda *args: pytest.fail("computed a memoized number"))
         assert run_cli(capsys, *argv) == cold
 
@@ -1158,7 +1170,7 @@ def test_every_read_of_a_statement_is_listed(monkeypatch):
     # number it memoizes is one it read.
     seed = {k: exact._BERNOULLI_MEMO[k] for k in (0, 1, 2)}
     tables = (eisenstein.g_series, eisenstein.e_series, eisenstein.generator_power,
-              eisenstein.monomial_series, eisenstein._e_power, eisenstein._e_factor_powers,
+              eisenstein.monomial_series, eisenstein._e_factor_powers,
               congruences._block_table, congruences._k_over_bernoulli)
     for name, entry in STATEMENTS.items():
         args = cli.build_parser().parse_args(DIFFERENTIAL_GRIDS[name].split())

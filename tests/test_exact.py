@@ -33,9 +33,10 @@ from conftest import bernoulli_by_recurrence, bernoulli_by_tangent, pi_by_machin
 # large weights of the paper's examples and the benchmark.
 DIFFERENTIAL_INDICES = list(range(2, 601, 2)) + [1296, 2026, 2200, 2402]
 
-# Shapes of a pass: two indices, the fewest it runs on (a lone missing index
-# goes to `bernoulli`), a run of gaps of 2, mixed gaps, and indices past
-# 2060, where the numerators outgrow CPython's int/str digit limit.
+# Shapes of a pass with the zeta sum: two indices, the fewest it runs on (a
+# lone missing index takes the Euler product), a run of gaps of 2, mixed gaps,
+# and indices past 2060, where the numerators outgrow CPython's int/str digit
+# limit.
 PASS_SHAPES = {
     "pair": [1290, 1296],
     "gaps of 2": list(range(4, 203, 2)),
@@ -45,6 +46,13 @@ PASS_SHAPES = {
 
 # The indices of `scan eq6.4 --p 7 --m 4 --kstar 6 --alpha 0..300`: 6 alpha + 6.
 SCAN_INDICES = [6 * alpha + 6 for alpha in range(301)]
+
+# Large indices a filtration asks for one at a time; 4000 is past the oracle.
+LONE_INDICES = [1296, 2026, 2402, 3000, 4000]
+
+# Indices whose zeta brackets are checked against the oracle: every even one
+# to 200, every 38th from 206 to 2978, and the large weights up to 3000.
+BRACKET_INDICES = sorted({*range(4, 201, 2), *range(206, 3001, 38), 1296, 2026, 2402, 3000})
 
 
 def thm1_grid_indices():
@@ -57,7 +65,8 @@ def thm1_grid_indices():
 
 @pytest.fixture(scope="module")
 def tangent_oracle():
-    return bernoulli_by_tangent(sorted(set(DIFFERENTIAL_INDICES + SCAN_INDICES).union(*PASS_SHAPES.values())))
+    return bernoulli_by_tangent(sorted(set(DIFFERENTIAL_INDICES + SCAN_INDICES + BRACKET_INDICES)
+                                       .union(*PASS_SHAPES.values())))
 
 
 def interleaved(indices):
@@ -232,29 +241,23 @@ class TestBernoulli:
             assert 0 <= slack <= 3, (k, slack)
 
     def test_too_few_guard_bits_retry(self, cold_bernoulli, tangent_oracle, monkeypatch):
-        attempts = []
-        real = exact._bernoulli_numerator
-
-        def spy(k, denominator, guard):
-            result = real(k, denominator, guard)
-            attempts.append((k, guard, result))
-            return result
-
+        runs = spy_passes(monkeypatch)
         monkeypatch.setattr(exact, "_GUARD_BITS", 4)
-        monkeypatch.setattr(exact, "_bernoulli_numerator", spy)
-        # At 4 guard bits, k = 14 shifts the divisor rather than the dividend.
         for k in (4, 14, 100, 1296):
             assert bernoulli(k) == tangent_oracle[k], k
-            tries = [(guard, result) for index, guard, result in attempts if index == k]
-            assert tries[0] == (4, None)
+            tries = [(guard, proven) for ks, guard, proven in runs if ks == [k]]
+            assert len(tries) == len(runs) and tries[0] == (4, False), (k, tries)
             assert [guard for guard, _ in tries] == [4, 8, 16][:len(tries)]
-            assert all(result is None for _, result in tries[:-1]) and tries[-1][1] is not None
+            assert not any(proven for _, proven in tries[:-1]) and tries[-1][1]
+            runs.clear()
 
     def test_unproven_rounding_raises(self, cold_bernoulli, monkeypatch):
-        monkeypatch.setattr(exact, "_bernoulli_numerator", lambda k, denominator, guard: None)
+        runs = spy_passes(monkeypatch)
+        monkeypatch.setattr(exact, "_round_proven", lambda scaled, guard, error: None)
         with pytest.raises(ArithmeticError, match="B_40: rounding not proven at 64 guard bits"):
             bernoulli(40)
-        assert 40 not in bernoulli_cached_indices()
+        assert runs == [([40], 16, False), ([40], 32, False), ([40], 64, False)]
+        assert bernoulli_cached_indices() == [0, 1, 2]
 
     def test_denominator_matches_tangent_oracle(self, tangent_oracle, monkeypatch):
         # From a fresh sieve table, which each index grows to cover its candidates l = d + 1.
@@ -294,27 +297,47 @@ class TestBernoulli:
 
 
 def spy_rounding(monkeypatch, fail=lambda k: False):
-    """Record (k, stepped, units) per rounding attempt; `fail` rejects a stepped attempt outright.
+    """Record (k, provider, units) per rounding attempt; `fail` rejects a "sum" attempt outright.
 
-    Stepped attempts are the pass's `_stepped_numerator`, with the units of
-    its (2 pi)**-k; single ones are `_bernoulli_numerator`, with units None.
+    The provider is "sum" (`_zeta_sum`) or "euler" (`_zeta_euler`), and
+    units those of the attempt's 2 k! (2 pi)**-k.
     """
     attempts = []
-    stepped, single = exact._stepped_numerator, exact._bernoulli_numerator
+    zeta_sum, zeta_euler, numerator = exact._zeta_sum, exact._zeta_euler, exact._numerator
 
-    def stepped_spy(k, w, reciprocals, width, mantissa, exponent, units):
-        attempts.append((k, True, units))
-        if fail(k):
+    def sum_spy(reciprocals, k, width, w):
+        attempts.append((k, "sum"))
+        return zeta_sum(reciprocals, k, width, w)
+
+    def euler_spy(k, w):
+        attempts.append((k, "euler"))
+        return zeta_euler(k, w)
+
+    def numerator_spy(bracket, w, guard, mantissa, exponent, units):
+        k, provider = attempts.pop()
+        attempts.append((k, provider, units))
+        if provider == "sum" and fail(k):
             return None
-        return stepped(k, w, reciprocals, width, mantissa, exponent, units)
+        return numerator(bracket, w, guard, mantissa, exponent, units)
 
-    def single_spy(k, denominator, guard):
-        attempts.append((k, False, None))
-        return single(k, denominator, guard)
-
-    monkeypatch.setattr(exact, "_stepped_numerator", stepped_spy)
-    monkeypatch.setattr(exact, "_bernoulli_numerator", single_spy)
+    monkeypatch.setattr(exact, "_zeta_sum", sum_spy)
+    monkeypatch.setattr(exact, "_zeta_euler", euler_spy)
+    monkeypatch.setattr(exact, "_numerator", numerator_spy)
     return attempts
+
+
+def spy_passes(monkeypatch):
+    """Record (indices, guard, every index proven) per ascending pass."""
+    runs = []
+    real = exact._ascending_pass
+
+    def spy(ks, guard):
+        unproven = real(ks, guard)
+        runs.append((list(ks), guard, not unproven))
+        return unproven
+
+    monkeypatch.setattr(exact, "_ascending_pass", spy)
+    return runs
 
 
 def spy_reciprocals(monkeypatch):
@@ -339,16 +362,44 @@ def spy_reciprocals(monkeypatch):
     return steps
 
 
-def from_scratch(k):
-    """B_k by the single path alone, at the first guard width."""
-    denominator = exact.bernoulli_denominator(k)
-    numerator = exact._bernoulli_numerator(k, denominator, exact._GUARD_BITS)
-    assert numerator is not None, k
-    return exact._signed(k, numerator, denominator)
+def alone(k):
+    """B_k from a one-index pass, with the Euler bracket, at the first guard width; the memo is left as it was."""
+    with pytest.MonkeyPatch.context() as patch, exact._BERNOULLI_LOCK:
+        patch.setattr(exact, "_BERNOULLI_MEMO", {})
+        assert exact._ascending_pass([k], exact._GUARD_BITS) == [], k
+        return exact._BERNOULLI_MEMO[k]
+
+
+def zeta_bounds(k, w, value, machin_pi):
+    """(lo, hi, scale) with lo / scale <= zeta(k) 2**w <= hi / scale, from B_k = value and Machin's pi.
+
+    zeta(k) = |B_k| (2 pi)**k / (2 k!). With pi 2**b within 2 of A, (2 pi)**k
+    2**b lies between the floored powers of 2 (A - 2) and the ceilinged
+    powers of 2 (A + 2), each taken in b-bit fixed point.
+    """
+    b = w + 64
+    approx = machin_pi(b - 32)
+    scale = 2 * math.factorial(k) * value.denominator << b
+    top = abs(value.numerator) << w
+    low = _fixed_power(2 * (approx - 2), k, b, floor=True)
+    high = _fixed_power(2 * (approx + 2), k, b, floor=False)
+    return top * low, top * high, scale
+
+
+def _fixed_power(x, k, b, floor):
+    """(x / 2**b)**k * 2**b, rounded down (floor) or up at every product."""
+    result = 1 << b
+    while k:
+        if k & 1:
+            result = result * x >> b if floor else -(-(result * x) >> b)
+        k >>= 1
+        if k:
+            x = x * x >> b if floor else -(-(x * x) >> b)
+    return result
 
 
 class TestPrefetch:
-    """The ascending pass against the tangent oracle and the single-index path."""
+    """The ascending pass, with either zeta bracket, against the tangent oracle."""
 
     @pytest.mark.parametrize("order", ["ascending", "shuffled"])
     def test_scan_indices(self, cold_bernoulli, tangent_oracle, monkeypatch, order):
@@ -360,33 +411,45 @@ class TestPrefetch:
         assert bernoulli_cached_indices() == [0, 1, 2] + SCAN_INDICES
         for k in SCAN_INDICES:
             assert bernoulli(k) == tangent_oracle[k], k
-        # Every index was rounded once, stepped, with (2 pi)**-k within 1 unit
-        # of its own precision: the stepped cuts' sum. Its cut to that
-        # precision is one of the slack cuts, with their own unit.
-        assert attempts == [(k, True, 1) for k in SCAN_INDICES]
+        # Every index was rounded once, from the zeta sum, with (2 pi)**-k
+        # within 1 unit of its own precision: the stepped cuts' sum. Its cut
+        # to that precision is one of the slack cuts, with their own unit.
+        assert attempts == [(k, "sum", 1) for k in SCAN_INDICES]
 
-    @pytest.mark.parametrize("warm,indices", [
-        (SCAN_INDICES[:101], SCAN_INDICES), ([], list(range(2, 1201))),
-    ], ids=["scan-after-its-cache", "cold-bernoulli-range"])
+    @pytest.mark.parametrize("warm,indices,lone", [
+        (SCAN_INDICES[:101], SCAN_INDICES, False), ([], list(range(2, 1201)), False),
+        ([], LONE_INDICES, True),
+    ], ids=["scan-after-its-cache", "cold-bernoulli-range", "lone-large-indices"])
     def test_every_index_proven_at_its_first_attempt(self, cold_bernoulli, tangent_oracle,
-                                                     monkeypatch, warm, indices):
+                                                     monkeypatch, warm, indices, lone):
         # The benchmark's scan, whose cache holds alpha <= 100, so the pass
-        # starts with a gap of 612, and a cold `bernoulli 2..1200`. An error
-        # budget loose enough to leave a rounding unproven would send that
-        # index to the slow single path.
+        # starts with a gap of 612, a cold `bernoulli 2..1200`, and large
+        # indices asked for one at a time, as a filtration asks for its
+        # weight's. An error budget loose enough to leave a rounding unproven
+        # would send that index round again, alone or with more guard bits.
         for k in warm:
             exact.seed_bernoulli(k, tangent_oracle[k])
         attempts = spy_rounding(monkeypatch)
         proofs, real = [], exact._round_proven
         monkeypatch.setattr(exact, "_round_proven",
                             lambda *args: proofs.append(real(*args)) or proofs[-1])
-        prefetch_bernoulli(indices)
+        if lone:
+            for k in indices:
+                bernoulli(k)
+        else:
+            prefetch_bernoulli(indices)
         missing = [k for k in indices if k >= 4 and k % 2 == 0 and k not in warm]
-        assert attempts == [(k, True, 1) for k in missing]
+        assert attempts == [(k, "euler" if lone else "sum", 1) for k in missing]
         assert len(proofs) == len(missing) and None not in proofs
         for k in indices:
             if k in tangent_oracle:
                 assert bernoulli(k) == tangent_oracle[k], k
+
+    def test_both_brackets_agree_past_the_oracle(self, cold_bernoulli):
+        # B_4000 is past the tangent oracle's table; the zeta sum, in a pass
+        # with its neighbour, and the Euler product, alone, give it alike.
+        prefetch_bernoulli([3998, 4000])
+        assert bernoulli(4000) == alone(4000)
 
     def test_thm1_grid_progressions(self, cold_bernoulli, tangent_oracle, monkeypatch):
         indices = thm1_grid_indices()
@@ -394,42 +457,39 @@ class TestPrefetch:
         assert len(indices) > 100 and len(gaps) > 3 and max(indices) == 366
         attempts = spy_rounding(monkeypatch)
         prefetch_bernoulli(indices)
-        assert attempts == [(k, True, 1) for k in indices if k > 2]
+        assert attempts == [(k, "sum", 1) for k in indices if k > 2]
         for k in indices:
             assert bernoulli(k) == tangent_oracle[k], k
 
-    def test_unproven_steps_take_the_single_path(self, cold_bernoulli, tangent_oracle,
-                                                 monkeypatch):
-        # Every third stepped attempt fails: those indices are recomputed from
-        # scratch, and the chain goes on for the rest.
+    def test_unproven_run_indices_are_redone_alone(self, cold_bernoulli, tangent_oracle,
+                                                    monkeypatch):
+        # Every third attempt from the zeta sum fails: those indices are
+        # redone alone, from the Euler product at the first guard width, and
+        # the run goes on for the rest.
         failing = set(SCAN_INDICES[::3])
+        runs = spy_passes(monkeypatch)
         attempts = spy_rounding(monkeypatch, lambda k: k in failing)
         prefetch_bernoulli(SCAN_INDICES)
-        assert [k for k, stepped, _ in attempts if stepped] == SCAN_INDICES
-        single = [k for k, stepped, _ in attempts if not stepped]
-        assert single == sorted(failing)
+        assert [k for k, provider, _ in attempts if provider == "sum"] == SCAN_INDICES
+        assert [(k, units) for k, provider, units in attempts if provider == "euler"] == [
+            (k, 1) for k in sorted(failing)]
+        assert runs == [(SCAN_INDICES, 16, False)] + [([k], 16, True) for k in sorted(failing)]
         for k in SCAN_INDICES:
             assert bernoulli(k) == tangent_oracle[k], k
 
     def test_too_few_guard_bits_fall_back(self, cold_bernoulli, tangent_oracle, monkeypatch):
-        # At 4 guard bits no rounding is provable; each index then doubles its
-        # guard on the single path, as `bernoulli` alone would.
-        attempts = []
-        real = exact._bernoulli_numerator
-
-        def spy(k, denominator, guard):
-            result = real(k, denominator, guard)
-            attempts.append((k, guard, result is not None))
-            return result
-
+        # At 4 guard bits no rounding is provable; each index is then redone
+        # alone at 4 bits, and its guard doubles as for a lone index.
+        runs = spy_passes(monkeypatch)
         monkeypatch.setattr(exact, "_GUARD_BITS", 4)
-        monkeypatch.setattr(exact, "_bernoulli_numerator", spy)
         indices = [4, 14, 100, 612, 618, 1296]
         prefetch_bernoulli(indices)
+        assert runs[0] == (indices, 4, False)
         for k in indices:
             assert bernoulli(k) == tangent_oracle[k], k
-            tries = [(guard, ok) for index, guard, ok in attempts if index == k]
+            tries = [(guard, proven) for ks, guard, proven in runs if ks == [k]]
             assert tries[0] == (4, False) and tries[-1][1], (k, tries)
+            assert [guard for guard, _ in tries] == [4, 8, 16][:len(tries)]
 
     def test_threads_share_the_memo(self, cold_bernoulli, tangent_oracle, monkeypatch):
         # Overlapping passes and single-index calls, interleaved finely.
@@ -466,17 +526,18 @@ class TestPrefetch:
         prefetch_bernoulli([0, 1, 2, 3, 7, 12, 12])
         prefetch_bernoulli([12])
         prefetch_bernoulli([])
-        assert [k for k, _, _ in attempts] == [12]
+        assert attempts == [(12, "euler", 1)]
         assert bernoulli_cached_indices() == [0, 1, 2, 12]
         assert bernoulli(12) == Fraction(-691, 2730)
 
     @pytest.mark.parametrize("indices,warm", [
         ([0, 1, 3, 2402], []), ([4, 12, 2402], [4, 12]), ([2200, 2402], []), ([4, 2200, 2402], [4]),
     ], ids=["lone", "lone-after-warm", "pair", "pair-after-warm"])
-    def test_lone_missing_index_goes_to_bernoulli(self, cold_bernoulli, tangent_oracle,
-                                                  monkeypatch, indices, warm):
-        # A pass over one index makes each reciprocal by a big division, and is
-        # slower than `bernoulli` from scratch; two or more still share a pass.
+    def test_a_lone_missing_index_takes_the_euler_bracket(self, cold_bernoulli, tangent_oracle,
+                                                          monkeypatch, indices, warm):
+        # Fresh reciprocals for one index would each cost a big division, so a
+        # lone missing index takes its zeta(k) from the Euler product; two or
+        # more share the zeta sum. Neither hands off to `bernoulli`.
         for k in warm:
             exact.seed_bernoulli(k, tangent_oracle[k])
         called, real = [], exact.bernoulli
@@ -484,10 +545,8 @@ class TestPrefetch:
         attempts = spy_rounding(monkeypatch)
         prefetch_bernoulli(indices)
         missing = [k for k in indices if k >= 4 and k not in warm]
-        if len(missing) == 1:
-            assert called == missing and attempts == [(missing[0], False, None)]
-        else:
-            assert called == [] and attempts == [(k, True, 1) for k in missing]
+        provider = "euler" if len(missing) == 1 else "sum"
+        assert called == [] and attempts == [(k, provider, 1) for k in missing]
         assert bernoulli_cached_indices() == sorted({0, 1, 2, *warm, *missing})
         for k in missing:
             assert exact._BERNOULLI_MEMO[k] == tangent_oracle[k], k
@@ -499,7 +558,7 @@ class TestPrefetch:
         prefetch_bernoulli(indices)
         assert steps == indices
         for k in indices:
-            assert bernoulli(k) == tangent_oracle[k] == from_scratch(k), k
+            assert bernoulli(k) == tangent_oracle[k] == alone(k), k
 
     def test_reciprocals_after_a_warm_prefix(self, cold_bernoulli, tangent_oracle, monkeypatch):
         # A first gap of 612, then gaps of 6.
@@ -510,7 +569,7 @@ class TestPrefetch:
         prefetch_bernoulli(indices)
         assert steps == indices[101:]
         for k in indices[101::10]:
-            assert bernoulli(k) == tangent_oracle[k] == from_scratch(k), k
+            assert bernoulli(k) == tangent_oracle[k] == alone(k), k
 
     @settings(derandomize=True, database=None, max_examples=150, deadline=None)
     @given(st.data())
@@ -550,10 +609,49 @@ class TestPrefetch:
             # The same sum from reciprocals at a wider precision, shifted down.
             assert exact._zeta_sum([], k, w + 37, w) == (zeta, error), (k, w)
 
-    def test_stepped_products_within_the_stated_error(self, monkeypatch):
-        # With a zeta sum and a 2 k! D (2 pi)**-k that carry no error of their
-        # own, the slack cut and the final floor stay within the stated error,
-        # for numerators * 2**guard just below 2**w, where the cut costs most.
+    @pytest.mark.parametrize("k", [4, 6, 8, 12, 20])
+    def test_zeta_euler_within_its_bound(self, k):
+        # As above, from w = 4 on, where n + 1 primes weigh most against 2**w.
+        M = 1024
+        L = math.lcm(*range(1, M + 1)) ** k
+        partial = Fraction(sum(L // n**k for n in range(1, M + 1)), L)
+        for w in range(4, 6 * k + 1):
+            zeta, error = exact._zeta_euler(k, w)
+            low = partial * 2**w
+            high = low + Fraction(2**w, (k - 1) * M ** (k - 1))
+            assert zeta <= low and high < zeta + error, (k, w)
+
+    def test_brackets_at_the_precision_each_index_runs_at(self, cold_bernoulli, tangent_oracle,
+                                                          monkeypatch, machin_pi):
+        # Every bracket a cold pass over BRACKET_INDICES takes from the zeta
+        # sum, and each of them alone from the Euler product, against zeta(k)
+        # from the tangent oracle's B_k and Machin's pi.
+        brackets = []
+        for name in ("_zeta_sum", "_zeta_euler"):
+            def spy(*args, real=getattr(exact, name), name=name):
+                bracket = real(*args)
+                k, w = (args[1], args[3]) if name == "_zeta_sum" else args
+                brackets.append((name, k, w, bracket))
+                return bracket
+
+            monkeypatch.setattr(exact, name, spy)
+        prefetch_bernoulli(BRACKET_INDICES)
+        for k in BRACKET_INDICES:
+            alone(k)
+        assert [name for name, *_ in brackets] == (["_zeta_sum"] * len(BRACKET_INDICES)
+                                                   + ["_zeta_euler"] * len(BRACKET_INDICES))
+        for name, k, w, (zeta, error) in brackets:
+            assert w == exact._working_bits(k, 2 * math.factorial(k) * tangent_oracle[k].denominator,
+                                            exact._GUARD_BITS)
+            low, high, scale = zeta_bounds(k, w, tangent_oracle[k], machin_pi)
+            assert zeta * scale <= low and high < (zeta + error) * scale, (name, k, w)
+
+    @pytest.mark.parametrize("guard", [4, 16, 64])
+    def test_combine_within_the_stated_error(self, monkeypatch, guard):
+        # With a zeta bracket and a 2 k! D (2 pi)**-k that carry no error of
+        # their own, the slack cut and the final floor stay within the stated
+        # error, for numerators * 2**guard just below 2**w, where the cut
+        # costs most.
         rng = random.Random(16)
         rounded = []
         monkeypatch.setattr(exact, "_round_proven",
@@ -563,12 +661,11 @@ class TestPrefetch:
             zeta = rng.getrandbits(w) | 1 << w
             mantissa = rng.getrandbits(w + 104) | 1 << (w + 103)
             product = zeta * mantissa
-            exponent = 2 * w - exact._GUARD_BITS - product.bit_length()
-            monkeypatch.setattr(exact, "_zeta_sum", lambda reciprocals, k, width, w, z=zeta: (z, 0))
-            exact._stepped_numerator(4, w, [], w, mantissa, exponent, 0)
-            scaled, guard, error = rounded.pop()
+            exponent = 2 * w - guard - product.bit_length()
+            exact._numerator((zeta, 0), w, guard, mantissa, exponent, 0)
+            scaled, used, error = rounded.pop()
             value = product * Fraction(2) ** (exponent + guard - w)
-            assert 2 ** (w - 1) <= value < 2**w
+            assert used == guard and 2 ** (w - 1) <= value < 2**w
             assert abs(scaled - value) < error
 
     def test_negative_index_rejected(self, cold_bernoulli):
