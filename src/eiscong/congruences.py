@@ -10,9 +10,9 @@ over the r of `_inversion_support`, H(m, alpha, .) from one cached row.
 scan (each term times E_{p-1}^(alpha-r)), Props 3.1 and 4.2 (no powers), as
 one combination of a grid block's packed table: a record makes no series
 product. It builds the left side first, so an error names the weight
-alpha(p-1)+k*. Its callers pass `g_series`/`e_series`, and `eisenstein` calls
-`e_factor`, read as module globals at call time, never bound earlier, so a
-tracer that rebinds them sees every call. `_inversion_defect` does it for
+alpha(p-1)+k*. Its callers pass `g_series`/`e_series`, and `eisenstein` builds
+D = E_{p-1} - 1 from `e_series`, all read as module globals at call time, so
+a tracer that rebinds them sees every call. `_inversion_defect` does it for
 rationals, exactly: the inversion identity, and the failures of the valuation
 tests. Those tests, Prop 4.1, Eq. (3.1), the Eq. (6.4) scan and p-regular
 recovery, go through `_inversion_defect_mod`, which sums the terms' residues
@@ -39,7 +39,7 @@ from .errors import (
     ParameterOutOfRangeError,
 )
 from .exact import bernoulli, h_coefficient, int_str, padic_valuation
-from .eisenstein import _e_factor_powers, e_series, g_series
+from .eisenstein import _e_powers, e_series, g_series
 from .filtration import sturm_bound
 from .residue import ResidueRing, _equal_slots
 from .series import PackedFamily, QSeries, series_equal_mod
@@ -164,15 +164,15 @@ def inversion_reads(point: dict, with_e_powers: bool) -> list[int]:
 @lru_cache(maxsize=64)
 def _block_table(form: Callable, kstar: int, ring: ResidueRing, precision: int,
                  with_e_powers: bool) -> PackedFamily:
-    """form(r(p-1)+k*) E^i for r < m and i < m (i = 0 alone without powers), packed.
+    """form(r(p-1)+k*) D^i for r < m and i < m (i = 0 alone without powers), packed.
 
-    E is the series of E_{p-1} = 1 + pE; its powers come from `eisenstein`,
-    which builds E only from m = 2 on. m(m-1) products, plus m-2 for E^i.
+    D = E_{p-1} - 1; its powers come from `eisenstein`, which builds D only
+    from m = 2 on. m(m-1) products, plus m-2 for D^i.
     """
     forms = [form(r * (ring.p - 1) + kstar, ring, precision) for r in range(ring.m)]
     if not with_e_powers:
         return PackedFamily(forms)
-    powers = _e_factor_powers(ring, precision)
+    powers = _e_powers(ring, precision)
     return PackedFamily([f * e if i else f for f in forms for i, e in enumerate(powers)])
 
 
@@ -181,9 +181,9 @@ def _inversion_report(statement_id: str, params: dict, form: Callable, kstar: in
     """form(a(p-1)+k*) against sum_r H(m,a,r) form(r(p-1)+k*) [E_{p-1}^(a-r)], mod p^m.
 
     Below a = m the sum is its one term, form(a(p-1)+k*) itself. From a = m
-    on, a - r > 0, and E_{p-1}^(a-r) = sum_{i<m} C(a-r, i) p^i E^i mod p^m by
-    the binomial theorem (the terms i >= m vanish), so the sum is
-    sum_{r,i} H(m,a,r) C(a-r, i) p^i form(r(p-1)+k*) E^i: m^2 scalars, one
+    on, a - r > 0, and E_{p-1}^(a-r) = sum_{i<m} C(a-r, i) D^i mod p^m for
+    D = E_{p-1} - 1 by the binomial theorem (D^m is 0), so the sum is
+    sum_{r,i} H(m,a,r) C(a-r, i) form(r(p-1)+k*) D^i: m^2 scalars, one
     combination of the block's packed table (`_block_table`) and no series
     product. Props 3.1 and 4.2 take every power as 1, the i = 0 terms alone.
     The left side is built first.
@@ -195,7 +195,7 @@ def _inversion_report(statement_id: str, params: dict, form: Callable, kstar: in
     if alpha >= m:
         h, powers = _h_row(m, alpha), m if with_e_powers else 1
         rhs = _block_table(form, kstar, ring, precision, with_e_powers).combine(
-            [h[r] * math.comb(alpha - r, i) * p**i for r in range(m) for i in range(powers)])
+            [h[r] * math.comb(alpha - r, i) for r in range(m) for i in range(powers)])
     return _series_report(statement_id, params, lhs, rhs, precision,
                           weight if with_e_powers else None)
 

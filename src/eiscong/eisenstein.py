@@ -7,21 +7,17 @@ and higher coefficients sigma_{k-1}(n). E_0 is the constant series 1.
 Each generator takes its divisor sums sigma_{k-1}(1..N) from one cached
 table (`divisor_sums`), built by multiplicativity in
 `exact.sigma_power_table`: a modular power per prime up to N, then one
-multiply per n. It scales them by one reduced constant. Both tables below
-read their exponent by its period modulo p^m:
+multiply per n. It scales them by one reduced constant. The table is read
+at its exponent's period modulo p^m: d^(k-1) mod p^m repeats with period
+p^(m-1)(p-1) in k-1 for a unit d, and is 0 for d divisible by p once
+k-1 >= m, so every k-1 > m shares the table of m + ((k-1-m) mod p^(m-1)(p-1)).
 
-- d^(k-1) mod p^m repeats with period p^(m-1)(p-1) in k-1 for a unit d, and
-  is 0 for d divisible by p once k-1 >= m, so every k-1 > m shares the table
-  of m + ((k-1-m) mod p^(m-1)(p-1));
-- E_{p-1} = 1 + pE, so E_{p-1}^(p^(m-1)) = 1 mod p^m and `e_power` reads
-  E_{p-1}^n at n mod p^(m-1) (every power is 1 at m = 1).
-
-`e_power` writes E_{p-1}^n as its binomial series in pE, cut after m terms,
-one linear combination of the cached powers 1, E, ..., E^(m-1), which the
-theorem grids read directly.
+`e_power` reads every power of E_{p-1}, of any integer exponent, off one
+cached table 1, D, ..., D^(m-1) of D = E_{p-1} - 1: D is 0 mod p, so D^m is
+0 mod p^m and E_{p-1}^n is its binomial series in D cut after m terms. The
+theorem grids read that table directly.
 `generator_power` is the one table of powers of E_4, E_6 and Delta:
-monomials and Delta are products of its entries, and a filtration witness's
-round trip multiplies by its unreduced E_{p-1}^n.
+monomials and Delta are products of its entries.
 """
 
 from __future__ import annotations
@@ -125,12 +121,11 @@ DELTA = "delta"
 def generator_power(form: int | str, ring: ResidueRing, precision: int, n: int) -> QSeries:
     """E_k^n (form = k) or Delta^n (form = DELTA) modulo p^m through q^precision, by halving.
 
-    The one table of generator powers: E_4^a, E_6^b and Delta^c for
-    monomials, and the unreduced E_{p-1}^n a filtration witness is checked
-    against (the filtration pass reads `e_power`). Each call squares
-    the cached power n//2, so the recursion is bits(n) deep, consecutive
-    exponents reuse the halves already built, and a new one costs one or two
-    products. Odd powers read the n = 1 entry, E_k or (E_4^3 - E_6^2)/1728.
+    The one table of powers of E_4, E_6 and Delta, for monomials; powers of
+    E_{p-1} come from `e_power`. Each call squares the cached power n//2, so
+    the recursion is bits(n) deep, consecutive exponents reuse the halves
+    already built, and a new one costs one or two products. Odd powers read
+    the n = 1 entry, E_k or (E_4^3 - E_6^2)/1728.
     """
     if n == 0:
         return QSeries.one(ring, precision)
@@ -147,24 +142,20 @@ def generator_power(form: int | str, ring: ResidueRing, precision: int, n: int) 
 def e_power(ring: ResidueRing, precision: int, n: int) -> QSeries:
     """E_{p-1}^n modulo p^m through q^precision, for any integer n, by its binomial series.
 
-    E_{p-1} = 1 + pE with E exact mod p^m (`e_factor`), so E_{p-1}^n is
-    sum_{i<m} C(n, i) p^i E^i mod p^m. Each p^i C(n, i), i >= 1, moves by a
-    multiple of p^m with n by p^(m-1), so n is read mod p^(m-1) (a negative n
-    is the inverse power), and E is not built when that is 0, as at m = 1.
+    D = E_{p-1} - 1 is 0 mod p, so D^i is 0 mod p^m from i = m on, and
+    E_{p-1}^n = sum_{i<m} C(n, i) D^i mod p^m exactly for every n (a negative
+    n is the inverse power): one combination of the table `_e_powers`.
     """
-    n %= ring.p ** (ring.m - 1)
-    if not n:
-        return QSeries.one(ring, precision)
-    return linear_combination([gen_binomial(n, i) * ring.p**i for i in range(ring.m)],
-                              _e_factor_powers(ring, precision))
+    return linear_combination([gen_binomial(n, i) for i in range(ring.m)],
+                              _e_powers(ring, precision))
 
 
 @lru_cache(maxsize=64)
-def _e_factor_powers(ring: ResidueRing, precision: int) -> tuple[QSeries, ...]:
-    """1, E, ..., E^(m-1) for E_{p-1} = 1 + pE modulo p^m: m - 2 products, no E at m = 1."""
+def _e_powers(ring: ResidueRing, precision: int) -> tuple[QSeries, ...]:
+    """1, D, ..., D^(m-1) for D = E_{p-1} - 1 modulo p^m: m - 2 products, no D at m = 1."""
     powers = [QSeries.one(ring, precision)]
     if ring.m > 1:
-        powers.append(e_factor(ring, precision))
+        powers.append(e_series(ring.p - 1, ring, precision) - powers[0])
     while len(powers) < ring.m:
         powers.append(powers[-1] * powers[1])
     return tuple(powers)
@@ -176,12 +167,14 @@ def delta_series(ring: ResidueRing, precision: int) -> QSeries:
 
 
 def e_factor(ring: ResidueRing, precision: int) -> QSeries:
-    """The series E in E_{p-1} = 1 + pE, modulo p^m.
+    """The series E in E_{p-1} = 1 + pE modulo p^m, a public value (`series efactor`).
 
-    The q^n coefficient of E_{p-1} is c * sigma_{p-2}(n) with c = -2(p-1)/B_{p-1}
-    and nu_p(c) = 1, so E has coefficients (c/p) * sigma_{p-2}(n). The
-    p-integral scalar c/p is reduced once, so E is exact modulo p^m for every
-    m >= 1; E_{p-1} modulo p^m would fix it only modulo p^(m-1).
+    No kernel reads it; powers of E_{p-1} come from `e_power`, built on
+    D = E_{p-1} - 1. The q^n coefficient of E_{p-1} is c * sigma_{p-2}(n)
+    with c = -2(p-1)/B_{p-1} and nu_p(c) = 1, so E has coefficients
+    (c/p) * sigma_{p-2}(n). The p-integral scalar c/p is reduced once, so E is
+    exact modulo p^m for every m >= 1; E_{p-1} modulo p^m would fix it only
+    modulo p^(m-1).
     """
     p, mod = ring.p, ring.modulus
     u = ring.reduce_rational(e_normalizer(p - 1) / p)

@@ -6,9 +6,9 @@ f = E_{p-1}^n g for some g of weight w, coefficient-wise modulo p^m through
 q^upto (the Sturm index of weight k unless evidence is asked for). One pass
 reads it off Katz's layers M_k = sum_i E_{p-1}^(alpha-i) W_i, building each
 monomial column once; the witness is one forward substitution at the bound.
-E_{p-1}^(-n) comes from `eisenstein.e_power`, and the witness's round trip
-multiplies by the unreduced E_{p-1}^n from `eisenstein.generator_power`, so
-it does not rest on the identity E_{p-1}^(p^(m-1)) = 1 mod p^m.
+Every power of E_{p-1}, the pass's E_{p-1}^(-n) and the round trip's E_{p-1}^n,
+comes from one cached table in `eisenstein.e_power`, exact for every integer
+exponent, so no check rests on the identity E_{p-1}^(p^(m-1)) = 1 mod p^m.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from .errors import (
     QuasimodularWeightError,
     WeightMismatchError,
 )
-from .eisenstein import e_power, e_series, g_series, generator_power, monomial_series
+from .eisenstein import e_power, e_series, g_series, monomial_series
 from .residue import ResidueRing, _equal_slots
 from .series import QSeries, linear_combination
 
@@ -427,7 +427,7 @@ def factor_filtration_bound(f: QSeries, k: int, input_id: str | None = None,
     n, bm = (k - w) // (p - 1), basis(w, ring, upto)
     outcome = _probe(f, k, bm, upto)
     g = linear_combination(outcome.vector, bm.columns) if outcome else None
-    if g is None or (g * generator_power(p - 1, ring, upto, n)).coeffs != f.coeffs[: upto + 1]:
+    if g is None or (g * e_power(ring, upto, n)).coeffs != f.coeffs[: upto + 1]:
         raise EiscongError("witness failed round-trip verification")
     cert = "sturm-certified" if certified else f"coefficient-evidence({upto + 1})"
     # Every lower candidate failed; weight 2 is an empty space, not a failure.

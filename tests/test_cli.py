@@ -938,19 +938,20 @@ print(status, len(products))
     ("verify thm1 --p 5,7,11,13 --m 1..4 --alpha 0..30 --prec 60", 92),
     ("verify thm2 --p 5,7,11,13 --m 1..4 --alpha 1..30 --prec 60", 92),
     ("scan eq6.1 --p 7 --m 3 --alpha 0..40", 7),
-    ("reproduce paper-7-8", 51),
-    ("reproduce paper-17-6", 54),
-    ("filtration --form G --k 2402 --p 13 --m 6", 54),
+    ("reproduce paper-7-8", 41),
+    ("reproduce paper-17-6", 46),
+    ("filtration --form G --k 2402 --p 13 --m 6", 44),
 ], ids=["thm1-grid", "thm2-grid", "eq6.1-scan", "paper-7-8", "paper-17-6", "filtration-2402"])
 def test_series_products_per_run(argv, most):
     # Every power of E_4, E_6 and Delta comes from one halving table that a
     # filtration's columns share, and a monomial is at most two products of
-    # its entries. E_{p-1}^n is one combination of 1, E, ..., E^(m-1), m - 2
-    # products per ring and precision. A filtration builds each column once,
-    # in one layer pass, and substitutes once at the bound. A power stepped
-    # by one product per term, a monomial raised from scratch, a basis per
-    # candidate weight or E_{p-1}^n by squarings costs more. A theorem-grid
-    # record makes no product; a block makes m(m-1), plus m-2 for E's powers.
+    # its entries. Every E_{p-1}^n, the witness's round trip included, is one
+    # combination of 1, D, ..., D^(m-1) for D = E_{p-1} - 1, m - 2 products
+    # per ring and precision. A filtration builds each column once, in one
+    # layer pass, and substitutes once at the bound. A power stepped by one
+    # product per term, a monomial raised from scratch, a basis per candidate
+    # weight or E_{p-1}^n by squarings costs more. A theorem-grid record
+    # makes no product; a block makes m(m-1), plus m-2 for D's powers.
     proc = run_python("-c", COUNT_PRODUCTS, *argv.split(), "--jobs", "1")
     status, products = map(int, proc.stdout.split())
     assert status == 0 and products <= most, (proc.stdout, proc.stderr)
@@ -973,7 +974,7 @@ def test_series_products_per_refined_bound_sweep():
     # filtration run does; its columns come from the one generator table.
     proc = run_python("-c", COUNT_REFINED_PRODUCTS)
     rows, skipped, products = map(int, proc.stdout.split())
-    assert (rows, skipped) == (60, 12) and products <= 316, (proc.stdout, proc.stderr)
+    assert (rows, skipped) == (60, 12) and products <= 289, (proc.stdout, proc.stderr)
 
 
 # Runs `main(sys.argv[2:])` with the ascending Bernoulli pass ("pass") or with
@@ -1170,7 +1171,7 @@ def test_every_read_of_a_statement_is_listed(monkeypatch):
     # number it memoizes is one it read.
     seed = {k: exact._BERNOULLI_MEMO[k] for k in (0, 1, 2)}
     tables = (eisenstein.g_series, eisenstein.e_series, eisenstein.generator_power,
-              eisenstein.monomial_series, eisenstein._e_factor_powers,
+              eisenstein.monomial_series, eisenstein._e_powers,
               congruences._block_table, congruences._k_over_bernoulli)
     for name, entry in STATEMENTS.items():
         args = cli.build_parser().parse_args(DIFFERENTIAL_GRIDS[name].split())

@@ -612,7 +612,7 @@ class TestGeneratorsReadAtCallTime:
     argument, a module-level table) would hide its calls from it."""
 
     @pytest.mark.parametrize("check,args,calls", [
-        # E_{p-1} = 1 + pE, E from eisenstein.e_factor; see the test below.
+        # D = E_{p-1} - 1, from eisenstein.e_series; see the test below.
         (check_thm_gk, (5, 2, 6, 3, 10), {("g", 18), ("g", 10), ("g", 6)}),
         (check_prop_gk_fixed, (5, 2, 6, 3, 10), {("g", 18), ("g", 10), ("g", 6)}),
         (check_thm_ek, (5, 2, 3, 10), {("e", 12), ("e", 4), ("e", 0)}),
@@ -634,23 +634,24 @@ class TestGeneratorsReadAtCallTime:
         assert seen[0] == max(calls, key=lambda call: call[1])  # the left side, built first
 
     def test_e_powers_call_the_module_generator(self, monkeypatch):
-        # The block table's powers of E read e_factor, and e_factor its divisor
-        # sums, at call time.
+        # The block table's powers of D = E_{p-1} - 1 read e_series at weight
+        # p - 1, and e_series its divisor sums, at call time.
         seen = []
-        originals = {name: getattr(eisenstein, name) for name in ("e_factor", "divisor_sums")}
+        originals = {name: getattr(eisenstein, name) for name in ("e_series", "divisor_sums")}
 
         def counted(name):
-            def call(*args):
-                seen.append(name)
-                return originals[name](*args)
+            def call(k, *args):
+                seen.append((name, k))
+                return originals[name](k, *args)
             return call
 
         for name in originals:
             monkeypatch.setattr(eisenstein, name, counted(name))
-        eisenstein._e_factor_powers.cache_clear()
+        originals["e_series"].cache_clear()
+        eisenstein._e_powers.cache_clear()
         congruences._block_table.cache_clear()
         assert check_thm_gk(5, 2, 6, 3, 10).passed
-        assert {"e_factor", "divisor_sums"} <= set(seen)
+        assert {("e_series", 4), ("divisor_sums", 4)} <= set(seen)
 
 
 class TestReportSerialization:

@@ -7,7 +7,7 @@ import pytest
 from eiscong.congruences import check_thm_gk
 from eiscong.errors import NotPIntegralError
 from eiscong import eisenstein, exact
-from eiscong.exact import bernoulli, sigma_power_mod, sigma_power_table
+from eiscong.exact import bernoulli, padic_valuation, sigma_power_mod, sigma_power_table
 from eiscong.eisenstein import (
     DELTA,
     delta_series,
@@ -183,7 +183,7 @@ class TestDivisorSums:
 
 
 class TestEPower:
-    """E_{p-1}^n from its binomial series in pE against binary powering, `QSeries.pow`."""
+    """E_{p-1}^n from its binomial series in D = E_{p-1} - 1 against binary powering."""
 
     def test_matches_binary_powering_in_any_request_order(self, rng):
         # Two rings that share p and two precisions: a cache key that dropped
@@ -193,28 +193,28 @@ class TestEPower:
         shuffled = list(range(65))
         rng.shuffle(shuffled)
         for order in (range(65), range(64, -1, -1), shuffled):
-            eisenstein._e_factor_powers.cache_clear()
+            eisenstein._e_powers.cache_clear()
             for n in order:
                 for ring, precision in cases:
                     assert e_power(ring, precision, n) == expected[ring, precision][n], (
                         ring, precision, n)
 
-    def test_factor_powers_at_m_1_read_no_bernoulli_number(self, monkeypatch):
-        # Every power of E_{p-1} = 1 + pE is 1 mod p: the table is (1,), and E,
+    def test_powers_at_m_1_read_no_bernoulli_number(self, monkeypatch):
+        # Every power of E_{p-1} = 1 + D is 1 mod p: the table is (1,), and D,
         # which reads B_{p-1}, is not built.
         monkeypatch.setattr(exact, "_BERNOULLI_MEMO",
                             {k: exact._BERNOULLI_MEMO[k] for k in (0, 1, 2)})
-        eisenstein._e_factor_powers.cache_clear()
+        eisenstein._e_powers.cache_clear()
         ring = ResidueRing(7, 1)
-        assert eisenstein._e_factor_powers(ring, 10) == (QSeries.one(ring, 10),)
+        assert eisenstein._e_powers(ring, 10) == (QSeries.one(ring, 10),)
         assert exact.bernoulli_cached_indices() == [0, 1, 2]
-        eisenstein._e_factor_powers.cache_clear()
+        eisenstein._e_powers.cache_clear()
 
     @pytest.mark.parametrize("p,m", [(5, 4), (7, 3), (13, 3), (13, 4)])
     def test_inverse_powers_near_p_to_the_m_minus_one(self, p, m):
-        # The filtration pass asks for E_{p-1}^(-n), read as the power p^(m-1) - n.
+        # The filtration pass asks for E_{p-1}^(-n), which is E_{p-1}^(p^(m-1) - n).
         ring, order = ResidueRing(p, m), p ** (m - 1)
-        eisenstein._e_factor_powers.cache_clear()
+        eisenstein._e_powers.cache_clear()
         for precision in (9, 30):
             e = e_series(p - 1, ring, precision)
             for n in range(order - 6, order + 2):
@@ -231,7 +231,7 @@ class TestEPower:
                     [sharpness_probe(f, k, w) for w in range(k % (p - 1), k + 1, p - 1)])
 
         generator_power.cache_clear()
-        eisenstein._e_factor_powers.cache_clear()
+        eisenstein._e_powers.cache_clear()
         cold = reports()
         # Fill the table at a lower precision too: a key without the precision
         # would then hand the pass a power too short for it.
@@ -251,37 +251,67 @@ class TestEPower:
 
     @pytest.mark.parametrize("p,m", [(5, 1), (5, 3), (7, 2), (13, 5)])
     def test_no_power_is_built_by_a_generator_power_chain(self, monkeypatch, p, m):
-        # E_{p-1}^n is one combination of 1, E, ..., E^(m-1): m - 2 products
+        # E_{p-1}^n is one combination of 1, D, ..., D^(m-1): m - 2 products
         # once per ring and precision, none from the generator table, whatever
-        # n is. At m = 1 every power is 1, and E is not built at all.
+        # n is. At m = 1 every power is 1, and D is not built at all.
         ring, order = ResidueRing(p, m), p ** (m - 1)
         exponents = (1, order - 1, order, 5 * order + 2, 1000, -1, -order - 3)
         e = e_series(p - 1, ring, 10)
         expected = [e.pow(n % order) for n in exponents]
         requested, built, products = [], [], []
-        generate, factor, multiply = eisenstein.generator_power, eisenstein.e_factor, QSeries.__mul__
+        generate, series, multiply = eisenstein.generator_power, eisenstein.e_series, QSeries.__mul__
 
         def spy_generate(form, ring, precision, n):
             requested.append((form, n))
             return generate(form, ring, precision, n)
 
-        def spy_factor(ring, precision):
-            built.append(precision)
-            return factor(ring, precision)
+        def spy_series(k, ring, precision):
+            if k == p - 1:
+                built.append(precision)
+            return series(k, ring, precision)
 
         def spy_multiply(a, b):
             products.append(1)
             return multiply(a, b)
 
         monkeypatch.setattr(eisenstein, "generator_power", spy_generate)
-        monkeypatch.setattr(eisenstein, "e_factor", spy_factor)
+        monkeypatch.setattr(eisenstein, "e_series", spy_series)
         monkeypatch.setattr(QSeries, "__mul__", spy_multiply)
-        eisenstein._e_factor_powers.cache_clear()
+        eisenstein._e_powers.cache_clear()
         assert [e_power(ring, 10, n) for n in exponents] == expected
         assert requested == [] and len(products) == max(m - 2, 0)
         assert built == ([] if m == 1 else [10])
-        # n is read mod p^(m-1).
+        # E_{p-1}^(p^(m-1)) = 1 mod p^m.
         assert e_power(ring, 10, -1) == e_power(ring, 10, 3 * order - 1)
+
+    @pytest.mark.parametrize("p", [5, 7, 11, 13, 17, 19, 23, 29, 31])
+    def test_d_vanishes_mod_p(self, p):
+        # The series in D = E_{p-1} - 1 stops after m terms only because D is
+        # 0 mod p, so D^m is 0 mod p^m: every coefficient of -2(p-1)/B_{p-1}
+        # sigma_{p-2}(n) has p-valuation at least 1 (von Staudt-Clausen).
+        exact_d = e_series_exact(p - 1, 40)[1:]
+        assert all(padic_valuation(c, p) >= 1 for c in exact_d if c), p
+        for m in range(1, 5):
+            ring = ResidueRing(p, m)
+            d = e_series(p - 1, ring, 40) - QSeries.one(ring, 40)
+            assert all(c % p == 0 for c in d.coeffs), (p, m)
+            powers = eisenstein._e_powers(ring, 40)
+            assert len(powers) == m and (m == 1 or powers[1] == d), (p, m)
+            assert not any((powers[-1] * d).coeffs), (p, m)  # D^m = 0 mod p^m
+
+    @pytest.mark.parametrize("p", [5, 7, 11, 13])
+    def test_unreduced_exponents_match_both_chains(self, p):
+        # n as asked, never n mod p^(m-1): the generator table's halving chain
+        # and binary powering of E_{p-1} are the oracles.
+        for m in range(1, 6):
+            ring, order = ResidueRing(p, m), p ** (m - 1)
+            exponents = sorted({*range(30), order, p * order, p * order + 1, 3 * order + 2, 1000})
+            for precision in (0, 1, 20):
+                e = e_series(p - 1, ring, precision)
+                for n in exponents:
+                    power = e_power(ring, precision, n)
+                    assert power == generator_power(p - 1, ring, precision, n), (m, precision, n)
+                    assert power == e.pow(n), (m, precision, n)
 
 
 class TestGeneratorPower:
@@ -311,7 +341,7 @@ class TestGeneratorPower:
         ascending = [(form, case, n) for n in exponents for form in forms for case in cases]
         for order in (ascending, ascending[::-1], shuffled):
             generator_power.cache_clear()
-            eisenstein._e_factor_powers.cache_clear()
+            eisenstein._e_powers.cache_clear()
             for form, case, n in order:
                 assert request(form, *case, n) == expected[form, *case][n], (form, case, n)
 

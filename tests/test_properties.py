@@ -198,9 +198,9 @@ def test_residue_first_report_matches_the_exact_one(p, m, alpha, family, seed):
 @settings(derandomize=True, database=None, max_examples=120, deadline=None)
 @given(st.data())
 def test_e_power_matches_binary_powering(data):
-    # E_{p-1}^n from its binomial series in pE against E_{p-1} raised to
-    # n mod p^(m-1) by `QSeries.pow`, for n across several periods either side
-    # of 0 and next to their edges.
+    # E_{p-1}^n from its binomial series in D = E_{p-1} - 1 against E_{p-1}
+    # raised to n mod p^(m-1) by `QSeries.pow`, for n across several periods
+    # either side of 0 and next to their edges.
     p = data.draw(st.sampled_from((5, 7, 11, 13)), label="p")
     m = data.draw(st.integers(1, 6), label="m")
     order = p ** (m - 1)
