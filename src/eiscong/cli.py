@@ -143,10 +143,11 @@ def _record_text(report: CongruenceReport, warning: dict | None, fmt: str) -> st
 
 
 # Records reach the output in chunks. A chunk is written when it holds this
-# many records, or when a task finishes this many seconds or more after the
-# last write.
+# many records, or when the clock, read once per _CLOCK_RECORDS records, shows
+# this many seconds or more since the last write.
 _CHUNK_RECORDS = 256
 _CHUNK_SECONDS = 0.1
+_CLOCK_RECORDS = 16
 
 
 def _emit(results: Iterable[tuple[bool, str]], fmt: str, out, summary: bool = False) -> bool:
@@ -163,7 +164,8 @@ def _emit(results: Iterable[tuple[bool, str]], fmt: str, out, summary: bool = Fa
         lead = sep
         passed += ok
         total += 1
-        if len(chunk) >= _CHUNK_RECORDS or time.monotonic() - written >= _CHUNK_SECONDS:
+        if len(chunk) >= _CHUNK_RECORDS or (total % _CLOCK_RECORDS == 0
+                                            and time.monotonic() - written >= _CHUNK_SECONDS):
             out.write("".join(chunk))
             out.flush()
             chunk, written = [], time.monotonic()

@@ -13,13 +13,16 @@ the exact reciprocals floor(2**W / b**k) of the odd b, carried from one
 index to the next, when two or more are, or an Euler product for 1/zeta(k)
 and one division when one is. Both brackets bound their own error, and
 every index goes through one combine and `_round_proven`, which rounds only
-when the error budget proves it.
+when the error budget proves it. The Euler product cuts each long p**k, and
+the dividend with it, to its quotient's length plus guard bits
+(`_euler_step`), so a step costs about the square of the quotient's length.
 
-The pass reads pi from `_pi`: Chudnovsky's series summed by binary splitting,
-then one integer square root and one floored division. Its error budget (the
-series tail, the square root's floor and the final floor) stays under 1.05
-units at the precision computed, so a value cut from the memo is within 2
-units; `_pi` gives the terms.
+The pass reads 1/pi, the only form it uses, from `_inverse_pi`: Chudnovsky's
+series summed by binary splitting, then one integer square root and one
+floored division. Its error budget (the series tail, the square root's floor,
+the cut of the series' numerator and denominator, and the final floor) stays
+under 1.02 units at the precision computed, so a value cut from the memo is
+within 1.51 units; `_inverse_pi` gives the terms.
 """
 
 from __future__ import annotations
@@ -56,9 +59,9 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 # Memo of exact values keyed by index. Concurrent readers are safe (plain
-# dict reads); insertions, and the growth of _PI, are serialized through
-# _BERNOULLI_LOCK. B_2 is seeded because both zeta brackets below need
-# k >= 4.
+# dict reads); insertions, and the growth of _INVERSE_PI, are serialized
+# through _BERNOULLI_LOCK. B_2 is seeded because both zeta brackets below
+# need k >= 4.
 _BERNOULLI_MEMO: dict[int, Fraction] = {0: Fraction(1), 1: Fraction(-1, 2), 2: Fraction(1, 6)}
 _BERNOULLI_LOCK = threading.Lock()
 
@@ -66,8 +69,8 @@ _BERNOULLI_LOCK = threading.Lock()
 # numerator; an attempt that cannot prove its rounding doubles them.
 _GUARD_BITS = 16
 
-# pi as (bits, A) with |A - pi * 2**bits| < 2; grown under _BERNOULLI_LOCK.
-_PI = (0, 0)
+# 1 / pi as (bits, A) with |A - 2**bits / pi| < 1.02; grown under _BERNOULLI_LOCK.
+_INVERSE_PI = (0, 0)
 
 # _SMALLEST_FACTORS[n] is 0 exactly when n is prime, a composite n's least
 # prime factor otherwise, and 1 at n = 0 and 1. A least prime factor is at
@@ -114,14 +117,15 @@ _CHUDNOVSKY_A, _CHUDNOVSKY_B = 13591409, 545140134
 _CHUDNOVSKY_Q = 640320**3 // 24
 
 
-def _chudnovsky(a: int, b: int) -> tuple[int, int, int]:
-    """(P, Q, T) of the terms a .. b-1, by binary splitting.
+def _chudnovsky(a: int, b: int, with_p: bool = True) -> tuple[int, int, int]:
+    """(P, Q, T) of the terms a .. b-1, by binary splitting; P is 0 unless `with_p`.
 
     With p(j) = (6j-5)(2j-1)(6j-1) and q(j) = j**3 640320**3 / 24 (and
     p(0) = q(0) = 1), t_j = (-1)**j (A + B j) P(0, j+1) / Q(0, j+1), where P and
     Q are the products of p and q over a <= j < b. T is the sum over those j of
     (-1)**j (A + B j) P(a, j+1) Q(j+1, b), so the first N terms sum to
-    T(0, N) / Q(0, N).
+    T(0, N) / Q(0, N). Only a parent reads P, and only its left half's, so
+    the top level and the right halves down its right edge skip theirs.
     """
     if b - a == 1:
         if a == 0:
@@ -131,39 +135,44 @@ def _chudnovsky(a: int, b: int) -> tuple[int, int, int]:
         return p, a * a * a * _CHUDNOVSKY_Q, -t if a % 2 else t
     middle = (a + b) // 2
     p1, q1, t1 = _chudnovsky(a, middle)
-    p2, q2, t2 = _chudnovsky(middle, b)
-    return p1 * p2, q1 * q2, t1 * q2 + p1 * t2
+    p2, q2, t2 = _chudnovsky(middle, b, with_p)
+    return p1 * p2 if with_p else 0, q1 * q2, t1 * q2 + p1 * t2
 
 
-def _pi(bits: int) -> int:
-    """pi * 2**bits within 2, from Chudnovsky's series; callers hold _BERNOULLI_LOCK.
+def _inverse_pi(bits: int) -> int:
+    """2**bits / pi within 1.51, from Chudnovsky's series; callers hold _BERNOULLI_LOCK.
 
-    A request past the memoized precision recomputes pi at no less than twice
+    A request past the memoized precision recomputes it at no less than twice
     that precision, so a rising sequence of requests recomputes it only
     logarithmically often. At q bits the value is
-    floor(426880 isqrt(10005 * 4**q) Q / T), where T / Q = S_N is the sum of the
-    first N = q // 47 + 2 terms of the series S = 426880 sqrt(10005) / pi > 2**23.
-    Its error, in units of 2**-q:
+    floor(T' isqrt(10005 * 4**q) / (426880 * 10005 * Q')), where T / Q = S_N is
+    the sum of the first N = q // 47 + 2 terms of the series
+    S = 426880 sqrt(10005) / pi > 2**23, and T' and Q' are T and Q cut by one
+    shift to leave Q' at least q + 64 bits. Its error, in units of 2**-q, on
+    2**q / pi < 2**(q-1):
 
     - the tail: (6k)! / ((3k)! k!**3) <= 2**(6k) 3**(3k) = 1728**k and
       640320**3 / 1728 > 2**47, so |t_k| < (A + B k) 2**(-47k) < 2**30 k 2**(-47k),
       and the terms past N, each under 2**-46 of the one before, sum to under
-      2**31 N 2**(-47N). Relative to S_N > 2**23 that moves pi 2**q < 4 * 2**q by
-      under N 2**(q + 10 - 47N) <= N 2**-38, since 47N >= q + 48;
-    - the isqrt floor: under 1 in sqrt(10005) 2**q, so under 426880 / S_N < 0.04;
+      2**31 N 2**(-47N), a relative 2**8 N 2**(-47N) of S_N: under
+      N 2**(q + 7 - 47N) <= N 2**-41, since 47N >= q + 48;
+    - the isqrt floor: a relative 1 / (sqrt(10005) 2**q), so under 0.01;
+    - the cut: a relative under 2**-(q+63) from Q' and 2**-(q+86) from T',
+      so under 2**-63;
     - the final floor: under 1.
 
-    That is under 1.05 at q bits, so no guard bits are needed. Cutting the
-    memo down to fewer bits at least halves that error and adds one floor,
-    so every value returned is within 2.
+    That is under 1.02 at q bits. Cutting the memo down to fewer bits at
+    least halves that error and adds one floor, so every value returned is
+    within 1.51 units of 2**bits / pi > 2**(bits-2): a relative 2**(3 - bits).
     """
-    global _PI
-    have, value = _PI
+    global _INVERSE_PI
+    have, value = _INVERSE_PI
     if have < bits:
         have = max(bits, 2 * have, 64)
-        _, q, t = _chudnovsky(0, have // 47 + 2)
-        value = 426880 * math.isqrt(10005 << 2 * have) * q // t
-        _PI = (have, value)
+        _, q, t = _chudnovsky(0, have // 47 + 2, with_p=False)
+        cut = max(q.bit_length() - have - 64, 0)
+        value = (t >> cut) * math.isqrt(10005 << 2 * have) // (426880 * 10005 * (q >> cut))
+        _INVERSE_PI = (have, value)
     return value >> (have - bits)
 
 
@@ -174,18 +183,22 @@ def _truncate(mantissa: int, exponent: int, bits: int) -> tuple[int, int]:
 
 
 def _power_truncated(mantissa: int, exponent: int, k: int, bits: int) -> tuple[int, int]:
-    """(mantissa * 2**exponent)**k by binary powering, each product cut by _truncate.
+    """(mantissa * 2**exponent)**k for k >= 1, by binary powering from the top bit of k.
 
-    At most 2 * k.bit_length() - 1 cuts, each a relative error in (-2**-bits, 0].
+    Each product is cut by _truncate, a factor 1 - t with 0 <= t < 2**-bits,
+    except when k = 1, where the base comes back as it is. The cuts made while
+    bit i of k is read (the square, and the product with the base where the
+    bit is set) enter the result raised to 2**i, and those powers sum to
+    k - 1, so the result is at most the true power and below it by a
+    relative under k 2**-bits. A small base, as in `_euler_step`, keeps
+    each product with it cheap.
     """
-    result, result_exponent = 1, 0
-    while True:
-        if k & 1:
+    result, result_exponent = mantissa, exponent
+    for i in reversed(range(k.bit_length() - 1)):
+        result, result_exponent = _truncate(result * result, 2 * result_exponent, bits)
+        if k >> i & 1:
             result, result_exponent = _truncate(result * mantissa, result_exponent + exponent, bits)
-        k >>= 1
-        if not k:
-            return result, result_exponent
-        mantissa, exponent = _truncate(mantissa * mantissa, 2 * exponent, bits)
+    return result, result_exponent
 
 
 def _working_bits(k: int, top: int, guard: int) -> int:
@@ -261,37 +274,64 @@ def _zeta_sum(reciprocals: list[int], k: int, width: int, w: int) -> tuple[int, 
     return zeta, (last - 1) + ((last + 1) // (k - 1) + 2)
 
 
+def _euler_step(euler: int, p: int, k: int) -> tuple[int, int, int]:
+    """(q, A, x) for the step e <- e - q of `_zeta_euler` at the prime p: A 2**x <= p**k,
+    and floor(e / p**k) - 1 <= q <= floor(e / p**k).
+
+    q = floor(e / p**k) for p = 2 (a shift) and where p**k is no longer than
+    b = max(L, 0) + G bits, G the guard bits(k) + 3; the quotient is below
+    2**L, L = bits(e) - S, where p**k >= 2**S, S = floor(k (bits(p**64) - 1) / 64).
+    A longer p**k is cut: A 2**x is p**k from `_power_truncated` at b bits,
+    below it by a relative under k 2**-b < 1/8, and 2**b <= A < 2**(b+1), so
+    p**k < (A + j) 2**x with j = 4k, and q = floor((e >> x) / (A + j)) =
+    floor(e / ((A + j) 2**x)) is at most floor(e / p**k) and below e / p**k
+    by under 1 + 2**L j / A <= 1 + j 2**-G < 2. That division costs about
+    b**2 bit steps where the full one costs L bits(p**k).
+    """
+    if p == 2:
+        return euler >> k, 1, k
+    size = k * ((p**64).bit_length() - 1) >> 6
+    bits = max(euler.bit_length() - size, 0) + k.bit_length() + 3
+    if bits < size:
+        power, exponent = _power_truncated(p, 0, k, bits)
+        return (euler >> exponent) // (power + 4 * k), power, exponent
+    power = p**k
+    return euler // power, power, 0
+
+
 def _zeta_euler(k: int, w: int) -> tuple[int, int]:
     """(Z, e) with Z <= zeta(k) * 2**w < Z + e, for k >= 4 and w >= 4, by one division.
 
-    E = 2**w / zeta(k) from above, as the floored Euler product over the
-    primes p up to the first with (k-1) p**(k-1) >= 2**w, or over the whole
-    sieve table, which reaches past 2**ceil(w / (k-1)); say n primes, the
-    last P. With X = 2**w / zeta(k) and Pi the exact product over them:
+    E = 2**w / zeta(k) from above, as the Euler product over the primes p up
+    to the first whose stop test below holds, or over the whole sieve table,
+    which reaches past 2**ceil(w / (k-1)); say n primes, the last P. Each
+    step is e <- e - q by `_euler_step`. With Pi the exact product:
 
-    - each step e <- e - floor(e / p**k) lands in [e (1 - p**-k), that + 1),
-      so Pi <= E < Pi + n;
-    - the primes past M, M = P or the table's end if the loop ran it out,
+    - a step lands e - q in [e (1 - p**-k), that + 2), so Pi <= E < Pi + 2n;
+    - the stop test (k-1) A 2**x >= p 2**w gives (k-1) p**(k-1) >= 2**w, so
+      the primes past M, M = P or the table's end if the loop ran it out,
       take a factor 1 - sum_{m > M} m**-k >= 1 - M**(1-k) / (k-1) >= 1 - 2**-w,
-      and Pi <= 2**w, so Pi - 1 <= X <= Pi, and E - n - 1 < X <= E.
+      and Pi <= 2**w, so Pi - 1 <= X <= Pi for X = 2**w / zeta(k), and
+      E - 2n - 1 < X <= E.
 
     zeta(k) 2**w = 2**(2w) / X, so Z = floor(2**(2w) / E) is a lower bound,
-    and the upper one, 2**(2w) / (E - n - 1), exceeds 2**(2w) / E by
-    2**(2w) (n+1) / (E (E - n - 1)) <= zeta(k)**2 (n+1) / (1 - d), where
-    d = (n+1) zeta(k) / 2**w, as E >= X and E - n - 1 >= X - n - 1. Here
-    zeta(k)**2 <= zeta(4)**2 < 1.172, and the n - 1 primes below P are under
-    2**(w/3), so n + 1 <= 2**(w/3) / 2 + 3 and d < 0.4 once w >= 4: that
-    excess is under 1.96 (n+1), and with Z's floor, e = 2n + 3.
+    and the upper one, 2**(2w) / (E - 2n - 1), exceeds 2**(2w) / E by
+    2**(2w) (2n+1) / (E (E - 2n - 1)) <= zeta(k)**2 (2n+1) / (1 - d), where
+    d = (2n+1) zeta(k) / 2**w, as E >= X and E - 2n - 1 >= X - 2n - 1. Here
+    zeta(k)**2 <= zeta(4)**2 < 1.172, and each prime that failed the stop
+    test has (k-1) p**(k-1) < 2**(w+1), as A 2**x > 7/8 p**k, so is under
+    2**(w/3): d <= 0.34 once w >= 4, its largest at w = 4 and n = 2. That
+    excess is under 1.78 (2n+1) < 4n + 2, and with Z's floor, e = 4n + 3.
     """
     factors = _smallest_factors(1 << -(-w // (k - 1)))
     euler, primes = 1 << w, 0
     for p in compress(range(len(factors)), map(not_, factors)):
-        power = p**k
-        euler -= euler // power
+        quotient, power, exponent = _euler_step(euler, p, k)
+        euler -= quotient
         primes += 1
-        if (k - 1) * (power // p) >= 1 << w:
+        if (k - 1) * power << exponent >= p << w:
             break
-    return (1 << 2 * w) // euler, 2 * primes + 3
+    return (1 << 2 * w) // euler, 4 * primes + 3
 
 
 # Bits past an index's precision w to which the pass cuts 2 k! D (2 pi)**-k
@@ -332,7 +372,7 @@ def _ascending_pass(ks: list[int], guard: int) -> list[int]:
         w = _working_bits(k, 2 * factorial * denominator, guard)
         steps.append((k, k - previous, rise, denominator, w))
         previous = k
-    total = sum(2 * d.bit_length() + 1 for _, d, *_ in steps)
+    total = sum(d + 2 for _, d, *_ in steps)
     width = max((w for *_, w in steps), default=0) + total.bit_length()
     factors: dict[int, tuple[int, int]] = {}  # d -> (2 pi)**-d at width + 1 bits
     reciprocals: list[int] = []  # floor(2**width / b**k) for b = 1, 3, 5, ...
@@ -340,11 +380,11 @@ def _ascending_pass(ks: list[int], guard: int) -> list[int]:
     unproven = []
     for k, d, rise, denominator, w in steps:
         if d not in factors:
-            s = width + d.bit_length() + 3
-            factors[d] = _power_truncated((1 << 2 * s) // _pi(s), -s - 1, d, width)
+            s = width + d.bit_length() + 4
+            factors[d] = _power_truncated(_inverse_pi(s), -s - 1, d, width)
         step, step_exponent = factors[d]
         mantissa, exponent = _truncate(mantissa * (step * rise), exponent + step_exponent, width)
-        cost += 2 * d.bit_length() + 1
+        cost += d + 2
         if len(steps) == 1:
             zeta = _zeta_euler(k, w)
         else:
@@ -368,12 +408,12 @@ def prefetch_bernoulli(indices: Iterable[int]) -> None:
     it and g are guard bits. The missing indices run in one ascending pass at
     one precision W, which carries F = 2 k! (2 pi)**-k to the next index, a
     gap of d, by one cut product, F <- F * ((2 pi)**-d k!/(k-d)!), k! exact.
-    (2 pi)**-d is made once per distinct gap: pi to s = W + bits(d) + 3 bits,
-    2**s / pi floored within a relative 2**(2-s), raised to the d-th power
-    (under half a unit of 2**-W) by at most 2 bits(d) - 1 cuts to W + 1 bits;
-    with the product's own cut a step adds under 2 bits(d) + 1 units of 2**-W.
-    W exceeds each index's w by the bits of their sum over the pass, so F is
-    within units = 1 unit of 2**-w.
+    (2 pi)**-d is made once per distinct gap: 2**s / pi at s = W + bits(d) + 4
+    bits, within a relative 2**(3-s) (`_inverse_pi`), raised to the d-th
+    power (under half a unit of 2**-W) by cuts to W + 1 bits that lose under
+    d units of 2**-W in all (`_power_truncated`); with the product's own cut
+    a step adds under d + 2 units of 2**-W. W exceeds each index's w by the
+    bits of their sum over the pass, so F is within units = 1 unit of 2**-w.
 
     zeta(k) comes as a bracket (Z, e), Z <= zeta(k) 2**w < Z + e, chosen by
     how many indices are missing: from `_zeta_sum` for two or more, whose

@@ -2,7 +2,7 @@
 
 from fractions import Fraction
 from itertools import product
-from math import comb
+from math import comb, isqrt
 
 import pytest
 
@@ -95,6 +95,41 @@ def pi_by_machin(bits: int) -> int:
     extra = bits.bit_length() + 6
     q = bits + extra
     return (16 * _arctan_inverse(5, q) - 4 * _arctan_inverse(239, q)) >> extra
+
+
+def zeta_by_floors(k: int, bits: int) -> tuple[int, int]:
+    """zeta oracle: (lo, hi) with lo <= zeta(k) * 2**bits < hi, for k >= 2, from every term.
+
+    lo sums floor(2**bits / n**k) over n < N, N the first n with n**k > 2**bits;
+    those floors lose under N, and the tail past N is under 1 + N / (k-1).
+    """
+    lo, n = 0, 1
+    while (term := (1 << bits) // n**k):
+        lo += term
+        n += 1
+    return lo, lo + n + n // (k - 1) + 2
+
+
+def primes_to(limit: int) -> list[int]:
+    """The primes up to `limit`, by trial division (oracle for the sieve table)."""
+    return [n for n in range(2, limit + 1) if all(n % d for d in range(2, isqrt(n) + 1))]
+
+
+def euler_by_floors(k: int, w: int) -> list[tuple[int, int]]:
+    """Euler-product oracle: (p, floor(e / p**k)) per step of e <- e - floor(e / p**k) from e = 2**w.
+
+    Over the primes up to the first with (k-1) p**(k-1) >= 2**w, each p**k in
+    full: the floored product that the zeta bracket's Euler steps approximate.
+    """
+    steps, euler, limit = [], 1 << w, 64
+    while True:
+        for p in primes_to(limit)[len(steps):]:
+            power = p**k
+            steps.append((p, euler // power))
+            euler -= steps[-1][1]
+            if (k - 1) * power >= p << w:
+                return steps
+        limit *= 2
 
 
 def sigma_power(k_minus_1: int, n: int) -> int:
@@ -350,9 +385,9 @@ def filtration_by_search(f: QSeries, k: int, upto: int | None = None,
 
 @pytest.fixture
 def cold_bernoulli(monkeypatch):
-    """An empty memo beyond the seeds, no memoized pi, and no memoized k/B_k scan term."""
+    """An empty memo beyond the seeds, no memoized 1/pi, and no memoized k/B_k scan term."""
     monkeypatch.setattr(exact, "_BERNOULLI_MEMO", {k: exact._BERNOULLI_MEMO[k] for k in (0, 1, 2)})
-    monkeypatch.setattr(exact, "_PI", (0, 0))
+    monkeypatch.setattr(exact, "_INVERSE_PI", (0, 0))
     congruences._k_over_bernoulli.cache_clear()
 
 

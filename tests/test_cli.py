@@ -69,6 +69,48 @@ class TestHelpers:
         assert smallest_kstar_multiple(7, 7) == 12
         assert smallest_kstar_multiple(13, 15) == 24
 
+    @pytest.mark.parametrize("step", [0.0, 0.001, 0.01, 0.3])
+    def test_emit_reads_the_clock_once_per_few_records(self, monkeypatch, step):
+        # A fake clock that each record advances by `step` seconds: a chunk
+        # is written at the first clock read 0.1 s or more after the last
+        # write, or at 256 records, and the clock is read once per 16 records
+        # and once per write.
+        class Clock:
+            now, reads = 0.0, 0
+
+            def monotonic(self):
+                self.reads += 1
+                return self.now
+
+        class Out:
+            def __init__(self):
+                self.writes = []
+
+            def write(self, text):
+                self.writes.append((clock.now, text.count("\n")))
+
+            def flush(self):
+                pass
+
+        def records(count):
+            for n in range(count):
+                clock.now += step
+                yield True, f"{n}\n"
+
+        clock, out = Clock(), Out()
+        monkeypatch.setattr(cli, "time", clock)
+        assert cli._emit(records(1000), "jsonl", out)
+        times, sizes = zip(*out.writes)
+        assert sum(sizes) == 1000 and all(0 < size <= 256 for size in sizes[:-1])
+        written = 0
+        for index, (before, after, size) in enumerate(zip((0.0,) + times, times[:-1], sizes)):
+            # A full chunk holds 256 items, the first one the (empty) head too.
+            written += size
+            full = size == 256 - (index == 0)
+            assert full or (written % 16 == 0 and after - before >= 0.1), (before, after, size)
+            assert full or after - before < 0.1 + 16 * step, (before, after, size)
+        assert clock.reads <= 1 + 1000 // 16 + len(out.writes)
+
 
 class TestBernoulliCommand:
     def test_single_value(self, capsys):

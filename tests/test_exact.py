@@ -27,7 +27,8 @@ from eiscong.exact import (
     sigma_power_table,
 )
 
-from conftest import bernoulli_by_recurrence, bernoulli_by_tangent, pi_by_machin, sigma_power
+from conftest import (bernoulli_by_recurrence, bernoulli_by_tangent, euler_by_floors, pi_by_machin,
+                      primes_to, sigma_power, zeta_by_floors)
 
 # Every even index the differential tests request: all of 2..600, and the
 # large weights of the paper's examples and the benchmark.
@@ -80,8 +81,9 @@ def interleaved(indices):
     return out + small[len(large) * step:]
 
 
-# The largest precision the pi tests ask for, plus the 32 bits they compare at.
-PI_ORACLE_BITS = 40_000 + 32
+# The largest precision the 1/pi tests ask for, plus the 64 bits past it
+# that the oracle's pi is taken to.
+PI_ORACLE_BITS = 40_000 + 64
 
 # Sizes around 2**j and on both sides of a multiple of 47, where the number of
 # series terms steps, from 64 to 40,000 bits.
@@ -102,64 +104,74 @@ BENCHMARK_ARGVS = [
 
 @pytest.fixture(scope="module")
 def machin_pi():
-    """pi * 2**(b + 32) within 2 for every b up to 40,000, cut from one Machin value."""
+    """pi * 2**(b + 32) within 2 for every b up to 40,032, cut from one Machin value."""
     oracle = pi_by_machin(PI_ORACLE_BITS)
     return lambda bits: oracle >> (PI_ORACLE_BITS - bits - 32)
 
 
-def assert_pi_within_two(value, bits, machin_pi):
-    # |value - pi 2**bits| < 2 follows when value 2**32 is within 2**33 - 2
-    # of the oracle, which is itself within 2 of pi 2**(bits + 32).
-    assert abs((value << 32) - machin_pi(bits)) + 2 <= 2 << 32, bits
+def assert_inverse_pi_within(value, bits, machin_pi, hundredths):
+    """|value - 2**bits / pi| < hundredths / 100, against Machin's pi.
+
+    R = floor(2**(2 bits + 96) / A), with A within 2 of pi 2**(bits + 64), is
+    within 1 + 2**-32 of 2**(bits + 32) / pi, so that follows when value 2**32
+    is within hundredths / 100 * 2**32 - 2 of R.
+    """
+    inverse = (1 << 2 * bits + 96) // machin_pi(bits + 32)
+    assert 100 * (abs((value << 32) - inverse) + 2) <= hundredths << 32, (bits, hundredths)
 
 
 class TestPi:
-    """Chudnovsky by binary splitting against Machin's formula, 32 bits further out."""
+    """2**bits / pi from Chudnovsky's series against Machin's formula, 32 bits further out.
+
+    At the memoized size it is within 1.02, and cut from a larger memo within 1.51.
+    """
 
     def test_each_size_from_a_cold_memo(self, monkeypatch, machin_pi):
         for bits in PI_SIZES:
-            monkeypatch.setattr(exact, "_PI", (0, 0))
-            assert_pi_within_two(exact._pi(bits), bits, machin_pi)
-            assert exact._PI[0] == max(bits, 64)
+            monkeypatch.setattr(exact, "_INVERSE_PI", (0, 0))
+            assert_inverse_pi_within(exact._inverse_pi(bits), bits, machin_pi, 102)
+            assert exact._INVERSE_PI[0] == max(bits, 64)
 
     def test_rising_and_falling_requests(self, monkeypatch, machin_pi):
         # A request past the memo recomputes at no less than twice its size; a
         # request within it is cut from the memo without recomputing.
-        monkeypatch.setattr(exact, "_PI", (0, 0))
+        monkeypatch.setattr(exact, "_INVERSE_PI", (0, 0))
         have = 0
         for bits in (100, 101, 150, 129, 1000, 64, 2049, 2047, 4100, 7, 9000, 40_000, 3, 39_999):
-            before = exact._PI
-            assert_pi_within_two(exact._pi(bits), bits, machin_pi)
+            before = exact._INVERSE_PI
+            value = exact._inverse_pi(bits)
             if bits <= have:
-                assert exact._PI is before, bits
+                assert exact._INVERSE_PI is before, bits
             else:
                 have = max(bits, 2 * have, 64)
-                assert exact._PI[0] == have, bits
+                assert exact._INVERSE_PI[0] == have, bits
+            assert_inverse_pi_within(value, bits, machin_pi, 102 if bits == have else 151)
 
     def test_every_size_the_benchmark_requests(self, capsys, monkeypatch, tmp_path, machin_pi):
         monkeypatch.delenv("EISCONG_BERNOULLI_CACHE", raising=False)
-        requested = set()
-        real_pi = exact._pi
+        requested = {}
+        real_inverse_pi = exact._inverse_pi
 
         def spy(bits):
-            requested.add(bits)
-            return real_pi(bits)
+            requested[bits] = real_inverse_pi(bits)
+            return requested[bits]
 
-        monkeypatch.setattr(exact, "_pi", spy)
+        monkeypatch.setattr(exact, "_inverse_pi", spy)
         cache = tmp_path / "bernoulli.cache"
         for argv in BENCHMARK_ARGVS:
             # Each benchmark operation starts in a fresh interpreter.
             monkeypatch.setattr(exact, "_BERNOULLI_MEMO",
                                 {k: exact._BERNOULLI_MEMO[k] for k in (0, 1, 2)})
-            monkeypatch.setattr(exact, "_PI", (0, 0))
+            monkeypatch.setattr(exact, "_INVERSE_PI", (0, 0))
             congruences._k_over_bernoulli.cache_clear()
             extra = ["--cache", str(cache)] if argv[0] == "scan" else []
             assert main(argv + extra + ["--jobs", "1"]) == 0, argv
         capsys.readouterr()
         assert len(requested) > 5 and max(requested) > 17_000
-        for bits in sorted(requested):
-            monkeypatch.setattr(exact, "_PI", (0, 0))
-            assert_pi_within_two(real_pi(bits), bits, machin_pi)
+        for bits, value in sorted(requested.items()):
+            assert_inverse_pi_within(value, bits, machin_pi, 151)
+            monkeypatch.setattr(exact, "_INVERSE_PI", (0, 0))
+            assert_inverse_pi_within(real_inverse_pi(bits), bits, machin_pi, 102)
 
 
 class TestBernoulli:
@@ -227,9 +239,9 @@ class TestBernoulli:
 
     def test_pi_grows_at_least_twofold(self, cold_bernoulli):
         bernoulli(100)
-        first = exact._PI[0]
+        first = exact._INVERSE_PI[0]
         bernoulli(102)
-        assert exact._PI[0] >= 2 * first
+        assert exact._INVERSE_PI[0] >= 2 * first
 
     def test_working_bits_bound_the_numerator_within_three_bits(self, tangent_oracle):
         # 2**L exceeds |B_k| D, and with log2(2 pi) > 2.6514 and one bit for
@@ -269,14 +281,14 @@ class TestBernoulli:
         indices = [402, 1296, 2026, 2402] * 2
         results = {}
         unlocked_pi = []
-        real_pi = exact._pi
+        real_inverse_pi = exact._inverse_pi
 
         def pi_under_lock(bits):
             if not exact._BERNOULLI_LOCK.locked():
                 unlocked_pi.append(bits)
-            return real_pi(bits)
+            return real_inverse_pi(bits)
 
-        monkeypatch.setattr(exact, "_pi", pi_under_lock)
+        monkeypatch.setattr(exact, "_inverse_pi", pi_under_lock)
 
         def worker(slot, k):
             results[slot] = bernoulli(k)
@@ -360,6 +372,24 @@ def spy_reciprocals(monkeypatch):
 
     monkeypatch.setattr(exact, "_zeta_sum", spy)
     return steps
+
+
+def spy_steps(monkeypatch):
+    """Record (e, p, k, (q, A, x)) per Euler step; `cut_primes` reads the cut ones from it."""
+    steps = []
+    real = exact._euler_step
+
+    def spy(euler, p, k):
+        steps.append((euler, p, k, real(euler, p, k)))
+        return steps[-1][3]
+
+    monkeypatch.setattr(exact, "_euler_step", spy)
+    return steps
+
+
+def cut_primes(steps):
+    """The primes whose steps were cut: an odd p whose power came shifted, A 2**x with x > 0."""
+    return [p for _, p, _, (_, _, exponent) in steps if p > 2 and exponent]
 
 
 def alone(k):
@@ -494,14 +524,14 @@ class TestPrefetch:
     def test_threads_share_the_memo(self, cold_bernoulli, tangent_oracle, monkeypatch):
         # Overlapping passes and single-index calls, interleaved finely.
         unlocked_pi = []
-        real_pi = exact._pi
+        real_inverse_pi = exact._inverse_pi
 
         def pi_under_lock(bits):
             if not exact._BERNOULLI_LOCK.locked():
                 unlocked_pi.append(bits)
-            return real_pi(bits)
+            return real_inverse_pi(bits)
 
-        monkeypatch.setattr(exact, "_pi", pi_under_lock)
+        monkeypatch.setattr(exact, "_inverse_pi", pi_under_lock)
         work = [lambda: prefetch_bernoulli(SCAN_INDICES[:200]),
                 lambda: prefetch_bernoulli(SCAN_INDICES[100:]),
                 lambda: prefetch_bernoulli(SCAN_INDICES[::2]),
@@ -610,16 +640,98 @@ class TestPrefetch:
             assert exact._zeta_sum([], k, w + 37, w) == (zeta, error), (k, w)
 
     @pytest.mark.parametrize("k", [4, 6, 8, 12, 20])
-    def test_zeta_euler_within_its_bound(self, k):
-        # As above, from w = 4 on, where n + 1 primes weigh most against 2**w.
+    def test_zeta_euler_within_its_bound(self, k, monkeypatch):
+        # As above, from w = 4 on, where n + 1 primes weigh most against 2**w;
+        # past w = 2k or so the last primes' steps are cut.
         M = 1024
         L = math.lcm(*range(1, M + 1)) ** k
         partial = Fraction(sum(L // n**k for n in range(1, M + 1)), L)
+        steps = spy_steps(monkeypatch)
         for w in range(4, 6 * k + 1):
             zeta, error = exact._zeta_euler(k, w)
             low = partial * 2**w
             high = low + Fraction(2**w, (k - 1) * M ** (k - 1))
             assert zeta <= low and high < zeta + error, (k, w)
+        assert len(cut_primes(steps)) > 40
+
+    @pytest.mark.parametrize("k", [1296, 2026, 2402, 3000])
+    def test_zeta_euler_cuts_at_the_large_weights(self, k, tangent_oracle, monkeypatch):
+        # At the precision a lone B_k runs at, more than half the primes,
+        # the largest, are cut, up to the last the full floors take or the
+        # next (the cut stop test may read a power a little short), and the
+        # bracket holds against every term's floor.
+        w = exact._working_bits(k, 2 * math.factorial(k) * tangent_oracle[k].denominator,
+                                exact._GUARD_BITS)
+        steps = spy_steps(monkeypatch)
+        zeta, error = exact._zeta_euler(k, w)
+        cut = cut_primes(steps)
+        primes = [p for _, p, _, _ in steps]
+        assert 2 * len(cut) > len(primes) and cut == primes[-len(cut):], k
+        assert primes == primes_to(primes[-1]) and len(primes) <= len(euler_by_floors(k, w)) + 1, k
+        low, high = zeta_by_floors(k, w + 64)
+        assert zeta << 64 <= low and high <= zeta + error << 64, k
+
+    @pytest.mark.parametrize("k,ws", [(6, range(8, 40)), (12, range(15, 100)), (40, range(45, 170))])
+    def test_zeta_euler_when_the_last_quotient_has_at_most_one_bit(self, k, ws, monkeypatch):
+        # A cut step whose quotient has no bits or one keeps only its guard
+        # bits of p**k; the bracket still holds there.
+        steps = spy_steps(monkeypatch)
+        seen = set()
+        for w in ws:
+            last, quotient = euler_by_floors(k, w)[-1]
+            steps.clear()
+            zeta, error = exact._zeta_euler(k, w)
+            if quotient.bit_length() > 1 or last not in cut_primes(steps):
+                continue
+            seen.add(quotient)
+            low, high = zeta_by_floors(k, w + 16)
+            assert zeta << 16 <= low and high <= zeta + error << 16, (k, w)
+        assert seen == {0, 1}
+
+    @pytest.mark.parametrize("k,ws", [(4, range(4, 46)), (12, range(4, 140)), (40, range(4, 500, 3)),
+                                      (2402, range(16_000, 17_200, 40))])
+    def test_euler_steps_never_above_the_floor(self, k, ws, monkeypatch):
+        # Each step subtracts floor(e / p**k) or one less, never more, and the
+        # stop test reads a power no larger than p**k.
+        steps = spy_steps(monkeypatch)
+        for w in ws:
+            exact._zeta_euler(k, w)
+        below = 0
+        for euler, p, _, (quotient, power, exponent) in steps:
+            floor = euler // p**k
+            assert floor - 1 <= quotient <= floor and power << exponent <= p**k, (k, p)
+            below += quotient < floor
+        assert below and len(cut_primes(steps)) > len(steps) // 4
+
+    @pytest.mark.parametrize("k,w", [(4, 40), (6, 60), (12, 130), (40, 300), (2402, 17_169)])
+    def test_zeta_euler_covers_its_worst_case(self, k, w):
+        # The bracket's proof: with n primes, the product E, from above, is
+        # under 2**w / zeta(k) + 2n + 1, so zeta(k) 2**w < 2**(2w) / (E - 2n - 1),
+        # which Z + e must exceed, wherever in its range each floor and each
+        # cut quotient fell. E > 2**(2w) / (Z + 1) is read back from Z. A cut
+        # power is below p**k by under 1/8, so the stop test holds by the
+        # first prime with 7 (k-1) p**(k-1) >= 8 * 2**w: n is at most its count.
+        zeta, error = exact._zeta_euler(k, w)
+        n = 0
+        for p in primes_to(1 << -(-w // (k - 1)) + 1):
+            n += 1
+            if 7 * (k - 1) * p ** (k - 1) >= 8 << w:
+                break
+        least = (1 << 2 * w) // (zeta + 1) + 1
+        assert (zeta + error) * (least - 2 * n - 1) > 1 << 2 * w, (k, w)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 6, 100, 612, 2402])
+    def test_power_truncated_within_k_units(self, k):
+        # Each cut loses under 2**-bits of its product, and a cut made at
+        # bit i of k counts 2**i times in the result: k - 1 in all.
+        rng = random.Random(k)
+        for bits in (8, 64, 200):
+            for size in (3, bits, 3 * bits):
+                mantissa = rng.getrandbits(size) | 1 << (size - 1)
+                value, exponent = exact._power_truncated(mantissa, -5, k, bits)
+                power = mantissa**k
+                approx = value << (exponent + 5 * k)
+                assert 0 <= power - approx and (power - approx) << bits < k * power, (k, bits)
 
     def test_brackets_at_the_precision_each_index_runs_at(self, cold_bernoulli, tangent_oracle,
                                                           monkeypatch, machin_pi):
@@ -645,6 +757,37 @@ class TestPrefetch:
                                             exact._GUARD_BITS)
             low, high, scale = zeta_bounds(k, w, tangent_oracle[k], machin_pi)
             assert zeta * scale <= low and high < (zeta + error) * scale, (name, k, w)
+
+    @pytest.mark.parametrize("indices", [[1296], [2402], [3000], SCAN_INDICES[101:], [4, 612, 2026]],
+                             ids=["1296", "2402", "3000", "scan-after-its-cache", "wide-gaps"])
+    def test_carried_factor_within_its_units(self, cold_bernoulli, tangent_oracle, monkeypatch,
+                                             machin_pi, indices):
+        # 2 k! D (2 pi)**-k as the pass hands it to the combine, within its
+        # `units` of 2**-w, against Machin's pi: between the floored and the
+        # ceilinged powers of 2 (A -/+ 2) in b-bit fixed point, A within 2 of
+        # pi 2**b. A gap of d costs up to d units of the pass's precision in
+        # the cut powers of 2**s / pi, not one per cut.
+        handed = []
+        real = exact._numerator
+
+        def spy(bracket, w, guard, mantissa, exponent, units):
+            handed.append((w, mantissa, exponent, units))
+            return real(bracket, w, guard, mantissa, exponent, units)
+
+        monkeypatch.setattr(exact, "_numerator", spy)
+        prefetch_bernoulli(indices)
+        assert len(handed) == len(indices)
+        for k, (w, mantissa, exponent, units) in zip(indices, handed):
+            b = w + 64
+            approx = machin_pi(b - 32)
+            low = _fixed_power(2 * (approx - 2), k, b, floor=True)
+            high = _fixed_power(2 * (approx + 2), k, b, floor=False)
+            top = 2 * math.factorial(k) * tangent_oracle[k].denominator << b
+            shift = max(-exponent, 0)
+            value = mantissa << (exponent + shift)
+            # value 2**-shift within a relative units 2**-w of top / (2 pi)**k 2**b.
+            assert value * low << w >= (top << shift) * ((1 << w) - units), k
+            assert value * high << w <= (top << shift) * ((1 << w) + units), k
 
     @pytest.mark.parametrize("guard", [4, 16, 64])
     def test_combine_within_the_stated_error(self, monkeypatch, guard):
