@@ -157,7 +157,7 @@ def _emit(results: Iterable[tuple[bool, str]], fmt: str, out, summary: bool = Fa
     when every record passed.
     """
     head, sep, tail = _FRAMES[fmt]
-    chunk, lead, passed, total = [head], "", 0, 0
+    chunk, lead, passed, total = [], head, 0, 0
     written = time.monotonic()
     for ok, text in results:
         chunk.append(lead + text)
@@ -171,6 +171,8 @@ def _emit(results: Iterable[tuple[bool, str]], fmt: str, out, summary: bool = Fa
             chunk, written = [], time.monotonic()
     if summary:
         chunk.append(lead + _dict_text({"summary": {"pass": passed, "total": total}}, fmt))
+    elif not total:
+        chunk.append(head)  # the head leads the first record, and there was none
     chunk.append(tail)
     out.write("".join(chunk))
     return passed == total
@@ -529,7 +531,8 @@ def _cmd_reproduce(args, out) -> int:
 
 def _add_common(parser: argparse.ArgumentParser, default_format: str,
                 formats: tuple[str, ...] = ("json", "jsonl")) -> None:
-    """Flags every subcommand takes; `formats` are the output formats it honours."""
+    """Flags every subcommand takes; `formats` are the values its --format accepts (for
+    `series`, `filtration` and `reproduce`, json and jsonl print the same JSON line)."""
     parser.add_argument("--out", help="write output to this file instead of stdout")
     parser.add_argument("--format", choices=formats, default=default_format)
     parser.add_argument("--cache", help="Bernoulli cache file (load before, append after)")

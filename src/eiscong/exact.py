@@ -8,13 +8,13 @@ Bernoulli numbers come from zeta(k) in integer fixed point, by one driver,
 `prefetch_bernoulli`; `bernoulli` reads the memo and sends a miss there. The
 driver steps 2 k! (2 pi)**-k, one cut product, from one missing index to the
 next in one ascending pass, and takes a bracket of zeta(k) from one of two
-providers, chosen by how many indices are missing: a direct zeta sum over
-the exact reciprocals floor(2**W / b**k) of the odd b, carried from one
-index to the next, when two or more are, or an Euler product for 1/zeta(k)
-and one division when one is. Both brackets bound their own error, and
-every index goes through one combine and `_round_proven`, which rounds only
-when the error budget proves it. The Euler product cuts each long p**k, and
-the dividend with it, to its quotient's length plus guard bits
+providers, chosen by how many indices are missing: a direct zeta sum over the
+exact reciprocals floor(2**W / b**k) of the odd b, carried from one index to
+the next, when two or more are, or an Euler product for 1/zeta(k) and one
+division when one is. Both brackets bound their own error; every index goes
+through one combine and `_round_proven`, which rounds only when the error
+budget stated in `prefetch_bernoulli` proves it. The Euler product cuts each
+long p**k, and the dividend with it, to its quotient's length plus guard bits
 (`_euler_step`), so a step costs about the square of the quotient's length.
 
 The pass reads 1/pi, the only form it uses, from `_inverse_pi`: Chudnovsky's
@@ -339,15 +339,14 @@ def _zeta_euler(k: int, w: int) -> tuple[int, int]:
 _SLACK_BITS = 2
 
 
-def _numerator(bracket: tuple[int, int], w: int, guard: int, mantissa: int, exponent: int,
-               units: int) -> int | None:
+def _numerator(bracket: tuple[int, int], w: int, guard: int, mantissa: int, exponent: int) -> int | None:
     """|B_k| D = 2 k! D (2 pi)**-k zeta(k) for even k >= 4, or None if `guard` bits cannot prove it.
 
     w = _working_bits(k, 2 k! D, guard); bracket = (Z, e) with
     Z <= zeta(k) 2**w < Z + e, and mantissa * 2**exponent is
-    2 k! D (2 pi)**-k within a relative error of `units` * 2**-w. One
-    product, with no division: that factor cut to w + _SLACK_BITS + 1 bits,
-    times Z. See `prefetch_bernoulli` for the error budget.
+    2 k! D (2 pi)**-k within a relative error of 2**-w. One product, with no
+    division: that factor cut to w + _SLACK_BITS + 1 bits, times Z. The
+    error, e + 3, is the budget stated in `prefetch_bernoulli`.
     """
     zeta, zeta_error = bracket
     mantissa, exponent = _truncate(mantissa, exponent, w + _SLACK_BITS)
@@ -355,7 +354,7 @@ def _numerator(bracket: tuple[int, int], w: int, guard: int, mantissa: int, expo
     scaled = mantissa * zeta
     shift = exponent + guard - w
     scaled = scaled << shift if shift >= 0 else scaled >> -shift
-    return _round_proven(scaled, guard, zeta_error + units + 2)
+    return _round_proven(scaled, guard, zeta_error + 3)
 
 
 def _ascending_pass(ks: list[int], guard: int) -> list[int]:
@@ -376,7 +375,7 @@ def _ascending_pass(ks: list[int], guard: int) -> list[int]:
     width = max((w for *_, w in steps), default=0) + total.bit_length()
     factors: dict[int, tuple[int, int]] = {}  # d -> (2 pi)**-d at width + 1 bits
     reciprocals: list[int] = []  # floor(2**width / b**k) for b = 1, 3, 5, ...
-    mantissa, exponent, cost = 2, 0, 0  # 2 k! (2 pi)**-k within cost * 2**-width
+    mantissa, exponent = 2, 0  # 2 k! (2 pi)**-k
     unproven = []
     for k, d, rise, denominator, w in steps:
         if d not in factors:
@@ -384,14 +383,12 @@ def _ascending_pass(ks: list[int], guard: int) -> list[int]:
             factors[d] = _power_truncated(_inverse_pi(s), -s - 1, d, width)
         step, step_exponent = factors[d]
         mantissa, exponent = _truncate(mantissa * (step * rise), exponent + step_exponent, width)
-        cost += d + 2
         if len(steps) == 1:
             zeta = _zeta_euler(k, w)
         else:
             reciprocals = [r // b**d for b, r in zip(range(1, 2 * len(reciprocals), 2), reciprocals)]
             zeta = _zeta_sum(reciprocals, k, width, w)
-        numerator = _numerator(zeta, w, guard, mantissa * denominator, exponent,
-                               -(-cost >> (width - w)))
+        numerator = _numerator(zeta, w, guard, mantissa * denominator, exponent)
         if numerator is None:
             unproven.append(k)
         else:
@@ -412,17 +409,17 @@ def prefetch_bernoulli(indices: Iterable[int]) -> None:
     bits, within a relative 2**(3-s) (`_inverse_pi`), raised to the d-th
     power (under half a unit of 2**-W) by cuts to W + 1 bits that lose under
     d units of 2**-W in all (`_power_truncated`); with the product's own cut
-    a step adds under d + 2 units of 2**-W. W exceeds each index's w by the
-    bits of their sum over the pass, so F is within units = 1 unit of 2**-w.
+    a step adds under d + 2 units of 2**-W. W is the largest w plus bits(C),
+    C the sum of d + 2 over the pass, so F is within C 2**-W < 2**-w.
 
     zeta(k) comes as a bracket (Z, e), Z <= zeta(k) 2**w < Z + e, chosen by
     how many indices are missing: from `_zeta_sum` for two or more, whose
     odd reciprocals R_b = floor(2**W / b**k) step by R_b //= b**d, exactly,
     and from `_zeta_euler` for one, where fresh reciprocals would each cost a
-    big division. |B_k| D * 2**g, below 2**w, is then known within e (as
-    zeta(k) >= 1), F's `units`, one unit for the slack cut of F D to w + 3
-    bits and the products of the relative errors, and one for the final
-    floor (`_numerator`), and is rounded only when `_round_proven` proves it.
+    big division. |B_k| D * 2**g < 2**w is then known within e + 3 units
+    (`_numerator`): e from Z (as zeta(k) >= 1), one from F, one for the slack
+    cut of F D to w + 3 bits and the products of the relative errors, and one
+    for the final floor; `_round_proven` rounds it only when that proves it.
     An index a pass leaves unproven is redone alone from the first width; a
     lone index doubles g, at most twice, and then raises `ArithmeticError`.
     """

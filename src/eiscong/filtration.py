@@ -339,18 +339,16 @@ def _checked_upto(f: QSeries, k: int, upto: int | None, w: int | None = None) ->
     return upto
 
 
-def _substitute(h: QSeries, monomials, upto: int,
-                columns: tuple[QSeries, ...] | None = None) -> tuple[QSeries, list[int]]:
+def _substitute(h: QSeries, monomials, upto: int) -> tuple[QSeries, list[int]]:
     """What is left of h, and the coefficients, after forward substitution in the monomial
     columns (a, b, c), each leading with q^c: its coefficient is the q^c coefficient of
-    what is left (0 past q^upto). The columns are `columns`, in step with `monomials`,
-    or else built by `monomial_series` where the coefficient is not 0."""
+    what is left (0 past q^upto). A column is `monomial_series(a, b, c, ring, upto)`, read
+    where its coefficient is not 0: the cached object `basis` holds at that precision."""
     coeffs = []
-    for j, (a, b, c) in enumerate(monomials):
+    for a, b, c in monomials:
         x = h.coeffs[c] if c <= upto else 0
         if x:
-            column = columns[j] if columns else monomial_series(a, b, c, h.ring, upto)
-            h = h - column.scale(x)
+            h = h - monomial_series(a, b, c, h.ring, upto).scale(x)
         coeffs.append(x)
     return h, coeffs
 
@@ -384,7 +382,7 @@ def _layer_bound(f: QSeries, k: int, upto: int) -> int | None:
 def _probe(f: QSeries, k: int, bm: BasisMatrix, upto: int) -> Solution | NoSolution:
     """`sharpness_probe` at the weight of `bm`, in that basis."""
     h = f * e_power(f.ring, upto, (bm.weight - k) // (f.ring.p - 1))
-    rest, coeffs = _substitute(h, bm.monomials, upto, bm.columns)
+    rest, coeffs = _substitute(h, bm.monomials, upto)
     row = next((i for i, c in enumerate(rest.coeffs) if c), None)
     return Solution(tuple(coeffs)) if row is None else NoSolution(
         "inconsistent-row", {"row": row, "residue": rest.coeffs[row]})

@@ -1,0 +1,139 @@
+"""Mutation checks kept as data, and a runner for them.
+
+A mutant is one small change to the package that named tests must catch:
+an id, a file under src/, the exact old text (it occurs in that file
+exactly once), the new text, and the pytest node ids that must fail once it
+is in. A node id without a parameter part stands for its parameters, and
+fails when one of them fails.
+
+    python tests/mutants.py [ID ...]
+
+runs the named mutants, or all of them. Each runs in its own temporary
+directory, a copy of src/, tests/, perfbench/ (tests/test_cli.py reads its
+reference digests) and pyproject.toml with the mutant applied, where pytest
+runs the mutant's node ids. A mutant is killed when every one of them fails
+(or errors), and survives otherwise; survivors are reported with the node
+ids that passed, and make the exit status 1. An unknown id, or an old text
+that does not occur exactly once (`misplaced`, the cheap check), makes it 2
+before anything runs. The tree copied from is never changed.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+class Mutant(NamedTuple):
+    id: str
+    path: str
+    old: str
+    new: str
+    tests: tuple[str, ...]
+
+
+EXACT = "src/eiscong/exact.py"
+T_EXACT = "tests/test_exact.py::TestPrefetch::"
+
+MUTANTS = (
+    Mutant("euler-guard-bits-0", EXACT,
+           "bits = max(euler.bit_length() - size, 0) + k.bit_length() + 3",
+           "bits = max(euler.bit_length() - size, 0)",
+           (T_EXACT + "test_euler_steps_never_above_the_floor",
+            T_EXACT + "test_zeta_euler_within_its_bound",
+            T_EXACT + "test_zeta_euler_cuts_at_the_large_weights")),
+    Mutant("euler-error-2n+3", EXACT,
+           "return (1 << 2 * w) // euler, 4 * primes + 3",
+           "return (1 << 2 * w) // euler, 2 * primes + 3",
+           (T_EXACT + "test_zeta_euler_covers_its_worst_case",)),
+    Mutant("pi-memo-bit-short", EXACT,
+           "return value >> (have - bits)",
+           "return value >> (have - bits - 1)",
+           ("tests/test_exact.py::TestPi::test_each_size_from_a_cold_memo",
+            "tests/test_exact.py::TestPi::test_rising_and_falling_requests",
+            T_EXACT + "test_carried_factor_within_its_units")),
+    Mutant("euler-slack-8-bits-k", EXACT,
+           "(euler >> exponent) // (power + 4 * k)",
+           "(euler >> exponent) // (power + 8 * k.bit_length())",
+           (T_EXACT + "test_euler_steps_never_above_the_floor",)),
+    Mutant("numerator-error-e+2", EXACT,
+           "_round_proven(scaled, guard, zeta_error + 3)",
+           "_round_proven(scaled, guard, zeta_error + 2)",
+           (T_EXACT + "test_combine_within_the_stated_error",)),
+    Mutant("width-margin-bit-short", EXACT,
+           "+ total.bit_length()",
+           "+ total.bit_length() - 1",
+           (T_EXACT + "test_pass_width_covers_the_carried_cost",)),
+    Mutant("chunk-size-off-by-one", "src/eiscong/cli.py",
+           "if len(chunk) >= _CHUNK_RECORDS",
+           "if len(chunk) > _CHUNK_RECORDS",
+           ("tests/test_cli.py::TestHelpers::test_emit_reads_the_clock_once_per_few_records",)),
+    Mutant("emit-head-counts-as-a-record", "src/eiscong/cli.py",
+           "chunk, lead, passed, total = [], head, 0, 0",
+           'chunk, lead, passed, total = [head], "", 0, 0',
+           ("tests/test_cli.py::TestHelpers::test_emit_reads_the_clock_once_per_few_records",
+            "tests/test_cli.py::TestHelpers::test_emit_frames_no_records")),
+    Mutant("substitute-skips-leading-column", "src/eiscong/filtration.py",
+           "if x:\n            h = h - monomial_series",
+           "if x and c:\n            h = h - monomial_series",
+           ("tests/test_filtration.py::TestFiltrationBound::test_g14_bound_matches_corollary",
+            "tests/test_filtration.py::TestSharpnessProbe::test_constructed_solvable",
+            "tests/test_filtration.py::TestLayerPass::test_matches_the_candidate_search")),
+)
+
+
+def misplaced() -> list[str]:
+    """The ids of the mutants whose old text does not occur exactly once in their file."""
+    texts = {path: (ROOT / path).read_text() for path in {m.path for m in MUTANTS}}
+    return [m.id for m in MUTANTS if texts[m.path].count(m.old) != 1]
+
+
+def survivors_of(mutant: Mutant) -> list[str]:
+    """The node ids of `mutant` that passed with it applied to a copy of the tree."""
+    with tempfile.TemporaryDirectory(prefix="eiscong-mutant-") as scratch:
+        copy = Path(scratch)
+        for name in ("src", "tests", "perfbench"):
+            shutil.copytree(ROOT / name, copy / name,
+                            ignore=shutil.ignore_patterns("__pycache__", ".hypothesis"))
+        shutil.copy2(ROOT / "pyproject.toml", copy / "pyproject.toml")
+        target = copy / mutant.path
+        target.write_text(target.read_text().replace(mutant.old, mutant.new, 1))
+        env = dict(os.environ, PYTHONPATH=str(copy / "src"), PYTHONDONTWRITEBYTECODE="1")
+        env.pop("EISCONG_BERNOULLI_CACHE", None)
+        proc = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "--tb=no", "-rfE", "-p", "no:cacheprovider",
+             *mutant.tests],
+            cwd=copy, env=env, capture_output=True, text=True)
+    failed = [line.split()[1] for line in proc.stdout.splitlines()
+              if line.startswith(("FAILED ", "ERROR "))]
+    return [test for test in mutant.tests
+            if not any(node == test or node.startswith(test + "[") for node in failed)]
+
+
+def main(argv: list[str]) -> int:
+    chosen = [m for m in MUTANTS if not argv or m.id in argv]
+    unknown, stale = set(argv) - {m.id for m in MUTANTS}, misplaced()
+    if unknown or stale:
+        print(f"unknown ids: {sorted(unknown)}; old text not found once: {stale}")
+        return 2
+    start, survived = time.monotonic(), 0
+    for mutant in chosen:
+        passed = survivors_of(mutant)
+        survived += bool(passed)
+        print("SURVIVED" if passed else "killed", mutant.id)
+        for test in passed:
+            print("    passed:", test)
+    print(f"{len(chosen) - survived} of {len(chosen)} killed in {time.monotonic() - start:.1f} s")
+    return 1 if survived else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

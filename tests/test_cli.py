@@ -1,5 +1,6 @@
 import hashlib
 import importlib
+import io
 import json
 import os
 import subprocess
@@ -69,12 +70,14 @@ class TestHelpers:
         assert smallest_kstar_multiple(7, 7) == 12
         assert smallest_kstar_multiple(13, 15) == 24
 
+    @pytest.mark.parametrize("fmt", ["jsonl", "json"])
     @pytest.mark.parametrize("step", [0.0, 0.001, 0.01, 0.3])
-    def test_emit_reads_the_clock_once_per_few_records(self, monkeypatch, step):
+    def test_emit_reads_the_clock_once_per_few_records(self, monkeypatch, step, fmt):
         # A fake clock that each record advances by `step` seconds: a chunk
         # is written at the first clock read 0.1 s or more after the last
-        # write, or at 256 records, and the clock is read once per 16 records
-        # and once per write.
+        # write, or at 256 records, the first chunk too, whatever the
+        # format's head; the clock is read once per 16 records and once per
+        # write. Each record is one "@", which no frame holds.
         class Clock:
             now, reads = 0.0, 0
 
@@ -87,29 +90,42 @@ class TestHelpers:
                 self.writes = []
 
             def write(self, text):
-                self.writes.append((clock.now, text.count("\n")))
+                self.writes.append((clock.now, text))
 
             def flush(self):
                 pass
 
         def records(count):
-            for n in range(count):
+            for _ in range(count):
                 clock.now += step
-                yield True, f"{n}\n"
+                yield True, "@\n" if fmt == "jsonl" else "@"
 
         clock, out = Clock(), Out()
         monkeypatch.setattr(cli, "time", clock)
-        assert cli._emit(records(1000), "jsonl", out)
-        times, sizes = zip(*out.writes)
+        assert cli._emit(records(1000), fmt, out)
+        times, texts = zip(*out.writes)
+        sizes = [text.count("@") for text in texts]
+        framed = "@\n" * 1000 if fmt == "jsonl" else "[\n" + ",\n".join("@" * 1000) + "\n]\n"
+        assert "".join(texts) == framed
         assert sum(sizes) == 1000 and all(0 < size <= 256 for size in sizes[:-1])
         written = 0
-        for index, (before, after, size) in enumerate(zip((0.0,) + times, times[:-1], sizes)):
-            # A full chunk holds 256 items, the first one the (empty) head too.
+        for before, after, size in zip((0.0,) + times, times[:-1], sizes):
             written += size
-            full = size == 256 - (index == 0)
+            full = size == 256
             assert full or (written % 16 == 0 and after - before >= 0.1), (before, after, size)
             assert full or after - before < 0.1 + 16 * step, (before, after, size)
         assert clock.reads <= 1 + 1000 // 16 + len(out.writes)
+
+    @pytest.mark.parametrize("fmt", sorted(cli._FRAMES))
+    def test_emit_frames_no_records(self, fmt):
+        # The head leads the first record; with none, it is still written,
+        # before the summary when there is one.
+        head, _, tail = cli._FRAMES[fmt]
+        summary = cli._dict_text({"summary": {"pass": 0, "total": 0}}, fmt)
+        for wanted, expected in ((False, head + tail), (True, head + summary + tail)):
+            out = io.StringIO()
+            assert cli._emit([], fmt, out, summary=wanted)
+            assert out.getvalue() == expected, wanted
 
 
 class TestBernoulliCommand:

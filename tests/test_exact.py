@@ -309,10 +309,9 @@ class TestBernoulli:
 
 
 def spy_rounding(monkeypatch, fail=lambda k: False):
-    """Record (k, provider, units) per rounding attempt; `fail` rejects a "sum" attempt outright.
+    """Record (k, provider) per rounding attempt; `fail` rejects a "sum" attempt outright.
 
-    The provider is "sum" (`_zeta_sum`) or "euler" (`_zeta_euler`), and
-    units those of the attempt's 2 k! (2 pi)**-k.
+    The provider is "sum" (`_zeta_sum`) or "euler" (`_zeta_euler`).
     """
     attempts = []
     zeta_sum, zeta_euler, numerator = exact._zeta_sum, exact._zeta_euler, exact._numerator
@@ -325,12 +324,11 @@ def spy_rounding(monkeypatch, fail=lambda k: False):
         attempts.append((k, "euler"))
         return zeta_euler(k, w)
 
-    def numerator_spy(bracket, w, guard, mantissa, exponent, units):
-        k, provider = attempts.pop()
-        attempts.append((k, provider, units))
+    def numerator_spy(bracket, w, guard, mantissa, exponent):
+        k, provider = attempts[-1]
         if provider == "sum" and fail(k):
             return None
-        return numerator(bracket, w, guard, mantissa, exponent, units)
+        return numerator(bracket, w, guard, mantissa, exponent)
 
     monkeypatch.setattr(exact, "_zeta_sum", sum_spy)
     monkeypatch.setattr(exact, "_zeta_euler", euler_spy)
@@ -441,10 +439,8 @@ class TestPrefetch:
         assert bernoulli_cached_indices() == [0, 1, 2] + SCAN_INDICES
         for k in SCAN_INDICES:
             assert bernoulli(k) == tangent_oracle[k], k
-        # Every index was rounded once, from the zeta sum, with (2 pi)**-k
-        # within 1 unit of its own precision: the stepped cuts' sum. Its cut
-        # to that precision is one of the slack cuts, with their own unit.
-        assert attempts == [(k, "sum", 1) for k in SCAN_INDICES]
+        # Every index was rounded once, from the zeta sum.
+        assert attempts == [(k, "sum") for k in SCAN_INDICES]
 
     @pytest.mark.parametrize("warm,indices,lone", [
         (SCAN_INDICES[:101], SCAN_INDICES, False), ([], list(range(2, 1201)), False),
@@ -469,7 +465,7 @@ class TestPrefetch:
         else:
             prefetch_bernoulli(indices)
         missing = [k for k in indices if k >= 4 and k % 2 == 0 and k not in warm]
-        assert attempts == [(k, "euler" if lone else "sum", 1) for k in missing]
+        assert attempts == [(k, "euler" if lone else "sum") for k in missing]
         assert len(proofs) == len(missing) and None not in proofs
         for k in indices:
             if k in tangent_oracle:
@@ -487,7 +483,7 @@ class TestPrefetch:
         assert len(indices) > 100 and len(gaps) > 3 and max(indices) == 366
         attempts = spy_rounding(monkeypatch)
         prefetch_bernoulli(indices)
-        assert attempts == [(k, "sum", 1) for k in indices if k > 2]
+        assert attempts == [(k, "sum") for k in indices if k > 2]
         for k in indices:
             assert bernoulli(k) == tangent_oracle[k], k
 
@@ -500,9 +496,8 @@ class TestPrefetch:
         runs = spy_passes(monkeypatch)
         attempts = spy_rounding(monkeypatch, lambda k: k in failing)
         prefetch_bernoulli(SCAN_INDICES)
-        assert [k for k, provider, _ in attempts if provider == "sum"] == SCAN_INDICES
-        assert [(k, units) for k, provider, units in attempts if provider == "euler"] == [
-            (k, 1) for k in sorted(failing)]
+        assert [k for k, provider in attempts if provider == "sum"] == SCAN_INDICES
+        assert [k for k, provider in attempts if provider == "euler"] == sorted(failing)
         assert runs == [(SCAN_INDICES, 16, False)] + [([k], 16, True) for k in sorted(failing)]
         for k in SCAN_INDICES:
             assert bernoulli(k) == tangent_oracle[k], k
@@ -556,7 +551,7 @@ class TestPrefetch:
         prefetch_bernoulli([0, 1, 2, 3, 7, 12, 12])
         prefetch_bernoulli([12])
         prefetch_bernoulli([])
-        assert attempts == [(12, "euler", 1)]
+        assert attempts == [(12, "euler")]
         assert bernoulli_cached_indices() == [0, 1, 2, 12]
         assert bernoulli(12) == Fraction(-691, 2730)
 
@@ -576,7 +571,7 @@ class TestPrefetch:
         prefetch_bernoulli(indices)
         missing = [k for k in indices if k >= 4 and k not in warm]
         provider = "euler" if len(missing) == 1 else "sum"
-        assert called == [] and attempts == [(k, provider, 1) for k in missing]
+        assert called == [] and attempts == [(k, provider) for k in missing]
         assert bernoulli_cached_indices() == sorted({0, 1, 2, *warm, *missing})
         for k in missing:
             assert exact._BERNOULLI_MEMO[k] == tangent_oracle[k], k
@@ -762,22 +757,23 @@ class TestPrefetch:
                              ids=["1296", "2402", "3000", "scan-after-its-cache", "wide-gaps"])
     def test_carried_factor_within_its_units(self, cold_bernoulli, tangent_oracle, monkeypatch,
                                              machin_pi, indices):
-        # 2 k! D (2 pi)**-k as the pass hands it to the combine, within its
-        # `units` of 2**-w, against Machin's pi: between the floored and the
-        # ceilinged powers of 2 (A -/+ 2) in b-bit fixed point, A within 2 of
-        # pi 2**b. A gap of d costs up to d units of the pass's precision in
-        # the cut powers of 2**s / pi, not one per cut.
+        # 2 k! D (2 pi)**-k as the pass hands it to the combine, within one
+        # unit of 2**-w at every index, as `_numerator`'s budget assumes,
+        # against Machin's pi: between the floored and the ceilinged powers
+        # of 2 (A -/+ 2) in b-bit fixed point, A within 2 of pi 2**b. A gap
+        # of d costs up to d units of the pass's precision in the cut powers
+        # of 2**s / pi, not one per cut.
         handed = []
         real = exact._numerator
 
-        def spy(bracket, w, guard, mantissa, exponent, units):
-            handed.append((w, mantissa, exponent, units))
-            return real(bracket, w, guard, mantissa, exponent, units)
+        def spy(bracket, w, guard, mantissa, exponent):
+            handed.append((w, mantissa, exponent))
+            return real(bracket, w, guard, mantissa, exponent)
 
         monkeypatch.setattr(exact, "_numerator", spy)
         prefetch_bernoulli(indices)
         assert len(handed) == len(indices)
-        for k, (w, mantissa, exponent, units) in zip(indices, handed):
+        for k, (w, mantissa, exponent) in zip(indices, handed):
             b = w + 64
             approx = machin_pi(b - 32)
             low = _fixed_power(2 * (approx - 2), k, b, floor=True)
@@ -785,16 +781,35 @@ class TestPrefetch:
             top = 2 * math.factorial(k) * tangent_oracle[k].denominator << b
             shift = max(-exponent, 0)
             value = mantissa << (exponent + shift)
-            # value 2**-shift within a relative units 2**-w of top / (2 pi)**k 2**b.
-            assert value * low << w >= (top << shift) * ((1 << w) - units), k
-            assert value * high << w <= (top << shift) * ((1 << w) + units), k
+            # value 2**-shift within a relative 2**-w of top / (2 pi)**k 2**b.
+            assert value * low << w >= (top << shift) * ((1 << w) - 1), k
+            assert value * high << w <= (top << shift) * ((1 << w) + 1), k
+
+    @pytest.mark.parametrize("indices", [SCAN_INDICES[101:], [4, 612, 2026]],
+                             ids=["scan-after-its-cache", "wide-gaps"])
+    def test_pass_width_covers_the_carried_cost(self, cold_bernoulli, monkeypatch, indices):
+        # The carried factor's budget: a gap of d costs under d + 2 units of
+        # 2**-W, and W leaves room for their sum C over the pass, so at every
+        # index C 2**-W < 2**-w, one unit of that index's precision.
+        seen = []
+        real = exact._zeta_sum
+
+        def spy(reciprocals, k, width, w):
+            seen.append((k, width, w))
+            return real(reciprocals, k, width, w)
+
+        monkeypatch.setattr(exact, "_zeta_sum", spy)
+        prefetch_bernoulli(indices)
+        cost = sum(k - j + 2 for j, k in zip([0] + indices, indices))
+        assert [k for k, _, _ in seen] == indices
+        assert all(cost < 1 << (width - w) for _, width, w in seen), cost
 
     @pytest.mark.parametrize("guard", [4, 16, 64])
     def test_combine_within_the_stated_error(self, monkeypatch, guard):
         # With a zeta bracket and a 2 k! D (2 pi)**-k that carry no error of
-        # their own, the slack cut and the final floor stay within the stated
-        # error, for numerators * 2**guard just below 2**w, where the cut
-        # costs most.
+        # their own, the slack cut and the final floor stay within their 2 of
+        # the stated e + 3 units (the third is the carried factor's), for
+        # numerators * 2**guard just below 2**w, where the cut costs most.
         rng = random.Random(16)
         rounded = []
         monkeypatch.setattr(exact, "_round_proven",
@@ -805,11 +820,11 @@ class TestPrefetch:
             mantissa = rng.getrandbits(w + 104) | 1 << (w + 103)
             product = zeta * mantissa
             exponent = 2 * w - guard - product.bit_length()
-            exact._numerator((zeta, 0), w, guard, mantissa, exponent, 0)
+            exact._numerator((zeta, 0), w, guard, mantissa, exponent)
             scaled, used, error = rounded.pop()
             value = product * Fraction(2) ** (exponent + guard - w)
-            assert used == guard and 2 ** (w - 1) <= value < 2**w
-            assert abs(scaled - value) < error
+            assert used == guard and error == 3 and 2 ** (w - 1) <= value < 2**w
+            assert abs(scaled - value) < 2
 
     def test_negative_index_rejected(self, cold_bernoulli):
         with pytest.raises(ValueError, match="non-negative"):
