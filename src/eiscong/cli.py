@@ -100,8 +100,8 @@ def _dict_text(record: dict, fmt: str) -> str:
     return line + "\n"
 
 
-# A param value's place in a template. json.dumps writes it as "\u0000"; a
-# shape whose other text holds that too gets no template.
+# A param value's place in a template. json.dumps writes it as "\u0000", which
+# no statement id, certification or param key (all package strings) holds.
 _MARK = "\x00"
 _MARKED = json.dumps(_MARK)
 _INT_ONLY = {int}
@@ -109,16 +109,14 @@ _INT_ONLY = {int}
 
 @lru_cache(maxsize=256)
 def _template(statement_id: str, certification: str, verdict: str, keys: tuple[str, ...],
-              fmt: str) -> tuple[str, itemgetter] | None:
+              fmt: str) -> tuple[str, itemgetter]:
     """A record's text in `fmt`, without failure detail, with %d at each of its
     (one or more) param values, and a getter of the values in that order (a
-    bare value for one key, which % takes too); None when a mark is ambiguous."""
+    bare value for one key, which % takes too)."""
     keys = tuple(sorted(keys))  # json.dumps sorts the keys; the getter must too
     skeleton = CongruenceReport(statement_id, dict.fromkeys(keys, _MARK), verdict, None,
                                 certification)
     text = _dict_text(skeleton.to_json_dict(), fmt).replace("%", "%%")
-    if text.count(_MARKED) != len(keys):
-        return None
     return text.replace(_MARKED, "%d"), itemgetter(*keys)
 
 
@@ -132,10 +130,9 @@ def _record_text(report: CongruenceReport, warning: dict | None, fmt: str) -> st
     params = report.params
     if (warning is None and report.failure_detail is None and fmt in ("jsonl", "json")
             and set(map(type, params.values())) == _INT_ONLY):
-        template = _template(report.statement_id, report.certification, report.verdict,
-                             tuple(params), fmt)
-        if template is not None:
-            return template[0] % template[1](params)
+        text, values = _template(report.statement_id, report.certification, report.verdict,
+                                 tuple(params), fmt)
+        return text % values(params)
     record = report.to_json_dict()
     if warning is not None:
         record["budget-warning"] = warning

@@ -12,10 +12,10 @@ providers, chosen by how many indices are missing: a direct zeta sum over the
 exact reciprocals floor(2**W / b**k) of the odd b, carried from one index to
 the next, when two or more are, or an Euler product for 1/zeta(k) and one
 division when one is. Both brackets bound their own error; every index goes
-through one combine and `_round_proven`, which rounds only when the error
-budget stated in `prefetch_bernoulli` proves it. The Euler product cuts each
-long p**k, and the dividend with it, to its quotient's length plus guard bits
-(`_euler_step`), so a step costs about the square of the quotient's length.
+through one combine and `_round_proven`, at the guard bits that the error
+budget stated in `prefetch_bernoulli` proves enough. The Euler product cuts
+each long p**k, and the dividend with it, to its quotient's length plus guard
+bits (`_euler_step`), so a step costs about the square of the quotient's length.
 
 The pass reads 1/pi, the only form it uses, from `_inverse_pi`: Chudnovsky's
 series summed by binary splitting, then one integer square root and one
@@ -64,10 +64,6 @@ __all__ = [
 # need k >= 4.
 _BERNOULLI_MEMO: dict[int, Fraction] = {0: Fraction(1), 1: Fraction(-1, 2), 2: Fraction(1, 6)}
 _BERNOULLI_LOCK = threading.Lock()
-
-# Guard bits of the first attempt at B_k below the units digit of its
-# numerator; an attempt that cannot prove its rounding doubles them.
-_GUARD_BITS = 16
 
 # 1 / pi as (bits, A) with |A - 2**bits / pi| < 1.02; grown under _BERNOULLI_LOCK.
 _INVERSE_PI = (0, 0)
@@ -201,12 +197,16 @@ def _power_truncated(mantissa: int, exponent: int, k: int, bits: int) -> tuple[i
     return result, result_exponent
 
 
-def _working_bits(k: int, top: int, guard: int) -> int:
-    """The precision w = L + guard of B_k, where 2**L exceeds |B_k| D = top * zeta(k) / (2 pi)**k."""
+def _working_bits(k: int, top: int) -> tuple[int, int]:
+    """(w, g): B_k's precision w = L + g, 2**L above |B_k| D = top * zeta(k) / (2 pi)**k, and g
+    the least integer with 8 (2**(c+1) + 10) <= 2**g, c = ceil(w / (k-1)): see `prefetch_bernoulli`."""
     # For k >= 4: top < 2**bits(top), zeta(k) <= zeta(4) < 2**0.12 < 2, and
     # log2(2 pi) > 2.6514 gives (2 pi)**k > 2**floor(26514 k / 10000), so the
     # numerator is below 2**(bits(top) + 1 - floor(26514 k / 10000)).
-    return top.bit_length() - 26514 * k // 10000 + 1 + guard
+    bits, guard = top.bit_length() - 26514 * k // 10000 + 1, 0
+    while 8 * ((2 << -(-(bits + guard) // (k - 1))) + 10) > 1 << guard:
+        guard += 1
+    return bits + guard, guard
 
 
 def _round_proven(scaled: int, guard: int, error: int) -> int | None:
@@ -230,7 +230,7 @@ def bernoulli(k: int) -> Fraction:
     """Exact Bernoulli number B_k (convention B_1 = -1/2).
 
     Read from the memo; odd k > 1 give 0, and a missing even k is computed
-    by `prefetch_bernoulli`, with its guard doubling and its `ArithmeticError`.
+    by `prefetch_bernoulli`, at the guard bits its error bound proves.
     """
     if k < 0:
         raise ValueError("Bernoulli index must be non-negative")
@@ -342,7 +342,7 @@ _SLACK_BITS = 2
 def _numerator(bracket: tuple[int, int], w: int, guard: int, mantissa: int, exponent: int) -> int | None:
     """|B_k| D = 2 k! D (2 pi)**-k zeta(k) for even k >= 4, or None if `guard` bits cannot prove it.
 
-    w = _working_bits(k, 2 k! D, guard); bracket = (Z, e) with
+    (w, guard) = _working_bits(k, 2 k! D); bracket = (Z, e) with
     Z <= zeta(k) 2**w < Z + e, and mantissa * 2**exponent is
     2 k! D (2 pi)**-k within a relative error of 2**-w. One product, with no
     division: that factor cut to w + _SLACK_BITS + 1 bits, times Z. The
@@ -357,27 +357,28 @@ def _numerator(bracket: tuple[int, int], w: int, guard: int, mantissa: int, expo
     return _round_proven(scaled, guard, zeta_error + 3)
 
 
-def _ascending_pass(ks: list[int], guard: int) -> list[int]:
-    """Memoize B_k for the ascending even ks >= 4 at `guard` guard bits; return those left unproven.
+def _ascending_pass(ks: list[int]) -> None:
+    """Memoize B_k for the ascending even ks >= 4, each at the guard bits `_working_bits` gives.
 
-    Callers hold _BERNOULLI_LOCK. See `prefetch_bernoulli`.
+    Callers hold _BERNOULLI_LOCK. See `prefetch_bernoulli`; a rounding left
+    unproven raises `ArithmeticError` and memoizes none of ks.
     """
-    steps = []  # (k, gap d from the index before, k!/(k-d)!, D, w), ascending
+    steps = []  # (k, gap d from the index before, k!/(k-d)!, D, w, g), ascending
     factorial, previous = 1, 0
     for k in ks:
         rise = math.perm(k, k - previous)
         factorial *= rise
         denominator = bernoulli_denominator(k)
-        w = _working_bits(k, 2 * factorial * denominator, guard)
-        steps.append((k, k - previous, rise, denominator, w))
+        w, guard = _working_bits(k, 2 * factorial * denominator)
+        steps.append((k, k - previous, rise, denominator, w, guard))
         previous = k
     total = sum(d + 2 for _, d, *_ in steps)
-    width = max((w for *_, w in steps), default=0) + total.bit_length()
+    width = max((w for *_, w, _ in steps), default=0) + total.bit_length()
     factors: dict[int, tuple[int, int]] = {}  # d -> (2 pi)**-d at width + 1 bits
     reciprocals: list[int] = []  # floor(2**width / b**k) for b = 1, 3, 5, ...
     mantissa, exponent = 2, 0  # 2 k! (2 pi)**-k
-    unproven = []
-    for k, d, rise, denominator, w in steps:
+    values = {}
+    for k, d, rise, denominator, w, guard in steps:
         if d not in factors:
             s = width + d.bit_length() + 4
             factors[d] = _power_truncated(_inverse_pi(s), -s - 1, d, width)
@@ -390,10 +391,9 @@ def _ascending_pass(ks: list[int], guard: int) -> list[int]:
             zeta = _zeta_sum(reciprocals, k, width, w)
         numerator = _numerator(zeta, w, guard, mantissa * denominator, exponent)
         if numerator is None:
-            unproven.append(k)
-        else:
-            _BERNOULLI_MEMO[k] = _signed(k, numerator, denominator)
-    return unproven
+            raise ArithmeticError(f"B_{k}: rounding not proven")
+        values[k] = _signed(k, numerator, denominator)
+    _BERNOULLI_MEMO.update(values)
 
 
 def prefetch_bernoulli(indices: Iterable[int]) -> None:
@@ -419,9 +419,16 @@ def prefetch_bernoulli(indices: Iterable[int]) -> None:
     big division. |B_k| D * 2**g < 2**w is then known within e + 3 units
     (`_numerator`): e from Z (as zeta(k) >= 1), one from F, one for the slack
     cut of F D to w + 3 bits and the products of the relative errors, and one
-    for the final floor; `_round_proven` rounds it only when that proves it.
-    An index a pass leaves unproven is redone alone from the first width; a
-    lone index doubles g, at most twice, and then raises `ArithmeticError`.
+    for the final floor. With c = ceil(w / (k-1)), e <= 2**(c+1) + 7 for both:
+    `_zeta_euler` stops by the first prime p >= 2**c, whose stop test
+    (k-1) 7/8 p**(k-1) >= 2**w passes, so n <= 2**(c-1) + 1 (2, the odd
+    numbers below 2**c, and that p) and e = 4n + 3; `_zeta_sum` stops at
+    M <= 2**(w/k) < 2**c, and its e = (M - 1) + (M + 1) // (k-1) + 2 is less.
+    g (`_working_bits`) is the least integer with 8 (2**(c+1) + 10) <= 2**g,
+    so e + 3 <= 2**g / 8: the rounding gives |B_k| D and its interval lies
+    within 1/4 of it, as `_round_proven` checks. So every index is proven at
+    its first width, with g from 7 to 13 for k <= 4000 and 15 at k = 10,000;
+    an unproven one is a fault, raised as `ArithmeticError`, memo untouched.
     """
     indices = set(indices)
     if indices and min(indices) < 0:
@@ -431,12 +438,7 @@ def prefetch_bernoulli(indices: Iterable[int]) -> None:
         return
     with _BERNOULLI_LOCK:
         # Another thread may have memoized some since `missing` was read.
-        run = sorted(k for k in missing if k not in _BERNOULLI_MEMO)
-        # A lone run has already tried the first width.
-        ladder = (_GUARD_BITS, 2 * _GUARD_BITS, 4 * _GUARD_BITS)[len(run) == 1:]
-        for k in _ascending_pass(run, _GUARD_BITS):
-            if all(_ascending_pass([k], guard) for guard in ladder):
-                raise ArithmeticError(f"B_{k}: rounding not proven at {ladder[-1]} guard bits")
+        _ascending_pass(sorted(k for k in missing if k not in _BERNOULLI_MEMO))
 
 
 def seed_bernoulli(k: int, value: Fraction) -> None:
@@ -520,14 +522,9 @@ def gen_binomial(top: int, j: int) -> int:
     """
     if j < 0:
         raise ValueError("lower index must be non-negative")
-    if j == 0:
-        return 1
     if top >= 0:
         return math.comb(top, j)
-    num = 1
-    for i in range(j):
-        num *= top - i
-    return num // math.factorial(j)
+    return (-1) ** j * math.comb(j - top - 1, j)
 
 
 def h_coefficient(m: int, alpha: int, r: int) -> int:

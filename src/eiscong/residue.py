@@ -55,11 +55,11 @@ class ResidueRing:
     """Z/p^m for a prime p >= 5 and m >= 1.
 
     Immutable, and interned: ResidueRing(p, m) returns the one ring of that
-    (p, m), with its hash computed once, so the lru_cache tables that key on
-    a ring find it by identity.
+    (p, m), so a ring equals and hashes by identity (copy, deepcopy and
+    unpickling, which would make a second one, raise TypeError).
     """
 
-    __slots__ = ("p", "m", "modulus", "_hash")
+    __slots__ = ("p", "m", "modulus")
     _interned: dict = {}
 
     def __new__(cls, p: int, m: int) -> "ResidueRing":
@@ -70,19 +70,12 @@ class ResidueRing:
             if p < 5 or not is_prime(p):
                 raise ValueError(f"p must be a prime >= 5, got {p}")
             ring = object.__new__(cls)
-            for name, value in zip(cls.__slots__, (p, m, p**m, hash((p, m)))):
+            for name, value in zip(cls.__slots__, (p, m, p**m)):
                 object.__setattr__(ring, name, value)
             cls._interned[p, m] = ring
         return ring
 
     __setattr__ = __delattr__ = _frozen
-
-    def __eq__(self, other) -> bool:
-        return self is other or (type(other) is ResidueRing and self.p == other.p
-                                 and self.m == other.m)
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def __repr__(self) -> str:
         return f"ResidueRing(p={self.p}, m={self.m})"

@@ -16,6 +16,14 @@ runs the mutant's node ids. A mutant is killed when every one of them fails
 ids that passed, and make the exit status 1. An unknown id, or an old text
 that does not occur exactly once (`misplaced`, the cheap check), makes it 2
 before anything runs. The tree copied from is never changed.
+
+Mutants retired with the code they changed: the exponent of E_{p-1}^n read
+mod p^(m-1), and the factor p^i of its i-th binomial term one p short
+(E_{p-1}^n is now a series in D = E_{p-1} - 1, with neither); the Euler
+bracket's error cut to n // 2 + 1 (it is 4n + 3 now, which
+`euler-error-2n+3` checks); and a pass that did not redo an unproven index
+alone, with the doubling of a lone index's guard bits (each index now runs
+once, at guard bits its error bound proves, which `guard-bit-short` checks).
 """
 
 from __future__ import annotations
@@ -72,6 +80,15 @@ MUTANTS = (
            "+ total.bit_length()",
            "+ total.bit_length() - 1",
            (T_EXACT + "test_pass_width_covers_the_carried_cost",)),
+    Mutant("providers-swapped", EXACT,
+           "if len(steps) == 1:",
+           "if len(steps) != 1:",
+           (T_EXACT + "test_a_lone_missing_index_takes_the_euler_bracket",
+            T_EXACT + "test_brackets_at_the_precision_each_index_runs_at")),
+    Mutant("guard-bit-short", EXACT,
+           "+ 10) > 1 << guard:",
+           "+ 10) > 2 << guard:",
+           (T_EXACT + "test_guard_bits_are_the_least_the_bound_proves",)),
     Mutant("chunk-size-off-by-one", "src/eiscong/cli.py",
            "if len(chunk) >= _CHUNK_RECORDS",
            "if len(chunk) > _CHUNK_RECORDS",
@@ -87,6 +104,30 @@ MUTANTS = (
            ("tests/test_filtration.py::TestFiltrationBound::test_g14_bound_matches_corollary",
             "tests/test_filtration.py::TestSharpnessProbe::test_constructed_solvable",
             "tests/test_filtration.py::TestLayerPass::test_matches_the_candidate_search")),
+    Mutant("probe-solvable-strictly-above", "src/eiscong/filtration.py",
+           '"Solvable" if w >= report.bound_found',
+           '"Solvable" if w > report.bound_found',
+           ("tests/test_filtration.py::TestLayerPass::test_matches_the_candidate_search",)),
+    Mutant("layer-pass-from-weight-2", "src/eiscong/filtration.py",
+           "first += p - 1",
+           "first += 0",
+           ("tests/test_filtration.py::TestLayerPass::test_zero_floors_at_the_least_weight_with_a_basis",)),
+    Mutant("e-power-term-short", "src/eiscong/eisenstein.py",
+           "[gen_binomial(n, i) for i in range(ring.m)]",
+           "[gen_binomial(n, i) for i in range(ring.m - 1)]",
+           ("tests/test_eisenstein.py::TestEPower::test_unreduced_exponents_match_both_chains",
+            "tests/test_filtration.py::TestLayerPass::test_matches_the_candidate_search")),
+    Mutant("equal-mod-slice-short", "src/eiscong/series.py",
+           "if a.coeffs[:upto + 1] == b.coeffs[:upto + 1]:",
+           "if a.coeffs[:upto] == b.coeffs[:upto]:",
+           ("tests/test_residue_series.py::TestSeriesEqualMod::test_a_mismatch_through_upto_is_its_first",
+            "tests/test_congruences.py::TestFactoredInversionSum::"
+            "test_binomial_right_side_matches_the_per_term_sum")),
+    Mutant("packed-slot-without-term-bits", "src/eiscong/series.py",
+           "2 * (ring.modulus - 1).bit_length() + len(terms).bit_length()",
+           "2 * (ring.modulus - 1).bit_length()",
+           ("tests/test_residue_series.py::TestLinearCombination::test_every_slot_at_its_largest_sum",
+            "tests/test_properties.py::test_a_packed_family_matches_the_per_column_sum_for_every_scalar_vector")),
 )
 
 

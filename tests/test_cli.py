@@ -28,6 +28,7 @@ from eiscong.cli import (
 from eiscong.congruences import CongruenceReport
 from eiscong.errors import CacheFormatError
 from eiscong.exact import bernoulli, bernoulli_cached_indices, parse_int
+from eiscong.golden import REPRODUCTION_EXAMPLES
 
 from conftest import bernoulli_by_tangent, identity_sum_by_triple_products, telescoping_by_fractions
 
@@ -781,6 +782,18 @@ class TestReproduceCommand:
         assert data["match"] is True
         assert data["bound-found"] == 80
         assert data["sharpness-probe"]["result"] == "NoSolution"
+
+    def test_mismatch_exits_1(self, capsys, monkeypatch):
+        # The bound, one coefficient and the certified count off by one.
+        target = {**REPRODUCTION_EXAMPLES["paper-17-6"], "bound": 81, "certified-coefficients": 111}
+        target["coefficients"] = list(target["coefficients"])
+        target["coefficients"][2] += 1
+        monkeypatch.setitem(REPRODUCTION_EXAMPLES, "paper-17-6", target)
+        status, out, _ = run_cli(capsys, "reproduce", "paper-17-6")
+        data = json.loads(out)
+        assert status == 1 and data["match"] is False and data["bound-found"] == 80
+        assert data["mismatches"] == ["bound 80 != 81", "coefficient[2] 1427399 != 1427400",
+                                      "certified 110 != 111"]
 
 
 class TestConsoleScript:

@@ -249,26 +249,23 @@ class TestBernoulli:
         for k in DIFFERENTIAL_INDICES[1:]:
             value = tangent_oracle[k]
             top = 2 * math.factorial(k) * value.denominator
-            slack = exact._working_bits(k, top, 0) - abs(value.numerator).bit_length()
+            w, guard = exact._working_bits(k, top)
+            slack = w - guard - abs(value.numerator).bit_length()
             assert 0 <= slack <= 3, (k, slack)
 
-    def test_too_few_guard_bits_retry(self, cold_bernoulli, tangent_oracle, monkeypatch):
+    @pytest.mark.parametrize("indices", [[40], [4, 40, 100]], ids=["lone", "pass"])
+    def test_unproven_rounding_raises(self, cold_bernoulli, monkeypatch, indices):
+        # The guard bits prove every rounding, so one left unproven is a
+        # fault: one attempt, and the memo keeps none of the pass. Here every
+        # |B_k| D past 9 is refused: B_4's, which is 1, rounds; B_40's does not.
         runs = spy_passes(monkeypatch)
-        monkeypatch.setattr(exact, "_GUARD_BITS", 4)
-        for k in (4, 14, 100, 1296):
-            assert bernoulli(k) == tangent_oracle[k], k
-            tries = [(guard, proven) for ks, guard, proven in runs if ks == [k]]
-            assert len(tries) == len(runs) and tries[0] == (4, False), (k, tries)
-            assert [guard for guard, _ in tries] == [4, 8, 16][:len(tries)]
-            assert not any(proven for _, proven in tries[:-1]) and tries[-1][1]
-            runs.clear()
-
-    def test_unproven_rounding_raises(self, cold_bernoulli, monkeypatch):
-        runs = spy_passes(monkeypatch)
-        monkeypatch.setattr(exact, "_round_proven", lambda scaled, guard, error: None)
-        with pytest.raises(ArithmeticError, match="B_40: rounding not proven at 64 guard bits"):
-            bernoulli(40)
-        assert runs == [([40], 16, False), ([40], 32, False), ([40], 64, False)]
+        real = exact._round_proven
+        monkeypatch.setattr(exact, "_round_proven",
+                            lambda scaled, guard, error: None if scaled >> guard > 9 else
+                            real(scaled, guard, error))
+        with pytest.raises(ArithmeticError, match="^B_40: rounding not proven$"):
+            prefetch_bernoulli(indices)
+        assert runs == [indices]
         assert bernoulli_cached_indices() == [0, 1, 2]
 
     def test_denominator_matches_tangent_oracle(self, tangent_oracle, monkeypatch):
@@ -308,13 +305,10 @@ class TestBernoulli:
         assert [results[slot] for slot in range(len(indices))] == [tangent_oracle[k] for k in indices]
 
 
-def spy_rounding(monkeypatch, fail=lambda k: False):
-    """Record (k, provider) per rounding attempt; `fail` rejects a "sum" attempt outright.
-
-    The provider is "sum" (`_zeta_sum`) or "euler" (`_zeta_euler`).
-    """
+def spy_rounding(monkeypatch):
+    """Record (k, provider) per rounding attempt: "sum" (`_zeta_sum`) or "euler" (`_zeta_euler`)."""
     attempts = []
-    zeta_sum, zeta_euler, numerator = exact._zeta_sum, exact._zeta_euler, exact._numerator
+    zeta_sum, zeta_euler = exact._zeta_sum, exact._zeta_euler
 
     def sum_spy(reciprocals, k, width, w):
         attempts.append((k, "sum"))
@@ -324,27 +318,19 @@ def spy_rounding(monkeypatch, fail=lambda k: False):
         attempts.append((k, "euler"))
         return zeta_euler(k, w)
 
-    def numerator_spy(bracket, w, guard, mantissa, exponent):
-        k, provider = attempts[-1]
-        if provider == "sum" and fail(k):
-            return None
-        return numerator(bracket, w, guard, mantissa, exponent)
-
     monkeypatch.setattr(exact, "_zeta_sum", sum_spy)
     monkeypatch.setattr(exact, "_zeta_euler", euler_spy)
-    monkeypatch.setattr(exact, "_numerator", numerator_spy)
     return attempts
 
 
 def spy_passes(monkeypatch):
-    """Record (indices, guard, every index proven) per ascending pass."""
+    """Record the indices of each ascending pass."""
     runs = []
     real = exact._ascending_pass
 
-    def spy(ks, guard):
-        unproven = real(ks, guard)
-        runs.append((list(ks), guard, not unproven))
-        return unproven
+    def spy(ks):
+        runs.append(list(ks))
+        real(ks)
 
     monkeypatch.setattr(exact, "_ascending_pass", spy)
     return runs
@@ -391,11 +377,20 @@ def cut_primes(steps):
 
 
 def alone(k):
-    """B_k from a one-index pass, with the Euler bracket, at the first guard width; the memo is left as it was."""
+    """B_k from a one-index pass, with the Euler bracket; the memo is left as it was."""
     with pytest.MonkeyPatch.context() as patch, exact._BERNOULLI_LOCK:
         patch.setattr(exact, "_BERNOULLI_MEMO", {})
-        assert exact._ascending_pass([k], exact._GUARD_BITS) == [], k
+        exact._ascending_pass([k])
         return exact._BERNOULLI_MEMO[k]
+
+
+def guard_tops():
+    """(k, 2 k! D) for every even k in 4..3000, and for k = 10,000."""
+    factorial = 6
+    for k in range(4, 3001, 2):
+        factorial *= (k - 1) * k
+        yield k, 2 * factorial * exact.bernoulli_denominator(k)
+    yield 10_000, 2 * math.factorial(10_000) * exact.bernoulli_denominator(10_000)
 
 
 def zeta_bounds(k, w, value, machin_pi):
@@ -451,8 +446,7 @@ class TestPrefetch:
         # The benchmark's scan, whose cache holds alpha <= 100, so the pass
         # starts with a gap of 612, a cold `bernoulli 2..1200`, and large
         # indices asked for one at a time, as a filtration asks for its
-        # weight's. An error budget loose enough to leave a rounding unproven
-        # would send that index round again, alone or with more guard bits.
+        # weight's. Guard bits too few to prove a rounding would raise.
         for k in warm:
             exact.seed_bernoulli(k, tangent_oracle[k])
         attempts = spy_rounding(monkeypatch)
@@ -486,35 +480,6 @@ class TestPrefetch:
         assert attempts == [(k, "sum") for k in indices if k > 2]
         for k in indices:
             assert bernoulli(k) == tangent_oracle[k], k
-
-    def test_unproven_run_indices_are_redone_alone(self, cold_bernoulli, tangent_oracle,
-                                                    monkeypatch):
-        # Every third attempt from the zeta sum fails: those indices are
-        # redone alone, from the Euler product at the first guard width, and
-        # the run goes on for the rest.
-        failing = set(SCAN_INDICES[::3])
-        runs = spy_passes(monkeypatch)
-        attempts = spy_rounding(monkeypatch, lambda k: k in failing)
-        prefetch_bernoulli(SCAN_INDICES)
-        assert [k for k, provider in attempts if provider == "sum"] == SCAN_INDICES
-        assert [k for k, provider in attempts if provider == "euler"] == sorted(failing)
-        assert runs == [(SCAN_INDICES, 16, False)] + [([k], 16, True) for k in sorted(failing)]
-        for k in SCAN_INDICES:
-            assert bernoulli(k) == tangent_oracle[k], k
-
-    def test_too_few_guard_bits_fall_back(self, cold_bernoulli, tangent_oracle, monkeypatch):
-        # At 4 guard bits no rounding is provable; each index is then redone
-        # alone at 4 bits, and its guard doubles as for a lone index.
-        runs = spy_passes(monkeypatch)
-        monkeypatch.setattr(exact, "_GUARD_BITS", 4)
-        indices = [4, 14, 100, 612, 618, 1296]
-        prefetch_bernoulli(indices)
-        assert runs[0] == (indices, 4, False)
-        for k in indices:
-            assert bernoulli(k) == tangent_oracle[k], k
-            tries = [(guard, proven) for ks, guard, proven in runs if ks == [k]]
-            assert tries[0] == (4, False) and tries[-1][1], (k, tries)
-            assert [guard for guard, _ in tries] == [4, 8, 16][:len(tries)]
 
     def test_threads_share_the_memo(self, cold_bernoulli, tangent_oracle, monkeypatch):
         # Overlapping passes and single-index calls, interleaved finely.
@@ -655,8 +620,7 @@ class TestPrefetch:
         # the largest, are cut, up to the last the full floors take or the
         # next (the cut stop test may read a power a little short), and the
         # bracket holds against every term's floor.
-        w = exact._working_bits(k, 2 * math.factorial(k) * tangent_oracle[k].denominator,
-                                exact._GUARD_BITS)
+        w, _ = exact._working_bits(k, 2 * math.factorial(k) * tangent_oracle[k].denominator)
         steps = spy_steps(monkeypatch)
         zeta, error = exact._zeta_euler(k, w)
         cut = cut_primes(steps)
@@ -748,8 +712,7 @@ class TestPrefetch:
         assert [name for name, *_ in brackets] == (["_zeta_sum"] * len(BRACKET_INDICES)
                                                    + ["_zeta_euler"] * len(BRACKET_INDICES))
         for name, k, w, (zeta, error) in brackets:
-            assert w == exact._working_bits(k, 2 * math.factorial(k) * tangent_oracle[k].denominator,
-                                            exact._GUARD_BITS)
+            assert w == exact._working_bits(k, 2 * math.factorial(k) * tangent_oracle[k].denominator)[0]
             low, high, scale = zeta_bounds(k, w, tangent_oracle[k], machin_pi)
             assert zeta * scale <= low and high < (zeta + error) * scale, (name, k, w)
 
@@ -803,6 +766,52 @@ class TestPrefetch:
         cost = sum(k - j + 2 for j, k in zip([0] + indices, indices))
         assert [k for k, _, _ in seen] == indices
         assert all(cost < 1 << (width - w) for _, width, w in seen), cost
+
+    def test_guard_bits_are_the_least_the_bound_proves(self):
+        # g is the least integer with 8 (2**(c+1) + 10) <= 2**g, where
+        # c = ceil(w / (k-1)) and w = L + g, at every even k to 3000 and at 10,000.
+        def proves(k, bits, guard):
+            return 8 * (2 ** (-(-(bits + guard) // (k - 1)) + 1) + 10) <= 2**guard
+
+        guards = {}
+        for k, top in guard_tops():
+            w, guard = exact._working_bits(k, top)
+            assert proves(k, w - guard, guard), k
+            assert not any(proves(k, w - guard, g) for g in range(guard)), k
+            guards[k] = guard
+        assert (min(guards.values()), max(guards[k] for k in guards if k <= 3000)) == (7, 13)
+        assert guards[10_000] == 15
+
+    @pytest.mark.parametrize("provider", ["sum", "euler"])
+    def test_brackets_within_the_guard_bound(self, cold_bernoulli, monkeypatch, provider):
+        # The e each bracket returns at the precision w an index runs at is at
+        # most 2**(c+1) + 7, c = ceil(w / (k-1)), the bound the guard bits
+        # rest on: the zeta sum in one cold pass over every even k to 3000,
+        # which rounds each index once, and the Euler product alone at every
+        # even k to 1200, every 100th to 3000, and 10,000. (The sum at 10,000
+        # would first make its reciprocals: hundreds of big divisions.)
+        brackets = []
+        if provider == "sum":
+            real = exact._zeta_sum
+
+            def spy(reciprocals, k, width, w):
+                bracket = real(reciprocals, k, width, w)
+                brackets.append((k, w, bracket[1]))
+                return bracket
+
+            monkeypatch.setattr(exact, "_zeta_sum", spy)
+            runs = spy_passes(monkeypatch)
+            prefetch_bernoulli(range(4, 3001, 2))
+            assert runs == [list(range(4, 3001, 2))]
+            assert [k for k, _, _ in brackets] == runs[0]
+        else:
+            for k, top in guard_tops():
+                if k <= 1200 or k % 100 == 0:
+                    w, _ = exact._working_bits(k, top)
+                    brackets.append((k, w, exact._zeta_euler(k, w)[1]))
+        assert len(brackets) > 600
+        for k, w, error in brackets:
+            assert error <= 2 ** (-(-w // (k - 1)) + 1) + 7, (k, w, error)
 
     @pytest.mark.parametrize("guard", [4, 16, 64])
     def test_combine_within_the_stated_error(self, monkeypatch, guard):
@@ -874,7 +883,13 @@ class TestValuation:
 
 class TestGenBinomial:
     def test_negative_top(self):
+        # Against the definition: the falling factorial top (top-1) ... (top-j+1) over j!.
         assert gen_binomial(-1, 1) == -1
+        for top in range(-40, 40):
+            falling = 1
+            for j in range(12):
+                assert gen_binomial(top, j) * math.factorial(j) == falling, (top, j)
+                falling *= top - j
 
     def test_zero_window(self):
         assert gen_binomial(3, 5) == 0

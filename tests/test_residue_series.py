@@ -1,3 +1,5 @@
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -50,6 +52,13 @@ class TestResidueRing:
         hits = g_series.cache_info().hits
         assert g_series(10, b, 7) is first
         assert g_series.cache_info().hits == hits + 1
+
+    def test_a_ring_is_never_duplicated(self):
+        # A ring equals and hashes by identity, so no second ring of one (p, m) may exist.
+        ring = ResidueRing(13, 5)
+        for duplicate in (copy.copy, copy.deepcopy, lambda r: pickle.loads(pickle.dumps(r))):
+            with pytest.raises(TypeError):
+                duplicate(ring)
 
     def test_ring_and_series_are_immutable(self):
         ring = ResidueRing(7, 2)
