@@ -1,8 +1,9 @@
 """Command-line entry points: bernoulli | series | verify | filtration | reproduce | scan.
 
-JSON-lines is the canonical machine format for grid runs; records are
-written in input order, in chunks as their tasks finish, and the exit
-status is 0 exactly when every emitted record passes.
+Each subcommand's runner returns its records as (passed, text) pairs, and
+`main` writes them all through `_emit`: in input order, in chunks as they
+are made, framed for the format. The exit status is 0 exactly when every
+record passes. JSON-lines is the canonical machine format for grid runs.
 Every input error is raised before the first record is written.
 """
 
@@ -14,7 +15,7 @@ import math
 import os
 import sys
 import time
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import product
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Sequence
@@ -396,8 +397,8 @@ def _records(statement: str, entry: Statement, tasks: list, charges: list[int],
                 started = time.monotonic()
 
 
-def _run_tasks(name: str, args) -> Iterator[tuple[bool, str]]:
-    """Each record's (passed, text), in input order, as each task finishes.
+def _run_tasks(args) -> Iterator[tuple[bool, str]]:
+    """Each record's (passed, text) of `verify` or `scan`, in input order, as each task finishes.
 
     The budgets and every point are validated and every Bernoulli number
     prefetched before this returns, so an input error is raised before any
@@ -408,6 +409,7 @@ def _run_tasks(name: str, args) -> Iterator[tuple[bool, str]]:
     if args.budget_seconds is not None and not 0 <= args.budget_seconds < math.inf:
         raise EiscongError(
             f"--budget-seconds must be finite and non-negative, got {args.budget_seconds}")
+    name = args.conjecture if args.command == "scan" else args.statement
     statement = STATEMENT_ALIASES.get(name, name)
     entry = STATEMENTS[statement]
     points = _build_tasks(name, args)
@@ -430,7 +432,9 @@ def _run_tasks(name: str, args) -> Iterator[tuple[bool, str]]:
 # Subcommand implementations
 # ---------------------------------------------------------------------------
 
-def _cmd_bernoulli(args, out) -> int:
+def _cmd_bernoulli(args) -> Iterator[tuple[bool, str]]:
+    """Each B_k's record, as `bernoulli` prints it; input errors are raised, and
+    every index prefetched, before this returns."""
     ks = parse_range(args.k)
     if not ks:
         raise EiscongError(f"the Bernoulli index range {args.k} is empty")
@@ -443,56 +447,38 @@ def _cmd_bernoulli(args, out) -> int:
         if not is_prime(p):
             raise EiscongError(f"p must be a prime, got {p}")
     prefetch_bernoulli(ks)
-    records = []
-    for k in ks:
-        value = bernoulli(k)
-        record = {"k": k, "value": f"{int_str(value.numerator)}/{int_str(value.denominator)}"}
-        for p in primes:
-            record[f"nu_{p}"] = str(padic_valuation(value, p))
-        records.append(record)
-    if args.format == "human":
-        for record in records:
-            extras = "".join(f"  nu_{p}={record[f'nu_{p}']}" for p in primes)
-            out.write(f"{record['k']} {record['value']}{extras}\n")
-    else:
-        _emit(((True, _dict_text(record, args.format)) for record in records), args.format, out)
-    return 0
+    return ((True, _bernoulli_text(k, primes, args.format)) for k in ks)
 
 
-def _cmd_series(args, out) -> int:
-    ring = ResidueRing(args.p, args.m)
-    if args.kind == "g":
-        series = g_series(args.k, ring, args.prec)
-    elif args.kind == "e":
-        series = e_series(args.k, ring, args.prec)
-    elif args.kind == "delta":
-        series = delta_series(ring, args.prec)
-    elif args.kind == "efactor":
-        series = e_factor(ring, args.prec)
-    else:  # monomial
-        series = monomial_series(args.a, args.b, args.c, ring, args.prec)
-    out.write(json.dumps(series.to_json_dict()) + "\n")
-    return 0
+def _bernoulli_text(k: int, primes: list[int], fmt: str) -> str:
+    value = bernoulli(k)
+    record = {"k": k, "value": f"{int_str(value.numerator)}/{int_str(value.denominator)}"}
+    for p in primes:
+        record[f"nu_{p}"] = str(padic_valuation(value, p))
+    if fmt == "human":
+        extras = "".join(f"  nu_{p}={record[f'nu_{p}']}" for p in primes)
+        return f"{k} {record['value']}{extras}\n"
+    return _dict_text(record, fmt)
 
 
-def _cmd_verify(args, out) -> int:
-    return 0 if _emit(_run_tasks(args.statement, args), args.format, out) else 1
+def _cmd_series(args) -> list[tuple[bool, str]]:
+    build = {"g": partial(g_series, args.k), "e": partial(e_series, args.k),
+             "delta": delta_series, "efactor": e_factor,
+             "monomial": partial(monomial_series, args.a, args.b, args.c)}[args.kind]
+    series = build(ResidueRing(args.p, args.m), args.prec)
+    return [(True, json.dumps(series.to_json_dict()) + "\n")]
 
 
-def _cmd_scan(args, out) -> int:
-    return 0 if _emit(_run_tasks(args.conjecture, args), args.format, out, summary=True) else 1
-
-
-def _cmd_filtration(args, out) -> int:
+def _cmd_filtration(args) -> list[tuple[bool, str]]:
     f, report = filtration_of(args.form, args.k, args.p, args.m, args.prec)
     payload = report.to_json_dict()
     if args.probe is not None:
         payload["probe"] = probe_record(f, report, args.probe, args.prec)
-    out.write(json.dumps(payload, sort_keys=True) + "\n")
-    return 0
+    return [(True, json.dumps(payload, sort_keys=True) + "\n")]
 
 
-def _cmd_reproduce(args, out) -> int:
+def _cmd_reproduce(args) -> list[tuple[bool, str]]:
+    """The example's report and its comparison with the bundled values; it passes on a match."""
     target = REPRODUCTION_EXAMPLES[args.example]
     k = target["weight"]
     f, report = filtration_of(target["kind"], k, target["p"], target["m"])
@@ -518,8 +504,7 @@ def _cmd_reproduce(args, out) -> int:
     payload["sharpness-probe"] = probe
     payload["match"] = not mismatches
     payload["mismatches"] = mismatches
-    out.write(json.dumps(payload, sort_keys=True) + "\n")
-    return 0 if not mismatches else 1
+    return [(not mismatches, json.dumps(payload, sort_keys=True) + "\n")]
 
 
 # ---------------------------------------------------------------------------
@@ -528,8 +513,7 @@ def _cmd_reproduce(args, out) -> int:
 
 def _add_common(parser: argparse.ArgumentParser, default_format: str,
                 formats: tuple[str, ...] = ("json", "jsonl")) -> None:
-    """Flags every subcommand takes; `formats` are the values its --format accepts (for
-    `series`, `filtration` and `reproduce`, json and jsonl print the same JSON line)."""
+    """Flags every subcommand takes; `formats` are the values its --format accepts."""
     parser.add_argument("--out", help="write output to this file instead of stdout")
     parser.add_argument("--format", choices=formats, default=default_format)
     parser.add_argument("--cache", help="Bernoulli cache file (load before, append after)")
@@ -606,14 +590,19 @@ def _scan_args(p: argparse.ArgumentParser) -> None:
     _add_budget(p)
 
 
-# Each subcommand: its help line, the function adding its arguments, and its runner.
+# Each subcommand: its help line, the function adding its arguments, its runner
+# (args -> its (passed, text) records), the frame `main` writes the records in
+# (None: --format's), and whether a summary record goes last. series, filtration
+# and reproduce each print one JSON line, framed as jsonl for json and jsonl alike.
 _COMMANDS = {
-    "bernoulli": ("exact Bernoulli numbers", _bernoulli_args, _cmd_bernoulli),
-    "series": ("q-expansions over Z/p^m", _series_args, _cmd_series),
-    "verify": ("congruence statement grids", _verify_args, _cmd_verify),
-    "filtration": ("factor filtration bound of G_k or E_k", _filtration_args, _cmd_filtration),
-    "reproduce": ("run a bundled reproduction example", _reproduce_args, _cmd_reproduce),
-    "scan": ("conjecture evidence scans", _scan_args, _cmd_scan),
+    "bernoulli": ("exact Bernoulli numbers", _bernoulli_args, _cmd_bernoulli, None, False),
+    "series": ("q-expansions over Z/p^m", _series_args, _cmd_series, "jsonl", False),
+    "verify": ("congruence statement grids", _verify_args, _run_tasks, None, False),
+    "filtration": ("factor filtration bound of G_k or E_k", _filtration_args, _cmd_filtration,
+                   "jsonl", False),
+    "reproduce": ("run a bundled reproduction example", _reproduce_args, _cmd_reproduce,
+                  "jsonl", False),
+    "scan": ("conjecture evidence scans", _scan_args, _run_tasks, None, True),
 }
 
 
@@ -630,7 +619,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
                     "exact verification grids and factor-filtration bounds.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, add_arguments, _) in _COMMANDS.items():
+    for name, (help_text, add_arguments, *_) in _COMMANDS.items():
         subparser = sub.add_parser(name, help=help_text)
         if command is None or command == name:
             add_arguments(subparser)
@@ -643,9 +632,12 @@ def _error(err: Exception) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one subcommand. Its status is 0 exactly when every record passes, 1 when
+    one fails or the reader leaves early, and 2 after an error line on stderr."""
     if argv is None:
         argv = sys.argv[1:]
     args = build_parser(argv[0] if argv else None).parse_args(argv)
+    _, _, run, frame, summary = _COMMANDS[args.command]
     cache_path = args.cache or default_cache_path()
     if cache_path:
         try:
@@ -657,7 +649,7 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as err:
         return _error(err)
     try:
-        status = _COMMANDS[args.command][2](args, out)
+        status = 0 if _emit(run(args), frame or args.format, out, summary) else 1
         out.flush()
     except BrokenPipeError:  # the reader left; stdout to devnull, as in Python's SIGPIPE recipe
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())

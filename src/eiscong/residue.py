@@ -55,8 +55,8 @@ class ResidueRing:
     """Z/p^m for a prime p >= 5 and m >= 1.
 
     Immutable, and interned: ResidueRing(p, m) returns the one ring of that
-    (p, m), so a ring equals and hashes by identity (copy, deepcopy and
-    unpickling, which would make a second one, raise TypeError).
+    (p, m), so a ring equals and hashes by identity; copy, deepcopy and
+    unpickling call ResidueRing(p, m) too, and give back that same ring.
     """
 
     __slots__ = ("p", "m", "modulus")
@@ -76,6 +76,9 @@ class ResidueRing:
         return ring
 
     __setattr__ = __delattr__ = _frozen
+
+    def __reduce__(self) -> tuple:
+        return ResidueRing, (self.p, self.m)
 
     def __repr__(self) -> str:
         return f"ResidueRing(p={self.p}, m={self.m})"

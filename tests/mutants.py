@@ -50,6 +50,11 @@ class Mutant(NamedTuple):
 
 EXACT = "src/eiscong/exact.py"
 T_EXACT = "tests/test_exact.py::TestPrefetch::"
+CONG = "src/eiscong/congruences.py"
+T_BOX = "tests/test_congruences.py::TestCombinatorialIdentities::"
+P_BOX = "tests/test_properties.py::test_box_block_kernels_match_the_per_point_oracles"
+CLI = "src/eiscong/cli.py"
+PARITY = "tests/test_cli_parity.py::test_status_stderr_and_stdout_match_the_table"
 
 MUTANTS = (
     Mutant("euler-guard-bits-0", EXACT,
@@ -89,11 +94,11 @@ MUTANTS = (
            "+ 10) > 1 << guard:",
            "+ 10) > 2 << guard:",
            (T_EXACT + "test_guard_bits_are_the_least_the_bound_proves",)),
-    Mutant("chunk-size-off-by-one", "src/eiscong/cli.py",
+    Mutant("chunk-size-off-by-one", CLI,
            "if len(chunk) >= _CHUNK_RECORDS",
            "if len(chunk) > _CHUNK_RECORDS",
            ("tests/test_cli.py::TestHelpers::test_emit_reads_the_clock_once_per_few_records",)),
-    Mutant("emit-head-counts-as-a-record", "src/eiscong/cli.py",
+    Mutant("emit-head-counts-as-a-record", CLI,
            "chunk, lead, passed, total = [], head, 0, 0",
            'chunk, lead, passed, total = [head], "", 0, 0',
            ("tests/test_cli.py::TestHelpers::test_emit_reads_the_clock_once_per_few_records",
@@ -128,6 +133,49 @@ MUTANTS = (
            "2 * (ring.modulus - 1).bit_length()",
            ("tests/test_residue_series.py::TestLinearCombination::test_every_slot_at_its_largest_sum",
             "tests/test_properties.py::test_a_packed_family_matches_the_per_column_sum_for_every_scalar_vector")),
+    Mutant("telescoping-f-terms-swapped", CONG,
+           "(s - r) * (j + r - alpha) * here - (s - r + 1) * (j + r - 1 - alpha) * prev",
+           "(s - r) * (j + r - alpha) * prev - (s - r + 1) * (j + r - 1 - alpha) * here",
+           (T_BOX + "test_telescoping_kernel_matches_fraction_oracle", P_BOX)),
+    Mutant("identity-row-from-s+1", CONG,
+           "sum(map(mul, _identity_row(m, j, alpha)[s:], column))",
+           "sum(map(mul, _identity_row(m, j, alpha)[s + 1:], column))",
+           (T_BOX + "test_block_sums_match_oracle", T_BOX + "test_vanishing_on_box", P_BOX)),
+    Mutant("certificate-m-row-from-s+1", CONG,
+           "f = list(map(mul, _identity_row(m, j, alpha)[s:],",
+           "f = list(map(mul, _identity_row(m, j, alpha)[s + 1:],",
+           (T_BOX + "test_telescoping_kernel_matches_fraction_oracle", P_BOX)),
+    Mutant("certificate-m+1-row-from-s+1", CONG,
+           "g = list(map(mul, _identity_row(m + 1, j, alpha)[s:],",
+           "g = list(map(mul, _identity_row(m + 1, j, alpha)[s + 1:],",
+           (T_BOX + "test_telescoping_kernel_matches_fraction_oracle", P_BOX)),
+    Mutant("zero-row-through-alpha-m", CONG,
+           "    if alpha < m:\n        return (0,) * m",
+           "    if alpha <= m:\n        return (0,) * m",
+           (T_BOX + "test_rows_and_columns_match_oracle", P_BOX)),
+    Mutant("block-table-uncached", CONG,
+           "@lru_cache(maxsize=64)\ndef _block_table(",
+           "def _block_table(",
+           ("tests/test_congruences.py::TestFactoredInversionSum::"
+            "test_a_record_past_its_block_table_makes_no_product",)),
+    Mutant("d-without-minus-one", "src/eiscong/eisenstein.py",
+           "powers.append(e_series(ring.p - 1, ring, precision) - powers[0])",
+           "powers.append(e_series(ring.p - 1, ring, precision))",
+           ("tests/test_eisenstein.py::TestEPower::test_d_vanishes_mod_p",
+            "tests/test_eisenstein.py::TestEPower::test_unreduced_exponents_match_both_chains")),
+    Mutant("zeta-sum-error-quartered", EXACT,
+           "return zeta, (last - 1) + ((last + 1) // (k - 1) + 2)",
+           "return zeta, (last - 1) // 4 + ((last + 1) // (k - 1) + 2)",
+           (T_EXACT + "test_zeta_sum_within_its_bound",
+            T_EXACT + "test_brackets_at_the_precision_each_index_runs_at")),
+    Mutant("series-framed-by-format", CLI,
+           '_cmd_series, "jsonl", False)',
+           "_cmd_series, None, False)",
+           (PARITY,)),
+    Mutant("filtration-framed-by-format", CLI,
+           '_cmd_filtration,\n                   "jsonl", False)',
+           "_cmd_filtration,\n                   None, False)",
+           (PARITY,)),
 )
 
 

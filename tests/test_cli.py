@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from functools import reduce
 from pathlib import Path
 
 import pytest
@@ -29,10 +30,28 @@ from eiscong.congruences import CongruenceReport
 from eiscong.errors import CacheFormatError
 from eiscong.exact import bernoulli, bernoulli_cached_indices, parse_int
 from eiscong.golden import REPRODUCTION_EXAMPLES
+from eiscong.residue import ResidueRing
 
-from conftest import bernoulli_by_tangent, identity_sum_by_triple_products, telescoping_by_fractions
+from conftest import (
+    bernoulli_by_tangent,
+    e_factor_exact,
+    e_series_exact,
+    identity_sum_by_triple_products,
+    reduced,
+    schoolbook_product,
+    telescoping_by_fractions,
+)
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def monomial_exact(a: int, b: int, c: int, precision: int = 12) -> tuple:
+    """E_4^a E_6^b Delta^c over the rationals, with Delta = (E_4^3 - E_6^2) / 1728."""
+    e4, e6 = e_series_exact(4, precision), e_series_exact(6, precision)
+    cube, square = reduce(schoolbook_product, [e4] * 3), schoolbook_product(e6, e6)
+    delta = tuple((x - y) / 1728 for x, y in zip(cube, square))
+    return reduce(schoolbook_product, [e4] * a + [e6] * b + [delta] * c,
+                  e_series_exact(0, precision))
 
 
 def run_cli(capsys, *argv):
@@ -177,6 +196,35 @@ class TestBernoulliCommand:
         assert status == 0
         assert out == "12 -691/2730  nu_2=-1  nu_3=-1\n"
 
+    @pytest.mark.parametrize("fmt", ["human", "jsonl"])
+    def test_records_stream_in_chunks(self, tmp_path, monkeypatch, fmt):
+        # The first chunk is in the file before the last record reads its B_k.
+        path, seen, read = tmp_path / "bernoulli.txt", [], cli.bernoulli
+
+        def watched(k):
+            if k == 299:
+                seen.append(path.read_text())
+            return read(k)
+
+        monkeypatch.setattr(cli, "bernoulli", watched)
+        assert main(["bernoulli", "0..299", "--format", fmt, "--out", str(path)]) == 0
+        [early], final = seen, path.read_text()
+        assert 0 < len(early.splitlines()) < len(final.splitlines()) == 300
+        assert early.endswith("\n") and final.startswith(early)
+
+
+# `series` argvs without their ring, the ring, and the series over the rationals through q^12.
+SERIES_ORACLES = [
+    ("e --k 10", 5, 3, lambda: e_series_exact(10, 12)),
+    ("e --k 0", 7, 2, lambda: e_series_exact(0, 12)),
+    ("efactor", 7, 3, lambda: e_factor_exact(7, 12)),
+    ("efactor", 13, 2, lambda: e_factor_exact(13, 12)),
+    ("monomial", 5, 2, lambda: monomial_exact(0, 0, 0)),
+    ("monomial --a 1 --b 2 --c 1", 5, 2, lambda: monomial_exact(1, 2, 1)),
+    ("monomial --a 3", 11, 3, lambda: monomial_exact(3, 0, 0)),
+    ("monomial --b 1 --c 2", 7, 4, lambda: monomial_exact(0, 1, 2)),
+]
+
 
 class TestSeriesCommand:
     def test_g_series_json_schema(self, capsys):
@@ -187,6 +235,15 @@ class TestSeriesCommand:
         data = json.loads(out)
         assert set(data) == {"p", "m", "precision", "coefficients"}
         assert data["coefficients"] == ["4", "1", "2"]
+
+    @pytest.mark.parametrize("argv, p, m, exact", SERIES_ORACLES,
+                             ids=[f"{argv.replace(' ', '')}-p{p}-m{m}"
+                                  for argv, p, m, _ in SERIES_ORACLES])
+    def test_kind_matches_its_rational_series(self, capsys, argv, p, m, exact):
+        status, out, err = run_cli(capsys, "series", *argv.split(), "--p", str(p), "--m", str(m),
+                                   "--prec", "12")
+        assert (status, err) == (0, "")
+        assert json.loads(out) == reduced(exact(), ResidueRing(p, m)).to_json_dict()
 
     def test_delta(self, capsys):
         status, out, _ = run_cli(
@@ -784,16 +841,25 @@ class TestReproduceCommand:
         assert data["sharpness-probe"]["result"] == "NoSolution"
 
     def test_mismatch_exits_1(self, capsys, monkeypatch):
-        # The bound, one coefficient and the certified count off by one.
-        target = {**REPRODUCTION_EXAMPLES["paper-17-6"], "bound": 81, "certified-coefficients": 111}
-        target["coefficients"] = list(target["coefficients"])
-        target["coefficients"][2] += 1
-        monkeypatch.setitem(REPRODUCTION_EXAMPLES, "paper-17-6", target)
+        # Every compared value off: the bound, the witness exponent, the last
+        # monomial, one coefficient and the certified count, and a sharpness
+        # weight at the bound, where the probe is solvable.
+        bundled = REPRODUCTION_EXAMPLES["paper-17-6"]
+        monomials = [*bundled["monomials"][:-1], (2, 1, 5)]
+        coefficients = list(bundled["coefficients"])
+        coefficients[2] += 1
+        monkeypatch.setitem(REPRODUCTION_EXAMPLES, "paper-17-6", {
+            **bundled, "bound": 81, "witness-exponent": 77, "monomials": monomials,
+            "coefficients": coefficients, "certified-coefficients": 111, "sharpness-weight": 80})
         status, out, _ = run_cli(capsys, "reproduce", "paper-17-6")
         data = json.loads(out)
         assert status == 1 and data["match"] is False and data["bound-found"] == 80
-        assert data["mismatches"] == ["bound 80 != 81", "coefficient[2] 1427399 != 1427400",
-                                      "certified 110 != 111"]
+        assert data["sharpness-probe"] == {"result": "Solvable", "weight": 80}
+        assert data["mismatches"] == [
+            "bound 80 != 81", "witness exponent 76 != 77",
+            f"monomials {tuple(bundled['monomials'])} != {monomials}",
+            "coefficient[2] 1427399 != 1427400", "certified 110 != 111",
+            "sharpness probe at 80 was solvable"]
 
 
 class TestConsoleScript:

@@ -10,6 +10,7 @@ from eiscong.errors import (
 )
 from eiscong.eisenstein import e_series, g_series, monomial_series
 from eiscong.filtration import (
+    BoundReport,
     LinearSystem,
     NoSolution,
     Solution,
@@ -462,6 +463,9 @@ class TestRefinedBounds:
         report = verify_refined_bounds(5, 2, 14)
         assert report.verdict == "Skipped"
         assert report.stated_bound is None
+        assert report.passed and report.to_json_dict() == {
+            "p": 5, "m": 2, "k": 14, "k0": 2, "alpha": 3, "case": "m2-k0eq2-external",
+            "stated-bound": None, "computed-bound": None, "verdict": "Skipped"}
 
     def test_m2_k0_4(self):
         report = verify_refined_bounds(7, 2, 4 + 3 * 6)
@@ -474,6 +478,28 @@ class TestRefinedBounds:
         assert report.case == "m4-k0eq2-alpha1-psq"
         assert report.stated_bound == 8
         assert report.verdict == "Pass"
+        assert report.passed and report.to_json_dict() == {
+            "p": 7, "m": 4, "k": 8, "k0": 2, "alpha": 1, "case": "m4-k0eq2-alpha1-psq",
+            "stated-bound": 8, "computed-bound": 8, "verdict": "Pass"}
+
+    @pytest.mark.parametrize("p, k0", [(11, 6), (11, 8), (13, 6)])
+    def test_m4_k0_at_least_6(self, p, k0):
+        # The row is fixed by alpha mod p^2 in {0, 1}, then by alpha mod p in
+        # {0, 1, 2}, else it is the general one; its bound is j(p-1) + k0.
+        rows = {alpha: ("m4-k0ge6-alpha01-psq", 1) for alpha in (0, 1, p * p, p * p + 1)}
+        rows |= {alpha: ("m4-k0ge6-alpha012", 2) for alpha in (2, p, p + 1, p + 2)}
+        rows |= {alpha: ("m4-k0ge6-general", 3) for alpha in (3, 4, p + 3)}
+        for alpha, (case, j) in rows.items():
+            report = verify_refined_bounds(p, 4, k0 + alpha * (p - 1))
+            assert (report.k0, report.alpha, report.case, report.stated_bound, report.verdict) == (
+                k0, alpha, case, j * (p - 1) + k0, "Pass"), alpha
+            assert report.computed_bound <= report.stated_bound
+
+    def test_a_failing_row_does_not_pass(self):
+        report = BoundReport(5, 1, 10, 2, 2, "m1", 2, 6, "Fail")
+        assert not report.passed and report.to_json_dict() == {
+            "p": 5, "m": 1, "k": 10, "k0": 2, "alpha": 2, "case": "m1", "stated-bound": 2,
+            "computed-bound": 6, "verdict": "Fail"}
 
     def test_invalid_m(self):
         with pytest.raises(ParameterOutOfRangeError):

@@ -1,7 +1,7 @@
 """Property-based differential checks of fast paths against the oracles in conftest.
 
 Each property draws its inputs with `derandomize=True` and a bounded number of
-examples, so tier-1 stays deterministic and the module runs in about 4 s.
+examples, so tier-1 stays deterministic and the module runs in about 5 s.
 """
 
 import random
@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from eiscong import exact
+from eiscong import cli, exact, series
 from eiscong.congruences import (
     _certificate,
     _identity_sums,
@@ -21,7 +21,8 @@ from eiscong.congruences import (
     _valuation_report,
     dpower_function,
 )
-from eiscong.eisenstein import divisor_sums, e_power, e_series
+from eiscong.congruences import CongruenceReport
+from eiscong.eisenstein import divisor_sums, e_power, e_series, g_series
 from eiscong.exact import bernoulli, bernoulli_cached_indices, prefetch_bernoulli, sigma_power_mod
 from eiscong.residue import ResidueRing
 from eiscong.series import PackedFamily, QSeries, linear_combination
@@ -29,7 +30,10 @@ from eiscong.series import PackedFamily, QSeries, linear_combination
 from conftest import (
     bernoulli_by_tangent,
     combination_per_column,
+    g_series_exact,
     identity_sum_by_triple_products,
+    reduced,
+    schoolbook_product,
     telescope_g,
     telescope_lhs,
 )
@@ -242,3 +246,52 @@ def test_box_block_kernels_match_the_per_point_oracles(data):
         assert [Fraction(right, d) for _, right in sides] == [
             telescope_g(m, j, s, alpha, r) - telescope_g(m, j, s, alpha, r - 1)
             for r in range(s, m)]
+
+
+@settings(PROPERTY, max_examples=60)
+@given(st.data())
+def test_kronecker_product_matches_the_schoolbook_on_byte_string_slots(data):
+    # Moduli from 2^32 + 1 to 2^200, so every slot is wider than 8 bytes and is
+    # packed as a byte string; residues drawn, or all modulus - 1 (the
+    # largest slot sums); a product of two, or a square.
+    modulus = data.draw(st.integers(2 ** 32 + 1, 2 ** 200), label="modulus")
+    n = data.draw(st.integers(1, 60), label="n")
+    assert series._slot(2 * (modulus - 1).bit_length() + n.bit_length())[1] is None
+    if data.draw(st.booleans(), label="largest sums"):
+        a = b = (modulus - 1,) * n
+    else:
+        rng = data.draw(st.randoms(use_true_random=False), label="residues")
+        a, b = (tuple(rng.randrange(modulus) for _ in range(n)) for _ in range(2))
+    square = data.draw(st.booleans(), label="square")
+    expected = tuple(c % modulus for c in schoolbook_product(a, a if square else b))
+    assert series._kronecker_product(a, None if square else b, n, modulus) == expected
+
+
+@settings(PROPERTY, max_examples=80)
+@given(p=st.sampled_from((5, 7, 11, 13)), m=st.integers(1, 6), half=st.integers(1, 150),
+       precision=st.integers(0, 40))
+def test_g_series_matches_the_rational_series(p, m, half, precision):
+    # G_k modulo p^m against -B_k/2k and sigma_{k-1}(n) over the rationals,
+    # for even k up to 300 that p - 1 does not divide.
+    k = 2 * half
+    if k % (p - 1) == 0:
+        k += 2
+    ring = ResidueRing(p, m)
+    assert g_series(k, ring, precision) == reduced(g_series_exact(k, precision), ring)
+
+
+# Names as a package string may hold them: any text but NUL, the template's mark.
+NAMES = st.text(st.characters(blacklist_characters="\x00"), max_size=8)
+
+
+@settings(PROPERTY, max_examples=80)
+@given(statement=NAMES, certification=NAMES, verdict=st.sampled_from(("Pass", "Fail")),
+       params=st.dictionaries(NAMES, st.integers(-2 ** 70, 2 ** 70), min_size=1, max_size=5),
+       fmt=st.sampled_from(("jsonl", "json")))
+def test_template_text_is_the_record_dump(statement, certification, verdict, params, fmt):
+    # The template of a shape, filled with its int values, is the record's
+    # own text; so is `_record_text`, which fills it.
+    report = CongruenceReport(statement, params, verdict, None, certification)
+    text, values = cli._template(statement, certification, verdict, tuple(params), fmt)
+    assert text % values(params) == cli._dict_text(report.to_json_dict(), fmt)
+    assert cli._record_text(report, None, fmt) == cli._dict_text(report.to_json_dict(), fmt)

@@ -1,4 +1,5 @@
 import copy
+import math
 import pickle
 from fractions import Fraction
 
@@ -12,7 +13,7 @@ from eiscong.errors import (
 )
 from eiscong.eisenstein import g_series
 from eiscong.exact import bernoulli, h_coefficient
-from eiscong.residue import ResidueRing
+from eiscong.residue import ResidueRing, is_prime
 from eiscong.series import QSeries, linear_combination, series_equal_mod
 
 from conftest import combination_per_column, egcd, reduced, schoolbook_product
@@ -54,11 +55,16 @@ class TestResidueRing:
         assert g_series.cache_info().hits == hits + 1
 
     def test_a_ring_is_never_duplicated(self):
-        # A ring equals and hashes by identity, so no second ring of one (p, m) may exist.
+        # A ring equals and hashes by identity, so no second ring of one (p, m)
+        # may exist: a copy, a deep copy (alone or inside a container) and a
+        # pickle round trip at every protocol give back the interned ring.
         ring = ResidueRing(13, 5)
-        for duplicate in (copy.copy, copy.deepcopy, lambda r: pickle.loads(pickle.dumps(r))):
-            with pytest.raises(TypeError):
-                duplicate(ring)
+        duplicates = [copy.copy, copy.deepcopy, lambda r: copy.deepcopy([r, {r: r}])[1][r]]
+        duplicates += [lambda r, n=n: pickle.loads(pickle.dumps(r, protocol=n))
+                       for n in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for duplicate in duplicates:
+            assert duplicate(ring) is ring
+        assert pickle.loads(pickle.dumps((ResidueRing(5, 2), ring))) == (ResidueRing(5, 2), ring)
 
     def test_ring_and_series_are_immutable(self):
         ring = ResidueRing(7, 2)
@@ -71,6 +77,28 @@ class TestResidueRing:
                 with pytest.raises(AttributeError):
                     delattr(obj, name)
         assert (ring.p, ring.m, ring.modulus, series.coeffs) == (7, 2, 49, (1, 0, 0))
+
+
+class TestIsPrime:
+    # Each has no prime factor up to 37, the trial divisors, so only the
+    # Miller-Rabin rounds reject it; 3215031751 is a strong pseudoprime to
+    # the bases 2, 3, 5 and 7.
+    @pytest.mark.parametrize("n, factors", [
+        (1763, (41, 43)),
+        (3215031751, (151, 751, 28351)),
+        (3825123056546413051, (149491, 747451, 34233211)),
+    ])
+    def test_composites_past_the_trial_divisors(self, n, factors):
+        assert math.prod(factors) == n and min(factors) > 37
+        assert not is_prime(n)
+
+    def test_matches_a_sieve_below_10_5(self):
+        limit = 10 ** 5
+        sieve = bytearray([0, 0]) + bytearray([1]) * (limit - 2)
+        for d in range(2, math.isqrt(limit) + 1):
+            if sieve[d]:
+                sieve[d * d::d] = bytes(len(range(d * d, limit, d)))
+        assert [n for n in range(limit) if is_prime(n)] == [n for n in range(limit) if sieve[n]]
 
 
 class TestReduceRational:
