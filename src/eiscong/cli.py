@@ -626,7 +626,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     return parser
 
 
-def _error(err: Exception) -> int:
+def _error(err: Exception | str) -> int:
     print(f"error: {err}", file=sys.stderr)
     return 2
 
@@ -659,6 +659,8 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, KeyError) as err:
         print(f"usage error: {err}", file=sys.stderr)
         status = 2
+    except MemoryError:
+        status = _error("out of memory; ask for a smaller range or precision")
     finally:
         if args.out:
             out.close()

@@ -486,51 +486,38 @@ class BoundReport:
         }
 
 
-def refined_bound_case(p: int, m: int, k0: int, alpha: int) -> tuple[str, int | None]:
-    """Case label and stated filtration bound for G_k, k = k0 + alpha(p-1), at m in {2, 3, 4}.
+# The refined rows of each (m, k0 class), k0 folded to the least value of its
+# class: min(k0, 4) for m <= 3, min(k0, 6) for m = 4. A row (case, e, residues,
+# j) covers alpha when alpha mod p^e is in residues and states j(p-1) + k0; the
+# first covering row wins, and the last, with e = 0, covers every alpha. Each
+# general row states Cor. 1.3's (m-1)(p-1) + k0(m), each special row less. j is
+# None only for m2-k0eq2-external, a bound from prior work not verified here.
+REFINED_ROWS = {
+    (2, 2): (("m2-k0eq2-external", 0, (0,), None),),
+    (2, 4): (("m2-k0ge4", 0, (0,), 1),),
+    (3, 2): (("m3-k0eq2-alpha1", 1, (1,), 1), ("m3-k0eq2-alpha2", 1, (2,), 2),
+             ("m3-k0eq2-general", 0, (0,), 3)),
+    (3, 4): (("m3-k0ge4-alpha01", 1, (0, 1), 1), ("m3-k0ge4-general", 0, (0,), 2)),
+    (4, 2): (("m4-k0eq2-alpha1-psq", 2, (1,), 1), ("m4-k0eq2-alpha2-psq", 2, (2,), 2),
+             ("m4-k0eq2-alpha123", 1, (1, 2, 3), 3), ("m4-k0eq2-general", 0, (0,), 4)),
+    (4, 4): (("m4-k0eq4-alpha1-psq", 2, (1,), 1), ("m4-k0eq4-alpha12", 1, (1, 2), 2),
+             ("m4-k0eq4-alpha3", 1, (3,), 3), ("m4-k0eq4-general", 0, (0,), 4)),
+    (4, 6): (("m4-k0ge6-alpha01-psq", 2, (0, 1), 1), ("m4-k0ge6-alpha012", 1, (0, 1, 2), 2),
+             ("m4-k0ge6-general", 0, (0,), 3)),
+}
 
-    Returns (case, None) for the one combination sourced from prior work
-    rather than verified here (m = 2 with k0 = 2).
-    """
-    if k0 == 0 or k0 % 2 or not 2 <= k0 <= p - 3:
+
+def refined_bound_case(p: int, m: int, k0: int, alpha: int) -> tuple[str, int | None]:
+    """Case label and stated filtration bound for G_k, k = k0 + alpha(p-1), at m in
+    {2, 3, 4}: the first row of `REFINED_ROWS` that covers alpha (stated None at
+    m2-k0eq2-external)."""
+    if k0 % 2 or not 2 <= k0 <= p - 3:
         raise ParameterOutOfRangeError(f"k0 = {k0} must be even with 2 <= k0 <= p-3")
-    if m == 2:
-        if k0 == 2:
-            return "m2-k0eq2-external", None
-        return "m2-k0ge4", (p - 1) + k0
-    if m == 3:
-        if k0 >= 4:
-            if alpha % p in (0, 1):
-                return "m3-k0ge4-alpha01", (p - 1) + k0
-            return "m3-k0ge4-general", 2 * (p - 1) + k0
-        if alpha % p == 1:
-            return "m3-k0eq2-alpha1", (p - 1) + 2
-        if alpha % p == 2:
-            return "m3-k0eq2-alpha2", 2 * (p - 1) + 2
-        return "m3-k0eq2-general", 3 * (p - 1) + 2
-    if m == 4:
-        if k0 >= 6:
-            if alpha % (p * p) in (0, 1):
-                return "m4-k0ge6-alpha01-psq", (p - 1) + k0
-            if alpha % p in (0, 1, 2):
-                return "m4-k0ge6-alpha012", 2 * (p - 1) + k0
-            return "m4-k0ge6-general", 3 * (p - 1) + k0
-        if k0 == 4:
-            if alpha % (p * p) == 1:
-                return "m4-k0eq4-alpha1-psq", (p - 1) + 4
-            if alpha % p in (1, 2):
-                return "m4-k0eq4-alpha12", 2 * (p - 1) + 4
-            if alpha % p == 3:
-                return "m4-k0eq4-alpha3", 3 * (p - 1) + 4
-            return "m4-k0eq4-general", 4 * (p - 1) + 4
-        if alpha % (p * p) == 1:
-            return "m4-k0eq2-alpha1-psq", (p - 1) + 2
-        if alpha % (p * p) == 2:
-            return "m4-k0eq2-alpha2-psq", 2 * (p - 1) + 2
-        if alpha % p in (1, 2, 3):
-            return "m4-k0eq2-alpha123", 3 * (p - 1) + 2
-        return "m4-k0eq2-general", 4 * (p - 1) + 2
-    raise ParameterOutOfRangeError(f"refined bounds cover m in {{2, 3, 4}}, got {m}")
+    rows = REFINED_ROWS.get((m, min(k0, 6 if m == 4 else 4)))
+    if rows is None:
+        raise ParameterOutOfRangeError(f"refined bounds cover m in {{2, 3, 4}}, got {m}")
+    case, j = next((case, j) for case, e, residues, j in rows if alpha % p**e in residues)
+    return case, None if j is None else j * (p - 1) + k0
 
 
 def verify_refined_bounds(p: int, m: int, k: int) -> BoundReport:

@@ -54,6 +54,9 @@ class QSeries:
     __setattr__ = __delattr__ = _frozen
     __eq__ = _equal_slots
 
+    def __reduce__(self) -> tuple:
+        return QSeries, (self.ring, self.coeffs, self.precision)
+
     # -- constructors -------------------------------------------------------
 
     @staticmethod

@@ -117,6 +117,12 @@ MUTANTS = (
            "first += p - 1",
            "first += 0",
            ("tests/test_filtration.py::TestLayerPass::test_zero_floors_at_the_least_weight_with_a_basis",)),
+    Mutant("refined-row-alpha012-short", "src/eiscong/filtration.py",
+           '("m4-k0ge6-alpha012", 1, (0, 1, 2), 2)',
+           '("m4-k0ge6-alpha012", 1, (0, 1), 2)',
+           ("tests/test_filtration.py::TestRefinedBounds::test_known_answers[p11-m4-k0=6]",
+            "tests/test_filtration.py::TestRefinedBounds::test_known_answers[p13-m4-k0=10]",
+            "tests/test_filtration.py::TestRefinedBounds::test_m4_k0_at_least_6")),
     Mutant("e-power-term-short", "src/eiscong/eisenstein.py",
            "[gen_binomial(n, i) for i in range(ring.m)]",
            "[gen_binomial(n, i) for i in range(ring.m - 1)]",
@@ -185,6 +191,13 @@ def misplaced() -> list[str]:
     return [m.id for m in MUTANTS if texts[m.path].count(m.old) != 1]
 
 
+def failed_ids(summary: str) -> list[str]:
+    """The node ids of pytest's `-rfE` summary lines: the text between `FAILED `/`ERROR `
+    and the ` - ` before the message, spaces kept (an id holding ` - ` is cut there)."""
+    return [line.split(" ", 1)[1].partition(" - ")[0] for line in summary.splitlines()
+            if line.startswith(("FAILED ", "ERROR "))]
+
+
 def survivors_of(mutant: Mutant) -> list[str]:
     """The node ids of `mutant` that passed with it applied to a copy of the tree."""
     with tempfile.TemporaryDirectory(prefix="eiscong-mutant-") as scratch:
@@ -201,8 +214,7 @@ def survivors_of(mutant: Mutant) -> list[str]:
             [sys.executable, "-m", "pytest", "-q", "--tb=no", "-rfE", "-p", "no:cacheprovider",
              *mutant.tests],
             cwd=copy, env=env, capture_output=True, text=True)
-    failed = [line.split()[1] for line in proc.stdout.splitlines()
-              if line.startswith(("FAILED ", "ERROR "))]
+    failed = failed_ids(proc.stdout)
     return [test for test in mutant.tests
             if not any(node == test or node.startswith(test + "[") for node in failed)]
 

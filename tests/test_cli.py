@@ -491,6 +491,27 @@ def test_zero_budgets_are_valid(capsys, name):
     assert status in (0, 1) and err == "" and grid_records(out)
 
 
+# Runs main on its argv with the child's address space capped at 2 GB, so an
+# allocation past the cap raises MemoryError at once instead of filling memory.
+UNDER_A_MEMORY_CAP = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+from eiscong.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("argv", ["bernoulli 0..99999999999",
+                                  "series g --k 14 --p 5 --m 2 --prec 100000000000"])
+def test_running_out_of_memory_gives_an_error_line(argv):
+    # The index list and the smallest-factor sieve are each one allocation far
+    # past the cap. Never run these argvs without it.
+    pytest.importorskip("resource")
+    proc = run_python("-c", UNDER_A_MEMORY_CAP, *argv.split(), timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        2, "", "error: out of memory; ask for a smaller range or precision\n")
+
+
 # A minimal valid argv of every subcommand.
 MINIMAL_ARGVS = {name: argv for name, (argv, _) in REJECTED_FORMATS.items()}
 MINIMAL_ARGVS["verify"] = ["verify", "identity", "--m", "2", "--alpha", "3"]

@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import pytest
 
 from eiscong.errors import (
@@ -21,13 +24,14 @@ from eiscong.filtration import (
     k0m_of,
     monomial_exponents,
     probe_record,
+    refined_bound_case,
     sharpness_probe,
     solve_mod_pm,
     space_dimension,
     sturm_bound,
     verify_refined_bounds,
 )
-from eiscong.residue import ResidueRing
+from eiscong.residue import ResidueRing, is_prime
 from eiscong.series import QSeries
 
 from conftest import (
@@ -436,7 +440,44 @@ class TestFiltrationFacts:
         assert sharpness_probe(lifted, k, w_found)
 
 
+# (p, m, k0, alpha, case, stated) as the per-case if-chain that REFINED_ROWS
+# replaced gave them: p in {5, 7, 11, 13}, every even k0 in 2..p-3, m in
+# {2, 3, 4}; alpha at 0, p and p^2, and at r, r + p and r + p^2 for each
+# residue r a row of the class lists and the one past it.
+KNOWN_CASES = json.loads((Path(__file__).parent / "refined_bound_answers.json").read_text())
+KNOWN_CLASSES = sorted({(p, m, k0) for p, m, k0, *_ in KNOWN_CASES})
+
+
 class TestRefinedBounds:
+    @pytest.mark.parametrize("p,m,k0", KNOWN_CLASSES,
+                             ids=[f"p{p}-m{m}-k0={k0}" for p, m, k0 in KNOWN_CLASSES])
+    def test_known_answers(self, p, m, k0):
+        expected = [(alpha, case, stated) for *key, alpha, case, stated in KNOWN_CASES
+                    if key == [p, m, k0]]
+        assert [(alpha, *refined_bound_case(p, m, k0, alpha))
+                for alpha, _, _ in expected] == expected
+
+    def test_known_answers_name_all_18_cases(self):
+        assert len({case for *_, case, _ in KNOWN_CASES}) == 18
+
+    def test_general_rows_state_cor13_and_special_rows_less(self):
+        # Cor. 1.3 states (m-1)(p-1) + k0(m) for every alpha; a refined table
+        # lowers it on its special classes only.
+        wrong = []
+        for p in filter(is_prime, range(5, 32)):
+            for m in (2, 3, 4):
+                for k0 in range(2, p - 2, 2):
+                    for alpha in range(p * p + 2 * p):
+                        case, stated = refined_bound_case(p, m, k0, alpha)
+                        if stated is None:
+                            assert case == "m2-k0eq2-external"
+                            continue
+                        cor13 = cor13_bound(p, m, k0 + alpha * (p - 1))
+                        general = case.endswith("-general") or case == "m2-k0ge4"
+                        if not (stated == cor13 if general else stated < cor13):
+                            wrong.append((p, m, k0, alpha, case, stated, cor13))
+        assert wrong == []
+
     def test_k0m(self):
         assert k0m_of(2026, 7, 8) == 10
         assert k0m_of(1296, 17, 6) == 16

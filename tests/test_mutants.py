@@ -1,9 +1,23 @@
 """The mutation table in tests/mutants.py still applies to the tree; its runner is not run here."""
 
-from mutants import MUTANTS, misplaced
+from mutants import MUTANTS, failed_ids, misplaced
 
 
 def test_every_mutant_old_text_occurs_once():
     assert len({m.id for m in MUTANTS}) == len(MUTANTS)
     assert all(m.old != m.new and m.tests for m in MUTANTS)
     assert misplaced() == []
+
+
+def test_failed_ids_keep_a_parameter_part_with_spaces():
+    summary = "\n".join([
+        "..F.E                                                                    [100%]",
+        "=========================== short test summary info ============================",
+        "FAILED tests/test_a.py::test_x[p5 m2] - AssertionError: assert 'a b' == 'c'",
+        "FAILED tests/test_a.py::TestY::test_z",
+        "ERROR tests/test_b.py::test_w[a b c] - RuntimeError: boom",
+        "1 failed, 3 passed, 1 error in 0.22s",
+    ])
+    assert failed_ids(summary) == ["tests/test_a.py::test_x[p5 m2]",
+                                   "tests/test_a.py::TestY::test_z",
+                                   "tests/test_b.py::test_w[a b c]"]

@@ -172,6 +172,17 @@ class TestQSeries:
         assert (a * b).precision == 1
         assert (a + b).precision == 1
 
+    def test_copies_and_pickles_keep_the_interned_ring(self):
+        # The frozen __setattr__ must not stop a copy or an unpickle; the copy
+        # is an equal series over the same ring object.
+        series = g_series(14, ResidueRing(7, 3), 6)
+        duplicates = [copy.copy, copy.deepcopy]
+        duplicates += [lambda s, n=n: pickle.loads(pickle.dumps(s, protocol=n))
+                       for n in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for duplicate in duplicates:
+            twin = duplicate(series)
+            assert twin == series and twin.ring is series.ring
+
     def test_reading_past_precision_raises(self):
         ring = ResidueRing(5, 2)
         a = q_series(ring, 1, 2)
