@@ -1,8 +1,14 @@
-"""Persisted Bernoulli cache: line format "k num/den", decimal, append-only."""
+"""Persisted Bernoulli cache: line format "k num/den", append-only.
+
+The index is decimal and the value hex (`12 -0x2b3/0xaaa`): CPython converts
+big integers to and from decimal text in quadratic time, and to and from hex
+in linear time. Decimal values, as older caches hold them, still load.
+"""
 
 from __future__ import annotations
 
 import os
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -19,15 +25,23 @@ def default_cache_path() -> Path | None:
     return Path(value) if value else None
 
 
+_HEX = re.compile(r"-?0x[0-9a-f]+")
+
+
+def _parse_int(text: str) -> int:
+    """A numerator or denominator: hex as `format_cache_line` writes it, or decimal."""
+    return int(text, 16) if _HEX.fullmatch(text) else exact.parse_int(text)
+
+
 def parse_cache_line(line: str) -> tuple[int, Fraction]:
     """Parse one "k num/den" line; raises ValueError or ZeroDivisionError if malformed."""
     index_text, value_text = line.split()
     num_text, den_text = value_text.split("/")
-    return int(index_text), Fraction(exact.parse_int(num_text), exact.parse_int(den_text))
+    return int(index_text), Fraction(_parse_int(num_text), _parse_int(den_text))
 
 
 def format_cache_line(index: int, value: Fraction) -> str:
-    return f"{index} {exact.int_str(value.numerator)}/{exact.int_str(value.denominator)}\n"
+    return f"{index} {value.numerator:#x}/{value.denominator:#x}\n"
 
 
 def _value_problem(index: int, value: Fraction) -> str | None:

@@ -151,12 +151,14 @@ def _inversion_support(m: int, alpha: int) -> range:
 
 def inversion_reads(point: dict, with_e_powers: bool) -> list[int]:
     """The Bernoulli indices the inversion check at a point (p, m, alpha, k* or else 0)
-    may read: its weight's, each term's, and from alpha = m on B_{p-1} for E_{p-1} powers."""
+    may read: its weight's, each term's, and from alpha = m on B_{p-1} for E_{p-1} powers,
+    which are built (as powers of D = E_{p-1} - 1) only from m = 2 on."""
     p, m, alpha, kstar = point["p"], point["m"], point["alpha"], point.get("kstar", 0)
     top, support = alpha * (p - 1) + kstar, _inversion_support(m, alpha)
     if alpha in support:  # below m, the one term is the left side
         return [top]
-    return [top, *(r * (p - 1) + kstar for r in support), *([p - 1] if with_e_powers else [])]
+    powers = [p - 1] if with_e_powers and m > 1 else []
+    return [top, *(r * (p - 1) + kstar for r in support), *powers]
 
 
 # A grid block, fixed (form, k*, p, m, precision, powers), shares one table

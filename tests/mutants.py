@@ -55,6 +55,8 @@ T_BOX = "tests/test_congruences.py::TestCombinatorialIdentities::"
 P_BOX = "tests/test_properties.py::test_box_block_kernels_match_the_per_point_oracles"
 CLI = "src/eiscong/cli.py"
 PARITY = "tests/test_cli_parity.py::test_status_stderr_and_stdout_match_the_table"
+T_CACHE = "tests/test_cli.py::TestOutAndCache::"
+P_CACHE = "tests/test_properties.py::test_a_cache_line_round_trips"
 
 MUTANTS = (
     Mutant("euler-guard-bits-0", EXACT,
@@ -174,6 +176,18 @@ MUTANTS = (
            "return zeta, (last - 1) // 4 + ((last + 1) // (k - 1) + 2)",
            (T_EXACT + "test_zeta_sum_within_its_bound",
             T_EXACT + "test_brackets_at_the_precision_each_index_runs_at")),
+    Mutant("cache-writer-drops-the-sign", "src/eiscong/cache.py",
+           'f"{index} {value.numerator:#x}/',
+           'f"{index} {abs(value.numerator):#x}/',
+           (T_CACHE + "test_cache_round_trip",
+            T_CACHE + "test_a_decimal_cache_loads_and_grows_in_hex",
+            P_CACHE)),
+    Mutant("cache-reader-drops-the-sign", "src/eiscong/cache.py",
+           "int(text, 16) if",
+           'int(text.lstrip("-"), 16) if',
+           (T_CACHE + "test_cache_round_trip",
+            T_CACHE + "test_a_decimal_cache_loads_and_grows_in_hex",
+            P_CACHE)),
     Mutant("series-framed-by-format", CLI,
            '_cmd_series, "jsonl", False)',
            "_cmd_series, None, False)",
@@ -191,11 +205,18 @@ def misplaced() -> list[str]:
     return [m.id for m in MUTANTS if texts[m.path].count(m.old) != 1]
 
 
-def failed_ids(summary: str) -> list[str]:
-    """The node ids of pytest's `-rfE` summary lines: the text between `FAILED `/`ERROR `
-    and the ` - ` before the message, spaces kept (an id holding ` - ` is cut there)."""
-    return [line.split(" ", 1)[1].partition(" - ")[0] for line in summary.splitlines()
-            if line.startswith(("FAILED ", "ERROR "))]
+def failed_ids(summary: str, tests: tuple[str, ...]) -> list[str]:
+    """The node ids of `tests` that pytest's `-rfE` summary lines report as failed.
+
+    A line names a test when the text after `FAILED `/`ERROR ` is its id,
+    alone or before ` - ` and the message, or one of its parameters' ids; so
+    an id is matched whole, whatever spaces or ` - ` its parameter part holds.
+    """
+    reported = [line.split(" ", 1)[1] for line in summary.splitlines()
+                if line.startswith(("FAILED ", "ERROR "))]
+    return [test for test in tests
+            if any(node == test or node.startswith((test + " - ", test + "["))
+                   for node in reported)]
 
 
 def survivors_of(mutant: Mutant) -> list[str]:
@@ -214,9 +235,8 @@ def survivors_of(mutant: Mutant) -> list[str]:
             [sys.executable, "-m", "pytest", "-q", "--tb=no", "-rfE", "-p", "no:cacheprovider",
              *mutant.tests],
             cwd=copy, env=env, capture_output=True, text=True)
-    failed = failed_ids(proc.stdout)
-    return [test for test in mutant.tests
-            if not any(node == test or node.startswith(test + "[") for node in failed)]
+    failed = failed_ids(proc.stdout, mutant.tests)
+    return [test for test in mutant.tests if test not in failed]
 
 
 def main(argv: list[str]) -> int:

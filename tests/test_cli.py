@@ -3,6 +3,7 @@ import importlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -28,7 +29,7 @@ from eiscong.cli import (
 )
 from eiscong.congruences import CongruenceReport
 from eiscong.errors import CacheFormatError
-from eiscong.exact import bernoulli, bernoulli_cached_indices, parse_int
+from eiscong.exact import bernoulli, bernoulli_cached_indices, int_str, parse_int
 from eiscong.golden import REPRODUCTION_EXAMPLES
 from eiscong.residue import ResidueRing
 
@@ -927,17 +928,53 @@ class TestOutAndCache:
 
     def test_cache_round_trip(self, tmp_path):
         path = tmp_path / "bern.cache"
+        # A decimal line, as older caches hold, reads; lines are written in hex.
         line = format_cache_line(12, parse_cache_line("12 -691/2730")[1])
-        assert line == "12 -691/2730\n"
+        assert line == "12 -0x2b3/0xaaa\n"
+        assert parse_cache_line(line) == (12, Fraction(-691, 2730))
         path.write_text(line)
         assert load_bernoulli_cache(path) == 1
         appended = save_bernoulli_cache(path)
         text = path.read_text()
         # parse -> serialize identity on the original record
-        assert text.startswith("12 -691/2730\n")
+        assert text.startswith("12 -0x2b3/0xaaa\n")
         indices = [parse_cache_line(l)[0] for l in text.splitlines()]
         assert len(indices) == len(set(indices))
         assert appended == len(indices) - 1
+        path.write_text("12 -691/2730\n")
+        assert load_bernoulli_cache(path) == 1
+
+    def test_a_decimal_cache_loads_and_grows_in_hex(self, tmp_path, monkeypatch, cold_bernoulli):
+        # Decimal lines as older versions wrote them (B_2200's numerator is
+        # past CPython's int/str digit limit), then hex lines.
+        values = {k: bernoulli(k) for k in (4, 12, 2200, 14, 16)}
+        old = "".join(f"{k} {int_str(values[k].numerator)}/{int_str(values[k].denominator)}\n"
+                      for k in (4, 12, 2200))
+        old += format_cache_line(14, values[14]) + format_cache_line(16, values[16])
+        path = tmp_path / "bern.cache"
+        path.write_text(old)
+        seed = {k: exact._BERNOULLI_MEMO[k] for k in (0, 1, 2)}
+        monkeypatch.setattr(exact, "_BERNOULLI_MEMO", dict(seed))
+        assert load_bernoulli_cache(path) == 5
+        assert exact._BERNOULLI_MEMO == {**seed, **values}
+        values[18] = bernoulli(18)
+        assert save_bernoulli_cache(path) == 4
+        text = path.read_text()
+        assert text.startswith(old)
+        for line in text[len(old):].splitlines():  # 0, 1, 2 and 18
+            assert re.fullmatch(r"\d+ -?0x[0-9a-f]+/0x[0-9a-f]+", line), line
+        monkeypatch.setattr(exact, "_BERNOULLI_MEMO", dict(seed))
+        assert load_bernoulli_cache(path) == 9
+        assert exact._BERNOULLI_MEMO == {**seed, **values}
+
+    def test_m1_thm1_saves_no_unread_index(self, tmp_path, capsys, cold_bernoulli):
+        # At m = 1 no power of E_{p-1} is built, so B_{p-1} = B_6 is not read.
+        path = tmp_path / "bern.cache"
+        status, _, _ = run_cli(capsys, "verify", "thm1", "--p", "7", "--m", "1",
+                               "--alpha", "1..3", "--prec", "10", "--cache", str(path))
+        assert status == 0
+        indices = [int(line.split()[0]) for line in path.read_text().splitlines()]
+        assert indices == [0, 1, 2, 8, 14, 20]
 
     def test_warm_cache_is_byte_identical(self, tmp_path, capsys):
         path = tmp_path / "bern.cache"
@@ -978,6 +1015,11 @@ class TestOutAndCache:
         ("14 -7/6", "positive"),
         ("1 1/2", "B_1 is -1/2"),
         ("3 1/5", "B_3 is 0"),
+        ("12 -0x/0xaaa", "expected a line"),
+        ("12 -0X2b3/0xaaa", "expected a line"),
+        ("12 -0x2g3/0xaaa", "expected a line"),
+        ("12 0x-2b3/0xaaa", "expected a line"),
+        ("12 -0x2_b3/0xaaa", "expected a line"),
     ])
     def test_bad_cache_line_is_clean_error(self, tmp_path, capsys, line, reason):
         path = tmp_path / "bad.cache"
@@ -1064,9 +1106,13 @@ class TestOutAndCache:
         assert runs[0].stdout == runs[1].stdout
         index, value = runs[0].stdout.split()
         assert index == "2200" and len(value.split("/")[0]) > 4300
+        assert value.replace("-", "", 1).replace("/", "", 1).isdecimal()
+        numerator, denominator = map(parse_int, value.split("/"))
         line = next(l for l in path.read_text().splitlines() if l.startswith("2200 "))
-        assert line == runs[0].stdout.strip()
-        assert parse_cache_line(line)[1] == Fraction(*map(parse_int, value.split("/")))
+        assert line == f"2200 {numerator:#x}/{denominator:#x}"
+        assert parse_cache_line(line)[1] == Fraction(numerator, denominator)
+        # The decimal stdout line is the line an older version cached; it reads back.
+        assert parse_cache_line(runs[0].stdout) == (2200, Fraction(numerator, denominator))
 
 
 # Counts every series product made after it in `products`.

@@ -16,8 +16,11 @@ def test_failed_ids_keep_a_parameter_part_with_spaces():
         "FAILED tests/test_a.py::test_x[p5 m2] - AssertionError: assert 'a b' == 'c'",
         "FAILED tests/test_a.py::TestY::test_z",
         "ERROR tests/test_b.py::test_w[a b c] - RuntimeError: boom",
-        "1 failed, 3 passed, 1 error in 0.22s",
+        "FAILED test_sp.py::test_a[c - d] - AssertionError: x",
+        "3 failed, 3 passed, 1 error in 0.22s",
     ])
-    assert failed_ids(summary) == ["tests/test_a.py::test_x[p5 m2]",
-                                   "tests/test_a.py::TestY::test_z",
-                                   "tests/test_b.py::test_w[a b c]"]
+    failed = ["tests/test_a.py::test_x[p5 m2]", "tests/test_a.py::TestY::test_z",
+              "tests/test_b.py::test_w[a b c]", "test_sp.py::test_a[c - d]", "test_sp.py::test_a"]
+    passed = ["tests/test_a.py::test_x[p5]", "tests/test_a.py::test_x[p5 m2 ]",
+              "tests/test_a.py::TestY::test", "test_sp.py::test_a[c]"]
+    assert failed_ids(summary, (*passed, *failed)) == failed

@@ -13,6 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from eiscong import cli, exact, series
+from eiscong.cache import format_cache_line, parse_cache_line
 from eiscong.congruences import (
     _certificate,
     _identity_sums,
@@ -295,3 +296,15 @@ def test_template_text_is_the_record_dump(statement, certification, verdict, par
     text, values = cli._template(statement, certification, verdict, tuple(params), fmt)
     assert text % values(params) == cli._dict_text(report.to_json_dict(), fmt)
     assert cli._record_text(report, None, fmt) == cli._dict_text(report.to_json_dict(), fmt)
+
+
+@PROPERTY
+@example(k=2200, digits=20000, seed=0, negative=True, denominator=1)
+@given(k=st.integers(0, 10 ** 6), digits=st.integers(1, 20000), seed=st.integers(0, 2 ** 32),
+       negative=st.booleans(), denominator=st.integers(1, 10 ** 30))
+def test_a_cache_line_round_trips(k, digits, seed, negative, denominator):
+    # Signed fractions whose numerator has up to 20,000 digits, far past
+    # CPython's 4,300-digit limit on decimal conversion.
+    numerator = random.Random(seed).randrange(10 ** (digits - 1) if digits > 1 else 0, 10 ** digits)
+    value = Fraction(-numerator if negative else numerator, denominator)
+    assert parse_cache_line(format_cache_line(k, value)) == (k, value)
