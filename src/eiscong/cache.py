@@ -8,7 +8,6 @@ in linear time. Decimal values, as older caches hold them, still load.
 from __future__ import annotations
 
 import os
-import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -25,12 +24,19 @@ def default_cache_path() -> Path | None:
     return Path(value) if value else None
 
 
-_HEX = re.compile(r"-?0x[0-9a-f]+")
-
-
 def _parse_int(text: str) -> int:
-    """A numerator or denominator: hex as `format_cache_line` writes it, or decimal."""
-    return int(text, 16) if _HEX.fullmatch(text) else exact.parse_int(text)
+    """A numerator or denominator: hex as `format_cache_line` writes it, or decimal.
+
+    Hex is exactly `-?0x[0-9a-f]+`: `int(text, 16)` reads that prefix and
+    those digits, and the tests before it refuse what else it would take
+    (non-ASCII digits, `_` between digits, upper case), so a malformed value
+    raises ValueError either way. Upper case is found by `lower()`, a table
+    copy for ASCII text: `islower()` classifies every character, and on a
+    long value costs more than the regex did.
+    """
+    if text.startswith(("0x", "-0x")) and text.isascii() and "_" not in text and text == text.lower():
+        return int(text, 16)
+    return exact.parse_int(text)
 
 
 def parse_cache_line(line: str) -> tuple[int, Fraction]:

@@ -413,7 +413,7 @@ def _run_tasks(args) -> Iterator[tuple[bool, str]]:
     statement = STATEMENT_ALIASES.get(name, name)
     entry = STATEMENTS[statement]
     points = _build_tasks(name, args)
-    # One ascending pass memoizes every index a task within its budget reads,
+    # One pass memoizes every index a task within its budget reads,
     # before any task runs, so no task runs a one-index pass of its own. A
     # point is validated before its reads are listed.
     charges, reads = [], set()

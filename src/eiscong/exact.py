@@ -5,24 +5,26 @@ Everything here is exact: Python ints are unbounded and rationals are
 point is used anywhere in the package.
 
 Bernoulli numbers come from zeta(k) in integer fixed point, by one driver,
-`prefetch_bernoulli`; `bernoulli` reads the memo and sends a miss there. The
-driver steps 2 k! (2 pi)**-k, one cut product, from one missing index to the
-next in one ascending pass, and takes a bracket of zeta(k) from one of two
-providers, chosen by how many indices are missing: a direct zeta sum over the
-exact reciprocals floor(2**W / b**k) of the odd b, carried from one index to
-the next, when two or more are, or an Euler product for 1/zeta(k) and one
-division when one is. Both brackets bound their own error; every index goes
-through one combine and `_round_proven`, at the guard bits that the error
-budget stated in `prefetch_bernoulli` proves enough. The Euler product cuts
-each long p**k, and the dividend with it, to its quotient's length plus guard
-bits (`_euler_step`), so a step costs about the square of the quotient's length.
+`prefetch_bernoulli`; `bernoulli` reads the memo and sends a miss there. It
+runs the missing indices in one pass from the top index down, carries
+2 k! (2 pi)**-k down, a step one cut product and one division by the small
+integer k!/(k-d)!, and takes a bracket of zeta(k) from one of two
+providers, chosen by how many indices are missing: a zeta sum over
+reciprocals of 2**E / b**k for the odd b, carried down by exact products with
+b**d, each with its error tracked as an integer, when two or more are, or an
+Euler product for 1/zeta(k) and one division when one is. Both brackets bound
+their own error; every index goes through one combine and `_round_proven`, at
+the guard bits that the error budget stated in `prefetch_bernoulli` proves
+enough. The Euler product cuts each long p**k, and the dividend with it, to
+its quotient's length plus guard bits (`_euler_step`), so a step costs about
+the square of the quotient's length.
 
-The pass reads 1/pi, the only form it uses, from `_inverse_pi`: Chudnovsky's
-series summed by binary splitting, then one integer square root and one
-floored division. Its error budget (the series tail, the square root's floor,
-the cut of the series' numerator and denominator, and the final floor) stays
-under 1.02 units at the precision computed, so a value cut from the memo is
-within 1.51 units; `_inverse_pi` gives the terms.
+The pass reads 1/pi from `_inverse_pi` (Chudnovsky's series summed by binary
+splitting, then one integer square root and one floored division), and pi
+from that by one more division. Its error budget (the series tail, the square
+root's floor, the cut of the series' numerator and denominator, and the final
+floor) stays under 1.02 units at the precision computed, so a value cut from
+the memo is within 1.51 units; `_inverse_pi` gives the terms.
 """
 
 from __future__ import annotations
@@ -32,7 +34,8 @@ import threading
 from array import array
 from bisect import bisect_right
 from fractions import Fraction
-from itertools import compress
+from functools import cache
+from itertools import accumulate, compress
 from operator import itemgetter, not_
 from typing import Iterable
 
@@ -243,40 +246,58 @@ def bernoulli(k: int) -> Fraction:
     return _BERNOULLI_MEMO[k]
 
 
-def _zeta_sum(reciprocals: list[int], k: int, width: int, w: int) -> tuple[int, int]:
-    """(Z, e) with Z <= zeta(k) * 2**w < Z + e, for k >= 4 and w <= width.
+@cache
+def _log_bits(b: int) -> int:
+    """floor(64 log2 b) for b >= 1, read from the length of b**64.
 
-    reciprocals[i] is floor(2**width / b**k) for the odd b = 2i + 1; the sum
-    appends those it reaches past the end. Z sums floor(2**w / n**k) up to the
-    first zero term, at n = N. For n = 2**a b that term is b's reciprocal
-    shifted down by width - w + a k bits, as floors of floors are floors; the
-    terms fall with n, so Z stops at the first odd b whose term is 0. The
-    floors of n = 2 .. N-1 lose under 1 each (n = 1 is exact), and past N,
-    where 2**w < N**k, the tail sum_{n >= N} 2**w / n**k is under
-    1 + N / (k-1) < N // (k-1) + 2.
+    Memoized: the zeta sum and the Euler product ask for the same few
+    hundred small b at every index.
     """
-    shift = width - w
-    zeta = last = i = 0
-    while True:
-        if i == len(reciprocals):
-            reciprocals.append((1 << width) // (2 * i + 1)**k)
-        term = reciprocals[i] >> shift
-        if not term:
+    return (b**64).bit_length() - 1
+
+
+def _power_bits(b: int, k: int) -> int:
+    """S = floor(k (bits(b**64) - 1) / 64), for b >= 1: 2**S <= b**k < 2**(S + 1 + k/64)."""
+    return k * _log_bits(b) >> 6
+
+
+def _zeta_bracket(values: list[int], errors: list[int], k: int, shift: int) -> tuple[int, int]:
+    """(Z, e) with Z <= zeta(k) * 2**w < Z + e, for k >= 4, from reciprocals at the scale E = w + shift.
+
+    values[i] = R and errors[i] = r belong to the odd b = 2i + 1, with
+    R <= 2**E / b**k < R + r, and the lists end at the last b that
+    `_power_bits(b, k) <= w` admits, so the next has 2**w / b**k <= 1/2. The
+    sum stops at N, the first odd b with R + r <= 2**shift, which gives
+    2**w / b**k < 1, or the b past the end. With T the sum of R over the odd
+    b < N, S = sum_j floor(T / 2**(j k)) is at most the sum of 2**E / n**k
+    over the n = 2**j b, all distinct; and the n < N, those with 2**j < N,
+    sum to under S plus J = bits(N - 1), a floor of under 1 for each such j,
+    plus 16/15 sum r, as k >= 4. Z = floor(S / 2**shift). Past N the tail
+    sum_{n >= N} 2**w / n**k is under 1 + N / (k-1) < N // (k-1) + 2, and Z's
+    floor adds 1.
+    """
+    limit = 1 << shift
+    top = total = count = 0
+    for value, error in zip(values, errors):
+        if value + error <= limit:
             break
-        n = 2 * i + 1
-        while term:
-            zeta += term
-            term >>= k
-            n *= 2
-        last = max(last, n // 2)
-        i += 1
-    # The first zero term is at N = last + 1.
-    return zeta, (last - 1) + ((last + 1) // (k - 1) + 2)
+        top += value
+        total += error
+        count += 1
+    scaled = 0
+    while top:
+        scaled += top
+        top >>= k
+    n = 2 * count + 1
+    error = -(-(15 * (n - 1).bit_length() + 16 * total) // (15 * limit)) + n // (k - 1) + 3
+    return scaled >> shift, error
 
 
 def _euler_step(euler: int, p: int, k: int) -> tuple[int, int, int]:
-    """(q, A, x) for the step e <- e - q of `_zeta_euler` at the prime p: A 2**x <= p**k,
-    and floor(e / p**k) - 1 <= q <= floor(e / p**k).
+    """(q, A, x) with A 2**x <= p**k and floor(e / p**k) - 1 <= q <= floor(e / p**k), for p >= 2.
+
+    The step e <- e - q of `_zeta_euler` at the prime p, and the first
+    reciprocal of an odd p in `_admit_reciprocals`, from e = 2**E.
 
     q = floor(e / p**k) for p = 2 (a shift) and where p**k is no longer than
     b = max(L, 0) + G bits, G the guard bits(k) + 3; the quotient is below
@@ -290,7 +311,7 @@ def _euler_step(euler: int, p: int, k: int) -> tuple[int, int, int]:
     """
     if p == 2:
         return euler >> k, 1, k
-    size = k * ((p**64).bit_length() - 1) >> 6
+    size = _power_bits(p, k)
     bits = max(euler.bit_length() - size, 0) + k.bit_length() + 3
     if bits < size:
         power, exponent = _power_truncated(p, 0, k, bits)
@@ -357,43 +378,91 @@ def _numerator(bracket: tuple[int, int], w: int, guard: int, mantissa: int, expo
     return _round_proven(scaled, guard, zeta_error + 3)
 
 
-def _ascending_pass(ks: list[int]) -> None:
+def _admit_reciprocals(values: list[int], errors: list[int], k: int, w: int, scale: int) -> None:
+    """Fit the reciprocals of `_zeta_bracket`, at 2**scale, to the odd b that `_power_bits` admits.
+
+    Those past them go, and a new one comes from `_euler_step` on 2**scale,
+    with an error of 2, as `prefetch_bernoulli` states.
+    """
+    while values and _power_bits(2 * len(values) - 1, k) > w:
+        del values[-1], errors[-1]
+    while _power_bits(b := 2 * len(values) + 1, k) <= w:
+        values.append(_euler_step(1 << scale, b, k)[0])
+        errors.append(2)
+
+
+def _headroom(spread: list[int]) -> int:
+    """H, the bits the reciprocals carry past F's precision; see `prefetch_bernoulli`.
+
+    `spread` holds bits(D) + g for each of the n missing indices, and H is
+    the spread of those values plus bits(4n) + 8.
+    """
+    return max(spread) - min(spread) + (4 * len(spread)).bit_length() + 8
+
+
+def _bernoulli_pass(ks: list[int]) -> None:
     """Memoize B_k for the ascending even ks >= 4, each at the guard bits `_working_bits` gives.
 
-    Callers hold _BERNOULLI_LOCK. See `prefetch_bernoulli`; a rounding left
-    unproven raises `ArithmeticError` and memoizes none of ks.
+    Callers hold _BERNOULLI_LOCK. The pass runs from the top index down, as
+    `prefetch_bernoulli` states and proves; a rounding left unproven raises
+    `ArithmeticError` and memoizes none of ks.
     """
-    steps = []  # (k, gap d from the index before, k!/(k-d)!, D, w, g), ascending
+    steps = []  # (k, k! / j! for the index j below, or k! for the lowest, D, w, g), ascending
     factorial, previous = 1, 0
     for k in ks:
         rise = math.perm(k, k - previous)
         factorial *= rise
         denominator = bernoulli_denominator(k)
-        w, guard = _working_bits(k, 2 * factorial * denominator)
-        steps.append((k, k - previous, rise, denominator, w, guard))
+        steps.append((k, rise, denominator, *_working_bits(k, 2 * factorial * denominator)))
         previous = k
-    total = sum(d + 2 for _, d, *_ in steps)
-    width = max((w for *_, w, _ in steps), default=0) + total.bit_length()
-    factors: dict[int, tuple[int, int]] = {}  # d -> (2 pi)**-d at width + 1 bits
-    reciprocals: list[int] = []  # floor(2**width / b**k) for b = 1, 3, 5, ...
-    mantissa, exponent = 2, 0  # 2 k! (2 pi)**-k
-    values = {}
-    for k, d, rise, denominator, w, guard in steps:
-        if d not in factors:
-            s = width + d.bit_length() + 4
-            factors[d] = _power_truncated(_inverse_pi(s), -s - 1, d, width)
-        step, step_exponent = factors[d]
-        mantissa, exponent = _truncate(mantissa * (step * rise), exponent + step_exponent, width)
-        if len(steps) == 1:
+    # F's precision W at each index: the largest w at or below it, and room for 3 units a step.
+    widths = [w + (3 * len(ks)).bit_length() + 2 for w in accumulate((w for *_, w, _ in steps), max)]
+    headroom = _headroom([denominator.bit_length() + guard for _, _, denominator, _, guard in steps])
+    top, width = ks[-1], widths[-1]
+    s = width + top.bit_length() + 5
+    inverse = _inverse_pi(s)
+    mantissa, exponent = _power_truncated(inverse, -s - 1, top, width + top.bit_length() + 1)
+    mantissa, exponent = _truncate(2 * factorial * mantissa, exponent, width)  # F = 2 k! (2 pi)**-k
+    pi = (1 << 2 * s) // inverse if len(ks) > 1 else 0  # pi 2**s
+    factors: dict[int, tuple[int, int]] = {}  # d -> (2 pi)**d
+    multipliers: dict[int, list[int]] = {}  # d -> b**d for b = 1, 3, 5, ...
+    # values[i] <= 2**scale / b**k < values[i] + errors[i] for b = 2i + 1.
+    values: list[int] = []
+    errors: list[int] = []
+    scale = width + headroom
+    found = {}
+    for i in reversed(range(len(ks))):
+        k, _, denominator, w, guard = steps[i]
+        if i + 1 < len(ks):
+            above, rise = steps[i + 1][:2]
+            d, width = above - k, widths[i]
+            if d not in factors:
+                factors[d] = _power_truncated(pi, 1 - s, d, widths[-1] + d.bit_length() + 1)
+            factor, factor_exponent = _truncate(*factors[d], width + 1)
+            product = mantissa * factor
+            extra = max(width + rise.bit_length() + 2 - product.bit_length(), 0)
+            mantissa, exponent = _truncate((product << extra) // rise,
+                                           exponent + factor_exponent - extra, width)
+            drop, scale = scale - width - headroom, width + headroom
+            powers = multipliers.setdefault(d, [])
+            powers.extend(b**d for b in range(2 * len(powers) + 1, 2 * len(values), 2))
+            values = [value * power >> drop for value, power in zip(values, powers)]
+            errors = [(error * power >> drop) + 2 for error, power in zip(errors, powers)]
+            # The guard bound rests on errors of at most 2**(E-w-1): one past that is made afresh.
+            half = 1 << (scale - w - 1)
+            if max(errors) > half:
+                for j in [j for j, error in enumerate(errors) if error > half]:
+                    values[j], errors[j] = (1 << scale) // (2 * j + 1)**k, 1
+        if len(ks) == 1:
             zeta = _zeta_euler(k, w)
         else:
-            reciprocals = [r // b**d for b, r in zip(range(1, 2 * len(reciprocals), 2), reciprocals)]
-            zeta = _zeta_sum(reciprocals, k, width, w)
+            _admit_reciprocals(values, errors, k, w, scale)
+            zeta = _zeta_bracket(values, errors, k, scale - w)
         numerator = _numerator(zeta, w, guard, mantissa * denominator, exponent)
         if numerator is None:
             raise ArithmeticError(f"B_{k}: rounding not proven")
-        values[k] = _signed(k, numerator, denominator)
-    _BERNOULLI_MEMO.update(values)
+        found[k] = _signed(k, numerator, denominator)
+    _BERNOULLI_MEMO.update(found)
 
 
 def prefetch_bernoulli(indices: Iterable[int]) -> None:
@@ -402,28 +471,58 @@ def prefetch_bernoulli(indices: Iterable[int]) -> None:
     Even k >= 4 come from |B_k| = 2 k! zeta(k) / (2 pi)**k (Fillebrown 1992).
     D is exact (von Staudt-Clausen) and the sign is (-1)**(k/2 + 1), so only
     the integer |B_k| D is approximated, to w = L + g bits, where 2**L bounds
-    it and g are guard bits. The missing indices run in one ascending pass at
-    one precision W, which carries F = 2 k! (2 pi)**-k to the next index, a
-    gap of d, by one cut product, F <- F * ((2 pi)**-d k!/(k-d)!), k! exact.
-    (2 pi)**-d is made once per distinct gap: 2**s / pi at s = W + bits(d) + 4
-    bits, within a relative 2**(3-s) (`_inverse_pi`), raised to the d-th
-    power (under half a unit of 2**-W) by cuts to W + 1 bits that lose under
-    d units of 2**-W in all (`_power_truncated`); with the product's own cut
-    a step adds under d + 2 units of 2**-W. W is the largest w plus bits(C),
-    C the sum of d + 2 over the pass, so F is within C 2**-W < 2**-w.
+    it and g are guard bits. The n missing indices run in one pass from the
+    top index K down (`_bernoulli_pass`).
 
-    zeta(k) comes as a bracket (Z, e), Z <= zeta(k) 2**w < Z + e, chosen by
-    how many indices are missing: from `_zeta_sum` for two or more, whose
-    odd reciprocals R_b = floor(2**W / b**k) step by R_b //= b**d, exactly,
-    and from `_zeta_euler` for one, where fresh reciprocals would each cost a
-    big division. |B_k| D * 2**g < 2**w is then known within e + 3 units
-    (`_numerator`): e from Z (as zeta(k) >= 1), one from F, one for the slack
-    cut of F D to w + 3 bits and the products of the relative errors, and one
-    for the final floor. With c = ceil(w / (k-1)), e <= 2**(c+1) + 7 for both:
+    F = 2 k! (2 pi)**-k is carried at W = (the largest w at or below the
+    index) + bits(3n) + 2 bits, which never grows on the way down, and each
+    step costs it under 3 units of its own 2**-W, so at every index F is
+    within a relative 3n 2**-W < 2**-(w+2), products of the errors included:
+    within the one unit of 2**-w that `_numerator` takes. At K, 2**s / pi at
+    s = W + bits(K) + 5 is within a relative 2**(3-s) (`_inverse_pi`), its
+    K-th power by cuts to W + bits(K) + 1 bits within 1/4 + 1/2 units
+    (`_power_truncated`), and 2 K! times that, cut to W bits, within one more.
+    A step down a gap of d multiplies by (2 pi)**d, divides by k!/(k-d)!,
+    exact, and cuts to W bits. (2 pi)**d is made once per gap from
+    pi 2**s = floor(2**(2s) / (2**s / pi)), also within a relative 2**(3-s),
+    by cuts to W_K + bits(d) + 1 bits: within 1/4 + 1/2 units, and 1/2 more
+    for its cut to W + 1 bits. The product is lengthened so the quotient has
+    more than W + 1 bits, so its floor costs under 1/2, and the cut under 1.
+
+    zeta(k) comes as a bracket (Z, e), Z <= zeta(k) 2**w < Z + e. For one
+    missing index it is `_zeta_euler`'s, where making a fresh reciprocal for
+    every odd b would cost more. For two or more it is `_zeta_bracket`'s, over
+    integers R_b and r_b with R_b <= 2**E / b**k < R_b + r_b for the odd b,
+    at E = W + H. The headroom H is the spread of bits(D) + g over the pass
+    plus bits(4n) + 8, and E never grows on the way down either. An odd b
+    enters when `_power_bits(b, k) <= w` first admits it, and leaves when
+    that test fails; nothing probes a b the test does not admit. R_b enters
+    as `_euler_step`'s quotient of 2**E by b**k, floor(2**E / b**k) or one
+    less, so r_b = 2; a long b**k is cut to the quotient's length plus guard
+    bits first, so the division costs about the square of the quotient's
+    length. A step down a gap of d, with E falling by t, sets
+    R_b <- floor(R_b b**d / 2**t) and r_b <- floor(r_b b**d / 2**t) + 2 by
+    two exact products, and the bracket holds again: 2**E / b**k, times
+    b**d 2**-t, is below (R_b + r_b) b**d 2**-t, which is under
+    (the new R_b + 1) + (floor(r_b b**d 2**-t) + 1). An r_b past 2**(E-w-1)
+    is made afresh by an exact division (r_b = 1); the headroom keeps the
+    errors far below that, and on the runs the tests pin none is made
+    afresh.
+
+    |B_k| D * 2**g < 2**w is then known within e + 3 units (`_numerator`): e
+    from Z (as zeta(k) >= 1), one from F, one for the slack cut of F D to
+    w + 3 bits and the products of the relative errors, and one for the final
+    floor. With c = ceil(w / (k-1)), e <= 2**(c+1) + 7 for both.
     `_zeta_euler` stops by the first prime p >= 2**c, whose stop test
-    (k-1) 7/8 p**(k-1) >= 2**w passes, so n <= 2**(c-1) + 1 (2, the odd
-    numbers below 2**c, and that p) and e = 4n + 3; `_zeta_sum` stops at
-    M <= 2**(w/k) < 2**c, and its e = (M - 1) + (M + 1) // (k-1) + 2 is less.
+    (k-1) 7/8 p**(k-1) >= 2**w passes, so it runs over at most 2**(c-1) + 1
+    primes (2, the odd numbers below 2**c, and that p), and e is 4 per prime
+    plus 3. `_zeta_bracket`'s e is
+    ceil((15 J + 16 sum r_b) / (15 2**(E-w))) + N // (k-1) + 3, J = bits(N-1).
+    It sums the odd b below its N, each with R_b + r_b > 2**(E-w) and
+    r_b <= 2**(E-w-1), so 2**w / b**k > 1/2 and b < 2**((w+1)/k) <= 2**c:
+    N - 1 <= 2**c, sum r_b <= (N - 1) 2**(E-w) / 4, J <= N - 1 and
+    E - w >= 8, so e is at most
+    ceil((N - 1) (2**-8 + 4/15)) + (2**c + 1) / 3 + 3 < 2**c + 5.
     g (`_working_bits`) is the least integer with 8 (2**(c+1) + 10) <= 2**g,
     so e + 3 <= 2**g / 8: the rounding gives |B_k| D and its interval lies
     within 1/4 of it, as `_round_proven` checks. So every index is proven at
@@ -438,7 +537,9 @@ def prefetch_bernoulli(indices: Iterable[int]) -> None:
         return
     with _BERNOULLI_LOCK:
         # Another thread may have memoized some since `missing` was read.
-        _ascending_pass(sorted(k for k in missing if k not in _BERNOULLI_MEMO))
+        missing = sorted(k for k in missing if k not in _BERNOULLI_MEMO)
+        if missing:
+            _bernoulli_pass(missing)
 
 
 def seed_bernoulli(k: int, value: Fraction) -> None:

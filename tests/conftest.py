@@ -1,8 +1,9 @@
 """Shared test helpers: independent oracles kept away from the code they check."""
 
+import re
 from fractions import Fraction
 from itertools import product
-from math import comb, isqrt
+from math import comb, factorial, isqrt
 
 import pytest
 
@@ -108,6 +109,76 @@ def zeta_by_floors(k: int, bits: int) -> tuple[int, int]:
         lo += term
         n += 1
     return lo, lo + n + n // (k - 1) + 2
+
+
+def zeta_sum(reciprocals: list[int], k: int, width: int, w: int) -> tuple[int, int]:
+    """Zeta-sum oracle: (Z, e) with Z <= zeta(k) * 2**w < Z + e, for k >= 4 and w <= width.
+
+    reciprocals[i] is floor(2**width / b**k) for the odd b = 2i + 1; the sum
+    appends those it reaches past the end. Z sums floor(2**w / n**k) up to the
+    first zero term, at n = N. For n = 2**a b that term is b's reciprocal
+    shifted down by width - w + a k bits, as floors of floors are floors; the
+    terms fall with n, so Z stops at the first odd b whose term is 0. The
+    floors of n = 2 .. N-1 lose under 1 each (n = 1 is exact), and past N,
+    where 2**w < N**k, the tail sum_{n >= N} 2**w / n**k is under
+    1 + N / (k-1) < N // (k-1) + 2.
+    """
+    shift = width - w
+    zeta = last = i = 0
+    while True:
+        if i == len(reciprocals):
+            reciprocals.append((1 << width) // (2 * i + 1)**k)
+        term = reciprocals[i] >> shift
+        if not term:
+            break
+        n = 2 * i + 1
+        while term:
+            zeta += term
+            term >>= k
+            n *= 2
+        last = max(last, n // 2)
+        i += 1
+    # The first zero term is at N = last + 1.
+    return zeta, (last - 1) + ((last + 1) // (k - 1) + 2)
+
+
+def ascending_brackets(ks: list[int]) -> list[tuple[int, int, tuple[int, int]]]:
+    """Bracket oracle: (k, w, (Z, e)) for each of the ascending even ks >= 4, from exact floors.
+
+    w is the precision the pass runs k at (`exact._working_bits`). One
+    ascending loop at one width W, the largest w, carries the exact odd
+    reciprocals floor(2**W / b**k) up from one index to the next, a gap of d,
+    by floor(R_b / b**d), and `zeta_sum` reads each bracket from them: no
+    error is tracked, and every division is exact.
+    """
+    ws = [exact._working_bits(k, 2 * factorial(k) * exact.bernoulli_denominator(k))[0] for k in ks]
+    width, reciprocals, previous, out = max(ws), [], 0, []
+    for k, w in zip(ks, ws):
+        odd = range(1, 2 * len(reciprocals), 2)
+        reciprocals = [r // b**(k - previous) for b, r in zip(odd, reciprocals)]
+        out.append((k, w, zeta_sum(reciprocals, k, width, w)))
+        previous = k
+    return out
+
+
+# The hex values a cache line holds, as the cache reader once matched them.
+HEX_VALUE = re.compile(r"-?0x[0-9a-f]+")
+
+
+def cache_value_by_regex(text: str) -> int:
+    """Cache-value oracle: hex exactly when the whole text matches HEX_VALUE, decimal otherwise.
+
+    Raises ValueError for text that is neither.
+    """
+    return int(text, 16) if HEX_VALUE.fullmatch(text) else exact.parse_int(text)
+
+
+def outcome(parse, text: str):
+    """parse(text), or ValueError if it raises one."""
+    try:
+        return parse(text)
+    except ValueError:
+        return ValueError
 
 
 def primes_to(limit: int) -> list[int]:

@@ -23,7 +23,12 @@ mod p^(m-1), and the factor p^i of its i-th binomial term one p short
 bracket's error cut to n // 2 + 1 (it is 4n + 3 now, which
 `euler-error-2n+3` checks); and a pass that did not redo an unproven index
 alone, with the doubling of a lone index's guard bits (each index now runs
-once, at guard bits its error bound proves, which `guard-bit-short` checks).
+once, at guard bits its error bound proves, which `guard-bit-short` checks);
+and the ascending pass's width one bit short, with its exact zeta sum's
+error quartered (the pass now runs from the top down over reciprocals with
+tracked errors, which `width-margin-2-bits-short`,
+`bracket-drops-reciprocal-errors`, `reciprocal-error-step-plus-1` and
+`no-headroom` check).
 """
 
 from __future__ import annotations
@@ -83,13 +88,13 @@ MUTANTS = (
            "_round_proven(scaled, guard, zeta_error + 3)",
            "_round_proven(scaled, guard, zeta_error + 2)",
            (T_EXACT + "test_combine_within_the_stated_error",)),
-    Mutant("width-margin-bit-short", EXACT,
-           "+ total.bit_length()",
-           "+ total.bit_length() - 1",
-           (T_EXACT + "test_pass_width_covers_the_carried_cost",)),
+    Mutant("width-margin-2-bits-short", EXACT,
+           "(3 * len(ks)).bit_length() + 2 for w",
+           "(3 * len(ks)).bit_length() for w",
+           (T_EXACT + "test_carried_width_covers_the_carried_cost",)),
     Mutant("providers-swapped", EXACT,
-           "if len(steps) == 1:",
-           "if len(steps) != 1:",
+           "if len(ks) == 1:",
+           "if len(ks) != 1:",
            (T_EXACT + "test_a_lone_missing_index_takes_the_euler_bracket",
             T_EXACT + "test_brackets_at_the_precision_each_index_runs_at")),
     Mutant("guard-bit-short", EXACT,
@@ -171,11 +176,22 @@ MUTANTS = (
            "powers.append(e_series(ring.p - 1, ring, precision))",
            ("tests/test_eisenstein.py::TestEPower::test_d_vanishes_mod_p",
             "tests/test_eisenstein.py::TestEPower::test_unreduced_exponents_match_both_chains")),
-    Mutant("zeta-sum-error-quartered", EXACT,
-           "return zeta, (last - 1) + ((last + 1) // (k - 1) + 2)",
-           "return zeta, (last - 1) // 4 + ((last + 1) // (k - 1) + 2)",
-           (T_EXACT + "test_zeta_sum_within_its_bound",
-            T_EXACT + "test_brackets_at_the_precision_each_index_runs_at")),
+    Mutant("bracket-drops-reciprocal-errors", EXACT,
+           "(n - 1).bit_length() + 16 * total)",
+           "(n - 1).bit_length())",
+           (T_EXACT + "test_zeta_bracket_within_its_bound",)),
+    Mutant("reciprocal-error-step-plus-1", EXACT,
+           "errors = [(error * power >> drop) + 2 for",
+           "errors = [(error * power >> drop) + 1 for",
+           (T_EXACT + "test_pass_shapes",
+            T_EXACT + "test_reciprocals_after_a_warm_prefix",
+            T_EXACT + "test_runs_that_need_the_headroom")),
+    Mutant("no-headroom", EXACT,
+           "return max(spread) - min(spread) + (4 * len(spread)).bit_length() + 8",
+           "return 0",
+           (T_EXACT + "test_runs_that_need_the_headroom[w-falls-as-k-rises]",
+            T_EXACT + "test_runs_that_need_the_headroom[scan-after-its-cache]",
+            T_EXACT + "test_runs_that_need_the_headroom[dead-reciprocals]")),
     Mutant("cache-writer-drops-the-sign", "src/eiscong/cache.py",
            'f"{index} {value.numerator:#x}/',
            'f"{index} {abs(value.numerator):#x}/',
@@ -183,11 +199,21 @@ MUTANTS = (
             T_CACHE + "test_a_decimal_cache_loads_and_grows_in_hex",
             P_CACHE)),
     Mutant("cache-reader-drops-the-sign", "src/eiscong/cache.py",
-           "int(text, 16) if",
-           'int(text.lstrip("-"), 16) if',
+           "return int(text, 16)",
+           'return int(text.lstrip("-"), 16)',
            (T_CACHE + "test_cache_round_trip",
             T_CACHE + "test_a_decimal_cache_loads_and_grows_in_hex",
             P_CACHE)),
+    Mutant("hex-check-admits-non-ascii", "src/eiscong/cache.py",
+           'text.isascii() and "_" not in text',
+           '"_" not in text',
+           (T_CACHE + "test_hex_check_takes_exactly_the_hex_values",
+            "tests/test_properties.py::test_the_hex_check_matches_the_regex_past_six_characters")),
+    Mutant("hex-check-admits-upper-case", "src/eiscong/cache.py",
+           '"_" not in text and text == text.lower()',
+           '"_" not in text',
+           (T_CACHE + "test_hex_check_takes_exactly_the_hex_values",
+            "tests/test_properties.py::test_the_hex_check_matches_the_regex_past_six_characters")),
     Mutant("series-framed-by-format", CLI,
            '_cmd_series, "jsonl", False)',
            "_cmd_series, None, False)",

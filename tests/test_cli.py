@@ -8,6 +8,7 @@ import subprocess
 import sys
 from fractions import Fraction
 from functools import reduce
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -18,7 +19,7 @@ from eiscong.cache import (
     parse_cache_line,
     save_bernoulli_cache,
 )
-from eiscong import cli, congruences, eisenstein, exact
+from eiscong import cache, cli, congruences, eisenstein, exact
 from eiscong.cli import (
     STATEMENT_ALIASES,
     STATEMENTS,
@@ -34,10 +35,13 @@ from eiscong.golden import REPRODUCTION_EXAMPLES
 from eiscong.residue import ResidueRing
 
 from conftest import (
+    HEX_VALUE,
     bernoulli_by_tangent,
+    cache_value_by_regex,
     e_factor_exact,
     e_series_exact,
     identity_sum_by_triple_products,
+    outcome,
     reduced,
     schoolbook_product,
     telescoping_by_fractions,
@@ -1005,6 +1009,28 @@ class TestOutAndCache:
         records = [json.loads(line) for line in out.splitlines()]
         assert all("budget-warning" in r for r in records)
 
+    def test_hex_check_takes_exactly_the_hex_values(self):
+        # `_parse_int` reads a value as hex exactly when the whole of it
+        # matches -?0x[0-9a-f]+, as the regex it replaced did, and gives any
+        # other value to the decimal parser, or raises: the same outcome as
+        # the regex oracle for every string over these characters, one a
+        # non-ASCII digit, up to length 4, and up to length 6 for those that
+        # open with "0x" or "-0x" (any other opening fails the check's first
+        # test and the regex at once, so both hand it to the decimal parser).
+        alphabet = "0x-_XaAbf9g+\u0663"
+        texts = ["".join(chars) for length in range(5) for chars in product(alphabet, repeat=length)]
+        texts += [prefix + "".join(chars) for prefix in ("0x", "-0x")
+                  for length in range(5 - len(prefix), 7 - len(prefix))
+                  for chars in product(alphabet, repeat=length)]
+        assert len(texts) == 64065
+        hex_values = 0
+        for text in texts:
+            expected = outcome(cache_value_by_regex, text)
+            assert outcome(cache._parse_int, text) == expected, text
+            hex_values += bool(HEX_VALUE.fullmatch(text))
+        # Five of the characters are hex digits: 0x and 1 to 4 of them, -0x and 1 to 3.
+        assert hex_values == sum(5**n for n in range(1, 5)) + sum(5**n for n in range(1, 4))
+
     @pytest.mark.parametrize("line, reason", [
         ("bad line", "expected a line"),
         ("12 -691/0", "expected a line"),
@@ -1181,7 +1207,7 @@ def test_series_products_per_refined_bound_sweep():
     assert (rows, skipped) == (60, 12) and products <= 289, (proc.stdout, proc.stderr)
 
 
-# Runs `main(sys.argv[2:])` with the ascending Bernoulli pass ("pass") or with
+# Runs `main(sys.argv[2:])` with the Bernoulli pass ("pass") or with
 # each task computing its own numbers ("per-task"), then prints the memoized
 # indices to stderr.
 MEMO_AFTER_RUN = """
@@ -1197,7 +1223,7 @@ sys.exit(status)
 
 @pytest.fixture
 def prefetched(monkeypatch):
-    """The indices handed to the ascending Bernoulli pass, which still runs."""
+    """The indices handed to the Bernoulli pass, which still runs."""
     requested = []
     real = cli.prefetch_bernoulli
 
@@ -1261,7 +1287,7 @@ class TestPrefetch:
         congruences._k_over_bernoulli.cache_clear()
         for k, value in oracle.items():
             exact.seed_bernoulli(k, value)
-        monkeypatch.setattr(exact, "_ascending_pass",
+        monkeypatch.setattr(exact, "_bernoulli_pass",
                             lambda *args: pytest.fail("computed a memoized number"))
         assert run_cli(capsys, *argv) == cold
 

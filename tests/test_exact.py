@@ -27,8 +27,8 @@ from eiscong.exact import (
     sigma_power_table,
 )
 
-from conftest import (bernoulli_by_recurrence, bernoulli_by_tangent, euler_by_floors, pi_by_machin,
-                      primes_to, sigma_power, zeta_by_floors)
+from conftest import (ascending_brackets, bernoulli_by_recurrence, bernoulli_by_tangent, euler_by_floors,
+                      pi_by_machin, primes_to, sigma_power, zeta_by_floors, zeta_sum)
 
 # Every even index the differential tests request: all of 2..600, and the
 # large weights of the paper's examples and the benchmark.
@@ -253,17 +253,18 @@ class TestBernoulli:
             slack = w - guard - abs(value.numerator).bit_length()
             assert 0 <= slack <= 3, (k, slack)
 
-    @pytest.mark.parametrize("indices", [[40], [4, 40, 100]], ids=["lone", "pass"])
-    def test_unproven_rounding_raises(self, cold_bernoulli, monkeypatch, indices):
+    @pytest.mark.parametrize("indices,first", [([40], 40), ([4, 40, 100], 100)], ids=["lone", "pass"])
+    def test_unproven_rounding_raises(self, cold_bernoulli, monkeypatch, indices, first):
         # The guard bits prove every rounding, so one left unproven is a
         # fault: one attempt, and the memo keeps none of the pass. Here every
-        # |B_k| D past 9 is refused: B_4's, which is 1, rounds; B_40's does not.
+        # |B_k| D past 9 is refused: B_4's, which is 1, rounds; B_40's and
+        # B_100's do not, and the pass, from the top down, meets B_100 first.
         runs = spy_passes(monkeypatch)
         real = exact._round_proven
         monkeypatch.setattr(exact, "_round_proven",
                             lambda scaled, guard, error: None if scaled >> guard > 9 else
                             real(scaled, guard, error))
-        with pytest.raises(ArithmeticError, match="^B_40: rounding not proven$"):
+        with pytest.raises(ArithmeticError, match=f"^B_{first}: rounding not proven$"):
             prefetch_bernoulli(indices)
         assert runs == [indices]
         assert bernoulli_cached_indices() == [0, 1, 2]
@@ -305,57 +306,95 @@ class TestBernoulli:
         assert [results[slot] for slot in range(len(indices))] == [tangent_oracle[k] for k in indices]
 
 
-def spy_rounding(monkeypatch):
-    """Record (k, provider) per rounding attempt: "sum" (`_zeta_sum`) or "euler" (`_zeta_euler`)."""
-    attempts = []
-    zeta_sum, zeta_euler = exact._zeta_sum, exact._zeta_euler
+def working_bits(k):
+    """w, the precision the pass runs B_k at."""
+    return exact._working_bits(k, 2 * math.factorial(k) * exact.bernoulli_denominator(k))[0]
 
-    def sum_spy(reciprocals, k, width, w):
+
+def spy_rounding(monkeypatch):
+    """Record (k, provider) per rounding attempt: "sum" (`_zeta_bracket`) or "euler" (`_zeta_euler`)."""
+    attempts = []
+    zeta_bracket, zeta_euler = exact._zeta_bracket, exact._zeta_euler
+
+    def sum_spy(values, errors, k, shift):
         attempts.append((k, "sum"))
-        return zeta_sum(reciprocals, k, width, w)
+        return zeta_bracket(values, errors, k, shift)
 
     def euler_spy(k, w):
         attempts.append((k, "euler"))
         return zeta_euler(k, w)
 
-    monkeypatch.setattr(exact, "_zeta_sum", sum_spy)
+    monkeypatch.setattr(exact, "_zeta_bracket", sum_spy)
     monkeypatch.setattr(exact, "_zeta_euler", euler_spy)
     return attempts
 
 
 def spy_passes(monkeypatch):
-    """Record the indices of each ascending pass."""
+    """Record the indices of each pass."""
     runs = []
-    real = exact._ascending_pass
+    real = exact._bernoulli_pass
 
     def spy(ks):
         runs.append(list(ks))
         real(ks)
 
-    monkeypatch.setattr(exact, "_ascending_pass", spy)
+    monkeypatch.setattr(exact, "_bernoulli_pass", spy)
     return runs
 
 
-def spy_reciprocals(monkeypatch):
-    """Check at every step that each odd reciprocal the pass carries, or appends, is exact."""
+def spy_reciprocals(monkeypatch, afresh=None):
+    """Check the reciprocals of a pass with the zeta sum at every index; record the ks, top first.
+
+    values[i] = R and errors[i] = r, for the odd b = 2i + 1, bracket
+    2**E / b**k, E = w + shift: R b**k <= 2**E < (R + r) b**k, against the
+    exact power. The lists hold exactly the odd b that `_power_bits(b, k) <= w`
+    admits, so no division probes a b the test refuses. An r of 1 where b was
+    carried from the index above (a carried r is at least 2) is a reciprocal
+    made afresh: there is none, or, with a list `afresh`, their count per
+    index goes there.
+    """
     steps = []
-    real = exact._zeta_sum
+    carried = 0  # how many reciprocals the index above handed on: none at a pass's top
+    real, real_pass = exact._zeta_bracket, exact._bernoulli_pass
 
-    def exact_from(reciprocals, k, width, start):
-        # reciprocals[i] belongs to the odd b = 2i + 1.
-        return all(reciprocals[i] == (1 << width) // (2 * i + 1)**k
-                   for i in range(start, len(reciprocals)))
+    def pass_spy(ks):
+        nonlocal carried
+        carried = 0
+        real_pass(ks)
 
-    def spy(reciprocals, k, width, w):
-        carried = len(reciprocals)
-        assert exact_from(reciprocals, k, width, 0), k
-        result = real(reciprocals, k, width, w)
-        assert exact_from(reciprocals, k, width, carried), k
+    def spy(values, errors, k, shift):
+        nonlocal carried
+        w = working_bits(k)
+        admitted = len(values)
+        assert len(errors) == admitted and admitted, k
+        assert exact._power_bits(2 * admitted - 1, k) <= w < exact._power_bits(2 * admitted + 1, k), k
+        for i, (value, error) in enumerate(zip(values, errors)):
+            power = (2 * i + 1)**k
+            assert value * power <= 1 << (w + shift) < (value + error) * power, (k, 2 * i + 1)
+        if afresh is None:
+            assert 1 not in errors[:carried], k
+        else:
+            afresh.append(errors[:carried].count(1))
+        carried = admitted
         steps.append(k)
-        return result
+        return real(values, errors, k, shift)
 
-    monkeypatch.setattr(exact, "_zeta_sum", spy)
+    monkeypatch.setattr(exact, "_bernoulli_pass", pass_spy)
+    monkeypatch.setattr(exact, "_zeta_bracket", spy)
     return steps
+
+
+def spy_brackets(monkeypatch):
+    """Record (w, (Z, e)) per index, in the order the pass combines them."""
+    handed = []
+    real = exact._numerator
+
+    def spy(bracket, w, guard, mantissa, exponent):
+        handed.append((w, bracket))
+        return real(bracket, w, guard, mantissa, exponent)
+
+    monkeypatch.setattr(exact, "_numerator", spy)
+    return handed
 
 
 def spy_steps(monkeypatch):
@@ -380,7 +419,7 @@ def alone(k):
     """B_k from a one-index pass, with the Euler bracket; the memo is left as it was."""
     with pytest.MonkeyPatch.context() as patch, exact._BERNOULLI_LOCK:
         patch.setattr(exact, "_BERNOULLI_MEMO", {})
-        exact._ascending_pass([k])
+        exact._bernoulli_pass([k])
         return exact._BERNOULLI_MEMO[k]
 
 
@@ -422,7 +461,7 @@ def _fixed_power(x, k, b, floor):
 
 
 class TestPrefetch:
-    """The ascending pass, with either zeta bracket, against the tangent oracle."""
+    """The pass, from the top index down, with either zeta bracket, against the tangent oracle."""
 
     @pytest.mark.parametrize("order", ["ascending", "shuffled"])
     def test_scan_indices(self, cold_bernoulli, tangent_oracle, monkeypatch, order):
@@ -434,19 +473,20 @@ class TestPrefetch:
         assert bernoulli_cached_indices() == [0, 1, 2] + SCAN_INDICES
         for k in SCAN_INDICES:
             assert bernoulli(k) == tangent_oracle[k], k
-        # Every index was rounded once, from the zeta sum.
-        assert attempts == [(k, "sum") for k in SCAN_INDICES]
+        # Every index was rounded once, from the zeta sum, the top first.
+        assert attempts == [(k, "sum") for k in reversed(SCAN_INDICES)]
 
     @pytest.mark.parametrize("warm,indices,lone", [
         (SCAN_INDICES[:101], SCAN_INDICES, False), ([], list(range(2, 1201)), False),
-        ([], LONE_INDICES, True),
-    ], ids=["scan-after-its-cache", "cold-bernoulli-range", "lone-large-indices"])
+        ([], LONE_INDICES, True), ([], list(range(1000, 10_001, 998)), False),
+    ], ids=["scan-after-its-cache", "cold-bernoulli-range", "lone-large-indices", "sparse-to-10000"])
     def test_every_index_proven_at_its_first_attempt(self, cold_bernoulli, tangent_oracle,
                                                      monkeypatch, warm, indices, lone):
         # The benchmark's scan, whose cache holds alpha <= 100, so the pass
-        # starts with a gap of 612, a cold `bernoulli 2..1200`, and large
-        # indices asked for one at a time, as a filtration asks for its
-        # weight's. Guard bits too few to prove a rounding would raise.
+        # ends at 612, a cold `bernoulli 2..1200`, large indices asked for one
+        # at a time, as a filtration asks for its weight's, and ten indices
+        # 998 apart up to 9982. Guard bits too few to prove a rounding would
+        # raise.
         for k in warm:
             exact.seed_bernoulli(k, tangent_oracle[k])
         attempts = spy_rounding(monkeypatch)
@@ -459,7 +499,8 @@ class TestPrefetch:
         else:
             prefetch_bernoulli(indices)
         missing = [k for k in indices if k >= 4 and k % 2 == 0 and k not in warm]
-        assert attempts == [(k, "euler" if lone else "sum") for k in missing]
+        assert attempts == ([(k, "euler") for k in missing] if lone
+                            else [(k, "sum") for k in reversed(missing)])
         assert len(proofs) == len(missing) and None not in proofs
         for k in indices:
             if k in tangent_oracle:
@@ -477,7 +518,7 @@ class TestPrefetch:
         assert len(indices) > 100 and len(gaps) > 3 and max(indices) == 366
         attempts = spy_rounding(monkeypatch)
         prefetch_bernoulli(indices)
-        assert attempts == [(k, "sum") for k in indices if k > 2]
+        assert attempts == [(k, "sum") for k in reversed(indices) if k > 2]
         for k in indices:
             assert bernoulli(k) == tangent_oracle[k], k
 
@@ -536,7 +577,7 @@ class TestPrefetch:
         prefetch_bernoulli(indices)
         missing = [k for k in indices if k >= 4 and k not in warm]
         provider = "euler" if len(missing) == 1 else "sum"
-        assert called == [] and attempts == [(k, provider) for k in missing]
+        assert called == [] and attempts == [(k, provider) for k in reversed(missing)]
         assert bernoulli_cached_indices() == sorted({0, 1, 2, *warm, *missing})
         for k in missing:
             assert exact._BERNOULLI_MEMO[k] == tangent_oracle[k], k
@@ -546,20 +587,66 @@ class TestPrefetch:
         indices = PASS_SHAPES[shape]
         steps = spy_reciprocals(monkeypatch)
         prefetch_bernoulli(indices)
-        assert steps == indices
+        assert steps == indices[::-1]
         for k in indices:
             assert bernoulli(k) == tangent_oracle[k] == alone(k), k
 
     def test_reciprocals_after_a_warm_prefix(self, cold_bernoulli, tangent_oracle, monkeypatch):
-        # A first gap of 612, then gaps of 6.
+        # The misses 612 .. 960 in gaps of 6, below 606 memoized.
         indices = SCAN_INDICES[:161]
         for k in indices[:101]:
             exact.seed_bernoulli(k, tangent_oracle[k])
         steps = spy_reciprocals(monkeypatch)
         prefetch_bernoulli(indices)
-        assert steps == indices[101:]
+        assert steps == indices[:100:-1]
         for k in indices[101::10]:
             assert bernoulli(k) == tangent_oracle[k] == alone(k), k
+
+    @pytest.mark.parametrize("indices", [[1800, 1806], SCAN_INDICES[101:], list(range(4, 601, 2))],
+                             ids=["w-falls-as-k-rises", "scan-after-its-cache", "dead-reciprocals"])
+    def test_runs_that_need_the_headroom(self, cold_bernoulli, tangent_oracle, monkeypatch, machin_pi,
+                                         indices):
+        # Runs where reciprocals carried down without the headroom H would
+        # lose their precision: w_1800 > w_1806, so the index below asks more
+        # of them than the top did; the scan's run; and the small indices of
+        # 4..600, where a reciprocal near the last admitted b floors to 0 at
+        # a scale without headroom, and its error then outgrows its value. At
+        # every index each reciprocal holds its bracket and none is made
+        # afresh (`spy_reciprocals`), and each zeta bracket contains
+        # zeta(k) 2**w, has e <= 2**(c+1) + 7, and meets the bracket of the
+        # ascending oracle, from exact floors, at the same w.
+        if indices == [1800, 1806]:
+            assert working_bits(1800) > working_bits(1806)
+        steps = spy_reciprocals(monkeypatch)
+        handed = spy_brackets(monkeypatch)
+        prefetch_bernoulli(indices)
+        assert steps == indices[::-1] and len(handed) == len(indices)
+        oracle = ascending_brackets(indices)[::-1]
+        for k, (w, (zeta, error)), (_, oracle_w, (low_z, oracle_e)) in zip(steps, handed, oracle):
+            assert w == oracle_w, k
+            low, high, scale = zeta_bounds(k, w, tangent_oracle[k], machin_pi)
+            assert zeta * scale <= low and high < (zeta + error) * scale, k
+            assert error <= 2 ** (-(-w // (k - 1)) + 1) + 7, k
+            assert zeta < low_z + oracle_e and low_z < zeta + error, k
+            assert bernoulli(k) == tangent_oracle[k], k
+
+    def test_reciprocals_made_afresh_without_headroom(self, cold_bernoulli, tangent_oracle, monkeypatch,
+                                                      machin_pi):
+        # With no headroom the carried errors pass 2**(E-w-1), and those
+        # reciprocals are made afresh: every bracket still holds, within the
+        # guard bound, and every value is right.
+        monkeypatch.setattr(exact, "_headroom", lambda spread: 0)
+        afresh = []
+        steps = spy_reciprocals(monkeypatch, afresh)
+        handed = spy_brackets(monkeypatch)
+        indices = SCAN_INDICES[250:]
+        prefetch_bernoulli(indices)
+        assert steps == indices[::-1] and sum(afresh) > 100
+        for k, (w, (zeta, error)) in zip(steps, handed):
+            low, high, scale = zeta_bounds(k, w, tangent_oracle[k], machin_pi)
+            assert zeta * scale <= low and high < (zeta + error) * scale, k
+            assert error <= 2 ** (-(-w // (k - 1)) + 1) + 7, k
+            assert bernoulli(k) == tangent_oracle[k], k
 
     @settings(derandomize=True, database=None, max_examples=150, deadline=None)
     @given(st.data())
@@ -578,14 +665,14 @@ class TestPrefetch:
             assert all(exact._BERNOULLI_MEMO[k] == tangent_oracle[k] for k in indices)
 
     @pytest.mark.parametrize("k", [4, 6, 8, 12, 20])
-    def test_zeta_sum_within_its_bound(self, k):
+    def test_zeta_sum_oracle_within_its_bound(self, k):
         # The partial sum S of n**-k to M = 1024, exact over the common
         # denominator L; zeta(k) lies in [S, S + M**(1-k) / (k-1)].
         M = 1024
         L = math.lcm(*range(1, M + 1)) ** k
         partial = Fraction(sum(L // n**k for n in range(1, M + 1)), L)
         for w in range(6 * k + 1):
-            zeta, error = exact._zeta_sum([], k, w, w)
+            zeta, error = zeta_sum([], k, w, w)
             low = partial * 2**w
             high = low + Fraction(2**w, (k - 1) * M ** (k - 1))
             assert zeta <= low and high < zeta + error, (k, w)
@@ -597,7 +684,32 @@ class TestPrefetch:
             direct = sum((1 << w) // j**k for j in range(1, n))
             assert (zeta, error) == (direct, (n - 2) + (n // (k - 1) + 2)), (k, w)
             # The same sum from reciprocals at a wider precision, shifted down.
-            assert exact._zeta_sum([], k, w + 37, w) == (zeta, error), (k, w)
+            assert zeta_sum([], k, w + 37, w) == (zeta, error), (k, w)
+
+    @pytest.mark.parametrize("k", [4, 6, 8, 12, 20])
+    def test_zeta_bracket_within_its_bound(self, k):
+        # As above, from reciprocals at the scale E = w + shift over every odd
+        # b that `_power_bits` admits: the exact floors (r = 1), and each
+        # reciprocal as low as an r of 2**(shift-1), the most the pass lets
+        # one reach, or 2**(shift+2) allows, R = floor(2**E / b**k) - r + 1.
+        M = 1024
+        L = math.lcm(*range(1, M + 1)) ** k
+        partial = Fraction(sum(L // n**k for n in range(1, M + 1)), L)
+        for w in range(6 * k + 1):
+            low = partial * 2**w
+            high = low + Fraction(2**w, (k - 1) * M ** (k - 1))
+            count = 0
+            while exact._power_bits(2 * count + 1, k) <= w:
+                count += 1
+            for shift in (1, 8, 40):
+                floors = [(1 << (w + shift)) // (2 * i + 1)**k for i in range(count)]
+                for r in (1, 1 << (shift - 1), 1 << (shift + 2)):
+                    values = [max(floor - r + 1, 0) for floor in floors]
+                    zeta, error = exact._zeta_bracket(values, [r] * count, k, shift)
+                    assert zeta <= low and high < zeta + error, (k, w, shift, r)
+                    if r < 1 << shift:
+                        c = -(-w // (k - 1))
+                        assert error <= 2 ** (c + 1) + 7, (k, w, shift, r)
 
     @pytest.mark.parametrize("k", [4, 6, 8, 12, 20])
     def test_zeta_euler_within_its_bound(self, k, monkeypatch):
@@ -698,10 +810,10 @@ class TestPrefetch:
         # sum, and each of them alone from the Euler product, against zeta(k)
         # from the tangent oracle's B_k and Machin's pi.
         brackets = []
-        for name in ("_zeta_sum", "_zeta_euler"):
+        for name in ("_zeta_bracket", "_zeta_euler"):
             def spy(*args, real=getattr(exact, name), name=name):
                 bracket = real(*args)
-                k, w = (args[1], args[3]) if name == "_zeta_sum" else args
+                k, w = (args[2], working_bits(args[2])) if name == "_zeta_bracket" else args
                 brackets.append((name, k, w, bracket))
                 return bracket
 
@@ -709,7 +821,7 @@ class TestPrefetch:
         prefetch_bernoulli(BRACKET_INDICES)
         for k in BRACKET_INDICES:
             alone(k)
-        assert [name for name, *_ in brackets] == (["_zeta_sum"] * len(BRACKET_INDICES)
+        assert [name for name, *_ in brackets] == (["_zeta_bracket"] * len(BRACKET_INDICES)
                                                    + ["_zeta_euler"] * len(BRACKET_INDICES))
         for name, k, w, (zeta, error) in brackets:
             assert w == exact._working_bits(k, 2 * math.factorial(k) * tangent_oracle[k].denominator)[0]
@@ -736,7 +848,7 @@ class TestPrefetch:
         monkeypatch.setattr(exact, "_numerator", spy)
         prefetch_bernoulli(indices)
         assert len(handed) == len(indices)
-        for k, (w, mantissa, exponent) in zip(indices, handed):
+        for k, (w, mantissa, exponent) in zip(reversed(indices), handed):
             b = w + 64
             approx = machin_pi(b - 32)
             low = _fixed_power(2 * (approx - 2), k, b, floor=True)
@@ -748,24 +860,27 @@ class TestPrefetch:
             assert value * low << w >= (top << shift) * ((1 << w) - 1), k
             assert value * high << w <= (top << shift) * ((1 << w) + 1), k
 
-    @pytest.mark.parametrize("indices", [SCAN_INDICES[101:], [4, 612, 2026]],
-                             ids=["scan-after-its-cache", "wide-gaps"])
-    def test_pass_width_covers_the_carried_cost(self, cold_bernoulli, monkeypatch, indices):
-        # The carried factor's budget: a gap of d costs under d + 2 units of
-        # 2**-W, and W leaves room for their sum C over the pass, so at every
-        # index C 2**-W < 2**-w, one unit of that index's precision.
-        seen = []
-        real = exact._zeta_sum
+    @pytest.mark.parametrize("indices", [SCAN_INDICES[101:], [4, 612, 2026], [1800, 1806]],
+                             ids=["scan-after-its-cache", "wide-gaps", "w-falls-as-k-rises"])
+    def test_carried_width_covers_the_carried_cost(self, cold_bernoulli, monkeypatch, indices):
+        # The carried factor's budget: every step, the top's included, costs
+        # under 3 units of 2**-W at its own W, and W, read from F's W + 1
+        # bits as the pass hands it on, never grows on the way down, so at
+        # every index the n steps cost under 3n 2**-W < 2**-(w+2).
+        handed = []
+        real = exact._numerator
 
-        def spy(reciprocals, k, width, w):
-            seen.append((k, width, w))
-            return real(reciprocals, k, width, w)
+        def spy(bracket, w, guard, mantissa, exponent):
+            handed.append((w, mantissa))
+            return real(bracket, w, guard, mantissa, exponent)
 
-        monkeypatch.setattr(exact, "_zeta_sum", spy)
+        monkeypatch.setattr(exact, "_numerator", spy)
         prefetch_bernoulli(indices)
-        cost = sum(k - j + 2 for j, k in zip([0] + indices, indices))
-        assert [k for k, _, _ in seen] == indices
-        assert all(cost < 1 << (width - w) for _, width, w in seen), cost
+        assert [w for w, _ in handed] == [working_bits(k) for k in reversed(indices)]
+        widths = [(mantissa // exact.bernoulli_denominator(k)).bit_length() - 1
+                  for k, (_, mantissa) in zip(reversed(indices), handed)]
+        assert widths == sorted(widths, reverse=True)
+        assert all(3 * len(indices) << (w + 2) < 1 << width for (w, _), width in zip(handed, widths))
 
     def test_guard_bits_are_the_least_the_bound_proves(self):
         # g is the least integer with 8 (2**(c+1) + 10) <= 2**g, where
@@ -789,21 +904,16 @@ class TestPrefetch:
         # rest on: the zeta sum in one cold pass over every even k to 3000,
         # which rounds each index once, and the Euler product alone at every
         # even k to 1200, every 100th to 3000, and 10,000. (The sum at 10,000
-        # would first make its reciprocals: hundreds of big divisions.)
+        # would first make its reciprocals: a big division for each of about
+        # a hundred odd primes.)
         brackets = []
         if provider == "sum":
-            real = exact._zeta_sum
-
-            def spy(reciprocals, k, width, w):
-                bracket = real(reciprocals, k, width, w)
-                brackets.append((k, w, bracket[1]))
-                return bracket
-
-            monkeypatch.setattr(exact, "_zeta_sum", spy)
+            handed = spy_brackets(monkeypatch)
             runs = spy_passes(monkeypatch)
             prefetch_bernoulli(range(4, 3001, 2))
             assert runs == [list(range(4, 3001, 2))]
-            assert [k for k, _, _ in brackets] == runs[0]
+            brackets = [(k, w, error) for k, (w, (_, error)) in zip(reversed(runs[0]), handed)]
+            assert [w for _, w, _ in brackets[::250]] == [working_bits(k) for k, _, _ in brackets[::250]]
         else:
             for k, top in guard_tops():
                 if k <= 1200 or k % 100 == 0:

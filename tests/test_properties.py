@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from eiscong import cli, exact, series
+from eiscong import cache, cli, exact, series
 from eiscong.cache import format_cache_line, parse_cache_line
 from eiscong.congruences import (
     _certificate,
@@ -30,9 +30,11 @@ from eiscong.series import PackedFamily, QSeries, linear_combination
 
 from conftest import (
     bernoulli_by_tangent,
+    cache_value_by_regex,
     combination_per_column,
     g_series_exact,
     identity_sum_by_triple_products,
+    outcome,
     reduced,
     schoolbook_product,
     telescope_g,
@@ -133,7 +135,8 @@ def test_prefetch_matches_the_tangent_oracle(data):
     # which takes the zeta sum; then odd and repeated indices. A drawn part
     # is memoized before the pass, as a loaded cache would leave it, and the
     # zeta sum's bracket is widened past use for a drawn part: a run that
-    # takes the sum for one of them raises, and memoizes nothing.
+    # takes the sum for one of them raises at the largest, as the pass runs
+    # from the top down, and memoizes nothing.
     if data.draw(st.booleans(), label="lone"):
         ks = [data.draw(st.integers(2, PREFETCH_TOP // 2), label="k / 2") * 2]
     else:
@@ -149,21 +152,22 @@ def test_prefetch_matches_the_tangent_oracle(data):
     refused = data.draw(st.lists(st.sampled_from(ks), max_size=3), label="refused by the sum")
     indices = data.draw(st.permutations(ks + odd + repeated), label="order")
     oracle = tangent_table()
-    zeta_sum = exact._zeta_sum
+    zeta_bracket = exact._zeta_bracket
 
-    def widened(reciprocals, k, width, w):
-        zeta, error = zeta_sum(reciprocals, k, width, w)
-        return zeta, error + (1 << w if k in refused else 0)
+    def widened(values, errors, k, shift):
+        # Z is over 2**w, so an error of Z leaves no rounding proven.
+        zeta, error = zeta_bracket(values, errors, k, shift)
+        return zeta, error + (zeta if k in refused else 0)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(exact, "_BERNOULLI_MEMO", {k: exact._BERNOULLI_MEMO[k] for k in (0, 1, 2)})
-        patch.setattr(exact, "_zeta_sum", widened)
+        patch.setattr(exact, "_zeta_bracket", widened)
         for k in warm:
             exact.seed_bernoulli(k, oracle[k])
         missing = set(ks) - set(warm)
         if len(missing) > 1 and missing & set(refused):
             before = dict(exact._BERNOULLI_MEMO)
-            with pytest.raises(ArithmeticError, match=f"^B_{min(missing & set(refused))}: "):
+            with pytest.raises(ArithmeticError, match=f"^B_{max(missing & set(refused))}: "):
                 prefetch_bernoulli(indices)
             assert exact._BERNOULLI_MEMO == before
         else:
@@ -296,6 +300,26 @@ def test_template_text_is_the_record_dump(statement, certification, verdict, par
     text, values = cli._template(statement, certification, verdict, tuple(params), fmt)
     assert text % values(params) == cli._dict_text(report.to_json_dict(), fmt)
     assert cli._record_text(report, None, fmt) == cli._dict_text(report.to_json_dict(), fmt)
+
+
+# Values past six characters: an opening, then hex digits with at most one
+# other character among them (upper case, `_`, a sign, a non-ASCII digit).
+HEX_LIKE = st.builds(
+    lambda opening, digits, other, at: opening + digits[:at] + other + digits[at:],
+    st.sampled_from(("0x", "-0x", "", "-", "+", "+0x", "--0x", "0X", "-0X", "x", "0")),
+    st.text(st.sampled_from("0123456789abcdef"), min_size=5, max_size=60),
+    st.sampled_from(("", "", "A", "F", "X", "x", "_", "-", "+", "g", "\u0663", "\uff11")),
+    st.integers(0, 60))
+
+
+@PROPERTY
+@example(text="-0x" + "0" * 40 + "a_b")
+@example(text="0x" + "f" * 30 + "\u0663")
+@given(text=HEX_LIKE | st.text(min_size=7, max_size=60).filter(lambda s: not any(map(str.isspace, s))))
+def test_the_hex_check_matches_the_regex_past_six_characters(text):
+    # Past the exhaustive test's length 6: a value is read as hex exactly when
+    # the regex takes it, and anything else has the regex oracle's outcome.
+    assert outcome(cache._parse_int, text) == outcome(cache_value_by_regex, text)
 
 
 @PROPERTY
