@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import os
 from fractions import Fraction
+from functools import reduce
+from operator import mul
 from pathlib import Path
 
 from . import exact
@@ -51,17 +53,27 @@ def format_cache_line(index: int, value: Fraction) -> str:
 
 
 def _value_problem(index: int, value: Fraction) -> str | None:
-    """Why `value` cannot be B_index (von Staudt-Clausen and the sign), or None."""
+    """Why `value` cannot be B_index (its size, von Staudt-Clausen and the sign), or None.
+
+    The size comes first: it is O(1), and the primes sieve up to the index.
+    """
     if index < 0:
         return "Bernoulli indices are non-negative"
     if index < 2 or index % 2:
         # B_0, B_1 and the odd zeros are known outright.
         return None if value == exact.bernoulli(index) else f"B_{index} is {exact.bernoulli(index)}"
-    denominator = exact.bernoulli_denominator(index)
+    floor = exact.numerator_bits_floor(index)
+    if value.numerator.bit_length() <= floor:
+        return f"B_{index} has a numerator of more than {floor} bits"
+    primes = exact.staudt_primes(index)
+    denominator = reduce(mul, primes)
     if value.denominator != denominator:
         return f"B_{index} has denominator {denominator}"
     if (value > 0) != (index % 4 == 2):
         return f"B_{index} is {'positive' if index % 4 == 2 else 'negative'}"
+    residue = -sum(denominator // l for l in primes) % denominator
+    if value.numerator % denominator != residue:
+        return f"B_{index} has a numerator of {residue} mod {denominator}"
     return None
 
 

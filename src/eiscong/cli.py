@@ -26,7 +26,7 @@ from .congruences import DEFAULT_BERNOULLI_BUDGET, CongruenceReport
 from .eisenstein import delta_series, e_factor, e_series, g_series, monomial_series
 from .errors import BudgetExceededError, EiscongError
 from .exact import bernoulli, int_str, padic_valuation, prefetch_bernoulli
-from .filtration import filtration_of, probe_record
+from .filtration import filtration_of, k0m_of, probe_record
 from .golden import REPRODUCTION_EXAMPLES
 from .residue import ResidueRing, is_prime
 
@@ -52,11 +52,6 @@ def smallest_kstar(p: int, m: int) -> int:
     while k % (p - 1) == 0:
         k += 2
     return k
-
-
-def smallest_kstar_multiple(p: int, m: int) -> int:
-    """Smallest multiple of p-1 greater than m."""
-    return (m // (p - 1) + 1) * (p - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +228,7 @@ def _box_grid(args, ps: list[int], ms: list[int]) -> Iterator[tuple]:
 
 def _conjecture_grid(args, ps: list[int], ms: list[int]) -> Iterator[dict]:
     for p, m in product(ps, ms):
-        kstar = int(args.kstar) if args.kstar else smallest_kstar_multiple(p, m)
+        kstar = int(args.kstar) if args.kstar else k0m_of(0, p, m)
         for alpha in parse_range(args.alpha) if args.alpha else range(m, m + p + 1):
             yield {"p": p, "m": m, "kstar": kstar, "alpha": alpha}
 
@@ -644,6 +639,8 @@ def main(argv: list[str] | None = None) -> int:
             load_bernoulli_cache(cache_path)
         except (EiscongError, OSError, ValueError) as err:
             return _error(err)
+        except MemoryError:
+            return _error(f"{cache_path}: out of memory loading the cache")
     try:
         out = open(args.out, "w") if args.out else sys.stdout
     except OSError as err:

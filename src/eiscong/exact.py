@@ -34,9 +34,9 @@ import threading
 from array import array
 from bisect import bisect_right
 from fractions import Fraction
-from functools import cache
+from functools import cache, reduce
 from itertools import accumulate, compress
-from operator import itemgetter, not_
+from operator import itemgetter, mul, not_
 from typing import Iterable
 
 __all__ = [
@@ -47,6 +47,7 @@ __all__ = [
     "gen_binomial",
     "h_coefficient",
     "int_str",
+    "numerator_bits_floor",
     "padic_valuation",
     "parse_int",
     "pochhammer",
@@ -54,6 +55,7 @@ __all__ = [
     "seed_bernoulli",
     "sigma_power_mod",
     "sigma_power_table",
+    "staudt_primes",
 ]
 
 
@@ -100,14 +102,26 @@ def _smallest_factors(n: int) -> array:
     return table
 
 
-def bernoulli_denominator(k: int) -> int:
-    """Denominator of B_k for even k >= 2 (von Staudt-Clausen): the product of the primes l with (l-1) | k."""
+def staudt_primes(k: int) -> list[int]:
+    """The primes l with (l-1) | k, ascending, for even k >= 2. By von Staudt-Clausen
+    B_k's denominator is their product, and B_k + sum 1/l over them is an integer."""
     factors = _smallest_factors(k + 1)
-    out = 1
-    for d in divisors(k):
-        if not factors[d + 1]:
-            out *= d + 1
-    return out
+    return [d + 1 for d in divisors(k) if not factors[d + 1]]
+
+
+def bernoulli_denominator(k: int) -> int:
+    """Denominator of B_k for even k >= 2: the product of `staudt_primes(k)`."""
+    return reduce(mul, staudt_primes(k))
+
+
+def numerator_bits_floor(k: int) -> int:
+    """L with |B_k| D >= 2**L for even k >= 2, D its denominator; float-free and no sieve.
+
+    |B_k| = 2 k! zeta(k) / (2 pi)**k, with zeta(k) > 1, D >= 1 and
+    k! >= (k/e)**k, so log2(|B_k| D) >= 1 + k (log2 k - log2(2 pi e)), and
+    log2 k >= bits(k) - 1 and log2(2 pi e) < 4.0943.
+    """
+    return 1 + k * (k.bit_length() - 1) + (-40943 * k) // 10000  # - ceil(4.0943 k)
 
 
 # Chudnovsky's series: 426880 sqrt(10005) / pi = sum_k t_k with

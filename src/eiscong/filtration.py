@@ -178,83 +178,64 @@ class NoSolution:
 def solve_mod_pm(system: LinearSystem) -> Solution | NoSolution:
     """Decide solvability of a linear system over Z/p^m and produce a solution.
 
-    Diagonalization with global minimum-valuation pivoting: at each step the
-    active entry with the least p-valuation becomes the pivot, its row is
-    scaled by the unit inverse (pivot becomes p^e), and its column and row
-    are cleared. All eliminations divide exactly because the pivot valuation
-    is minimal, so solvability is decided correctly despite zero divisors.
-    Column operations are tracked to map the diagonal solution back.
+    Row echelon form with minimum-valuation pivoting: at each step the first
+    active entry (row-major) of least p-valuation is swapped to the diagonal,
+    its row is scaled by the unit inverse (pivot becomes p^e), and the rows
+    below are cleared. Every elimination divides exactly because the pivot
+    valuation is minimal, so solvability is decided correctly despite zero
+    divisors. Back substitution, with the free unknowns 0, gives the solution.
     """
     ring = system.ring
     p, m, mod = ring.p, ring.m, ring.modulus
     nrows = len(system.matrix)
     ncols = len(system.matrix[0]) if nrows else 0
-    M = [list(row) for row in system.matrix]
-    b = list(system.rhs)
-    # x = X @ y where y solves the diagonalized system
-    X = [[int(i == j) for j in range(ncols)] for i in range(ncols)]
-    pivot_exponents: list[int] = []
-    t = 0
-    while t < min(nrows, ncols):
-        best = None
-        best_v = m
+    # The augmented matrix: row i is matrix row i, then rhs[i].
+    A = [[*row, r] for row, r in zip(system.matrix, system.rhs)]
+    order = list(range(ncols))  # column j of A holds unknown order[j]
+    exponents: list[int] = []
+    for t in range(min(nrows, ncols)):
+        best, e = None, m
         for i in range(t, nrows):
-            row = M[i]
             for j in range(t, ncols):
-                if row[j]:
-                    v = ring.valuation(row[j])
-                    if v < best_v:
-                        best_v, best = v, (i, j)
-                        if v == 0:
+                if A[i][j]:
+                    v = ring.valuation(A[i][j])
+                    if v < e:
+                        best, e = (i, j), v
+                        if e == 0:
                             break
-            if best_v == 0:
+            if e == 0:
                 break
         if best is None:
             break
         i0, j0 = best
-        M[t], M[i0] = M[i0], M[t]
-        b[t], b[i0] = b[i0], b[t]
-        if j0 != t:
-            for row in M:
-                row[t], row[j0] = row[j0], row[t]
-            for row in X:
-                row[t], row[j0] = row[j0], row[t]
-        e = best_v
+        A[t], A[i0] = A[i0], A[t]
+        for row in A:
+            row[t], row[j0] = row[j0], row[t]
+        order[t], order[j0] = order[j0], order[t]
         pe = p**e
-        uinv = pow(M[t][t] // pe, -1, mod)
-        M[t] = [x * uinv % mod for x in M[t]]
-        b[t] = b[t] * uinv % mod
-        for i in range(nrows):
-            if i != t and M[i][t]:
-                f = M[i][t] // pe
-                row, prow = M[i], M[t]
-                for j in range(t, ncols):
-                    row[j] = (row[j] - f * prow[j]) % mod
-                b[i] = (b[i] - f * b[t]) % mod
-        for j in range(t + 1, ncols):
-            if M[t][j]:
-                f = M[t][j] // pe
-                # column t is zero outside row t, so col_j -= f*col_t only
-                # touches M[t][j]
-                M[t][j] = 0
-                for i in range(ncols):
-                    X[i][j] = (X[i][j] - f * X[i][t]) % mod
-        pivot_exponents.append(e)
-        t += 1
-    for i in range(t, nrows):
-        if b[i] % mod:
-            return NoSolution("inconsistent-row", {"row": i, "residue": b[i]})
-    y = [0] * ncols
-    for i, e in enumerate(pivot_exponents):
-        pe = p**e
-        if b[i] % pe:
+        uinv = pow(A[t][t] // pe, -1, mod)
+        pivot_row = A[t] = [x * uinv % mod for x in A[t]]
+        for i in range(t + 1, nrows):
+            f = A[i][t] // pe
+            if f:
+                A[i] = [(x - f * y) % mod for x, y in zip(A[i], pivot_row)]
+        exponents.append(e)
+    rank = len(exponents)
+    for i in range(rank, nrows):
+        if A[i][-1] % mod:
+            return NoSolution("inconsistent-row", {"row": i, "residue": A[i][-1]})
+    for t, e in enumerate(exponents):
+        if A[t][-1] % p**e:
             return NoSolution(
                 "valuation-obstruction",
-                {"pivot": i, "pivot-valuation": e, "rhs-valuation": ring.valuation(b[i])},
+                {"pivot": t, "pivot-valuation": e, "rhs-valuation": ring.valuation(A[t][-1])},
             )
-        y[i] = b[i] // pe
-    x = tuple(sum(X[i][j] * y[j] for j in range(ncols)) % mod for i in range(ncols))
-    return Solution(x)
+    x = [0] * ncols
+    for t in reversed(range(rank)):
+        pe = p**exponents[t]
+        x[order[t]] = (A[t][-1] // pe - sum(A[t][j] // pe * x[order[j]]
+                                            for j in range(t + 1, ncols))) % mod
+    return Solution(tuple(x))
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import re
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 from math import comb, factorial, isqrt
 
@@ -397,6 +398,102 @@ def solve_by_digit_lifting(matrix, rhs, p, m):
     ]
 
 
+def diagonalize(system: LinearSystem) -> Solution | NoSolution:
+    """Solver oracle: the diagonalization `solve_mod_pm` did before its row echelon form.
+
+    Diagonalization with global minimum-valuation pivoting: at each step the
+    active entry with the least p-valuation becomes the pivot, its row is
+    scaled by the unit inverse (pivot becomes p^e), and its column and row
+    are cleared. All eliminations divide exactly because the pivot valuation
+    is minimal, so solvability is decided correctly despite zero divisors.
+    Column operations are tracked to map the diagonal solution back. It picks
+    the same pivots as `solve_mod_pm`, so the two outcomes are equal under
+    `==`, vectors and NoSolution details alike.
+    """
+    ring = system.ring
+    p, m, mod = ring.p, ring.m, ring.modulus
+    nrows = len(system.matrix)
+    ncols = len(system.matrix[0]) if nrows else 0
+    M = [list(row) for row in system.matrix]
+    b = list(system.rhs)
+    # x = X @ y where y solves the diagonalized system
+    X = [[int(i == j) for j in range(ncols)] for i in range(ncols)]
+    pivot_exponents: list[int] = []
+    t = 0
+    while t < min(nrows, ncols):
+        best = None
+        best_v = m
+        for i in range(t, nrows):
+            row = M[i]
+            for j in range(t, ncols):
+                if row[j]:
+                    v = ring.valuation(row[j])
+                    if v < best_v:
+                        best_v, best = v, (i, j)
+                        if v == 0:
+                            break
+            if best_v == 0:
+                break
+        if best is None:
+            break
+        i0, j0 = best
+        M[t], M[i0] = M[i0], M[t]
+        b[t], b[i0] = b[i0], b[t]
+        if j0 != t:
+            for row in M:
+                row[t], row[j0] = row[j0], row[t]
+            for row in X:
+                row[t], row[j0] = row[j0], row[t]
+        e = best_v
+        pe = p**e
+        uinv = pow(M[t][t] // pe, -1, mod)
+        M[t] = [x * uinv % mod for x in M[t]]
+        b[t] = b[t] * uinv % mod
+        for i in range(nrows):
+            if i != t and M[i][t]:
+                f = M[i][t] // pe
+                row, prow = M[i], M[t]
+                for j in range(t, ncols):
+                    row[j] = (row[j] - f * prow[j]) % mod
+                b[i] = (b[i] - f * b[t]) % mod
+        for j in range(t + 1, ncols):
+            if M[t][j]:
+                f = M[t][j] // pe
+                # column t is zero outside row t, so col_j -= f*col_t only
+                # touches M[t][j]
+                M[t][j] = 0
+                for i in range(ncols):
+                    X[i][j] = (X[i][j] - f * X[i][t]) % mod
+        pivot_exponents.append(e)
+        t += 1
+    for i in range(t, nrows):
+        if b[i] % mod:
+            return NoSolution("inconsistent-row", {"row": i, "residue": b[i]})
+    y = [0] * ncols
+    for i, e in enumerate(pivot_exponents):
+        pe = p**e
+        if b[i] % pe:
+            return NoSolution(
+                "valuation-obstruction",
+                {"pivot": i, "pivot-valuation": e, "rhs-valuation": ring.valuation(b[i])},
+            )
+        y[i] = b[i] // pe
+    x = tuple(sum(X[i][j] * y[j] for j in range(ncols)) % mod for i in range(ncols))
+    return Solution(x)
+
+
+@lru_cache(maxsize=None)
+def _witness_matrix(ring: ResidueRing, w: int, n: int, upto: int) -> tuple[BasisMatrix, tuple]:
+    """The weight-w basis and the rows of the columns E_{p-1}^n * M_j through q^upto.
+
+    Memoized: the solver tests solve one matrix against many right sides.
+    """
+    bm = basis(w, ring, upto)
+    epow = e_series(ring.p - 1, ring, upto).pow(n)
+    cols = [epow * col for col in bm.columns]
+    return bm, tuple(tuple(col.coefficient(i) for col in cols) for i in range(upto + 1))
+
+
 def _witness_system(f: QSeries, k: int, w: int, upto: int) -> tuple[LinearSystem, BasisMatrix, int]:
     """Oracle system for the filtration search: columns E_{p-1}^n * M_j, rhs f.
 
@@ -405,10 +502,7 @@ def _witness_system(f: QSeries, k: int, w: int, upto: int) -> tuple[LinearSystem
     """
     ring = f.ring
     n = _check_weight_match(k, w, ring.p)
-    bm = basis(w, ring, upto)
-    epow = e_series(ring.p - 1, ring, upto).pow(n)
-    cols = [epow * col for col in bm.columns]
-    rows = [[col.coefficient(i) for col in cols] for i in range(upto + 1)]
+    bm, rows = _witness_matrix(ring, w, n, upto)
     rhs = [f.coefficient(i) for i in range(upto + 1)]
     return LinearSystem.build(ring, rows, rhs), bm, n
 

@@ -62,6 +62,9 @@ CLI = "src/eiscong/cli.py"
 PARITY = "tests/test_cli_parity.py::test_status_stderr_and_stdout_match_the_table"
 T_CACHE = "tests/test_cli.py::TestOutAndCache::"
 P_CACHE = "tests/test_properties.py::test_a_cache_line_round_trips"
+FILT = "src/eiscong/filtration.py"
+T_SOLVER = "tests/test_filtration.py::TestSolver::"
+P_SOLVER = "tests/test_properties.py::test_the_echelon_solver_matches_the_diagonalizing_oracle"
 
 MUTANTS = (
     Mutant("euler-guard-bits-0", EXACT,
@@ -116,6 +119,23 @@ MUTANTS = (
            ("tests/test_filtration.py::TestFiltrationBound::test_g14_bound_matches_corollary",
             "tests/test_filtration.py::TestSharpnessProbe::test_constructed_solvable",
             "tests/test_filtration.py::TestLayerPass::test_matches_the_candidate_search")),
+    Mutant("solver-pivots-on-the-first-nonzero-entry", FILT,
+           "if v < e:",
+           "if best is None:",
+           (T_SOLVER + "test_brute_force_agreement",
+            T_SOLVER + "test_digit_lifting_oracle_on_medium_systems",
+            T_SOLVER + "test_matches_the_diagonalizing_oracle", P_SOLVER)),
+    Mutant("solver-without-the-valuation-obstruction", FILT,
+           "if A[t][-1] % p**e:",
+           "if False:",
+           (T_SOLVER + "test_valuation_obstruction",
+            T_SOLVER + "test_brute_force_agreement",
+            T_SOLVER + "test_matches_the_diagonalizing_oracle", P_SOLVER)),
+    Mutant("back-substitution-ignores-column-swaps", FILT,
+           "* x[order[j]]",
+           "* x[j]",
+           (T_SOLVER + "test_round_trip_random",
+            T_SOLVER + "test_matches_the_diagonalizing_oracle", P_SOLVER)),
     Mutant("probe-solvable-strictly-above", "src/eiscong/filtration.py",
            '"Solvable" if w >= report.bound_found',
            '"Solvable" if w > report.bound_found',
@@ -204,6 +224,19 @@ MUTANTS = (
            (T_CACHE + "test_cache_round_trip",
             T_CACHE + "test_a_decimal_cache_loads_and_grows_in_hex",
             P_CACHE)),
+    Mutant("cache-takes-any-numerator-residue", "src/eiscong/cache.py",
+           "if value.numerator % denominator != residue:",
+           "if False:",
+           (T_CACHE + "test_bad_cache_line_is_clean_error[12 -0x2b9/0xaaa-B_12 has a numerator"
+            " of 2039 mod 2730]",
+            T_CACHE + "test_bad_cache_line_is_clean_error[12 -697/2730-B_12 has a numerator"
+            " of 2039 mod 2730]")),
+    Mutant("cache-sizes-the-sieve-by-any-index", "src/eiscong/cache.py",
+           "if value.numerator.bit_length() <= floor:",
+           "if False:",
+           (T_CACHE + "test_a_huge_index_is_refused_before_the_sieve",
+            T_CACHE + "test_bad_cache_line_is_clean_error[32 -0x1/0x1fe-B_32 has a numerator"
+            " of more than 29 bits]")),
     Mutant("hex-check-admits-non-ascii", "src/eiscong/cache.py",
            'text.isascii() and "_" not in text',
            '"_" not in text',

@@ -39,6 +39,7 @@ from eiscong.filtration import (
     cor13_bound,
     cor14_bound,
     factor_filtration_bound,
+    k0m_of,
     sharpness_probe,
     solve_mod_pm,
     sturm_bound,
@@ -46,7 +47,7 @@ from eiscong.filtration import (
 )
 from eiscong.golden import REPRODUCTION_EXAMPLES
 from eiscong.residue import ResidueRing, is_prime
-from eiscong.cli import smallest_kstar, smallest_kstar_multiple
+from eiscong.cli import smallest_kstar
 
 from conftest import brute_force_solvable
 
@@ -277,12 +278,12 @@ def test_criterion_09_conjecture_scans():
     failures = []
     for p in PRIMES:
         for m in (p, p + 1, p + 2):
-            kstar = smallest_kstar_multiple(p, m)
+            kstar = k0m_of(0, p, m)
             reports = scan_conjecture_bernoulli(p, m, range(m, m + p + 1), kstar)
             failures.extend(r.params for r in reports if not r.passed)
     for p in (5, 7):
         for m in range(2, p + 2):
-            kstar = smallest_kstar_multiple(p, m)
+            kstar = k0m_of(0, p, m)
             for alpha in (m, m + 1):
                 r = scan_conjecture_ek_series(p, m, kstar, alpha, 40)
                 if not r.passed:

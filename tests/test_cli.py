@@ -26,11 +26,11 @@ from eiscong.cli import (
     main,
     parse_range,
     smallest_kstar,
-    smallest_kstar_multiple,
 )
 from eiscong.congruences import CongruenceReport
 from eiscong.errors import CacheFormatError
 from eiscong.exact import bernoulli, bernoulli_cached_indices, int_str, parse_int
+from eiscong.filtration import k0m_of
 from eiscong.golden import REPRODUCTION_EXAMPLES
 from eiscong.residue import ResidueRing
 
@@ -90,10 +90,11 @@ class TestHelpers:
         assert smallest_kstar(7, 4) == 8
         assert smallest_kstar(13, 4) == 6
 
-    def test_smallest_kstar_multiple(self):
-        assert smallest_kstar_multiple(5, 6) == 8
-        assert smallest_kstar_multiple(7, 7) == 12
-        assert smallest_kstar_multiple(13, 15) == 24
+    def test_default_conjecture_kstar_is_the_least_multiple_above_m(self):
+        # `scan conjecture` without --kstar takes k0m_of(0, p, m).
+        assert k0m_of(0, 5, 6) == 8
+        assert k0m_of(0, 7, 7) == 12
+        assert k0m_of(0, 13, 15) == 24
 
     @pytest.mark.parametrize("fmt", ["jsonl", "json"])
     @pytest.mark.parametrize("step", [0.0, 0.001, 0.01, 0.3])
@@ -1046,6 +1047,11 @@ class TestOutAndCache:
         ("12 -0x2g3/0xaaa", "expected a line"),
         ("12 0x-2b3/0xaaa", "expected a line"),
         ("12 -0x2_b3/0xaaa", "expected a line"),
+        # -697/2730 has B_12's denominator and sign; B_12 + 1/2 + 1/3 + 1/5 +
+        # 1/7 + 1/13 is an integer only for a numerator of -691 mod 2730.
+        ("12 -0x2b9/0xaaa", "B_12 has a numerator of 2039 mod 2730"),
+        ("12 -697/2730", "B_12 has a numerator of 2039 mod 2730"),
+        ("32 -0x1/0x1fe", "B_32 has a numerator of more than 29 bits"),
     ])
     def test_bad_cache_line_is_clean_error(self, tmp_path, capsys, line, reason):
         path = tmp_path / "bad.cache"
@@ -1057,6 +1063,40 @@ class TestOutAndCache:
         assert err.startswith(f"error: {path}:2: ") and reason in err
         assert "Traceback" not in err
         assert path.read_text() == "2 1/6\n" + line + "\n"
+
+    def test_a_huge_index_is_refused_before_the_sieve(self, tmp_path):
+        # B_k's numerator has over 3.4e13 bits at k = 10^12; the line is refused
+        # by its length, before a sieve sized by the index is asked for.
+        pytest.importorskip("resource")
+        path = tmp_path / "huge.cache"
+        path.write_text("1000000000000 0x1/0x6\n")
+        proc = run_python("-c", UNDER_A_MEMORY_CAP, "bernoulli", "4", "--cache", str(path),
+                          timeout=10)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == (f"error: {path}:1: B_1000000000000 has a numerator"
+                               " of more than 34905700000001 bits\n")
+
+    def test_running_out_of_memory_loading_a_cache_is_clean_error(self, tmp_path, capsys,
+                                                                  monkeypatch):
+        def exhausted(path):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "load_bernoulli_cache", exhausted)
+        path = tmp_path / "bern.cache"
+        status, out, err = run_cli(capsys, "bernoulli", "4", "--cache", str(path))
+        assert (status, out, err) == (2, "", f"error: {path}: out of memory loading the cache\n")
+
+    def test_a_written_cache_loads_every_true_value(self, tmp_path, capsys, monkeypatch,
+                                                    cold_bernoulli):
+        path = tmp_path / "bern.cache"
+        seeds = dict(exact._BERNOULLI_MEMO)
+        status, _, _ = run_cli(capsys, "bernoulli", "0..600", "--cache", str(path))
+        assert status == 0
+        monkeypatch.setattr(exact, "_BERNOULLI_MEMO", seeds)
+        # B_0, B_1 and the 300 even indices; the odd zeros are not memoized.
+        assert load_bernoulli_cache(path) == 302
+        oracle = bernoulli_by_tangent(range(2, 601, 2))
+        assert {k: exact._BERNOULLI_MEMO[k] for k in oracle} == oracle
 
     def test_unreadable_cache_is_clean_error(self, tmp_path, capsys):
         undecodable = tmp_path / "binary.cache"

@@ -109,6 +109,25 @@ class TestThmGk:
         assert report.certification == "sturm-certified"
 
 
+@pytest.mark.parametrize("check, args, message", [
+    pytest.param(check_thm_gk, (5, 0, 6, 4), "m must be at least 1", id="gk-m0"),
+    pytest.param(check_thm_gk, (5, 2, 6, -1), "alpha must be non-negative", id="gk-alpha-1"),
+    pytest.param(check_dpower_congruence, (5, 0, 3, 2), "m must be at least 1", id="dpower-m0"),
+    pytest.param(check_dpower_congruence, (5, 2, -1, 2), "alpha must be non-negative",
+                 id="dpower-alpha-1"),
+    pytest.param(check_kummer, (5, 0, 6, 26), "r must be at least 1", id="kummer-r0"),
+    pytest.param(check_kummer, (5, 2, 8, 28), "4 must not divide k", id="kummer-p-1-divides-k"),
+    pytest.param(inversion_identity_holds, (constant_function(1), 0, 3),
+                 "need n >= 1 and alpha >= 0", id="inversion-n0"),
+    pytest.param(inversion_identity_holds, (constant_function(1), 2, -1),
+                 "need n >= 1 and alpha >= 0", id="inversion-alpha-1"),
+])
+def test_out_of_range_arguments(check, args, message):
+    with pytest.raises(ParameterOutOfRangeError) as exc:
+        check(*args)
+    assert str(exc.value) == message
+
+
 class TestThmEk:
     def test_m1_reduces_to_classical(self):
         assert check_thm_ek(5, 1, 2, 20).passed

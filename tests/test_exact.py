@@ -275,6 +275,17 @@ class TestBernoulli:
         for k in reversed(DIFFERENTIAL_INDICES):
             assert exact.bernoulli_denominator(k) == tangent_oracle[k].denominator, k
 
+    def test_von_staudt_clausen_sum_is_an_integer(self, tangent_oracle):
+        for k in DIFFERENTIAL_INDICES:
+            primes = exact.staudt_primes(k)
+            assert primes == [l for l in primes_to(k + 1) if k % (l - 1) == 0], k
+            assert (tangent_oracle[k] + sum(Fraction(1, l) for l in primes)).denominator == 1, k
+
+    def test_numerator_bits_floor_is_below_every_numerator(self, tangent_oracle):
+        for k in DIFFERENTIAL_INDICES:
+            assert tangent_oracle[k].numerator.bit_length() > exact.numerator_bits_floor(k), k
+        assert exact.numerator_bits_floor(10**12) == 34_905_700_000_001
+
     def test_threaded_access(self, cold_bernoulli, tangent_oracle, monkeypatch):
         indices = [402, 1296, 2026, 2402] * 2
         results = {}

@@ -37,6 +37,7 @@ from eiscong.series import QSeries
 from conftest import (
     _witness_system,
     brute_force_solvable,
+    diagonalize,
     filtration_by_search,
     solve_by_digit_lifting,
 )
@@ -150,6 +151,15 @@ class TestSolver:
             got = bool(solve_mod_pm(LinearSystem.build(ring, matrix, rhs)))
             assert got == brute_force_solvable(matrix, rhs, mod)
 
+    @pytest.mark.parametrize("matrix, rhs, message", [
+        ([[1], [2]], [1], "matrix and rhs row counts differ"),
+        ([[1, 2], [3]], [1, 2], "ragged matrix"),
+    ])
+    def test_build_rejects_a_malformed_system(self, matrix, rhs, message):
+        with pytest.raises(ValueError) as exc:
+            LinearSystem.build(ResidueRing(5, 1), matrix, rhs)
+        assert str(exc.value) == message
+
     def test_digit_lifting_oracle_on_medium_systems(self, rng):
         # Enumeration caps out at 2 unknowns; cross-check wider systems
         # against an algorithmically independent p-adic lifting solver.
@@ -200,6 +210,24 @@ class TestSolver:
             assert not solve_mod_pm(system_bad)
             assert solve_by_digit_lifting(
                 [list(r) for r in system_bad.matrix], list(system_bad.rhs), p, m) is None
+
+    @pytest.mark.parametrize("p, m", [(5, 1), (5, 2), (7, 2), (5, 3), (7, 4), (17, 3)])
+    def test_matches_the_diagonalizing_oracle(self, rng, p, m):
+        # Entries p^a u with a drawn up to m, so every pivot valuation and
+        # zero rows and columns occur; half the systems are solvable.
+        ring = ResidueRing(p, m)
+        mod = ring.modulus
+        for trial in range(100):
+            nrows, ncols = rng.randrange(1, 13), rng.randrange(1, 8)
+            matrix = [[p ** rng.randrange(m + 1) * rng.randrange(mod) % mod
+                       for _ in range(ncols)] for _ in range(nrows)]
+            if trial % 2:
+                known = [rng.randrange(mod) for _ in range(ncols)]
+                rhs = [sum(a * x for a, x in zip(row, known)) for row in matrix]
+            else:
+                rhs = [p ** rng.randrange(m + 1) * rng.randrange(mod) for _ in range(nrows)]
+            system = LinearSystem.build(ring, matrix, rhs)
+            assert solve_mod_pm(system) == diagonalize(system), (matrix, rhs)
 
 
 class TestFiltrationBound:
@@ -335,6 +363,16 @@ class TestTriangularSearch:
                 assert sharpness_probe(f, k, w, upto=upto) == outcome, (p, m, form, k, upto, w)
             if k % (p - 1) == 2:
                 assert sharpness_probe(f, k, 2, upto=upto).reason == "empty-space"
+
+    @pytest.mark.parametrize("p", [5, 7, 11, 13])
+    def test_solver_matches_the_diagonalizing_oracle(self, p):
+        for m, form, k, upto in _differential_cases(p):
+            last = sturm_bound(k) if upto is None else upto
+            f = (g_series if form == "G" else e_series)(k, ResidueRing(p, m), last)
+            for w in range(k % (p - 1), k + 1, p - 1):
+                if w != 2:
+                    system, _, _ = _witness_system(f, k, w, last)
+                    assert solve_mod_pm(system) == diagonalize(system), (p, m, form, k, upto, w)
 
     @pytest.mark.parametrize("p", [5, 7, 11, 13])
     def test_e_power_order_divides_p_to_the_m_minus_one(self, p):
@@ -542,6 +580,13 @@ class TestRefinedBounds:
             "p": 5, "m": 1, "k": 10, "k0": 2, "alpha": 2, "case": "m1", "stated-bound": 2,
             "computed-bound": 6, "verdict": "Fail"}
 
-    def test_invalid_m(self):
-        with pytest.raises(ParameterOutOfRangeError):
-            verify_refined_bounds(5, 5, 14)
+    @pytest.mark.parametrize("call, message", [
+        (lambda: refined_bound_case(11, 2, 3, 1), "k0 = 3 must be even with 2 <= k0 <= p-3"),
+        (lambda: refined_bound_case(11, 2, 10, 1), "k0 = 10 must be even with 2 <= k0 <= p-3"),
+        (lambda: verify_refined_bounds(5, 2, 2), "k must be at least 4"),
+        (lambda: verify_refined_bounds(5, 5, 14), "refined bounds cover m in {2, 3, 4}, got 5"),
+    ], ids=["odd-k0", "k0-above-p-3", "k-below-4", "m5"])
+    def test_out_of_range_arguments(self, call, message):
+        with pytest.raises(ParameterOutOfRangeError) as exc:
+            call()
+        assert str(exc.value) == message

@@ -1,12 +1,19 @@
 """The mutation table in tests/mutants.py still applies to the tree; its runner is not run here."""
 
-from mutants import MUTANTS, failed_ids, misplaced
+import re
+
+from mutants import MUTANTS, ROOT, failed_ids, misplaced
 
 
 def test_every_mutant_old_text_occurs_once():
     assert len({m.id for m in MUTANTS}) == len(MUTANTS)
     assert all(m.old != m.new and m.tests for m in MUTANTS)
     assert misplaced() == []
+
+
+def test_readme_states_the_number_of_mutants():
+    readme = (ROOT / "README.md").read_text()
+    assert re.findall(r"All (\d+) mutants run", readme) == [str(len(MUTANTS))]
 
 
 def test_failed_ids_keep_a_parameter_part_with_spaces():

@@ -46,6 +46,10 @@ class TestResidueRing:
             ResidueRing(p, m)
         assert str(exc.value) == message
 
+    def test_valuation_of_the_zero_residue_is_m(self):
+        ring = ResidueRing(5, 3)
+        assert [ring.valuation(x) for x in (0, 125, -250, 50, 7)] == [3, 3, 3, 2, 0]
+
     def test_rings_of_one_p_m_are_equal_and_hit_the_series_cache(self):
         a, b = ResidueRing(13, 5), ResidueRing(13, 5)
         assert a == b and hash(a) == hash(b) and a != ResidueRing(13, 4)
@@ -227,6 +231,15 @@ class TestQSeries:
             with pytest.raises(RingMismatchError) as exc:
                 mismatched()
             assert str(exc.value) == "ResidueRing(p=5, m=1) != ResidueRing(p=7, m=1)"
+
+    @pytest.mark.parametrize("read, message", [
+        (lambda s: s.coefficient(-1), "coefficient index must be non-negative"),
+        (lambda s: s.pow(-1), "exponent must be non-negative"),
+    ], ids=["coefficient", "pow"])
+    def test_negative_index_or_exponent_message(self, read, message):
+        with pytest.raises(ValueError) as exc:
+            read(q_series(ResidueRing(5, 1), 1, 2))
+        assert str(exc.value) == message
 
     @pytest.mark.parametrize("coeffs, precision, message", [
         ((1,), -1, "precision must be non-negative"),
