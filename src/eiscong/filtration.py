@@ -65,19 +65,13 @@ def space_dimension(weight: int) -> int:
 
 
 def monomial_exponents(weight: int) -> list[tuple[int, int, int]]:
-    """Exponent triples (a, b, c) with 4a + 6b + 12c = weight, b in {0, 1},
-    ordered by ascending c (so column j leads with q^j)."""
-    if weight % 2 == 1:
-        raise OddWeightError(f"weight must be even, got {weight}")
+    """Exponent triples (a, b, c) with 4a + 6b + 12c = weight, b in {0, 1}, one for
+    each c < space_dimension(weight), ordered by c (so column j leads with q^j)."""
     out = []
-    c = 0
-    while 12 * c <= weight:
+    for c in range(space_dimension(weight)):
         rem = weight - 12 * c
         b = 1 if rem % 4 == 2 else 0
-        rem -= 6 * b
-        if rem >= 0:
-            out.append((rem // 4, b, c))
-        c += 1
+        out.append(((rem - 6 * b) // 4, b, c))
     return out
 
 
@@ -116,11 +110,6 @@ def basis(weight: int, ring: ResidueRing, precision: int) -> BasisMatrix:
     if weight < 0:
         raise ParameterOutOfRangeError("weight must be non-negative")
     monomials = tuple(monomial_exponents(weight))
-    dim = space_dimension(weight)
-    if len(monomials) != dim:
-        raise EiscongError(
-            f"monomial count {len(monomials)} != dimension {dim} at weight {weight}"
-        )
     cols = tuple(monomial_series(a, b, c, ring, precision) for a, b, c in monomials)
     return BasisMatrix(weight, ring, precision, monomials, cols)
 
@@ -346,17 +335,17 @@ def _layer_bound(f: QSeries, k: int, upto: int) -> int | None:
     """
     ring, p = f.ring, f.ring.p
     first = k % (p - 1)
-    if first == 2:
+    if not space_dimension(first):
         first += p - 1
     e = e_series(p - 1, ring, upto)
     h, filled = None, 0
     for w in range(first, k + 1, p - 1):
         h = f * e_power(ring, upto, (w - k) // (p - 1)) if h is None else h * e
-        dim = space_dimension(w)
-        h, _ = _substitute(h, monomial_exponents(w)[filled:dim], upto)
+        monomials = monomial_exponents(w)
+        h, _ = _substitute(h, monomials[filled:], upto)
         if not any(h.coeffs):
             return w
-        filled = dim
+        filled = len(monomials)
     return None
 
 
@@ -378,8 +367,8 @@ def sharpness_probe(f: QSeries, k: int, w: int, upto: int | None = None) -> Solu
     left: the outcome `solve_mod_pm` gives on this unit triangular system.
     """
     upto = _checked_upto(f, k, upto, w)
-    if w == 2:
-        return NoSolution("empty-space", {"weight": 2})
+    if not space_dimension(w):
+        return NoSolution("empty-space", {"weight": w})
     return _probe(f, k, basis(w, f.ring, upto), upto)
 
 
@@ -409,9 +398,9 @@ def factor_filtration_bound(f: QSeries, k: int, input_id: str | None = None,
     if g is None or (g * e_power(ring, upto, n)).coeffs != f.coeffs[: upto + 1]:
         raise EiscongError("witness failed round-trip verification")
     cert = "sturm-certified" if certified else f"coefficient-evidence({upto + 1})"
-    # Every lower candidate failed; weight 2 is an empty space, not a failure.
+    # Every lower candidate failed; an empty space is not a failure.
     below = w - (p - 1)
-    sharpness = f"NoSolution at weight {below}" if below >= 0 and below != 2 else None
+    sharpness = f"NoSolution at weight {below}" if space_dimension(below) else None
     return FiltrationReport(
         input_id, p, ring.m, k, w, n, bm.monomials, outcome.vector,
         cert, upto + 1, sharpness,

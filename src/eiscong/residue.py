@@ -13,11 +13,17 @@ from .exact import _int_valuation
 
 __all__ = ["ResidueRing", "is_prime"]
 
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# psi_13 of OEIS A014233: the least odd composite that is a strong probable
+# prime to every base above, so the test is proven exactly below it.
+_MR_PROVEN_BELOW = 3317044064679887385961981
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, valid for n < 3.3e24."""
+    """Deterministic Miller-Rabin over the first 13 prime bases, proven for
+    n < 3317044064679887385961981; any larger n raises ValueError."""
+    if n >= _MR_PROVEN_BELOW:
+        raise ValueError(f"primality is proven only below {_MR_PROVEN_BELOW}, got {n}")
     if n < 2:
         return False
     for q in _MR_BASES:

@@ -60,12 +60,10 @@ class QSeries:
     # -- constructors -------------------------------------------------------
 
     @staticmethod
-    def residue(ring: ResidueRing, coeffs, precision: int | None = None) -> "QSeries":
+    def residue(ring: ResidueRing, coeffs) -> "QSeries":
         mod = ring.modulus
         coeffs = tuple([c % mod for c in coeffs])
-        if precision is None:
-            precision = len(coeffs) - 1
-        return QSeries(ring, coeffs, precision)
+        return QSeries(ring, coeffs, len(coeffs) - 1)
 
     @staticmethod
     def one(ring: ResidueRing, precision: int) -> "QSeries":

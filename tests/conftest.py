@@ -7,6 +7,7 @@ from itertools import product
 from math import comb, factorial, isqrt
 
 import pytest
+from hypothesis import Phase, settings
 
 from eiscong import congruences, exact
 from eiscong.eisenstein import e_series
@@ -23,6 +24,16 @@ from eiscong.filtration import (
 )
 from eiscong.residue import ResidueRing
 from eiscong.series import QSeries
+
+# `python tests/mutants.py` runs every test under this profile: a failing
+# example is all a mutant needs, so no time goes to shrinking it.
+settings.register_profile("mutants", phases=(Phase.explicit, Phase.reuse, Phase.generate))
+
+# OEIS A014233: psi_i, the least odd composite that is a strong probable prime
+# to each of the first i prime bases, for i = 1..13.
+A014233 = (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+           341550071728321, 341550071728321, 3825123056546413051, 3825123056546413051,
+           3825123056546413051, 318665857834031151167461, 3317044064679887385961981)
 
 
 def bernoulli_by_recurrence(n: int) -> Fraction:
@@ -480,6 +491,21 @@ def diagonalize(system: LinearSystem) -> Solution | NoSolution:
         y[i] = b[i] // pe
     x = tuple(sum(X[i][j] * y[j] for j in range(ncols)) % mod for i in range(ncols))
     return Solution(x)
+
+
+def monomials_by_search(weight: int) -> list[tuple[int, int, int]]:
+    """Monomial oracle: the exponents (a, b, c) with 4a + 6b + 12c = weight and
+    b in {0, 1}, found by trying every c with 12c <= weight in turn."""
+    out = []
+    c = 0
+    while 12 * c <= weight:
+        rem = weight - 12 * c
+        b = 1 if rem % 4 == 2 else 0
+        rem -= 6 * b
+        if rem >= 0:
+            out.append((rem // 4, b, c))
+        c += 1
+    return out
 
 
 @lru_cache(maxsize=None)

@@ -11,7 +11,8 @@ fails when one of them fails.
 runs the named mutants, or all of them. Each runs in its own temporary
 directory, a copy of src/, tests/, perfbench/ (tests/test_cli.py reads its
 reference digests) and pyproject.toml with the mutant applied, where pytest
-runs the mutant's node ids. A mutant is killed when every one of them fails
+runs the mutant's node ids under the hypothesis profile `mutants` of
+tests/conftest.py, which does not shrink a failing example. A mutant is killed when every one of them fails
 (or errors), and survives otherwise; survivors are reported with the node
 ids that passed, and make the exit status 1. An unknown id, or an old text
 that does not occur exactly once (`misplaced`, the cheap check), makes it 2
@@ -136,6 +137,10 @@ MUTANTS = (
            "* x[j]",
            (T_SOLVER + "test_round_trip_random",
             T_SOLVER + "test_matches_the_diagonalizing_oracle", P_SOLVER)),
+    Mutant("monomials-with-b-on-the-wrong-residue", FILT,
+           "b = 1 if rem % 4 == 2 else 0",
+           "b = 1 if rem % 4 == 0 else 0",
+           ("tests/test_filtration.py::TestDimensions::test_monomials_match_the_search",)),
     Mutant("probe-solvable-strictly-above", "src/eiscong/filtration.py",
            '"Solvable" if w >= report.bound_found',
            '"Solvable" if w > report.bound_found',
@@ -292,7 +297,7 @@ def survivors_of(mutant: Mutant) -> list[str]:
         env.pop("EISCONG_BERNOULLI_CACHE", None)
         proc = subprocess.run(
             [sys.executable, "-m", "pytest", "-q", "--tb=no", "-rfE", "-p", "no:cacheprovider",
-             *mutant.tests],
+             "--hypothesis-profile=mutants", *mutant.tests],
             cwd=copy, env=env, capture_output=True, text=True)
     failed = failed_ids(proc.stdout, mutant.tests)
     return [test for test in mutant.tests if test not in failed]

@@ -35,6 +35,7 @@ from eiscong.golden import REPRODUCTION_EXAMPLES
 from eiscong.residue import ResidueRing
 
 from conftest import (
+    A014233,
     HEX_VALUE,
     bernoulli_by_tangent,
     cache_value_by_regex,
@@ -497,23 +498,30 @@ def test_zero_budgets_are_valid(capsys, name):
     assert status in (0, 1) and err == "" and grid_records(out)
 
 
-# Runs main on its argv with the child's address space capped at 2 GB, so an
-# allocation past the cap raises MemoryError at once instead of filling memory.
+# Runs main on the argv after its first argument, the child's address-space cap
+# in MiB, so an allocation past the cap raises MemoryError at once instead of
+# filling memory.
 UNDER_A_MEMORY_CAP = """
 import resource, sys
-resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+cap = int(sys.argv[1]) << 20
+resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
 from eiscong.cli import main
-sys.exit(main(sys.argv[1:]))
+sys.exit(main(sys.argv[2:]))
 """
 
 
-@pytest.mark.parametrize("argv", ["bernoulli 0..99999999999",
-                                  "series g --k 14 --p 5 --m 2 --prec 100000000000"])
-def test_running_out_of_memory_gives_an_error_line(argv):
-    # The index list and the smallest-factor sieve are each one allocation far
+@pytest.mark.parametrize("cap, argv", [
+    ("2048", "bernoulli 0..99999999999"),
+    ("2048", "series g --k 14 --p 5 --m 2 --prec 100000000000"),
+    # Its box, about 400000 points, is built before the first record: it
+    # fills 256 MiB in about 2 s, 2 GiB in about 17 s.
+    ("256", "verify identity --m 2..100000 --alpha 0..3"),
+])
+def test_running_out_of_memory_gives_an_error_line(cap, argv):
+    # The index list, the smallest-factor sieve and the grid are each far
     # past the cap. Never run these argvs without it.
     pytest.importorskip("resource")
-    proc = run_python("-c", UNDER_A_MEMORY_CAP, *argv.split(), timeout=60)
+    proc = run_python("-c", UNDER_A_MEMORY_CAP, cap, *argv.split(), timeout=60)
     assert (proc.returncode, proc.stdout, proc.stderr) == (
         2, "", "error: out of memory; ask for a smaller range or precision\n")
 
@@ -676,6 +684,23 @@ class TestStatementTable:
         proc = run_module("verify", "thm1", "--p", "3", "--jobs", "1", timeout=30)
         assert proc.returncode == 2 and proc.stdout == ""
         assert proc.stderr == "error: p must be a prime >= 5, got 3\n"
+
+    def test_a_strong_pseudoprime_to_the_first_12_bases_is_no_prime(self, capsys):
+        psi_12 = A014233[11]
+        status, out, err = run_cli(capsys, "verify", "thm1", "--p", str(psi_12), "--m", "1",
+                                   "--alpha", "0..1", "--prec", "5")
+        assert (status, out, err) == (2, "", f"error: p must be a prime >= 5, got {psi_12}\n")
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "thm1", "--m", "1", "--alpha", "0", "--prec", "5"],
+        ["bernoulli", "12"],
+        ["series", "g", "--k", "12", "--m", "1", "--prec", "5"],
+    ], ids=lambda argv: argv[0])
+    def test_a_p_past_the_proven_range_is_refused(self, capsys, argv):
+        psi_13 = A014233[12]
+        status, out, err = run_cli(capsys, *argv, "--p", str(psi_13))
+        assert (status, out) == (2, "")
+        assert err == f"usage error: primality is proven only below {psi_13}, got {psi_13}\n"
 
     @pytest.mark.parametrize("argv", [
         ["verify", "thm1", "--p", "5", "--alpha", "10..5"],
@@ -1070,8 +1095,8 @@ class TestOutAndCache:
         pytest.importorskip("resource")
         path = tmp_path / "huge.cache"
         path.write_text("1000000000000 0x1/0x6\n")
-        proc = run_python("-c", UNDER_A_MEMORY_CAP, "bernoulli", "4", "--cache", str(path),
-                          timeout=10)
+        proc = run_python("-c", UNDER_A_MEMORY_CAP, "2048", "bernoulli", "4",
+                          "--cache", str(path), timeout=10)
         assert (proc.returncode, proc.stdout) == (2, "")
         assert proc.stderr == (f"error: {path}:1: B_1000000000000 has a numerator"
                                " of more than 34905700000001 bits\n")

@@ -39,6 +39,7 @@ from conftest import (
     brute_force_solvable,
     diagonalize,
     filtration_by_search,
+    monomials_by_search,
     solve_by_digit_lifting,
 )
 
@@ -55,11 +56,9 @@ class TestDimensions:
         with pytest.raises(OddWeightError):
             space_dimension(13)
 
-    def test_monomial_count_matches_dimension(self):
-        for weight in range(0, 202, 2):
-            if weight == 2:
-                continue
-            assert len(monomial_exponents(weight)) == space_dimension(weight)
+    def test_monomials_match_the_search(self):
+        for weight in range(-24, 4002, 2):
+            assert monomial_exponents(weight) == monomials_by_search(weight), weight
 
     def test_monomial_weights(self):
         for a, b, c in monomial_exponents(52):

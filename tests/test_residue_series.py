@@ -16,7 +16,7 @@ from eiscong.exact import bernoulli, h_coefficient
 from eiscong.residue import ResidueRing, is_prime
 from eiscong.series import QSeries, linear_combination, series_equal_mod
 
-from conftest import combination_per_column, egcd, reduced, schoolbook_product
+from conftest import A014233, combination_per_column, egcd, reduced, schoolbook_product
 
 
 class TestResidueRing:
@@ -40,6 +40,7 @@ class TestResidueRing:
         (5, 0, "m must be at least 1"),
         (3, 1, "p must be a prime >= 5, got 3"),
         (9, 2, "p must be a prime >= 5, got 9"),
+        (A014233[11], 1, f"p must be a prime >= 5, got {A014233[11]}"),
     ])
     def test_bad_arguments_message(self, p, m, message):
         with pytest.raises(ValueError) as exc:
@@ -84,17 +85,31 @@ class TestResidueRing:
 
 
 class TestIsPrime:
-    # Each has no prime factor up to 37, the trial divisors, so only the
+    # Each has no prime factor up to 41, the trial divisors, so only the
     # Miller-Rabin rounds reject it; 3215031751 is a strong pseudoprime to
     # the bases 2, 3, 5 and 7.
     @pytest.mark.parametrize("n, factors", [
-        (1763, (41, 43)),
+        (2021, (43, 47)),
         (3215031751, (151, 751, 28351)),
         (3825123056546413051, (149491, 747451, 34233211)),
+        (318665857834031151167461, (399165290221, 798330580441)),
     ])
     def test_composites_past_the_trial_divisors(self, n, factors):
-        assert math.prod(factors) == n and min(factors) > 37
+        assert math.prod(factors) == n and min(factors) > 41
         assert not is_prime(n)
+
+    @pytest.mark.parametrize("i", range(1, 13))
+    def test_the_least_strong_pseudoprime_to_the_first_i_bases(self, i):
+        assert not is_prime(A014233[i - 1])
+
+    @pytest.mark.parametrize("n", [A014233[12], A014233[12] + 2, 2 ** 89 - 1])
+    def test_past_the_proven_range_is_refused(self, n):
+        with pytest.raises(ValueError) as exc:
+            is_prime(n)
+        assert str(exc.value) == f"primality is proven only below {A014233[12]}, got {n}"
+
+    def test_a_mersenne_prime_is_accepted(self):
+        assert is_prime(2 ** 61 - 1)
 
     def test_matches_a_sieve_below_10_5(self):
         limit = 10 ** 5
@@ -452,7 +467,7 @@ class TestJson:
         assert data["coefficients"] == ["5", "11", "48"]
         ring_back = ResidueRing(data["p"], data["m"])
         coeffs_back = [int(c) for c in data["coefficients"]]
-        assert QSeries.residue(ring_back, coeffs_back, data["precision"]) == a
+        assert QSeries.residue(ring_back, coeffs_back) == a
 
     def test_golden_serialization(self):
         import json
