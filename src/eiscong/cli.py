@@ -178,25 +178,30 @@ def _emit(results: Iterable[tuple[bool, str]], fmt: str, out, summary: bool = Fa
 class Statement:
     """One statement of `verify` or `scan`.
 
-    `run` maps a grid point to its report. It calls the check as an
+    `run` maps a task, a grid point, to its report. It calls the check as an
     attribute of the `congruences` module, never through a stored function
     object, so a tracer that rebinds module attributes sees every call.
     `grid` yields the points for the parsed arguments, primes and exponents
     m, in output order. `reads` lists every Bernoulli index a point reads
     (its budget is charged the largest). `validate` is a cheap check run on
     the whole grid before any task runs; it rejects every point that `run`
-    would reject, so every index `reads` lists is then non-negative. With a `shape`,
-    (id, sorted param names), a task is a block; `run` yields (values, report or None on a pass).
+    would reject, so every index `reads` lists is then non-negative. With a
+    `shape`, a task is a block, shape(task) is the (id, sorted param names,
+    certification) of its passing records, and `run` yields (values, report
+    or None on a pass). With a `key`, the grid's points are grouped into
+    such blocks (`_blocks`).
     """
 
-    __slots__ = ("run", "grid", "reads", "validate", "required", "scan", "shape")
+    __slots__ = ("run", "grid", "reads", "validate", "required", "scan", "shape", "key")
 
     def __init__(self, run: Callable, grid: Callable[[argparse.Namespace, list, list], Iterator],
                  reads: Callable[[dict], Sequence[int]] = lambda task: (),
                  validate: Callable = lambda task: None, required: tuple[str, ...] = (),
-                 scan: bool = False, shape: tuple[str, tuple[str, ...]] | None = None) -> None:
+                 scan: bool = False, shape: Callable[[object], tuple] | None = None,
+                 key: Callable[[dict], tuple] | None = None) -> None:
         self.run, self.grid, self.reads = run, grid, reads
-        self.validate, self.required, self.scan, self.shape = validate, required, scan, shape
+        self.validate, self.required, self.scan = validate, required, scan
+        self.shape, self.key = shape, key
 
 
 def _alphas(args) -> list[int]:
@@ -250,28 +255,56 @@ def _telescoping_block(block: tuple) -> Iterator[tuple[tuple, CongruenceReport |
                 {"identity": "telescoping"})
 
 
+def _inversion(statement_id: str, form: str, with_e_powers: bool, grid: Callable,
+               validate: Callable, scan: bool = False) -> Statement:
+    """A statement `congruences.inversion_rows` checks, in blocks (first point, alphas).
+
+    A block's points share (p, m, k*, N) and a certification, so its passing
+    records share one template; `form` names the generator, read off
+    `congruences` as each block runs. An E_k point has no k*, which is 0.
+    """
+    def certification(point: dict) -> str:
+        weight = point["alpha"] * (point["p"] - 1) + point.get("kstar", 0)
+        return cong._certification(point["prec"], weight if with_e_powers else None)
+
+    def run(block: tuple) -> Iterator[tuple[tuple, CongruenceReport | None]]:
+        point, alphas = block
+        params = {name: point[name] for name in ("kstar", "m", "p") if name in point}
+        tail = tuple(params.values())  # the sorted names after N and alpha
+        params["N"] = precision = point["prec"]
+        rows = cong.inversion_rows(statement_id, params, getattr(cong, form),
+                                   point.get("kstar", 0), alphas, with_e_powers)
+        return (((precision, alpha, *tail), report) for alpha, report in rows)
+
+    def shape(block: tuple) -> tuple[str, tuple[str, ...], str]:
+        point = block[0]
+        names = ("N", "alpha", "kstar", "m", "p") if "kstar" in point else ("N", "alpha", "m", "p")
+        return statement_id, names, certification(point)
+
+    return Statement(
+        run=run, grid=grid, reads=lambda t: cong.inversion_reads(t, with_e_powers),
+        validate=validate, scan=scan, shape=shape,
+        key=lambda t: (t["p"], t["m"], t.get("kstar"), t["prec"], certification(t)))
+
+
 # The parsers list the names in this order, each alias just before its target.
 STATEMENTS = {
-    "thm1.1": Statement(
-        run=lambda t: cong.check_thm_gk(t["p"], t["m"], t["kstar"], t["alpha"], t["prec"]),
-        grid=_gk_grid, reads=lambda t: cong.inversion_reads(t, True),
-        validate=lambda t: cong._validate_gk_args(t["p"], t["m"], t["kstar"], t["alpha"])),
-    "thm1.2": Statement(
-        run=lambda t: cong.check_thm_ek(t["p"], t["m"], t["alpha"], t["prec"]),
-        grid=_ek_grid, reads=lambda t: cong.inversion_reads(t, True),
-        validate=lambda t: cong._validate_ek_args(t["p"], t["m"], t["alpha"])),
-    "prop3.1": Statement(
-        run=lambda t: cong.check_prop_gk_fixed(t["p"], t["m"], t["kstar"], t["alpha"], t["prec"]),
-        grid=_gk_grid, reads=lambda t: cong.inversion_reads(t, False),
-        validate=lambda t: cong._validate_gk_args(t["p"], t["m"], t["kstar"], t["alpha"])),
+    "thm1.1": _inversion(
+        "Thm1.1", "g_series", True, _gk_grid,
+        lambda t: cong._validate_gk_args(t["p"], t["m"], t["kstar"], t["alpha"])),
+    "thm1.2": _inversion(
+        "Thm1.2", "e_series", True, _ek_grid,
+        lambda t: cong._validate_ek_args(t["p"], t["m"], t["alpha"])),
+    "prop3.1": _inversion(
+        "Prop3.1", "g_series", False, _gk_grid,
+        lambda t: cong._validate_gk_args(t["p"], t["m"], t["kstar"], t["alpha"])),
     "prop4.1": Statement(
         run=lambda t: cong.check_bernoulli_prop41(t["p"], t["m"], t["alpha"], t["d"]),
         grid=_d_grid, reads=lambda t: cong.inversion_reads(t, False),
         validate=lambda t: cong._validate_prop41_args(t["p"], t["m"], t["alpha"], t["d"])),
-    "prop4.2": Statement(
-        run=lambda t: cong.check_prop_ek_fixed(t["p"], t["m"], t["alpha"], t["prec"]),
-        grid=_ek_grid, reads=lambda t: cong.inversion_reads(t, False),
-        validate=lambda t: cong._validate_ek_args(t["p"], t["m"], t["alpha"])),
+    "prop4.2": _inversion(
+        "Prop4.2", "e_series", False, _ek_grid,
+        lambda t: cong._validate_ek_args(t["p"], t["m"], t["alpha"])),
     "eq3.1": Statement(
         run=lambda t: cong.check_dpower_congruence(t["p"], t["m"], t["alpha"], t["d"]),
         grid=_d_grid,
@@ -306,18 +339,18 @@ STATEMENTS = {
         reads=lambda t: [j * (t["p"] - 1) for j in range(t["n"] + 1)]),
     # j and s are in range by construction, so a block's smallest alpha stands for it.
     "identity": Statement(
-        run=_identity_block, grid=_box_grid, shape=("Prop3.2", ("alpha", "j", "m", "s")),
+        run=_identity_block, grid=_box_grid,
+        shape=lambda block: ("Prop3.2", ("alpha", "j", "m", "s"), "coefficient-evidence"),
         validate=lambda b: cong._validate_identity_box(b[0], b[1], b[2], min(b[3]))),
     "telescoping": Statement(
-        run=_telescoping_block, grid=_box_grid, shape=("Eq3.3", ("alpha", "j", "m", "r", "s")),
+        run=_telescoping_block, grid=_box_grid,
+        shape=lambda block: ("Eq3.3", ("alpha", "j", "m", "r", "s"), "coefficient-evidence"),
         validate=lambda b: cong._validate_identity_box(b[0], b[1], b[2], min(b[3]))),
-    "eq6.1": Statement(
-        run=lambda t: cong.scan_conjecture_ek_series(
-            t["p"], t["m"], t["kstar"], t["alpha"], t["prec"], budget=None),
-        grid=lambda args, ps, ms: (
-            dict(point, prec=args.prec) for point in _conjecture_grid(args, ps, ms)),
-        reads=lambda t: cong.inversion_reads(t, True),
-        validate=lambda t: cong._validate_conjecture_args(t["p"], t["m"], t["kstar"], t["alpha"]),
+    "eq6.1": _inversion(
+        "ConjEq6.1", "e_series", True,
+        lambda args, ps, ms: (dict(point, prec=args.prec)
+                              for point in _conjecture_grid(args, ps, ms)),
+        lambda t: cong._validate_conjecture_args(t["p"], t["m"], t["kstar"], t["alpha"]),
         scan=True),
     "eq6.4": Statement(
         run=lambda t: cong.scan_conjecture_bernoulli(
@@ -364,17 +397,20 @@ def _records(statement: str, entry: Statement, tasks: list, charges: list[int],
     """Each record's (passed, text in --format), in input order, as its task finishes.
 
     A task charged (its largest Bernoulli index) over --budget-bernoulli gives a
-    BudgetExceeded record, and a passing record with a shape fills its template.
-    Each record is timed from the end of the one before, so a block's first pays
-    its setup; one slower than --budget-seconds carries a budget warning.
+    BudgetExceeded record, and a passing record of a block fills its shape's template.
+    Each record is timed from the end of the one before, so a block's record that
+    builds its setup pays for it; one slower than --budget-seconds carries a budget
+    warning.
     """
     limit, fmt, shape = args.budget_seconds, args.format, entry.shape
-    template = shape and fmt in ("jsonl", "json") and _template(
-        shape[0], "coefficient-evidence", "Pass", shape[1], fmt)[0]
     started = time.monotonic()
     for task, charge in zip(tasks, charges):
         try:
             cong._check_budget(charge, args.budget_bernoulli)
+            if shape:
+                statement_id, names, certification = shape(task)
+                template = fmt in ("jsonl", "json") and _template(
+                    statement_id, certification, "Pass", names, fmt)[0]
             rows = entry.run(task) if shape else ((None, entry.run(task)),)
         except BudgetExceededError as err:
             rows = ((None, CongruenceReport(statement, dict(task), "BudgetExceeded",
@@ -386,10 +422,28 @@ def _records(statement: str, entry: Statement, tasks: list, charges: list[int],
             if report is None and warning is None and template:
                 yield True, template % values
             else:
-                report = report or CongruenceReport(shape[0], dict(zip(shape[1], values)), "Pass")
+                report = report or CongruenceReport(statement_id, dict(zip(names, values)),
+                                                    "Pass", None, certification)
                 yield report.passed, _record_text(report, warning, fmt)
             if limit is not None:
                 started = time.monotonic()
+
+
+def _blocks(points: list[dict], charges: list[int], budget: int,
+            key: Callable[[dict], tuple]) -> tuple[list, list[int]]:
+    """The tasks and charges of a grid grouped by `key`: each run of consecutive points
+    within the budget that share a key is one block (its first point, its alphas),
+    charged its first point's charge; a point over the budget stays a task of its own."""
+    tasks, task_charges, last = [], [], None
+    for point, charge in zip(points, charges):
+        here = key(point) if charge <= budget else None
+        if here is not None and here == last:
+            tasks[-1][1].append(point["alpha"])
+            continue
+        tasks.append(point if here is None else (point, [point["alpha"]]))
+        task_charges.append(charge)
+        last = here
+    return tasks, task_charges
 
 
 def _run_tasks(args) -> Iterator[tuple[bool, str]]:
@@ -420,6 +474,8 @@ def _run_tasks(args) -> Iterator[tuple[bool, str]]:
         if indices and charge <= args.budget_bernoulli:
             reads.update(indices)
     prefetch_bernoulli(sorted(reads))
+    if entry.key:
+        points, charges = _blocks(points, charges, args.budget_bernoulli, entry.key)
     return _records(statement, entry, points, charges, args)
 
 

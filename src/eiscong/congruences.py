@@ -6,18 +6,20 @@ here is probabilistic.
 
 Most statements compare a value at alpha with its H-weighted history, summed
 over the r of `_inversion_support`, H(m, alpha, .) from one cached row.
-`_inversion_report` does it for series: Thm 1.1, Thm 1.2 and the Eq. (6.1)
-scan (each term times E_{p-1}^(alpha-r)), Props 3.1 and 4.2 (no powers), as
-one combination of a grid block's packed table: a record makes no series
-product. It builds the left side first, so an error names the weight
-alpha(p-1)+k*. Its callers pass `g_series`/`e_series`, and `eisenstein` builds
-D = E_{p-1} - 1 from `e_series`, all read as module globals at call time, so
-a tracer that rebinds them sees every call. `_inversion_defect` does it for
-rationals, exactly: the inversion identity, and the failures of the valuation
-tests. Those tests, Prop 4.1, Eq. (3.1), the Eq. (6.4) scan and p-regular
-recovery, go through `_inversion_defect_mod`, which sums the terms' residues
-modulo p^m first and builds the exact defect only when that cannot prove the
-pass. The scan's terms k/B_k are memoized across its grid.
+`inversion_rows` does it for series, one block of alphas at a fixed
+(p, m, k*, N) at a time: Thm 1.1, Thm 1.2 and the Eq. (6.1) scan (each term
+times E_{p-1}^(alpha-r)), Props 3.1 and 4.2 (no powers), each alpha one
+combination of the block's packed table, so a record makes no series product.
+Their check functions are its one-alpha block. It builds each left side
+first, so an error names the weight alpha(p-1)+k*. Its callers pass
+`g_series`/`e_series`, and `eisenstein` builds D = E_{p-1} - 1 from
+`e_series`, all read as module globals at call time, so a tracer that rebinds
+them sees every call. `_inversion_defect` does it for rationals, exactly: the
+inversion identity, and the failures of the valuation tests. Those tests,
+Prop 4.1, Eq. (3.1), the Eq. (6.4) scan and p-regular recovery, go through
+`_inversion_defect_mod`, which sums the terms' residues modulo p^m first and
+builds the exact defect only when that cannot prove the pass. The scan's
+terms k/B_k are memoized across its grid.
 
 The Prop. 3.2 box runs in blocks of alphas at fixed (m, j, s): a sum's terms,
 a cached row times the block's column, are the F(m, r) of the Eq. (3.3)
@@ -66,6 +68,7 @@ __all__ = [
     "dpower_function",
     "inversion_identity_holds",
     "inversion_reads",
+    "inversion_rows",
     "prop21_recovery_holds",
     "scale_function",
     "scan_conjecture_bernoulli",
@@ -106,12 +109,18 @@ class CongruenceReport:
         }
 
 
+def _certification(upto: int, shared_weight: int | None) -> str:
+    """A series comparison's label: sturm-certified when both sides have the shared
+    weight and upto reaches its Sturm index, coefficient-evidence otherwise."""
+    if shared_weight is not None and upto >= sturm_bound(shared_weight):
+        return "sturm-certified"
+    return "coefficient-evidence"
+
+
 def _series_report(statement_id: str, params: dict, lhs: QSeries, rhs: QSeries,
                    upto: int, shared_weight: int | None) -> CongruenceReport:
     verdict = series_equal_mod(lhs, rhs, upto)
-    cert = "coefficient-evidence"
-    if shared_weight is not None and upto >= sturm_bound(shared_weight):
-        cert = "sturm-certified"
+    cert = _certification(upto, shared_weight)
     if verdict.ok:
         return CongruenceReport(statement_id, params, "Pass", None, cert)
     detail = {
@@ -178,28 +187,47 @@ def _block_table(form: Callable, kstar: int, ring: ResidueRing, precision: int,
     return PackedFamily([f * e if i else f for f in forms for i, e in enumerate(powers)])
 
 
-def _inversion_report(statement_id: str, params: dict, form: Callable, kstar: int,
-                      with_e_powers: bool) -> CongruenceReport:
-    """form(a(p-1)+k*) against sum_r H(m,a,r) form(r(p-1)+k*) [E_{p-1}^(a-r)], mod p^m.
+def inversion_rows(statement_id: str, params: dict, form: Callable, kstar: int,
+                   alphas: Iterable[int], with_e_powers: bool
+                   ) -> Iterator[tuple[int, CongruenceReport | None]]:
+    """Each alpha of a block at params (p, m, N, k* where the statement has one), with
+    None when form(a(p-1)+k*) = sum_r H(m,a,r) form(r(p-1)+k*) [E_{p-1}^(a-r)] mod p^m
+    through q^N, and its Fail report otherwise.
 
     Below a = m the sum is its one term, form(a(p-1)+k*) itself. From a = m
     on, a - r > 0, and E_{p-1}^(a-r) = sum_{i<m} C(a-r, i) D^i mod p^m for
     D = E_{p-1} - 1 by the binomial theorem (D^m is 0), so the sum is
     sum_{r,i} H(m,a,r) C(a-r, i) form(r(p-1)+k*) D^i: m^2 scalars, one
-    combination of the block's packed table (`_block_table`) and no series
-    product. Props 3.1 and 4.2 take every power as 1, the i = 0 terms alone.
-    The left side is built first.
+    combination of the block's packed table (`_block_table`), read once at
+    the first such a, and no series product. Props 3.1 and 4.2 take every
+    power as 1, the i = 0 terms alone. Each left side is built first.
     """
-    p, m, alpha, precision = params["p"], params["m"], params["alpha"], params["N"]
-    ring = ResidueRing(p, m)
-    weight = alpha * (p - 1) + kstar
-    lhs = rhs = form(weight, ring, precision)
-    if alpha >= m:
-        h, powers = _h_row(m, alpha), m if with_e_powers else 1
-        rhs = _block_table(form, kstar, ring, precision, with_e_powers).combine(
-            [h[r] * math.comb(alpha - r, i) for r in range(m) for i in range(powers)])
-    return _series_report(statement_id, params, lhs, rhs, precision,
-                          weight if with_e_powers else None)
+    p, m, precision = params["p"], params["m"], params["N"]
+    ring, table = ResidueRing(p, m), None
+    powers = range(m if with_e_powers else 1)
+    for alpha in alphas:
+        weight = alpha * (p - 1) + kstar
+        lhs = form(weight, ring, precision)
+        if alpha < m:
+            yield alpha, None
+            continue
+        if table is None:
+            table = _block_table(form, kstar, ring, precision, with_e_powers)
+        h = _h_row(m, alpha)
+        rhs = table.combine([h[r] * math.comb(alpha - r, i) for r in range(m) for i in powers])
+        yield alpha, None if lhs.coeffs == rhs.coeffs else _series_report(
+            statement_id, dict(params, alpha=alpha), lhs, rhs, precision,
+            weight if with_e_powers else None)
+
+
+def _inversion_check(statement_id: str, params: dict, form: Callable, kstar: int,
+                     with_e_powers: bool) -> CongruenceReport:
+    """The report of `inversion_rows` on the one-alpha block of params."""
+    alpha, precision = params["alpha"], params["N"]
+    [(_, report)] = inversion_rows(statement_id, params, form, kstar, (alpha,), with_e_powers)
+    weight = alpha * (params["p"] - 1) + kstar
+    return report or CongruenceReport(statement_id, params, "Pass", None, _certification(
+        precision, weight if with_e_powers else None))
 
 
 def _inversion_defect(f: IntegerSequenceFunction, m: int, alpha: int) -> Fraction:
@@ -248,7 +276,7 @@ def check_thm_gk(p: int, m: int, kstar: int, alpha: int, precision: int = 50) ->
     """G_{alpha(p-1)+k*} against the H-weighted sum of G_{r(p-1)+k*} E_{p-1}^(alpha-r)."""
     _validate_gk_args(p, m, kstar, alpha)
     params = {"p": p, "m": m, "kstar": kstar, "alpha": alpha, "N": precision}
-    return _inversion_report("Thm1.1", params, g_series, kstar, with_e_powers=True)
+    return _inversion_check("Thm1.1", params, g_series, kstar, with_e_powers=True)
 
 
 def check_prop_gk_fixed(p: int, m: int, kstar: int, alpha: int,
@@ -256,7 +284,7 @@ def check_prop_gk_fixed(p: int, m: int, kstar: int, alpha: int,
     """Same family as check_thm_gk but without the E_{p-1} powers (mixed weights)."""
     _validate_gk_args(p, m, kstar, alpha)
     params = {"p": p, "m": m, "kstar": kstar, "alpha": alpha, "N": precision}
-    return _inversion_report("Prop3.1", params, g_series, kstar, with_e_powers=False)
+    return _inversion_check("Prop3.1", params, g_series, kstar, with_e_powers=False)
 
 
 def _validate_ek_args(p: int, m: int, alpha: int) -> None:
@@ -270,14 +298,14 @@ def check_thm_ek(p: int, m: int, alpha: int, precision: int = 50) -> CongruenceR
     """E_{alpha(p-1)} against the H-weighted sum of E_{r(p-1)} E_{p-1}^(alpha-r)."""
     _validate_ek_args(p, m, alpha)
     params = {"p": p, "m": m, "alpha": alpha, "N": precision}
-    return _inversion_report("Thm1.2", params, e_series, 0, with_e_powers=True)
+    return _inversion_check("Thm1.2", params, e_series, 0, with_e_powers=True)
 
 
 def check_prop_ek_fixed(p: int, m: int, alpha: int, precision: int = 50) -> CongruenceReport:
     """E_{alpha(p-1)} against the H-weighted sum of E_{r(p-1)} (mixed weights)."""
     _validate_ek_args(p, m, alpha)
     params = {"p": p, "m": m, "alpha": alpha, "N": precision}
-    return _inversion_report("Prop4.2", params, e_series, 0, with_e_powers=False)
+    return _inversion_check("Prop4.2", params, e_series, 0, with_e_powers=False)
 
 
 # ---------------------------------------------------------------------------
@@ -602,4 +630,4 @@ def scan_conjecture_ek_series(p: int, m: int, kstar: int, alpha: int, precision:
     _validate_conjecture_args(p, m, kstar, alpha)
     _check_budget(alpha * (p - 1) + kstar, budget)
     params = {"p": p, "m": m, "kstar": kstar, "alpha": alpha, "N": precision}
-    return _inversion_report("ConjEq6.1", params, e_series, kstar, with_e_powers=True)
+    return _inversion_check("ConjEq6.1", params, e_series, kstar, with_e_powers=True)

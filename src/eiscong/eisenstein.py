@@ -7,7 +7,10 @@ and higher coefficients sigma_{k-1}(n). E_0 is the constant series 1.
 Each generator takes its divisor sums sigma_{k-1}(1..N) from one cached
 table (`divisor_sums`), built by multiplicativity in
 `exact.sigma_power_table`: a modular power per prime up to N, then one
-multiply per n. It scales them by one reduced constant. The table is read
+multiply per n; a table one step of p-1 above a cached one takes a multiply
+per prime in place of the power (`exact.sigma_power_table_step`). It scales
+them by one constant, reduced from B_k's numerator and denominator as one
+quotient (`ResidueRing.reduce_quotient`). The table is read
 at its exponent's period modulo p^m: d^(k-1) mod p^m repeats with period
 p^(m-1)(p-1) in k-1 for a unit d, and is 0 for d divisible by p once
 k-1 >= m, so every k-1 > m shares the table of m + ((k-1-m) mod p^(m-1)(p-1)).
@@ -22,12 +25,11 @@ monomials and Delta are products of its entries.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache, reduce
 from operator import mul
 
 from .errors import NotPIntegralError
-from .exact import bernoulli, gen_binomial, padic_valuation, sigma_power_table
+from .exact import bernoulli, gen_binomial, sigma_power_table, sigma_power_table_step
 from .residue import ResidueRing
 from .series import QSeries, linear_combination
 
@@ -49,11 +51,6 @@ def _check_even_weight(k: int, minimum: int) -> None:
         raise ValueError(f"weight must be an even integer >= {minimum}, got {k}")
 
 
-def e_normalizer(k: int) -> Fraction:
-    """The exact coefficient -2k/B_k multiplying the divisor sums in E_k."""
-    return Fraction(-2 * k) / bernoulli(k)
-
-
 def divisor_sums(k: int, ring: ResidueRing, precision: int) -> tuple[int, ...]:
     """sigma_{k-1}(n) modulo p^m for n = 0 .. precision (entry 0 is 0), from a cached table.
 
@@ -65,14 +62,40 @@ def divisor_sums(k: int, ring: ResidueRing, precision: int) -> tuple[int, ...]:
     exponent = k - 1
     if exponent > m:
         exponent = m + (exponent - m) % (p ** (m - 1) * (p - 1))
-    return _sigma_table(exponent, ring.modulus, precision)
+    return _sigma_table(exponent, ring, precision)
 
 
-# A grid block's alphas come back to a table one period of alpha, p^(m-1),
-# later; 64 entries hold that reuse for every period up to 64.
-@lru_cache(maxsize=64)
-def _sigma_table(exponent: int, modulus: int, precision: int) -> tuple[int, ...]:
-    return tuple(sigma_power_table(exponent, precision, modulus))
+# The tables of `_sigma_table` by (exponent, ring, precision), least recently
+# used first. A grid block's alphas come back to a table one period of alpha,
+# p^(m-1), later; 64 entries hold that reuse for every period up to 64.
+_SIGMA_TABLES: dict[tuple, tuple[int, ...]] = {}
+
+
+def _sigma_table(exponent: int, ring: ResidueRing, precision: int) -> tuple[int, ...]:
+    """The table of an exponent's key, cached; a miss is built from the cached table
+    one step of p-1 below, when there is one, and the table of p-1.
+
+    Below the key e > m lies the key e-(p-1), or e-(p-1) + p^(m-1)(p-1) where
+    that is <= m: both are exact, as a unit repeats with that period and a
+    multiple of p is 0 at every exponent >= m on either side.
+    """
+    key = (exponent, ring, precision)
+    table = _SIGMA_TABLES.pop(key, None)
+    if table is None:
+        p, m = ring.p, ring.m
+        below = exponent - (p - 1)
+        if below <= m < exponent:
+            below += p ** (m - 1) * (p - 1)
+        step = _SIGMA_TABLES.get((below, ring, precision))
+        if step is None or exponent == p - 1:
+            table = tuple(sigma_power_table(exponent, precision, ring.modulus))
+        else:
+            table = tuple(sigma_power_table_step(
+                step, _sigma_table(p - 1, ring, precision), ring.modulus))
+        if len(_SIGMA_TABLES) >= 64:
+            _SIGMA_TABLES.pop(next(iter(_SIGMA_TABLES)), None)
+    _SIGMA_TABLES[key] = table
+    return table
 
 
 @lru_cache(maxsize=512)
@@ -87,7 +110,8 @@ def g_series(k: int, ring: ResidueRing, precision: int) -> QSeries:
         raise NotPIntegralError(
             f"G_{k} is not {ring.p}-integral: {ring.p - 1} divides {k}"
         )
-    constant = ring.reduce_rational(Fraction(-1, 2) * bernoulli(k) / k)
+    b = bernoulli(k)
+    constant = ring.reduce_quotient(-b.numerator, 2 * k * b.denominator)
     return QSeries(ring, (constant, *divisor_sums(k, ring, precision)[1:]), precision)
 
 
@@ -95,19 +119,18 @@ def g_series(k: int, ring: ResidueRing, precision: int) -> QSeries:
 def e_series(k: int, ring: ResidueRing, precision: int) -> QSeries:
     """Normalized E_k modulo p^m through q^precision (E_0 = 1).
 
-    The multiplier -2k/B_k is formed over the exact rationals first, so the
-    cancellation of p between 2k and B_k when (p-1) | k happens before any
-    reduction.
+    The multiplier -2k/B_k = -2kD/N, for B_k = N/D, is reduced as one
+    quotient, so the p that 2kD and N share when (p-1) | k cancels first.
+    A p left in N (an irregular pair) makes E_k not p-integral.
     """
     if k == 0:
         return QSeries.one(ring, precision)
     _check_even_weight(k, 2)
-    c = e_normalizer(k)
-    if padic_valuation(c, ring.p) < 0:
-        # Only possible when p divides the numerator of B_k/k (an irregular
-        # pair); never hit for the primes this package targets by default.
-        raise NotPIntegralError(f"E_{k} is not {ring.p}-integral")
-    c_res = ring.reduce_rational(c)
+    b = bernoulli(k)
+    try:
+        c_res = ring.reduce_quotient(-2 * k * b.denominator, b.numerator)
+    except NotPIntegralError:
+        raise NotPIntegralError(f"E_{k} is not {ring.p}-integral") from None
     mod = ring.modulus
     sigmas = divisor_sums(k, ring, precision)
     return QSeries(ring, (1, *[c_res * s % mod for s in sigmas[1:]]), precision)
@@ -172,12 +195,13 @@ def e_factor(ring: ResidueRing, precision: int) -> QSeries:
     No kernel reads it; powers of E_{p-1} come from `e_power`, built on
     D = E_{p-1} - 1. The q^n coefficient of E_{p-1} is c * sigma_{p-2}(n)
     with c = -2(p-1)/B_{p-1} and nu_p(c) = 1, so E has coefficients
-    (c/p) * sigma_{p-2}(n). The p-integral scalar c/p is reduced once, so E is
-    exact modulo p^m for every m >= 1; E_{p-1} modulo p^m would fix it only
-    modulo p^(m-1).
+    (c/p) * sigma_{p-2}(n). The p-integral scalar c/p is reduced once, as one
+    quotient, so E is exact modulo p^m for every m >= 1; E_{p-1} modulo p^m
+    would fix it only modulo p^(m-1).
     """
     p, mod = ring.p, ring.modulus
-    u = ring.reduce_rational(e_normalizer(p - 1) / p)
+    b = bernoulli(p - 1)
+    u = ring.reduce_quotient(-2 * (p - 1) * b.denominator, p * b.numerator)
     sigmas = divisor_sums(p - 1, ring, precision)
     return QSeries(ring, tuple([u * s % mod for s in sigmas]), precision)
 

@@ -37,7 +37,7 @@ from fractions import Fraction
 from functools import cache, reduce
 from itertools import accumulate, compress
 from operator import itemgetter, mul, not_
-from typing import Iterable
+from typing import Iterable, Sequence
 
 __all__ = [
     "bernoulli",
@@ -55,6 +55,7 @@ __all__ = [
     "seed_bernoulli",
     "sigma_power_mod",
     "sigma_power_table",
+    "sigma_power_table_step",
     "staudt_primes",
 ]
 
@@ -738,10 +739,25 @@ def sigma_power_table(k_minus_1: int, precision: int, modulus: int) -> list[int]
     sigma(q^a) = 1 + (sigma(q) - 1) sigma(q^(a-1)); and every other n one
     multiply, sigma(q^a) sigma(n / q^a), its two factors coprime.
     """
+    primes = _factor_rows(precision)[0]
+    return _sigma_from_primes([pow(q, k_minus_1, modulus) for q in primes], precision, modulus)
+
+
+def sigma_power_table_step(below: Sequence[int], step: Sequence[int], modulus: int) -> list[int]:
+    """The `sigma_power_table` of exponent e + d from those of e (`below`) and of d
+    (`step`), both through one precision: q^(e+d) = q^e q^d, read off their prime
+    entries sigma(q) - 1, is one multiply per prime q in place of a modular power."""
+    precision = len(below) - 1
+    primes = _factor_rows(precision)[0]
+    return _sigma_from_primes([(below[q] - 1) * (step[q] - 1) for q in primes], precision, modulus)
+
+
+def _sigma_from_primes(powers: list[int], precision: int, modulus: int) -> list[int]:
+    """The table of `sigma_power_table` from q^(k-1), one per prime q <= precision."""
     primes, prime_powers, splits = _factor_rows(precision)
     table = [0] + [1 % modulus] * precision
-    for q in primes:
-        table[q] = (1 + pow(q, k_minus_1, modulus)) % modulus
+    for q, power in zip(primes, powers):
+        table[q] = (1 + power) % modulus
     for n, previous, q in prime_powers:
         table[n] = (1 + (table[q] - 1) * table[previous]) % modulus
     for n, part, rest in splits:

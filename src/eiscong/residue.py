@@ -93,11 +93,23 @@ class ResidueRing:
         """Canonical residue of a p-integral rational modulo p^m."""
         if isinstance(x, int):
             return x % self.modulus
-        if x.denominator % self.p == 0:
-            raise NotPIntegralError(
-                f"{x} has p = {self.p} in its denominator; not reducible mod {self.p}^{self.m}"
-            )
-        return x.numerator * pow(x.denominator, -1, self.modulus) % self.modulus
+        return self.reduce_quotient(x.numerator, x.denominator)
+
+    def reduce_quotient(self, numerator: int, denominator: int) -> int:
+        """Canonical residue of the p-integral quotient numerator/denominator modulo p^m.
+
+        The powers of p the two share cancel first, so neither need be reduced;
+        a p left in the denominator raises NotPIntegralError.
+        """
+        p, modulus = self.p, self.modulus
+        if not denominator:
+            raise ZeroDivisionError(f"{numerator}/0 has no residue mod {p}^{self.m}")
+        while not denominator % p:
+            if numerator % p:
+                raise NotPIntegralError(f"{numerator}/{denominator} has p = {p} in its "
+                                        f"denominator; not reducible mod {p}^{self.m}")
+            numerator, denominator = numerator // p, denominator // p
+        return numerator % modulus * pow(denominator % modulus, -1, modulus) % modulus
 
     def invert(self, x: int) -> int:
         if x % self.p == 0:

@@ -9,7 +9,8 @@ from math import comb, factorial, isqrt
 import pytest
 from hypothesis import Phase, settings
 
-from eiscong import congruences, exact
+from eiscong import congruences, eisenstein, exact
+from eiscong.congruences import CongruenceReport
 from eiscong.eisenstein import e_series
 from eiscong.exact import bernoulli, divisors, gen_binomial, h_coefficient
 from eiscong.filtration import (
@@ -23,7 +24,7 @@ from eiscong.filtration import (
     sturm_bound,
 )
 from eiscong.residue import ResidueRing
-from eiscong.series import QSeries
+from eiscong.series import QSeries, linear_combination
 
 # `python tests/mutants.py` runs every test under this profile: a failing
 # example is all a mutant needs, so no time goes to shrinking it.
@@ -236,9 +237,24 @@ def schoolbook_product(a: tuple, b: tuple) -> tuple:
     return tuple(out)
 
 
+def g_constant_exact(k: int) -> Fraction:
+    """The constant term -B_k/2k of G_k, over the rationals."""
+    return Fraction(-1, 2) * bernoulli(k) / k
+
+
+def e_normalizer_exact(k: int) -> Fraction:
+    """The multiplier -2k/B_k of the divisor sums in E_k, over the rationals."""
+    return Fraction(-2 * k) / bernoulli(k)
+
+
+def e_factor_constant_exact(p: int) -> Fraction:
+    """The multiplier c/p of sigma_{p-2}(n) in E, for E_{p-1} = 1 + pE, c = -2(p-1)/B_{p-1}."""
+    return e_normalizer_exact(p - 1) / p
+
+
 def g_series_exact(k: int, precision: int) -> tuple:
     """Coefficients of G_k over the rationals: -B_k/2k, then sigma_{k-1}(n)."""
-    return (Fraction(-1, 2) * bernoulli(k) / k,) + tuple(
+    return (g_constant_exact(k),) + tuple(
         Fraction(sigma_power(k - 1, n)) for n in range(1, precision + 1))
 
 
@@ -246,14 +262,14 @@ def e_series_exact(k: int, precision: int) -> tuple:
     """Coefficients of the normalized E_k over the rationals (E_0 = 1)."""
     if k == 0:
         return (Fraction(1),) + (Fraction(0),) * precision
-    c = Fraction(-2 * k) / bernoulli(k)
+    c = e_normalizer_exact(k)
     return (Fraction(1),) + tuple(c * sigma_power(k - 1, n) for n in range(1, precision + 1))
 
 
 def e_factor_exact(p: int, precision: int) -> tuple:
     """Coefficients of E in E_{p-1} = 1 + pE over the rationals: c sigma_{p-2}(n) / p."""
-    c = Fraction(-2 * (p - 1)) / bernoulli(p - 1)
-    return (Fraction(0),) + tuple(c * sigma_power(p - 2, n) / p for n in range(1, precision + 1))
+    c = e_factor_constant_exact(p)
+    return (Fraction(0),) + tuple(c * sigma_power(p - 2, n) for n in range(1, precision + 1))
 
 
 def reduced(coeffs: tuple, ring: ResidueRing) -> QSeries:
@@ -274,6 +290,31 @@ def inversion_sum_per_term(form, kstar: int, ring: ResidueRing, precision: int, 
             term = form(r * (p - 1) + kstar, ring, precision).scale(h)
             total = total + (term * e.pow(alpha - r) if with_e_powers else term)
     return total
+
+
+def inversion_report(statement_id: str, params: dict, form, kstar: int,
+                     with_e_powers: bool) -> CongruenceReport:
+    """Series inversion oracle, one point at a time: form(a(p-1)+k*) against
+    sum_{r,i} H(m,a,r) C(a-r, i) form(r(p-1)+k*) D^i mod p^m, D = E_{p-1} - 1 (i = 0
+    alone without powers), from a = m on; below it, form(a(p-1)+k*) against itself.
+
+    The per-point path the checks took before they ran in blocks: every term
+    and product built afresh for each point, the left side first, and the
+    report from `_series_report`.
+    """
+    p, m, alpha, precision = params["p"], params["m"], params["alpha"], params["N"]
+    ring = ResidueRing(p, m)
+    weight = alpha * (p - 1) + kstar
+    lhs = rhs = form(weight, ring, precision)
+    if alpha >= m:
+        powers = eisenstein._e_powers(ring, precision)[:m if with_e_powers else 1]
+        terms = [form(r * (p - 1) + kstar, ring, precision) for r in range(m)]
+        rhs = linear_combination(
+            [h_coefficient(m, alpha, r) * comb(alpha - r, i) for r in range(m)
+             for i in range(len(powers))],
+            [term * power if i else term for term in terms for i, power in enumerate(powers)])
+    return congruences._series_report(statement_id, params, lhs, rhs, precision,
+                                      weight if with_e_powers else None)
 
 
 def combination_per_column(scalars: list, vectors: list, modulus: int) -> tuple:

@@ -252,6 +252,31 @@ MUTANTS = (
            '"_" not in text',
            (T_CACHE + "test_hex_check_takes_exactly_the_hex_values",
             "tests/test_properties.py::test_the_hex_check_matches_the_regex_past_six_characters")),
+    Mutant("inversion-key-without-kstar", CLI,
+           'key=lambda t: (t["p"], t["m"], t.get("kstar"), t["prec"], certification(t)))',
+           'key=lambda t: (t["p"], t["m"], t["prec"], certification(t)))',
+           ("tests/test_cli.py::test_blocks_are_the_runs_of_one_key_within_the_budget",
+            "tests/test_cli.py::TestRecordText::test_grid_matches_the_whole_list_dump[kstars]",
+            "tests/test_cli.py::TestRecordText::test_grid_matches_the_whole_list_dump[straddle]")),
+    Mutant("inversion-key-without-N", CLI,
+           'key=lambda t: (t["p"], t["m"], t.get("kstar"), t["prec"], certification(t)))',
+           'key=lambda t: (t["p"], t["m"], t.get("kstar"), certification(t)))',
+           ("tests/test_cli.py::test_blocks_are_the_runs_of_one_key_within_the_budget",)),
+    Mutant("inversion-compares-through-q^(N-1)", CONG,
+           "None if lhs.coeffs == rhs.coeffs else",
+           "None if lhs.coeffs[:-1] == rhs.coeffs[:-1] else",
+           ("tests/test_congruences.py::TestFactoredInversionSum::"
+            "test_binomial_right_side_matches_the_per_term_sum",)),
+    Mutant("quotient-without-stripping-p", "src/eiscong/residue.py",
+           "if numerator % p:",
+           "if True:",
+           ("tests/test_eisenstein.py::TestConstantTerms::test_every_even_weight_to_700",
+            "tests/test_eisenstein.py::TestConstantTerms::test_any_prime_and_weight")),
+    Mutant("sigma-table-steps-by-p", "src/eiscong/eisenstein.py",
+           "below = exponent - (p - 1)",
+           "below = exponent - p",
+           ("tests/test_eisenstein.py::TestSteppedSigmaTables::"
+            "test_every_stepped_table_matches_the_modular_powers",)),
     Mutant("series-framed-by-format", CLI,
            '_cmd_series, "jsonl", False)',
            "_cmd_series, None, False)",

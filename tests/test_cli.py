@@ -42,6 +42,7 @@ from conftest import (
     e_factor_exact,
     e_series_exact,
     identity_sum_by_triple_products,
+    inversion_report,
     outcome,
     reduced,
     schoolbook_product,
@@ -1416,12 +1417,30 @@ def box_oracle_reports(name: str, args) -> list[CongruenceReport]:
     return reports
 
 
+# Each inversion statement's id, generator and E_{p-1} powers.
+INVERSION_ORACLES = {
+    "thm1.1": ("Thm1.1", "g_series", True), "thm1.2": ("Thm1.2", "e_series", True),
+    "prop3.1": ("Prop3.1", "g_series", False), "prop4.2": ("Prop4.2", "e_series", False),
+    "eq6.1": ("ConjEq6.1", "e_series", True),
+}
+
+
+def inversion_oracle_report(name: str, point: dict) -> CongruenceReport:
+    """An inversion statement's report at a grid point, from the per-point oracle, with
+    the generator `congruences` holds now."""
+    statement_id, form, powers = INVERSION_ORACLES[name]
+    params = {key: point[key] for key in ("p", "m", "kstar", "alpha") if key in point}
+    params["N"] = point["prec"]
+    return inversion_report(statement_id, params, getattr(congruences, form),
+                            point.get("kstar", 0), powers)
+
+
 def oracle_records(argv: list[str]) -> list[dict]:
-    """The grid's records from each statement's runner (the oracles for a box
-    statement, which runs in blocks) and `to_json_dict`."""
+    """The grid's records from each point statement's runner, the per-point oracles of
+    the statements that run in blocks, and `to_json_dict`."""
     args = cli.build_parser().parse_args(argv)
     name = STATEMENT_ALIASES.get(argv[1], argv[1])
-    if STATEMENTS[name].shape:
+    if name in ("identity", "telescoping"):
         return [report.to_json_dict() for report in box_oracle_reports(name, args)]
     records = []
     for point in cli._build_tasks(name, args):
@@ -1429,6 +1448,8 @@ def oracle_records(argv: list[str]) -> list[dict]:
         if charge > args.budget_bernoulli:
             message = f"Bernoulli index {charge} exceeds budget {args.budget_bernoulli}"
             report = CongruenceReport(name, dict(point), "BudgetExceeded", {"message": message})
+        elif name in INVERSION_ORACLES:
+            report = inversion_oracle_report(name, point)
         else:
             report = STATEMENTS[name].run(point)
         records.append(report.to_json_dict())
@@ -1439,7 +1460,9 @@ def oracle_records(argv: list[str]) -> list[dict]:
 
 
 # A small grid of every statement, one with BudgetExceeded records among
-# passing ones, and one whose params pass 2^64.
+# passing ones, and one whose params pass 2^64. Of the statements that run in
+# blocks of alphas: a grid of two k*, one where N falls below the Sturm index
+# at alpha = 8, and one whose budget straddles unsorted alphas.
 DIFFERENTIAL_GRIDS = {
     "thm1.1": "verify thm1 --p 5,7 --m 1..3 --alpha 0..4 --prec 15",
     "thm1.2": "verify thm2 --p 5 --m 1..3 --alpha 1..4 --prec 15",
@@ -1457,6 +1480,9 @@ DIFFERENTIAL_GRIDS = {
     "eq6.4": "scan eq6.4 --p 7 --m 4 --kstar 6 --alpha 0..12 --budget-bernoulli 60",
     "budget": "verify thm1 --p 5 --m 2 --kstar 6 --alpha 0..3,2000 --budget-bernoulli 100",
     "large": "verify identity --m 2..4 --alpha 18446744073709551615..18446744073709551617",
+    "kstars": "verify prop3.1 --p 5 --m 1..2 --kstar 6,10 --alpha 0..4 --prec 15",
+    "sturm": "verify thm1 --p 5 --m 1..3 --kstar 6 --alpha 0..10 --prec 3",
+    "straddle": "verify thm1 --p 5 --m 2 --kstar 6,10 --alpha 3,2000,5 --budget-bernoulli 100",
 }
 
 
@@ -1475,7 +1501,7 @@ def test_every_read_of_a_statement_is_listed(monkeypatch):
             monkeypatch.setattr(exact, "_BERNOULLI_MEMO", dict(seed))
             for table in tables:
                 table.cache_clear()
-            records = entry.run(point)
+            records = entry.run((point, [point["alpha"]]) if entry.key else point)
             if entry.shape:  # a block runs as its records are read
                 list(records)
             reads = entry.reads(point)
@@ -1685,3 +1711,80 @@ def test_a_box_block_charges_its_setup_to_its_first_record(capsys, monkeypatch):
                                "--jobs", "1")
     assert [json.loads(line) for line in plain.splitlines()] == [
         {k: v for k, v in r.items() if k != "budget-warning"} for r in records]
+
+
+# A skewed generator: q^3 of one term of each block's sum off by one, so from
+# alpha = m on a record can fail, where the per-point oracle says it does.
+SKEWED_GRIDS = {
+    "thm1.1": ("verify thm1 --p 5,7 --m 2..3 --alpha 0..6 --prec 15", "g_series", (10, 12)),
+    "prop4.2": ("verify prop4.2 --p 5 --m 2..3 --alpha 1..6 --prec 15", "e_series", (4,)),
+}
+
+
+@pytest.mark.parametrize("fmt", ["jsonl", "json", "csv", "human"])
+@pytest.mark.parametrize("name", sorted(SKEWED_GRIDS))
+def test_a_failing_inversion_record_is_the_per_point_report(capsys, monkeypatch, name, fmt):
+    argv, form, weights = SKEWED_GRIDS[name]
+    original = getattr(congruences, form)
+
+    def skewed(k, ring, precision):
+        series = original(k, ring, precision)
+        if k not in weights:
+            return series
+        coeffs = list(series.coeffs)
+        coeffs[3] = (coeffs[3] + 1) % ring.modulus
+        return type(series)(ring, tuple(coeffs), precision)
+
+    monkeypatch.setattr(congruences, form, skewed)
+    records = oracle_records(argv.split())
+    fails = [record for record in records if record["verdict"] == "Fail"]
+    assert fails and all(record["failure-detail"]["first-failing-index"] == 3 for record in fails)
+    status, out, err = run_cli(capsys, *argv.split(), "--format", fmt, "--jobs", "1")
+    assert (status, err) == (1, "")
+    assert out == emit_oracle(records, fmt)
+
+
+@pytest.mark.parametrize("fmt", ["jsonl", "json"])
+def test_with_no_seconds_to_spare_every_inversion_record_is_written_whole(capsys, fmt):
+    # Every record is over a limit of 0, so each carries a warning and none
+    # fills its block's template.
+    argv = DIFFERENTIAL_GRIDS["straddle"].split()
+    status, out, err = run_cli(capsys, *argv, "--budget-seconds", "0", "--format", fmt,
+                               "--jobs", "1")
+    records = json.loads(out) if fmt == "json" else [json.loads(line) for line in out.splitlines()]
+    assert (status, err) == (1, "")
+    assert all(r.pop("budget-warning")["limit"] == 0.0 for r in records)
+    assert records == oracle_records(argv)
+
+
+def test_blocks_are_the_runs_of_one_key_within_the_budget(rng):
+    # Random points in few values, so runs repeat and break on each field: the
+    # blocks are the runs of consecutive in-budget points with one (p, m, k*, N,
+    # certification), and a point over the budget stands alone.
+    for name, budget in (("thm1.1", 60), ("thm1.2", 60), ("eq6.1", 40)):
+        entry = STATEMENTS[name]
+        points = []
+        for _ in range(400):
+            point = {"p": rng.choice((5, 7)), "m": rng.choice((1, 2)),
+                     "kstar": rng.choice((6, 10)), "alpha": rng.randrange(12),
+                     "prec": rng.choice((2, 40))}
+            if name == "thm1.2":
+                del point["kstar"]
+            points.extend([point] * rng.choice((1, 3)))
+        charges = [max(entry.reads(point)) for point in points]
+        tasks, task_charges = cli._blocks(points, charges, budget, entry.key)
+        expected, last = [], None
+        for point, charge in zip(points, charges):
+            weight = point["alpha"] * (point["p"] - 1) + point.get("kstar", 0)
+            here = None if charge > budget else (
+                point["p"], point["m"], point.get("kstar"), point["prec"],
+                congruences._certification(point["prec"], weight))
+            if here is not None and here == last:
+                expected[-1][0][1].append(point["alpha"])
+            else:
+                expected.append(((point, [point["alpha"]]) if here else point, charge))
+            last = here
+        assert (tasks, task_charges) == ([task for task, _ in expected],
+                                         [charge for _, charge in expected]), name
+        assert any(isinstance(task, dict) for task in tasks)
+        assert len(tasks) < len(points)

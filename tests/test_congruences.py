@@ -6,7 +6,6 @@ import pytest
 
 from eiscong import congruences, eisenstein
 from eiscong.congruences import (
-    _inversion_report,
     _series_report,
     _valuation_report,
     check_bernoulli_prop41,
@@ -27,6 +26,7 @@ from eiscong.congruences import (
     dpower_function,
     forward_difference_sum,
     inversion_identity_holds,
+    inversion_rows,
     prop21_recovery_holds,
     scale_function,
     scan_conjecture_bernoulli,
@@ -48,6 +48,7 @@ from eiscong.series import QSeries
 from conftest import (
     bernoulli_by_recurrence,
     identity_sum_by_triple_products,
+    inversion_report,
     inversion_sum_per_term,
     sigma_power,
     telescope_f,
@@ -544,12 +545,13 @@ class TestFactoredInversionSum:
                 inversion_sum_per_term(form, kstar, ring, n, alpha, powers), n,
                 weight if powers else None)
             assert report.passed and report == expected, (p, m, alpha)
+            assert report == inversion_report(statement_id, report.params, form, kstar, powers)
 
     @pytest.mark.parametrize("statement", INVERSION_STATEMENTS, ids=lambda s: s[0])
-    @pytest.mark.parametrize("p,m,alpha", [(5, 3, 5), (5, 3, 27), (7, 2, 9), (5, 4, 4)])
-    def test_forced_fail_has_the_per_term_failure_detail(self, statement, p, m, alpha):
+    @pytest.mark.parametrize("p,m", [(5, 3), (7, 2), (5, 4)])
+    def test_forced_fail_has_the_per_term_failure_detail(self, statement, p, m):
         # Skew q^3 of the r = 1 term only: the left side, at alpha >= m, is untouched.
-        statement_id, _, form, kstar_for, powers, _ = statement
+        statement_id, _, form, kstar_for, powers, least = statement
         kstar, ring, n = kstar_for(p, m), ResidueRing(p, m), self.PRECISION
 
         def skewed(k, ring, precision):
@@ -560,15 +562,23 @@ class TestFactoredInversionSum:
             coeffs[3] = (coeffs[3] + 1) % ring.modulus
             return QSeries(ring, tuple(coeffs), precision)
 
-        params = {"p": p, "m": m, "kstar": kstar, "alpha": alpha, "N": n}
-        report = _inversion_report(statement_id, params, skewed, kstar, powers)
-        weight = alpha * (p - 1) + kstar
-        expected = _series_report(
-            statement_id, params, skewed(weight, ring, n),
-            inversion_sum_per_term(skewed, kstar, ring, n, alpha, powers), n,
-            weight if powers else None)
-        assert report.verdict == "Fail" and report.failure_detail["first-failing-index"] == 3
-        assert report == expected
+        params = {"p": p, "m": m, "kstar": kstar, "N": n}
+        alphas = [a for a in (*range(m + 3), 27) if a >= least]
+        rows = list(inversion_rows(statement_id, params, skewed, kstar, alphas, powers))
+        assert [alpha for alpha, _ in rows] == alphas
+        for alpha, report in rows:
+            weight = alpha * (p - 1) + kstar
+            expected = _series_report(
+                statement_id, dict(params, alpha=alpha), skewed(weight, ring, n),
+                inversion_sum_per_term(skewed, kstar, ring, n, alpha, powers), n,
+                weight if powers else None)
+            assert expected == inversion_report(statement_id, dict(params, alpha=alpha), skewed,
+                                                kstar, powers)
+            if alpha < m:
+                assert report is None and expected.passed, alpha
+            else:
+                assert report.verdict == "Fail" and report.failure_detail["first-failing-index"] == 3
+                assert report == expected, alpha
 
     # Every p of the benchmark's grids with m = 1..5.
     @pytest.mark.parametrize("statement,p,m",
@@ -576,38 +586,43 @@ class TestFactoredInversionSum:
     def test_binomial_right_side_matches_the_per_term_sum(self, statement, p, m):
         # The terms are random series: for the true forms the E_{p-1} powers'
         # corrections cancel (Props 3.1 and 4.2 hold too), so a wrong power
-        # would not show. The left side at alpha >= m stands in as the oracle's
-        # right side, so a Pass says the two right sides agree; skewed at q^k,
-        # a Fail there whose whole report is the oracle's. No form is built at
-        # the weight alpha(p-1)+k*, so alpha may pass p^m.
+        # would not show. The left side at each alpha >= m stands in as the
+        # oracle's right side, so a Pass says the two right sides agree; skewed
+        # at q^(alpha mod N+1), or at q^N, the last index compared, a Fail
+        # whose whole report is the oracle's. One block runs every alpha. No
+        # form is built at a weight alpha(p-1)+k*, so alpha may pass p^m.
         statement_id, _, _, kstar_for, powers, least = statement
         kstar, ring, n = kstar_for(p, m), ResidueRing(p, m), self.PRECISION
         rng = random.Random(100 * p + m)
         terms = {r * (p - 1) + kstar: QSeries.residue(
             ring, [rng.randrange(ring.modulus) for _ in range(n + 1)]) for r in range(m)}
+        alphas = _binomial_alphas(p, m, least)
+        sums = {alpha * (p - 1) + kstar: inversion_sum_per_term(
+            lambda k, ring, precision: terms[k], kstar, ring, n, alpha, powers)
+            for alpha in alphas if alpha >= m}
+        params = {"p": p, "m": m, "kstar": kstar, "N": n}
+        for skew in (None, "alpha", "last"):
+            lhs = {}
+            for weight, oracle in sums.items():
+                at = {None: None, "alpha": (weight - kstar) // (p - 1) % (n + 1), "last": n}[skew]
+                coeffs = list(oracle.coeffs)
+                if at is not None:
+                    coeffs[at] = (coeffs[at] + 1) % ring.modulus
+                lhs[weight] = QSeries(ring, tuple(coeffs), n)
 
-        def form(k, ring, precision):
-            return terms[k]
+            def stand_in(k, ring, precision, lhs=lhs):
+                return lhs[k] if k in lhs else terms[k]
 
-        for alpha in _binomial_alphas(p, m, least):
-            weight = alpha * (p - 1) + kstar
-            oracle = inversion_sum_per_term(form, kstar, ring, n, alpha, powers)
-            for skew in (None, alpha % (n + 1)) if alpha >= m else (None,):
-                lhs = oracle
-                if skew is not None:
-                    coeffs = list(oracle.coeffs)
-                    coeffs[skew] = (coeffs[skew] + 1) % ring.modulus
-                    lhs = QSeries(ring, tuple(coeffs), n)
-
-                def stand_in(k, ring, precision, lhs=lhs):
-                    return lhs if k == weight and alpha >= m else form(k, ring, precision)
-
-                params = {"p": p, "m": m, "kstar": kstar, "alpha": alpha, "N": n}
-                report = _inversion_report(statement_id, params, stand_in, kstar, powers)
-                expected = _series_report(statement_id, params, lhs, oracle, n,
-                                          weight if powers else None)
-                assert report == expected, (p, m, alpha, skew)
-                assert report.passed == (skew is None), (p, m, alpha, skew)
+            rows = inversion_rows(statement_id, params, stand_in, kstar, alphas, powers)
+            for alpha, report in rows:
+                weight, point = alpha * (p - 1) + kstar, dict(params, alpha=alpha)
+                expected = inversion_report(statement_id, point, stand_in, kstar, powers)
+                if weight in sums:
+                    assert expected == _series_report(statement_id, point, lhs[weight],
+                                                      sums[weight], n, weight if powers else None)
+                assert (report or expected) == expected, (p, m, alpha, skew)
+                assert (report is None) == expected.passed == (skew is None or alpha < m), (
+                    p, m, alpha, skew)
 
     @pytest.mark.parametrize("statement,p,m",
                              _with_rings([(5, 1), (5, 2), (7, 3), (5, 4), (13, 4), (7, 5)]))

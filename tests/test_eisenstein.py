@@ -7,7 +7,13 @@ import pytest
 from eiscong.congruences import check_thm_gk
 from eiscong.errors import NotPIntegralError
 from eiscong import eisenstein, exact
-from eiscong.exact import bernoulli, padic_valuation, sigma_power_mod, sigma_power_table
+from eiscong.exact import (
+    bernoulli,
+    padic_valuation,
+    sigma_power_mod,
+    sigma_power_table,
+    sigma_power_table_step,
+)
 from eiscong.eisenstein import (
     DELTA,
     delta_series,
@@ -23,7 +29,18 @@ from eiscong.filtration import basis, factor_filtration_bound, sharpness_probe, 
 from eiscong.residue import ResidueRing
 from eiscong.series import QSeries, series_equal_mod
 
-from conftest import e_factor_exact, e_series_exact, g_series_exact, reduced
+from hypothesis import given, settings, strategies as st
+
+from conftest import (
+    e_factor_constant_exact,
+    e_factor_exact,
+    e_normalizer_exact,
+    e_series_exact,
+    g_constant_exact,
+    g_series_exact,
+    primes_to,
+    reduced,
+)
 
 
 class TestGSeries:
@@ -33,11 +50,12 @@ class TestGSeries:
         g = g_series(4, ring, 2)
         assert g.coeffs == (ring.reduce_rational(Fraction(1, 240)), 1, 9 % 7)
 
-    def test_rejects_weight_divisible_by_p_minus_one(self):
-        with pytest.raises(NotPIntegralError):
-            g_series(4, ResidueRing(5, 1), 5)
-        with pytest.raises(NotPIntegralError):
-            g_series(12, ResidueRing(7, 2), 5)
+    @pytest.mark.parametrize("p,m,k", [(5, 1, 4), (7, 2, 12), (5, 3, 20), (13, 1, 24),
+                                       (37, 2, 36)])
+    def test_rejects_weight_divisible_by_p_minus_one(self, p, m, k):
+        with pytest.raises(NotPIntegralError,
+                           match=f"^G_{k} is not {p}-integral: {p - 1} divides {k}$"):
+            g_series(k, ResidueRing(p, m), 5)
 
     def test_large_weight_constant_term(self):
         ring = ResidueRing(7, 8)
@@ -96,6 +114,63 @@ class TestESeries:
         assert e4.coeffs == (1, 240 % mod, 240 * 9 % mod, 240 * 28 % mod)
         e6 = e_series(6, ring, 2)
         assert e6.coeffs == (1, (-504) % mod, (-504 * 33) % mod)
+
+
+def constants_or_error(k: int, ring: ResidueRing) -> tuple:
+    """G_k's constant term and E_k's multiplier (its q coefficient, sigma_{k-1}(1) = 1),
+    each NotPIntegralError where the generator raises it, from the generators."""
+    out = []
+    for build, index in ((g_series, 0), (e_series, 1)):
+        try:
+            out.append(build(k, ring, 1).coeffs[index])
+        except NotPIntegralError:
+            out.append(NotPIntegralError)
+    return tuple(out)
+
+
+def constants_by_fractions(k: int, ring: ResidueRing) -> tuple:
+    """`constants_or_error` from the exact rationals: NotPIntegralError where p divides
+    a denominator, and for G_k wherever (p-1) | k."""
+    p = ring.p
+    g, c = g_constant_exact(k), e_normalizer_exact(k)
+    return (NotPIntegralError if k % (p - 1) == 0 else ring.reduce_rational(g),
+            NotPIntegralError if c.denominator % p == 0 else ring.reduce_rational(c))
+
+
+class TestConstantTerms:
+    """G_k's -B_k/2k, E_k's -2k/B_k and E's c/p, reduced as one quotient of integers,
+    against the same constants formed over the exact rationals."""
+
+    @pytest.mark.parametrize("p", [5, 7, 11, 13, 37])
+    def test_every_even_weight_to_700(self, p):
+        # The weights include p k' and p^2 k' for p <= 13, and p^3 k' for p <= 7.
+        ks = range(2, 701, 2)
+        assert p > 13 or any(k % p**2 == 0 for k in ks)
+        for m in range(1, 7):
+            ring = ResidueRing(p, m)
+            for k in ks:
+                assert constants_or_error(k, ring) == constants_by_fractions(k, ring), (p, m, k)
+            assert e_factor(ring, 1).coeffs[1] == ring.reduce_rational(e_factor_constant_exact(p))
+
+    @settings(max_examples=60, deadline=None)
+    @given(p=st.sampled_from(primes_to(400)[2:]), m=st.integers(1, 8),
+           k=st.integers(1, 350).map(lambda n: 2 * n))
+    def test_any_prime_and_weight(self, p, m, k):
+        ring = ResidueRing(p, m)
+        assert constants_or_error(k, ring) == constants_by_fractions(k, ring)
+        assert e_factor(ring, 1).coeffs[1] == ring.reduce_rational(e_factor_constant_exact(p))
+
+    @pytest.mark.parametrize("p,k", [(37, 32), (59, 44)])
+    def test_an_irregular_pair_has_no_e_k(self, p, k):
+        # p divides the numerator of B_k: -2k/B_k has p in its denominator at every m.
+        assert g_constant_exact(k).numerator % p == 0
+        for m in range(1, 7):
+            with pytest.raises(NotPIntegralError, match=f"^E_{k} is not {p}-integral$"):
+                e_series(k, ResidueRing(p, m), 3)
+
+    def test_g32_mod_37_squared_has_a_constant_divisible_by_37(self):
+        assert g_series(32, ResidueRing(37, 2), 2).coeffs == (666, 1, 1 + 2**31 % 37**2)
+        assert 666 == 18 * 37
 
 
 class TestDelta:
@@ -180,6 +255,53 @@ class TestDivisorSums:
         k = m + 3
         assert divisor_sums(k, ring, 20) is divisor_sums(k + 2 * period, ring, 20)
         assert divisor_sums(k, ring, 20) is not divisor_sums(k + 1, ring, 20)
+
+
+class TestSteppedSigmaTables:
+    """A table one step of p-1 above a cached one, built by one multiply per prime
+    (`sigma_power_table_step`), against `sigma_power_table` of the unreduced exponent."""
+
+    @pytest.fixture
+    def stepped(self, monkeypatch) -> list:
+        """Empty tables, and the steps taken from here on, one entry each."""
+        steps, step = [], eisenstein.sigma_power_table_step
+        monkeypatch.setattr(eisenstein, "sigma_power_table_step",
+                            lambda *args: steps.append(1) or step(*args))
+        monkeypatch.setattr(eisenstein, "_SIGMA_TABLES", {})
+        return steps
+
+    @pytest.mark.parametrize("p", [5, 7, 11, 13])
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_every_stepped_table_matches_the_modular_powers(self, stepped, p, m):
+        # Every exponent from 0 on, and every one across the key's wrap from
+        # m + p^(m-1)(p-1) back to m + 1, each walk from empty tables.
+        ring, period = ResidueRing(p, m), p ** (m - 1) * (p - 1)
+        for precision in (1, 7, 80):
+            for walk in (range(3 * p), range(max(0, m + period - 3 * p), m + period + 3 * p)):
+                eisenstein._SIGMA_TABLES.clear()
+                for exponent in walk:
+                    assert list(divisor_sums(exponent + 1, ring, precision)) == sigma_power_table(
+                        exponent, precision, ring.modulus), (precision, exponent)
+        # At m = 1 a step of p - 1 is the key's period, back to the key itself.
+        assert len(stepped) >= 3 * 2 * p if m > 1 else stepped == []
+
+    @pytest.mark.parametrize("p,m", [(5, 2), (7, 3), (13, 4)])
+    def test_the_key_past_the_wrap_steps_from_the_top_of_the_period(self, stepped, p, m):
+        # Key m + 1 lies one step of p - 1 above key m + 2 - p + p^(m-1)(p-1).
+        ring, period = ResidueRing(p, m), p ** (m - 1) * (p - 1)
+        divisor_sums(p - 1 + 1, ring, 30)
+        divisor_sums(m + 2 - p + period + 1, ring, 30)
+        assert stepped == []
+        sums = divisor_sums(m + 1 + period + 1, ring, 30)
+        assert stepped == [1]
+        assert list(sums) == sigma_power_table(m + 1 + period, 30, ring.modulus)
+
+    def test_a_step_is_the_sum_of_the_exponents(self):
+        modulus = 13**4
+        for e, d in [(0, 1), (5, 12), (1000, 12), (12, 1000), (3, 0)]:
+            below, step = (sigma_power_table(x, 80, modulus) for x in (e, d))
+            assert sigma_power_table_step(below, step, modulus) == sigma_power_table(
+                e + d, 80, modulus)
 
 
 class TestEPower:

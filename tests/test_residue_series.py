@@ -135,6 +135,15 @@ class TestReduceRational:
         with pytest.raises(NotPIntegralError):
             ResidueRing(5, 1).reduce_rational(bernoulli(4))
 
+    def test_a_quotient_cancels_its_shared_powers_of_p(self):
+        ring = ResidueRing(5, 2)
+        assert ring.reduce_quotient(3 * 125, 7 * 25) == ring.reduce_rational(Fraction(15, 7))
+        assert ring.reduce_quotient(0, 5) == 0
+        with pytest.raises(NotPIntegralError, match="^3/35 has p = 5 in its denominator"):
+            ring.reduce_quotient(3 * 25, 7 * 125)
+        with pytest.raises(ZeroDivisionError):
+            ring.reduce_quotient(1, 0)
+
     def test_homomorphism(self, rng):
         ring = ResidueRing(7, 3)
         mod = ring.modulus
