@@ -1,10 +1,10 @@
 """Command-line entry points: bernoulli | series | verify | filtration | reproduce | scan.
 
-Each subcommand's runner returns its records as (passed, text) pairs, and
-`main` writes them all through `_emit`: in input order, in chunks as they
-are made, framed for the format. The exit status is 0 exactly when every
-record passes. JSON-lines is the canonical machine format for grid runs.
-Every input error is raised before the first record is written.
+Each subcommand's runner returns its records in runs (passed, count, text), each
+one failing record or passing ones, and `main` writes them all through `_emit`:
+in input order, in chunks as they are made, framed for the format. The exit status
+is 0 exactly when every record passes. JSON-lines is the canonical machine format
+for grid runs. Every input error is raised before the first record is written.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ import sys
 import time
 from functools import lru_cache, partial
 from itertools import product
-from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Sequence
 
 from . import congruences as cong
@@ -105,15 +104,32 @@ _INT_ONLY = {int}
 
 @lru_cache(maxsize=256)
 def _template(statement_id: str, certification: str, verdict: str, keys: tuple[str, ...],
-              fmt: str) -> tuple[str, itemgetter]:
-    """A record's text in `fmt`, without failure detail, with %d at each of its
-    (one or more) param values, and a getter of the values in that order (a
-    bare value for one key, which % takes too)."""
-    keys = tuple(sorted(keys))  # json.dumps sorts the keys; the getter must too
+              fmt: str) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """A record's text in `fmt`, without failure detail, cut at each of its (one
+    or more) param values: the pieces around them, and the keys in that order."""
+    keys = tuple(sorted(keys))  # json.dumps sorts the keys
     skeleton = CongruenceReport(statement_id, dict.fromkeys(keys, _MARK), verdict, None,
                                 certification)
-    text = _dict_text(skeleton.to_json_dict(), fmt).replace("%", "%%")
-    return text.replace(_MARKED, "%d"), itemgetter(*keys)
+    return tuple(_dict_text(skeleton.to_json_dict(), fmt).split(_MARKED)), keys
+
+
+def _fill(template: tuple[tuple[str, ...], tuple[str, ...]], params: dict) -> list[str]:
+    """The template's pieces with the int values of `params` in (str(n) is json's n)."""
+    pieces, keys = template
+    filled = [pieces[0]]
+    for key, piece in zip(keys, pieces[1:]):
+        if key in params:
+            filled[-1] += str(params[key]) + piece
+        else:
+            filled.append(piece)
+    return filled
+
+
+def _run_text(pieces: list[str], sep: str, run: list[tuple]) -> str:
+    """A run's records, each the tuple of its values left out of `pieces`, joined by `sep`."""
+    head, *inner, tail = pieces
+    middles = [f"{a}{inner[0]}{b}" for a, b in run] if inner else [str(a) for a, in run]
+    return head + (tail + sep + head).join(middles) + tail
 
 
 def _record_text(report: CongruenceReport, warning: dict | None, fmt: str) -> str:
@@ -121,47 +137,53 @@ def _record_text(report: CongruenceReport, warning: dict | None, fmt: str) -> st
 
     A json or jsonl record with no failure detail and no warning whose param
     values are all exactly int (a bool is not) fills a template cached on its
-    shape; its bytes are those of json.dumps, since str(n) is json's n.
+    shape; its bytes are those of json.dumps.
     """
     params = report.params
     if (warning is None and report.failure_detail is None and fmt in ("jsonl", "json")
             and set(map(type, params.values())) == _INT_ONLY):
-        text, values = _template(report.statement_id, report.certification, report.verdict,
-                                 tuple(params), fmt)
-        return text % values(params)
+        return _fill(_template(report.statement_id, report.certification, report.verdict,
+                               tuple(params), fmt), params)[0]
     record = report.to_json_dict()
     if warning is not None:
         record["budget-warning"] = warning
     return _dict_text(record, fmt)
 
 
-# Records reach the output in chunks. A chunk is written when it holds this
-# many records, or when the clock, read once per _CLOCK_RECORDS records, shows
-# this many seconds or more since the last write.
+# Records reach the output in chunks of at most _CHUNK_RECORDS, written before a run
+# that would overfill them and when the clock, read as the count passes a multiple of
+# _CLOCK_RECORDS (_CHUNK_RECORDS is one), shows _CHUNK_SECONDS since the last write.
 _CHUNK_RECORDS = 256
 _CHUNK_SECONDS = 0.1
 _CLOCK_RECORDS = 16
 
 
-def _emit(results: Iterable[tuple[bool, str]], fmt: str, out, summary: bool = False) -> bool:
-    """Write each (passed, text) record in order, framed for `fmt`, as it comes.
+def _emit(runs: Iterable[tuple[bool, int, str]], fmt: str, out, summary: bool = False) -> bool:
+    """Write each run of (passed, count, text) records in order, framed for `fmt`, as it comes.
 
-    With `summary`, a {"summary": {"pass", "total"}} record goes last. True
-    when every record passed.
+    With `summary`, a {"summary": {"pass", "total"}} record goes last; it
+    counts records, not runs. True when every record passed.
     """
     head, sep, tail = _FRAMES[fmt]
-    chunk, lead, passed, total = [], head, 0, 0
+    chunk, lead, size, passed, total = [], head, 0, 0, 0
     written = time.monotonic()
-    for ok, text in results:
+
+    def write() -> None:
+        nonlocal chunk, size, written
+        out.write("".join(chunk))
+        out.flush()
+        chunk, size, written = [], 0, time.monotonic()
+
+    for ok, count, text in runs:
+        if size + count > _CHUNK_RECORDS:
+            write()
         chunk.append(lead + text)
         lead = sep
-        passed += ok
-        total += 1
-        if len(chunk) >= _CHUNK_RECORDS or (total % _CLOCK_RECORDS == 0
-                                            and time.monotonic() - written >= _CHUNK_SECONDS):
-            out.write("".join(chunk))
-            out.flush()
-            chunk, written = [], time.monotonic()
+        size += count
+        passed += ok * count
+        total += count
+        if total % _CLOCK_RECORDS < count and time.monotonic() - written >= _CHUNK_SECONDS:
+            write()
     if summary:
         chunk.append(lead + _dict_text({"summary": {"pass": passed, "total": total}}, fmt))
     elif not total:
@@ -186,10 +208,10 @@ class Statement:
     (its budget is charged the largest). `validate` is a cheap check run on
     the whole grid before any task runs; it rejects every point that `run`
     would reject, so every index `reads` lists is then non-negative. With a
-    `shape`, a task is a block, shape(task) is the (id, sorted param names,
-    certification) of its passing records, and `run` yields (values, report
-    or None on a pass). With a `key`, the grid's points are grouped into
-    such blocks (`_blocks`).
+    `shape`, a task is a block, shape(task) is the (id, certification, shared
+    int params, sorted names of the one or two that vary) of its passing
+    records, and `run` yields (the varying values, report or None on a pass).
+    With a `key`, the grid's points are grouped into such blocks (`_blocks`).
     """
 
     __slots__ = ("run", "grid", "reads", "validate", "required", "scan", "shape", "key")
@@ -226,7 +248,9 @@ def _d_grid(args, ps: list[int], ms: list[int]) -> Iterator[dict]:
 
 
 def _box_grid(args, ps: list[int], ms: list[int]) -> Iterator[tuple]:
-    """The Prop. 3.2 box in blocks (m, j, s, alphas), none when there are no alphas."""
+    """The Prop. 3.2 box in blocks (m, j, s, alphas), none without alphas or at m = 1."""
+    if min(ms, default=1) < 1:
+        raise EiscongError("m must be at least 1")
     alphas = _alphas(args)
     return ((m, j, s, alphas) for m in ms for j in range(1, m) for s in range(m - j) if alphas)
 
@@ -241,7 +265,7 @@ def _conjecture_grid(args, ps: list[int], ms: list[int]) -> Iterator[dict]:
 def _identity_block(block: tuple) -> Iterator[tuple[tuple, CongruenceReport | None]]:
     m, j, s, alphas = block
     for alpha, value in zip(alphas, cong._identity_sums(m, j, s, alphas)):
-        yield (alpha, j, m, s), None if not value else CongruenceReport(
+        yield (alpha,), None if not value else CongruenceReport(
             "Prop3.2", {"m": m, "j": j, "s": s, "alpha": alpha}, "Fail", {"sum": str(value)})
 
 
@@ -250,7 +274,7 @@ def _telescoping_block(block: tuple) -> Iterator[tuple[tuple, CongruenceReport |
     for alpha in alphas:
         recurrence, sides = cong._certificate(m, j, s, alpha)
         for r, (left, right) in enumerate(sides, s):
-            yield (alpha, j, m, r, s), None if recurrence and left == right else CongruenceReport(
+            yield (alpha, r), None if recurrence and left == right else CongruenceReport(
                 "Eq3.3", {"m": m, "j": j, "s": s, "alpha": alpha, "r": r}, "Fail",
                 {"identity": "telescoping"})
 
@@ -260,26 +284,27 @@ def _inversion(statement_id: str, form: str, with_e_powers: bool, grid: Callable
     """A statement `congruences.inversion_rows` checks, in blocks (first point, alphas).
 
     A block's points share (p, m, k*, N) and a certification, so its passing
-    records share one template; `form` names the generator, read off
-    `congruences` as each block runs. An E_k point has no k*, which is 0.
+    records share one template, filled but for alpha; `form` names the generator,
+    read off `congruences` as each block runs. An E_k point has no k*, which is 0.
     """
     def certification(point: dict) -> str:
         weight = point["alpha"] * (point["p"] - 1) + point.get("kstar", 0)
         return cong._certification(point["prec"], weight if with_e_powers else None)
 
+    def fixed(point: dict) -> dict:
+        params = {name: point[name] for name in ("kstar", "m", "p") if name in point}
+        params["N"] = point["prec"]
+        return params
+
     def run(block: tuple) -> Iterator[tuple[tuple, CongruenceReport | None]]:
         point, alphas = block
-        params = {name: point[name] for name in ("kstar", "m", "p") if name in point}
-        tail = tuple(params.values())  # the sorted names after N and alpha
-        params["N"] = precision = point["prec"]
-        rows = cong.inversion_rows(statement_id, params, getattr(cong, form),
+        rows = cong.inversion_rows(statement_id, fixed(point), getattr(cong, form),
                                    point.get("kstar", 0), alphas, with_e_powers)
-        return (((precision, alpha, *tail), report) for alpha, report in rows)
+        return (((alpha,), report) for alpha, report in rows)
 
-    def shape(block: tuple) -> tuple[str, tuple[str, ...], str]:
+    def shape(block: tuple) -> tuple[str, str, dict, tuple[str, ...]]:
         point = block[0]
-        names = ("N", "alpha", "kstar", "m", "p") if "kstar" in point else ("N", "alpha", "m", "p")
-        return statement_id, names, certification(point)
+        return statement_id, certification(point), fixed(point), ("alpha",)
 
     return Statement(
         run=run, grid=grid, reads=lambda t: cong.inversion_reads(t, with_e_powers),
@@ -340,11 +365,11 @@ STATEMENTS = {
     # j and s are in range by construction, so a block's smallest alpha stands for it.
     "identity": Statement(
         run=_identity_block, grid=_box_grid,
-        shape=lambda block: ("Prop3.2", ("alpha", "j", "m", "s"), "coefficient-evidence"),
+        shape=lambda b: ("Prop3.2", "coefficient-evidence", dict(zip("mjs", b)), ("alpha",)),
         validate=lambda b: cong._validate_identity_box(b[0], b[1], b[2], min(b[3]))),
     "telescoping": Statement(
         run=_telescoping_block, grid=_box_grid,
-        shape=lambda block: ("Eq3.3", ("alpha", "j", "m", "r", "s"), "coefficient-evidence"),
+        shape=lambda b: ("Eq3.3", "coefficient-evidence", dict(zip("mjs", b)), ("alpha", "r")),
         validate=lambda b: cong._validate_identity_box(b[0], b[1], b[2], min(b[3]))),
     "eq6.1": _inversion(
         "ConjEq6.1", "e_series", True,
@@ -393,40 +418,57 @@ def _build_tasks(name: str, args) -> list:
 
 
 def _records(statement: str, entry: Statement, tasks: list, charges: list[int],
-             args) -> Iterator[tuple[bool, str]]:
-    """Each record's (passed, text in --format), in input order, as its task finishes.
+             args) -> Iterator[tuple[bool, int, str]]:
+    """Each run of records as (passed, count, text in --format), in input order, as its
+    task finishes.
 
     A task charged (its largest Bernoulli index) over --budget-bernoulli gives a
-    BudgetExceeded record, and a passing record of a block fills its shape's template.
-    Each record is timed from the end of the one before, so a block's record that
-    builds its setup pays for it; one slower than --budget-seconds carries a budget
-    warning.
+    BudgetExceeded record. In json(l) without --budget-seconds, a block's shared params
+    fill its template once and a run of its passing records joins their varying values,
+    cut as `_emit` writes, so a long or slow block still streams; any other record is a
+    run of one. Each record is timed from the end of the one before, so a block's record
+    that builds its setup pays for it; one slower than --budget-seconds carries a warning.
     """
     limit, fmt, shape = args.budget_seconds, args.format, entry.shape
+    sep = _FRAMES[fmt][1]
     started = time.monotonic()
     for task, charge in zip(tasks, charges):
+        pieces, run = None, []
         try:
             cong._check_budget(charge, args.budget_bernoulli)
             if shape:
-                statement_id, names, certification = shape(task)
-                template = fmt in ("jsonl", "json") and _template(
-                    statement_id, certification, "Pass", names, fmt)[0]
+                statement_id, certification, fixed, varying = shape(task)
+                if fmt in ("jsonl", "json") and limit is None:
+                    pieces = _fill(_template(statement_id, certification, "Pass",
+                                             (*fixed, *varying), fmt), fixed)
+                    cut = time.monotonic()
             rows = entry.run(task) if shape else ((None, entry.run(task)),)
         except BudgetExceededError as err:
             rows = ((None, CongruenceReport(statement, dict(task), "BudgetExceeded",
                                             {"message": str(err)})),)
         for values, report in rows:
+            joined = report is None and pieces
+            if joined:
+                run.append(values)
+                if len(run) % _CLOCK_RECORDS or (
+                        len(run) < _CHUNK_RECORDS and time.monotonic() - cut < _CHUNK_SECONDS):
+                    continue
+            if run:
+                yield True, len(run), _run_text(pieces, sep, run)
+                run, cut = [], time.monotonic()
+            if joined:
+                continue
             warning = None
             if limit is not None and (elapsed := time.monotonic() - started) > limit:
                 warning = {"elapsed-seconds": round(elapsed, 3), "limit": limit}
-            if report is None and warning is None and template:
-                yield True, template % values
-            else:
-                report = report or CongruenceReport(statement_id, dict(zip(names, values)),
-                                                    "Pass", None, certification)
-                yield report.passed, _record_text(report, warning, fmt)
+            report = report or CongruenceReport(
+                statement_id, {**fixed, **dict(zip(varying, values))}, "Pass", None,
+                certification)
+            yield report.passed, 1, _record_text(report, warning, fmt)
             if limit is not None:
                 started = time.monotonic()
+        if run:
+            yield True, len(run), _run_text(pieces, sep, run)
 
 
 def _blocks(points: list[dict], charges: list[int], budget: int,
@@ -446,8 +488,8 @@ def _blocks(points: list[dict], charges: list[int], budget: int,
     return tasks, task_charges
 
 
-def _run_tasks(args) -> Iterator[tuple[bool, str]]:
-    """Each record's (passed, text) of `verify` or `scan`, in input order, as each task finishes.
+def _run_tasks(args) -> Iterator[tuple[bool, int, str]]:
+    """Each run of records of `verify` or `scan`, in input order, as each task finishes.
 
     The budgets and every point are validated and every Bernoulli number
     prefetched before this returns, so an input error is raised before any
@@ -483,7 +525,7 @@ def _run_tasks(args) -> Iterator[tuple[bool, str]]:
 # Subcommand implementations
 # ---------------------------------------------------------------------------
 
-def _cmd_bernoulli(args) -> Iterator[tuple[bool, str]]:
+def _cmd_bernoulli(args) -> Iterator[tuple[bool, int, str]]:
     """Each B_k's record, as `bernoulli` prints it; input errors are raised, and
     every index prefetched, before this returns."""
     ks = parse_range(args.k)
@@ -498,7 +540,7 @@ def _cmd_bernoulli(args) -> Iterator[tuple[bool, str]]:
         if not is_prime(p):
             raise EiscongError(f"p must be a prime, got {p}")
     prefetch_bernoulli(ks)
-    return ((True, _bernoulli_text(k, primes, args.format)) for k in ks)
+    return ((True, 1, _bernoulli_text(k, primes, args.format)) for k in ks)
 
 
 def _bernoulli_text(k: int, primes: list[int], fmt: str) -> str:
@@ -512,23 +554,23 @@ def _bernoulli_text(k: int, primes: list[int], fmt: str) -> str:
     return _dict_text(record, fmt)
 
 
-def _cmd_series(args) -> list[tuple[bool, str]]:
+def _cmd_series(args) -> list[tuple[bool, int, str]]:
     build = {"g": partial(g_series, args.k), "e": partial(e_series, args.k),
              "delta": delta_series, "efactor": e_factor,
              "monomial": partial(monomial_series, args.a, args.b, args.c)}[args.kind]
     series = build(ResidueRing(args.p, args.m), args.prec)
-    return [(True, json.dumps(series.to_json_dict()) + "\n")]
+    return [(True, 1, json.dumps(series.to_json_dict()) + "\n")]
 
 
-def _cmd_filtration(args) -> list[tuple[bool, str]]:
+def _cmd_filtration(args) -> list[tuple[bool, int, str]]:
     f, report = filtration_of(args.form, args.k, args.p, args.m, args.prec)
     payload = report.to_json_dict()
     if args.probe is not None:
         payload["probe"] = probe_record(f, report, args.probe, args.prec)
-    return [(True, json.dumps(payload, sort_keys=True) + "\n")]
+    return [(True, 1, json.dumps(payload, sort_keys=True) + "\n")]
 
 
-def _cmd_reproduce(args) -> list[tuple[bool, str]]:
+def _cmd_reproduce(args) -> list[tuple[bool, int, str]]:
     """The example's report and its comparison with the bundled values; it passes on a match."""
     target = REPRODUCTION_EXAMPLES[args.example]
     k = target["weight"]
@@ -555,7 +597,7 @@ def _cmd_reproduce(args) -> list[tuple[bool, str]]:
     payload["sharpness-probe"] = probe
     payload["match"] = not mismatches
     payload["mismatches"] = mismatches
-    return [(not mismatches, json.dumps(payload, sort_keys=True) + "\n")]
+    return [(not mismatches, 1, json.dumps(payload, sort_keys=True) + "\n")]
 
 
 # ---------------------------------------------------------------------------
@@ -642,7 +684,7 @@ def _scan_args(p: argparse.ArgumentParser) -> None:
 
 
 # Each subcommand: its help line, the function adding its arguments, its runner
-# (args -> its (passed, text) records), the frame `main` writes the records in
+# (args -> its (passed, count, text) runs of records), the frame `main` writes the records in
 # (None: --format's), and whether a summary record goes last. series, filtration
 # and reproduce each print one JSON line, framed as jsonl for json and jsonl alike.
 _COMMANDS = {

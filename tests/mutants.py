@@ -61,6 +61,8 @@ T_BOX = "tests/test_congruences.py::TestCombinatorialIdentities::"
 P_BOX = "tests/test_properties.py::test_box_block_kernels_match_the_per_point_oracles"
 CLI = "src/eiscong/cli.py"
 PARITY = "tests/test_cli_parity.py::test_status_stderr_and_stdout_match_the_table"
+T_HELPERS = "tests/test_cli.py::TestHelpers::"
+T_RECORDS = "tests/test_cli.py::TestRecordText::"
 T_CACHE = "tests/test_cli.py::TestOutAndCache::"
 P_CACHE = "tests/test_properties.py::test_a_cache_line_round_trips"
 FILT = "src/eiscong/filtration.py"
@@ -106,14 +108,46 @@ MUTANTS = (
            "+ 10) > 2 << guard:",
            (T_EXACT + "test_guard_bits_are_the_least_the_bound_proves",)),
     Mutant("chunk-size-off-by-one", CLI,
-           "if len(chunk) >= _CHUNK_RECORDS",
-           "if len(chunk) > _CHUNK_RECORDS",
-           ("tests/test_cli.py::TestHelpers::test_emit_reads_the_clock_once_per_few_records",)),
+           "if size + count > _CHUNK_RECORDS:",
+           "if size + count > _CHUNK_RECORDS + 1:",
+           (T_HELPERS + "test_emit_reads_the_clock_once_per_few_records",)),
     Mutant("emit-head-counts-as-a-record", CLI,
-           "chunk, lead, passed, total = [], head, 0, 0",
-           'chunk, lead, passed, total = [head], "", 0, 0',
-           ("tests/test_cli.py::TestHelpers::test_emit_reads_the_clock_once_per_few_records",
-            "tests/test_cli.py::TestHelpers::test_emit_frames_no_records")),
+           "chunk, lead, size, passed, total = [], head, 0, 0, 0",
+           'chunk, lead, size, passed, total = [head], "", 1, 0, 0',
+           (T_HELPERS + "test_emit_reads_the_clock_once_per_few_records",
+            T_HELPERS + "test_emit_frames_no_records")),
+    Mutant("emit-reads-the-clock-only-at-multiples", CLI,
+           "if total % _CLOCK_RECORDS < count and",
+           "if total % _CLOCK_RECORDS == 0 and",
+           (T_HELPERS + "test_emit_writes_whole_runs_of_at_most_a_chunk",)),
+    Mutant("emit-counts-runs-not-records", CLI,
+           "passed += ok * count\n        total += count",
+           "passed += ok\n        total += 1",
+           (T_HELPERS + "test_emit_writes_whole_runs_of_at_most_a_chunk",
+            T_RECORDS + "test_grid_matches_the_whole_list_dump[eq6.1]",
+            PARITY + "[scan_eq6.1_--p_5_--m_1..2_--prec_20_--format_json]")),
+    Mutant("run-join-drops-the-json-separator", CLI,
+           "return head + (tail + sep + head).join(middles) + tail",
+           "return head + (tail + head).join(middles) + tail",
+           ("tests/test_properties.py::test_template_text_is_the_record_dump",
+            PARITY + "[verify_identity_--m_1..5_--alpha_0..7_--format_json]",
+            PARITY + "[verify_telescoping_--m_2..4_--alpha_0..6_--format_json]")),
+    Mutant("run-filled-with-the-first-blocks-params", CLI,
+           "fmt), fixed)",
+           "fmt), shape(tasks[0])[2])",
+           ("tests/test_cli.py::test_identity_box_matches_the_benchmark_reference",
+            T_RECORDS + "test_grid_matches_the_whole_list_dump[thm1.1]",
+            PARITY + "[verify_telescoping_--m_2..4_--alpha_0..6]")),
+    Mutant("run-cut-drops-its-last-record", CLI,
+           "yield True, len(run), _run_text(pieces, sep, run)\n                run, cut",
+           "yield True, len(run), _run_text(pieces, sep, run[:-1] if joined else run)\n"
+           "                run, cut",
+           ("tests/test_cli.py::test_a_long_block_is_written_a_chunk_at_a_time",
+            T_RECORDS + "test_runs_cut_short_match_the_whole_list_dump")),
+    Mutant("run-without-the-clock-cut", CLI,
+           "len(run) < _CHUNK_RECORDS and time.monotonic() - cut < _CHUNK_SECONDS):",
+           "len(run) < _CHUNK_RECORDS):",
+           ("tests/test_cli.py::test_a_slow_block_streams_by_the_clock",)),
     Mutant("substitute-skips-leading-column", "src/eiscong/filtration.py",
            "if x:\n            h = h - monomial_series",
            "if x and c:\n            h = h - monomial_series",

@@ -103,9 +103,10 @@ class TestHelpers:
     def test_emit_reads_the_clock_once_per_few_records(self, monkeypatch, step, fmt):
         # A fake clock that each record advances by `step` seconds: a chunk
         # is written at the first clock read 0.1 s or more after the last
-        # write, or at 256 records, the first chunk too, whatever the
-        # format's head; the clock is read once per 16 records and once per
-        # write. Each record is one "@", which no frame holds.
+        # write, or at 256 records (as the next comes), the first chunk too,
+        # whatever the format's head; the clock is read once per 16 records
+        # and once per write. Each record is a run of one "@", which no frame
+        # holds.
         class Clock:
             now, reads = 0.0, 0
 
@@ -126,7 +127,7 @@ class TestHelpers:
         def records(count):
             for _ in range(count):
                 clock.now += step
-                yield True, "@\n" if fmt == "jsonl" else "@"
+                yield True, 1, "@\n" if fmt == "jsonl" else "@"
 
         clock, out = Clock(), Out()
         monkeypatch.setattr(cli, "time", clock)
@@ -143,6 +144,58 @@ class TestHelpers:
             assert full or (written % 16 == 0 and after - before >= 0.1), (before, after, size)
             assert full or after - before < 0.1 + 16 * step, (before, after, size)
         assert clock.reads <= 1 + 1000 // 16 + len(out.writes)
+
+    @pytest.mark.parametrize("fmt", ["jsonl", "json"])
+    def test_emit_writes_whole_runs_of_at_most_a_chunk(self, monkeypatch, rng, fmt):
+        # Runs of 1 to 40 passing records, and failing records alone, each record
+        # 0.01 s of a fake clock. No write splits a run or holds more than 256
+        # records. The clock is read each time the count passes a multiple of
+        # 16, less than 56 records apart, so a write is due at most 0.66 s after
+        # the one before. The summary counts records, not runs.
+        class Clock:
+            now, reads = 0.0, 0
+
+            def monotonic(self):
+                self.reads += 1
+                return self.now
+
+        class Out:
+            def __init__(self):
+                self.writes = []
+
+            def write(self, text):
+                self.writes.append((clock.now, text))
+
+            def flush(self):
+                pass
+
+        runs = [(False, 1) if rng.random() < 0.05 else (True, rng.randint(1, 40))
+                for _ in range(300)]
+
+        def emitted():
+            for ok, count in runs:
+                clock.now += 0.01 * count
+                yield ok, count, ("@\n" * count if fmt == "jsonl" else ",\n".join(["@"] * count))
+
+        clock, out = Clock(), Out()
+        monkeypatch.setattr(cli, "time", clock)
+        assert not cli._emit(emitted(), fmt, out, summary=True)
+        total = sum(count for _, count in runs)
+        passed = sum(count for ok, count in runs if ok)
+        summary = cli._dict_text({"summary": {"pass": passed, "total": total}}, fmt)
+        head, sep, tail = cli._FRAMES[fmt]
+        records = ["@\n" if fmt == "jsonl" else "@"] * total
+        times, texts = zip(*out.writes)
+        assert "".join(texts) == head + sep.join(records + [summary]) + tail
+        ends = {sum(count for _, count in runs[:i]) for i in range(len(runs) + 1)}
+        written = 0
+        for before, after, text in zip((0.0,) + times, times, texts[:-1]):
+            written += text.count("@")
+            assert text.count("@") <= 256 and written in ends
+            assert after - before < 0.66, (before, after)
+        crossings = sum(end // 16 > (end - count) // 16 for (_, count), end in
+                        zip(runs, sorted(ends)[1:]))
+        assert clock.reads <= 1 + crossings + len(out.writes)
 
     @pytest.mark.parametrize("fmt", sorted(cli._FRAMES))
     def test_emit_frames_no_records(self, fmt):
@@ -713,6 +766,17 @@ class TestStatementTable:
         status, out, err = run_cli(capsys, *argv, "--jobs", "1")
         assert status == 2 and out == ""
         assert err.startswith("error: ") and "grid is empty" in err
+
+    @pytest.mark.parametrize("statement,records", [("identity", 1), ("telescoping", 2)])
+    def test_a_box_below_m_1_is_refused_as_thm1_refuses_it(self, capsys, statement, records):
+        # m = 0 used to be dropped from the box without a word; m = 1 is a
+        # valid box with no (j, s) in it.
+        thm1 = run_cli(capsys, "verify", "thm1", "--m", "0..1", "--alpha", "0", "--jobs", "1")
+        box = run_cli(capsys, "verify", statement, "--m", "0..2", "--alpha", "0", "--jobs", "1")
+        assert box == thm1 == (2, "", "error: m must be at least 1\n")
+        status, out, err = run_cli(capsys, "verify", statement, "--m", "1..2", "--alpha", "0",
+                                   "--jobs", "1")
+        assert (status, err, len(out.splitlines())) == (0, "", records)
 
     @pytest.mark.parametrize("argv", [
         ["verify", "sun97", "--p", "5", "--n-max", "2"],
@@ -1485,6 +1549,17 @@ DIFFERENTIAL_GRIDS = {
     "straddle": "verify thm1 --p 5 --m 2 --kstar 6,10 --alpha 3,2000,5 --budget-bernoulli 100",
 }
 
+# The grids whose statement runs in blocks, so that its passing records are written in runs.
+BLOCK_GRIDS = sorted(name for name, argv in DIFFERENTIAL_GRIDS.items()
+                     if STATEMENTS[STATEMENT_ALIASES.get(argv.split()[1], argv.split()[1])].shape)
+
+# Output constants that cut a block's runs short: at 4 records, with the clock read
+# every 2, or at every clock read. (_CHUNK_RECORDS is a multiple of _CLOCK_RECORDS.)
+RUN_CUTS = {
+    "four-record-chunks": {"_CHUNK_RECORDS": 4, "_CLOCK_RECORDS": 2},
+    "clock-cut-at-each-read": {"_CHUNK_SECONDS": 0, "_CLOCK_RECORDS": 2},
+}
+
 
 def test_every_read_of_a_statement_is_listed(monkeypatch):
     # Each point of each statement's small grid runs alone, with no prefetch
@@ -1531,6 +1606,14 @@ class TestRecordText:
             assert out == emit_oracle(records, fmt), fmt
             passed = all(r["verdict"] == "Pass" for r in records if "summary" not in r)
             assert (status, err) == (0 if passed else 1, "")
+
+    @pytest.mark.parametrize("cut", sorted(RUN_CUTS))
+    @pytest.mark.parametrize("name", BLOCK_GRIDS)
+    def test_runs_cut_short_match_the_whole_list_dump(self, capsys, monkeypatch, name, cut):
+        # Every block longer than a chunk, and a summary that counts records, not runs.
+        for constant, value in RUN_CUTS[cut].items():
+            monkeypatch.setattr(cli, constant, value)
+        self.test_grid_matches_the_whole_list_dump(capsys, name)
 
     @pytest.mark.parametrize("report,warning", [
         (CongruenceReport("Prop3.2", {"m": 3, "j": 1, "s": 0, "alpha": 7}, "Fail", {"sum": "-12"}),
@@ -1597,6 +1680,70 @@ def test_records_stream_as_tasks_finish(tmp_path, monkeypatch):
     assert len(early.splitlines()) < len(final.splitlines()) == 1435
     assert hashlib.sha256(final.encode()).hexdigest() == (
         "4d73bf3667696433c33e73adee57a5c0a6d13a781577118e41079e8925a0d1a5")
+
+
+@pytest.fixture
+def writes(monkeypatch):
+    """The texts `main` writes to its --out file, each as (the time on cli's clock, text)."""
+    written, real_open = [], open
+
+    class Recorded:
+        def __init__(self, file):
+            self.file = file
+
+        def write(self, text):
+            written.append((cli.time.monotonic(), text))
+            return self.file.write(text)
+
+        def flush(self):
+            self.file.flush()
+
+        def close(self):
+            self.file.close()
+
+    monkeypatch.setattr(cli, "open", lambda *args: Recorded(real_open(*args)), raising=False)
+    return written
+
+
+def test_a_long_block_is_written_a_chunk_at_a_time(tmp_path, writes):
+    # One block of 1000 passing records: its runs are cut at _CHUNK_RECORDS, so
+    # it reaches the file in several writes, none of more than a chunk.
+    path = tmp_path / "box.jsonl"
+    argv = ["verify", "identity", "--m", "2", "--alpha", "0..999", "--jobs", "1",
+            "--out", str(path)]
+    assert main(argv) == 0
+    sizes = [text.count("\n") for _, text in writes]
+    assert len(sizes) > 1 and sum(sizes) == 1000 and max(sizes) <= cli._CHUNK_RECORDS
+    assert path.read_text() == emit_oracle(oracle_records(argv), "jsonl")
+
+
+@pytest.mark.parametrize("fmt", ["jsonl", "json"])
+def test_a_slow_block_streams_by_the_clock(tmp_path, monkeypatch, writes, fmt):
+    # A block of 200 records, each made in 0.01 s of a fake clock. The clock is
+    # read each _CLOCK_RECORDS = 16 records, and at the first read 0.1 s or more
+    # after the last write the run is cut and written: 16 records at a time.
+    class Clock:
+        now = 0.0
+
+        def monotonic(self):
+            return self.now
+
+    clock, sums = Clock(), congruences._identity_sums
+
+    def slow(m, j, s, alphas):
+        for value in sums(m, j, s, alphas):
+            clock.now += 0.01
+            yield value
+
+    monkeypatch.setattr(cli, "time", clock)
+    monkeypatch.setattr(congruences, "_identity_sums", slow)
+    path = tmp_path / f"box.{fmt}"
+    argv = ["verify", "identity", "--m", "2", "--alpha", "0..199", "--format", fmt, "--jobs", "1"]
+    assert main([*argv, "--out", str(path)]) == 0
+    assert [text.count('"alpha"') for _, text in writes] == [16] * 12 + [8]
+    times = [at for at, _ in writes]
+    assert times == pytest.approx([0.16 * n for n in range(1, 13)] + [2.0])
+    assert path.read_text() == emit_oracle(oracle_records(argv), fmt)
 
 
 # The identity-box workload's argvs, pinned by the benchmark's reference digests.
@@ -1717,12 +1864,16 @@ def test_a_box_block_charges_its_setup_to_its_first_record(capsys, monkeypatch):
 # alpha = m on a record can fail, where the per-point oracle says it does.
 SKEWED_GRIDS = {
     "thm1.1": ("verify thm1 --p 5,7 --m 2..3 --alpha 0..6 --prec 15", "g_series", (10, 12)),
+    "thm1.2": ("verify thm2 --p 5 --m 2..3 --alpha 1..6 --prec 15", "e_series", (4,)),
+    "prop3.1": ("verify prop3.1 --p 5,7 --m 2..3 --alpha 0..6 --prec 15", "g_series", (10, 12)),
     "prop4.2": ("verify prop4.2 --p 5 --m 2..3 --alpha 1..6 --prec 15", "e_series", (4,)),
+    "eq6.1": ("scan eq6.1 --p 5 --m 2..3 --prec 15", "e_series", (8,)),
 }
 
 
-@pytest.mark.parametrize("fmt", ["jsonl", "json", "csv", "human"])
-@pytest.mark.parametrize("name", sorted(SKEWED_GRIDS))
+@pytest.mark.parametrize("name,fmt", [
+    (name, fmt) for name in sorted(SKEWED_GRIDS) for fmt in ("jsonl", "json", "csv", "human")
+    if fmt in ("jsonl", "json") or SKEWED_GRIDS[name][0].startswith("verify")])  # scan: json(l)
 def test_a_failing_inversion_record_is_the_per_point_report(capsys, monkeypatch, name, fmt):
     argv, form, weights = SKEWED_GRIDS[name]
     original = getattr(congruences, form)
@@ -1737,7 +1888,7 @@ def test_a_failing_inversion_record_is_the_per_point_report(capsys, monkeypatch,
 
     monkeypatch.setattr(congruences, form, skewed)
     records = oracle_records(argv.split())
-    fails = [record for record in records if record["verdict"] == "Fail"]
+    fails = [record for record in records if record.get("verdict") == "Fail"]  # not the summary
     assert fails and all(record["failure-detail"]["first-failing-index"] == 3 for record in fails)
     status, out, err = run_cli(capsys, *argv.split(), "--format", fmt, "--jobs", "1")
     assert (status, err) == (1, "")
@@ -1745,16 +1896,19 @@ def test_a_failing_inversion_record_is_the_per_point_report(capsys, monkeypatch,
 
 
 @pytest.mark.parametrize("fmt", ["jsonl", "json"])
-def test_with_no_seconds_to_spare_every_inversion_record_is_written_whole(capsys, fmt):
+@pytest.mark.parametrize("name", BLOCK_GRIDS)
+def test_with_no_seconds_to_spare_every_block_record_is_written_whole(capsys, name, fmt):
     # Every record is over a limit of 0, so each carries a warning and none
-    # fills its block's template.
-    argv = DIFFERENTIAL_GRIDS["straddle"].split()
+    # joins a run of its block.
+    argv = DIFFERENTIAL_GRIDS[name].split()
     status, out, err = run_cli(capsys, *argv, "--budget-seconds", "0", "--format", fmt,
                                "--jobs", "1")
     records = json.loads(out) if fmt == "json" else [json.loads(line) for line in out.splitlines()]
-    assert (status, err) == (1, "")
-    assert all(r.pop("budget-warning")["limit"] == 0.0 for r in records)
-    assert records == oracle_records(argv)
+    expected = oracle_records(argv)
+    passed = all(r["verdict"] == "Pass" for r in expected if "summary" not in r)
+    assert (status, err) == (0 if passed else 1, "")
+    assert all(r.pop("budget-warning")["limit"] == 0.0 for r in records if "summary" not in r)
+    assert records == expected
 
 
 def test_blocks_are_the_runs_of_one_key_within_the_budget(rng):

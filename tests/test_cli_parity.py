@@ -4,7 +4,9 @@ The rows were recorded in-process, as the test runs them, from the tree
 before every subcommand wrote its records through `cli._emit`. They cover
 every subcommand in every format it accepts, grids with BudgetExceeded
 records (status 1), input errors (status 2) and a format argparse rejects
-(its usage lines wrapped at 80 columns).
+(its usage lines wrapped at 80 columns). The rows of the block statements
+(identity, telescoping and the inversions in json) were recorded from the
+tree before a block's passing records were written as joined runs.
 A new statement or subcommand adds its rows here.
 """
 
@@ -57,6 +59,28 @@ PARITY = [
      "c5454cf59db4bb767a93e55cf02eae5fc5a1e108abe1103adf40acaa7504f5b2"),
     ("verify thm1 --p 5 --m 1..3 --alpha 0..4 --prec 30 --budget-bernoulli 12 --format json", 1, "",
      "3406536e8e2cd2ea2450f07995d413f454eb83cc500fec1160516f6498d8fcea"),
+    ("verify identity --m 1..5 --alpha 0..7", 0, "",
+     "335cd9d0a47d8a245430074a0bd2f1c9fac158b8324473e3a36a899db1a278e4"),
+    ("verify identity --m 1..5 --alpha 0..7 --format json", 0, "",
+     "4fe481e1b886587de72ca84389340c7b81c3e81f7424c34706fb93b28c293e65"),
+    ("verify identity --m 1..5 --alpha 0..7 --format csv", 0, "",
+     "527d84b421622d70519f32ed63aac35c08eabd9da3638ce9ab78c8bd610ee85d"),
+    ("verify identity --m 1..5 --alpha 0..7 --format human", 0, "",
+     "dd20b352d412feed715f06e344fe71b80df58d9ecd3bd909ec18e344054edd4f"),
+    ("verify telescoping --m 2..4 --alpha 0..6", 0, "",
+     "44438c5b7b6cf12a4c83fd276d69d0670dac4ac0c358fa433058ab0e82e04490"),
+    ("verify telescoping --m 2..4 --alpha 0..6 --format json", 0, "",
+     "3bec0c592b2a7c977af7f538c42ca024bee634be9479201b8e0f72009f705e9b"),
+    ("verify telescoping --m 2..4 --alpha 0..6 --format csv", 0, "",
+     "0029eb1de3bcb5ae75cdaf46e1f5e9d525c5465a1cc635419209c3d0e45c2adb"),
+    ("verify telescoping --m 2..4 --alpha 0..6 --format human", 0, "",
+     "cafc9277c2fc104f7c8077a22c2ba9a6901cea460aa09c7270c2df063f8cc52b"),
+    ("verify thm2 --p 5,7 --m 1..3 --alpha 1..5 --prec 20 --format json", 0, "",
+     "4314ab9860956f36acb0e50bf77599a45580cba914e68cfc85745663f863e2e1"),
+    ("verify prop3.1 --p 5,7 --m 1..3 --alpha 0..5 --prec 20 --format json", 0, "",
+     "aae2bdfa70659e71d32b5ab4a54e1d5230a5e279260958caac63dad8371a7e3e"),
+    ("verify prop4.2 --p 5,7 --m 1..3 --alpha 1..5 --prec 20 --format json", 0, "",
+     "e9ef8c0a8956ff427e5843b0f18fcc830ccbafad596141786c289761605b8acf"),
     ("verify eq1.6 --p 7 --m 1..2 --k0 4 --prec 20 --format csv", 0, "",
      "e0c5bd13f0a9c032805f976ad4a52b7c254dfa4d64bc53d62c97291e1b76c443"),
     ("verify eq1.6 --p 5 --m 1 --k0 4", 2, "error: 4 must not divide k0\n",
