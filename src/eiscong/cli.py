@@ -99,16 +99,15 @@ def _dict_text(record: dict, fmt: str) -> str:
 # no statement id, certification or param key (all package strings) holds.
 _MARK = "\x00"
 _MARKED = json.dumps(_MARK)
-_INT_ONLY = {int}
 
 
 @lru_cache(maxsize=256)
-def _template(statement_id: str, certification: str, verdict: str, keys: tuple[str, ...],
+def _template(statement_id: str, certification: str, keys: tuple[str, ...],
               fmt: str) -> tuple[tuple[str, ...], tuple[str, ...]]:
-    """A record's text in `fmt`, without failure detail, cut at each of its (one
-    or more) param values: the pieces around them, and the keys in that order."""
+    """A passing record's text in `fmt`, cut at each of its (one or more) param
+    values: the pieces around them, and the keys in that order."""
     keys = tuple(sorted(keys))  # json.dumps sorts the keys
-    skeleton = CongruenceReport(statement_id, dict.fromkeys(keys, _MARK), verdict, None,
+    skeleton = CongruenceReport(statement_id, dict.fromkeys(keys, _MARK), "Pass", None,
                                 certification)
     return tuple(_dict_text(skeleton.to_json_dict(), fmt).split(_MARKED)), keys
 
@@ -133,17 +132,7 @@ def _run_text(pieces: list[str], sep: str, run: list[tuple]) -> str:
 
 
 def _record_text(report: CongruenceReport, warning: dict | None, fmt: str) -> str:
-    """The report's record (with its budget warning, if any) as `_dict_text` writes it.
-
-    A json or jsonl record with no failure detail and no warning whose param
-    values are all exactly int (a bool is not) fills a template cached on its
-    shape; its bytes are those of json.dumps.
-    """
-    params = report.params
-    if (warning is None and report.failure_detail is None and fmt in ("jsonl", "json")
-            and set(map(type, params.values())) == _INT_ONLY):
-        return _fill(_template(report.statement_id, report.certification, report.verdict,
-                               tuple(params), fmt), params)[0]
+    """The report's record, with its budget warning if any, as `_dict_text` writes it."""
     record = report.to_json_dict()
     if warning is not None:
         record["budget-warning"] = warning
@@ -279,6 +268,14 @@ def _telescoping_block(block: tuple) -> Iterator[tuple[tuple, CongruenceReport |
                 {"identity": "telescoping"})
 
 
+def _conjecture_block(block: tuple) -> Iterator[tuple[tuple, CongruenceReport | None]]:
+    point, alphas = block
+    for alpha in alphas:
+        [report] = cong.scan_conjecture_bernoulli(point["p"], point["m"], [alpha],
+                                                  point["kstar"], budget=None)
+        yield (alpha,), None if report.passed else report
+
+
 def _inversion(statement_id: str, form: str, with_e_powers: bool, grid: Callable,
                validate: Callable, scan: bool = False) -> Statement:
     """A statement `congruences.inversion_rows` checks, in blocks (first point, alphas).
@@ -377,12 +374,13 @@ STATEMENTS = {
                               for point in _conjecture_grid(args, ps, ms)),
         lambda t: cong._validate_conjecture_args(t["p"], t["m"], t["kstar"], t["alpha"]),
         scan=True),
+    # `_valuation_report` certifies every record as coefficient evidence.
     "eq6.4": Statement(
-        run=lambda t: cong.scan_conjecture_bernoulli(
-            t["p"], t["m"], [t["alpha"]], t["kstar"], budget=None)[0],
-        grid=_conjecture_grid, reads=lambda t: cong.inversion_reads(t, False),
+        run=_conjecture_block, grid=_conjecture_grid, scan=True,
+        reads=lambda t: cong.inversion_reads(t, False), key=lambda t: (t["p"], t["m"], t["kstar"]),
         validate=lambda t: cong._validate_conjecture_args(t["p"], t["m"], t["kstar"], t["alpha"]),
-        scan=True),
+        shape=lambda b: ("ConjEq6.4", "coefficient-evidence",
+                         {name: b[0][name] for name in ("kstar", "m", "p")}, ("alpha",))),
 }
 
 STATEMENT_ALIASES = {"thm1": "thm1.1", "thm2": "thm1.2"}
@@ -439,8 +437,8 @@ def _records(statement: str, entry: Statement, tasks: list, charges: list[int],
             if shape:
                 statement_id, certification, fixed, varying = shape(task)
                 if fmt in ("jsonl", "json") and limit is None:
-                    pieces = _fill(_template(statement_id, certification, "Pass",
-                                             (*fixed, *varying), fmt), fixed)
+                    pieces = _fill(_template(statement_id, certification, (*fixed, *varying),
+                                             fmt), fixed)
                     cut = time.monotonic()
             rows = entry.run(task) if shape else ((None, entry.run(task)),)
         except BudgetExceededError as err:

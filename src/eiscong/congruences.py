@@ -617,7 +617,7 @@ def scan_conjecture_bernoulli(
                               _inversion_defect_mod(f, p, m, alpha), p, m) for alpha in alphas]
 
 
-# The CLI scans one alpha per call, and the terms at r < m recur at each one.
+# A CLI scan block checks its alphas one per call; the terms at r < m recur in each.
 @lru_cache(maxsize=64)
 def _k_over_bernoulli(k: int) -> Fraction:
     """k/B_k, the Eq. (6.4) term at weight k."""

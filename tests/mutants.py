@@ -148,6 +148,16 @@ MUTANTS = (
            "len(run) < _CHUNK_RECORDS and time.monotonic() - cut < _CHUNK_SECONDS):",
            "len(run) < _CHUNK_RECORDS):",
            ("tests/test_cli.py::test_a_slow_block_streams_by_the_clock",)),
+    Mutant("block-run-whole-before-its-records", CLI,
+           "rows = entry.run(task) if shape else",
+           "rows = list(entry.run(task)) if shape else",
+           ("tests/test_cli.py::test_a_slow_block_streams_by_the_clock[eq6.4-jsonl]",
+            "tests/test_cli.py::test_a_slow_block_streams_by_the_clock[identity-json]")),
+    Mutant("runs-only-in-jsonl", CLI,
+           'if fmt in ("jsonl", "json") and limit is None:',
+           'if fmt == "jsonl" and limit is None:',
+           (T_RECORDS + "test_no_passing_record_of_a_benchmark_grid_is_written_alone[eq6.4-json]",
+            T_RECORDS + "test_no_passing_record_of_a_benchmark_grid_is_written_alone[thm1-json]")),
     Mutant("substitute-skips-leading-column", "src/eiscong/filtration.py",
            "if x:\n            h = h - monomial_series",
            "if x and c:\n            h = h - monomial_series",
@@ -296,6 +306,14 @@ MUTANTS = (
            'key=lambda t: (t["p"], t["m"], t.get("kstar"), t["prec"], certification(t)))',
            'key=lambda t: (t["p"], t["m"], t.get("kstar"), certification(t)))',
            ("tests/test_cli.py::test_blocks_are_the_runs_of_one_key_within_the_budget",)),
+    Mutant("scan-key-without-m", CLI,
+           'key=lambda t: (t["p"], t["m"], t["kstar"])',
+           'key=lambda t: (t["p"], t["kstar"])',
+           (T_RECORDS + "test_grid_matches_the_whole_list_dump[eq6.4-ms]",)),
+    Mutant("scan-key-without-p", CLI,
+           'key=lambda t: (t["p"], t["m"], t["kstar"])',
+           'key=lambda t: (t["m"], t["kstar"])',
+           (T_RECORDS + "test_grid_matches_the_whole_list_dump[eq6.4-ps]",)),
     Mutant("inversion-compares-through-q^(N-1)", CONG,
            "None if lhs.coeffs == rhs.coeffs else",
            "None if lhs.coeffs[:-1] == rhs.coeffs[:-1] else",

@@ -1460,6 +1460,13 @@ def emit_oracle(records: list[dict], fmt: str) -> str:
     return "".join(lines)
 
 
+def text_lines(text: str) -> list[str]:
+    """The text's lines with their ends: two texts are equal exactly when these are,
+    and where pytest diffs two unequal long strings whole, which takes seconds, it
+    reports two unequal lists by their first differing line."""
+    return text.splitlines(keepends=True)
+
+
 def box_oracle_reports(name: str, args) -> list[CongruenceReport]:
     """A box statement's reports, one point at a time, from the uncached oracles."""
     reports = []
@@ -1514,6 +1521,9 @@ def oracle_records(argv: list[str]) -> list[dict]:
             report = CongruenceReport(name, dict(point), "BudgetExceeded", {"message": message})
         elif name in INVERSION_ORACLES:
             report = inversion_oracle_report(name, point)
+        elif name == "eq6.4":
+            report = congruences.scan_conjecture_bernoulli(
+                point["p"], point["m"], [point["alpha"]], point["kstar"], budget=None)[0]
         else:
             report = STATEMENTS[name].run(point)
         records.append(report.to_json_dict())
@@ -1526,7 +1536,9 @@ def oracle_records(argv: list[str]) -> list[dict]:
 # A small grid of every statement, one with BudgetExceeded records among
 # passing ones, and one whose params pass 2^64. Of the statements that run in
 # blocks of alphas: a grid of two k*, one where N falls below the Sturm index
-# at alpha = 8, and one whose budget straddles unsorted alphas.
+# at alpha = 8, one whose budget straddles unsorted alphas, and two Eq. (6.4)
+# scans of several blocks, which share k* across m (the default k* of each p)
+# and across p (k* = 12).
 DIFFERENTIAL_GRIDS = {
     "thm1.1": "verify thm1 --p 5,7 --m 1..3 --alpha 0..4 --prec 15",
     "thm1.2": "verify thm2 --p 5 --m 1..3 --alpha 1..4 --prec 15",
@@ -1542,6 +1554,8 @@ DIFFERENTIAL_GRIDS = {
     "telescoping": "verify telescoping --m 2..4 --alpha 0..5",
     "eq6.1": "scan eq6.1 --p 5 --m 1..2 --prec 15",
     "eq6.4": "scan eq6.4 --p 7 --m 4 --kstar 6 --alpha 0..12 --budget-bernoulli 60",
+    "eq6.4-ms": "scan eq6.4 --p 5,7 --m 2..3 --alpha 0..8",
+    "eq6.4-ps": "scan eq6.4 --p 5,7 --m 2 --kstar 12 --alpha 0..8",
     "budget": "verify thm1 --p 5 --m 2 --kstar 6 --alpha 0..3,2000 --budget-bernoulli 100",
     "large": "verify identity --m 2..4 --alpha 18446744073709551615..18446744073709551617",
     "kstars": "verify prop3.1 --p 5 --m 1..2 --kstar 6,10 --alpha 0..4 --prec 15",
@@ -1603,7 +1617,7 @@ class TestRecordText:
         formats = ("jsonl", "json") if argv[0] == "scan" else ("jsonl", "json", "csv", "human")
         for fmt in formats:
             status, out, err = run_cli(capsys, *argv, "--format", fmt, "--jobs", "1")
-            assert out == emit_oracle(records, fmt), fmt
+            assert text_lines(out) == text_lines(emit_oracle(records, fmt)), fmt
             passed = all(r["verdict"] == "Pass" for r in records if "summary" not in r)
             assert (status, err) == (0 if passed else 1, "")
 
@@ -1639,23 +1653,26 @@ class TestRecordText:
         if warning is not None:
             record["budget-warning"] = warning
         head, _, tail = cli._FRAMES[fmt]
-        # Twice: the first call of a shape builds its template, the second reuses it.
-        for _ in range(2):
-            text = cli._record_text(report, warning, fmt)
-            assert head + text + tail == emit_oracle([record], fmt)
+        text = cli._record_text(report, warning, fmt)
+        assert text_lines(head + text + tail) == text_lines(emit_oracle([record], fmt))
 
-    @pytest.mark.parametrize("params,fast", [
-        ({"m": 2, "exact": True}, False), ({"p": 5, "case": "0"}, False),
-        ({"m": 2, "exact": 1}, True), ({"n": 2 ** 70}, True),
-    ], ids=["bool", "str", "int", "past-2^64"])
-    def test_only_plain_int_records_fill_a_template(self, monkeypatch, params, fast):
-        shapes = []
-        template = cli._template
-        monkeypatch.setattr(cli, "_template",
-                            lambda *shape: shapes.append(shape) or template(*shape))
-        cli._record_text(CongruenceReport("Shape", params, "Pass"), None, "jsonl")
-        assert shapes == ([("Shape", "coefficient-evidence", "Pass", tuple(params), "jsonl")]
-                          if fast else [])
+    @pytest.mark.parametrize("fmt", ["jsonl", "json"])
+    @pytest.mark.parametrize("argv", [
+        "verify thm1 --p 5,7 --m 1..3 --alpha 0..6 --prec 20",
+        "verify thm2 --p 5,7 --m 1..3 --alpha 1..6 --prec 20",
+        "verify identity --m 2..5 --alpha 0..8",
+        "verify telescoping --m 2..4 --alpha 0..6",
+        "scan eq6.4 --p 7 --m 4 --kstar 6 --alpha 0..30",
+    ], ids=["thm1", "thm2", "identity", "telescoping", "eq6.4"])
+    def test_no_passing_record_of_a_benchmark_grid_is_written_alone(self, capsys, monkeypatch,
+                                                                    argv, fmt):
+        # Small grids of the benchmark's verify and scan workloads: every record
+        # passes and is written in a run of its block, none by `_record_text`.
+        alone, record_text = [], cli._record_text
+        monkeypatch.setattr(cli, "_record_text",
+                            lambda *call: alone.append(call) or record_text(*call))
+        status, out, err = run_cli(capsys, *argv.split(), "--format", fmt, "--jobs", "1")
+        assert (status, err, alone) == (0, "", []) and out
 
 
 def test_records_stream_as_tasks_finish(tmp_path, monkeypatch):
@@ -1714,36 +1731,51 @@ def test_a_long_block_is_written_a_chunk_at_a_time(tmp_path, writes):
     assert main(argv) == 0
     sizes = [text.count("\n") for _, text in writes]
     assert len(sizes) > 1 and sum(sizes) == 1000 and max(sizes) <= cli._CHUNK_RECORDS
-    assert path.read_text() == emit_oracle(oracle_records(argv), "jsonl")
+    assert text_lines(path.read_text()) == text_lines(emit_oracle(oracle_records(argv), "jsonl"))
+
+
+# A block of 200 records: the kernel that makes them, and its argv.
+SLOW_BLOCKS = {
+    "identity": ("_identity_sums", "verify identity --m 2 --alpha 0..199"),
+    "eq6.4": ("scan_conjecture_bernoulli", "scan eq6.4 --p 7 --m 4 --kstar 6 --alpha 0..199"),
+}
 
 
 @pytest.mark.parametrize("fmt", ["jsonl", "json"])
-def test_a_slow_block_streams_by_the_clock(tmp_path, monkeypatch, writes, fmt):
-    # A block of 200 records, each made in 0.01 s of a fake clock. The clock is
-    # read each _CLOCK_RECORDS = 16 records, and at the first read 0.1 s or more
-    # after the last write the run is cut and written: 16 records at a time.
+@pytest.mark.parametrize("name", sorted(SLOW_BLOCKS))
+def test_a_slow_block_streams_by_the_clock(tmp_path, monkeypatch, writes, name, fmt):
+    # Each record is made in 0.01 s of a fake clock. The clock is read each
+    # _CLOCK_RECORDS = 16 records, and at the first read 0.1 s or more after the
+    # last write the run is cut and written: 16 records at a time, as they are
+    # made, so a block the runner ran whole first would be written late.
     class Clock:
         now = 0.0
 
         def monotonic(self):
             return self.now
 
-    clock, sums = Clock(), congruences._identity_sums
+    clock = Clock()
+    kernel, argv = SLOW_BLOCKS[name]
+    fast = getattr(congruences, kernel)
 
-    def slow(m, j, s, alphas):
-        for value in sums(m, j, s, alphas):
+    def slow_sums(m, j, s, alphas):
+        for value in fast(m, j, s, alphas):
             clock.now += 0.01
             yield value
 
+    def slow_scan(*args, **kwargs):
+        clock.now += 0.01
+        return fast(*args, **kwargs)
+
     monkeypatch.setattr(cli, "time", clock)
-    monkeypatch.setattr(congruences, "_identity_sums", slow)
-    path = tmp_path / f"box.{fmt}"
-    argv = ["verify", "identity", "--m", "2", "--alpha", "0..199", "--format", fmt, "--jobs", "1"]
+    monkeypatch.setattr(congruences, kernel, slow_sums if name == "identity" else slow_scan)
+    path = tmp_path / f"{name}.{fmt}"
+    argv = [*argv.split(), "--format", fmt, "--jobs", "1"]
     assert main([*argv, "--out", str(path)]) == 0
     assert [text.count('"alpha"') for _, text in writes] == [16] * 12 + [8]
     times = [at for at, _ in writes]
     assert times == pytest.approx([0.16 * n for n in range(1, 13)] + [2.0])
-    assert path.read_text() == emit_oracle(oracle_records(argv), fmt)
+    assert text_lines(path.read_text()) == text_lines(emit_oracle(oracle_records(argv), fmt))
 
 
 # The identity-box workload's argvs, pinned by the benchmark's reference digests.
@@ -1804,7 +1836,7 @@ def test_a_failing_box_record_is_the_per_point_report(capsys, monkeypatch, name,
         1 if name == "identity" else 4)
     status, out, err = run_cli(capsys, *argv.split(), "--format", fmt, "--jobs", "1")
     assert (status, err) == (1, "")
-    assert out == emit_oracle(records, fmt)
+    assert text_lines(out) == text_lines(emit_oracle(records, fmt))
 
 
 @pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
@@ -1892,7 +1924,22 @@ def test_a_failing_inversion_record_is_the_per_point_report(capsys, monkeypatch,
     assert fails and all(record["failure-detail"]["first-failing-index"] == 3 for record in fails)
     status, out, err = run_cli(capsys, *argv.split(), "--format", fmt, "--jobs", "1")
     assert (status, err) == (1, "")
-    assert out == emit_oracle(records, fmt)
+    assert text_lines(out) == text_lines(emit_oracle(records, fmt))
+
+
+@pytest.mark.parametrize("fmt", ["jsonl", "json"])
+def test_a_failing_scan_record_is_the_per_point_report(capsys, monkeypatch, fmt):
+    # k/B_k off by one at weight 48, alpha = 7's own term; at m = 4 no other
+    # alpha's sum reads it, so one record fails amid the block's passing ones.
+    k_over_bernoulli = congruences._k_over_bernoulli
+    monkeypatch.setattr(congruences, "_k_over_bernoulli",
+                        lambda k: k_over_bernoulli(k) + (k == 48))
+    argv = "scan eq6.4 --p 7 --m 4 --kstar 6 --alpha 0..12".split()
+    records = oracle_records(argv)
+    assert [r["params"]["alpha"] for r in records if r.get("verdict") == "Fail"] == [7]
+    status, out, err = run_cli(capsys, *argv, "--format", fmt, "--jobs", "1")
+    assert (status, err) == (1, "")
+    assert text_lines(out) == text_lines(emit_oracle(records, fmt))
 
 
 @pytest.mark.parametrize("fmt", ["jsonl", "json"])
