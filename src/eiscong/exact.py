@@ -32,11 +32,10 @@ from __future__ import annotations
 import math
 import threading
 from array import array
-from bisect import bisect_right
 from fractions import Fraction
-from functools import cache, reduce
+from functools import cache, lru_cache, reduce
 from itertools import accumulate, compress
-from operator import itemgetter, mul, not_
+from operator import mul, not_
 from typing import Iterable, Sequence
 
 __all__ = [
@@ -696,39 +695,31 @@ def sigma_power_mod(k_minus_1: int, n: int, modulus: int) -> int:
     return sum(pow(d, k_minus_1, modulus) for d in divisors(n)) % modulus
 
 
-# The rows of `_factor_rows` up to a limit, grown (at least doubling) by
-# rebinding, so every precision reads a prefix of one table.
-_FACTOR_ROWS: tuple[int, list, list, list] = (1, [], [], [])
+# Holds the rows of the last 8 precisions asked for, each built for exactly
+# that precision. Few are needed: an op reads rows at one precision, its
+# grid's --prec or its filtration's Sturm index.
+@lru_cache(maxsize=8)
+def _factor_rows(precision: int) -> tuple[tuple, tuple, tuple]:
+    """How multiplicativity builds each n = 2 .. precision from smaller n.
 
-
-def _factor_rows(precision: int) -> tuple[list, list, list]:
-    """How multiplicativity builds each n = 2 .. precision from smaller n, cut from _FACTOR_ROWS.
-
-    Three ascending lists: the primes q; the higher prime powers q^a
+    Three ascending tuples: the primes q; the higher prime powers q^a
     (a >= 2) as (q^a, q^(a-1), q); every other n as (n, q^a, n / q^a), with
-    q^a the full power in n of its least prime factor q.
+    q^a the full power in n of its least prime factor q. Tuples, as the
+    cache hands the same rows to every caller.
     """
-    global _FACTOR_ROWS
-    limit, primes, prime_powers, splits = _FACTOR_ROWS
-    if limit < precision:
-        limit = max(precision, 2 * limit)
-        factors = _smallest_factors(limit)
-        part = [0, 1] + [0] * (limit - 1)  # part[n]: that power q^a
-        primes, prime_powers, splits = [], [], []
-        for n in range(2, limit + 1):
-            q = factors[n] or n
-            part[n] = q * part[n // q] if n // q % q == 0 else q
-            if q == n:
-                primes.append(n)
-            elif part[n] == n:
-                prime_powers.append((n, n // q, q))
-            else:
-                splits.append((n, part[n], n // part[n]))
-        _FACTOR_ROWS = (limit, primes, prime_powers, splits)
-    first = itemgetter(0)
-    return (primes[:bisect_right(primes, precision)],
-            prime_powers[:bisect_right(prime_powers, precision, key=first)],
-            splits[:bisect_right(splits, precision, key=first)])
+    factors = _smallest_factors(precision)
+    part = [0, 1] + [0] * (precision - 1)  # part[n]: that power q^a
+    primes, prime_powers, splits = [], [], []
+    for n in range(2, precision + 1):
+        q = factors[n] or n
+        part[n] = q * part[n // q] if n // q % q == 0 else q
+        if q == n:
+            primes.append(n)
+        elif part[n] == n:
+            prime_powers.append((n, n // q, q))
+        else:
+            splits.append((n, part[n], n // part[n]))
+    return tuple(primes), tuple(prime_powers), tuple(splits)
 
 
 def sigma_power_table(k_minus_1: int, precision: int, modulus: int) -> list[int]:
@@ -739,8 +730,8 @@ def sigma_power_table(k_minus_1: int, precision: int, modulus: int) -> list[int]
     sigma(q^a) = 1 + (sigma(q) - 1) sigma(q^(a-1)); and every other n one
     multiply, sigma(q^a) sigma(n / q^a), its two factors coprime.
     """
-    primes = _factor_rows(precision)[0]
-    return _sigma_from_primes([pow(q, k_minus_1, modulus) for q in primes], precision, modulus)
+    rows = _factor_rows(precision)
+    return _sigma_from_primes(rows, [pow(q, k_minus_1, modulus) for q in rows[0]], precision, modulus)
 
 
 def sigma_power_table_step(below: Sequence[int], step: Sequence[int], modulus: int) -> list[int]:
@@ -748,13 +739,14 @@ def sigma_power_table_step(below: Sequence[int], step: Sequence[int], modulus: i
     (`step`), both through one precision: q^(e+d) = q^e q^d, read off their prime
     entries sigma(q) - 1, is one multiply per prime q in place of a modular power."""
     precision = len(below) - 1
-    primes = _factor_rows(precision)[0]
-    return _sigma_from_primes([(below[q] - 1) * (step[q] - 1) for q in primes], precision, modulus)
+    rows = _factor_rows(precision)
+    return _sigma_from_primes(rows, [(below[q] - 1) * (step[q] - 1) for q in rows[0]], precision, modulus)
 
 
-def _sigma_from_primes(powers: list[int], precision: int, modulus: int) -> list[int]:
-    """The table of `sigma_power_table` from q^(k-1), one per prime q <= precision."""
-    primes, prime_powers, splits = _factor_rows(precision)
+def _sigma_from_primes(rows: tuple[tuple, tuple, tuple], powers: list[int], precision: int,
+                       modulus: int) -> list[int]:
+    """The table of `sigma_power_table` from `_factor_rows(precision)` and q^(k-1), one per prime q."""
+    primes, prime_powers, splits = rows
     table = [0] + [1 % modulus] * precision
     for q, power in zip(primes, powers):
         table[q] = (1 + power) % modulus

@@ -107,6 +107,12 @@ MUTANTS = (
            "+ 10) > 1 << guard:",
            "+ 10) > 2 << guard:",
            (T_EXACT + "test_guard_bits_are_the_least_the_bound_proves",)),
+    # A wrong sign only past the tangent oracle's table, which the Kummer oracle must see.
+    Mutant("sign-flipped-above-3000", EXACT,
+           "return Fraction(numerator if k % 4 == 2 else -numerator, denominator)",
+           "return Fraction(numerator if (k % 4 == 2) != (k > 3000) else -numerator, denominator)",
+           (T_EXACT + "test_kummer_congruences_past_the_oracle",
+            T_EXACT + "test_kummer_congruences_at_drawn_indices")),
     Mutant("chunk-size-off-by-one", CLI,
            "if size + count > _CHUNK_RECORDS:",
            "if size + count > _CHUNK_RECORDS + 1:",
@@ -329,6 +335,11 @@ MUTANTS = (
            "below = exponent - p",
            ("tests/test_eisenstein.py::TestSteppedSigmaTables::"
             "test_every_stepped_table_matches_the_modular_powers",)),
+    Mutant("factor-rows-stop-short", EXACT,
+           "for n in range(2, precision + 1):",
+           "for n in range(2, precision):",
+           ("tests/test_exact.py::TestSigma::test_table_known_answers",
+            "tests/test_exact.py::TestSigma::test_exponent_zero_counts_divisors")),
     Mutant("series-framed-by-format", CLI,
            '_cmd_series, "jsonl", False)',
            "_cmd_series, None, False)",

@@ -19,7 +19,7 @@ from eiscong.cache import (
     parse_cache_line,
     save_bernoulli_cache,
 )
-from eiscong import cache, cli, congruences, eisenstein, exact
+from eiscong import cache, cli, congruences, eisenstein, exact, filtration
 from eiscong.cli import (
     STATEMENT_ALIASES,
     STATEMENTS,
@@ -1315,6 +1315,26 @@ def test_series_products_per_run(argv, most):
     proc = run_python("-c", COUNT_PRODUCTS, *argv.split(), "--jobs", "1")
     status, products = map(int, proc.stdout.split())
     assert status == 0 and products <= most, (proc.stdout, proc.stderr)
+
+
+@pytest.mark.parametrize("argv", [
+    "verify thm1 --p 5,7 --m 1..3 --alpha 0..12 --prec 60",
+    "filtration --form G --k 40 --p 7 --m 3",
+], ids=["thm1-grid", "filtration"])
+def test_an_op_reads_factor_rows_at_one_precision(capsys, monkeypatch, argv):
+    # Every divisor-sum table of an op is built at one precision, the grid's
+    # --prec or the filtration's Sturm index, so `exact._factor_rows`, a small
+    # cache keyed on the precision, misses once and then hits. An op that read
+    # rows at many precisions would show here. Every series table is emptied
+    # first, so the op builds its tables; the Bernoulli memo is kept.
+    monkeypatch.setattr(eisenstein, "_SIGMA_TABLES", {})
+    for module in (congruences, eisenstein, exact, filtration):
+        for value in vars(module).values():
+            if hasattr(value, "cache_clear"):
+                value.cache_clear()
+    status, _, err = run_cli(capsys, *argv.split())
+    info = exact._factor_rows.cache_info()
+    assert (status, err) == (0, "") and info.misses == 1 and info.hits > 0, info
 
 
 # Runs `verify_refined_bounds` cold over p in {5, 7}, m in {2, 3, 4}, every

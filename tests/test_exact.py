@@ -28,7 +28,7 @@ from eiscong.exact import (
 )
 
 from conftest import (ascending_brackets, bernoulli_by_recurrence, bernoulli_by_tangent, euler_by_floors,
-                      pi_by_machin, primes_to, sigma_power, zeta_by_floors, zeta_sum)
+                      kummer_misses, pi_by_machin, primes_to, sigma_power, zeta_by_floors, zeta_sum)
 
 # Every even index the differential tests request: all of 2..600, and the
 # large weights of the paper's examples and the benchmark.
@@ -51,6 +51,14 @@ SCAN_INDICES = [6 * alpha + 6 for alpha in range(301)]
 # Large indices a filtration asks for one at a time; 4000 is past the oracle.
 LONE_INDICES = [1296, 2026, 2402, 3000, 4000]
 
+# Ten indices 998 apart up to 9982, in one pass; those past 3000 are past the oracle.
+SPARSE_INDICES = list(range(1000, 10_001, 998))
+
+# The indices past the tangent oracle's table that the Kummer oracle checks,
+# at the primes 5 <= l < 3000, whose k' are at most 2996.
+KUMMER_INDICES = [k for k in LONE_INDICES + SPARSE_INDICES if k > 3000]
+KUMMER_PRIMES = [l for l in primes_to(2999) if l >= 5]
+
 # Indices whose zeta brackets are checked against the oracle: every even one
 # to 200, every 38th from 206 to 2978, and the large weights up to 3000.
 BRACKET_INDICES = sorted({*range(4, 201, 2), *range(206, 3001, 38), 1296, 2026, 2402, 3000})
@@ -66,8 +74,10 @@ def thm1_grid_indices():
 
 @pytest.fixture(scope="module")
 def tangent_oracle():
-    return bernoulli_by_tangent(sorted(set(DIFFERENTIAL_INDICES + SCAN_INDICES + BRACKET_INDICES)
-                                       .union(*PASS_SHAPES.values())))
+    """B_k for every even k <= 2998, which the Kummer oracle reads as B_k', and for
+    every index the differential tests request, up to 3000."""
+    return bernoulli_by_tangent(sorted(set(range(2, 2999, 2)).union(
+        DIFFERENTIAL_INDICES, SCAN_INDICES, BRACKET_INDICES, *PASS_SHAPES.values())))
 
 
 def interleaved(indices):
@@ -489,7 +499,7 @@ class TestPrefetch:
 
     @pytest.mark.parametrize("warm,indices,lone", [
         (SCAN_INDICES[:101], SCAN_INDICES, False), ([], list(range(2, 1201)), False),
-        ([], LONE_INDICES, True), ([], list(range(1000, 10_001, 998)), False),
+        ([], LONE_INDICES, True), ([], SPARSE_INDICES, False),
     ], ids=["scan-after-its-cache", "cold-bernoulli-range", "lone-large-indices", "sparse-to-10000"])
     def test_every_index_proven_at_its_first_attempt(self, cold_bernoulli, tangent_oracle,
                                                      monkeypatch, warm, indices, lone):
@@ -522,6 +532,27 @@ class TestPrefetch:
         # with its neighbour, and the Euler product, alone, give it alike.
         prefetch_bernoulli([3998, 4000])
         assert bernoulli(4000) == alone(4000)
+
+    def test_kummer_congruences_past_the_oracle(self, cold_bernoulli, tangent_oracle):
+        # B_4000 alone, from the Euler bracket, as a filtration asks for it,
+        # then the sparse indices in one pass, from the zeta sum. Each holds
+        # at over 400 primes, and a numerator raised by one fails at some.
+        bernoulli(4000)
+        prefetch_bernoulli(SPARSE_INDICES)
+        for k in KUMMER_INDICES:
+            value = bernoulli(k)
+            assert sum(k % (l - 1) != 0 for l in KUMMER_PRIMES) > 400, k
+            assert kummer_misses(k, value, tangent_oracle, KUMMER_PRIMES) == [], k
+            raised = Fraction(value.numerator + 1, value.denominator)
+            assert kummer_misses(k, raised, tangent_oracle, KUMMER_PRIMES), k
+
+    @settings(derandomize=True, database=None, max_examples=3, deadline=None)
+    @given(st.integers(1501, 6000).map(lambda n: 2 * n))
+    def test_kummer_congruences_at_drawn_indices(self, tangent_oracle, k):
+        # A lone even index in 3002..12000; each costs up to about 0.3 s, so few are drawn.
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(exact, "_BERNOULLI_MEMO", {j: exact._BERNOULLI_MEMO[j] for j in (0, 1, 2)})
+            assert kummer_misses(k, bernoulli(k), tangent_oracle, KUMMER_PRIMES) == [], k
 
     def test_thm1_grid_progressions(self, cold_bernoulli, tangent_oracle, monkeypatch):
         indices = thm1_grid_indices()
@@ -1060,6 +1091,10 @@ class TestHCoefficient:
                 assert sum(h_coefficient(m, alpha, r) for r in range(m)) == 1
 
 
+# The precisions of `TestSigma::test_table_known_answers`, ascending.
+KNOWN_PRECISIONS = [0, 1, 2, 4, 8, 9, 25, 27, 32, 49, 121, 169, 201]
+
+
 class TestSigma:
     def test_n_equal_one(self):
         for k in (0, 1, 7, 100):
@@ -1105,16 +1140,23 @@ class TestSigma:
 
     # The edges 0, 1 and 2, then tables that end at a prime power: 8, 27 and 32
     # need sigma(q^a) from sigma(q^(a-1)), not sigma(q). 201 is the Sturm index
-    # of the k = 2402 filtration, and 13^18 is above 2^64.
-    @pytest.mark.parametrize("precision", [0, 1, 2, 4, 8, 9, 25, 27, 32, 49, 121, 169, 201])
-    def test_table_known_answers(self, precision):
-        for k_minus_1 in (0, 1, 2, 5, 11, 97, 1805):
-            sums = [sigma_power(k_minus_1, n) for n in range(1, precision + 1)]
-            for mod in (5, 7**3, 11**4, 13**6, 13**18):
-                table = sigma_power_table(k_minus_1, precision, mod)
-                assert table == [0] + [s % mod for s in sums], (k_minus_1, mod)
-                assert table[1:] == [sigma_power_mod(k_minus_1, n, mod)
-                                     for n in range(1, precision + 1)], (k_minus_1, mod)
+    # of the k = 2402 filtration, and 13^18 is above 2^64. Each input requests
+    # its precisions in order from an empty row cache; the last requests 201
+    # first, then the smaller ones.
+    @pytest.mark.parametrize("precisions",
+                             [(n,) for n in KNOWN_PRECISIONS] + [(201, *KNOWN_PRECISIONS[:-1])],
+                             ids=[*map(str, KNOWN_PRECISIONS), "201-first"])
+    def test_table_known_answers(self, precisions):
+        exact._factor_rows.cache_clear()
+        for precision in precisions:
+            for k_minus_1 in (0, 1, 2, 5, 11, 97, 1805):
+                sums = [sigma_power(k_minus_1, n) for n in range(1, precision + 1)]
+                for mod in (5, 7**3, 11**4, 13**6, 13**18):
+                    table = sigma_power_table(k_minus_1, precision, mod)
+                    assert table == [0] + [s % mod for s in sums], (precision, k_minus_1, mod)
+                    assert table[1:] == [sigma_power_mod(k_minus_1, n, mod)
+                                         for n in range(1, precision + 1)], (precision, k_minus_1, mod)
+            assert all(type(row) is tuple for row in exact._factor_rows(precision)), precision
 
     def test_exponent_zero_counts_divisors(self):
         table = sigma_power_table(0, 201, 13**6)
