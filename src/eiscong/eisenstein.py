@@ -5,12 +5,13 @@ Normalizations: E_k has constant term 1 and higher coefficients
 and higher coefficients sigma_{k-1}(n). E_0 is the constant series 1.
 
 Each generator takes its divisor sums sigma_{k-1}(1..N) from one cached
-table (`divisor_sums`), built by multiplicativity in
-`exact.sigma_power_table`: a modular power per prime up to N, then one
-multiply per n; a table one step of p-1 above a cached one takes a multiply
-per prime in place of the power (`exact.sigma_power_table_step`). It scales
-them by one constant, reduced from B_k's numerator and denominator as one
-quotient (`ResidueRing.reduce_quotient`). The table is read
+table (`divisor_sums`), built by multiplicativity in `exact.sigma_power_table`:
+a modular power per prime up to N, then one multiply per n. A table one step
+of p-1 above the table built last takes a multiply per prime in place of the
+power (`exact.sigma_power_table_step`); a grid block climbs k by p-1 per alpha,
+so that one slot is its step source. It scales them by one constant, reduced
+from B_k's numerator and denominator as one quotient
+(`ResidueRing.reduce_quotient`). The table is read
 at its exponent's period modulo p^m: d^(k-1) mod p^m repeats with period
 p^(m-1)(p-1) in k-1 for a unit d, and is 0 for d divisible by p once
 k-1 >= m, so every k-1 > m shares the table of m + ((k-1-m) mod p^(m-1)(p-1)).
@@ -65,40 +66,39 @@ def divisor_sums(k: int, ring: ResidueRing, precision: int) -> tuple[int, ...]:
     return _sigma_table(exponent, ring, precision)
 
 
-# The tables of `_sigma_table` by (exponent, ring, precision), least recently
-# used first. A grid block's alphas come back to a table one period of alpha,
-# p^(m-1), later; 64 entries hold that reuse for every period up to 64.
-_SIGMA_TABLES: dict[tuple, tuple[int, ...]] = {}
+# The (exponent, ring, precision) key and the table `_sigma_table` built last,
+# one tuple rebound whole, so no reader pairs one key with another's table.
+_LAST_TABLE: tuple = ((), ())
 
 
+@lru_cache(maxsize=64)
 def _sigma_table(exponent: int, ring: ResidueRing, precision: int) -> tuple[int, ...]:
-    """The table of an exponent's key, cached; a miss is built from the cached table
-    one step of p-1 below, when there is one, and the table of p-1.
+    """The table of an exponent's key, cached; a miss one step of p-1 above the
+    table built last is built from it and the table of p-1.
 
     Below the key e > m lies the key e-(p-1), or e-(p-1) + p^(m-1)(p-1) where
     that is <= m: both are exact, as a unit repeats with that period and a
-    multiple of p is 0 at every exponent >= m on either side.
+    multiple of p is 0 at every exponent >= m on either side. One slot serves
+    a grid block: alpha + 1 asks for the key one step above alpha's, and 64
+    entries hold a table until the block comes back to it one period of
+    alpha, p^(m-1), later, for every period up to 64.
     """
-    key = (exponent, ring, precision)
-    table = _SIGMA_TABLES.pop(key, None)
-    if table is None:
-        p, m = ring.p, ring.m
-        below = exponent - (p - 1)
-        if below <= m < exponent:
-            below += p ** (m - 1) * (p - 1)
-        step = _SIGMA_TABLES.get((below, ring, precision))
-        if step is None or exponent == p - 1:
-            table = tuple(sigma_power_table(exponent, precision, ring.modulus))
-        else:
-            table = tuple(sigma_power_table_step(
-                step, _sigma_table(p - 1, ring, precision), ring.modulus))
-        if len(_SIGMA_TABLES) >= 64:
-            _SIGMA_TABLES.pop(next(iter(_SIGMA_TABLES)), None)
-    _SIGMA_TABLES[key] = table
+    global _LAST_TABLE
+    p, m = ring.p, ring.m
+    below = exponent - (p - 1)
+    if below <= m < exponent:
+        below += p ** (m - 1) * (p - 1)
+    last_key, last = _LAST_TABLE
+    if exponent != p - 1 and last_key == (below, ring, precision):
+        table = tuple(sigma_power_table_step(
+            last, _sigma_table(p - 1, ring, precision), ring.modulus))
+    else:
+        table = tuple(sigma_power_table(exponent, precision, ring.modulus))
+    _LAST_TABLE = ((exponent, ring, precision), table)
     return table
 
 
-@lru_cache(maxsize=512)
+@lru_cache(maxsize=64)
 def g_series(k: int, ring: ResidueRing, precision: int) -> QSeries:
     """G_k modulo p^m through q^precision.
 
@@ -115,7 +115,7 @@ def g_series(k: int, ring: ResidueRing, precision: int) -> QSeries:
     return QSeries(ring, (constant, *divisor_sums(k, ring, precision)[1:]), precision)
 
 
-@lru_cache(maxsize=512)
+@lru_cache(maxsize=64)
 def e_series(k: int, ring: ResidueRing, precision: int) -> QSeries:
     """Normalized E_k modulo p^m through q^precision (E_0 = 1).
 

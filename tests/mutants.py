@@ -9,14 +9,17 @@ fails when one of them fails.
     python tests/mutants.py [ID ...]
 
 runs the named mutants, or all of them. Each runs in its own temporary
-directory, a copy of src/, tests/, perfbench/ (tests/test_cli.py reads its
-reference digests) and pyproject.toml with the mutant applied, where pytest
+directory, a copy of the tree (`copy_tree`: src/, tests/, perfbench/,
+pyproject.toml and BENCHMARK.json) with the mutant applied, where pytest
 runs the mutant's node ids under the hypothesis profile `mutants` of
-tests/conftest.py, which does not shrink a failing example. A mutant is killed when every one of them fails
-(or errors), and survives otherwise; survivors are reported with the node
-ids that passed, and make the exit status 1. An unknown id, or an old text
-that does not occur exactly once (`misplaced`, the cheap check), makes it 2
-before anything runs. The tree copied from is never changed.
+tests/conftest.py, which does not shrink a failing example. A mutant is
+killed when every one of them fails (or errors), and survives otherwise;
+survivors are reported with the node ids that passed, and make the exit
+status 1. An unknown id, or an old text that does not occur exactly once
+(`misplaced`, the cheap check), makes it 2 before anything runs; so does a
+chosen node id that fails on an unmutated copy, where every chosen node
+runs once first, since such a node would count as a kill whatever the
+mutant did. The tree copied from is never changed.
 
 Mutants retired with the code they changed: the exponent of E_{p-1}^n read
 mod p^(m-1), and the factor p^i of its i-th binomial term one p short
@@ -68,6 +71,7 @@ P_CACHE = "tests/test_properties.py::test_a_cache_line_round_trips"
 FILT = "src/eiscong/filtration.py"
 T_SOLVER = "tests/test_filtration.py::TestSolver::"
 P_SOLVER = "tests/test_properties.py::test_the_echelon_solver_matches_the_diagonalizing_oracle"
+T_STEPS = "tests/test_eisenstein.py::TestSteppedSigmaTables::"
 
 MUTANTS = (
     Mutant("euler-guard-bits-0", EXACT,
@@ -333,13 +337,23 @@ MUTANTS = (
     Mutant("sigma-table-steps-by-p", "src/eiscong/eisenstein.py",
            "below = exponent - (p - 1)",
            "below = exponent - p",
-           ("tests/test_eisenstein.py::TestSteppedSigmaTables::"
-            "test_every_stepped_table_matches_the_modular_powers",)),
+           (T_STEPS + "test_every_stepped_table_matches_the_modular_powers",
+            T_STEPS + "test_a_grid_blocks_walk_steps_from_the_table_built_last",
+            T_STEPS + "test_the_key_past_the_wrap_steps_from_the_top_of_the_period")),
+    Mutant("last-table-key-exponent-only", "src/eiscong/eisenstein.py",
+           "last_key == (below, ring, precision)",
+           "last_key[:1] == (below,)",
+           (T_STEPS + "test_a_key_one_step_above_another_precision_or_ring_is_built_fresh",)),
     Mutant("factor-rows-stop-short", EXACT,
            "for n in range(2, precision + 1):",
            "for n in range(2, precision):",
            ("tests/test_exact.py::TestSigma::test_table_known_answers",
             "tests/test_exact.py::TestSigma::test_exponent_zero_counts_divisors")),
+    Mutant("round-trip-guard-off", FILT,
+           "if g is None or (g * e_power(ring, upto, n)).coeffs != f.coeffs[: upto + 1]:",
+           "if False:",
+           ("tests/test_filtration.py::TestFiltrationBound::"
+            "test_a_witness_that_fails_its_round_trip_is_an_error",)),
     Mutant("series-framed-by-format", CLI,
            '_cmd_series, "jsonl", False)',
            "_cmd_series, None, False)",
@@ -371,23 +385,38 @@ def failed_ids(summary: str, tests: tuple[str, ...]) -> list[str]:
                    for node in reported)]
 
 
-def survivors_of(mutant: Mutant) -> list[str]:
-    """The node ids of `mutant` that passed with it applied to a copy of the tree."""
+def copy_tree(copy: Path) -> None:
+    """Copy into `copy` what the tests read: src/, tests/, perfbench/ (tests/test_cli.py
+    reads its reference digests), pyproject.toml and BENCHMARK.json (perfbench's
+    `Definition` tests read it)."""
+    for name in ("src", "tests", "perfbench"):
+        shutil.copytree(ROOT / name, copy / name,
+                        ignore=shutil.ignore_patterns("__pycache__", ".hypothesis"))
+    for name in ("pyproject.toml", "BENCHMARK.json"):
+        shutil.copy2(ROOT / name, copy / name)
+
+
+def failing(tests: tuple[str, ...], mutant: Mutant | None = None) -> list[str]:
+    """The node ids of `tests` that fail (or error) in a copy of the tree, with `mutant`
+    applied when one is given."""
     with tempfile.TemporaryDirectory(prefix="eiscong-mutant-") as scratch:
         copy = Path(scratch)
-        for name in ("src", "tests", "perfbench"):
-            shutil.copytree(ROOT / name, copy / name,
-                            ignore=shutil.ignore_patterns("__pycache__", ".hypothesis"))
-        shutil.copy2(ROOT / "pyproject.toml", copy / "pyproject.toml")
-        target = copy / mutant.path
-        target.write_text(target.read_text().replace(mutant.old, mutant.new, 1))
+        copy_tree(copy)
+        if mutant:
+            target = copy / mutant.path
+            target.write_text(target.read_text().replace(mutant.old, mutant.new, 1))
         env = dict(os.environ, PYTHONPATH=str(copy / "src"), PYTHONDONTWRITEBYTECODE="1")
         env.pop("EISCONG_BERNOULLI_CACHE", None)
         proc = subprocess.run(
             [sys.executable, "-m", "pytest", "-q", "--tb=no", "-rfE", "-p", "no:cacheprovider",
-             "--hypothesis-profile=mutants", *mutant.tests],
+             "--hypothesis-profile=mutants", *tests],
             cwd=copy, env=env, capture_output=True, text=True)
-    failed = failed_ids(proc.stdout, mutant.tests)
+    return failed_ids(proc.stdout, tests)
+
+
+def survivors_of(mutant: Mutant) -> list[str]:
+    """The node ids of `mutant` that passed with it applied to a copy of the tree."""
+    failed = failing(mutant.tests, mutant)
     return [test for test in mutant.tests if test not in failed]
 
 
@@ -397,7 +426,15 @@ def main(argv: list[str]) -> int:
     if unknown or stale:
         print(f"unknown ids: {sorted(unknown)}; old text not found once: {stale}")
         return 2
-    start, survived = time.monotonic(), 0
+    # A node that fails on the unmutated tree would count as a kill whatever
+    # the mutant did, so the chosen nodes run once on a plain copy first.
+    start = time.monotonic()
+    broken = failing(tuple(dict.fromkeys(test for m in chosen for test in m.tests)))
+    if broken:
+        print("failing on the unmutated tree:", *broken, sep="\n    ")
+        return 2
+    print(f"every node passes on the unmutated tree ({time.monotonic() - start:.1f} s)")
+    survived = 0
     for mutant in chosen:
         passed = survivors_of(mutant)
         survived += bool(passed)

@@ -1036,8 +1036,9 @@ class TestOutAndCache:
         indices = [parse_cache_line(l)[0] for l in text.splitlines()]
         assert len(indices) == len(set(indices))
         assert appended == len(indices) - 1
-        path.write_text("12 -691/2730\n")
-        assert load_bernoulli_cache(path) == 1
+        # Blank lines, before, between and after the entries, are skipped.
+        path.write_text("\n12 -691/2730\n  \n\n14 0x7/0x6\n\n")
+        assert load_bernoulli_cache(path) == 2
 
     def test_a_decimal_cache_loads_and_grows_in_hex(self, tmp_path, monkeypatch, cold_bernoulli):
         # Decimal lines as older versions wrote them (B_2200's numerator is
@@ -1327,14 +1328,46 @@ def test_an_op_reads_factor_rows_at_one_precision(capsys, monkeypatch, argv):
     # cache keyed on the precision, misses once and then hits. An op that read
     # rows at many precisions would show here. Every series table is emptied
     # first, so the op builds its tables; the Bernoulli memo is kept.
-    monkeypatch.setattr(eisenstein, "_SIGMA_TABLES", {})
+    empty_package_caches(monkeypatch)
+    status, _, err = run_cli(capsys, *argv.split())
+    info = exact._factor_rows.cache_info()
+    assert (status, err) == (0, "") and info.misses == 1 and info.hits > 0, info
+
+
+def empty_package_caches(monkeypatch) -> None:
+    """Empty every cache of the package but the Bernoulli memo, and the slot of the
+    divisor-sum table built last."""
+    monkeypatch.setattr(eisenstein, "_LAST_TABLE", ((), ()))
     for module in (congruences, eisenstein, exact, filtration):
         for value in vars(module).values():
             if hasattr(value, "cache_clear"):
                 value.cache_clear()
+
+
+@pytest.mark.parametrize("argv,fresh,stepped,hits", [
+    ("verify thm1 --p 5,7 --m 1..3 --alpha 0..12 --prec 60", 19, 29, 12),
+    ("verify thm2 --p 5,7 --m 1..3 --alpha 1..12 --prec 60", 11, 31, 10),
+    ("verify thm1 --p 5,7,11,13 --m 1..4 --alpha 0..30 --prec 60", 55, 251, 40),
+    ("verify thm2 --p 5,7,11,13 --m 1..4 --alpha 1..30 --prec 60", 30, 257, 36),
+], ids=["thm1-small", "thm2-small", "thm1-benchmark", "thm2-benchmark"])
+def test_a_grid_steps_its_tables_and_rereads_its_forms(capsys, monkeypatch, argv, fresh,
+                                                        stepped, hits):
+    # The traffic the one-slot step source and the 64-entry G_k/E_k caches
+    # serve, from emptied caches: a grid block's alpha + 1 asks for the
+    # divisor-sum table one step of p-1 above the one its alpha built, and
+    # its only series hits re-read the block's m forms. A reordered grid
+    # that stopped stepping, or caches too small for a block, would show here.
+    empty_package_caches(monkeypatch)
+    built = {"fresh": 0, "stepped": 0}
+    for name, kind in (("sigma_power_table", "fresh"), ("sigma_power_table_step", "stepped")):
+        def counted(*args, build=getattr(eisenstein, name), kind=kind):
+            built[kind] += 1
+            return build(*args)
+        monkeypatch.setattr(eisenstein, name, counted)
     status, _, err = run_cli(capsys, *argv.split())
-    info = exact._factor_rows.cache_info()
-    assert (status, err) == (0, "") and info.misses == 1 and info.hits > 0, info
+    series = eisenstein.g_series if "thm1" in argv else eisenstein.e_series
+    assert (status, err) == (0, "")
+    assert (built["fresh"], built["stepped"], series.cache_info().hits) == (fresh, stepped, hits)
 
 
 # Runs `verify_refined_bounds` cold over p in {5, 7}, m in {2, 3, 4}, every

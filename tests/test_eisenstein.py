@@ -1,5 +1,6 @@
 import inspect
 import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -257,9 +258,15 @@ class TestDivisorSums:
         assert divisor_sums(k, ring, 20) is not divisor_sums(k + 1, ring, 20)
 
 
+def empty_sigma_tables() -> None:
+    """Empty the divisor-sum tables and the slot of the table built last."""
+    eisenstein._sigma_table.cache_clear()
+    eisenstein._LAST_TABLE = ((), ())
+
+
 class TestSteppedSigmaTables:
-    """A table one step of p-1 above a cached one, built by one multiply per prime
-    (`sigma_power_table_step`), against `sigma_power_table` of the unreduced exponent."""
+    """A table one step of p-1 above the table built last, built by one multiply per
+    prime (`sigma_power_table_step`), against `sigma_power_table` of the unreduced exponent."""
 
     @pytest.fixture
     def stepped(self, monkeypatch) -> list:
@@ -267,7 +274,8 @@ class TestSteppedSigmaTables:
         steps, step = [], eisenstein.sigma_power_table_step
         monkeypatch.setattr(eisenstein, "sigma_power_table_step",
                             lambda *args: steps.append(1) or step(*args))
-        monkeypatch.setattr(eisenstein, "_SIGMA_TABLES", {})
+        monkeypatch.setattr(eisenstein, "_LAST_TABLE", ((), ()))
+        eisenstein._sigma_table.cache_clear()
         return steps
 
     @pytest.mark.parametrize("p", [5, 7, 11, 13])
@@ -278,12 +286,83 @@ class TestSteppedSigmaTables:
         ring, period = ResidueRing(p, m), p ** (m - 1) * (p - 1)
         for precision in (1, 7, 80):
             for walk in (range(3 * p), range(max(0, m + period - 3 * p), m + period + 3 * p)):
-                eisenstein._SIGMA_TABLES.clear()
+                empty_sigma_tables()
                 for exponent in walk:
                     assert list(divisor_sums(exponent + 1, ring, precision)) == sigma_power_table(
                         exponent, precision, ring.modulus), (precision, exponent)
-        # At m = 1 a step of p - 1 is the key's period, back to the key itself.
-        assert len(stepped) >= 3 * 2 * p if m > 1 else stepped == []
+        # A walk in steps of 1 never asks for the key one step of p-1 above the
+        # table it built last, so nothing steps (at m = 1 a step of p - 1 is
+        # the key's period, back to the key itself).
+        assert stepped == []
+
+    @pytest.mark.parametrize("p,m", [(5, 2), (5, 3), (7, 2), (7, 3), (11, 2), (13, 2)])
+    def test_a_grid_blocks_walk_steps_from_the_table_built_last(self, stepped, p, m):
+        # A grid block asks for k = k* + alpha(p-1) at an even k: one odd
+        # residue class of exponents k-1 mod p-1, ascending by p-1. Each class
+        # walks from empty tables, from three steps below the top of the
+        # period m + period through the wrap, where its keys fall back to
+        # [m, m + 2(p-1)). Every table after the class's first steps from the
+        # one before, except at the two keys that the rule builds fresh: m,
+        # which has no key below it past the wrap, and m + (p-1), whose key
+        # below is taken to be the top of the period, not m.
+        ring, period = ResidueRing(p, m), p ** (m - 1) * (p - 1)
+        top, fresh = m + period, {m, m + p - 1}
+        for residue in range(1, p - 1, 2):
+            empty_sigma_tables()
+            start = top - 3 * (p - 1) + (residue - top) % (p - 1)
+            for i, exponent in enumerate(range(start, top + 2 * (p - 1), p - 1)):
+                key, steps = m + (exponent - m) % period, len(stepped)
+                assert list(divisor_sums(exponent + 1, ring, 40)) == sigma_power_table(
+                    exponent, 40, ring.modulus), (residue, exponent)
+                assert len(stepped) - steps == (i > 0 and key not in fresh), (residue, exponent)
+
+    def test_a_key_one_step_above_another_precision_or_ring_is_built_fresh(self, stepped):
+        # The slot holds the ring and precision of its table: the key one step
+        # of p-1 above it at another precision, or in another ring of the same
+        # p, is built fresh. Key 10 lies one step below key 16 at p = 7 for
+        # m = 2 and m = 3 alike.
+        for (ring, precision), (other, other_precision) in [
+                ((ResidueRing(7, 3), 30), (ResidueRing(7, 3), 45)),
+                ((ResidueRing(7, 3), 45), (ResidueRing(7, 3), 30)),
+                ((ResidueRing(7, 2), 30), (ResidueRing(7, 3), 30)),
+                ((ResidueRing(7, 3), 30), (ResidueRing(7, 2), 30))]:
+            empty_sigma_tables()
+            divisor_sums(6 + 1, other, other_precision)  # the step, cached
+            divisor_sums(10 + 1, ring, precision)
+            assert list(divisor_sums(16 + 1, other, other_precision)) == sigma_power_table(
+                16, other_precision, other.modulus), (ring, precision, other, other_precision)
+            assert stepped == [], (ring, precision, other, other_precision)
+
+    def test_concurrent_walks_step_only_from_their_own_tables(self, stepped):
+        # Threads climb grid classes in rings and at precisions of their own,
+        # switching often, through 64 shared entries that they keep evicting.
+        # The slot is one (key, table) tuple, read once and rebound whole, so
+        # a thread steps from a key with its own table or builds fresh, and
+        # no table is wrong.
+        cases = [(ResidueRing(p, m), precision)
+                 for p, m in [(5, 3), (7, 2), (7, 3), (11, 2)] for precision in (20, 33)]
+        wrong = []
+
+        def walk(ring, precision):
+            p, m = ring.p, ring.m
+            for start in [*range(1, p - 1, 2)] * 3:
+                for exponent in range(start, 2 * p ** (m - 1) * (p - 1), p - 1):
+                    if list(divisor_sums(exponent + 1, ring, precision)) != sigma_power_table(
+                            exponent, precision, ring.modulus):
+                        wrong.append((ring, precision, exponent))
+
+        threads = [threading.Thread(target=walk, args=case) for case in cases]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == [] and stepped, wrong[:5]
 
     @pytest.mark.parametrize("p,m", [(5, 2), (7, 3), (13, 4)])
     def test_the_key_past_the_wrap_steps_from_the_top_of_the_period(self, stepped, p, m):

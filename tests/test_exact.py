@@ -208,6 +208,8 @@ class TestBernoulli:
     def test_negative_index_rejected(self):
         with pytest.raises(ValueError):
             bernoulli(-2)
+        with pytest.raises(ValueError, match="non-negative"):
+            exact.seed_bernoulli(-2, Fraction(1, 6))
 
     def test_clausen_von_staudt(self):
         # B_k plus the sum of 1/q over primes q with (q-1) | k is an integer
@@ -1028,6 +1030,11 @@ class TestValuation:
     def test_integer_argument(self):
         assert padic_valuation(250, 5) == 3
 
+    def test_p_below_2_rejected(self):
+        for p in (1, 0, -5):
+            with pytest.raises(ValueError, match="at least 2"):
+                padic_valuation(250, p)
+
     def test_bk_over_k_integral_when_p_minus_one_does_not_divide(self):
         assert padic_valuation(bernoulli(4) / 4, 7) >= 0
         assert padic_valuation(bernoulli(10) / 10, 7) >= 0
@@ -1083,6 +1090,11 @@ class TestHCoefficient:
             h_coefficient(3, 5, 3)
         with pytest.raises(ValueError):
             h_coefficient(3, 5, -1)
+        # and m or alpha out of range
+        with pytest.raises(ValueError, match="m must be positive"):
+            h_coefficient(0, 5, 0)
+        with pytest.raises(ValueError, match="alpha must be non-negative"):
+            h_coefficient(3, -1, 0)
 
     def test_rows_sum_to_one(self):
         # sum_r H(m, alpha, r) = 1 for every alpha (constant-term identity)
@@ -1108,6 +1120,9 @@ class TestSigma:
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
             sigma_power_mod(3, 0, 25)
+        for n in (0, -6):
+            with pytest.raises(ValueError, match="n must be positive"):
+                divisors(n)
 
     def test_mod_variant_agrees(self, rng):
         for _ in range(60):
@@ -1179,6 +1194,10 @@ class TestPochhammer:
     def test_rising_factorial(self):
         assert pochhammer(3, 4) == 3 * 4 * 5 * 6
         assert pochhammer(5, 0) == 1
+
+    def test_negative_length_rejected(self):
+        with pytest.raises(ValueError, match="length must be non-negative"):
+            pochhammer(3, -1)
 
     def test_vanishes_at_one_minus_j(self):
         # (1-j)_j contains the factor 0 for every j >= 1

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from eiscong import cli, filtration
 from eiscong.errors import (
     EiscongError,
     OddWeightError,
@@ -96,6 +97,11 @@ class TestBasis:
     def test_odd_weight_rejected(self):
         with pytest.raises(OddWeightError):
             basis(5, ResidueRing(5, 1), 4)
+
+    def test_negative_weight_rejected(self):
+        for weight in (-2, -4, -12):
+            with pytest.raises(ParameterOutOfRangeError, match="non-negative"):
+                basis(weight, ResidueRing(5, 1), 4)
 
     def test_monomial_columns_unitriangular(self):
         ring = ResidueRing(11, 2)
@@ -286,6 +292,28 @@ class TestFiltrationBound:
         assert data["input-id"] == "G_14"
         assert isinstance(data["witness"]["coefficients"][0], str)
         assert data["bound-found"] % 2 == 0
+
+    @pytest.mark.parametrize("fault", ["perturbed-witness", "no-witness"])
+    def test_a_witness_that_fails_its_round_trip_is_an_error(self, capsys, monkeypatch, fault):
+        # The witness g at the bound is checked by g * E_{p-1}^n == f. A g with
+        # one coefficient off, or a probe that finds no g at the bound the
+        # layer pass found, must raise, and the CLI must report it as an error.
+        if fault == "perturbed-witness":
+            def combine(coeffs, columns, combination=filtration.linear_combination):
+                g = combination(coeffs, columns)
+                bumped = (g.coeffs[1] + 1) % g.ring.modulus
+                return QSeries(g.ring, (g.coeffs[0], bumped, *g.coeffs[2:]), g.precision)
+            monkeypatch.setattr(filtration, "linear_combination", combine)
+        else:
+            monkeypatch.setattr(filtration, "_probe",
+                                lambda *args: NoSolution("inconsistent-row", {"row": 0}))
+        f = g_series(40, ResidueRing(7, 3), sturm_bound(40))
+        with pytest.raises(EiscongError, match="^witness failed round-trip verification$"):
+            factor_filtration_bound(f, 40)
+        status = cli.main(["filtration", "--form", "G", "--k", "40", "--p", "7", "--m", "3"])
+        captured = capsys.readouterr()
+        assert (status, captured.out) == (2, "")
+        assert captured.err == "error: witness failed round-trip verification\n"
 
 
 class TestSharpnessProbe:

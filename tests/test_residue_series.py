@@ -431,13 +431,14 @@ class TestSeriesEqualMod:
         ring = ResidueRing(5, 2)
         a = q_series(ring, 4, 9, 16)
         assert series_equal_mod(a, a, 2).ok
+        assert series_equal_mod(a, a, 2)  # a verdict is true when it holds
 
     def test_first_difference_reported(self):
         ring = ResidueRing(5, 2)
         a = q_series(ring, 1, 3, 7)
         b = q_series(ring, 1, 4, 7)
         verdict = series_equal_mod(a, b, 2)
-        assert not verdict.ok
+        assert not verdict.ok and not verdict
         assert verdict.first_index == 1
         assert (verdict.lhs, verdict.rhs) == (3, 4)
 
